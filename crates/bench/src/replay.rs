@@ -12,6 +12,7 @@
 //! silently time a diverged engine.
 
 use hybridmem::json::Json;
+use hybridmem::service::parse_workload;
 use knl::tracesim::{worker_threads, TracePlacement, TraceSim};
 use knl::{MachineConfig, MemSetup};
 use simfabric::ByteSize;
@@ -44,27 +45,11 @@ impl ReplayConfig {
     }
 
     /// Parse a [`label`](Self::label)-format identifier back into a
-    /// configuration (`repro profile stream_64x50000`). Kind names
+    /// configuration (`repro profile stream_64x50000`) under the
+    /// advisor's admission rules ([`parse_workload`]). Kind names
     /// match case-insensitively; errors describe the expected shape.
     pub fn parse_label(label: &str) -> Result<ReplayConfig, String> {
-        let shape = || format!("bad config label {label:?} (expected <kind>_<cores>x<per_core>)");
-        let (kind_s, rest) = label.rsplit_once('_').ok_or_else(shape)?;
-        let kind = TraceKind::ALL
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(kind_s))
-            .ok_or_else(|| {
-                let known: Vec<String> = TraceKind::ALL
-                    .iter()
-                    .map(|k| k.name().to_lowercase())
-                    .collect();
-                format!("unknown trace kind {kind_s:?}; known: {}", known.join(", "))
-            })?;
-        let (cores_s, per_s) = rest.split_once('x').ok_or_else(shape)?;
-        let cores: u32 = cores_s.parse().map_err(|_| shape())?;
-        let accesses_per_core: u64 = per_s.parse().map_err(|_| shape())?;
-        if cores == 0 || accesses_per_core == 0 {
-            return Err(shape());
-        }
+        let (kind, cores, accesses_per_core) = parse_workload(label)?;
         Ok(ReplayConfig {
             kind,
             cores,

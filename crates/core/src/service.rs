@@ -86,7 +86,9 @@ pub struct AdvisorQuery {
 }
 
 /// Parse a `<kind>_<cores>x<per_core>` workload label (the bench
-/// config format, e.g. `stream_8x2000`).
+/// config format, e.g. `stream_8x2000`). Admits 1 to
+/// [`knl::calib::CORES`] cores and a nonzero per-core count whose
+/// trace total fits a `u64`.
 pub fn parse_workload(label: &str) -> Result<(TraceKind, u32, u64), String> {
     let shape = || format!("bad workload label {label:?} (expected <kind>_<cores>x<per_core>)");
     let (kind_s, rest) = label.rsplit_once('_').ok_or_else(shape)?;
@@ -105,6 +107,18 @@ pub fn parse_workload(label: &str) -> Result<(TraceKind, u32, u64), String> {
     let accesses_per_core: u64 = per_s.parse().map_err(|_| shape())?;
     if cores == 0 || accesses_per_core == 0 {
         return Err(shape());
+    }
+    if cores > knl::calib::CORES {
+        return Err(format!(
+            "workload {label:?} asks for {cores} cores; the machine has {}",
+            knl::calib::CORES
+        ));
+    }
+    if (cores as u64).checked_mul(accesses_per_core).is_none() {
+        return Err(format!(
+            "workload {label:?} has more than {} accesses in total",
+            u64::MAX
+        ));
     }
     Ok((kind, cores, accesses_per_core))
 }
@@ -239,9 +253,10 @@ pub fn fold_threads(threads: u32) -> u32 {
 
 /// The migration period a zero-period query resolves to: an eighth of
 /// the trace (eight rebalance opportunities), floored at 256 accesses
-/// so tiny traces still migrate.
+/// so tiny traces still migrate. Saturates rather than overflowing on
+/// a trace too long to count.
 pub fn auto_period(cores: u32, accesses_per_core: u64) -> u64 {
-    (cores as u64 * accesses_per_core / 8).max(256)
+    ((cores as u64).saturating_mul(accesses_per_core) / 8).max(256)
 }
 
 /// Canonicalize a query into its [`QueryKey`]: bucket the budget up
@@ -828,6 +843,7 @@ mod tests {
             r#"{"workload": "warp_4x200"}"#,
             r#"{"workload": "stream_4x200", "budget_kib": 0}"#,
             r#"{"workload": "stream_4x200", "threads": "lots"}"#,
+            r#"{"workload": "stream_2x18446744073709551615"}"#,
         ] {
             let doc = crate::json::parse(bad).unwrap();
             assert!(AdvisorQuery::from_json(&doc).is_err(), "accepted {bad}");
@@ -897,8 +913,12 @@ mod tests {
             "warp_8x100",
             "stream_0x100",
             "stream_8x0",
+            "stream_65x100",
+            "stream_2x18446744073709551615",
         ] {
             assert!(parse_workload(bad).is_err(), "accepted {bad:?}");
         }
+        assert!(parse_workload("stream_64x100").is_ok());
+        assert_eq!(auto_period(64, u64::MAX), u64::MAX / 8);
     }
 }

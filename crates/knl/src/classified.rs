@@ -25,7 +25,7 @@
 //! `run_classified` additionally asserts the signature against the
 //! replaying simulator so a hand-constructed mismatch panics instead
 //! of silently replaying the wrong classification. Placement, worker
-//! count, timing mode, and migration specs are deliberately *not* in
+//! count, and migration specs are deliberately *not* in
 //! the key — they only affect the timing stage.
 //!
 //! # Cache observability

@@ -41,27 +41,9 @@
 //! whose batch runs dry but which still have trace left stay in the
 //! tournament as *ghosts* at their current clock, and a ghost winning
 //! triggers the next refill — so peak buffering is one window, not the
-//! whole trace, and the merge order is still exact.
-//!
-//! # Concurrent timing (`TRACESIM_TIMING`, [`TimingMode`])
-//!
-//! By default (`TimingMode::Concurrent`, with ≥ 2 workers) the timing
-//! phase itself runs concurrently via **static ownership
-//! partitioning**: each DRAM channel's banks and bus watermark split
-//! into a [`memdev::bank::DramLane`] owned by exactly one gang worker
-//! ([`simfabric::par::Gang`]). The merge thread still sequences
-//! accesses in the exact sequential order, but defers device pricing:
-//! it emits pre-routed lane ops and uses conservative completion
-//! lower bounds to prove each MSHR/merge/ordering decision is
-//! independent of the not-yet-priced times, flushing the batch to the
-//! gang the moment a decision would need a real completion (see
-//! DESIGN.md "Concurrent timing phase" for the exactness and
-//! deadlock-freedom arguments). Degenerate traces (serialized pointer
-//! chases) are detected by flush-pattern and handed back to the
-//! inline loop ([`TimingEngineStats::bailed_out`]). Set
-//! `TRACESIM_TIMING=sequential` (or
-//! [`TraceSim::set_timing_mode`]) to force the inline path; both
-//! modes are bit-identical.
+//! whole trace, and the merge order is still exact. In every engine
+//! the timing phase runs inline on the merging thread; only
+//! classification fans out to workers.
 //!
 //! [`TraceSim::run_streaming`] goes one step further: instead of
 //! materializing the whole trace up front, it pulls bounded chunks
@@ -121,19 +103,16 @@ use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
 use cachesim::mcdram_cache::MemorySideCache;
 use cachesim::mshr::{Mshr, MshrOutcome};
-use memdev::bank::{DramGeometry, DramLane, DramModel, DramStats};
+use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
 use mesh::{MeshModel, MeshTally};
 use simfabric::merge::LoserTree;
 use simfabric::par;
-use simfabric::par::Gang;
 use simfabric::stats::Histogram;
 use simfabric::telemetry::timeseries::{SeriesId, TimeSeriesRecorder};
 use simfabric::telemetry::{MetricsRegistry, SpanLog};
 use simfabric::{ByteSize, Duration, SimTime};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One trace record.
@@ -345,43 +324,14 @@ pub fn worker_threads() -> usize {
     }
 }
 
-/// How [`TraceSim::run_parallel`]'s timing phase executes. Both modes
-/// produce bit-identical results; the choice is purely about how the
-/// shared-state work is scheduled.
+/// Retained only so the `benchmark/` crate keeps compiling: replay has
+/// a single inline timing loop, so this selects nothing. Remove it with
+/// the next change to that crate.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingMode {
-    /// The merge thread owns all shared state and prices every device
-    /// access inline (the pre-existing behaviour).
-    Sequential,
-    /// Ownership-partitioned timing: DRAM channel lanes are owned by
-    /// gang workers that price batches of pre-routed accesses, while
-    /// the sequencer preserves the exact sequential merge order and
-    /// flushes whenever a decision would need a not-yet-priced time.
+    /// The only variant the `benchmark/` crate names.
     Concurrent,
-}
-
-/// Parse a `TRACESIM_TIMING` value (case-insensitive).
-#[doc(hidden)]
-pub fn parse_timing_mode(raw: &str) -> Option<TimingMode> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "sequential" | "seq" => Some(TimingMode::Sequential),
-        "concurrent" | "conc" => Some(TimingMode::Concurrent),
-        _ => None,
-    }
-}
-
-/// Timing mode from the `TRACESIM_TIMING` environment variable,
-/// defaulting to [`TimingMode::Concurrent`] — the engine only engages
-/// when more than one worker is available, so single-threaded hosts
-/// run the inline loop either way. Unparsable values warn once and
-/// fall back to the default.
-pub fn timing_mode_from_env() -> TimingMode {
-    simfabric::env::parsed(
-        "TRACESIM_TIMING",
-        "\"sequential\" or \"concurrent\"",
-        parse_timing_mode,
-    )
-    .unwrap_or(TimingMode::Concurrent)
 }
 
 /// Default classification window for [`TraceSim::run_parallel`], in
@@ -513,22 +463,11 @@ impl ClassifiedSoa {
 
     /// Pop the oldest access: `(addr, sram_lat, dependent, level)`.
     fn pop(&mut self) -> Option<(u64, Duration, bool, LevelHit)> {
-        let out = self.peek();
-        if out.is_some() {
-            self.head += 1;
-        }
-        out
-    }
-
-    /// The oldest access without consuming it. The concurrent sequencer
-    /// peeks first so that a flush decision (which must happen before
-    /// *any* state mutation) can leave the access in place to be
-    /// retried after the flush.
-    fn peek(&self) -> Option<(u64, Duration, bool, LevelHit)> {
         if self.is_empty() {
             return None;
         }
         let i = self.head;
+        self.head += 1;
         let flags = self.flags[i];
         Some((
             self.addr[i],
@@ -536,12 +475,6 @@ impl ClassifiedSoa {
             unpack_dependent(flags),
             unpack_level(flags),
         ))
-    }
-
-    /// Consume the access last returned by [`peek`](Self::peek).
-    fn advance(&mut self) {
-        debug_assert!(!self.is_empty(), "advance past the end");
-        self.head += 1;
     }
 
     /// Drop the consumed prefix so refills don't grow without bound.
@@ -666,249 +599,24 @@ enum ReplayInput<'a> {
     },
 }
 
-// ---------------------------------------------------------------------
-// Concurrent timing engine.
-//
-// The shared state of the timing phase partitions by static ownership:
-// each DRAM channel's banks and bus watermark form a lane
-// ([`memdev::bank::DramLane`]) owned by exactly one gang worker, so
-// per-channel sequences of device calls — the only order the bank
-// model is sensitive to — are replayed on a single thread in exactly
-// the sequential merge order. The sequencer keeps that order: it runs
-// the same earliest-clock tournament as the inline path, but instead
-// of pricing device accesses inline it *emits* them as pre-routed ops
-// and proves, via conservative completion lower bounds, that every
-// MSHR/merge/ordering decision it takes is independent of the
-// not-yet-priced times. The moment a decision would need a real time
-// (a stale MSHR placeholder, a blocked dependent core whose bound is
-// reached, order-sensitive telemetry), it flushes: dispatches the
-// batch to the gang ([`simfabric::par::Gang`] epoch barrier), resolves
-// every deferred completion exactly, and resumes. Rare cross-owner
-// interaction (the cache-mode tag→data→fill chain crossing from an
-// MCDRAM lane to a DDR lane and back) is executed optimistically: the
-// chained op spins on its producer's published output, which is always
-// an earlier op in emission order, so the dataflow is acyclic and
-// deadlock-free.
-
-/// Device selector for a [`PriceOp`].
-const DEV_DDR: u8 = 0;
-const DEV_HBM: u8 = 1;
-/// `PriceOp::dep` value meaning "arrival time is known".
-const NO_DEP: u32 = u32::MAX;
-/// `PriceOp::out` value meaning "not yet priced".
-const OP_UNSET: u64 = u64::MAX;
-/// Flush a batch when it reaches this many device ops, bounding both
-/// the deferred-state footprint and the resolve latency.
-const ENGINE_OPS_CAP: usize = 4096;
-/// Bail out of the engine when, after this many flushes, ...
-const ENGINE_BAILOUT_FLUSHES: u64 = 8;
-/// ... the mean batch is still below this many ops: the trace
-/// serializes (e.g. a single-core pointer chase) and the gang is pure
-/// overhead, so the tail is handed back to the inline loop.
-const ENGINE_BAILOUT_MIN_OPS_PER_FLUSH: u64 = 16;
-
-/// One pre-routed device access for the pricing gang: a single
-/// `access_mapped` call on one lane, with the arrival time either
-/// known up front or taken from an earlier op's output (the cache-mode
-/// tag→data→fill chain).
-struct PriceOp {
-    /// [`DEV_DDR`] or [`DEV_HBM`].
-    dev: u8,
-    /// Packed `(channel, bank, row)` from [`DramGeometry::map_packed`].
-    map: u64,
-    /// Arrival time in ps (ignored when `dep` is set).
-    arrive_ps: u64,
-    /// Index of the op whose output is this op's arrival time, or
-    /// [`NO_DEP`].
-    dep: u32,
-    /// Completion time in ps; [`OP_UNSET`] until priced.
-    out: AtomicU64,
-}
-
-/// One flush's worth of ops plus the per-worker routing lists (op
-/// indices in emission order — per-lane order is what makes the lane
-/// replay exact).
-struct PricePlan {
-    ops: Vec<PriceOp>,
-    lists: Vec<Vec<u32>>,
-}
-
-/// Gang-worker loop: price every op routed to `me`, in emission order,
-/// on the lanes this worker owns. Chained ops spin (with yields) on
-/// their producer's output; the producer is always earlier in emission
-/// order, so progress is guaranteed (see the deadlock-freedom argument
-/// in DESIGN.md).
-fn price_worker(gang: &Gang<Arc<PricePlan>>, me: usize, lanes: &mut [(u8, DramLane)]) {
-    let mut seen = 0u64;
-    while let Some(plan) = gang.worker_wait(&mut seen) {
-        for &i in &plan.lists[me] {
-            let op = &plan.ops[i as usize];
-            let at = if op.dep == NO_DEP {
-                op.arrive_ps
-            } else {
-                let dep = &plan.ops[op.dep as usize].out;
-                let mut spins = 0u32;
-                loop {
-                    let v = dep.load(Ordering::Acquire);
-                    if v != OP_UNSET {
-                        break v;
-                    }
-                    spins += 1;
-                    if spins % 64 == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            };
-            let (ch, bank, row) = DramGeometry::unpack(op.map);
-            let (_, lane) = lanes
-                .iter_mut()
-                .find(|(d, l)| *d == op.dev && l.channel() == ch)
-                .expect("op routed to a lane this worker owns");
-            let served = lane.access_mapped(bank, row, SimTime::from_ps(at));
-            op.out.store(served.as_ps(), Ordering::Release);
-        }
-        gang.complete();
-    }
-}
-
-/// A deferred primary miss: the op is in flight on the gang; `done` is
-/// resolved (and the MSHR placeholder replaced) at the next flush.
-struct DefAlloc {
-    core: u32,
-    /// Index of the op whose output is the device service time.
-    op: u32,
-    /// MSHR line address (placeholder to replace at resolve).
-    line: u64,
-    issue: SimTime,
-    /// Response-path latency added on top of the device time.
-    resp_half: Duration,
-    /// Conservative lower bound on the final completion time; every
-    /// decision taken while this entry is pending is valid for *any*
-    /// completion at or above it.
-    done_lb: SimTime,
-    dependent: bool,
-}
-
-/// A secondary miss merged into a pending [`DefAlloc`]: completes at
-/// `max(primary done, floor)`.
-struct DefMerge {
-    core: u32,
-    alloc: u32,
-    floor: SimTime,
-    issue: SimTime,
-    dependent: bool,
-}
-
-/// Why the sequencer flushed a batch to the gang.
-#[derive(Debug, Clone, Copy)]
-enum FlushCause {
-    /// MSHR state undecidable under placeholders (stale pending line,
-    /// or a probe that cannot rule out a stall).
-    Mshr,
-    /// A blocked dependent core's completion bound was reached.
-    Blocked,
-    /// The ops-per-batch cap.
-    Capacity,
-    /// Order-sensitive telemetry (MSHR occupancy histogram) needs
-    /// fully-resolved state at every register call.
-    Telemetry,
-    /// End-of-window / end-of-run drain.
-    Drain,
-}
-
-/// Mutable sequencer state between flushes.
-struct EngineState {
-    ops: Vec<PriceOp>,
-    lists: Vec<Vec<u32>>,
-    allocs: Vec<DefAlloc>,
-    merges: Vec<DefMerge>,
-    /// `(core, line address)` → index into `allocs`, for pending
-    /// primaries. Keyed per core because MSHR files are per-core: the
-    /// same line in flight on two cores is two independent entries
-    /// (and two independent device accesses), exactly as in the
-    /// sequential replay.
-    pending: HashMap<(u32, u64), u32>,
-    /// Per-core count of unresolved placeholders in that core's MSHR
-    /// file; a core at zero has a fully-real file, so its register
-    /// calls (and occupancy samples) are exact without a flush.
-    deferred: Vec<u64>,
-    /// Dependent cores awaiting a deferred completion:
-    /// `(completion lower bound, core)`.
-    blocked: Vec<(SimTime, usize)>,
-}
-
-/// Immutable per-run routing/bounds context for the engine.
-struct EngineCtx<'a> {
-    gang: &'a Gang<Arc<PricePlan>>,
-    /// DDR / HBM channel → owning gang worker.
-    owner_ddr: Vec<usize>,
-    owner_hbm: Vec<usize>,
-    ddr_geo: DramGeometry,
-    hbm_geo: DramGeometry,
-    /// Minimum device service times (completion ≥ arrival + min).
-    ddr_min: Duration,
-    hbm_min: Duration,
-    workers: usize,
-}
-
-/// Route one op to its owning worker and append it to the batch.
-fn emit_op(
-    st: &mut EngineState,
-    ctx: &EngineCtx<'_>,
-    dev: u8,
-    map: u64,
-    arrive_ps: u64,
-    dep: u32,
-) -> u32 {
-    let idx = st.ops.len() as u32;
-    let ch = (map >> 56) as usize;
-    let owner = if dev == DEV_DDR {
-        ctx.owner_ddr[ch]
-    } else {
-        ctx.owner_hbm[ch]
-    };
-    st.ops.push(PriceOp {
-        dev,
-        map,
-        arrive_ps,
-        dep,
-        out: AtomicU64::new(OP_UNSET),
-    });
-    st.lists[owner].push(idx);
-    idx
-}
-
 /// Observability counters from the most recent
-/// [`TraceSim::run_parallel`] call's timing phase.
+/// [`TraceSim::run_parallel`] or [`TraceSim::run_classified`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingEngineStats {
     /// Classification windows refilled.
     pub windows: u64,
-    /// Pricing batches dispatched to the gang.
-    pub flushes: u64,
-    /// Flushes forced by undecidable MSHR state.
-    pub flush_mshr: u64,
-    /// Flushes forced by a blocked core's completion bound.
-    pub flush_blocked: u64,
-    /// Flushes forced by the ops-per-batch cap.
-    pub flush_capacity: u64,
-    /// Flushes forced by order-sensitive telemetry recorders.
-    pub flush_telemetry: u64,
-    /// End-of-window / end-of-run drains.
-    pub flush_drain: u64,
-    /// Device ops priced by the gang.
+    /// Always 0; kept only because the `benchmark/` crate reads it.
+    /// Remove it with the next change to that crate.
+    #[doc(hidden)]
     pub ops: u64,
-    /// Largest single batch.
-    pub max_ops_per_flush: u64,
-    /// Whether the engine handed the tail back to the inline loop
-    /// (degenerate flush pattern).
+    /// Always 0; kept only because the `benchmark/` crate reads it.
+    /// Remove it with the next change to that crate.
+    #[doc(hidden)]
+    pub flushes: u64,
+    /// Always `false`; kept only because the `benchmark/` crate reads
+    /// it. Remove it with the next change to that crate.
+    #[doc(hidden)]
     pub bailed_out: bool,
-    /// Ops routed to each gang worker (ownership-partition balance).
-    pub owner_ops: Vec<u64>,
-    /// Peak ops a single batch put on each worker.
-    pub owner_peak_ops: Vec<u64>,
 }
 
 /// Time-resolved replay telemetry: one [`TimeSeriesRecorder`] ticked
@@ -927,9 +635,7 @@ struct ReplayTimeSeries {
     migrate_resident: SeriesId,
     migrate_moves: SeriesId,
     /// Minimum device service times, cached from the models: the
-    /// queue-wait series is `done - (arrive + min + resp_half)`, the
-    /// same lower bound the concurrent engine's deferred ops carry,
-    /// so both engines accumulate identical waits.
+    /// queue-wait series is `done - (arrive + min + resp_half)`.
     ddr_min: Duration,
     hbm_min: Duration,
 }
@@ -951,7 +657,7 @@ pub struct TraceSim {
     /// [`TracePlacement::Migrated`] spec in flat mode. Ticked exactly
     /// once per consumed access in merge order by every engine, so
     /// rebalances land at identical trace offsets regardless of
-    /// worker count or timing mode.
+    /// engine or worker count.
     migration: Option<Box<PageScheduler>>,
     line_bytes: u64,
     /// Precomputed average response-path latencies (half a round trip).
@@ -982,8 +688,6 @@ pub struct TraceSim {
     /// Pipeline stall/occupancy stats from the most recent
     /// `run_streaming` call (zeroed by the materialized paths).
     last_pipe_stats: par::PipeStats,
-    /// Timing-phase override; `None` defers to [`timing_mode_from_env`].
-    timing_mode: Option<TimingMode>,
     /// Classification window for [`run_parallel`](Self::run_parallel),
     /// in accesses.
     replay_window: usize,
@@ -991,7 +695,7 @@ pub struct TraceSim {
     /// the `TRACESIM_LOOKAHEAD_CHUNKS` environment variable, and 0
     /// disables the cap.
     stream_lookahead_chunks: Option<usize>,
-    /// Engine counters from the most recent `run_parallel` call.
+    /// Window counters from the most recent windowed replay.
     timing_stats: TimingEngineStats,
     /// Phase-span log; `None` (the default) disables all span
     /// recording. Device-level histograms are enabled alongside it by
@@ -1052,7 +756,6 @@ impl TraceSim {
             last_peak_buffer: 0,
             peak_buffered_accesses: 0,
             last_pipe_stats: par::PipeStats::default(),
-            timing_mode: None,
             replay_window: replay_window_from_env(),
             stream_lookahead_chunks: None,
             timing_stats: TimingEngineStats::default(),
@@ -1061,18 +764,11 @@ impl TraceSim {
         }
     }
 
-    /// Override the timing mode for subsequent
-    /// [`run_parallel`](Self::run_parallel) calls; `None` (the
-    /// default) defers to the `TRACESIM_TIMING` environment variable.
-    pub fn set_timing_mode(&mut self, mode: Option<TimingMode>) {
-        self.timing_mode = mode;
-    }
-
-    /// The timing mode the next [`run_parallel`](Self::run_parallel)
-    /// call will use.
-    pub fn timing_mode(&self) -> TimingMode {
-        self.timing_mode.unwrap_or_else(timing_mode_from_env)
-    }
+    /// A no-op, kept only so the `benchmark/` crate keeps compiling:
+    /// every replay times inline. Remove it with the next change to
+    /// that crate.
+    #[doc(hidden)]
+    pub fn set_timing_mode(&mut self, _mode: Option<TimingMode>) {}
 
     /// Set the classification window (in accesses) for
     /// [`run_parallel`](Self::run_parallel); clamped to at least one.
@@ -1115,9 +811,9 @@ impl TraceSim {
         self.stream_lookahead_chunks = chunks;
     }
 
-    /// Timing-engine counters from the most recent
-    /// [`run_parallel`](Self::run_parallel) call (all-zero when the
-    /// inline timing path ran).
+    /// Window counters from the most recent
+    /// [`run_parallel`](Self::run_parallel) or
+    /// [`run_classified`](Self::run_classified) call.
     pub fn last_timing_stats(&self) -> &TimingEngineStats {
         &self.timing_stats
     }
@@ -1157,9 +853,7 @@ impl TraceSim {
     /// `migrate.moves`; zero when migration is off). Because the tick
     /// is merge-order simulated progress, window boundaries and
     /// sampled values are bit-identical across the sequential,
-    /// windowed-parallel, and streaming engines at any worker count —
-    /// under the concurrent timing engine a boundary forces a
-    /// telemetry flush first, so the sampled state is fully resolved.
+    /// windowed-parallel, and streaming engines at any worker count.
     /// Replay results are unchanged with sampling on or off; the
     /// equivalence suite asserts both properties.
     pub fn enable_timeseries(&mut self, interval: u64, capacity: usize) {
@@ -1201,32 +895,13 @@ impl TraceSim {
         self.timeseries.is_some()
     }
 
-    /// Device-level time-series accounting shared by every engine at
-    /// the point an access is routed to memory: one line fetch per
-    /// device op the access issues (the cache-mode miss chain touches
-    /// MCDRAM twice and DDR once, mirroring the ops the concurrent
-    /// engine emits). Callers gate on `timeseries.is_some()`.
-    fn ts_note_lines(&mut self, level: LevelHit, is_hbm_target: bool) {
-        let msc = self.msc.is_some();
-        let ts = self.timeseries.as_mut().expect("caller gates on is_some");
-        match (msc, level) {
-            (true, LevelHit::McdramCache) => ts.rec.add(ts.hbm_lines, 1.0),
-            (true, _) => {
-                ts.rec.add(ts.hbm_lines, 2.0);
-                ts.rec.add(ts.ddr_lines, 1.0);
-            }
-            (false, _) if is_hbm_target => ts.rec.add(ts.hbm_lines, 1.0),
-            (false, _) => ts.rec.add(ts.ddr_lines, 1.0),
-        }
-    }
-
-    /// Inline-path queue-wait accounting: the serving device's
-    /// overshoot past the completion lower bound
-    /// `arrive + min_service + resp_half` — exactly `done - done_lb`
-    /// on the concurrent engine's deferred ops, so both paths
-    /// accumulate identical series. Callers gate on
-    /// `timeseries.is_some()`.
-    fn ts_note_wait_inline(
+    /// Device-level time-series accounting for an access routed to
+    /// memory: one line fetch per device access it issues (the
+    /// cache-mode miss chain touches MCDRAM twice and DDR once), plus
+    /// the serving device's queue wait — its overshoot past the
+    /// completion lower bound `arrive + min_service + resp_half`.
+    /// Callers gate on `timeseries.is_some()`.
+    fn ts_note_memory(
         &mut self,
         level: LevelHit,
         is_hbm_target: bool,
@@ -1240,6 +915,15 @@ impl TraceSim {
             self.resp_half_ddr
         };
         let ts = self.timeseries.as_mut().expect("caller gates on is_some");
+        match (msc, level) {
+            (true, LevelHit::McdramCache) => ts.rec.add(ts.hbm_lines, 1.0),
+            (true, _) => {
+                ts.rec.add(ts.hbm_lines, 2.0);
+                ts.rec.add(ts.ddr_lines, 1.0);
+            }
+            (false, _) if is_hbm_target => ts.rec.add(ts.hbm_lines, 1.0),
+            (false, _) => ts.rec.add(ts.ddr_lines, 1.0),
+        }
         let (serves_ddr, m1, m2) = match (msc, level) {
             (true, LevelHit::McdramCache) => (false, ts.hbm_min, Duration::ZERO),
             (true, _) => (true, ts.hbm_min, ts.ddr_min),
@@ -1266,8 +950,6 @@ impl TraceSim {
     /// state every engine resolves identically at merge-order
     /// boundaries (MSHR files probed at the boundary access's
     /// pre-stall clock, migration scheduler totals), then snapshot.
-    /// The concurrent sequencer flushes deferred completions before
-    /// calling this, so the probed state is fully real.
     #[cold]
     fn ts_sample(&mut self, now: SimTime) {
         let inflight: usize = self.mshrs.iter().map(|m| m.probe_occupancy(now)).sum();
@@ -1393,24 +1075,6 @@ impl TraceSim {
         reg.gauge("replay.peak_buffer_bytes", self.last_peak_buffer as f64);
         let ts = &self.timing_stats;
         reg.counter("replay.timing.windows", ts.windows);
-        reg.counter("replay.timing.ops", ts.ops);
-        reg.counter("replay.timing.flushes", ts.flushes);
-        reg.counter("replay.timing.flush_mshr", ts.flush_mshr);
-        reg.counter("replay.timing.flush_blocked", ts.flush_blocked);
-        reg.counter("replay.timing.flush_capacity", ts.flush_capacity);
-        reg.counter("replay.timing.flush_telemetry", ts.flush_telemetry);
-        reg.counter("replay.timing.flush_drain", ts.flush_drain);
-        reg.gauge(
-            "replay.timing.max_ops_per_flush",
-            ts.max_ops_per_flush as f64,
-        );
-        reg.gauge("replay.timing.bailed_out", ts.bailed_out as u64 as f64);
-        for (i, &n) in ts.owner_ops.iter().enumerate() {
-            reg.counter(&format!("replay.timing.owner.{i}.ops"), n);
-        }
-        for (i, &n) in ts.owner_peak_ops.iter().enumerate() {
-            reg.gauge(&format!("replay.timing.owner.{i}.peak_batch_ops"), n as f64);
-        }
         if let Some(m) = &self.migration {
             let ms = m.stats();
             reg.counter("replay.migrate.rebalances", ms.rebalances);
@@ -1565,8 +1229,8 @@ impl TraceSim {
         sram_lat: Duration,
     ) -> Duration {
         // Migration ticks on the pre-stall clock of the consuming
-        // core — the value the windowed sequencer also has in hand at
-        // its consumption sites, keeping rebalance offsets identical.
+        // core, so rebalances land at identical trace offsets in every
+        // engine.
         let now0 = self.core_clock[core];
         self.migrate_tick(addr, level == LevelHit::Memory, now0);
         // The time-series tick shares the merge-order consumption
@@ -1653,8 +1317,7 @@ impl TraceSim {
                 };
             self.mshrs[core].complete_at(addr & !(self.line_bytes - 1), done);
             if self.timeseries.is_some() {
-                self.ts_note_lines(level, is_hbm_target);
-                self.ts_note_wait_inline(level, is_hbm_target, arrive, done);
+                self.ts_note_memory(level, is_hbm_target, arrive, done);
             }
         }
         let latency = done.since(issue);
@@ -1730,9 +1393,8 @@ impl TraceSim {
 
     /// Replay a whole trace with the classification phase sharded
     /// across [`worker_threads`] worker threads and the timing phase
-    /// run either inline or on the ownership-partitioned concurrent
-    /// engine (see [`TimingMode`]); bit-identical to [`run`](Self::run)
-    /// at every worker count and in both modes.
+    /// run inline; bit-identical to [`run`](Self::run) at every worker
+    /// count.
     ///
     /// The trace is consumed in classification *windows* of
     /// [`set_replay_window`](Self::set_replay_window) accesses: each
@@ -1747,67 +1409,7 @@ impl TraceSim {
     /// while peak buffering stays near one window instead of the whole
     /// trace.
     pub fn run_parallel(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        let cores = self.hierarchies.len();
-        self.last_pipe_stats = par::PipeStats::default();
-        self.last_peak_buffer = 0;
-        self.peak_buffered_accesses = 0;
-        self.timing_stats = TimingEngineStats::default();
-        if trace.is_empty() {
-            return self.finish();
-        }
-        let window = self.replay_window.max(1);
-        let workers = worker_threads();
-        let engine = self.timing_mode() == TimingMode::Concurrent && workers >= 2;
-        par::with_threads(workers, || {
-            // Pass 0: how many accesses each shard will eventually
-            // receive, so a dry batch can be told apart from a
-            // finished core.
-            let t_partition = self.telemetry.is_some().then(Instant::now);
-            let mut remaining = vec![0usize; cores];
-            for &t in trace {
-                remaining[partition_by_core(t.core, cores)] += 1;
-            }
-            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_partition) {
-                log.end(
-                    t0,
-                    "partition",
-                    "replay",
-                    0,
-                    [("accesses", trace.len() as f64)],
-                );
-            }
-            let hierarchies = std::mem::take(&mut self.hierarchies);
-            let mut shards: Vec<StreamShard> = hierarchies
-                .into_iter()
-                .map(|h| StreamShard {
-                    hier: h,
-                    pending: Vec::new(),
-                    queue: ClassifiedSoa::new(),
-                })
-                .collect();
-            let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
-            for (c, &left) in remaining.iter().enumerate() {
-                if left > 0 {
-                    tree.set(c, self.core_clock[c]);
-                }
-            }
-            let mut input = ReplayInput::Raw { trace, next: 0 };
-            if engine {
-                self.windowed_engine(
-                    &mut input,
-                    &mut shards,
-                    &mut remaining,
-                    &mut tree,
-                    window,
-                    workers,
-                );
-            }
-            // Everything if the engine was off; the tail if it bailed
-            // out; a no-op if it ran to completion.
-            self.windowed_inline(&mut input, &mut shards, &mut remaining, &mut tree, window);
-            self.hierarchies = shards.into_iter().map(|u| u.hier).collect();
-        });
-        self.finish()
+        self.run_windowed(ReplayInput::Raw { trace, next: 0 })
     }
 
     /// Replay a prebuilt [`ClassifiedTrace`] artifact: the timing-only
@@ -1815,11 +1417,11 @@ impl TraceSim {
     /// generators never run and the private cache hierarchies are
     /// never consulted — each refill is a memcpy of the artifact's SoA
     /// slices — yet the merge discipline, MSHR/mesh/bank models,
-    /// migration ticks, worker counts, and both [`TimingMode`]s behave
-    /// exactly as in [`run_parallel`](Self::run_parallel), so the
-    /// report and every device statistic are **bit-identical** to a
-    /// fresh [`run`](Self::run) of the same trace (the differential
-    /// suite proves it across generators × setups × workers × modes).
+    /// migration ticks, and worker counts behave exactly as in
+    /// [`run_parallel`](Self::run_parallel), so the report and every
+    /// device statistic are **bit-identical** to a fresh
+    /// [`run`](Self::run) of the same trace (the differential suite
+    /// proves it across generators × setups × workers).
     ///
     /// Because classification never happens here, this simulator's
     /// private-hierarchy counters stay at zero; classification-stage
@@ -1849,51 +1451,115 @@ impl TraceSim {
             ct.key().classify_sig(),
             self.classify_sig
         );
+        self.run_windowed(ReplayInput::Classified {
+            ct,
+            next: vec![0; cores],
+        })
+    }
+
+    /// The windowed replay behind [`run_parallel`](Self::run_parallel)
+    /// and [`run_classified`](Self::run_classified): the merge
+    /// discipline of [`run`](Self::run), with ghost-slot refills
+    /// classifying (or copying) the next window on [`worker_threads`]
+    /// workers.
+    fn run_windowed(&mut self, mut input: ReplayInput<'_>) -> TraceSimReport {
+        let cores = self.hierarchies.len();
         self.last_pipe_stats = par::PipeStats::default();
         self.last_peak_buffer = 0;
         self.peak_buffered_accesses = 0;
         self.timing_stats = TimingEngineStats::default();
-        if ct.accesses() == 0 {
-            return self.finish();
-        }
+        // How many accesses each shard will eventually receive, so a
+        // dry batch can be told apart from a finished core.
+        let mut remaining = match &input {
+            ReplayInput::Raw { trace, .. } => {
+                if trace.is_empty() {
+                    return self.finish();
+                }
+                let t_partition = self.telemetry.is_some().then(Instant::now);
+                let mut remaining = vec![0usize; cores];
+                for &t in trace.iter() {
+                    remaining[partition_by_core(t.core, cores)] += 1;
+                }
+                if let (Some(log), Some(t0)) = (&mut self.telemetry, t_partition) {
+                    log.end(
+                        t0,
+                        "partition",
+                        "replay",
+                        0,
+                        [("accesses", trace.len() as f64)],
+                    );
+                }
+                remaining
+            }
+            ReplayInput::Classified { ct, .. } => {
+                if ct.accesses() == 0 {
+                    return self.finish();
+                }
+                (0..cores).map(|c| ct.per_core_len(c)).collect()
+            }
+        };
         let window = self.replay_window.max(1);
-        let workers = worker_threads();
-        let engine = self.timing_mode() == TimingMode::Concurrent && workers >= 2;
-        par::with_threads(workers, || {
-            let mut remaining: Vec<usize> = (0..cores).map(|c| ct.per_core_len(c)).collect();
-            let hierarchies = std::mem::take(&mut self.hierarchies);
-            let mut shards: Vec<StreamShard> = hierarchies
-                .into_iter()
-                .map(|h| StreamShard {
-                    hier: h,
-                    pending: Vec::new(),
-                    queue: ClassifiedSoa::new(),
-                })
-                .collect();
+        par::with_threads(worker_threads(), || {
+            let mut shards = self.take_shards();
             let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
             for (c, &left) in remaining.iter().enumerate() {
                 if left > 0 {
                     tree.set(c, self.core_clock[c]);
                 }
             }
-            let mut input = ReplayInput::Classified {
-                ct,
-                next: vec![0; cores],
-            };
-            if engine {
-                self.windowed_engine(
-                    &mut input,
-                    &mut shards,
-                    &mut remaining,
-                    &mut tree,
-                    window,
-                    workers,
-                );
+            let tel_on = self.telemetry.is_some();
+            let mut t_merge = tel_on.then(Instant::now);
+            let mut drained = 0u64;
+            while let Some(c) = tree.winner() {
+                if shards[c].queue.is_empty() {
+                    // Ghost: this core's clock is the earliest but its
+                    // next access is still unclassified — pull the next
+                    // window.
+                    self.end_merge_span(t_merge, drained);
+                    drained = 0;
+                    let refilled =
+                        self.refill_window(&mut input, window, &mut shards, &mut remaining);
+                    assert!(refilled, "ghost winner with no trace left");
+                    t_merge = tel_on.then(Instant::now);
+                    continue;
+                }
+                let (addr, sram_lat, dependent, level) =
+                    shards[c].queue.pop().expect("non-empty batch");
+                self.access_timed(c, addr, dependent, level, sram_lat);
+                drained += 1;
+                if shards[c].queue.is_empty() && remaining[c] == 0 {
+                    tree.close(c);
+                } else {
+                    tree.set(c, self.core_clock[c]);
+                }
             }
-            self.windowed_inline(&mut input, &mut shards, &mut remaining, &mut tree, window);
+            self.end_merge_span(t_merge, drained);
             self.hierarchies = shards.into_iter().map(|u| u.hier).collect();
         });
         self.finish()
+    }
+
+    /// Move the private hierarchies into per-core replay shards; the
+    /// caller puts them back when the replay ends.
+    fn take_shards(&mut self) -> Vec<StreamShard> {
+        std::mem::take(&mut self.hierarchies)
+            .into_iter()
+            .map(|hier| StreamShard {
+                hier,
+                pending: Vec::new(),
+                queue: ClassifiedSoa::new(),
+            })
+            .collect()
+    }
+
+    /// Close a `merge` span over the `drained` accesses consumed since
+    /// `t0` (nothing when telemetry is off or nothing was drained).
+    fn end_merge_span(&mut self, t0: Option<Instant>, drained: u64) {
+        if drained > 0 {
+            if let (Some(log), Some(t0)) = (&mut self.telemetry, t0) {
+                log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
+            }
+        }
     }
 
     /// Refill the per-shard batches with the next window of input —
@@ -1905,7 +1571,7 @@ impl TraceSim {
         &mut self,
         input: &mut ReplayInput<'_>,
         window: usize,
-        shards: &mut Vec<StreamShard>,
+        shards: &mut [StreamShard],
         remaining: &mut [usize],
     ) -> bool {
         self.flush_mesh_tally();
@@ -1979,581 +1645,6 @@ impl TraceSim {
         true
     }
 
-    /// The inline timing loop of the windowed replay: identical merge
-    /// discipline to [`run`](Self::run), with ghost-slot refills.
-    fn windowed_inline(
-        &mut self,
-        input: &mut ReplayInput<'_>,
-        shards: &mut Vec<StreamShard>,
-        remaining: &mut [usize],
-        tree: &mut LoserTree<SimTime>,
-        window: usize,
-    ) {
-        let tel_on = self.telemetry.is_some();
-        let mut t_merge = tel_on.then(Instant::now);
-        let mut drained = 0u64;
-        while let Some(c) = tree.winner() {
-            if shards[c].queue.is_empty() {
-                // Ghost: this core's clock is the earliest but its next
-                // access is still unclassified — pull the next window.
-                if drained > 0 {
-                    if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                        log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-                    }
-                    drained = 0;
-                }
-                let refilled = self.refill_window(input, window, shards, remaining);
-                assert!(refilled, "ghost winner with no trace left");
-                t_merge = tel_on.then(Instant::now);
-                continue;
-            }
-            let (addr, sram_lat, dependent, level) =
-                shards[c].queue.pop().expect("non-empty batch");
-            self.access_timed(c, addr, dependent, level, sram_lat);
-            drained += 1;
-            if shards[c].queue.is_empty() && remaining[c] == 0 {
-                tree.close(c);
-            } else {
-                tree.set(c, self.core_clock[c]);
-            }
-        }
-        if drained > 0 {
-            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-            }
-        }
-    }
-
-    /// Accumulate one completed access into its shard's totals
-    /// (the tail of [`access_timed`](Self::access_timed), shared with
-    /// the engine's inline-exact paths).
-    fn note_access(&mut self, core: usize, latency: Duration, done: SimTime) {
-        let totals = &mut self.core_totals[core];
-        totals.accesses += 1;
-        totals.total_latency += latency;
-        let end = done.since(SimTime::ZERO);
-        if end > totals.makespan {
-            totals.makespan = end;
-        }
-    }
-
-    /// Run the windowed replay with the concurrent timing engine:
-    /// split both DRAM models into per-channel lanes owned by gang
-    /// workers, sequence the exact merge order while deferring device
-    /// pricing to the gang, and flush whenever a decision needs a real
-    /// completion time. Bails back to the caller (leaving fully
-    /// consistent state for [`windowed_inline`](Self::windowed_inline))
-    /// when the flush pattern shows the trace serializes.
-    #[allow(clippy::too_many_arguments)]
-    fn windowed_engine(
-        &mut self,
-        input: &mut ReplayInput<'_>,
-        shards: &mut Vec<StreamShard>,
-        remaining: &mut [usize],
-        tree: &mut LoserTree<SimTime>,
-        window: usize,
-        workers: usize,
-    ) {
-        let ddr_lanes = self.ddr.split_lanes();
-        let hbm_lanes = self.hbm.split_lanes();
-        let lane_count = ddr_lanes.len() + hbm_lanes.len();
-        let gang_threads = workers.min(lane_count).max(1);
-        let mut worker_lanes: Vec<Vec<(u8, DramLane)>> =
-            (0..gang_threads).map(|_| Vec::new()).collect();
-        let mut owner_ddr = vec![0usize; self.ddr.geometry().channels as usize];
-        let mut owner_hbm = vec![0usize; self.hbm.geometry().channels as usize];
-        let mut slot = 0usize;
-        for lane in ddr_lanes {
-            owner_ddr[lane.channel() as usize] = slot % gang_threads;
-            worker_lanes[slot % gang_threads].push((DEV_DDR, lane));
-            slot += 1;
-        }
-        for lane in hbm_lanes {
-            owner_hbm[lane.channel() as usize] = slot % gang_threads;
-            worker_lanes[slot % gang_threads].push((DEV_HBM, lane));
-            slot += 1;
-        }
-        self.timing_stats.owner_ops = vec![0u64; gang_threads];
-        self.timing_stats.owner_peak_ops = vec![0u64; gang_threads];
-        let gang: Gang<Arc<PricePlan>> = Gang::new(gang_threads);
-        let ctx = EngineCtx {
-            gang: &gang,
-            owner_ddr,
-            owner_hbm,
-            ddr_geo: self.ddr.geometry(),
-            hbm_geo: self.hbm.geometry(),
-            ddr_min: self.ddr.min_service(),
-            hbm_min: self.hbm.min_service(),
-            workers: gang_threads,
-        };
-        let (ddr_back, hbm_back) = std::thread::scope(|s| {
-            let handles: Vec<_> = worker_lanes
-                .into_iter()
-                .enumerate()
-                .map(|(me, mut lanes)| {
-                    let gang = &gang;
-                    s.spawn(move || {
-                        price_worker(gang, me, &mut lanes);
-                        lanes
-                    })
-                })
-                .collect();
-            // A sequencer panic must still shut the gang down, or the
-            // workers spin forever and the scope never joins (turning
-            // a clean panic into a hang).
-            let sequenced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sequence_windows(input, shards, remaining, tree, window, &ctx)
-            }));
-            gang.shutdown();
-            if let Err(payload) = sequenced {
-                for h in handles {
-                    let _ = h.join();
-                }
-                std::panic::resume_unwind(payload);
-            }
-            let mut ddr_back = Vec::new();
-            let mut hbm_back = Vec::new();
-            for h in handles {
-                for (dev, lane) in h.join().expect("pricing worker panicked") {
-                    if dev == DEV_DDR {
-                        ddr_back.push(lane);
-                    } else {
-                        hbm_back.push(lane);
-                    }
-                }
-            }
-            (ddr_back, hbm_back)
-        });
-        self.ddr.absorb_lanes(ddr_back);
-        self.hbm.absorb_lanes(hbm_back);
-    }
-
-    /// The engine's sequencer loop (runs on the merge thread while the
-    /// gang owns the lanes). Every decision either provably matches
-    /// the sequential replay under any completion times at or above
-    /// the deferred lower bounds, or forces a flush first.
-    #[allow(clippy::too_many_arguments)]
-    fn sequence_windows(
-        &mut self,
-        input: &mut ReplayInput<'_>,
-        shards: &mut Vec<StreamShard>,
-        remaining: &mut [usize],
-        tree: &mut LoserTree<SimTime>,
-        window: usize,
-        ctx: &EngineCtx<'_>,
-    ) {
-        let mut st = EngineState {
-            ops: Vec::new(),
-            lists: (0..ctx.workers).map(|_| Vec::new()).collect(),
-            allocs: Vec::new(),
-            merges: Vec::new(),
-            pending: HashMap::new(),
-            deferred: vec![0; shards.len()],
-            blocked: Vec::new(),
-        };
-        let cycle = Duration::from_cycles(1, crate::calib::CORE_GHZ);
-        let tel_on = self.telemetry.is_some();
-        let ts_on = self.timeseries.is_some();
-        // A sampling boundary lands on some consumed access; its
-        // pre-stall clock is parked here and the sample taken at the
-        // top of the next iteration, after a telemetry flush resolves
-        // every deferred completion — so the probed MSHR files and
-        // accumulated waits match the sequential replay exactly.
-        let mut ts_due: Option<SimTime> = None;
-        let mut t_merge = tel_on.then(Instant::now);
-        let mut drained = 0u64;
-        macro_rules! merge_span {
-            () => {
-                if drained > 0 {
-                    if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                        log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-                    }
-                    drained = 0;
-                }
-                t_merge = tel_on.then(Instant::now);
-            };
-        }
-        loop {
-            // Handle a pending sampling boundary before anything else
-            // (even bail-out), so no boundary is ever lost.
-            if let Some(now0) = ts_due.take() {
-                if !st.ops.is_empty() {
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Telemetry);
-                }
-                self.ts_sample(now0);
-            }
-            // Degenerate-pattern bail-out: consistently tiny batches
-            // mean the trace serializes and the gang is pure overhead.
-            let ts = &self.timing_stats;
-            if ts.flushes >= ENGINE_BAILOUT_FLUSHES
-                && ts.ops < ts.flushes * ENGINE_BAILOUT_MIN_OPS_PER_FLUSH
-            {
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Drain);
-                self.timing_stats.bailed_out = true;
-                break;
-            }
-            let Some(w) = tree.winner() else {
-                if !st.ops.is_empty() {
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Drain);
-                    continue;
-                }
-                break;
-            };
-            let issue = self.core_clock[w];
-            // A blocked dependent core sits, in the sequential replay,
-            // in the tree at its real completion time `done ≥ bound`.
-            // Overtaking it is only provably correct while
-            // `(key, slot)` orders strictly below every blocked
-            // `(bound, core)`.
-            if let Some(&(bound, b)) = st.blocked.iter().min_by_key(|&&(t, c)| (t, c)) {
-                if (issue, w) >= (bound, b) {
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Blocked);
-                    continue;
-                }
-            }
-            if shards[w].queue.is_empty() {
-                // Ghost winner: refill the classification window.
-                merge_span!();
-                let refilled = self.refill_window(input, window, shards, remaining);
-                assert!(refilled, "ghost winner with no trace left");
-                continue;
-            }
-            let (addr, sram_lat, dependent, level) =
-                shards[w].queue.peek().expect("non-empty batch");
-            if level != LevelHit::Memory && level != LevelHit::McdramCache {
-                // Private-cache hit: clock arithmetic only, always
-                // exact. Consumes the access, so the migration clock
-                // ticks here (never on a flush-retry path above).
-                self.migrate_tick(addr, false, issue);
-                if ts_on && self.ts_tick() {
-                    ts_due = Some(issue);
-                }
-                let done = issue + sram_lat;
-                self.note_access(w, sram_lat, done);
-                self.core_clock[w] = if dependent { done } else { issue + cycle };
-                shards[w].queue.advance();
-                drained += 1;
-                if shards[w].queue.is_empty() && remaining[w] == 0 {
-                    tree.close(w);
-                } else {
-                    tree.set(w, self.core_clock[w]);
-                }
-                continue;
-            }
-            // Memory-level access: MSHR discipline plus device pricing.
-            if tel_on && st.deferred[w] > 0 {
-                // The occupancy histogram samples this core's retired
-                // file at every register call; placeholders would skew
-                // it.
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Telemetry);
-                continue;
-            }
-            let line = addr & !(self.line_bytes - 1);
-            if let Some(&ai) = st.pending.get(&(w as u32, line)) {
-                let primary = &st.allocs[ai as usize];
-                if issue >= primary.done_lb {
-                    // The placeholder may already have retired in the
-                    // sequential replay — undecidable without the real
-                    // completion.
-                    self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Mshr);
-                    continue;
-                }
-                // Provably still in flight: a genuine secondary miss.
-                // Past the flush-retry check, the access is consumed.
-                let bound = primary.done_lb;
-                self.migrate_tick(addr, level == LevelHit::Memory, issue);
-                if ts_on && self.ts_tick() {
-                    ts_due = Some(issue);
-                }
-                match self.mshrs[w].register(line, issue) {
-                    MshrOutcome::Merged { .. } => {}
-                    other => unreachable!("pending line must merge, got {other:?}"),
-                }
-                let floor = issue + sram_lat;
-                st.merges.push(DefMerge {
-                    core: w as u32,
-                    alloc: ai,
-                    floor,
-                    issue,
-                    dependent,
-                });
-                self.core_totals[w].accesses += 1;
-                shards[w].queue.advance();
-                drained += 1;
-                if dependent {
-                    st.blocked.push((bound.max(floor), w));
-                    tree.close(w);
-                } else {
-                    self.core_clock[w] = issue + cycle;
-                    if shards[w].queue.is_empty() && remaining[w] == 0 {
-                        tree.close(w);
-                    } else {
-                        tree.set(w, self.core_clock[w]);
-                    }
-                }
-                continue;
-            }
-            if st.deferred[w] > 0
-                && self.mshrs[w].probe_occupancy(issue) >= self.mshrs[w].capacity()
-            {
-                // Placeholders count as in flight, so a full probe
-                // cannot rule out that the real file has free entries
-                // (no stall) — or none (stall). Resolve first.
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Mshr);
-                continue;
-            }
-            // From here the register call is exact: with deferred
-            // state the probe guaranteed no stall; without it, this
-            // core's file holds only real completions and the
-            // sequential stall loop applies as-is. The access is now
-            // definitely consumed (merged or allocated), so tick —
-            // with the pre-stall clock, matching `access_timed`.
-            self.migrate_tick(addr, level == LevelHit::Memory, issue);
-            if ts_on && self.ts_tick() {
-                ts_due = Some(issue);
-            }
-            let mut issue = issue;
-            let mut merged_done = None;
-            loop {
-                match self.mshrs[w].register(line, issue) {
-                    MshrOutcome::Allocated => break,
-                    MshrOutcome::Merged { ready_at } => {
-                        debug_assert_ne!(ready_at.as_ps(), u64::MAX, "merged into a placeholder");
-                        merged_done = Some(ready_at.max(issue + sram_lat));
-                        break;
-                    }
-                    MshrOutcome::Stall { free_at } => {
-                        debug_assert_eq!(st.deferred[w], 0, "stall while deferring");
-                        issue = free_at;
-                    }
-                }
-            }
-            if let Some(done) = merged_done {
-                // Merged into a fully-priced in-flight line: exact.
-                self.note_access(w, done.since(issue), done);
-                self.core_clock[w] = if dependent { done } else { issue + cycle };
-                shards[w].queue.advance();
-                drained += 1;
-                if shards[w].queue.is_empty() && remaining[w] == 0 {
-                    tree.close(w);
-                } else {
-                    tree.set(w, self.core_clock[w]);
-                }
-                continue;
-            }
-            // Allocated: emit the device op(s) and defer completion.
-            self.core_totals[w].memory_accesses += 1;
-            let is_hbm_target = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => true,
-                (Some(_), _) => false,
-                (None, _) => self.route_hbm(addr),
-            };
-            self.note_mesh_message(if is_hbm_target {
-                self.hops_hbm
-            } else {
-                self.hops_ddr
-            });
-            let resp_half = if is_hbm_target {
-                self.resp_half_hbm
-            } else {
-                self.resp_half_ddr
-            };
-            let arrive = self.migrate_floor(addr, issue + sram_lat + resp_half);
-            let (op, done_lb) = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => {
-                    self.core_totals[w].mcdram_cache_hits += 1;
-                    let op = emit_op(
-                        &mut st,
-                        ctx,
-                        DEV_HBM,
-                        ctx.hbm_geo.map_packed(addr),
-                        arrive.as_ps(),
-                        NO_DEP,
-                    );
-                    (op, arrive + ctx.hbm_min + resp_half)
-                }
-                (Some(_), _) => {
-                    // Cache-mode miss: tag probe in MCDRAM, DDR fetch,
-                    // fill write back into MCDRAM (fill off the
-                    // critical path but ordered on its lane).
-                    let tag = emit_op(
-                        &mut st,
-                        ctx,
-                        DEV_HBM,
-                        ctx.hbm_geo.map_packed(addr),
-                        arrive.as_ps(),
-                        NO_DEP,
-                    );
-                    let data = emit_op(&mut st, ctx, DEV_DDR, ctx.ddr_geo.map_packed(addr), 0, tag);
-                    let _fill =
-                        emit_op(&mut st, ctx, DEV_HBM, ctx.hbm_geo.map_packed(addr), 0, data);
-                    (data, arrive + ctx.hbm_min + ctx.ddr_min + resp_half)
-                }
-                (None, _) => {
-                    if is_hbm_target {
-                        let op = emit_op(
-                            &mut st,
-                            ctx,
-                            DEV_HBM,
-                            ctx.hbm_geo.map_packed(addr),
-                            arrive.as_ps(),
-                            NO_DEP,
-                        );
-                        (op, arrive + ctx.hbm_min + resp_half)
-                    } else {
-                        let op = emit_op(
-                            &mut st,
-                            ctx,
-                            DEV_DDR,
-                            ctx.ddr_geo.map_packed(addr),
-                            arrive.as_ps(),
-                            NO_DEP,
-                        );
-                        (op, arrive + ctx.ddr_min + resp_half)
-                    }
-                }
-            };
-            if ts_on {
-                // Lines are counted at emission (consumption order);
-                // the queue-wait overshoot is only known at flush time.
-                self.ts_note_lines(level, is_hbm_target);
-            }
-            let ai = st.allocs.len() as u32;
-            st.allocs.push(DefAlloc {
-                core: w as u32,
-                op,
-                line,
-                issue,
-                resp_half,
-                done_lb,
-                dependent,
-            });
-            st.pending.insert((w as u32, line), ai);
-            st.deferred[w] += 1;
-            self.core_totals[w].accesses += 1;
-            shards[w].queue.advance();
-            drained += 1;
-            if dependent {
-                st.blocked.push((done_lb, w));
-                tree.close(w);
-            } else {
-                self.core_clock[w] = issue + cycle;
-                if shards[w].queue.is_empty() && remaining[w] == 0 {
-                    tree.close(w);
-                } else {
-                    tree.set(w, self.core_clock[w]);
-                }
-            }
-            if st.ops.len() >= ENGINE_OPS_CAP {
-                self.engine_flush(&mut st, ctx, tree, shards, remaining, FlushCause::Capacity);
-            }
-        }
-        // A boundary on the very last consumed access (or one pending
-        // at bail-out, whose flush already ran) still owes a sample.
-        if let Some(now0) = ts_due.take() {
-            debug_assert!(st.ops.is_empty());
-            self.ts_sample(now0);
-        }
-        debug_assert!(st.ops.is_empty() && st.blocked.is_empty());
-        merge_span!();
-        let _ = (t_merge, drained);
-    }
-
-    /// Dispatch the pending batch to the gang and resolve every
-    /// deferred completion exactly: primaries in emission order, then
-    /// merges (which only reference earlier primaries), then unblock
-    /// the dependent cores at their now-known clocks.
-    fn engine_flush(
-        &mut self,
-        st: &mut EngineState,
-        ctx: &EngineCtx<'_>,
-        tree: &mut LoserTree<SimTime>,
-        shards: &[StreamShard],
-        remaining: &[usize],
-        cause: FlushCause,
-    ) {
-        if st.ops.is_empty() {
-            debug_assert!(st.allocs.is_empty() && st.merges.is_empty() && st.blocked.is_empty());
-            return;
-        }
-        {
-            let ts = &mut self.timing_stats;
-            ts.flushes += 1;
-            ts.ops += st.ops.len() as u64;
-            ts.max_ops_per_flush = ts.max_ops_per_flush.max(st.ops.len() as u64);
-            match cause {
-                FlushCause::Mshr => ts.flush_mshr += 1,
-                FlushCause::Blocked => ts.flush_blocked += 1,
-                FlushCause::Capacity => ts.flush_capacity += 1,
-                FlushCause::Telemetry => ts.flush_telemetry += 1,
-                FlushCause::Drain => ts.flush_drain += 1,
-            }
-            for (worker, list) in st.lists.iter().enumerate() {
-                ts.owner_ops[worker] += list.len() as u64;
-                ts.owner_peak_ops[worker] = ts.owner_peak_ops[worker].max(list.len() as u64);
-            }
-        }
-        let plan = Arc::new(PricePlan {
-            ops: std::mem::take(&mut st.ops),
-            lists: std::mem::take(&mut st.lists),
-        });
-        // The barrier in dispatch makes every worker's stores visible.
-        ctx.gang.dispatch(Arc::clone(&plan));
-        let mut done_of = vec![SimTime::ZERO; st.allocs.len()];
-        for (i, a) in st.allocs.iter().enumerate() {
-            let served = plan.ops[a.op as usize].out.load(Ordering::Acquire);
-            debug_assert_ne!(served, OP_UNSET, "gang left an op unpriced");
-            let done = SimTime::from_ps(served) + a.resp_half;
-            debug_assert!(done >= a.done_lb, "completion below its lower bound");
-            done_of[i] = done;
-            self.mshrs[a.core as usize].complete_at(a.line, done);
-            if let Some(ts) = self.timeseries.as_deref_mut() {
-                // Queue-wait overshoot past the deferred lower bound,
-                // attributed to the device that served the critical
-                // op — the same `done - (arrive + min + resp_half)`
-                // the inline engines accumulate.
-                let id = if plan.ops[a.op as usize].dev == DEV_DDR {
-                    ts.ddr_wait
-                } else {
-                    ts.hbm_wait
-                };
-                ts.rec.add(id, done.since(a.done_lb).as_ps() as f64);
-            }
-            let totals = &mut self.core_totals[a.core as usize];
-            totals.total_latency += done.since(a.issue);
-            let end = done.since(SimTime::ZERO);
-            if end > totals.makespan {
-                totals.makespan = end;
-            }
-            if a.dependent {
-                self.core_clock[a.core as usize] = done;
-            }
-        }
-        for m in &st.merges {
-            let done = done_of[m.alloc as usize].max(m.floor);
-            let totals = &mut self.core_totals[m.core as usize];
-            totals.total_latency += done.since(m.issue);
-            let end = done.since(SimTime::ZERO);
-            if end > totals.makespan {
-                totals.makespan = end;
-            }
-            if m.dependent {
-                self.core_clock[m.core as usize] = done;
-            }
-        }
-        for &(_, c) in &st.blocked {
-            if !shards[c].queue.is_empty() || remaining[c] > 0 {
-                tree.set(c, self.core_clock[c]);
-            }
-        }
-        st.blocked.clear();
-        st.allocs.clear();
-        st.merges.clear();
-        st.pending.clear();
-        st.deferred.iter_mut().for_each(|d| *d = 0);
-        st.lists = (0..ctx.workers).map(|_| Vec::new()).collect();
-    }
-
     /// Replay a trace pulled incrementally from `fill`, overlapping
     /// generation with classification and timing; bit-identical to
     /// [`run`](Self::run) on the concatenation of the filled chunks.
@@ -2605,15 +1696,7 @@ impl TraceSim {
             .stream_lookahead_chunks
             .or_else(|| simfabric::env::usize_var("TRACESIM_LOOKAHEAD_CHUNKS"))
             .filter(|&n| n > 0);
-        let hierarchies = std::mem::take(&mut self.hierarchies);
-        let mut units: Vec<StreamShard> = hierarchies
-            .into_iter()
-            .map(|h| StreamShard {
-                hier: h,
-                pending: Vec::new(),
-                queue: ClassifiedSoa::new(),
-            })
-            .collect();
+        let mut units = self.take_shards();
         let ((), pipe_stats) = par::with_threads(worker_threads(), || {
             par::pipelined_stats(
                 2,
@@ -2699,9 +1782,7 @@ impl TraceSim {
                             }
                             if lookahead_cap.is_none() {
                                 if let Some(msg) = buffer_warning(backlog, max_chunk) {
-                                    static BUFFER_WARN_ONCE: std::sync::Once =
-                                        std::sync::Once::new();
-                                    BUFFER_WARN_ONCE.call_once(|| eprintln!("{msg}"));
+                                    simfabric::env::warn_once("tracesim.buffer_backlog", &msg);
                                 }
                             }
                         }
@@ -2745,11 +1826,7 @@ impl TraceSim {
                         if force_drain && tree.winner().is_none() {
                             force_drain = false;
                         }
-                        if drained > 0 {
-                            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-                                log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-                            }
-                        }
+                        self.end_merge_span(t_merge, drained);
                         if stream_done && tree.winner().is_none() {
                             break;
                         }
@@ -3010,8 +2087,8 @@ mod tests {
         // Small smoke version of tests/parallel_equivalence.rs: the
         // sharded path must be bit-identical to the reference at
         // several worker counts (including more workers than cores),
-        // in both timing modes, and with a window far smaller than the
-        // trace so refills and ghost slots are exercised.
+        // and with a window far smaller than the trace so refills and
+        // ghost slots are exercised.
         let trace = stream_trace(4, 300);
         let mut seq = TraceSim::new(
             &cfg(MemSetup::DramOnly),
@@ -3021,37 +2098,27 @@ mod tests {
         );
         let expect = seq.run(&trace);
         for workers in [1, 2, 4, 8, 64] {
-            for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-                for window in [None, Some(64)] {
-                    let mut par_sim = TraceSim::new(
-                        &cfg(MemSetup::DramOnly),
-                        4,
-                        TracePlacement::AllDdr,
-                        ByteSize::mib(1),
+            for window in [None, Some(64)] {
+                let mut par_sim = TraceSim::new(
+                    &cfg(MemSetup::DramOnly),
+                    4,
+                    TracePlacement::AllDdr,
+                    ByteSize::mib(1),
+                );
+                if let Some(w) = window {
+                    par_sim.set_replay_window(w);
+                }
+                let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
+                let at = format!("workers={workers} window={window:?}");
+                assert_eq!(got, expect, "{at}");
+                assert_eq!(par_sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                assert_eq!(par_sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                if window.is_some() {
+                    assert!(
+                        par_sim.last_timing_stats().windows > 1,
+                        "{at}: a 64-access window over {} accesses must refill",
+                        trace.len()
                     );
-                    par_sim.set_timing_mode(Some(mode));
-                    if let Some(w) = window {
-                        par_sim.set_replay_window(w);
-                    }
-                    let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
-                    let at = format!("workers={workers} mode={mode:?} window={window:?}");
-                    assert_eq!(got, expect, "{at}");
-                    assert_eq!(par_sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                    assert_eq!(par_sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                    if mode == TimingMode::Concurrent && workers >= 2 {
-                        let ts = par_sim.last_timing_stats();
-                        assert!(
-                            ts.bailed_out || ts.ops > 0,
-                            "{at}: engine ran but priced nothing: {ts:?}"
-                        );
-                    }
-                    if window.is_some() {
-                        assert!(
-                            par_sim.last_timing_stats().windows > 1,
-                            "{at}: a 64-access window over {} accesses must refill",
-                            trace.len()
-                        );
-                    }
                 }
             }
         }
@@ -3196,23 +2263,6 @@ mod tests {
         assert_eq!(clamp_thread_count(0, 0), 1);
         assert_eq!(clamp_thread_count(5, 0), 1);
     }
-
-    #[test]
-    fn timing_mode_parsing() {
-        assert_eq!(
-            parse_timing_mode("sequential"),
-            Some(TimingMode::Sequential)
-        );
-        assert_eq!(parse_timing_mode(" Seq "), Some(TimingMode::Sequential));
-        assert_eq!(
-            parse_timing_mode("concurrent"),
-            Some(TimingMode::Concurrent)
-        );
-        assert_eq!(parse_timing_mode("CONC"), Some(TimingMode::Concurrent));
-        assert_eq!(parse_timing_mode(""), None);
-        assert_eq!(parse_timing_mode("parallel"), None);
-    }
-
     #[test]
     fn classified_flags_roundtrip() {
         for write in [false, true] {

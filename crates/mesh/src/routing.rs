@@ -165,9 +165,9 @@ impl MeshModel {
     }
 }
 
-/// A detached accumulator for analytic mesh messages, used by the
-/// concurrent replay sequencer to batch accounting away from the
-/// shared [`MeshModel`] and fold it back with
+/// A detached accumulator for analytic mesh messages, used by trace
+/// replay to batch accounting away from the shared [`MeshModel`] and
+/// fold it back with
 /// [`MeshModel::absorb_tally`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MeshTally {

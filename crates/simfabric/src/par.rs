@@ -285,116 +285,6 @@ pub fn pipelined_stats<T: Send, R>(
     (out, stats)
 }
 
-/// State shared between a [`Gang`] coordinator and its workers.
-struct GangState<J> {
-    /// Bumped once per dispatched job; workers track the last epoch
-    /// they executed so a finished worker blocks instead of re-running.
-    epoch: u64,
-    job: Option<J>,
-    /// Workers still executing the current epoch's job.
-    remaining: usize,
-    shutdown: bool,
-}
-
-/// An epoch-barrier work team: a fixed set of long-lived workers that
-/// all execute the *same* job per dispatch, with the coordinator
-/// blocked until every worker finishes.
-///
-/// This is the synchronization core of the concurrent timing replay:
-/// the sequencer batches a window of pre-routed device operations,
-/// publishes it as one job, and the barrier in [`dispatch`] guarantees
-/// every worker's writes are visible when it returns (the handoff goes
-/// through one mutex, so no per-op synchronization is needed beyond
-/// the ops' own atomics). Workers are spawned by the caller (typically
-/// inside `std::thread::scope`, so they may borrow local state) and
-/// loop on [`worker_wait`] / [`complete`] until [`shutdown`].
-///
-/// [`dispatch`]: Gang::dispatch
-/// [`worker_wait`]: Gang::worker_wait
-/// [`complete`]: Gang::complete
-/// [`shutdown`]: Gang::shutdown
-pub struct Gang<J> {
-    state: Mutex<GangState<J>>,
-    /// Signalled on dispatch and shutdown.
-    work: Condvar,
-    /// Signalled when the last worker of an epoch completes.
-    done: Condvar,
-    workers: usize,
-}
-
-impl<J: Clone> Gang<J> {
-    /// A gang for `workers` workers (at least one).
-    pub fn new(workers: usize) -> Self {
-        Gang {
-            state: Mutex::new(GangState {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            workers: workers.max(1),
-        }
-    }
-
-    /// Number of workers this gang coordinates.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Publish `job` to every worker and block until all of them have
-    /// called [`complete`](Self::complete). Must not be called from a
-    /// worker, and not concurrently with itself.
-    pub fn dispatch(&self, job: J) {
-        let mut st = self.state.lock().unwrap();
-        debug_assert_eq!(st.remaining, 0, "dispatch while an epoch is running");
-        st.epoch += 1;
-        st.job = Some(job);
-        st.remaining = self.workers;
-        self.work.notify_all();
-        while st.remaining > 0 {
-            st = self.done.wait(st).unwrap();
-        }
-        st.job = None;
-    }
-
-    /// Worker side: block until an epoch newer than `*seen` is
-    /// dispatched (returning its job and advancing `*seen`) or the gang
-    /// shuts down (returning `None`). Start with `*seen == 0`.
-    pub fn worker_wait(&self, seen: &mut u64) -> Option<J> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.epoch > *seen {
-                *seen = st.epoch;
-                return st.job.clone();
-            }
-            if st.shutdown {
-                return None;
-            }
-            st = self.work.wait(st).unwrap();
-        }
-    }
-
-    /// Worker side: report the current epoch's job finished. The last
-    /// worker to complete releases the coordinator.
-    pub fn complete(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Wake every worker and make subsequent [`worker_wait`] calls
-    /// return `None`. Pending epochs are unaffected (shutdown is only
-    /// observed between jobs).
-    pub fn shutdown(&self) {
-        self.state.lock().unwrap().shutdown = true;
-        self.work.notify_all();
-    }
-}
-
 /// Ordered parallel map over `items` through a bounded worker pool
 /// pulling from a shared index queue. Unlike [`par_map`], which hands
 /// each worker one contiguous range, workers here claim items one at
@@ -690,55 +580,6 @@ mod tests {
             },
         );
         assert_eq!(got, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn gang_runs_every_worker_every_epoch() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let workers = 4;
-        let gang = Gang::<Arc<Vec<u64>>>::new(workers);
-        assert_eq!(gang.workers(), workers);
-        let sums: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        thread::scope(|s| {
-            for w in 0..workers {
-                let (gang, sums) = (&gang, &sums);
-                s.spawn(move || {
-                    let mut seen = 0u64;
-                    while let Some(job) = gang.worker_wait(&mut seen) {
-                        sums[w].fetch_add(job[w], Ordering::Relaxed);
-                        gang.complete();
-                    }
-                });
-            }
-            for epoch in 1..=10u64 {
-                let job: Vec<u64> = (0..workers as u64).map(|w| epoch * 100 + w).collect();
-                gang.dispatch(Arc::new(job));
-                // The barrier makes every epoch's writes visible here.
-                let expect: u64 = (1..=epoch).map(|e| e * 100).sum();
-                assert_eq!(sums[0].load(Ordering::Relaxed), expect);
-            }
-            gang.shutdown();
-        });
-        for (w, sum) in sums.iter().enumerate() {
-            let expect: u64 = (1..=10u64).map(|e| e * 100 + w as u64).sum();
-            assert_eq!(sum.load(Ordering::Relaxed), expect, "worker {w}");
-        }
-    }
-
-    #[test]
-    fn gang_shutdown_without_dispatch() {
-        let gang = Gang::<()>::new(2);
-        thread::scope(|s| {
-            for _ in 0..2 {
-                let gang = &gang;
-                s.spawn(move || {
-                    let mut seen = 0u64;
-                    assert!(gang.worker_wait(&mut seen).is_none());
-                });
-            }
-            gang.shutdown();
-        });
     }
 
     #[test]

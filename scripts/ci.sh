@@ -13,23 +13,20 @@ cargo build --release --offline
 TRACESIM_THREADS=1 cargo test -q --offline
 TRACESIM_THREADS=8 cargo test -q --offline
 
-# The equivalence suite again with the concurrent timing engine forced
-# on and forced off, under a watchdog: a bug in the engine's gang
-# barrier or spin-waits would present as a hang, and the timeout turns
+# The equivalence suite again at a middle worker count, under a
+# watchdog: the windowed replay's classification workers and the
+# streaming replay's producer pipe are the only cross-thread handoffs,
+# and a deadlock in either would present as a hang; the timeout turns
 # that into a CI failure in minutes instead of a stuck job.
-TRACESIM_THREADS=4 TRACESIM_TIMING=concurrent timeout 900 \
-    cargo test -q --offline -p knl-hybrid-memory --test parallel_equivalence
-TRACESIM_THREADS=4 TRACESIM_TIMING=sequential timeout 900 \
+TRACESIM_THREADS=4 timeout 900 \
     cargo test -q --offline -p knl-hybrid-memory --test parallel_equivalence
 
-# The classify-once / replay-many contract under the same forced-mode
-# watchdog: one classified artifact replayed against every placement
-# (including active migration, where the move digest is compared) must
-# stay bit-identical to fresh per-setup streaming replays
+# The classify-once / replay-many contract under the same watchdog:
+# one classified artifact replayed against every placement (including
+# active migration, where the move digest is compared) must stay
+# bit-identical to fresh per-setup streaming replays
 # (tests/classified_equivalence.rs).
-TRACESIM_THREADS=4 TRACESIM_TIMING=concurrent timeout 900 \
-    cargo test -q --offline -p knl-hybrid-memory --test classified_equivalence
-TRACESIM_THREADS=4 TRACESIM_TIMING=sequential timeout 900 \
+TRACESIM_THREADS=4 timeout 900 \
     cargo test -q --offline -p knl-hybrid-memory --test classified_equivalence
 
 # Migration gates, under the same watchdog. The equivalence runs above

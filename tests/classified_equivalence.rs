@@ -4,15 +4,14 @@
 //! **bit-identical** to a fresh per-setup streaming replay — reports,
 //! per-shard totals, device and mesh statistics, and (under a
 //! `Migrated` placement) the scheduler's move-sequence digest — across
-//! every workload generator, every paper memory setup, a 1/2/4/8
-//! worker ladder, and both forced timing modes. The same contract is
-//! pinned for batched mesh pricing (`set_mesh_batching`): batching
-//! detaches hop/contention sums from the per-access loop and must
-//! change nothing observable. This is what makes the sweep engine's
+//! every workload generator, every paper memory setup, and a 1/2/4/8
+//! worker ladder. The same contract is pinned for batched mesh pricing
+//! (`set_mesh_batching`): batching detaches hop/contention sums from
+//! the per-access loop and must change nothing observable. This is what makes the sweep engine's
 //! speedup trustworthy: "classified == regenerated, only faster".
 
 use hybridmem::TraceSpec;
-use knl::tracesim::{TimingMode, TracePlacement, TraceSim, TraceSimReport};
+use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
 use knl::{ClassifiedTrace, MachineConfig, MemSetup};
 use memkind_sim::MigrationSpec;
 use simfabric::{par, ByteSize};
@@ -86,7 +85,7 @@ fn assert_sims_match(got: &TraceSim, want: &TraceSim, ctx: &str) {
 }
 
 /// Replay `kind` under `setup`: one classified artifact against every
-/// placement × worker count × forced timing mode, checked against a
+/// placement × worker count, checked against a
 /// fresh streaming replay of the same placement.
 fn check(kind: TraceKind, setup: MemSetup) {
     let cfg = MachineConfig::knl7210(setup, 64);
@@ -103,16 +102,11 @@ fn check(kind: TraceKind, setup: MemSetup) {
             replay_streaming(&mut seq, source.as_mut())
         };
         for workers in WORKERS {
-            for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-                let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
-                sim.set_timing_mode(Some(mode));
-                let got = par::with_threads(workers, || sim.run_classified(&ct));
-                let ctx = format!(
-                    "{kind:?} under {setup:?} at {placement:?} workers={workers} mode={mode:?}"
-                );
-                assert_eq!(got, expect, "report diverged: {ctx}");
-                assert_sims_match(&sim, &seq, &ctx);
-            }
+            let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
+            let got = par::with_threads(workers, || sim.run_classified(&ct));
+            let ctx = format!("{kind:?} under {setup:?} at {placement:?} workers={workers}");
+            assert_eq!(got, expect, "report diverged: {ctx}");
+            assert_sims_match(&sim, &seq, &ctx);
         }
     }
 }
@@ -178,14 +172,11 @@ fn hot_cold_migration_digest_matches_streaming() {
         "hot/cold trace must drive promotions and demotions, got {stats:?}"
     );
     for workers in WORKERS {
-        for mode in [TimingMode::Sequential, TimingMode::Concurrent] {
-            let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
-            sim.set_timing_mode(Some(mode));
-            let got = par::with_threads(workers, || sim.run_classified(&ct));
-            let ctx = format!("hotcold workers={workers} mode={mode:?}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_sims_match(&sim, &seq, &ctx);
-        }
+        let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
+        let got = par::with_threads(workers, || sim.run_classified(&ct));
+        let ctx = format!("hotcold workers={workers}");
+        assert_eq!(got, expect, "report diverged: {ctx}");
+        assert_sims_match(&sim, &seq, &ctx);
     }
 }
 

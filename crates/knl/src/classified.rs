@@ -40,7 +40,7 @@
 
 use crate::config::MachineConfig;
 use crate::tracesim::{
-    classify_into, hierarchy_config, partition_by_core, worker_threads, ClassifiedSoa, TraceAccess,
+    classify_chunk, hierarchy_config, worker_threads, ClassifiedSoa, ReplayShard, TraceAccess,
     CLASSIFIED_ACCESS_BYTES,
 };
 use cachesim::hierarchy::{Hierarchy, LevelHit};
@@ -140,9 +140,9 @@ impl ClassifiedTrace {
     /// [`TraceSim::run_streaming`](crate::tracesim::TraceSim::run_streaming)),
     /// so the raw trace never materializes; each chunk is partitioned
     /// by core and classified on [`worker_threads`] workers exactly as
-    /// the replay engines would. The artifact is bit-for-bit the
-    /// classification those engines would produce — one shared kernel
-    /// ([`classify_into`]) guarantees it.
+    /// the replay engine would. The artifact is bit-for-bit the
+    /// classification that engine would produce — one shared step
+    /// ([`classify_chunk`]) guarantees it.
     pub fn build_streaming(
         cfg: &MachineConfig,
         cores: u32,
@@ -152,40 +152,23 @@ impl ClassifiedTrace {
     ) -> ClassifiedTrace {
         let key = ClassifyKey::new(trace_spec, cores, classify_signature(cfg, msc_capacity));
         let hier_cfg = hierarchy_config(cfg, msc_capacity);
-        struct Builder {
-            hier: Hierarchy,
-            pending: Vec<TraceAccess>,
-            queue: ClassifiedSoa,
-        }
-        let mut builders: Vec<Builder> = (0..cores)
-            .map(|_| Builder {
-                hier: Hierarchy::new(hier_cfg),
-                pending: Vec::new(),
-                queue: ClassifiedSoa::new(),
-            })
+        let mut shards: Vec<ReplayShard> = (0..cores)
+            .map(|_| ReplayShard::new(Hierarchy::new(hier_cfg)))
             .collect();
         let mut accesses = 0u64;
         par::with_threads(worker_threads(), || {
             let mut buf = Vec::new();
             loop {
                 buf.clear();
-                let n = fill(&mut buf);
-                if n == 0 {
+                if fill(&mut buf) == 0 {
                     break;
                 }
                 accesses += buf.len() as u64;
-                for &t in &buf {
-                    builders[partition_by_core(t.core, cores as usize)]
-                        .pending
-                        .push(t);
-                }
-                par::par_update(&mut builders, |_, b| {
-                    classify_into(&mut b.hier, &mut b.pending, &mut b.queue);
-                });
+                classify_chunk(&mut shards, &buf);
             }
         });
         let mut level_hits = [0u64; 4];
-        for b in &builders {
+        for s in &shards {
             for (i, lvl) in [
                 LevelHit::L1,
                 LevelHit::L2,
@@ -195,12 +178,12 @@ impl ClassifiedTrace {
             .into_iter()
             .enumerate()
             {
-                level_hits[i] += b.hier.hits_at(lvl);
+                level_hits[i] += s.hier.hits_at(lvl);
             }
         }
         ClassifiedTrace {
             key,
-            per_core: builders.into_iter().map(|b| b.queue).collect(),
+            per_core: shards.into_iter().map(|s| s.queue).collect(),
             accesses,
             level_hits,
         }

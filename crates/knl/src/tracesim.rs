@@ -9,59 +9,51 @@
 //! beats DDR for streams, DDR beats HBM for chases) and roughly on
 //! magnitude.
 //!
-//! # Sequential, sharded-parallel, and streaming replay
+//! # One windowed engine, three inputs
 //!
-//! [`TraceSim::run`] is the sequential reference implementation.
-//! [`TraceSim::run_parallel`] and [`TraceSim::run_streaming`] produce
-//! **bit-identical** reports and device statistics by exploiting a
-//! structural property of the model: the private cache hierarchy
-//! (L1/L2/TLB, and the memory-side-cache tags in cache mode) is
-//! *timing-independent* — which level serves an access depends only on
-//! that core's own address stream, never on the clock. Replay
-//! therefore splits into
+//! [`TraceSim::run`] is the sequential reference implementation, kept
+//! as the oracle the equivalence suites compare against. Every other
+//! entry point — [`TraceSim::run_parallel`] (a materialized trace),
+//! [`TraceSim::run_streaming`] (a generator callback) and
+//! [`TraceSim::run_classified`] (a prebuilt artifact) — feeds the same
+//! windowed engine and produces **bit-identical** reports and device
+//! statistics. The engine rests on a structural property of the
+//! model: the private cache hierarchy (L1/L2/TLB, and the
+//! memory-side-cache tags in cache mode) is *timing-independent* —
+//! which level serves an access depends only on that core's own
+//! address stream, never on the clock. Replay therefore splits into
 //!
-//! 1. a **classification phase** that partitions the trace by core
-//!    (see [`partition_by_core`]) and drives each shard's private
+//! 1. a **classification phase** that partitions a window of trace by
+//!    core (see [`partition_by_core`]) and drives each shard's private
 //!    [`Hierarchy`] on a worker thread (via [`simfabric::par`]),
 //!    packing the per-shard outcomes into SoA batches
 //!    (separate address / latency / flag arrays, 17 B per access
 //!    instead of a 40 B record), and
 //! 2. a **timing phase** that replays the classified batches through
-//!    the shared resources (MSHRs, mesh, DRAM bank models) in exactly
-//!    the earliest-clock order the sequential path uses. The "core
-//!    with the earliest clock" selection runs on a fixed-size
-//!    tournament tree ([`simfabric::merge::LoserTree`]) keyed on the
-//!    per-core clocks: O(log cores) per access with no allocation,
-//!    replacing a `BinaryHeap` push+pop pair. The tree's tie-break
-//!    (equal clocks select the lower core index) reproduces the old
-//!    heap's `Reverse<(SimTime, usize)>` order exactly.
+//!    the shared resources (MSHRs, mesh, DRAM bank models) inline on
+//!    the merging thread, in exactly the earliest-clock order the
+//!    sequential path uses. The "core with the earliest clock"
+//!    selection runs on a fixed-size tournament tree
+//!    ([`simfabric::merge::LoserTree`]) keyed on the per-core clocks:
+//!    O(log cores) per access with no allocation. The tree's
+//!    tie-break (equal clocks select the lower core index) matches
+//!    the sequential order exactly.
 //!
-//! [`TraceSim::run_parallel`] interleaves the two phases in
-//! classification **windows** ([`TraceSim::set_replay_window`]): cores
-//! whose batch runs dry but which still have trace left stay in the
-//! tournament as *ghosts* at their current clock, and a ghost winning
-//! triggers the next refill — so peak buffering is one window, not the
-//! whole trace, and the merge order is still exact. In every engine
-//! the timing phase runs inline on the merging thread; only
-//! classification fans out to workers.
-//!
-//! [`TraceSim::run_streaming`] goes one step further: instead of
-//! materializing the whole trace up front, it pulls bounded chunks
-//! from a generator callback on a producer thread
-//! ([`simfabric::par::pipelined`]) while classification and timing run
-//! on the consumer side, so generation overlaps replay and the
-//! buffered trace stays at roughly one chunk per refill for workloads
-//! that spread accesses across cores. The timing merge may only pick
-//! a winner while *every* core that could still receive work has a
-//! classified access buffered (an empty queue's future access could
-//! carry the earliest clock); a single-core workload (e.g. a pointer
-//! chase) therefore degenerates to buffering the full classified
-//! trace — correctness is never traded for memory by default. An
-//! opt-in lookahead cap ([`TraceSim::set_streaming_lookahead_chunks`]
-//! or `TRACESIM_LOOKAHEAD_CHUNKS`) bounds that backlog by
-//! force-draining the cores that have work and backpressuring the
-//! producer; exact for the single-core traces that trigger the
-//! buildup, approximate if starved cores later receive work. Peak
+//! The phases interleave through **ghost slots**. A core whose batch
+//! runs dry while its input can still feed it stays in the tournament
+//! at its current clock — a lower bound on its next access — and a
+//! ghost winning pulls the next window: a
+//! [`set_replay_window`](TraceSim::set_replay_window)-sized slice of a
+//! materialized trace, one producer chunk of a stream, or per-core
+//! slices of an artifact. So the merge order is exact while peak
+//! buffering stays near one window. Streaming replay runs the
+//! generator on a producer thread ([`simfabric::par::pipelined`]) so
+//! generation overlaps replay; a stream cannot say which cores it will
+//! still feed, so every dry core stays a ghost until the producer
+//! ends, and then the engine closes them. A workload confined to a few
+//! cores (a single-core pointer chase is the extreme) therefore
+//! buffers most of its classified trace — correctness is never traded
+//! for memory, and [`buffer_warning`] says so once per process. Peak
 //! buffering is tracked per run and exposed via
 //! [`TraceSim::last_peak_trace_buffer_bytes`].
 //!
@@ -88,10 +80,9 @@
 //!
 //! The mesh's analytic message accounting (a counter bump per memory
 //! access) batches into a detached [`MeshTally`] folded back at
-//! window/chunk boundaries and in [`TraceSim::finish`] — bit-identical
-//! by construction (pure counter sums, proven by the differential
-//! suite), on by default, opt out with `TRACESIM_MESH_BATCH=0` (see
-//! [`mesh_batch_from_env`]).
+//! window boundaries and in [`TraceSim::finish`] — bit-identical by
+//! construction (pure counter sums, proven by the differential suite
+//! through [`TraceSim::set_mesh_batching`]), and always on otherwise.
 //!
 //! Per-shard totals are folded with [`ShardTotals::merge`], an
 //! order-independent (commutative, associative, integer-only)
@@ -334,32 +325,12 @@ pub enum TimingMode {
     Concurrent,
 }
 
-/// Default classification window for [`TraceSim::run_parallel`], in
-/// accesses: large enough to amortize the per-window fan-out, small
-/// enough that the classified batch is still cache-resident when the
-/// timing phase consumes it.
+/// Default classification window for [`TraceSim::run_parallel`] and
+/// [`TraceSim::run_classified`], in accesses: large enough to amortize
+/// the per-window fan-out, small enough that the classified batch is
+/// still cache-resident when the timing phase consumes it.
+/// [`TraceSim::set_replay_window`] overrides it.
 pub const PAR_WINDOW: usize = 1 << 16;
-
-/// Replay window from the `TRACESIM_PAR_WINDOW` environment variable
-/// (accesses per classification window); unset, unparsable (warn-once
-/// via [`simfabric::env`]) or `0` fall back to [`PAR_WINDOW`].
-/// [`TraceSim::set_replay_window`] overrides it programmatically.
-pub fn replay_window_from_env() -> usize {
-    simfabric::env::usize_var("TRACESIM_PAR_WINDOW")
-        .filter(|&n| n > 0)
-        .unwrap_or(PAR_WINDOW)
-}
-
-/// Whether replay batches analytic mesh pricing (see the module docs):
-/// per-access hop counts accumulate in a detached [`MeshTally`] and
-/// fold into the [`MeshModel`] once per classification window /
-/// stream chunk instead of touching the shared counters per access.
-/// Proven bit-identical (pure counter sums), so it defaults to **on**;
-/// `TRACESIM_MESH_BATCH=0` (or
-/// [`TraceSim::set_mesh_batching`]) restores per-access pricing.
-pub fn mesh_batch_from_env() -> bool {
-    simfabric::env::bool_var("TRACESIM_MESH_BATCH").unwrap_or(true)
-}
 
 /// Streaming-replay backlog threshold: warn when the classified
 /// backlog exceeds this many times the largest chunk the producer has
@@ -519,33 +490,6 @@ impl ClassifiedSoa {
 /// classify-cache budget are measured in.
 pub const CLASSIFIED_ACCESS_BYTES: usize = 8 + 8 + 1;
 
-/// Classify `pending` through `hier` into `queue` (compacting first so
-/// refills don't grow without bound), clearing `pending`. The one
-/// classification kernel shared by the windowed replay, the streaming
-/// replay, and [`ClassifiedTrace`] artifact builds — they cannot
-/// drift apart.
-pub(crate) fn classify_into(
-    hier: &mut Hierarchy,
-    pending: &mut Vec<TraceAccess>,
-    queue: &mut ClassifiedSoa,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    queue.compact();
-    queue.reserve(pending.len());
-    for &t in pending.iter() {
-        let kind = if t.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let (level, sram_lat) = hier.access(t.addr, kind);
-        queue.push(t.addr, sram_lat, t.write, t.dependent, level);
-    }
-    pending.clear();
-}
-
 /// The private-hierarchy configuration replay uses under `cfg`: the
 /// KNL cache-mode hierarchy (with the memory-side-cache tags sized to
 /// `msc_capacity`) when the setup has an MCDRAM cache, the flat
@@ -569,41 +513,113 @@ pub(crate) fn hierarchy_config(cfg: &MachineConfig, msc_capacity: ByteSize) -> H
     hier_cfg
 }
 
-/// Per-core state of the streaming pipeline: the private hierarchy,
-/// the unclassified slice of the current chunk, and the classified
-/// backlog awaiting the timing merge.
-struct StreamShard {
-    hier: Hierarchy,
+/// Per-core classification state: the private hierarchy, the
+/// unclassified slice of the current window, and the classified
+/// backlog awaiting the timing merge (or, for an artifact build, the
+/// artifact's per-core arrays).
+pub(crate) struct ReplayShard {
+    pub(crate) hier: Hierarchy,
     pending: Vec<TraceAccess>,
-    queue: ClassifiedSoa,
+    pub(crate) queue: ClassifiedSoa,
 }
 
-/// What feeds the windowed replay's refills: a raw trace that each
-/// window partitions and classifies through the private hierarchies
-/// ([`TraceSim::run_parallel`]), or a prebuilt [`ClassifiedTrace`]
-/// whose per-core SoA arrays are copied in window-sized slices — the
-/// timing-only fast path of [`TraceSim::run_classified`]. Both
-/// variants uphold the same refill contract the ghost-slot merge
-/// relies on: a refill gives every dry core with work left at least
-/// one access, and buffering stays bounded by roughly one window.
-enum ReplayInput<'a> {
-    /// Unclassified trace; `next` is the global trace-order cursor.
+impl ReplayShard {
+    pub(crate) fn new(hier: Hierarchy) -> Self {
+        ReplayShard {
+            hier,
+            pending: Vec::new(),
+            queue: ClassifiedSoa::new(),
+        }
+    }
+
+    /// Classify `pending` through the hierarchy into `queue`
+    /// (compacting first so refills don't grow without bound).
+    fn classify_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.queue.compact();
+        self.queue.reserve(self.pending.len());
+        for &t in &self.pending {
+            let kind = if t.write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let (level, sram_lat) = self.hier.access(t.addr, kind);
+            self.queue
+                .push(t.addr, sram_lat, t.write, t.dependent, level);
+        }
+        self.pending.clear();
+    }
+}
+
+/// Partition `chunk` by core (preserving per-core program order) and
+/// classify every shard's slice on the current [`par`] workers. The
+/// one classification step shared by windowed replay, streaming
+/// replay and [`ClassifiedTrace`] artifact builds, so they cannot
+/// drift apart.
+pub(crate) fn classify_chunk(shards: &mut [ReplayShard], chunk: &[TraceAccess]) {
+    let cores = shards.len();
+    for &t in chunk {
+        shards[partition_by_core(t.core, cores)].pending.push(t);
+    }
+    par::par_update(shards, |_, s| s.classify_pending());
+}
+
+/// One producer chunk of a streamed trace, with the generation
+/// burst's start/end instants when telemetry is on (the span log
+/// lives on the consumer thread, so the instants travel with the
+/// chunk).
+type StreamChunk = (Vec<TraceAccess>, Option<(Instant, Instant)>);
+
+/// What feeds the windowed engine's refills. Every variant upholds
+/// the refill contract the ghost-slot merge relies on: a refill
+/// pulled by a ghost adds classified work or reports the input
+/// exhausted, and buffering stays bounded by roughly one window.
+enum ReplayInput<'a, 'p> {
+    /// Materialized trace ([`TraceSim::run_parallel`]): each window
+    /// is a slice at the trace-order cursor `next`; `end[c]` is one
+    /// past core `c`'s last access, so `next < end[c]` while `c`
+    /// still has work.
     Raw {
         trace: &'a [TraceAccess],
         next: usize,
+        end: Vec<usize>,
     },
-    /// Prebuilt artifact; `next` holds one cursor per core.
+    /// Prebuilt artifact ([`TraceSim::run_classified`]); `next` holds
+    /// one cursor per core, and refills copy SoA slices.
     Classified {
         ct: &'a ClassifiedTrace,
         next: Vec<usize>,
     },
+    /// Producer chunks ([`TraceSim::run_streaming`]); `done` once the
+    /// producer has ended, `max_chunk` is the largest chunk so far
+    /// (the [`buffer_warning`] yardstick).
+    Stream {
+        rx: &'a mut par::ChunkReceiver<'p, StreamChunk>,
+        done: bool,
+        max_chunk: usize,
+    },
 }
 
-/// Observability counters from the most recent
-/// [`TraceSim::run_parallel`] or [`TraceSim::run_classified`] call.
+impl ReplayInput<'_, '_> {
+    /// Whether core `c` may still receive accesses. A stream cannot
+    /// tell, so every core may until the producer ends.
+    fn can_feed(&self, c: usize) -> bool {
+        match self {
+            ReplayInput::Raw { next, end, .. } => *next < end[c],
+            ReplayInput::Classified { ct, next } => next[c] < ct.per_core_len(c),
+            ReplayInput::Stream { done, .. } => !*done,
+        }
+    }
+}
+
+/// Observability counters from the most recent `run*` call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingEngineStats {
-    /// Classification windows refilled.
+    /// Windows refilled (one per stream chunk pulled; always 0 for
+    /// the sequential [`TraceSim::run`]).
     pub windows: u64,
     /// Always 0; kept only because the `benchmark/` crate reads it.
     /// Remove it with the next change to that crate.
@@ -666,9 +682,10 @@ pub struct TraceSim {
     /// Round-trip hop counts for analytic mesh message accounting.
     hops_ddr: u64,
     hops_hbm: u64,
-    /// Batched mesh pricing (see [`mesh_batch_from_env`]): when on,
-    /// analytic messages accumulate in `mesh_tally` and fold into the
-    /// mesh at window boundaries and in [`finish`](Self::finish).
+    /// Batched mesh pricing (on unless a test turns it off with
+    /// [`set_mesh_batching`](Self::set_mesh_batching)): analytic
+    /// messages accumulate in `mesh_tally` and fold into the mesh at
+    /// window boundaries and in [`finish`](Self::finish).
     mesh_batch: bool,
     mesh_tally: MeshTally,
     /// Canonical classification signature of this simulator's
@@ -688,14 +705,10 @@ pub struct TraceSim {
     /// Pipeline stall/occupancy stats from the most recent
     /// `run_streaming` call (zeroed by the materialized paths).
     last_pipe_stats: par::PipeStats,
-    /// Classification window for [`run_parallel`](Self::run_parallel),
-    /// in accesses.
+    /// Classification window for [`run_parallel`](Self::run_parallel)
+    /// and [`run_classified`](Self::run_classified), in accesses.
     replay_window: usize,
-    /// Streaming lookahead cap override, in chunks; `None` defers to
-    /// the `TRACESIM_LOOKAHEAD_CHUNKS` environment variable, and 0
-    /// disables the cap.
-    stream_lookahead_chunks: Option<usize>,
-    /// Window counters from the most recent windowed replay.
+    /// Window counters from the most recent `run*` call.
     timing_stats: TimingEngineStats,
     /// Phase-span log; `None` (the default) disables all span
     /// recording. Device-level histograms are enabled alongside it by
@@ -734,7 +747,7 @@ impl TraceSim {
             resp_half_hbm,
             hops_ddr,
             hops_hbm,
-            mesh_batch: mesh_batch_from_env(),
+            mesh_batch: true,
             mesh_tally: MeshTally::default(),
             classify_sig: classify_signature(cfg, msc_capacity),
             ddr: DramModel::ddr4_knl(),
@@ -756,8 +769,7 @@ impl TraceSim {
             last_peak_buffer: 0,
             peak_buffered_accesses: 0,
             last_pipe_stats: par::PipeStats::default(),
-            replay_window: replay_window_from_env(),
-            stream_lookahead_chunks: None,
+            replay_window: PAR_WINDOW,
             timing_stats: TimingEngineStats::default(),
             telemetry: None,
             timeseries: None,
@@ -770,25 +782,21 @@ impl TraceSim {
     #[doc(hidden)]
     pub fn set_timing_mode(&mut self, _mode: Option<TimingMode>) {}
 
-    /// Set the classification window (in accesses) for
-    /// [`run_parallel`](Self::run_parallel); clamped to at least one.
-    /// Tests shrink this to force many window refills on small traces.
+    /// Set the classification window (in accesses, default
+    /// [`PAR_WINDOW`]) for [`run_parallel`](Self::run_parallel) and
+    /// [`run_classified`](Self::run_classified); clamped to at least
+    /// one. Tests shrink this to force many window refills on small
+    /// traces.
     pub fn set_replay_window(&mut self, accesses: usize) {
         self.replay_window = accesses.max(1);
     }
 
-    /// Force batched mesh pricing on or off for subsequent `run*`
-    /// calls, overriding the `TRACESIM_MESH_BATCH` default. Both
-    /// settings are bit-identical (the differential suite proves it);
-    /// the flag exists so the proof has something to compare.
+    /// Turn batched mesh pricing (on by default) on or off for
+    /// subsequent `run*` calls. Both settings are bit-identical (the
+    /// differential suite proves it); the switch exists so the proof
+    /// has something to compare.
     pub fn set_mesh_batching(&mut self, on: bool) {
         self.mesh_batch = on;
-    }
-
-    /// Whether analytic mesh pricing is batched (see
-    /// [`mesh_batch_from_env`]).
-    pub fn mesh_batching(&self) -> bool {
-        self.mesh_batch
     }
 
     /// This simulator's classification signature — the cache/TLB half
@@ -800,20 +808,7 @@ impl TraceSim {
         &self.classify_sig
     }
 
-    /// Cap [`run_streaming`](Self::run_streaming)'s classified
-    /// lookahead at `chunks` producer chunks: above the cap the merge
-    /// force-drains (and the bounded pipe backpressures the producer)
-    /// until the backlog falls to half the cap. `Some(0)` and `None`
-    /// leave the cap to the `TRACESIM_LOOKAHEAD_CHUNKS` environment
-    /// variable (unset/0 there means uncapped). See the module docs
-    /// for when the forced drain preserves bit-exactness.
-    pub fn set_streaming_lookahead_chunks(&mut self, chunks: Option<usize>) {
-        self.stream_lookahead_chunks = chunks;
-    }
-
-    /// Window counters from the most recent
-    /// [`run_parallel`](Self::run_parallel) or
-    /// [`run_classified`](Self::run_classified) call.
+    /// Window counters from the most recent `run*` call.
     pub fn last_timing_stats(&self) -> &TimingEngineStats {
         &self.timing_stats
     }
@@ -1355,18 +1350,10 @@ impl TraceSim {
         for &t in trace {
             queues[partition_by_core(t.core, cores)].push_back(t);
         }
+        self.reset_run_stats();
         self.last_peak_buffer = trace.len() * std::mem::size_of::<TraceAccess>();
         self.peak_buffered_accesses = trace.len();
-        self.last_pipe_stats = par::PipeStats::default();
-        if let (Some(log), Some(t0)) = (&mut self.telemetry, t_partition) {
-            log.end(
-                t0,
-                "partition",
-                "replay",
-                0,
-                [("accesses", trace.len() as f64)],
-            );
-        }
+        self.end_span(t_partition, "partition", trace.len());
         // The sequential path classifies inside the merge loop, so one
         // span covers both.
         let t_merge = self.telemetry.is_some().then(Instant::now);
@@ -1385,9 +1372,7 @@ impl TraceSim {
                 tree.set(c, self.core_clock[c]);
             }
         }
-        if let (Some(log), Some(t0)) = (&mut self.telemetry, t_merge) {
-            log.end(t0, "merge", "replay", 0, [("accesses", trace.len() as f64)]);
-        }
+        self.end_span(t_merge, "merge", trace.len());
         self.finish()
     }
 
@@ -1409,7 +1394,20 @@ impl TraceSim {
     /// while peak buffering stays near one window instead of the whole
     /// trace.
     pub fn run_parallel(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        self.run_windowed(ReplayInput::Raw { trace, next: 0 })
+        let cores = self.hierarchies.len();
+        let t_partition = self.telemetry.is_some().then(Instant::now);
+        // One past each core's last access, so a dry batch can be told
+        // apart from a finished core.
+        let mut end = vec![0usize; cores];
+        for (i, t) in trace.iter().enumerate() {
+            end[partition_by_core(t.core, cores)] = i + 1;
+        }
+        self.end_span(t_partition, "partition", trace.len());
+        self.run_windowed(ReplayInput::Raw {
+            trace,
+            next: 0,
+            end,
+        })
     }
 
     /// Replay a prebuilt [`ClassifiedTrace`] artifact: the timing-only
@@ -1457,194 +1455,6 @@ impl TraceSim {
         })
     }
 
-    /// The windowed replay behind [`run_parallel`](Self::run_parallel)
-    /// and [`run_classified`](Self::run_classified): the merge
-    /// discipline of [`run`](Self::run), with ghost-slot refills
-    /// classifying (or copying) the next window on [`worker_threads`]
-    /// workers.
-    fn run_windowed(&mut self, mut input: ReplayInput<'_>) -> TraceSimReport {
-        let cores = self.hierarchies.len();
-        self.last_pipe_stats = par::PipeStats::default();
-        self.last_peak_buffer = 0;
-        self.peak_buffered_accesses = 0;
-        self.timing_stats = TimingEngineStats::default();
-        // How many accesses each shard will eventually receive, so a
-        // dry batch can be told apart from a finished core.
-        let mut remaining = match &input {
-            ReplayInput::Raw { trace, .. } => {
-                if trace.is_empty() {
-                    return self.finish();
-                }
-                let t_partition = self.telemetry.is_some().then(Instant::now);
-                let mut remaining = vec![0usize; cores];
-                for &t in trace.iter() {
-                    remaining[partition_by_core(t.core, cores)] += 1;
-                }
-                if let (Some(log), Some(t0)) = (&mut self.telemetry, t_partition) {
-                    log.end(
-                        t0,
-                        "partition",
-                        "replay",
-                        0,
-                        [("accesses", trace.len() as f64)],
-                    );
-                }
-                remaining
-            }
-            ReplayInput::Classified { ct, .. } => {
-                if ct.accesses() == 0 {
-                    return self.finish();
-                }
-                (0..cores).map(|c| ct.per_core_len(c)).collect()
-            }
-        };
-        let window = self.replay_window.max(1);
-        par::with_threads(worker_threads(), || {
-            let mut shards = self.take_shards();
-            let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
-            for (c, &left) in remaining.iter().enumerate() {
-                if left > 0 {
-                    tree.set(c, self.core_clock[c]);
-                }
-            }
-            let tel_on = self.telemetry.is_some();
-            let mut t_merge = tel_on.then(Instant::now);
-            let mut drained = 0u64;
-            while let Some(c) = tree.winner() {
-                if shards[c].queue.is_empty() {
-                    // Ghost: this core's clock is the earliest but its
-                    // next access is still unclassified — pull the next
-                    // window.
-                    self.end_merge_span(t_merge, drained);
-                    drained = 0;
-                    let refilled =
-                        self.refill_window(&mut input, window, &mut shards, &mut remaining);
-                    assert!(refilled, "ghost winner with no trace left");
-                    t_merge = tel_on.then(Instant::now);
-                    continue;
-                }
-                let (addr, sram_lat, dependent, level) =
-                    shards[c].queue.pop().expect("non-empty batch");
-                self.access_timed(c, addr, dependent, level, sram_lat);
-                drained += 1;
-                if shards[c].queue.is_empty() && remaining[c] == 0 {
-                    tree.close(c);
-                } else {
-                    tree.set(c, self.core_clock[c]);
-                }
-            }
-            self.end_merge_span(t_merge, drained);
-            self.hierarchies = shards.into_iter().map(|u| u.hier).collect();
-        });
-        self.finish()
-    }
-
-    /// Move the private hierarchies into per-core replay shards; the
-    /// caller puts them back when the replay ends.
-    fn take_shards(&mut self) -> Vec<StreamShard> {
-        std::mem::take(&mut self.hierarchies)
-            .into_iter()
-            .map(|hier| StreamShard {
-                hier,
-                pending: Vec::new(),
-                queue: ClassifiedSoa::new(),
-            })
-            .collect()
-    }
-
-    /// Close a `merge` span over the `drained` accesses consumed since
-    /// `t0` (nothing when telemetry is off or nothing was drained).
-    fn end_merge_span(&mut self, t0: Option<Instant>, drained: u64) {
-        if drained > 0 {
-            if let (Some(log), Some(t0)) = (&mut self.telemetry, t0) {
-                log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
-            }
-        }
-    }
-
-    /// Refill the per-shard batches with the next window of input —
-    /// classifying a raw trace slice, or copying prebuilt slices from
-    /// a [`ClassifiedTrace`]. Returns `false` when the input is
-    /// exhausted. Also the window boundary at which the batched mesh
-    /// tally folds back into the shared counters.
-    fn refill_window(
-        &mut self,
-        input: &mut ReplayInput<'_>,
-        window: usize,
-        shards: &mut [StreamShard],
-        remaining: &mut [usize],
-    ) -> bool {
-        self.flush_mesh_tally();
-        let cores = shards.len();
-        let mut raw_bytes = 0usize;
-        match input {
-            ReplayInput::Raw { trace, next } => {
-                if *next >= trace.len() {
-                    return false;
-                }
-                let end = (*next + window).min(trace.len());
-                let slice = &trace[*next..end];
-                let t_classify = self.telemetry.is_some().then(Instant::now);
-                for &t in slice {
-                    let c = partition_by_core(t.core, cores);
-                    shards[c].pending.push(t);
-                    remaining[c] -= 1;
-                }
-                par::par_update(shards, |_, u| {
-                    classify_into(&mut u.hier, &mut u.pending, &mut u.queue);
-                });
-                raw_bytes = slice.len() * std::mem::size_of::<TraceAccess>();
-                *next = end;
-                if let (Some(log), Some(t0)) = (&mut self.telemetry, t_classify) {
-                    log.end(
-                        t0,
-                        "classify",
-                        "replay",
-                        0,
-                        [("accesses", slice.len() as f64)],
-                    );
-                }
-            }
-            ReplayInput::Classified { ct, next } => {
-                // Top up every dry core with its next slice; cores
-                // split the window budget evenly, so a full refill
-                // copies at most ~one window across all shards.
-                let per_core = (window / cores.max(1)).max(1);
-                let mut copied = 0usize;
-                for (c, shard) in shards.iter_mut().enumerate() {
-                    if remaining[c] == 0 || !shard.queue.is_empty() {
-                        continue;
-                    }
-                    let take = per_core.min(remaining[c]);
-                    let start = next[c];
-                    let (addr, lat_ps, flags) = ct.core_arrays(c);
-                    shard.queue.compact();
-                    shard.queue.extend_from_arrays(
-                        &addr[start..start + take],
-                        &lat_ps[start..start + take],
-                        &flags[start..start + take],
-                    );
-                    next[c] = start + take;
-                    remaining[c] -= take;
-                    copied += take;
-                }
-                if copied == 0 {
-                    return false;
-                }
-            }
-        }
-        let mut buffered = raw_bytes;
-        let mut backlog = 0usize;
-        for u in shards.iter() {
-            buffered += u.queue.buffered_bytes();
-            backlog += u.queue.len();
-        }
-        self.last_peak_buffer = self.last_peak_buffer.max(buffered);
-        self.peak_buffered_accesses = self.peak_buffered_accesses.max(backlog);
-        self.timing_stats.windows += 1;
-        true
-    }
-
     /// Replay a trace pulled incrementally from `fill`, overlapping
     /// generation with classification and timing; bit-identical to
     /// [`run`](Self::run) on the concatenation of the filled chunks.
@@ -1653,190 +1463,225 @@ impl TraceSim {
     /// buffer and returns how many accesses it added; returning 0 ends
     /// the stream. It runs on a producer thread behind a depth-2
     /// bounded queue ([`par::pipelined`]), so chunk `n + 1` is
-    /// generated while chunk `n` is classified and replayed. Within
-    /// the consumer, each refill is partitioned by core and classified
-    /// on [`worker_threads`] workers exactly as in
-    /// [`run_parallel`](Self::run_parallel).
+    /// generated while chunk `n` is classified and replayed. The
+    /// consumer side is the windowed engine of
+    /// [`run_parallel`](Self::run_parallel), one producer chunk per
+    /// window.
     ///
-    /// The timing merge only selects a winner while every core that
-    /// could still receive work has at least one classified access
-    /// buffered — an empty queue's *next* access (still unseen) could
-    /// carry the earliest clock, and picking around it would diverge
-    /// from the sequential order. Workloads that spread accesses
-    /// across cores therefore buffer about one chunk; a workload
-    /// confined to a subset of cores (a single-core pointer chase is
-    /// the extreme) buffers the full classified trace, trading memory,
-    /// never correctness.
-    ///
-    /// [`set_streaming_lookahead_chunks`](Self::set_streaming_lookahead_chunks)
-    /// (or `TRACESIM_LOOKAHEAD_CHUNKS`) bounds that buildup: when the
-    /// classified backlog exceeds `cap × max_chunk` accesses the
-    /// consumer stops refilling and force-drains the cores that do
-    /// have work (the depth-2 pipe then backpressures the producer),
-    /// until the backlog halves. Draining around an empty core is
-    /// exact whenever that core never receives an earlier-clocked
-    /// access later — vacuously true for the single-core traces that
-    /// trigger unbounded buildup, which is what the cap is for. On
-    /// workloads that *do* later feed the starved cores the capped
-    /// replay is a bounded-memory approximation rather than
-    /// bit-identical, so the cap is off by default.
+    /// Until the producer ends any core may still receive work, so a
+    /// core whose queue runs dry stays in the merge as a ghost, and the
+    /// next chunk is pulled only when a ghost wins. Workloads that
+    /// spread accesses across cores therefore buffer about one chunk;
+    /// a workload confined to a subset of cores (a single-core pointer
+    /// chase is the extreme) buffers most of its classified trace —
+    /// trading memory, never correctness — and warns once via
+    /// [`buffer_warning`].
     pub fn run_streaming(
         &mut self,
         mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize + Send,
     ) -> TraceSimReport {
-        let cores = self.hierarchies.len();
-        self.last_peak_buffer = 0;
-        self.peak_buffered_accesses = 0;
         let tel_on = self.telemetry.is_some();
-        // Explicit setter wins over the environment; 0 or unset means
-        // uncapped (the bit-exact default).
-        // Garbage values warn once via `simfabric::env` — the same
-        // contract as every other `TRACESIM_*` knob.
-        let lookahead_cap = self
-            .stream_lookahead_chunks
-            .or_else(|| simfabric::env::usize_var("TRACESIM_LOOKAHEAD_CHUNKS"))
-            .filter(|&n| n > 0);
-        let mut units = self.take_shards();
-        let ((), pipe_stats) = par::with_threads(worker_threads(), || {
-            par::pipelined_stats(
-                2,
-                move || {
-                    // Time each generation burst on the producer side;
-                    // the instants travel with the chunk because the
-                    // span log lives on the consumer thread.
-                    let started = tel_on.then(Instant::now);
-                    let mut buf = Vec::new();
-                    let n = fill(&mut buf);
-                    (n > 0).then(|| (buf, started.map(|s| (s, Instant::now()))))
-                },
-                |rx| {
-                    let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
-                    let mut stream_done = false;
-                    // Cores whose queue is empty but could still gain
-                    // work; no winner may be selected while any exist.
-                    let mut hungry = cores;
-                    let mut max_chunk = 0usize;
-                    // Classified accesses buffered across all queues,
-                    // kept incrementally for the lookahead cap.
-                    let mut backlog = 0usize;
-                    // When set, refills pause (backpressuring the
-                    // producer through the bounded pipe) and the
-                    // non-empty queues drain until the backlog halves.
-                    let mut force_drain = false;
-                    loop {
-                        while hungry > 0 && !stream_done && !force_drain {
-                            let Some((chunk, generated)) = rx.recv() else {
-                                stream_done = true;
-                                hungry = 0;
-                                break;
-                            };
-                            if let (Some(log), Some((s, e))) = (&mut self.telemetry, generated) {
-                                log.span_between(
-                                    s,
-                                    e,
-                                    "generate",
-                                    "replay",
-                                    1,
-                                    [("accesses", chunk.len() as f64)],
-                                );
+        let (report, pipe_stats) = par::pipelined_stats(
+            2,
+            move || {
+                // Time each generation burst on the producer side.
+                let started = tel_on.then(Instant::now);
+                let mut buf = Vec::new();
+                let n = fill(&mut buf);
+                (n > 0).then(|| (buf, started.map(|s| (s, Instant::now()))))
+            },
+            |rx| {
+                self.run_windowed(ReplayInput::Stream {
+                    rx,
+                    done: false,
+                    max_chunk: 0,
+                })
+            },
+        );
+        self.last_pipe_stats = pipe_stats;
+        report
+    }
+
+    /// The windowed engine behind [`run_parallel`](Self::run_parallel),
+    /// [`run_classified`](Self::run_classified) and
+    /// [`run_streaming`](Self::run_streaming): the merge discipline of
+    /// [`run`](Self::run), with ghost-slot refills classifying (or
+    /// copying) the next window on [`worker_threads`] workers.
+    fn run_windowed(&mut self, mut input: ReplayInput<'_, '_>) -> TraceSimReport {
+        let cores = self.hierarchies.len();
+        self.reset_run_stats();
+        let window = self.replay_window;
+        par::with_threads(worker_threads(), || {
+            let mut shards: Vec<ReplayShard> = std::mem::take(&mut self.hierarchies)
+                .into_iter()
+                .map(ReplayShard::new)
+                .collect();
+            let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
+            for c in 0..cores {
+                if input.can_feed(c) {
+                    tree.set(c, self.core_clock[c]);
+                }
+            }
+            let tel_on = self.telemetry.is_some();
+            let mut t_merge = tel_on.then(Instant::now);
+            let mut drained = 0usize;
+            while let Some(c) = tree.winner() {
+                if shards[c].queue.is_empty() {
+                    // Ghost: this core's clock is the earliest but its
+                    // next access is not classified yet — pull the
+                    // next window.
+                    self.end_merge_span(t_merge, drained);
+                    drained = 0;
+                    if !self.refill_window(&mut input, window, &mut shards) {
+                        // Only a stream runs out while ghosts remain:
+                        // no core can gain work now, so close them.
+                        for (g, s) in shards.iter().enumerate() {
+                            if s.queue.is_empty() {
+                                tree.close(g);
                             }
-                            let t_classify = tel_on.then(Instant::now);
-                            let chunk_bytes = chunk.len() * std::mem::size_of::<TraceAccess>();
-                            max_chunk = max_chunk.max(chunk.len());
-                            for &t in &chunk {
-                                units[partition_by_core(t.core, cores)].pending.push(t);
-                            }
-                            par::par_update(&mut units, |_, u| {
-                                classify_into(&mut u.hier, &mut u.pending, &mut u.queue);
-                            });
-                            // Chunk boundary: fold the batched mesh
-                            // tally back into the shared counters.
-                            self.flush_mesh_tally();
-                            if let (Some(log), Some(t0)) = (&mut self.telemetry, t_classify) {
-                                log.end(
-                                    t0,
-                                    "classify",
-                                    "replay",
-                                    0,
-                                    [("accesses", chunk.len() as f64)],
-                                );
-                            }
-                            hungry = 0;
-                            let mut buffered = chunk_bytes;
-                            backlog = 0;
-                            for (c, u) in units.iter().enumerate() {
-                                buffered += u.queue.buffered_bytes();
-                                backlog += u.queue.len();
-                                if u.queue.is_empty() {
-                                    hungry += 1;
-                                } else if tree.key(c).is_none() {
-                                    tree.set(c, self.core_clock[c]);
-                                }
-                            }
-                            self.last_peak_buffer = self.last_peak_buffer.max(buffered);
-                            self.peak_buffered_accesses = self.peak_buffered_accesses.max(backlog);
-                            if let Some(cap) = lookahead_cap {
-                                if backlog > cap.saturating_mul(max_chunk) {
-                                    force_drain = true;
-                                }
-                            }
-                            if lookahead_cap.is_none() {
-                                if let Some(msg) = buffer_warning(backlog, max_chunk) {
-                                    simfabric::env::warn_once("tracesim.buffer_backlog", &msg);
-                                }
-                            }
-                        }
-                        // Drain winners until a queue runs dry while
-                        // the stream can still refill it (then loop
-                        // back to the refill phase) or until the tree
-                        // empties; one merge span covers each segment.
-                        let t_merge = tel_on.then(Instant::now);
-                        let mut drained = 0u64;
-                        while let Some(c) = tree.winner() {
-                            let (addr, sram_lat, dependent, level) =
-                                units[c].queue.pop().expect("winner has work");
-                            self.access_timed(c, addr, dependent, level, sram_lat);
-                            drained += 1;
-                            backlog -= 1;
-                            if units[c].queue.is_empty() {
-                                tree.close(c);
-                                if !stream_done {
-                                    hungry += 1;
-                                }
-                            } else {
-                                tree.set(c, self.core_clock[c]);
-                            }
-                            if force_drain {
-                                // Hysteresis: drain to half the cap so
-                                // refill and drain don't ping-pong on
-                                // every chunk.
-                                let cap = lookahead_cap.expect("force_drain only with a cap");
-                                if backlog * 2 <= cap.saturating_mul(max_chunk) {
-                                    force_drain = false;
-                                    if hungry > 0 && !stream_done {
-                                        break;
-                                    }
-                                }
-                            } else if hungry > 0 && !stream_done {
-                                break;
-                            }
-                        }
-                        // All queues ran dry under force-drain: nothing
-                        // left to drain, so resume refilling.
-                        if force_drain && tree.winner().is_none() {
-                            force_drain = false;
-                        }
-                        self.end_merge_span(t_merge, drained);
-                        if stream_done && tree.winner().is_none() {
-                            break;
                         }
                     }
-                },
-            )
+                    t_merge = tel_on.then(Instant::now);
+                    continue;
+                }
+                let (addr, sram_lat, dependent, level) =
+                    shards[c].queue.pop().expect("non-empty batch");
+                self.access_timed(c, addr, dependent, level, sram_lat);
+                drained += 1;
+                if shards[c].queue.is_empty() && !input.can_feed(c) {
+                    tree.close(c);
+                } else {
+                    tree.set(c, self.core_clock[c]);
+                }
+            }
+            self.end_merge_span(t_merge, drained);
+            self.hierarchies = shards.into_iter().map(|s| s.hier).collect();
         });
-        self.last_pipe_stats = pipe_stats;
-        self.hierarchies = units.into_iter().map(|u| u.hier).collect();
         self.finish()
+    }
+
+    /// Zero the per-run observability counters at the start of a
+    /// `run*` call.
+    fn reset_run_stats(&mut self) {
+        self.last_pipe_stats = par::PipeStats::default();
+        self.last_peak_buffer = 0;
+        self.peak_buffered_accesses = 0;
+        self.timing_stats = TimingEngineStats::default();
+    }
+
+    /// Close the `replay` span `name` over `accesses` accesses, started
+    /// at `t0` (nothing when telemetry is off).
+    fn end_span(&mut self, t0: Option<Instant>, name: &str, accesses: usize) {
+        if let (Some(log), Some(t0)) = (&mut self.telemetry, t0) {
+            log.end(t0, name, "replay", 0, [("accesses", accesses as f64)]);
+        }
+    }
+
+    /// Close a `merge` span over the `drained` accesses consumed since
+    /// `t0` (nothing when nothing was drained).
+    fn end_merge_span(&mut self, t0: Option<Instant>, drained: usize) {
+        if drained > 0 {
+            self.end_span(t0, "merge", drained);
+        }
+    }
+
+    /// Refill the per-shard batches with the next window of input —
+    /// classifying a trace slice or a stream chunk, or copying
+    /// prebuilt slices from a [`ClassifiedTrace`]. Returns `false`
+    /// when the input is exhausted. Also the window boundary at which
+    /// the batched mesh tally folds back into the shared counters.
+    fn refill_window(
+        &mut self,
+        input: &mut ReplayInput<'_, '_>,
+        window: usize,
+        shards: &mut [ReplayShard],
+    ) -> bool {
+        self.flush_mesh_tally();
+        let raw_accesses = match input {
+            ReplayInput::Raw { trace, next, .. } => {
+                if *next >= trace.len() {
+                    return false;
+                }
+                let end = (*next + window).min(trace.len());
+                self.classify_window(shards, &trace[*next..end]);
+                let n = end - *next;
+                *next = end;
+                n
+            }
+            ReplayInput::Stream {
+                rx,
+                done,
+                max_chunk,
+            } => {
+                let Some((chunk, generated)) = rx.recv() else {
+                    *done = true;
+                    return false;
+                };
+                if let (Some(log), Some((s, e))) = (&mut self.telemetry, generated) {
+                    log.span_between(
+                        s,
+                        e,
+                        "generate",
+                        "replay",
+                        1,
+                        [("accesses", chunk.len() as f64)],
+                    );
+                }
+                *max_chunk = (*max_chunk).max(chunk.len());
+                self.classify_window(shards, &chunk);
+                chunk.len()
+            }
+            ReplayInput::Classified { ct, next } => {
+                // Top up every dry core with its next slice; cores
+                // split the window budget evenly, so a full refill
+                // copies at most ~one window across all shards.
+                let per_core = (window / shards.len().max(1)).max(1);
+                let mut copied = 0usize;
+                for (c, shard) in shards.iter_mut().enumerate() {
+                    let start = next[c];
+                    let take = per_core.min(ct.per_core_len(c) - start);
+                    if take == 0 || !shard.queue.is_empty() {
+                        continue;
+                    }
+                    let (addr, lat_ps, flags) = ct.core_arrays(c);
+                    shard.queue.compact();
+                    shard.queue.extend_from_arrays(
+                        &addr[start..start + take],
+                        &lat_ps[start..start + take],
+                        &flags[start..start + take],
+                    );
+                    next[c] = start + take;
+                    copied += take;
+                }
+                if copied == 0 {
+                    return false;
+                }
+                0
+            }
+        };
+        let mut buffered = raw_accesses * std::mem::size_of::<TraceAccess>();
+        let mut backlog = 0usize;
+        for s in shards.iter() {
+            buffered += s.queue.buffered_bytes();
+            backlog += s.queue.len();
+        }
+        self.last_peak_buffer = self.last_peak_buffer.max(buffered);
+        self.peak_buffered_accesses = self.peak_buffered_accesses.max(backlog);
+        self.timing_stats.windows += 1;
+        if let ReplayInput::Stream { max_chunk, .. } = input {
+            if let Some(msg) = buffer_warning(backlog, *max_chunk) {
+                simfabric::env::warn_once("tracesim.buffer_backlog", &msg);
+            }
+        }
+        true
+    }
+
+    /// Classify one window of raw accesses into `shards`, recorded as
+    /// a `classify` span when telemetry is on.
+    fn classify_window(&mut self, shards: &mut [ReplayShard], accesses: &[TraceAccess]) {
+        let t0 = self.telemetry.is_some().then(Instant::now);
+        classify_chunk(shards, accesses);
+        self.end_span(t0, "classify", accesses.len());
     }
 
     /// Finalize and return the report (the order-independent reduction
@@ -2154,72 +1999,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_lookahead_cap_bounds_single_core_backlog() {
-        // A single-core pointer chase on a multi-core sim is the
-        // pathological streaming case: every other queue stays empty,
-        // so the uncapped pipeline materializes the whole classified
-        // trace. The cap must bound the backlog near cap × chunk while
-        // staying bit-identical (the starved cores never receive work,
-        // so draining around them is vacuously exact).
-        let total = 6000usize;
-        let chunk = 250usize;
-        let make_fill = move || {
-            let mut produced = 0usize;
-            move |buf: &mut Vec<TraceAccess>| {
-                let n = chunk.min(total - produced);
-                for i in 0..n {
-                    let j = (produced + i) as u64;
-                    // Dependent chase with a large stride: misses that
-                    // serialize, so the backlog grows chunk by chunk.
-                    buf.push(TraceAccess::chase(1, (j * 4096 + 64) % (1 << 30)));
-                }
-                produced += n;
-                n
-            }
-        };
-        let mut seq = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            8,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let expect = seq.run_streaming(make_fill());
-        let mut uncapped = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            8,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let got_uncapped = par::with_threads(2, || uncapped.run_streaming(make_fill()));
-        assert_eq!(got_uncapped, expect);
-        assert!(
-            uncapped.last_peak_buffered_accesses() > total / 2,
-            "uncapped single-core backlog should approach the trace \
-             ({} of {total})",
-            uncapped.last_peak_buffered_accesses(),
-        );
-        let cap = 4usize;
-        let mut capped = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            8,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        capped.set_streaming_lookahead_chunks(Some(cap));
-        let got_capped = par::with_threads(2, || capped.run_streaming(make_fill()));
-        assert_eq!(
-            got_capped, expect,
-            "capped single-core replay must stay exact"
-        );
-        let bound = (cap + 2) * chunk;
-        assert!(
-            capped.last_peak_buffered_accesses() <= bound,
-            "capped backlog {} exceeds {bound}",
-            capped.last_peak_buffered_accesses(),
-        );
-    }
-
-    #[test]
     fn partition_wraps_out_of_range_cores() {
         // Traces may name more cores than the simulator has; ids wrap
         // modulo the shard count so shard order stays deterministic.
@@ -2312,12 +2091,28 @@ mod tests {
         assert_eq!(addr, 4 * 64);
     }
 
+    /// Stream `chunks` through `sim`, one producer chunk each.
+    fn stream_chunks<'a, I>(sim: &mut TraceSim, chunks: I) -> TraceSimReport
+    where
+        I: IntoIterator<Item = &'a [TraceAccess]>,
+        I::IntoIter: Send,
+    {
+        let mut chunks = chunks.into_iter();
+        sim.run_streaming(move |buf| match chunks.next() {
+            Some(chunk) => {
+                buf.extend_from_slice(chunk);
+                chunk.len()
+            }
+            None => 0,
+        })
+    }
+
     #[test]
     fn identical_clocks_tie_break_toward_lower_core() {
         // Two cores issue the same dependent-chase pattern, so their
-        // clocks collide constantly; the old heap's
-        // `Reverse<(SimTime, usize)>` order resolved every tie toward
-        // the lower core. All three replay paths must agree exactly.
+        // clocks collide constantly; every tie must resolve toward the
+        // lower core, as in the sequential order. All three replay
+        // paths must agree exactly.
         let mut trace = Vec::new();
         for i in 0..200u64 {
             for c in [1u32, 0] {
@@ -2341,16 +2136,8 @@ mod tests {
         );
         assert_eq!(par_sim.ddr_stats(), seq.ddr_stats());
         let mut stream_sim = make();
-        let mut off = 0;
-        let got = par::with_threads(2, || {
-            stream_sim.run_streaming(|buf| {
-                // Tiny chunks force many refills mid-tie.
-                let n = trace.len().min(off + 7) - off;
-                buf.extend_from_slice(&trace[off..off + n]);
-                off += n;
-                n
-            })
-        });
+        // Tiny chunks force many refills mid-tie.
+        let got = par::with_threads(2, || stream_chunks(&mut stream_sim, trace.chunks(7)));
         assert_eq!(got, expect);
         assert_eq!(stream_sim.ddr_stats(), seq.ddr_stats());
         assert_eq!(stream_sim.mesh_stats(), seq.mesh_stats());
@@ -2374,16 +2161,7 @@ mod tests {
             TracePlacement::AllDdr,
             ByteSize::mib(1),
         );
-        let mut fed = false;
-        let got = stream_sim.run_streaming(|buf| {
-            if fed {
-                return 0;
-            }
-            fed = true;
-            buf.extend_from_slice(&trace);
-            trace.len()
-        });
-        assert_eq!(got, expect);
+        assert_eq!(stream_chunks(&mut stream_sim, [&trace[..]]), expect);
         // All-empty stream: no chunks at all.
         let mut empty_sim = TraceSim::new(
             &cfg(MemSetup::DramOnly),
@@ -2393,6 +2171,7 @@ mod tests {
         );
         assert_eq!(empty_sim.run_streaming(|_| 0), TraceSimReport::default());
         assert_eq!(empty_sim.last_peak_trace_buffer_bytes(), 0);
+        assert_eq!(empty_sim.last_timing_stats().windows, 0);
     }
 
     #[test]
@@ -2416,15 +2195,8 @@ mod tests {
                     TracePlacement::AllDdr,
                     ByteSize::mib(1),
                 );
-                let mut off = 0;
-                let got = par::with_threads(workers, || {
-                    sim.run_streaming(|buf| {
-                        let n = trace.len().min(off + chunk) - off;
-                        buf.extend_from_slice(&trace[off..off + n]);
-                        off += n;
-                        n
-                    })
-                });
+                let got =
+                    par::with_threads(workers, || stream_chunks(&mut sim, trace.chunks(chunk)));
                 assert_eq!(got, expect, "chunk={chunk} workers={workers}");
                 assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "chunk={chunk}");
                 assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "chunk={chunk}");
@@ -2441,6 +2213,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn streaming_cores_that_join_late_or_never() {
+        // Eight cores: 0 and 2 run from the first chunk, 5 appears only
+        // in the last chunk, and 1/3/4/6/7 never receive work. The
+        // silent cores stay ghosts until the producer ends and are then
+        // closed; the replay must still match `run` bit for bit.
+        let (mut head, stride) = (Vec::new(), 2 * 1024 * 1024 + 64);
+        for i in 0..300u64 {
+            head.push(TraceAccess::read(0, i * 64));
+            head.push(TraceAccess::chase(2, (1 << 28) + i * stride));
+        }
+        let tail: Vec<TraceAccess> = (0..40u64)
+            .map(|i| TraceAccess::write(5, (1 << 29) + i * 64))
+            .collect();
+        let trace = [head.as_slice(), tail.as_slice()].concat();
+        let make = || {
+            TraceSim::new(
+                &cfg(MemSetup::DramOnly),
+                8,
+                TracePlacement::AllDdr,
+                ByteSize::mib(1),
+            )
+        };
+        let mut seq = make();
+        let expect = seq.run(&trace);
+        for chunk in [1usize, 64, trace.len()] {
+            for workers in [1, 2, 8] {
+                let at = format!("chunk={chunk} workers={workers}");
+                let mut sim = make();
+                let got = if chunk == trace.len() {
+                    par::with_threads(workers, || stream_chunks(&mut sim, [&trace[..]]))
+                } else {
+                    let chunks = head.chunks(chunk).chain([&tail[..]]);
+                    par::with_threads(workers, || stream_chunks(&mut sim, chunks))
+                };
+                assert_eq!(got, expect, "{at}");
+                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_run_resets_the_window_count() {
+        // A streaming replay after a windowed one must report its own
+        // window count — one per chunk pulled — not the earlier run's.
+        let trace = stream_trace(4, 300);
+        let mut sim = TraceSim::new(
+            &cfg(MemSetup::DramOnly),
+            4,
+            TracePlacement::AllDdr,
+            ByteSize::mib(1),
+        );
+        sim.set_replay_window(64);
+        par::with_threads(2, || sim.run_parallel(&trace));
+        let windowed = sim.last_timing_stats().windows;
+        assert_eq!(windowed, trace.len().div_ceil(64) as u64);
+        let chunk = 100;
+        par::with_threads(2, || stream_chunks(&mut sim, trace.chunks(chunk)));
+        let chunks = trace.len().div_ceil(chunk) as u64;
+        assert_ne!(chunks, windowed);
+        assert_eq!(sim.last_timing_stats().windows, chunks);
+        use simfabric::telemetry::MetricValue;
+        assert_eq!(
+            sim.metrics_registry().get("replay.timing.windows"),
+            Some(&MetricValue::Counter(chunks))
+        );
+        // The sequential oracle refills no windows.
+        sim.run(&trace);
+        assert_eq!(sim.last_timing_stats().windows, 0);
     }
 
     #[test]
@@ -2505,15 +2350,7 @@ mod tests {
             ByteSize::mib(1),
         );
         sim.enable_telemetry();
-        let mut off = 0;
-        let got = par::with_threads(2, || {
-            sim.run_streaming(|buf| {
-                let n = trace.len().min(off + 256) - off;
-                buf.extend_from_slice(&trace[off..off + n]);
-                off += n;
-                n
-            })
-        });
+        let got = par::with_threads(2, || stream_chunks(&mut sim, trace.chunks(256)));
         assert_eq!(got.accesses, trace.len() as u64);
         let names: Vec<&str> = sim
             .telemetry_spans()

@@ -1,9 +1,8 @@
 //! Warn-once environment-variable parsing.
 //!
-//! The replay engines grew a handful of `TRACESIM_*` tuning knobs, and
-//! each grew its own ad-hoc parser with subtly different behaviour: a
-//! garbage `TRACESIM_THREADS` warned once to stderr, while a garbage
-//! `TRACESIM_LOOKAHEAD_CHUNKS` was silently dropped. A silently
+//! Every environment knob (`TRACESIM_THREADS`,
+//! `TRACESIM_CLASSIFY_CACHE_MB`, `ADVISOR_CACHE_MB`, `SWEEP_REUSE`)
+//! parses through here, so none can be silently dropped. A silently
 //! ignored knob is worse than a noisy one — the operator believes the
 //! setting took effect — so this module centralizes the contract:
 //!
@@ -58,10 +57,10 @@ pub fn parsed<T>(var: &str, expected: &str, parse: impl Fn(&str) -> Option<T>) -
 }
 
 /// Grammar shared by the counted knobs (`TRACESIM_THREADS`,
-/// `TRACESIM_LOOKAHEAD_CHUNKS`, `TRACESIM_PAR_WINDOW`): a non-negative
-/// integer with surrounding whitespace ignored. Zero parses — what
-/// zero *means* (clamp to one, disable the cap, …) is the caller's
-/// policy, not the parser's.
+/// `TRACESIM_CLASSIFY_CACHE_MB`): a non-negative integer with
+/// surrounding whitespace ignored. Zero parses — what zero *means*
+/// (clamp to one, disable retention, …) is the caller's policy, not
+/// the parser's.
 pub fn parse_usize(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok()
 }

@@ -4,7 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline
+# --workspace: the root package alone does not build `repro`, which the
+# gates below invoke from target/release.
+cargo build --release --offline --workspace
 
 # The test suite runs twice: once pinned to a single trace-replay
 # worker and once at eight, so the sequential-equivalence contract of

@@ -348,7 +348,16 @@ mod tests {
     fn replayed_advice_covers_placements_and_repeated_queries_share_artifacts() {
         use workloads::tracegen::TraceKind;
         let spec = TraceSpec::from_kind(TraceKind::Stream, 4, 400, 0xAD51);
-        let first = advise_replayed(&spec, ByteSize::kib(256));
+        // A private classify cache: sibling tests share the global one,
+        // and their traffic would leak into the counts below.
+        let cache = std::sync::Arc::new(knl::SharedClassifyCache::new(
+            knl::classified::CLASSIFY_CACHE_DEFAULT_BYTES,
+        ));
+        let stats = || cache.with_cache(|c| c.stats());
+        let query = |budget| {
+            crate::sweep::with_private_classify_cache(&cache, || advise_replayed(&spec, budget))
+        };
+        let first = query(ByteSize::kib(256));
         assert_eq!(first.candidates.len(), 5);
         assert_eq!(first.trace, spec.label());
         assert_eq!(first.threads, 64);
@@ -364,16 +373,16 @@ mod tests {
         // never classifies); only the cache-mode point rebuilds,
         // because a new budget resizes the memory-side cache and so
         // changes its classify signature (key invalidation).
-        let before = knl::with_global_classify_cache(|c| c.stats());
-        let second = advise_replayed(&spec, ByteSize::kib(512));
-        let after = knl::with_global_classify_cache(|c| c.stats());
+        let before = stats();
+        let second = query(ByteSize::kib(512));
+        let after = stats();
         if crate::sweep::sweep_reuse_enabled() {
             assert_eq!(
                 after.misses - before.misses,
                 1,
                 "only the resized cache-mode artifact may rebuild"
             );
-            assert!(after.hits - before.hits >= 4, "flat placements must hit");
+            assert_eq!(after.hits - before.hits, 4, "flat placements must hit");
         }
         // Same trace, same DDR baseline either way.
         assert_eq!(

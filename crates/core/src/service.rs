@@ -160,23 +160,37 @@ impl AdvisorQuery {
         let opt_num = |key: &str, default: f64| -> Result<f64, String> {
             match doc.get(key) {
                 None => Ok(default),
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| format!("non-numeric field `{key}`")),
+                Some(v) => match v.as_f64() {
+                    Some(n) if n.is_finite() => Ok(n),
+                    Some(n) => Err(format!("non-finite field `{key}`: {n}")),
+                    None => Err(format!("non-numeric field `{key}`")),
+                },
             }
         };
+        // A whole number in `[min, max]`, taken as-is: fractional or
+        // out-of-range values are errors, never truncated or saturated.
+        let opt_int = |key: &str, default: u64, min: u64, max: u64| -> Result<u64, String> {
+            let n = opt_num(key, default as f64)?;
+            // `max as f64 + 1.0` rounds to 2^64 for `u64::MAX`, the
+            // first f64 past the range.
+            if n.fract() != 0.0 || n < min as f64 || n >= max as f64 + 1.0 {
+                return Err(format!(
+                    "field `{key}` must be a whole number in {min}..={max}, got {n}"
+                ));
+            }
+            Ok(n as u64)
+        };
         let budget_kib = opt_num("budget_kib", 256.0)?;
-        if budget_kib <= 0.0 {
-            return Err(format!("non-positive budget_kib {budget_kib}"));
+        let budget = (budget_kib * 1024.0).round();
+        if budget < 1.0 || budget >= u64::MAX as f64 {
+            return Err(format!(
+                "budget_kib {budget_kib} is not a positive byte count"
+            ));
         }
-        let threads = opt_num("threads", 64.0)?;
-        if threads < 1.0 {
-            return Err(format!("non-positive threads {threads}"));
-        }
-        let mut q = AdvisorQuery::over(&workload, ByteSize::kib(budget_kib as u64))?;
-        q.seed = opt_num("seed", DEFAULT_QUERY_SEED as f64)? as u64;
-        q.threads = threads as u32;
-        q.migrate_period = opt_num("period", 0.0)? as u64;
+        let mut q = AdvisorQuery::over(&workload, ByteSize::bytes(budget as u64))?;
+        q.seed = opt_int("seed", DEFAULT_QUERY_SEED, 0, u64::MAX)?;
+        q.threads = opt_int("threads", 64, 1, u32::MAX as u64)? as u32;
+        q.migrate_period = opt_int("period", 0, 0, u64::MAX)?;
         Ok(q)
     }
 
@@ -186,7 +200,10 @@ impl AdvisorQuery {
         Json::obj([
             ("workload", Json::Str(self.workload_label())),
             ("seed", Json::Num(self.seed as f64)),
-            ("budget_kib", Json::Num((self.budget.as_u64() >> 10) as f64)),
+            (
+                "budget_kib",
+                Json::Num(self.budget.as_u64() as f64 / 1024.0),
+            ),
             ("threads", Json::Num(self.threads as f64)),
             ("period", Json::Num(self.migrate_period as f64)),
         ])
@@ -844,10 +861,35 @@ mod tests {
             r#"{"workload": "stream_4x200", "budget_kib": 0}"#,
             r#"{"workload": "stream_4x200", "threads": "lots"}"#,
             r#"{"workload": "stream_2x18446744073709551615"}"#,
+            r#"{"workload": "stream_4x200", "budget_kib": 1e300}"#,
+            r#"{"workload": "stream_4x200", "budget_kib": 0.0001}"#,
+            r#"{"workload": "stream_4x200", "threads": 1e300}"#,
+            r#"{"workload": "stream_4x200", "threads": 4294967296}"#,
+            r#"{"workload": "stream_4x200", "threads": 2.5}"#,
+            r#"{"workload": "stream_4x200", "seed": -1}"#,
+            r#"{"workload": "stream_4x200", "seed": 18446744073709551616}"#,
+            r#"{"workload": "stream_4x200", "period": 1e300}"#,
         ] {
             let doc = crate::json::parse(bad).unwrap();
             assert!(AdvisorQuery::from_json(&doc).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn query_json_keeps_sub_kib_budgets() {
+        let mut q = AdvisorQuery::over("stream_4x200", ByteSize::bytes(256 * 1024 + 512)).unwrap();
+        q.seed = 7;
+        let text = q.to_json().to_compact();
+        assert!(text.contains("256.5"), "{text}");
+        let back = AdvisorQuery::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, q);
+        // Whole-KiB budgets keep their integer wire form.
+        let whole = AdvisorQuery::over("stream_4x200", ByteSize::kib(256)).unwrap();
+        assert!(
+            whole.to_json().to_compact().contains("\"budget_kib\":256,"),
+            "{}",
+            whole.to_json().to_compact()
+        );
     }
 
     #[test]

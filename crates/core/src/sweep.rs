@@ -123,7 +123,7 @@ pub fn classified_for(
     msc_capacity: ByteSize,
 ) -> Arc<ClassifiedTrace> {
     let key = spec.key(cfg, msc_capacity);
-    knl::global_classify_cache().get_or_build(&key, || {
+    let build = || {
         classify_streaming(
             cfg,
             spec.cores,
@@ -131,7 +131,32 @@ pub fn classified_for(
             spec.label(),
             spec.source().as_mut(),
         )
-    })
+    };
+    #[cfg(test)]
+    if let Some(cache) = PRIVATE_CACHE.with(|p| p.borrow().clone()) {
+        return cache.get_or_build(&key, build);
+    }
+    knl::global_classify_cache().get_or_build(&key, build)
+}
+
+#[cfg(test)]
+thread_local! {
+    static PRIVATE_CACHE: std::cell::RefCell<Option<Arc<knl::SharedClassifyCache>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Run `f` with [`classified_for`] on this thread going through
+/// `cache` instead of the global cache, so a test can count its own
+/// hits and misses while sibling tests run.
+#[cfg(test)]
+pub(crate) fn with_private_classify_cache<R>(
+    cache: &Arc<knl::SharedClassifyCache>,
+    f: impl FnOnce() -> R,
+) -> R {
+    let prev = PRIVATE_CACHE.with(|p| p.replace(Some(Arc::clone(cache))));
+    let out = f();
+    PRIVATE_CACHE.with(|p| p.replace(prev));
+    out
 }
 
 /// Replay `spec` through an existing simulator (so callers can enable

@@ -21,41 +21,49 @@
 //! model: the private cache hierarchy (L1/L2/TLB, and the
 //! memory-side-cache tags in cache mode) is *timing-independent* —
 //! which level serves an access depends only on that core's own
-//! address stream, never on the clock. Replay therefore splits into
+//! address stream, never on the clock. Replay therefore runs as a
+//! two-stage pipeline ([`simfabric::par::pipelined_stats`]):
 //!
-//! 1. a **classification phase** that partitions a window of trace by
-//!    core (see [`partition_by_core`]) and drives each shard's private
-//!    [`Hierarchy`] on a worker thread (via [`simfabric::par`]),
-//!    packing the per-shard outcomes into SoA batches
+//! 1. a **producer stage** on its own thread, which owns the per-core
+//!    [`Hierarchy`]s for the duration of the run. It takes the next
+//!    window of trace — a generator chunk for
+//!    [`TraceSim::run_streaming`], a
+//!    [`set_replay_window`](TraceSim::set_replay_window)-sized slice
+//!    of the caller's trace for [`TraceSim::run_parallel`] — partitions
+//!    it by core (see [`partition_by_core`]), drives each shard's
+//!    private hierarchy on the caller's [`worker_threads`] count of
+//!    workers, and ships the per-core outcomes as SoA batches
 //!    (separate address / latency / flag arrays, 17 B per access
 //!    instead of a 40 B record), and
-//! 2. a **timing phase** that replays the classified batches through
-//!    the shared resources (MSHRs, mesh, DRAM bank models) inline on
-//!    the merging thread, in exactly the earliest-clock order the
-//!    sequential path uses. The "core with the earliest clock"
-//!    selection runs on a fixed-size tournament tree
-//!    ([`simfabric::merge::LoserTree`]) keyed on the per-core clocks:
-//!    O(log cores) per access with no allocation. The tree's
-//!    tie-break (equal clocks select the lower core index) matches
-//!    the sequential order exactly.
+//! 2. a **merge stage** on the calling thread, which replays the
+//!    classified batches through the shared resources (MSHRs, mesh,
+//!    DRAM bank models) in exactly the earliest-clock order the
+//!    sequential path uses, and never touches a hierarchy. The "core
+//!    with the earliest clock" selection runs on a fixed-size
+//!    tournament tree ([`simfabric::merge::LoserTree`]) keyed on the
+//!    per-core clocks: O(log cores) per access with no allocation. The
+//!    tree's tie-break (equal clocks select the lower core index)
+//!    matches the sequential order exactly.
 //!
-//! The phases interleave through **ghost slots**. A core whose batch
-//! runs dry while its input can still feed it stays in the tournament
-//! at its current clock — a lower bound on its next access — and a
-//! ghost winning pulls the next window: a
-//! [`set_replay_window`](TraceSim::set_replay_window)-sized slice of a
-//! materialized trace, one producer chunk of a stream, or per-core
-//! slices of an artifact. So the merge order is exact while peak
-//! buffering stays near one window. Streaming replay runs the
-//! generator on a producer thread ([`simfabric::par::pipelined`]) so
-//! generation overlaps replay; a stream cannot say which cores it will
-//! still feed, so every dry core stays a ghost until the producer
-//! ends, and then the engine closes them. A workload confined to a few
-//! cores (a single-core pointer chase is the extreme) therefore
-//! buffers most of its classified trace — correctness is never traded
-//! for memory, and [`buffer_warning`] says so once per process. Peak
-//! buffering is tracked per run and exposed via
-//! [`TraceSim::last_peak_trace_buffer_bytes`].
+//! The producer runs up to the pipe's depth plus one windows ahead, so
+//! a replay costs roughly the slower stage instead of their sum. That
+//! changes no merge decision: classification of a core depends only on
+//! that core's own address stream.
+//!
+//! The stages meet through **ghost slots**. A core whose batch runs
+//! dry while its input can still feed it stays in the tournament at
+//! its current clock — a lower bound on its next access — and a ghost
+//! winning pulls the next batch off the pipe (or, for an artifact, the
+//! next per-core slices). So the merge order is exact while buffering
+//! stays near one window. A materialized trace knows where each core's
+//! last access sits, so a finished core closes at once; a stream cannot
+//! say which cores it will still feed, so every dry core stays a ghost
+//! until the producer ends, and then the engine closes them. A streamed
+//! workload confined to a few cores (a single-core pointer chase is the
+//! extreme) therefore buffers most of its classified trace —
+//! correctness is never traded for memory, and [`buffer_warning`] says
+//! so once per process. Peak buffering is tracked per run and exposed
+//! via [`TraceSim::last_peak_trace_buffer_bytes`].
 //!
 //! # Classify once, replay many ([`TraceSim::run_classified`])
 //!
@@ -483,6 +491,18 @@ impl ClassifiedSoa {
         self.lat_ps.extend_from_slice(lat_ps);
         self.flags.extend_from_slice(flags);
     }
+
+    /// Append `batch` behind the unconsumed accesses: a swap when
+    /// nothing is left to consume, a compact-and-copy otherwise.
+    fn append(&mut self, batch: ClassifiedSoa) {
+        if self.is_empty() {
+            *self = batch;
+        } else {
+            self.compact();
+            let (addr, lat_ps, flags) = batch.arrays();
+            self.extend_from_arrays(addr, lat_ps, flags);
+        }
+    }
 }
 
 /// Bytes per access in the SoA layout (u64 address + u64 latency +
@@ -513,10 +533,10 @@ pub(crate) fn hierarchy_config(cfg: &MachineConfig, msc_capacity: ByteSize) -> H
     hier_cfg
 }
 
-/// Per-core classification state: the private hierarchy, the
-/// unclassified slice of the current window, and the classified
-/// backlog awaiting the timing merge (or, for an artifact build, the
-/// artifact's per-core arrays).
+/// Per-core classification state, owned by the producer stage: the
+/// private hierarchy, the unclassified slice of the current window,
+/// and the classified output of that window (shipped to the merge
+/// stage, or, for an artifact build, the artifact's per-core arrays).
 pub(crate) struct ReplayShard {
     pub(crate) hier: Hierarchy,
     pending: Vec<TraceAccess>,
@@ -556,9 +576,9 @@ impl ReplayShard {
 
 /// Partition `chunk` by core (preserving per-core program order) and
 /// classify every shard's slice on the current [`par`] workers. The
-/// one classification step shared by windowed replay, streaming
-/// replay and [`ClassifiedTrace`] artifact builds, so they cannot
-/// drift apart.
+/// one classification step shared by the replay pipeline's producer
+/// stage and [`ClassifiedTrace`] artifact builds, so they cannot drift
+/// apart.
 pub(crate) fn classify_chunk(shards: &mut [ReplayShard], chunk: &[TraceAccess]) {
     let cores = shards.len();
     for &t in chunk {
@@ -567,25 +587,64 @@ pub(crate) fn classify_chunk(shards: &mut [ReplayShard], chunk: &[TraceAccess]) 
     par::par_update(shards, |_, s| s.classify_pending());
 }
 
-/// One producer chunk of a streamed trace, with the generation
-/// burst's start/end instants when telemetry is on (the span log
-/// lives on the consumer thread, so the instants travel with the
-/// chunk).
-type StreamChunk = (Vec<TraceAccess>, Option<(Instant, Instant)>);
+/// Slots in the replay pipe: the producer stage classifies at most
+/// this many windows, plus the one in hand, ahead of the merge.
+const PIPE_DEPTH: usize = 2;
 
-/// What feeds the windowed engine's refills. Every variant upholds
-/// the refill contract the ghost-slot merge relies on: a refill
-/// pulled by a ghost adds classified work or reports the input
-/// exhausted, and buffering stays bounded by roughly one window.
+/// One window classified by the producer stage: per-core batches in
+/// core order, the raw accesses they came from, and — when telemetry
+/// is on — the generation and classification bursts' start/end
+/// instants (the span log lives on the merge thread, so the instants
+/// travel with the batch).
+struct PipeBatch {
+    per_core: Vec<ClassifiedSoa>,
+    accesses: usize,
+    generated: Option<(Instant, Instant)>,
+    classified: Option<(Instant, Instant)>,
+}
+
+impl PipeBatch {
+    /// Classify `chunk` through `shards` and take the per-core output.
+    /// `timed` records the classification burst's instants.
+    fn classify(
+        shards: &mut [ReplayShard],
+        chunk: &[TraceAccess],
+        generated: Option<(Instant, Instant)>,
+        timed: bool,
+    ) -> PipeBatch {
+        let started = timed.then(Instant::now);
+        classify_chunk(shards, chunk);
+        PipeBatch {
+            per_core: shards
+                .iter_mut()
+                .map(|s| std::mem::take(&mut s.queue))
+                .collect(),
+            accesses: chunk.len(),
+            generated,
+            classified: started.map(|s| (s, Instant::now())),
+        }
+    }
+}
+
+/// What feeds the windowed engine's refills. Both variants uphold the
+/// refill contract the ghost-slot merge relies on: a refill pulled by
+/// a ghost adds classified work or reports the input exhausted, and
+/// buffering stays bounded by roughly one window.
 enum ReplayInput<'a, 'p> {
-    /// Materialized trace ([`TraceSim::run_parallel`]): each window
-    /// is a slice at the trace-order cursor `next`; `end[c]` is one
-    /// past core `c`'s last access, so `next < end[c]` while `c`
-    /// still has work.
-    Raw {
-        trace: &'a [TraceAccess],
-        next: usize,
-        end: Vec<usize>,
+    /// Batches from the producer stage ([`TraceSim::run_parallel`],
+    /// [`TraceSim::run_streaming`]). `received` counts the raw
+    /// accesses delivered so far, `done` is set once the producer has
+    /// ended, and `max_chunk` is the largest batch so far (the
+    /// [`buffer_warning`] yardstick). A materialized trace sets
+    /// `end[c]` one past core `c`'s last access, so `c` closes as soon
+    /// as `received` passes it; a generator has no `end`, and every
+    /// core may receive work until the producer ends.
+    Pipe {
+        rx: &'a mut par::ChunkReceiver<'p, PipeBatch>,
+        end: Option<Vec<usize>>,
+        received: usize,
+        done: bool,
+        max_chunk: usize,
     },
     /// Prebuilt artifact ([`TraceSim::run_classified`]); `next` holds
     /// one cursor per core, and refills copy SoA slices.
@@ -593,24 +652,19 @@ enum ReplayInput<'a, 'p> {
         ct: &'a ClassifiedTrace,
         next: Vec<usize>,
     },
-    /// Producer chunks ([`TraceSim::run_streaming`]); `done` once the
-    /// producer has ended, `max_chunk` is the largest chunk so far
-    /// (the [`buffer_warning`] yardstick).
-    Stream {
-        rx: &'a mut par::ChunkReceiver<'p, StreamChunk>,
-        done: bool,
-        max_chunk: usize,
-    },
 }
 
 impl ReplayInput<'_, '_> {
-    /// Whether core `c` may still receive accesses. A stream cannot
-    /// tell, so every core may until the producer ends.
+    /// Whether core `c` may still receive accesses.
     fn can_feed(&self, c: usize) -> bool {
         match self {
-            ReplayInput::Raw { next, end, .. } => *next < end[c],
+            ReplayInput::Pipe {
+                end: Some(end),
+                received,
+                ..
+            } => *received < end[c],
+            ReplayInput::Pipe { done, .. } => !*done,
             ReplayInput::Classified { ct, next } => next[c] < ct.per_core_len(c),
-            ReplayInput::Stream { done, .. } => !*done,
         }
     }
 }
@@ -699,11 +753,12 @@ pub struct TraceSim {
     /// Peak bytes of trace buffered inside the most recent `run*` call.
     last_peak_buffer: usize,
     /// Peak classified accesses awaiting the timing merge in the most
-    /// recent `run*` call (the materialized paths report the trace
-    /// length; streaming reports its actual backlog high-water).
+    /// recent `run*` call (the sequential `run` reports the trace
+    /// length; the windowed paths their actual backlog high-water).
     peak_buffered_accesses: usize,
-    /// Pipeline stall/occupancy stats from the most recent
-    /// `run_streaming` call (zeroed by the materialized paths).
+    /// Producer-to-merge pipe stall/occupancy stats from the most
+    /// recent `run_parallel` or `run_streaming` call (zeroed by `run`
+    /// and `run_classified`, which use no pipe).
     last_pipe_stats: par::PipeStats,
     /// Classification window for [`run_parallel`](Self::run_parallel)
     /// and [`run_classified`](Self::run_classified), in accesses.
@@ -974,8 +1029,10 @@ impl TraceSim {
         self.telemetry.as_ref()
     }
 
-    /// Pipeline stall/occupancy stats from the most recent
-    /// [`run_streaming`](Self::run_streaming) call.
+    /// Producer-to-merge pipe stall/occupancy stats from the most
+    /// recent [`run_parallel`](Self::run_parallel) or
+    /// [`run_streaming`](Self::run_streaming) call; zero after
+    /// [`run`](Self::run) and [`run_classified`](Self::run_classified).
     pub fn last_pipe_stats(&self) -> par::PipeStats {
         self.last_pipe_stats
     }
@@ -1023,7 +1080,7 @@ impl TraceSim {
     /// gauges are always available.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        for c in 0..self.hierarchies.len() {
+        for c in 0..self.cores() {
             reg.merge(&self.shard_metrics(c));
         }
         for (c, t) in self.core_totals.iter().enumerate() {
@@ -1344,7 +1401,7 @@ impl TraceSim {
     /// bank slots "in the future" and laggards would queue behind
     /// phantom traffic.
     pub fn run(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        let cores = self.hierarchies.len();
+        let cores = self.cores();
         let t_partition = self.telemetry.is_some().then(Instant::now);
         let mut queues: Vec<VecDeque<TraceAccess>> = vec![VecDeque::new(); cores];
         for &t in trace {
@@ -1376,25 +1433,26 @@ impl TraceSim {
         self.finish()
     }
 
-    /// Replay a whole trace with the classification phase sharded
-    /// across [`worker_threads`] worker threads and the timing phase
-    /// run inline; bit-identical to [`run`](Self::run) at every worker
-    /// count.
+    /// Replay a whole trace through the two-stage pipeline:
+    /// classification on a producer thread (sharded across
+    /// [`worker_threads`] workers), timing on the calling thread;
+    /// bit-identical to [`run`](Self::run) at every worker count.
     ///
-    /// The trace is consumed in classification *windows* of
-    /// [`set_replay_window`](Self::set_replay_window) accesses: each
-    /// window is partitioned by core (preserving per-core program
-    /// order), classified in parallel through the per-shard private
-    /// hierarchies into SoA batches, and drained through the same
-    /// earliest-clock tournament the sequential path uses. A core
-    /// whose batch runs dry but which still has undiscovered accesses
-    /// stays in the tree as a *ghost* keyed by its clock — exactly
-    /// where the sequential tree would hold it — and a ghost winning
-    /// triggers the next window refill, so the merge order is exact
-    /// while peak buffering stays near one window instead of the whole
-    /// trace.
+    /// The producer classifies the trace straight from `trace` in
+    /// windows of [`set_replay_window`](Self::set_replay_window)
+    /// accesses: each window is partitioned by core (preserving
+    /// per-core program order), run through the per-shard private
+    /// hierarchies and shipped as SoA batches, at most a few windows
+    /// ahead. The merge drains them through the same earliest-clock
+    /// tournament the sequential path uses. A core whose batch runs dry
+    /// but which still has undelivered accesses stays in the tree as a
+    /// *ghost* keyed by its clock — exactly where the sequential tree
+    /// would hold it — and a ghost winning pulls the next batch, so the
+    /// merge order is exact while peak buffering stays near one window
+    /// instead of the whole trace. A core whose last access has been
+    /// delivered closes as soon as its batch runs dry.
     pub fn run_parallel(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        let cores = self.hierarchies.len();
+        let cores = self.cores();
         let t_partition = self.telemetry.is_some().then(Instant::now);
         // One past each core's last access, so a dry batch can be told
         // apart from a finished core.
@@ -1403,10 +1461,16 @@ impl TraceSim {
             end[partition_by_core(t.core, cores)] = i + 1;
         }
         self.end_span(t_partition, "partition", trace.len());
-        self.run_windowed(ReplayInput::Raw {
-            trace,
-            next: 0,
-            end,
+        let (window, timed) = (self.replay_window, self.telemetry.is_some());
+        let mut next = 0usize;
+        self.run_pipelined(Some(end), move |shards| {
+            if next >= trace.len() {
+                return None;
+            }
+            let stop = (next + window).min(trace.len());
+            let batch = PipeBatch::classify(shards, &trace[next..stop], None, timed);
+            next = stop;
+            Some(batch)
         })
     }
 
@@ -1433,7 +1497,7 @@ impl TraceSim {
     /// [`ClassifyKey`](crate::classified::ClassifyKey) exists to
     /// prevent (a changed key must invalidate, not alias).
     pub fn run_classified(&mut self, ct: &ClassifiedTrace) -> TraceSimReport {
-        let cores = self.hierarchies.len();
+        let cores = self.cores();
         assert_eq!(
             ct.cores() as usize,
             cores,
@@ -1456,17 +1520,15 @@ impl TraceSim {
     }
 
     /// Replay a trace pulled incrementally from `fill`, overlapping
-    /// generation with classification and timing; bit-identical to
+    /// generation and classification with timing; bit-identical to
     /// [`run`](Self::run) on the concatenation of the filled chunks.
     ///
     /// `fill` appends the next bounded chunk of the trace to the given
     /// buffer and returns how many accesses it added; returning 0 ends
-    /// the stream. It runs on a producer thread behind a depth-2
-    /// bounded queue ([`par::pipelined`]), so chunk `n + 1` is
-    /// generated while chunk `n` is classified and replayed. The
-    /// consumer side is the windowed engine of
-    /// [`run_parallel`](Self::run_parallel), one producer chunk per
-    /// window.
+    /// the stream. It runs on the producer thread of the pipeline
+    /// [`run_parallel`](Self::run_parallel) uses, which classifies each
+    /// chunk as one window, so chunk `n + 1` is generated and
+    /// classified while chunk `n` is timed.
     ///
     /// Until the producer ends any core may still receive work, so a
     /// core whose queue runs dry stays in the merge as a ghost, and the
@@ -1480,84 +1542,109 @@ impl TraceSim {
         &mut self,
         mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize + Send,
     ) -> TraceSimReport {
-        let tel_on = self.telemetry.is_some();
+        let timed = self.telemetry.is_some();
+        let mut buf = Vec::new();
+        self.run_pipelined(None, move |shards| {
+            buf.clear();
+            let started = timed.then(Instant::now);
+            if fill(&mut buf) == 0 {
+                return None;
+            }
+            let generated = started.map(|s| (s, Instant::now()));
+            Some(PipeBatch::classify(shards, &buf, generated, timed))
+        })
+    }
+
+    /// Run the two-stage pipeline: `produce` classifies the next window
+    /// on a producer thread that owns this simulator's hierarchies for
+    /// the whole run (and hands them back afterwards, also on an empty
+    /// run), while the windowed engine times the batches here. `end` is
+    /// the per-core close rule of [`ReplayInput::Pipe`].
+    fn run_pipelined(
+        &mut self,
+        end: Option<Vec<usize>>,
+        mut produce: impl FnMut(&mut [ReplayShard]) -> Option<PipeBatch> + Send,
+    ) -> TraceSimReport {
+        // `with_threads` overrides are thread-local: carry the caller's
+        // worker count onto the producer thread.
+        let threads = worker_threads();
+        let mut shards: Vec<ReplayShard> = std::mem::take(&mut self.hierarchies)
+            .into_iter()
+            .map(ReplayShard::new)
+            .collect();
+        let producer_shards = &mut shards;
         let (report, pipe_stats) = par::pipelined_stats(
-            2,
-            move || {
-                // Time each generation burst on the producer side.
-                let started = tel_on.then(Instant::now);
-                let mut buf = Vec::new();
-                let n = fill(&mut buf);
-                (n > 0).then(|| (buf, started.map(|s| (s, Instant::now()))))
-            },
+            PIPE_DEPTH,
+            move || par::with_threads(threads, || produce(producer_shards)),
             |rx| {
-                self.run_windowed(ReplayInput::Stream {
+                self.run_windowed(ReplayInput::Pipe {
                     rx,
+                    end,
+                    received: 0,
                     done: false,
                     max_chunk: 0,
                 })
             },
         );
+        self.hierarchies = shards.into_iter().map(|s| s.hier).collect();
         self.last_pipe_stats = pipe_stats;
         report
     }
 
-    /// The windowed engine behind [`run_parallel`](Self::run_parallel),
+    /// The windowed merge behind [`run_parallel`](Self::run_parallel),
     /// [`run_classified`](Self::run_classified) and
     /// [`run_streaming`](Self::run_streaming): the merge discipline of
-    /// [`run`](Self::run), with ghost-slot refills classifying (or
-    /// copying) the next window on [`worker_threads`] workers.
+    /// [`run`](Self::run), with ghost-slot refills taking the next
+    /// classified batch off the producer pipe (or copying the next
+    /// artifact slices). Timing only — it never touches a hierarchy.
     fn run_windowed(&mut self, mut input: ReplayInput<'_, '_>) -> TraceSimReport {
-        let cores = self.hierarchies.len();
+        let cores = self.cores();
         self.reset_run_stats();
         let window = self.replay_window;
-        par::with_threads(worker_threads(), || {
-            let mut shards: Vec<ReplayShard> = std::mem::take(&mut self.hierarchies)
-                .into_iter()
-                .map(ReplayShard::new)
-                .collect();
-            let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
-            for c in 0..cores {
-                if input.can_feed(c) {
-                    tree.set(c, self.core_clock[c]);
-                }
+        let mut queues: Vec<ClassifiedSoa> = (0..cores).map(|_| ClassifiedSoa::new()).collect();
+        let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
+        for c in 0..cores {
+            if input.can_feed(c) {
+                tree.set(c, self.core_clock[c]);
             }
-            let tel_on = self.telemetry.is_some();
-            let mut t_merge = tel_on.then(Instant::now);
-            let mut drained = 0usize;
-            while let Some(c) = tree.winner() {
-                if shards[c].queue.is_empty() {
-                    // Ghost: this core's clock is the earliest but its
-                    // next access is not classified yet — pull the
-                    // next window.
-                    self.end_merge_span(t_merge, drained);
-                    drained = 0;
-                    if !self.refill_window(&mut input, window, &mut shards) {
-                        // Only a stream runs out while ghosts remain:
-                        // no core can gain work now, so close them.
-                        for (g, s) in shards.iter().enumerate() {
-                            if s.queue.is_empty() {
-                                tree.close(g);
-                            }
+        }
+        let tel_on = self.telemetry.is_some();
+        let mut t_merge = tel_on.then(Instant::now);
+        let mut drained = 0usize;
+        while let Some(c) = tree.winner() {
+            if queues[c].is_empty() {
+                // Ghost: this core's clock is the earliest but its next
+                // access has not arrived yet — pull the next batch.
+                self.end_merge_span(t_merge, drained);
+                drained = 0;
+                if !self.refill_window(&mut input, window, &mut queues) {
+                    // Only a stream runs out while ghosts remain: no
+                    // core can gain work now, so close them.
+                    for (g, q) in queues.iter().enumerate() {
+                        if q.is_empty() {
+                            tree.close(g);
                         }
                     }
-                    t_merge = tel_on.then(Instant::now);
-                    continue;
                 }
-                let (addr, sram_lat, dependent, level) =
-                    shards[c].queue.pop().expect("non-empty batch");
-                self.access_timed(c, addr, dependent, level, sram_lat);
-                drained += 1;
-                if shards[c].queue.is_empty() && !input.can_feed(c) {
-                    tree.close(c);
-                } else {
-                    tree.set(c, self.core_clock[c]);
-                }
+                t_merge = tel_on.then(Instant::now);
+                continue;
             }
-            self.end_merge_span(t_merge, drained);
-            self.hierarchies = shards.into_iter().map(|s| s.hier).collect();
-        });
+            let (addr, sram_lat, dependent, level) = queues[c].pop().expect("non-empty batch");
+            self.access_timed(c, addr, dependent, level, sram_lat);
+            drained += 1;
+            if queues[c].is_empty() && !input.can_feed(c) {
+                tree.close(c);
+            } else {
+                tree.set(c, self.core_clock[c]);
+            }
+        }
+        self.end_merge_span(t_merge, drained);
         self.finish()
+    }
+
+    /// Simulated cores (one timing shard each).
+    fn cores(&self) -> usize {
+        self.core_clock.len()
     }
 
     /// Zero the per-run observability counters at the start of a
@@ -1585,67 +1672,64 @@ impl TraceSim {
         }
     }
 
-    /// Refill the per-shard batches with the next window of input —
-    /// classifying a trace slice or a stream chunk, or copying
-    /// prebuilt slices from a [`ClassifiedTrace`]. Returns `false`
-    /// when the input is exhausted. Also the window boundary at which
-    /// the batched mesh tally folds back into the shared counters.
+    /// Refill the per-core queues with the next window of input — a
+    /// classified batch off the producer pipe, or prebuilt slices
+    /// copied from a [`ClassifiedTrace`]. Returns `false` when the
+    /// input is exhausted. Also the window boundary at which the
+    /// batched mesh tally folds back into the shared counters.
     fn refill_window(
         &mut self,
         input: &mut ReplayInput<'_, '_>,
         window: usize,
-        shards: &mut [ReplayShard],
+        queues: &mut [ClassifiedSoa],
     ) -> bool {
         self.flush_mesh_tally();
         let raw_accesses = match input {
-            ReplayInput::Raw { trace, next, .. } => {
-                if *next >= trace.len() {
-                    return false;
-                }
-                let end = (*next + window).min(trace.len());
-                self.classify_window(shards, &trace[*next..end]);
-                let n = end - *next;
-                *next = end;
-                n
-            }
-            ReplayInput::Stream {
+            ReplayInput::Pipe {
                 rx,
+                received,
                 done,
                 max_chunk,
+                ..
             } => {
-                let Some((chunk, generated)) = rx.recv() else {
+                let Some(batch) = rx.recv() else {
                     *done = true;
                     return false;
                 };
-                if let (Some(log), Some((s, e))) = (&mut self.telemetry, generated) {
-                    log.span_between(
-                        s,
-                        e,
-                        "generate",
-                        "replay",
-                        1,
-                        [("accesses", chunk.len() as f64)],
-                    );
+                let n = batch.accesses;
+                if let Some(log) = &mut self.telemetry {
+                    // The producer's spans, on their own lane.
+                    for (name, span) in [
+                        ("generate", batch.generated),
+                        ("classify", batch.classified),
+                    ] {
+                        if let Some((s, e)) = span {
+                            log.span_between(s, e, name, "replay", 1, [("accesses", n as f64)]);
+                        }
+                    }
                 }
-                *max_chunk = (*max_chunk).max(chunk.len());
-                self.classify_window(shards, &chunk);
-                chunk.len()
+                *received += n;
+                *max_chunk = (*max_chunk).max(n);
+                for (q, b) in queues.iter_mut().zip(batch.per_core) {
+                    q.append(b);
+                }
+                n
             }
             ReplayInput::Classified { ct, next } => {
                 // Top up every dry core with its next slice; cores
                 // split the window budget evenly, so a full refill
                 // copies at most ~one window across all shards.
-                let per_core = (window / shards.len().max(1)).max(1);
+                let per_core = (window / queues.len().max(1)).max(1);
                 let mut copied = 0usize;
-                for (c, shard) in shards.iter_mut().enumerate() {
+                for (c, queue) in queues.iter_mut().enumerate() {
                     let start = next[c];
                     let take = per_core.min(ct.per_core_len(c) - start);
-                    if take == 0 || !shard.queue.is_empty() {
+                    if take == 0 || !queue.is_empty() {
                         continue;
                     }
                     let (addr, lat_ps, flags) = ct.core_arrays(c);
-                    shard.queue.compact();
-                    shard.queue.extend_from_arrays(
+                    queue.compact();
+                    queue.extend_from_arrays(
                         &addr[start..start + take],
                         &lat_ps[start..start + take],
                         &flags[start..start + take],
@@ -1659,29 +1743,28 @@ impl TraceSim {
                 0
             }
         };
+        // The raw window the producer partitioned counts too, as it did
+        // when classification ran on this thread.
         let mut buffered = raw_accesses * std::mem::size_of::<TraceAccess>();
         let mut backlog = 0usize;
-        for s in shards.iter() {
-            buffered += s.queue.buffered_bytes();
-            backlog += s.queue.len();
+        for q in queues.iter() {
+            buffered += q.buffered_bytes();
+            backlog += q.len();
         }
         self.last_peak_buffer = self.last_peak_buffer.max(buffered);
         self.peak_buffered_accesses = self.peak_buffered_accesses.max(backlog);
         self.timing_stats.windows += 1;
-        if let ReplayInput::Stream { max_chunk, .. } = input {
+        if let ReplayInput::Pipe {
+            end: None,
+            max_chunk,
+            ..
+        } = input
+        {
             if let Some(msg) = buffer_warning(backlog, *max_chunk) {
                 simfabric::env::warn_once("tracesim.buffer_backlog", &msg);
             }
         }
         true
-    }
-
-    /// Classify one window of raw accesses into `shards`, recorded as
-    /// a `classify` span when telemetry is on.
-    fn classify_window(&mut self, shards: &mut [ReplayShard], accesses: &[TraceAccess]) {
-        let t0 = self.telemetry.is_some().then(Instant::now);
-        classify_chunk(shards, accesses);
-        self.end_span(t0, "classify", accesses.len());
     }
 
     /// Finalize and return the report (the order-independent reduction
@@ -2256,6 +2339,84 @@ mod tests {
                 assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
             }
         }
+    }
+
+    #[test]
+    fn consecutive_pipelined_runs_keep_hierarchies_warm() {
+        // 1000 lines per core fit each private L2, so a second replay of
+        // the same trace hits where the first missed — but only if the
+        // producer hands the warm hierarchies back after each run,
+        // including the empty run that comes first.
+        let trace = stream_trace(4, 1000);
+        let make = || {
+            TraceSim::new(
+                &cfg(MemSetup::DramOnly),
+                4,
+                TracePlacement::AllDdr,
+                ByteSize::mib(1),
+            )
+        };
+        let l2_hits = |s: &TraceSim| match s.shard_metrics(0).get("cache.l2_hits") {
+            Some(simfabric::telemetry::MetricValue::Counter(n)) => *n,
+            other => panic!("cache.l2_hits: {other:?}"),
+        };
+        for streaming in [false, true] {
+            let (mut seq, mut sim) = (make(), make());
+            sim.set_replay_window(64);
+            let mut hits = Vec::new();
+            for (round, input) in [&[][..], &trace[..], &trace[..]].into_iter().enumerate() {
+                let want = seq.run(input);
+                let got = par::with_threads(2, || {
+                    if streaming {
+                        stream_chunks(&mut sim, input.chunks(100))
+                    } else {
+                        sim.run_parallel(input)
+                    }
+                });
+                let at = format!("streaming={streaming} round {round}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                for c in 0..4 {
+                    assert_eq!(sim.shard_metrics(c), seq.shard_metrics(c), "{at} core {c}");
+                }
+                hits.push(l2_hits(&sim));
+            }
+            assert!(
+                hits[2] - hits[1] > hits[1],
+                "streaming={streaming}: the warm round must hit L2 more often \
+                 than the cold one: {hits:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_single_core_chase_closes_idle_cores() {
+        // One busy core on a 64-core sim: the 63 idle cores have no
+        // accesses in the trace, so they must never enter the merge as
+        // ghosts. If they did, they would win every round at clock 0
+        // and pull the whole trace into the queues.
+        let trace = chase_trace(0, 4000, 2 * 1024 * 1024 + 64);
+        let make = || {
+            TraceSim::new(
+                &cfg(MemSetup::DramOnly),
+                64,
+                TracePlacement::AllDdr,
+                ByteSize::mib(1),
+            )
+        };
+        let mut seq = make();
+        let want = seq.run(&trace);
+        let mut sim = make();
+        let window = 64;
+        sim.set_replay_window(window);
+        let got = par::with_threads(2, || sim.run_parallel(&trace));
+        assert_eq!(got, want);
+        assert!(
+            sim.last_peak_buffered_accesses() <= 2 * window,
+            "peak {} accesses buffered, window {window}",
+            sim.last_peak_buffered_accesses()
+        );
     }
 
     #[test]

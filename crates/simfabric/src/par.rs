@@ -168,6 +168,19 @@ struct Pipe<T> {
     depth: usize,
 }
 
+/// Marks the producer finished when dropped.
+struct ProducerDone<'a, T>(&'a Pipe<T>);
+
+impl<T> Drop for ProducerDone<'_, T> {
+    fn drop(&mut self) {
+        // A poisoned lock still guards a consistent queue: no producer
+        // code panics while holding it.
+        let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.producer_done = true;
+        self.0.filled.notify_one();
+    }
+}
+
 /// Consumer handle passed to the `consume` closure of [`pipelined`]:
 /// call [`recv`](ChunkReceiver::recv) until it returns `None`.
 ///
@@ -255,6 +268,10 @@ pub fn pipelined_stats<T: Send, R>(
     let out = thread::scope(|s| {
         let pipe = &pipe;
         s.spawn(move || {
+            // Ends the stream however the producer exits — a panic in
+            // `produce` included — so the consumer drains and returns
+            // instead of waiting forever; the scope re-raises the panic.
+            let _done = ProducerDone(pipe);
             loop {
                 let item = match produce() {
                     Some(item) => item,
@@ -274,9 +291,6 @@ pub fn pipelined_stats<T: Send, R>(
                 st.stats.queue_high_water = st.stats.queue_high_water.max(st.queue.len());
                 pipe.filled.notify_one();
             }
-            let mut st = pipe.state.lock().unwrap();
-            st.producer_done = true;
-            pipe.filled.notify_one();
         });
         let mut rx = ChunkReceiver { pipe };
         consume(&mut rx)
@@ -580,6 +594,32 @@ mod tests {
             },
         );
         assert_eq!(got, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn pipelined_producer_panic_ends_the_stream() {
+        // The consumer must see the stream end and return, and the
+        // producer's panic must surface — never a consumer blocked
+        // forever on an empty queue.
+        let mut next = 0u32;
+        let seen = std::sync::Mutex::new(Vec::new());
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pipelined(
+                2,
+                move || {
+                    next += 1;
+                    assert!(next <= 3, "producer failed");
+                    Some(next)
+                },
+                |rx| {
+                    while let Some(x) = rx.recv() {
+                        seen.lock().unwrap().push(x);
+                    }
+                },
+            )
+        }));
+        assert!(out.is_err(), "the producer's panic must propagate");
+        assert_eq!(*seen.lock().unwrap(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -11,15 +11,16 @@ cargo build --release --offline --workspace
 # The test suite runs twice: once pinned to a single trace-replay
 # worker and once at eight, so the sequential-equivalence contract of
 # the sharded parallel engine is exercised at both extremes on every
-# commit (see tests/parallel_equivalence.rs).
-TRACESIM_THREADS=1 cargo test -q --offline
-TRACESIM_THREADS=8 cargo test -q --offline
+# commit (see tests/parallel_equivalence.rs). Every parallel and
+# streaming replay crosses the producer-to-merge pipe, where a deadlock
+# would present as a hang, so both passes run under a watchdog.
+TRACESIM_THREADS=1 timeout 1800 cargo test -q --offline
+TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
 
-# The equivalence suite again at a middle worker count, under a
-# watchdog: the windowed replay's classification workers and the
-# streaming replay's producer pipe are the only cross-thread handoffs,
-# and a deadlock in either would present as a hang; the timeout turns
-# that into a CI failure in minutes instead of a stuck job.
+# The equivalence suite again at a middle worker count, under the same
+# watchdog: the producer pipe and the classification workers behind it
+# are the only cross-thread handoffs of a replay; the timeout turns a
+# deadlock into a CI failure in minutes instead of a stuck job.
 TRACESIM_THREADS=4 timeout 900 \
     cargo test -q --offline -p knl-hybrid-memory --test parallel_equivalence
 

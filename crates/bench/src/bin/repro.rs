@@ -80,7 +80,7 @@
 //!                        # metrics
 //! repro bench-sweep [--smoke] [--iters N] [--tol F] [--min-speedup F]
 //!                        # CI gate: sweep-reuse speedup >= F (default
-//!                        # 1.5) and reuse plumbing overhead with the
+//!                        # 1.1) and reuse plumbing overhead with the
 //!                        # cache disabled <= tol (default 2%); exit 1
 //!                        # on failure
 //! repro advise <workload> [--budget-kib K] [--threads T] [--seed S]
@@ -674,7 +674,7 @@ fn main() {
                 .unwrap_or(0.02);
             let min_speedup: f64 = flag_value(&args, "--min-speedup")
                 .and_then(|a| a.parse().ok())
-                .unwrap_or(1.5);
+                .unwrap_or(1.1);
             let cfg = if smoke {
                 bench::sweep::smoke_sweep_config()
             } else {

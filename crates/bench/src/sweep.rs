@@ -28,7 +28,7 @@ use knl::{classify_signature, ClassifiedTrace, MachineConfig, MemSetup};
 use memkind_sim::migrate::{MigrationStats, PAGE_BYTES};
 use memkind_sim::MigrationSpec;
 use simfabric::ByteSize;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use workloads::tracegen::{classify_streaming, replay_streaming, TraceKind};
 
@@ -150,32 +150,40 @@ fn run_point(
 /// classify signature, so all flat points share one artifact), then
 /// replay every point from the artifacts. Classification happens
 /// inside the caller's timer — this is a cold sweep, not a warm-cache
-/// replay.
-fn run_reuse(cfg: &SweepBenchConfig) -> Vec<PointOutcome> {
+/// replay. Also returns how many classification passes ran.
+fn run_reuse(cfg: &SweepBenchConfig) -> (Vec<PointOutcome>, usize) {
     let trace_spec = cfg.kind.spec(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
+    let mut passes = 0;
+    let mut classify = |mcfg: &MachineConfig, msc: ByteSize| {
+        passes += 1;
+        let mut source = cfg
+            .kind
+            .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
+        classify_streaming(mcfg, cfg.cores, msc, &trace_spec, source.as_mut())
+    };
     let mut artifacts: HashMap<String, ClassifiedTrace> = HashMap::new();
-    cfg.points()
+    let outcomes = cfg
+        .points()
         .iter()
         .map(|point| {
             let mcfg = MachineConfig::knl7210(point.setup, 64);
             let sig = classify_signature(&mcfg, point.msc);
             if !artifacts.contains_key(&sig) {
-                let mut source = cfg
-                    .kind
-                    .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
-                let ct =
-                    classify_streaming(&mcfg, cfg.cores, point.msc, &trace_spec, source.as_mut());
-                artifacts.insert(sig.clone(), ct);
+                artifacts.insert(sig.clone(), classify(&mcfg, point.msc));
             }
             run_point(&mcfg, cfg.cores, point, &artifacts[&sig])
         })
-        .collect()
+        .collect();
+    (outcomes, passes)
 }
 
 /// The regenerate arm: the pre-engine sweep — a fresh generator run
-/// and a full streaming (classify + time) replay per point.
-fn run_regen(cfg: &SweepBenchConfig) -> Vec<PointOutcome> {
-    cfg.points()
+/// and a full streaming (classify + time) replay per point. Also
+/// returns how many classification passes ran (one per replay).
+fn run_regen(cfg: &SweepBenchConfig) -> (Vec<PointOutcome>, usize) {
+    let mut passes = 0;
+    let outcomes = cfg
+        .points()
         .iter()
         .map(|point| {
             let mcfg = MachineConfig::knl7210(point.setup, 64);
@@ -183,6 +191,7 @@ fn run_regen(cfg: &SweepBenchConfig) -> Vec<PointOutcome> {
             let mut source = cfg
                 .kind
                 .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
+            passes += 1;
             let report = replay_streaming(&mut sim, source.as_mut());
             PointOutcome {
                 label: point.label.clone(),
@@ -190,7 +199,8 @@ fn run_regen(cfg: &SweepBenchConfig) -> Vec<PointOutcome> {
                 migration: sim.migration_stats(),
             }
         })
-        .collect()
+        .collect();
+    (outcomes, passes)
 }
 
 fn assert_outcomes_match(reuse: &[PointOutcome], regen: &[PointOutcome]) {
@@ -258,15 +268,26 @@ impl SweepMeasurement {
 /// [`measure_overhead`](crate::replay::measure_overhead)), asserting
 /// the arms pointwise bit-identical every pair. Prefer an even
 /// `iters` so both orderings contribute equally.
+///
+/// Every pair also asserts the work each arm did, independent of
+/// timer noise: the reuse arm classifies once per distinct
+/// [`classify_signature`] among the points, the regenerate arm once
+/// per point. Classification creeping back into the reuse arm's
+/// per-point loop fails here on every attempt.
 pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> SweepMeasurement {
     let mut reuse_best = f64::INFINITY;
     let mut regen_best = f64::INFINITY;
     let mut pair_ratios = Vec::new();
     let mut accesses = 0;
     let points = cfg.points().len();
+    let signatures: HashSet<String> = cfg
+        .points()
+        .iter()
+        .map(|p| classify_signature(&MachineConfig::knl7210(p.setup, 64), p.msc))
+        .collect();
     for i in 0..iters.max(1) {
         let mut secs = [0.0f64; 2]; // [regen, reuse]
-        let mut outcomes: [Option<Vec<PointOutcome>>; 2] = [None, None];
+        let mut outcomes: [Option<(Vec<PointOutcome>, usize)>; 2] = [None, None];
         let order = if i % 2 == 0 {
             [false, true]
         } else {
@@ -282,7 +303,18 @@ pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> SweepMeasurement {
             secs[reuse as usize] = t0.elapsed().as_secs_f64();
             outcomes[reuse as usize] = Some(out);
         }
-        let (regen, reuse) = (outcomes[0].take().unwrap(), outcomes[1].take().unwrap());
+        let ((regen, regen_passes), (reuse, reuse_passes)) =
+            (outcomes[0].take().unwrap(), outcomes[1].take().unwrap());
+        assert_eq!(
+            reuse_passes,
+            signatures.len(),
+            "reuse arm classified {reuse_passes} times for {} classify signatures",
+            signatures.len()
+        );
+        assert_eq!(
+            regen_passes, points,
+            "regenerate arm classified {regen_passes} times for {points} points"
+        );
         assert_outcomes_match(&reuse, &regen);
         accesses = reuse[0].report.accesses;
         regen_best = regen_best.min(secs[0]);
@@ -340,7 +372,7 @@ pub fn measure_sweep_overhead(cfg: &SweepBenchConfig, iters: usize) -> OverheadM
                     })
                     .collect()
             } else {
-                run_regen(cfg)
+                run_regen(cfg).0
             };
             pair[routed as usize] = t0.elapsed().as_secs_f64();
             outcomes[routed as usize] = Some(out);

@@ -101,6 +101,9 @@ impl CacheConfig {
         if !sets.is_power_of_two() {
             return Err(format!("set count {sets} must be a power of two"));
         }
+        if self.line_bytes as u64 * sets < 1 << TAG_SHIFT {
+            return Err("line size x set count must be at least 4 bytes".into());
+        }
         Ok(())
     }
 }
@@ -145,13 +148,15 @@ impl CacheStats {
     }
 }
 
-/// One cache way: tag + flags.
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-}
+/// One cache way packed into a word: `tag << 2 | dirty << 1 | valid`.
+/// The tag is the address above the line offset and set index, which
+/// [`CacheConfig::validate`] requires to span at least `TAG_SHIFT`
+/// bits, so the shift never loses tag bits.
+type Way = u64;
+
+const VALID: Way = 1;
+const DIRTY: Way = 2;
+const TAG_SHIFT: u32 = 2;
 
 /// A tag-only set-associative cache.
 #[derive(Debug, Clone)]
@@ -161,6 +166,7 @@ pub struct Cache {
     replacer: Replacer,
     stats: CacheStats,
     line_shift: u32,
+    set_shift: u32,
     set_mask: u64,
 }
 
@@ -173,10 +179,11 @@ impl Cache {
             .unwrap_or_else(|e| panic!("bad cache config: {e}"));
         let num_sets = config.num_sets();
         Cache {
-            sets: vec![Way::default(); num_sets as usize * config.ways as usize],
+            sets: vec![0; num_sets as usize * config.ways as usize],
             replacer: Replacer::new(config.replacement, num_sets, config.ways, 0xCAC4E),
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: num_sets.trailing_zeros(),
             set_mask: (num_sets - 1) as u64,
             config,
         }
@@ -195,39 +202,40 @@ impl Cache {
     #[inline]
     fn index(&self, addr: u64) -> (u32, u64) {
         let line = addr >> self.line_shift;
-        (
-            (line & self.set_mask) as u32,
-            line >> self.set_mask.count_ones(),
-        )
+        ((line & self.set_mask) as u32, line >> self.set_shift)
     }
 
+    /// The ways of `set`.
     #[inline]
-    fn way_slice(&mut self, set: u32) -> &mut [Way] {
+    fn ways_of(&self, set: u32) -> std::ops::Range<usize> {
         let w = self.config.ways as usize;
         let base = set as usize * w;
-        &mut self.sets[base..base + w]
+        base..base + w
+    }
+
+    /// Way index within `set` holding a valid `tag`.
+    #[inline]
+    fn find(&self, set: u32, tag: u64) -> Option<usize> {
+        let want = tag << TAG_SHIFT | DIRTY | VALID;
+        self.sets[self.ways_of(set)]
+            .iter()
+            .position(|&w| w | DIRTY == want)
     }
 
     /// Access the line containing `addr`.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         let (set, tag) = self.index(addr);
-        let ways = self.config.ways;
-        // Hit path.
-        let base = set as usize * ways as usize;
-        for w in 0..ways {
-            let way = &mut self.sets[base + w as usize];
-            if way.valid && way.tag == tag {
-                if kind == AccessKind::Write {
-                    way.dirty = true;
-                    self.stats.write_hits.incr();
-                } else {
-                    self.stats.read_hits.incr();
-                }
-                self.replacer.touch(set, w);
-                return AccessOutcome::Hit;
+        let ways = self.ways_of(set);
+        if let Some(w) = self.find(set, tag) {
+            if kind == AccessKind::Write {
+                self.sets[ways.start + w] |= DIRTY;
+                self.stats.write_hits.incr();
+            } else {
+                self.stats.read_hits.incr();
             }
+            self.replacer.touch(set, w as u16);
+            return AccessOutcome::Hit;
         }
-        // Miss.
         match kind {
             AccessKind::Read => self.stats.read_misses.incr(),
             AccessKind::Write => self.stats.write_misses.incr(),
@@ -239,25 +247,23 @@ impl Cache {
             };
         }
         // Prefer an invalid way before victimizing.
-        let invalid = (0..ways).find(|&w| !self.sets[base + w as usize].valid);
+        let invalid = self.sets[ways.clone()].iter().position(|&w| w & VALID == 0);
         let (victim_way, evicted_dirty) = match invalid {
-            Some(w) => (w, None),
+            Some(w) => (w as u16, None),
             None => {
                 let w = self.replacer.victim(set);
-                let v = self.sets[base + w as usize];
-                let evicted = if v.dirty {
+                let v = self.sets[ways.start + w as usize];
+                let evicted = if v & DIRTY != 0 {
                     self.stats.writebacks.incr();
-                    Some(self.reconstruct_addr(set, v.tag))
+                    Some(self.reconstruct_addr(set, v >> TAG_SHIFT))
                 } else {
                     None
                 };
                 (w, evicted)
             }
         };
-        let line = &mut self.sets[base + victim_way as usize];
-        line.tag = tag;
-        line.valid = true;
-        line.dirty = kind == AccessKind::Write;
+        let dirty = if kind == AccessKind::Write { DIRTY } else { 0 };
+        self.sets[ways.start + victim_way as usize] = tag << TAG_SHIFT | dirty | VALID;
         self.replacer.fill(set, victim_way);
         AccessOutcome::Miss { evicted_dirty }
     }
@@ -266,46 +272,27 @@ impl Cache {
     /// change, no stats).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        let base = set as usize * self.config.ways as usize;
-        (0..self.config.ways)
-            .any(|w| self.sets[base + w as usize].valid && self.sets[base + w as usize].tag == tag)
+        self.find(set, tag).is_some()
     }
 
     /// Invalidate the line containing `addr`; returns the address if a
     /// dirty line was dropped (caller decides whether to write back).
     pub fn invalidate(&mut self, addr: u64) -> Option<u64> {
         let (set, tag) = self.index(addr);
-        let base = set as usize * self.config.ways as usize;
-        for w in 0..self.config.ways {
-            let way = &mut self.sets[base + w as usize];
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                let was_dirty = way.dirty;
-                way.dirty = false;
-                return was_dirty.then(|| self.reconstruct_addr(set, tag));
-            }
-        }
-        None
+        let i = self.ways_of(set).start + self.find(set, tag)?;
+        let slot = &mut self.sets[i];
+        let was_dirty = *slot & DIRTY != 0;
+        *slot = 0;
+        was_dirty.then(|| self.reconstruct_addr(set, tag))
     }
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> u64 {
-        self.sets.iter().filter(|w| w.valid).count() as u64
+        self.sets.iter().filter(|&&w| w & VALID != 0).count() as u64
     }
 
     fn reconstruct_addr(&self, set: u32, tag: u64) -> u64 {
-        ((tag << self.set_mask.count_ones()) | set as u64) << self.line_shift
-    }
-}
-
-// Convenience helper used by tests and the way_slice lint silencer.
-#[allow(dead_code)]
-impl Cache {
-    fn debug_ways(&mut self, set: u32) -> Vec<(u64, bool, bool)> {
-        self.way_slice(set)
-            .iter()
-            .map(|w| (w.tag, w.valid, w.dirty))
-            .collect()
+        ((tag << self.set_shift) | set as u64) << self.line_shift
     }
 }
 

@@ -35,7 +35,7 @@ pub mod tlb;
 pub use cache::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats};
 pub use directory::{CoherenceState, Directory, DirectoryOutcome};
 pub use hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
-pub use mcdram_cache::{DirectMappedModel, MemorySideCache, SetShard};
+pub use mcdram_cache::{DirectMappedModel, MemorySideCache};
 pub use mshr::{Mshr, MshrOutcome};
 pub use prefetch::{Prefetcher, PrefetcherConfig};
 pub use replacement::ReplacementPolicy;

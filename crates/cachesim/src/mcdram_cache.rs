@@ -44,11 +44,12 @@ impl MscOutcome {
 /// Exact direct-mapped memory-side cache (tag store only).
 #[derive(Debug, Clone)]
 pub struct MemorySideCache {
-    /// Per-slot tag; `u64::MAX` = invalid.
+    /// Per-slot `tag << 1 | dirty`; `INVALID` marks an empty slot.
+    /// A capacity above one byte leaves tags at most 63 bits wide, so
+    /// no valid word equals `INVALID`.
     tags: Vec<u64>,
-    dirty: Vec<bool>,
-    line_bytes: u32,
-    slots: u64,
+    line_shift: u32,
+    slot_shift: u32,
     /// Hits.
     pub hits: Counter,
     /// Misses.
@@ -56,6 +57,8 @@ pub struct MemorySideCache {
     /// Dirty writebacks to DDR.
     pub writebacks: Counter,
 }
+
+const INVALID: u64 = u64::MAX;
 
 impl MemorySideCache {
     /// Build a cache of `capacity` with `line_bytes` lines.
@@ -70,11 +73,11 @@ impl MemorySideCache {
             slots > 0 && slots.is_power_of_two(),
             "slot count must be a power of two"
         );
+        assert!(capacity.as_u64() > 1, "capacity must exceed one byte");
         MemorySideCache {
-            tags: vec![u64::MAX; slots as usize],
-            dirty: vec![false; slots as usize],
-            line_bytes,
-            slots,
+            tags: vec![INVALID; slots as usize],
+            line_shift: line_bytes.trailing_zeros(),
+            slot_shift: slots.trailing_zeros(),
             hits: Counter::new(),
             misses: Counter::new(),
             writebacks: Counter::new(),
@@ -83,148 +86,34 @@ impl MemorySideCache {
 
     /// Number of slots.
     pub fn slots(&self) -> u64 {
-        self.slots
+        self.tags.len() as u64
     }
 
     /// Access the line containing `addr`.
     pub fn access(&mut self, addr: u64, is_write: bool) -> MscOutcome {
-        let line = addr / self.line_bytes as u64;
-        let slot = (line % self.slots) as usize;
-        let tag = line / self.slots;
-        if self.tags[slot] == tag {
+        let line = addr >> self.line_shift;
+        let slot = (line & (self.slots() - 1)) as usize;
+        let tag = line >> self.slot_shift;
+        let word = &mut self.tags[slot];
+        if *word >> 1 == tag {
             self.hits.incr();
-            if is_write {
-                self.dirty[slot] = true;
-            }
+            *word |= is_write as u64;
             return MscOutcome::Hit;
         }
         self.misses.incr();
-        let dirty_victim = if self.tags[slot] != u64::MAX && self.dirty[slot] {
+        let dirty_victim = if *word != INVALID && *word & 1 == 1 {
             self.writebacks.incr();
-            Some((self.tags[slot] * self.slots + slot as u64) * self.line_bytes as u64)
+            Some((*word >> 1 << self.slot_shift | slot as u64) << self.line_shift)
         } else {
             None
         };
-        self.tags[slot] = tag;
-        self.dirty[slot] = is_write;
+        *word = tag << 1 | is_write as u64;
         MscOutcome::Miss { dirty_victim }
     }
 
     /// Overall hit rate.
     pub fn hit_rate(&self) -> f64 {
         self.hits.ratio_of(self.hits.get() + self.misses.get())
-    }
-
-    /// The slot index `addr` maps to — the static-ownership key for
-    /// set-partitioned timing: whichever worker owns this slot's range
-    /// owns every access to `addr`.
-    pub fn slot_of(&self, addr: u64) -> u64 {
-        (addr / self.line_bytes as u64) % self.slots
-    }
-
-    /// Move the tag/dirty state out into `parts` contiguous, disjoint
-    /// [`SetShard`]s covering all slots (the last shard takes the
-    /// remainder). The cache is hollow until
-    /// [`absorb_sets`](Self::absorb_sets) puts the state back; each
-    /// shard prices accesses to its own slot range bit-identically to
-    /// the whole cache (see `set_sharded_accesses_match_whole_cache`).
-    pub fn split_sets(&mut self, parts: usize) -> Vec<SetShard> {
-        let parts = parts.clamp(1, self.slots as usize);
-        let per = (self.slots as usize).div_ceil(parts);
-        let tags = std::mem::take(&mut self.tags);
-        let dirty = std::mem::take(&mut self.dirty);
-        tags.chunks(per)
-            .zip(dirty.chunks(per))
-            .enumerate()
-            .map(|(i, (t, d))| SetShard {
-                start: (i * per) as u64,
-                tags: t.to_vec(),
-                dirty: d.to_vec(),
-                line_bytes: self.line_bytes,
-                slots: self.slots,
-                hits: Counter::new(),
-                misses: Counter::new(),
-                writebacks: Counter::new(),
-            })
-            .collect()
-    }
-
-    /// Restore shard state split off by [`split_sets`](Self::split_sets)
-    /// and fold the shards' counters back in. Shards may arrive in any
-    /// order; together they must cover every slot exactly once.
-    pub fn absorb_sets(&mut self, mut shards: Vec<SetShard>) {
-        shards.sort_by_key(|s| s.start);
-        self.tags.clear();
-        self.dirty.clear();
-        for s in shards {
-            assert_eq!(s.start, self.tags.len() as u64, "set shards must tile");
-            self.tags.extend_from_slice(&s.tags);
-            self.dirty.extend_from_slice(&s.dirty);
-            self.hits = self.hits.merge(s.hits);
-            self.misses = self.misses.merge(s.misses);
-            self.writebacks = self.writebacks.merge(s.writebacks);
-        }
-        assert_eq!(self.tags.len() as u64, self.slots, "set shards must cover");
-    }
-}
-
-/// A contiguous range of cache sets sliced out of a [`MemorySideCache`]
-/// so a timing worker can own it exclusively. Direct-mapped lookup
-/// touches exactly one slot, so per-shard sequences of
-/// [`access`](Self::access) calls in the sequential order reproduce the
-/// whole cache's behaviour regardless of cross-shard interleaving.
-#[derive(Debug, Clone)]
-pub struct SetShard {
-    /// First slot index this shard owns.
-    start: u64,
-    tags: Vec<u64>,
-    dirty: Vec<bool>,
-    line_bytes: u32,
-    slots: u64,
-    /// Hits observed by this shard.
-    pub hits: Counter,
-    /// Misses observed by this shard.
-    pub misses: Counter,
-    /// Dirty writebacks observed by this shard.
-    pub writebacks: Counter,
-}
-
-impl SetShard {
-    /// The slot range this shard owns.
-    pub fn slot_range(&self) -> std::ops::Range<u64> {
-        self.start..self.start + self.tags.len() as u64
-    }
-
-    /// Whether this shard owns `addr`'s slot.
-    pub fn owns(&self, addr: u64) -> bool {
-        let slot = (addr / self.line_bytes as u64) % self.slots;
-        self.slot_range().contains(&slot)
-    }
-
-    /// Access the line containing `addr`; `addr` must map into this
-    /// shard's slot range.
-    pub fn access(&mut self, addr: u64, is_write: bool) -> MscOutcome {
-        let line = addr / self.line_bytes as u64;
-        let slot = line % self.slots;
-        let local = (slot - self.start) as usize;
-        let tag = line / self.slots;
-        if self.tags[local] == tag {
-            self.hits.incr();
-            if is_write {
-                self.dirty[local] = true;
-            }
-            return MscOutcome::Hit;
-        }
-        self.misses.incr();
-        let dirty_victim = if self.tags[local] != u64::MAX && self.dirty[local] {
-            self.writebacks.incr();
-            Some((self.tags[local] * self.slots + slot) * self.line_bytes as u64)
-        } else {
-            None
-        };
-        self.tags[local] = tag;
-        self.dirty[local] = is_write;
-        MscOutcome::Miss { dirty_victim }
     }
 }
 
@@ -402,39 +291,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_slot_count_rejected() {
         let _ = MemorySideCache::new(ByteSize::bytes(3 * 64), 64);
-    }
-
-    #[test]
-    fn set_sharded_accesses_match_whole_cache() {
-        use simfabric::prng::Rng;
-        for parts in [1usize, 2, 3, 8] {
-            let mut whole = MemorySideCache::new(ByteSize::kib(64), 64);
-            let mut split = MemorySideCache::new(ByteSize::kib(64), 64);
-            let mut shards = split.split_sets(parts);
-            let covered: u64 = shards.iter().map(|s| s.slot_range().count() as u64).sum();
-            assert_eq!(covered, whole.slots());
-            let mut rng = Rng::seed_from_u64(0x5E7 + parts as u64);
-            for i in 0..20_000u64 {
-                let addr = rng.gen_range(0..256 * 1024) & !63;
-                let w = i % 3 == 0;
-                let slot = whole.slot_of(addr);
-                let shard = shards
-                    .iter_mut()
-                    .find(|s| s.slot_range().contains(&slot))
-                    .unwrap();
-                assert!(shard.owns(addr));
-                assert_eq!(shard.access(addr, w), whole.access(addr, w));
-            }
-            shards.reverse(); // absorb accepts any shard order
-            split.absorb_sets(shards);
-            assert_eq!(split.hits.get(), whole.hits.get());
-            assert_eq!(split.misses.get(), whole.misses.get());
-            assert_eq!(split.writebacks.get(), whole.writebacks.get());
-            // Tag/dirty state restored: behaviour continues identically.
-            for i in 0..2_000u64 {
-                let addr = (i * 64) % (256 * 1024);
-                assert_eq!(split.access(addr, false), whole.access(addr, false));
-            }
-        }
     }
 }

@@ -33,6 +33,8 @@ pub(crate) enum SetState {
 pub(crate) struct Replacer {
     policy: ReplacementPolicy,
     ways: u16,
+    /// Depth of the PLRU tree: `log2(ways)`.
+    levels: u32,
     sets: Vec<SetState>,
 }
 
@@ -64,6 +66,7 @@ impl Replacer {
         Replacer {
             policy,
             ways,
+            levels: ways.trailing_zeros(),
             sets: (0..num_sets).map(mk).collect(),
         }
     }
@@ -85,10 +88,9 @@ impl Replacer {
                 // Walk from the root; at each level set the bit to point
                 // *away* from the touched way.
                 let mut node = 0usize; // index within the implicit tree
-                let levels = (self.ways as f64).log2() as u32;
                 let mut lo = 0u16;
                 let mut hi = self.ways;
-                for _ in 0..levels {
+                for _ in 0..self.levels {
                     let mid = (lo + hi) / 2;
                     let go_right = way >= mid;
                     // bit = 1 means "next victim is on the left".
@@ -129,10 +131,9 @@ impl Replacer {
             SetState::Order(order) => order[0] as u16,
             SetState::Tree(bits) => {
                 let mut node = 0usize;
-                let levels = (self.ways as f64).log2() as u32;
                 let mut lo = 0u16;
                 let mut hi = self.ways;
-                for _ in 0..levels {
+                for _ in 0..self.levels {
                     let mid = (lo + hi) / 2;
                     let go_left = (*bits >> node) & 1 == 1;
                     node = 2 * node + if go_left { 1 } else { 2 };

@@ -9,7 +9,8 @@
 
 use simfabric::stats::Counter;
 use simfabric::{ByteSize, Duration};
-use std::collections::VecDeque;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Supported page sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,17 +97,70 @@ impl TlbConfig {
 }
 
 /// Exact two-level, fully associative LRU TLB.
+///
+/// Both levels live in one fixed slab of `l1_entries + l2_entries`
+/// nodes threaded onto two intrusive recency lists (head = MRU), and a
+/// page → slot map finds a page's node, so a translation costs O(1)
+/// whatever the TLB size. A hit on the MRU page short-circuits before
+/// the map lookup.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    l1: VecDeque<u64>,
-    l2: VecDeque<u64>,
+    page_shift: u32,
+    /// Page at the head of the L1 list (`u64::MAX` while L1 is empty).
+    mru_page: u64,
+    slots: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    nodes: Vec<Node>,
+    lists: [List; 2],
     /// L1 hits.
     pub l1_hits: Counter,
     /// L2 hits (L1 misses).
     pub l2_hits: Counter,
     /// Full page walks.
     pub walks: Counter,
+}
+
+const NIL: u32 = u32::MAX;
+const L1: u8 = 0;
+const L2: u8 = 1;
+
+/// One TLB entry in the slab, linked into the list of its level.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    page: u64,
+    prev: u32,
+    next: u32,
+    level: u8,
+}
+
+/// An intrusive doubly linked recency list over the slab.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+/// Multiplicative hash for page numbers. Keys are page numbers the
+/// simulator derives from generated traces, never outside input, so
+/// collision resistance is not needed; the high half is folded down
+/// because the map indexes buckets by the low bits.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PageHasher hashes u64 page numbers only");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Where a translation was satisfied.
@@ -135,10 +189,20 @@ impl Tlb {
     /// Build a TLB from `config`.
     pub fn new(config: TlbConfig) -> Self {
         assert!(config.l1_entries > 0, "L1 TLB needs entries");
+        let capacity = config.l1_entries + config.l2_entries;
+        assert!(capacity < NIL as usize, "TLB too large for u32 slots");
+        let empty = List {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        };
         Tlb {
             config,
-            l1: VecDeque::with_capacity(config.l1_entries),
-            l2: VecDeque::with_capacity(config.l2_entries),
+            page_shift: config.page_size.bytes().trailing_zeros(),
+            mru_page: u64::MAX,
+            slots: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            nodes: Vec::with_capacity(capacity),
+            lists: [empty; 2],
             l1_hits: Counter::new(),
             l2_hits: Counter::new(),
             walks: Counter::new(),
@@ -152,34 +216,103 @@ impl Tlb {
 
     /// Translate the page containing `addr`.
     pub fn translate(&mut self, addr: u64) -> TlbOutcome {
-        let page = addr / self.config.page_size.bytes();
-        // L1 lookup (front = MRU).
-        if let Some(pos) = self.l1.iter().position(|&p| p == page) {
-            self.l1.remove(pos);
-            self.l1.push_front(page);
+        let page = addr >> self.page_shift;
+        if page == self.mru_page {
             self.l1_hits.incr();
             return TlbOutcome::L1Hit;
         }
-        let outcome = if let Some(pos) = self.l2.iter().position(|&p| p == page) {
-            self.l2.remove(pos);
-            self.l2_hits.incr();
-            TlbOutcome::L2Hit
-        } else {
-            self.walks.incr();
-            TlbOutcome::Walk
+        let (outcome, slot) = match self.slots.get(&page) {
+            Some(&slot) if self.nodes[slot as usize].level == L1 => {
+                self.unlink(slot);
+                self.push_front(L1, slot);
+                self.mru_page = page;
+                self.l1_hits.incr();
+                return TlbOutcome::L1Hit;
+            }
+            Some(&slot) => {
+                self.unlink(slot);
+                self.l2_hits.incr();
+                (TlbOutcome::L2Hit, Some(slot))
+            }
+            None => {
+                self.walks.incr();
+                (TlbOutcome::Walk, None)
+            }
         };
-        // Fill L1; displaced L1 entry falls to L2.
-        if self.l1.len() == self.config.l1_entries {
-            let victim = self.l1.pop_back().expect("L1 full");
-            if self.config.l2_entries > 0 {
-                if self.l2.len() == self.config.l2_entries {
-                    self.l2.pop_back();
+        // Fill L1; the displaced L1 entry falls to L2, whose own LRU
+        // entry leaves the TLB. A walk reuses the slot that left.
+        let mut freed = None;
+        if self.lists[L1 as usize].len == self.config.l1_entries {
+            let victim = self.lists[L1 as usize].tail;
+            self.unlink(victim);
+            if self.config.l2_entries == 0 {
+                freed = Some(victim);
+            } else {
+                if self.lists[L2 as usize].len == self.config.l2_entries {
+                    let dropped = self.lists[L2 as usize].tail;
+                    self.unlink(dropped);
+                    freed = Some(dropped);
                 }
-                self.l2.push_front(victim);
+                self.push_front(L2, victim);
             }
         }
-        self.l1.push_front(page);
+        let slot = slot.unwrap_or_else(|| {
+            let slot = match freed {
+                Some(slot) => {
+                    self.slots.remove(&self.nodes[slot as usize].page);
+                    self.nodes[slot as usize].page = page;
+                    slot
+                }
+                None => {
+                    self.nodes.push(Node {
+                        page,
+                        prev: NIL,
+                        next: NIL,
+                        level: L1,
+                    });
+                    (self.nodes.len() - 1) as u32
+                }
+            };
+            self.slots.insert(page, slot);
+            slot
+        });
+        self.push_front(L1, slot);
+        self.mru_page = page;
         outcome
+    }
+
+    /// Detach `slot` from the list it is on.
+    fn unlink(&mut self, slot: u32) {
+        let Node {
+            prev, next, level, ..
+        } = self.nodes[slot as usize];
+        let list = &mut self.lists[level as usize];
+        match prev {
+            NIL => list.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => list.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+        list.len -= 1;
+    }
+
+    /// Link `slot` in as the MRU entry of `level`.
+    fn push_front(&mut self, level: u8, slot: u32) {
+        let list = &mut self.lists[level as usize];
+        let old_head = list.head;
+        list.head = slot;
+        if old_head == NIL {
+            list.tail = slot;
+        } else {
+            self.nodes[old_head as usize].prev = slot;
+        }
+        list.len += 1;
+        let node = &mut self.nodes[slot as usize];
+        node.prev = NIL;
+        node.next = old_head;
+        node.level = level;
     }
 
     /// Total translations performed.

@@ -2,16 +2,17 @@
 //! reference implementations, on seeded random traces from the
 //! in-tree PRNG.
 
-use cachesim::cache::{AccessKind, Cache, CacheConfig};
-use cachesim::mcdram_cache::MemorySideCache;
+use cachesim::cache::{AccessKind, AccessOutcome, Cache, CacheConfig};
+use cachesim::mcdram_cache::{MemorySideCache, MscOutcome};
 use cachesim::replacement::ReplacementPolicy;
-use cachesim::tlb::{Tlb, TlbConfig};
+use cachesim::tlb::{Tlb, TlbConfig, TlbOutcome};
 use simfabric::prng::Rng;
 use simfabric::ByteSize;
+use std::collections::VecDeque;
 
-/// Naive LRU cache: vectors of (set, recency list).
+/// Naive LRU cache: vectors of (set, recency list of (tag, dirty)).
 struct RefLru {
-    sets: Vec<Vec<u64>>, // MRU at the front
+    sets: Vec<Vec<(u64, bool)>>, // MRU at the front
     ways: usize,
     line: u64,
     num_sets: u64,
@@ -27,23 +28,26 @@ impl RefLru {
         }
     }
 
-    /// Returns hit?
-    fn access(&mut self, addr: u64) -> bool {
+    /// The outcome a write-allocate LRU cache reports.
+    fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         let lineno = addr / self.line;
-        let set = (lineno % self.num_sets) as usize;
+        let set = lineno % self.num_sets;
         let tag = lineno / self.num_sets;
-        let list = &mut self.sets[set];
-        if let Some(pos) = list.iter().position(|&t| t == tag) {
-            list.remove(pos);
-            list.insert(0, tag);
-            true
-        } else {
-            if list.len() == self.ways {
-                list.pop();
-            }
-            list.insert(0, tag);
-            false
+        let list = &mut self.sets[set as usize];
+        if let Some(pos) = list.iter().position(|&(t, _)| t == tag) {
+            let (_, dirty) = list.remove(pos);
+            list.insert(0, (tag, dirty || write));
+            return AccessOutcome::Hit;
         }
+        let mut evicted_dirty = None;
+        if list.len() == self.ways {
+            let (victim, dirty) = list.pop().expect("full set");
+            if dirty {
+                evicted_dirty = Some((victim * self.num_sets + set) * self.line);
+            }
+        }
+        list.insert(0, (tag, write));
+        AccessOutcome::Miss { evicted_dirty }
     }
 }
 
@@ -52,13 +56,15 @@ fn random_addrs(rng: &mut Rng, bound: u64, max_len: usize) -> Vec<u64> {
     (0..len).map(|_| rng.gen_range(0..bound)).collect()
 }
 
-/// The production LRU cache produces the exact hit/miss sequence of
-/// the naive reference on arbitrary traces.
+/// The production LRU cache produces the exact outcome sequence of the
+/// naive reference on arbitrary read/write traces: hits, misses and
+/// the address of every dirty victim.
 #[test]
 fn lru_cache_matches_reference() {
     let mut rng = Rng::seed_from_u64(0xcac4_0001);
     for case in 0..64 {
         let addrs = random_addrs(&mut rng, 1 << 16, 500);
+        let writes: Vec<bool> = addrs.iter().map(|_| rng.gen_bool(0.3)).collect();
         let mut cache = Cache::new(CacheConfig {
             capacity: ByteSize::bytes(4096), // 16 sets x 4 ways x 64 B
             line_bytes: 64,
@@ -67,16 +73,21 @@ fn lru_cache_matches_reference() {
             write_allocate: true,
         });
         let mut reference = RefLru::new(16, 4, 64);
-        for &a in &addrs {
-            let got = cache.access(a, AccessKind::Read).is_hit();
-            let want = reference.access(a);
+        for (&a, &w) in addrs.iter().zip(&writes) {
+            let kind = if w {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let got = cache.access(a, kind);
+            let want = reference.access(a, w);
             assert_eq!(got, want, "case {case}: divergence at address {a:#x}");
         }
     }
 }
 
 /// The direct-mapped memory-side cache matches a trivial tag-array
-/// reference.
+/// reference on read/write traces, dirty-victim addresses included.
 #[test]
 fn msc_matches_reference() {
     let mut rng = Rng::seed_from_u64(0xcac4_0002);
@@ -84,15 +95,27 @@ fn msc_matches_reference() {
         let addrs = random_addrs(&mut rng, 1 << 20, 500);
         let slots = 64u64;
         let mut msc = MemorySideCache::new(ByteSize::bytes(slots * 64), 64);
-        let mut tags = vec![u64::MAX; slots as usize];
+        let mut tags: Vec<Option<(u64, bool)>> = vec![None; slots as usize];
         for &a in &addrs {
+            let write = rng.gen_bool(0.3);
             let line = a / 64;
             let slot = (line % slots) as usize;
             let tag = line / slots;
-            let want = tags[slot] == tag;
-            tags[slot] = tag;
-            let got = msc.access(a, false).is_hit();
-            assert_eq!(got, want, "case {case}");
+            let want = match tags[slot] {
+                Some((t, dirty)) if t == tag => {
+                    tags[slot] = Some((t, dirty || write));
+                    MscOutcome::Hit
+                }
+                old => {
+                    tags[slot] = Some((tag, write));
+                    MscOutcome::Miss {
+                        dirty_victim: old
+                            .filter(|&(_, dirty)| dirty)
+                            .map(|(t, _)| (t * slots + slot as u64) * 64),
+                    }
+                }
+            };
+            assert_eq!(msc.access(a, write), want, "case {case} at {a:#x}");
         }
     }
 }
@@ -109,7 +132,7 @@ fn tlb_accounting_and_mru() {
         for &a in &addrs {
             tlb.translate(a);
             let again = tlb.translate(a);
-            assert_eq!(again, cachesim::tlb::TlbOutcome::L1Hit, "case {case}");
+            assert_eq!(again, TlbOutcome::L1Hit, "case {case}");
         }
         assert_eq!(
             tlb.translations(),
@@ -149,5 +172,193 @@ fn occupancy_caps() {
                 "case {case} ({policy:?})"
             );
         }
+    }
+}
+
+/// Naive two-level LRU TLB: linear scans over recency queues (front =
+/// MRU), the model the slab-and-map TLB must reproduce exactly.
+struct RefTlb {
+    l1_entries: usize,
+    l2_entries: usize,
+    l1: VecDeque<u64>,
+    l2: VecDeque<u64>,
+}
+
+impl RefTlb {
+    fn new(l1_entries: usize, l2_entries: usize) -> Self {
+        RefTlb {
+            l1_entries,
+            l2_entries,
+            l1: VecDeque::new(),
+            l2: VecDeque::new(),
+        }
+    }
+
+    fn translate(&mut self, page: u64) -> TlbOutcome {
+        if let Some(pos) = self.l1.iter().position(|&p| p == page) {
+            self.l1.remove(pos);
+            self.l1.push_front(page);
+            return TlbOutcome::L1Hit;
+        }
+        let outcome = if let Some(pos) = self.l2.iter().position(|&p| p == page) {
+            self.l2.remove(pos);
+            TlbOutcome::L2Hit
+        } else {
+            TlbOutcome::Walk
+        };
+        if self.l1.len() == self.l1_entries {
+            let victim = self.l1.pop_back().expect("L1 full");
+            if self.l2_entries > 0 {
+                if self.l2.len() == self.l2_entries {
+                    self.l2.pop_back();
+                }
+                self.l2.push_front(victim);
+            }
+        }
+        self.l1.push_front(page);
+        outcome
+    }
+}
+
+/// The TLB reproduces the naive two-level LRU outcome by outcome, for
+/// geometries from the KNL 4-KB DTLB down to a lone L1 entry, over
+/// page counts below, at and beyond total capacity. Traces mix
+/// uniform pages, immediate repeats (the MRU path) and short
+/// sequential runs.
+#[test]
+fn tlb_matches_reference() {
+    let mut rng = Rng::seed_from_u64(0xcac4_0005);
+    for (l1, l2) in [(64, 256), (8, 128), (4, 4), (2, 1), (1, 0)] {
+        let cap = (l1 + l2) as u64;
+        for pages in [1, cap / 2 + 1, cap, cap + 1, 2 * cap, 8 * cap] {
+            let cfg = TlbConfig {
+                l1_entries: l1,
+                l2_entries: l2,
+                ..TlbConfig::knl_4k()
+            };
+            let mut tlb = Tlb::new(cfg);
+            let mut reference = RefTlb::new(l1, l2);
+            let mut page = 0u64;
+            for i in 0..4_000 {
+                page = match rng.gen_range(0u32..4) {
+                    0 => page,
+                    1 => (page + 1) % pages,
+                    _ => rng.gen_range(0..pages),
+                };
+                let offset = rng.gen_range(0..4096);
+                let got = tlb.translate(page * 4096 + offset);
+                let want = reference.translate(page);
+                assert_eq!(
+                    got, want,
+                    "({l1},{l2}) over {pages} pages: access {i} to page {page}"
+                );
+            }
+            assert_eq!(tlb.translations(), 4_000);
+        }
+    }
+}
+
+/// 4 sets x 2 ways x 64 B, LRU.
+fn tiny_cache() -> Cache {
+    Cache::new(CacheConfig {
+        capacity: ByteSize::bytes(512),
+        line_bytes: 64,
+        ways: 2,
+        replacement: ReplacementPolicy::Lru,
+        write_allocate: true,
+    })
+}
+
+/// A dirty victim's address is rebuilt from the packed tag, set and
+/// line offset — exactly, even when the tag takes every address bit
+/// above the set index.
+#[test]
+fn dirty_victim_address_survives_widest_tag() {
+    for (mut cache, set_stride) in [
+        (tiny_cache(), 4 * 64),
+        (Cache::new(CacheConfig::knl_l2()), 1024 * 64),
+    ] {
+        let top = !63u64;
+        cache.access(top, AccessKind::Write);
+        let ways = cache.config().ways as u64;
+        let mut evicted = Vec::new();
+        for k in 1..=ways {
+            if let AccessOutcome::Miss {
+                evicted_dirty: Some(a),
+            } = cache.access(top - k * set_stride, AccessKind::Read)
+            {
+                evicted.push(a);
+            }
+        }
+        assert_eq!(evicted, vec![top]);
+    }
+}
+
+/// A write hit on a clean line marks it dirty, and a later read hit
+/// does not clean it: its eviction writes back.
+#[test]
+fn write_hit_sets_dirty() {
+    let mut c = tiny_cache();
+    c.access(0x0000, AccessKind::Read);
+    assert!(c.access(0x0000, AccessKind::Write).is_hit());
+    assert!(c.access(0x0000, AccessKind::Read).is_hit());
+    c.access(0x0100, AccessKind::Read);
+    assert_eq!(
+        c.access(0x0200, AccessKind::Read),
+        AccessOutcome::Miss {
+            evicted_dirty: Some(0x0000)
+        }
+    );
+    assert_eq!(c.stats().writebacks.get(), 1);
+}
+
+/// `invalidate` drops the line (so `probe` misses), clears its dirty
+/// bit, and leaves the other way of the set untouched.
+#[test]
+fn invalidate_then_probe() {
+    let mut c = tiny_cache();
+    c.access(0x0000, AccessKind::Write);
+    c.access(0x0100, AccessKind::Write);
+    assert_eq!(c.invalidate(0x0000), Some(0x0000));
+    assert!(!c.probe(0x0000));
+    assert!(c.probe(0x0100));
+    assert_eq!(c.invalidate(0x0000), None);
+    assert_eq!(c.occupancy(), 1);
+    // The refill is clean: the freed way takes it without an eviction,
+    // and dropping it again reports no writeback.
+    assert_eq!(
+        c.access(0x0000, AccessKind::Read),
+        AccessOutcome::Miss {
+            evicted_dirty: None
+        }
+    );
+    assert!(c.probe(0x0100));
+    assert_eq!(c.invalidate(0x0000), None);
+}
+
+/// Memory-side-cache writebacks rebuild high addresses exactly, and a
+/// write hit on a clean slot makes its eviction write back.
+#[test]
+fn msc_writeback_addresses_at_high_addresses() {
+    let slots = 64u64;
+    let cap = slots * 64;
+    let mut msc = MemorySideCache::new(ByteSize::bytes(cap), 64);
+    for addr in [!63u64, (1 << 48) + 7 * 64, (1 << 40) - 64] {
+        msc.access(addr, true);
+        assert_eq!(
+            msc.access(addr - cap, false),
+            MscOutcome::Miss {
+                dirty_victim: Some(addr & !63)
+            },
+            "{addr:#x}"
+        );
+        assert!(msc.access(addr - cap, true).is_hit());
+        assert_eq!(
+            msc.access(addr, false),
+            MscOutcome::Miss {
+                dirty_victim: Some(addr - cap)
+            },
+            "{addr:#x}"
+        );
     }
 }

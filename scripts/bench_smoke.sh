@@ -49,18 +49,21 @@ for _attempt in 1 2 3; do
 done
 [[ "$gate_ok" == 1 ]]
 
-# Sweep-reuse gate: the classify-once / replay-many engine must beat
-# regenerate-per-point by >= 1.5x on the bundled smoke sweep, and its
-# plumbing must stay within 2 % of the direct path when the artifact
-# cache is disabled (SWEEP_REUSE=0). Both arms are asserted pointwise
-# bit-identical inside the verb — reports and migration move digests —
-# so this can only fail on speed, never by timing a diverged engine.
-# Same three-attempt timer-noise policy as above; a genuine regression
-# (classification sneaking back into the per-point loop) fails all
-# three.
+# Sweep-reuse gate. The verb asserts, deterministically, that the
+# reuse arm classifies once per distinct classify signature (twice on
+# this sweep) and the regenerate arm once per point, so classification
+# sneaking back into the per-point loop panics on every attempt. Both
+# arms are also asserted pointwise bit-identical — reports and
+# migration move digests. On top of that, reuse must beat
+# regenerate-per-point by >= 1.1x, and the reuse plumbing must stay
+# within 2 % of the direct path when the artifact cache is disabled
+# (SWEEP_REUSE=0). Reuse saves three of the five points'
+# classification passes, so the ratio falls as classification gets
+# cheaper; 12 runs on a 2-vCPU host read 1.19-1.34x, and the floor
+# sits below them. Same three-attempt timer-noise policy as above.
 sweep_ok=0
 for _attempt in 1 2 3; do
-    if "$REPRO" bench-sweep --smoke --iters 6 --min-speedup 1.5 --tol 0.02; then
+    if "$REPRO" bench-sweep --smoke --iters 6 --min-speedup 1.1 --tol 0.02; then
         sweep_ok=1
         break
     fi

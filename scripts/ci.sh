@@ -17,6 +17,12 @@ cargo build --release --offline --workspace
 TRACESIM_THREADS=1 timeout 1800 cargo test -q --offline
 TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
 
+# The workspace-root `cargo test` covers the root package only. The
+# cache models' unit and reference tests (the fast tag stores and TLB
+# against their naive models, tests/reference_models.rs) and the
+# replay engine's unit tests live in their own crates.
+timeout 900 cargo test -q --offline -p cachesim -p knl
+
 # The equivalence suite again at a middle worker count, under the same
 # watchdog: the producer pipe and the classification workers behind it
 # are the only cross-thread handoffs of a replay; the timeout turns a

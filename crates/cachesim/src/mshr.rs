@@ -33,12 +33,16 @@ pub enum MshrOutcome {
 /// The file is tiny (a real core has on the order of a dozen entries),
 /// and `register` sits on the trace replay's per-access hot path, so
 /// entries live in a flat pre-allocated vector scanned linearly —
-/// no tree walks and no allocation after construction.
+/// no tree walks and no allocation after construction. Lines are
+/// unique in the file and every query is a lookup by line, a count or
+/// a minimum, so entry order never reaches an outcome: retiring swaps
+/// the last entry into the hole, and one scan per `register` retires,
+/// looks for a merge and finds the earliest completion together.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     capacity: usize,
     // (line address, completion time) of each outstanding fetch; lines
-    // are unique, order is insertion order.
+    // are unique, order is arbitrary.
     inflight: Vec<(u64, SimTime)>,
     /// Primary misses that allocated an entry.
     pub allocations: Counter,
@@ -96,7 +100,14 @@ impl Mshr {
 
     /// Drop entries whose fetches completed at or before `now`.
     pub fn retire(&mut self, now: SimTime) {
-        self.inflight.retain(|&(_, done)| done > now);
+        let mut i = 0;
+        while i < self.inflight.len() {
+            if self.inflight[i].1 <= now {
+                self.inflight.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// Occupancy a [`register`](Self::register) at `now` would observe,
@@ -120,22 +131,32 @@ impl Mshr {
     /// allocated, the caller must then call [`Mshr::complete_at`] with
     /// the fetch completion time.
     pub fn register(&mut self, line_addr: u64, now: SimTime) -> MshrOutcome {
-        self.retire(now);
+        // One scan: retire completed fetches, and among the survivors
+        // find this line's entry and the earliest completion.
+        let mut merge = None;
+        let mut free_at = SimTime::from_ps(u64::MAX);
+        let mut i = 0;
+        while i < self.inflight.len() {
+            let (line, done) = self.inflight[i];
+            if done <= now {
+                self.inflight.swap_remove(i);
+                continue;
+            }
+            if line == line_addr {
+                merge = Some(done);
+            }
+            free_at = free_at.min(done);
+            i += 1;
+        }
         if let Some(h) = &mut self.occupancy {
             h.record(self.inflight.len() as u64);
         }
-        if let Some(&(_, ready_at)) = self.inflight.iter().find(|&&(l, _)| l == line_addr) {
+        if let Some(ready_at) = merge {
             self.merges.incr();
             return MshrOutcome::Merged { ready_at };
         }
         if self.inflight.len() >= self.capacity {
             self.stalls.incr();
-            let free_at = self
-                .inflight
-                .iter()
-                .map(|&(_, done)| done)
-                .min()
-                .expect("full MSHR file has entries");
             return MshrOutcome::Stall { free_at };
         }
         self.allocations.incr();
@@ -145,11 +166,13 @@ impl Mshr {
     }
 
     /// Record the completion time of the fetch for `line_addr`
-    /// (must follow an `Allocated` outcome).
+    /// (must follow an `Allocated` outcome). The search starts at the
+    /// tail, where `register` just pushed the entry.
     pub fn complete_at(&mut self, line_addr: u64, done: SimTime) {
         let entry = self
             .inflight
             .iter_mut()
+            .rev()
             .find(|&&mut (l, _)| l == line_addr)
             .expect("complete_at without allocation");
         entry.1 = done;

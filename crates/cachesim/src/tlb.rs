@@ -8,9 +8,7 @@
 //! latency model uses at paper scale.
 
 use simfabric::stats::Counter;
-use simfabric::{ByteSize, Duration};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use simfabric::{ByteSize, Duration, PageMap};
 
 /// Supported page sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,7 +107,7 @@ pub struct Tlb {
     page_shift: u32,
     /// Page at the head of the L1 list (`u64::MAX` while L1 is empty).
     mru_page: u64,
-    slots: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
+    slots: PageMap<u32>,
     nodes: Vec<Node>,
     lists: [List; 2],
     /// L1 hits.
@@ -139,28 +137,6 @@ struct List {
     head: u32,
     tail: u32,
     len: usize,
-}
-
-/// Multiplicative hash for page numbers. Keys are page numbers the
-/// simulator derives from generated traces, never outside input, so
-/// collision resistance is not needed; the high half is folded down
-/// because the map indexes buckets by the low bits.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PageHasher hashes u64 page numbers only");
-    }
-
-    fn write_u64(&mut self, page: u64) {
-        let h = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Where a translation was satisfied.
@@ -200,7 +176,7 @@ impl Tlb {
             config,
             page_shift: config.page_size.bytes().trailing_zeros(),
             mru_page: u64::MAX,
-            slots: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            slots: PageMap::with_capacity_and_hasher(capacity, Default::default()),
             nodes: Vec::with_capacity(capacity),
             lists: [empty; 2],
             l1_hits: Counter::new(),

@@ -4,10 +4,12 @@
 
 use cachesim::cache::{AccessKind, AccessOutcome, Cache, CacheConfig};
 use cachesim::mcdram_cache::{MemorySideCache, MscOutcome};
+use cachesim::mshr::{Mshr, MshrOutcome};
 use cachesim::replacement::ReplacementPolicy;
 use cachesim::tlb::{Tlb, TlbConfig, TlbOutcome};
 use simfabric::prng::Rng;
-use simfabric::ByteSize;
+use simfabric::stats::Histogram;
+use simfabric::{ByteSize, Duration, SimTime};
 use std::collections::VecDeque;
 
 /// Naive LRU cache: vectors of (set, recency list of (tag, dirty)).
@@ -360,5 +362,132 @@ fn msc_writeback_addresses_at_high_addresses() {
             },
             "{addr:#x}"
         );
+    }
+}
+
+/// Naive MSHR file: insertion-ordered entries, retired with `retain`,
+/// looked up with `find` and a separate minimum scan — the model the
+/// single-pass, order-free file must reproduce exactly.
+struct RefMshr {
+    capacity: usize,
+    inflight: Vec<(u64, SimTime)>,
+    allocations: u64,
+    merges: u64,
+    stalls: u64,
+    occupancy: Histogram,
+}
+
+impl RefMshr {
+    fn new(capacity: usize) -> Self {
+        RefMshr {
+            capacity,
+            inflight: Vec::new(),
+            allocations: 0,
+            merges: 0,
+            stalls: 0,
+            occupancy: Histogram::new(),
+        }
+    }
+
+    fn retire(&mut self, now: SimTime) {
+        self.inflight.retain(|&(_, done)| done > now);
+    }
+
+    fn register(&mut self, line: u64, now: SimTime) -> MshrOutcome {
+        self.retire(now);
+        self.occupancy.record(self.inflight.len() as u64);
+        if let Some(&(_, ready_at)) = self.inflight.iter().find(|&&(l, _)| l == line) {
+            self.merges += 1;
+            return MshrOutcome::Merged { ready_at };
+        }
+        if self.inflight.len() >= self.capacity {
+            self.stalls += 1;
+            let free_at = self.inflight.iter().map(|&(_, d)| d).min().unwrap();
+            return MshrOutcome::Stall { free_at };
+        }
+        self.allocations += 1;
+        self.inflight.push((line, SimTime::from_ps(u64::MAX)));
+        MshrOutcome::Allocated
+    }
+
+    fn complete_at(&mut self, line: u64, done: SimTime) {
+        self.inflight.iter_mut().find(|e| e.0 == line).unwrap().1 = done;
+    }
+
+    fn probe_occupancy(&self, now: SimTime) -> usize {
+        self.inflight.iter().filter(|&&(_, d)| d > now).count()
+    }
+}
+
+/// The MSHR file reproduces the naive reference outcome by outcome —
+/// allocations, merges and stalls with their times — plus all three
+/// counters, the occupancy histogram and `probe_occupancy`. Lines come
+/// from small pools (duplicates merge), latencies from a short list
+/// (equal completion times tie for the earliest free slot), clocks
+/// sometimes stand still or step back, and some probes see an entry
+/// whose completion is not yet set.
+#[test]
+fn mshr_matches_reference() {
+    let mut rng = Rng::seed_from_u64(0x5a5a_0003);
+    for capacity in [1usize, 2, 12] {
+        for case in 0..24 {
+            let lines = rng.gen_range(1..3 * capacity as u64 + 2);
+            let mut mshr = Mshr::new(capacity);
+            mshr.enable_occupancy_histogram();
+            let mut reference = RefMshr::new(capacity);
+            let mut now = SimTime::ZERO;
+            for step in 0..2_000 {
+                let ctx = format!("capacity {capacity} case {case} step {step}");
+                match rng.gen_range(0..10u32) {
+                    0 => {}
+                    1 => now = SimTime::from_ps(now.as_ps().saturating_sub(40_000)),
+                    _ => now += Duration::from_ps(rng.gen_range(0..30_000)),
+                }
+                let line = rng.gen_range(0..lines) * 64;
+                let mut issue = now;
+                loop {
+                    let got = mshr.register(line, issue);
+                    assert_eq!(got, reference.register(line, issue), "{ctx}");
+                    match got {
+                        MshrOutcome::Stall { free_at } => issue = free_at,
+                        MshrOutcome::Merged { .. } => break,
+                        MshrOutcome::Allocated => {
+                            if rng.gen_bool(0.1) {
+                                // The placeholder completion counts as
+                                // in flight until the real one is set.
+                                assert_eq!(
+                                    mshr.probe_occupancy(issue),
+                                    reference.probe_occupancy(issue),
+                                    "{ctx}"
+                                );
+                            }
+                            let latency = [0u64, 50_000, 50_000, 100_000, 130_000];
+                            let done =
+                                issue + Duration::from_ps(latency[rng.gen_range(0..latency.len())]);
+                            mshr.complete_at(line, done);
+                            reference.complete_at(line, done);
+                            break;
+                        }
+                    }
+                }
+                let probe = SimTime::from_ps(now.as_ps() + rng.gen_range(0..150_000));
+                assert_eq!(
+                    mshr.probe_occupancy(probe),
+                    reference.probe_occupancy(probe),
+                    "{ctx}"
+                );
+            }
+            let ctx = format!("capacity {capacity} case {case}");
+            assert_eq!(mshr.allocations.get(), reference.allocations, "{ctx}");
+            assert_eq!(mshr.merges.get(), reference.merges, "{ctx}");
+            assert_eq!(mshr.stalls.get(), reference.stalls, "{ctx}");
+            assert_eq!(
+                mshr.occupancy_histogram(),
+                Some(&reference.occupancy),
+                "{ctx}"
+            );
+            reference.retire(now);
+            assert_eq!(mshr.occupancy(now), reference.inflight.len(), "{ctx}");
+        }
     }
 }

@@ -177,8 +177,8 @@ pub enum TracePlacement {
 
 impl TracePlacement {
     /// Static routing only. [`TracePlacement::Migrated`] answers for
-    /// the *base* tier (DDR); the live answer comes from the
-    /// scheduler, consulted by [`TraceSim`]'s routing helper.
+    /// the *base* tier (DDR); the live answer is the one
+    /// [`PageScheduler::tick`] returns for each access.
     fn is_hbm(self, addr: u64) -> bool {
         match self {
             TracePlacement::AllDdr => false,
@@ -1201,16 +1201,6 @@ impl TraceSim {
         self.migration.as_ref().map(|m| m.stats().clone())
     }
 
-    /// Dynamic tier lookup: the scheduler's resident set when
-    /// migration is active, the static placement otherwise.
-    #[inline]
-    fn route_hbm(&self, addr: u64) -> bool {
-        match &self.migration {
-            Some(m) => m.is_hbm(addr),
-            None => self.placement.is_hbm(addr),
-        }
-    }
-
     /// Count one analytic mesh message of `hops` hops: straight onto
     /// the shared counters per-access, or into the detached tally when
     /// batching — identical totals either way (pure sums), but the
@@ -1239,10 +1229,14 @@ impl TraceSim {
     /// engine calls this exactly once per access, in the earliest-
     /// `(clock, core)` merge order, with the winner's pre-stall clock
     /// as `now` — the determinism contract the scheduler needs.
+    /// Returns whether a memory-level access routes to MCDRAM: the
+    /// scheduler's answer when migration is active, the static
+    /// placement's otherwise.
     #[inline]
-    fn migrate_tick(&mut self, addr: u64, memory_level: bool, now: SimTime) {
-        if let Some(m) = &mut self.migration {
-            m.tick(addr, memory_level, now);
+    fn migrate_tick(&mut self, addr: u64, memory_level: bool, now: SimTime) -> bool {
+        match &mut self.migration {
+            Some(m) => m.tick(addr, memory_level, now),
+            None => self.placement.is_hbm(addr),
         }
     }
 
@@ -1284,7 +1278,7 @@ impl TraceSim {
         // core, so rebalances land at identical trace offsets in every
         // engine.
         let now0 = self.core_clock[core];
-        self.migrate_tick(addr, level == LevelHit::Memory, now0);
+        let routed_hbm = self.migrate_tick(addr, level == LevelHit::Memory, now0);
         // The time-series tick shares the merge-order consumption
         // site with `migrate_tick`, so window boundaries land on the
         // same access in every engine. Sampling happens after this
@@ -1316,7 +1310,7 @@ impl TraceSim {
             let is_hbm_target = match (&self.msc, level) {
                 (Some(_), LevelHit::McdramCache) => true,
                 (Some(_), _) => false, // DDR behind the cache
-                (None, _) => self.route_hbm(addr),
+                (None, _) => routed_hbm,
             };
             // Mesh traversal charged analytically: per-link flit
             // reservation is far too pessimistic at memory rates (the
@@ -2612,104 +2606,5 @@ mod tests {
         let r = sim.run(&trace);
         assert_eq!(sim.mesh_stats().messages.get(), r.memory_accesses);
         assert!(sim.mesh_stats().hops.get() >= r.memory_accesses);
-    }
-}
-
-impl TraceSim {
-    /// Debug introspection for the DDR model.
-    #[doc(hidden)]
-    pub fn debug_ddr(&self) -> (Vec<f64>, f64) {
-        (
-            self.ddr.debug_bus_busy_ns(),
-            self.ddr.debug_max_bank_ready_ns(),
-        )
-    }
-}
-
-/// Debug breakdown of a single access's timing (picoseconds).
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AccessBreakdown {
-    pub issue_ps: u64,
-    pub post_sram_ps: u64,
-    pub arrive_ps: u64,
-    pub served_ps: u64,
-    pub done_ps: u64,
-    pub stalled: bool,
-}
-
-impl TraceSim {
-    /// Debug: replay one access returning a timing breakdown.
-    #[doc(hidden)]
-    pub fn access_traced(&mut self, t: TraceAccess) -> AccessBreakdown {
-        let core = partition_by_core(t.core, self.hierarchies.len());
-        let mut issue = self.core_clock[core];
-        let orig_issue = issue;
-        let kind = if t.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let (level, sram_lat) = self.hierarchies[core].access(t.addr, kind);
-        let mut bd = AccessBreakdown::default();
-        let mut done = issue + sram_lat;
-        let mut merged = false;
-        if level == LevelHit::Memory || level == LevelHit::McdramCache {
-            let line = t.addr & !(self.line_bytes - 1);
-            loop {
-                match self.mshrs[core].register(line, issue) {
-                    MshrOutcome::Allocated => break,
-                    MshrOutcome::Merged { ready_at } => {
-                        done = ready_at.max(issue + sram_lat);
-                        merged = true;
-                        break;
-                    }
-                    MshrOutcome::Stall { free_at } => issue = free_at,
-                }
-            }
-        }
-        bd.stalled = issue > orig_issue;
-        bd.issue_ps = issue.as_ps();
-        if !merged && (level == LevelHit::Memory || level == LevelHit::McdramCache) {
-            done = issue + sram_lat;
-            bd.post_sram_ps = done.as_ps();
-            let is_hbm_target = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => true,
-                (Some(_), _) => false,
-                (None, _) => self.placement.is_hbm(t.addr),
-            };
-            // Mesh traversal charged analytically: per-link flit
-            // reservation is far too pessimistic at memory rates (the
-            // KNL mesh is provisioned well beyond memory bandwidth),
-            // so the request half of the average round trip is added
-            // as latency instead.
-            let arrive = done
-                + if is_hbm_target {
-                    self.resp_half_hbm
-                } else {
-                    self.resp_half_ddr
-                };
-            bd.arrive_ps = arrive.as_ps();
-            let served = if self.placement.is_hbm(t.addr) {
-                self.hbm.access(t.addr, arrive)
-            } else {
-                self.ddr.access(t.addr, arrive)
-            };
-            bd.served_ps = served.as_ps();
-            done = served
-                + if is_hbm_target {
-                    self.resp_half_hbm
-                } else {
-                    self.resp_half_ddr
-                };
-            self.mshrs[core].complete_at(t.addr & !(self.line_bytes - 1), done);
-        }
-        bd.done_ps = done.as_ps();
-        self.core_clock[core] = if t.dependent {
-            done
-        } else {
-            issue + Duration::from_cycles(1, crate::calib::CORE_GHZ)
-        };
-        bd
     }
 }

@@ -111,10 +111,38 @@ impl DramGeometry {
         }
     }
 
+    /// Check that the geometry describes a device [`DramModel`] can
+    /// map with shifts: at least one channel, and power-of-two line,
+    /// row and bank counts with rows no smaller than lines. Channel
+    /// counts need not be powers of two (KNL DDR has 6).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.channels == 0 {
+            return Err("channel count must be positive".into());
+        }
+        for (name, v) in [
+            ("line size", self.line_bytes),
+            ("row size", self.row_bytes),
+            ("banks per channel", self.banks_per_channel),
+        ] {
+            if !v.is_power_of_two() {
+                return Err(format!("{name} {v} must be a power of two"));
+            }
+        }
+        if self.row_bytes < self.line_bytes {
+            return Err(format!(
+                "row size {} is smaller than line size {}",
+                self.row_bytes, self.line_bytes
+            ));
+        }
+        Ok(())
+    }
+
     /// Map a byte address to `(channel, bank, row)`.
     ///
     /// Lines are interleaved across channels first (so streams spread
-    /// over all channels), then across banks by row index.
+    /// over all channels), then across banks by row index. This is
+    /// the reference mapping; [`DramModel::access`] computes the same
+    /// split with shifts precomputed from a validated geometry.
     pub fn map(&self, addr: u64) -> (u32, u32, u64) {
         let line = addr / self.line_bytes as u64;
         let channel = (line % self.channels as u64) as u32;
@@ -184,6 +212,14 @@ impl DramStats {
 pub struct DramModel {
     timing: DramTiming,
     geometry: DramGeometry,
+    /// `log2(line_bytes)`: byte address → line index.
+    line_shift: u32,
+    /// `log2(row_bytes / line_bytes)`: channel line → global row.
+    row_shift: u32,
+    /// `log2(banks_per_channel)`: global row → row within the bank,
+    /// and channel → first bank index.
+    bank_shift: u32,
+    /// Banks, `banks_per_channel` per channel, channel-major.
     banks: Vec<Bank>,
     /// Per-channel data-bus "busy until" times.
     bus_busy_until: Vec<SimTime>,
@@ -197,12 +233,21 @@ pub struct DramModel {
 }
 
 impl DramModel {
-    /// Build a model from timing and geometry.
+    /// Build a model from timing and geometry; panics on an invalid
+    /// geometry (see [`DramGeometry::validate`]; geometries are
+    /// developer input, not user input).
     pub fn new(timing: DramTiming, geometry: DramGeometry) -> Self {
-        let n = (geometry.channels * geometry.banks_per_channel) as usize;
+        geometry
+            .validate()
+            .unwrap_or_else(|e| panic!("bad DRAM geometry: {e}"));
+        let n = geometry.channels as usize * geometry.banks_per_channel as usize;
+        let line_shift = geometry.line_bytes.trailing_zeros();
         DramModel {
             timing,
             geometry,
+            line_shift,
+            row_shift: geometry.row_bytes.trailing_zeros() - line_shift,
+            bank_shift: geometry.banks_per_channel.trailing_zeros(),
             banks: vec![Bank::default(); n],
             bus_busy_until: vec![SimTime::ZERO; geometry.channels as usize],
             stats: DramStats::default(),
@@ -258,10 +303,18 @@ impl DramModel {
     /// Perform a line access to byte address `addr` arriving at `at`.
     /// Returns the completion time.
     pub fn access(&mut self, addr: u64, at: SimTime) -> SimTime {
-        let (channel, bank, row) = self.geometry.map(addr);
+        // `DramGeometry::map` with shifts: the channel split is the
+        // only division left.
+        let line = addr >> self.line_shift;
+        let channels = u64::from(self.geometry.channels);
+        let chan_line = line / channels;
+        let channel = (line - chan_line * channels) as usize;
+        let row_global = chan_line >> self.row_shift;
+        let bank = (row_global & ((1 << self.bank_shift) - 1)) as usize;
+        let row = row_global >> self.bank_shift;
         let timing = &self.timing;
-        let b = &mut self.banks[(channel * self.geometry.banks_per_channel + bank) as usize];
-        let wm = &mut self.bus_busy_until[channel as usize];
+        let b = &mut self.banks[(channel << self.bank_shift) | bank];
+        let wm = &mut self.bus_busy_until[channel];
         let stats = &mut self.stats;
         if let Some(h) = self.queue_wait.as_deref_mut() {
             h.record(b.ready.saturating_since(at).as_ps());
@@ -318,23 +371,6 @@ impl DramModel {
     }
 }
 
-impl DramModel {
-    /// Debug introspection: per-channel bus busy-until times (ns).
-    #[doc(hidden)]
-    pub fn debug_bus_busy_ns(&self) -> Vec<f64> {
-        self.bus_busy_until.iter().map(|t| t.as_ns()).collect()
-    }
-
-    /// Debug introspection: latest bank-ready time (ns).
-    #[doc(hidden)]
-    pub fn debug_max_bank_ready_ns(&self) -> f64 {
-        self.banks
-            .iter()
-            .map(|b| b.ready.as_ns())
-            .fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +394,93 @@ mod tests {
         let (_, b0, r0) = g.map(0);
         let (_, b6, r6) = g.map(6 * 64);
         assert_eq!((b0, r0), (b6, r6));
+    }
+
+    #[test]
+    fn validate_rejects_geometries_the_shift_map_cannot_serve() {
+        for g in [DramGeometry::ddr4_knl(), DramGeometry::mcdram_knl()] {
+            g.validate().unwrap();
+        }
+        let base = DramGeometry::ddr4_knl();
+        let bad = [
+            (
+                "channel",
+                DramGeometry {
+                    channels: 0,
+                    ..base
+                },
+            ),
+            (
+                "banks per channel",
+                DramGeometry {
+                    banks_per_channel: 0,
+                    ..base
+                },
+            ),
+            (
+                "banks per channel",
+                DramGeometry {
+                    banks_per_channel: 12,
+                    ..base
+                },
+            ),
+            (
+                "line size",
+                DramGeometry {
+                    line_bytes: 0,
+                    ..base
+                },
+            ),
+            (
+                "line size",
+                DramGeometry {
+                    line_bytes: 48,
+                    ..base
+                },
+            ),
+            (
+                "row size",
+                DramGeometry {
+                    row_bytes: 0,
+                    ..base
+                },
+            ),
+            (
+                "row size",
+                DramGeometry {
+                    row_bytes: 6144,
+                    ..base
+                },
+            ),
+            (
+                "smaller than line",
+                DramGeometry {
+                    row_bytes: 32,
+                    ..base
+                },
+            ),
+        ];
+        for (what, g) in bad {
+            let err = g.validate().expect_err(what);
+            assert!(err.contains(what), "{g:?}: {err}");
+        }
+        // Non-power-of-two channel counts are fine (KNL DDR has 6).
+        DramGeometry {
+            channels: 7,
+            ..base
+        }
+        .validate()
+        .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "bad DRAM geometry")]
+    fn model_rejects_invalid_geometry() {
+        let g = DramGeometry {
+            row_bytes: 32,
+            ..DramGeometry::ddr4_knl()
+        };
+        let _ = DramModel::new(DramTiming::ddr4_2133(), g);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   pre-stall issue time as `now`. Memory-level accesses bump a
 //!   per-page hotness counter.
 //! * **Rebalancing** — when the global tick count reaches a multiple
-//!   of the period, the scheduler sorts pages by decayed hotness
+//!   of the period, the scheduler ranks pages by decayed hotness
 //!   (resident pages win ties — hysteresis), takes the top
 //!   `budget_pages`, and migrates the set difference. Counters then
 //!   halve (exponential decay), so stale phases age out in a few
@@ -33,11 +33,18 @@
 //! sequential, windowed-parallel, and streaming replays bit-identical
 //! under active migration ([`MigrationStats::digest`] pins the exact
 //! `(tick, page, direction)` move sequence across engines).
+//!
+//! The scheduler runs on the replay's merge thread once per access, so
+//! its maps use the multiplicative [`simfabric::hash`] page hasher and
+//! the top-`budget_pages` pick is a selection, not a sort: the ranking
+//! is a strict total order (page number last), so the selected *set*
+//! is unique, and only sets reach the outcome — the moves are sorted
+//! by page before they are applied or digested.
 
 use memdev::MemDeviceSpec;
 use simfabric::stats::Histogram;
-use simfabric::{Duration, SimTime};
-use std::collections::{HashMap, HashSet};
+use simfabric::{Duration, PageMap, PageSet, SimTime};
+use std::cmp::Ordering;
 
 /// Page granularity of the scheduler (KNL small pages).
 pub const PAGE_BYTES: u64 = 4096;
@@ -161,6 +168,13 @@ pub struct MigrationStats {
     pub digest: u64,
 }
 
+/// The rebalance ranking over `(hotness, resident, page)` candidates:
+/// hottest first, resident before non-resident on equal hotness, then
+/// ascending page. Strict and total, because pages are distinct.
+fn rank(a: &(u32, bool, u64), b: &(u32, bool, u64)) -> Ordering {
+    b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2))
+}
+
 fn fnv1a(mut h: u64, x: u64) -> u64 {
     for b in x.to_le_bytes() {
         h ^= b as u64;
@@ -176,13 +190,16 @@ pub struct PageScheduler {
     spec: MigrationSpec,
     cost: MigrationCost,
     /// Decayed per-page hotness counters (absent = zero).
-    hot: HashMap<u64, u32>,
+    hot: PageMap<u32>,
     /// Pages currently resident in MCDRAM (size ≤ budget).
-    resident: HashSet<u64>,
+    resident: PageSet,
     /// Pages still in transit: page → completion floor for accesses.
-    transit: HashMap<u64, SimTime>,
+    transit: PageMap<SimTime>,
     /// Accesses consumed so far.
     ticks: u64,
+    /// Ticks left until the next rebalance (counts down from the
+    /// period, so no tick pays for a division).
+    until_rebalance: u64,
     /// Memory-level accesses in the current sampling window.
     window_mem: u64,
     /// ... of which routed to MCDRAM.
@@ -200,10 +217,11 @@ impl PageScheduler {
         spec.enabled().then(|| PageScheduler {
             spec,
             cost,
-            hot: HashMap::new(),
-            resident: HashSet::new(),
-            transit: HashMap::new(),
+            hot: PageMap::default(),
+            resident: PageSet::default(),
+            transit: PageMap::default(),
             ticks: 0,
+            until_rebalance: spec.period,
             window_mem: 0,
             window_hbm: 0,
             window_hist: Histogram::new(),
@@ -241,22 +259,33 @@ impl PageScheduler {
     /// routed tier. `now` must be the access's pre-stall issue time
     /// (the consuming core's clock at sequencing time), which every
     /// replay engine computes identically.
-    pub fn tick(&mut self, addr: u64, memory_level: bool, now: SimTime) {
+    ///
+    /// Returns the tier a memory-level access routes to — `true` for
+    /// MCDRAM, i.e. [`is_hbm`](Self::is_hbm) after this tick's
+    /// rebalance — so the caller needs no second lookup. Accesses that
+    /// never reach memory route nowhere and return `false`.
+    pub fn tick(&mut self, addr: u64, memory_level: bool, now: SimTime) -> bool {
         self.ticks += 1;
+        let page = page_of(addr);
         if memory_level {
-            *self.hot.entry(page_of(addr)).or_insert(0) += 1;
+            *self.hot.entry(page).or_insert(0) += 1;
         }
-        if self.ticks % self.spec.period == 0 {
+        self.until_rebalance -= 1;
+        if self.until_rebalance == 0 {
+            self.until_rebalance = self.spec.period;
             self.rebalance(now);
         }
-        if memory_level {
-            self.stats.sampled_accesses += 1;
-            self.window_mem += 1;
-            if self.is_hbm(addr) {
-                self.stats.hbm_routed += 1;
-                self.window_hbm += 1;
-            }
+        if !memory_level {
+            return false;
         }
+        self.stats.sampled_accesses += 1;
+        self.window_mem += 1;
+        let hbm = self.resident.contains(&page);
+        if hbm {
+            self.stats.hbm_routed += 1;
+            self.window_hbm += 1;
+        }
+        hbm
     }
 
     /// Promote/demote to the hottest-page target set and charge the
@@ -280,11 +309,15 @@ impl PageScheduler {
             .map(|(&p, &n)| (n, self.resident.contains(&p), p))
             .collect();
         // Hottest first; resident pages win ties (hysteresis keeps the
-        // budget from churning on equal counts); page index last so
-        // hash-map iteration order never reaches the outcome.
-        cand.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
-        cand.truncate(self.spec.budget_pages as usize);
-        let target: HashSet<u64> = cand.iter().map(|&(_, _, p)| p).collect();
+        // budget from churning on equal counts); page index last, so
+        // the order is total and the top `budget` form a unique set
+        // whatever the hash-map iteration order.
+        let budget = self.spec.budget_pages as usize;
+        if cand.len() > budget {
+            cand.select_nth_unstable_by(budget - 1, rank);
+            cand.truncate(budget);
+        }
+        let target: PageSet = cand.iter().map(|&(_, _, p)| p).collect();
         let mut promoted: Vec<u64> = target.difference(&self.resident).copied().collect();
         let mut demoted: Vec<u64> = self.resident.difference(&target).copied().collect();
         promoted.sort_unstable();

@@ -17,6 +17,8 @@
 //!   [`env`],
 //! * a sharded, byte-bounded concurrent LRU ([`ShardedLru`]) in
 //!   [`cache`],
+//! * a multiplicative hasher for page-number keys ([`PageMap`],
+//!   [`PageSet`]) in [`hash`],
 //! * shared error types ([`SimError`]).
 //!
 //! # Determinism
@@ -49,6 +51,7 @@ pub mod cache;
 pub mod env;
 pub mod error;
 pub mod event;
+pub mod hash;
 pub mod merge;
 pub mod par;
 pub mod prng;
@@ -61,6 +64,7 @@ pub mod units;
 pub use cache::{ShardedCacheStats, ShardedLru};
 pub use error::SimError;
 pub use event::{EventQueue, Simulator};
+pub use hash::{PageHasher, PageMap, PageSet};
 pub use merge::LoserTree;
 pub use prng::Rng;
 pub use rng::RngPool;

@@ -39,8 +39,12 @@ pub struct LoserTree<K> {
     /// indices `>= n` are virtual always-losing slots padding to a
     /// power of two.
     node: Vec<usize>,
-    /// Per-slot keys; `None` means closed (never selected).
+    /// Per-slot keys; `None` means closed (never selected). Padded
+    /// with `None` to `m` entries, so every slot index a node can hold
+    /// indexes directly.
     keys: Vec<Option<K>>,
+    /// Slot count `n` (the padding is not a slot).
+    slots: usize,
     /// Open-slot count.
     open: usize,
 }
@@ -61,14 +65,15 @@ impl<K: Ord> LoserTree<K> {
         LoserTree {
             m,
             node,
-            keys: (0..n).map(|_| None).collect(),
+            keys: (0..m).map(|_| None).collect(),
+            slots: n,
             open: 0,
         }
     }
 
     /// Number of slots (open or closed).
     pub fn slots(&self) -> usize {
-        self.keys.len()
+        self.slots
     }
 
     /// Number of open slots.
@@ -83,12 +88,13 @@ impl<K: Ord> LoserTree<K> {
 
     /// The key currently assigned to `slot` (`None` when closed).
     pub fn key(&self, slot: usize) -> Option<&K> {
-        self.keys[slot].as_ref()
+        self.keys[..self.slots][slot].as_ref()
     }
 
     /// Open `slot` with `key`, or update its key if already open, and
     /// replay its matches to the root. O(log n).
     pub fn set(&mut self, slot: usize, key: K) {
+        assert!(slot < self.slots, "slot {slot} out of {}", self.slots);
         if self.keys[slot].is_none() {
             self.open += 1;
         }
@@ -98,6 +104,7 @@ impl<K: Ord> LoserTree<K> {
 
     /// Close `slot` (it no longer participates in selection). O(log n).
     pub fn close(&mut self, slot: usize) {
+        assert!(slot < self.slots, "slot {slot} out of {}", self.slots);
         if self.keys[slot].take().is_some() {
             self.open -= 1;
         }
@@ -108,7 +115,7 @@ impl<K: Ord> LoserTree<K> {
     /// when every slot is closed. O(1).
     pub fn winner(&self) -> Option<usize> {
         let w = self.node[1];
-        self.keys.get(w).and_then(|k| k.as_ref()).map(|_| w)
+        self.keys[w].as_ref().map(|_| w)
     }
 
     /// Recompute the match results on the path from `slot`'s leaf to
@@ -128,9 +135,7 @@ impl<K: Ord> LoserTree<K> {
     /// two closed slots the lower index wins, arbitrarily but
     /// deterministically).
     fn beats(&self, a: usize, b: usize) -> bool {
-        let ka = self.keys.get(a).and_then(|k| k.as_ref());
-        let kb = self.keys.get(b).and_then(|k| k.as_ref());
-        match (ka, kb) {
+        match (&self.keys[a], &self.keys[b]) {
             (Some(ka), Some(kb)) => (ka, a) < (kb, b),
             (Some(_), None) => true,
             (None, Some(_)) => false,

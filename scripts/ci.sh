@@ -18,10 +18,13 @@ TRACESIM_THREADS=1 timeout 1800 cargo test -q --offline
 TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
 
 # The workspace-root `cargo test` covers the root package only. The
-# cache models' unit and reference tests (the fast tag stores and TLB
-# against their naive models, tests/reference_models.rs) and the
-# replay engine's unit tests live in their own crates.
-timeout 900 cargo test -q --offline -p cachesim -p knl
+# per-access models' unit and reference tests live in their own
+# crates: the fast tag stores, TLB and MSHR file (cachesim), the
+# shift-mapped DRAM banks (memdev) and the page scheduler
+# (memkind-sim), each against its naive model in
+# tests/reference_models.rs; the loser tree and page hasher
+# (simfabric); and the replay engine's unit tests (knl).
+timeout 900 cargo test -q --offline -p cachesim -p knl -p memdev -p memkind-sim -p simfabric
 
 # The equivalence suite again at a middle worker count, under the same
 # watchdog: the producer pipe and the classification workers behind it

@@ -17,18 +17,18 @@
 //! volume repeats the same few configurations with cosmetic
 //! variation).
 //!
-//! Backs `repro bench-advisor` (the CI speedup + single-query
-//! overhead gate) and the `advisor_service` section of
-//! `BENCH_trace_replay.json`.
+//! Backs the `advisor` and `advisor-plumbing` rows of `repro gate`
+//! (the CI speedup and single-query overhead gates) and the
+//! `advisor_service` section of `BENCH_trace_replay.json`.
 
-use crate::replay::{OverheadMeasurement, BENCH_SEED};
+use crate::gate::{run_equal_pairs, run_pairs, timed, Paired, Side};
+use crate::replay::BENCH_SEED;
 use hybridmem::json::Json;
 use hybridmem::service::RESULT_CACHE_DEFAULT_BYTES;
 use hybridmem::{answer, canonicalize, AdvisorQuery, AdvisorService};
 use memkind_sim::migrate::PAGE_BYTES;
 use simfabric::{ByteSize, Rng};
 use std::sync::Arc;
-use std::time::Instant;
 use workloads::tracegen::TraceKind;
 
 /// One advisor-bench scenario: how many queries to draw over which
@@ -103,8 +103,8 @@ impl AdvisorBenchConfig {
 }
 
 /// The bundled 200-query scenario for `repro bench-replay` /
-/// `repro bench-advisor`: 12 distinct configurations (3 kinds × 4
-/// budget buckets) behind 200 repeat-heavy queries.
+/// `repro advise-batch --bundled full`: 12 distinct configurations
+/// (3 kinds × 4 budget buckets) behind 200 repeat-heavy queries.
 pub fn standard_advisor_config() -> AdvisorBenchConfig {
     AdvisorBenchConfig {
         queries: 200,
@@ -135,48 +135,18 @@ pub struct AdvisorMeasurement {
     pub config: AdvisorBenchConfig,
     /// Distinct canonical keys the batch folded into.
     pub distinct: usize,
-    /// Best naive-arm wall time (seconds).
-    pub naive_secs: f64,
-    /// Best engine-arm (cold service) wall time (seconds).
-    pub engine_secs: f64,
-    /// naive/engine ratio of each adjacent pair, in run order.
-    pub pair_ratios: Vec<f64>,
+    /// Batch engine on a cold service (A) against the naive loop (B):
+    /// B/A is the speedup of the engine.
+    pub pairs: Paired,
     /// Result-cache hits of an untimed warm re-run of the batch on
     /// the last cold service (distinct keys served without compute).
     pub warm_hits: usize,
-    /// Distinct keys the warm round computed (0 unless the cache
-    /// evicted).
+    /// Distinct keys the warm round computed (asserted 0: the cache
+    /// retains every key).
     pub warm_computed: usize,
 }
 
 impl AdvisorMeasurement {
-    /// Estimated speedup of the engine over the naive loop: the
-    /// median of per-pair ratios (same estimator and drift rationale
-    /// as [`OverheadMeasurement::ratio`]).
-    pub fn speedup(&self) -> f64 {
-        let mut sorted = self.pair_ratios.clone();
-        if sorted.is_empty() {
-            return 1.0;
-        }
-        sorted.sort_by(f64::total_cmp);
-        let mid = sorted.len() / 2;
-        if sorted.len() % 2 == 1 {
-            sorted[mid]
-        } else {
-            (sorted[mid - 1] + sorted[mid]) / 2.0
-        }
-    }
-
-    /// Ratio of best times — the second estimator of the
-    /// two-estimator gate.
-    pub fn best_speedup(&self) -> f64 {
-        if self.engine_secs > 0.0 {
-            self.naive_secs / self.engine_secs
-        } else {
-            1.0
-        }
-    }
-
     /// Warm-round hit rate over distinct keys (1.0 = every repeat
     /// batch is pure cache).
     pub fn warm_hit_rate(&self) -> f64 {
@@ -188,119 +158,101 @@ impl AdvisorMeasurement {
     }
 }
 
-/// Time `iters` back-to-back naive/engine batch pairs (order
-/// alternating pair to pair), asserting the arms pointwise
-/// bit-identical every pair. The engine arm constructs a fresh
-/// service inside the timed region — construction cost is part of
-/// the price. Prefer an even `iters` so both orderings contribute
-/// equally.
+/// Time `iters` alternating engine (A) / naive (B) batch pairs
+/// ([`run_pairs`]), asserting the arms pointwise bit-identical every
+/// pair. The engine arm constructs a fresh service inside the timed
+/// region — construction cost is part of the price.
+///
+/// Every pair also asserts, independent of timer noise, that the
+/// batch deduplicated to at most the configuration pool and that an
+/// untimed warm re-run on the same service is bit-identical and
+/// computes nothing — a result cache that silently stops retaining
+/// fails here on the first attempt.
 pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> AdvisorMeasurement {
     let batch = cfg.batch();
-    let mut naive_best = f64::INFINITY;
-    let mut engine_best = f64::INFINITY;
-    let mut pair_ratios = Vec::new();
     let mut distinct = 0;
     let mut warm_hits = 0;
     let mut warm_computed = 0;
-    for i in 0..iters.max(1) {
-        let mut secs = [0.0f64; 2]; // [naive, engine]
-        let mut naive_out = Vec::new();
-        let mut engine_out = Vec::new();
-        let order = if i % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for engine in order {
-            let t0 = Instant::now();
-            if engine {
-                let service =
-                    AdvisorService::new(RESULT_CACHE_DEFAULT_BYTES, simfabric::par::num_threads());
-                let (answers, stats) = service.advise_batch(&batch);
-                secs[1] = t0.elapsed().as_secs_f64();
+    let pairs = run_pairs(
+        iters,
+        |side| match side {
+            Side::A => {
+                let (secs, (service, (answers, stats))) = timed(|| {
+                    let service = AdvisorService::new(
+                        RESULT_CACHE_DEFAULT_BYTES,
+                        simfabric::par::num_threads(),
+                    );
+                    let batch_out = service.advise_batch(&batch);
+                    (service, batch_out)
+                });
                 distinct = stats.distinct;
-                engine_out = answers;
+                assert!(
+                    distinct <= cfg.pool_size() && stats.computed == distinct,
+                    "cold batch: {distinct} distinct keys over a {}-configuration pool, \
+                     {} computed — dedupe is not folding repeats",
+                    cfg.pool_size(),
+                    stats.computed
+                );
                 // Untimed warm round: same batch, same service — the
                 // cross-batch behavior the report publishes.
                 let (warm, warm_stats) = service.advise_batch(&batch);
                 warm_hits = warm_stats.cache_hits;
                 warm_computed = warm_stats.computed;
-                for (cold, warm) in engine_out.iter().zip(&warm) {
+                assert_eq!(
+                    warm_computed, 0,
+                    "warm round recomputed keys — the result cache is not retaining"
+                );
+                for (cold, warm) in answers.iter().zip(&warm) {
                     assert_eq!(**cold, **warm, "warm round diverged from cold");
                 }
-            } else {
-                naive_out = batch
+                (secs, answers)
+            }
+            Side::B => timed(|| {
+                batch
                     .iter()
                     .map(|q| Arc::new(answer(&canonicalize(q))))
-                    .collect();
-                secs[0] = t0.elapsed().as_secs_f64();
+                    .collect()
+            }),
+        },
+        |engine, naive| {
+            assert_eq!(naive.len(), engine.len());
+            for (i, (n, e)) in naive.iter().zip(&engine).enumerate() {
+                assert_eq!(**n, **e, "engine diverged from naive loop at query {i}");
             }
-        }
-        assert_eq!(naive_out.len(), engine_out.len());
-        for (i, (n, e)) in naive_out.iter().zip(&engine_out).enumerate() {
-            assert_eq!(**n, **e, "engine diverged from naive loop at query {i}");
-        }
-        naive_best = naive_best.min(secs[0]);
-        engine_best = engine_best.min(secs[1]);
-        if secs[1] > 0.0 {
-            pair_ratios.push(secs[0] / secs[1]);
-        }
-    }
+        },
+    );
     AdvisorMeasurement {
         config: cfg.clone(),
         distinct,
-        naive_secs: naive_best,
-        engine_secs: engine_best,
-        pair_ratios,
+        pairs,
         warm_hits,
         warm_computed,
     }
 }
 
 /// Measure what the service *plumbing* costs on the path that cannot
-/// amortize it: `iters` pairs of a direct [`answer`] call against a
-/// single-query [`AdvisorService::advise`] on a zero-capacity service
-/// (retention off, so every call takes the full canonicalize → probe
-/// → compute → distribute path). The pair prices canonicalization,
-/// the cache probe and the batch scaffolding, nothing else.
-pub fn measure_single_query_overhead(
-    cfg: &AdvisorBenchConfig,
-    iters: usize,
-) -> OverheadMeasurement {
+/// amortize it: `iters` alternating pairs of a direct [`answer`] call
+/// (A) against a single-query [`AdvisorService::advise`] (B) on a
+/// zero-capacity service (retention off, so every call takes the full
+/// canonicalize → probe → compute → distribute path), asserting both
+/// give the same advice. The pair prices canonicalization, the cache
+/// probe and the batch scaffolding, nothing else.
+pub fn measure_single_query_overhead(cfg: &AdvisorBenchConfig, iters: usize) -> Paired {
     let query = &cfg.batch()[0];
     let key = canonicalize(query);
     let service = AdvisorService::new(0, 1);
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    let mut pair_ratios = Vec::new();
-    for i in 0..iters.max(1) {
-        let mut pair = [0.0f64; 2]; // [direct, service]
-        let order = if i % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for routed in order {
-            let t0 = Instant::now();
-            let advice = if routed {
-                (*service.advise(query)).clone()
-            } else {
-                answer(&key)
-            };
-            pair[routed as usize] = t0.elapsed().as_secs_f64();
+    run_equal_pairs(
+        iters,
+        |side| {
+            let (secs, advice) = timed(|| match side {
+                Side::A => answer(&key),
+                Side::B => (*service.advise(query)).clone(),
+            });
             assert_eq!(advice.trace, key.spec().label().to_string());
-        }
-        off = off.min(pair[0]);
-        on = on.min(pair[1]);
-        if pair[0] > 0.0 {
-            pair_ratios.push(pair[1] / pair[0]);
-        }
-    }
-    OverheadMeasurement {
-        off_secs: off,
-        on_secs: on,
-        pair_ratios,
-    }
+            (secs, advice)
+        },
+        "the service must answer exactly as a direct call",
+    )
 }
 
 /// Render a measurement as the `advisor_service` section of the
@@ -310,15 +262,15 @@ pub fn advisor_report_section(m: &AdvisorMeasurement) -> Json {
         ("label", Json::Str(m.config.label())),
         ("queries", Json::Num(m.config.queries as f64)),
         ("distinct", Json::Num(m.distinct as f64)),
-        ("naive_secs", Json::Num(m.naive_secs)),
-        ("engine_secs", Json::Num(m.engine_secs)),
-        ("speedup_engine_vs_naive", Json::Num(m.speedup())),
-        ("best_speedup", Json::Num(m.best_speedup())),
+        ("naive_secs", Json::Num(m.pairs.best_secs[1])),
+        ("engine_secs", Json::Num(m.pairs.best_secs[0])),
+        ("speedup_engine_vs_naive", Json::Num(m.pairs.median_ratio())),
+        ("best_speedup", Json::Num(m.pairs.best_ratio())),
         ("warm_hit_rate", Json::Num(m.warm_hit_rate())),
         ("warm_computed", Json::Num(m.warm_computed as f64)),
         (
             "pair_ratios",
-            Json::Arr(m.pair_ratios.iter().map(|&r| Json::Num(r)).collect()),
+            Json::Arr(m.pairs.ratios.iter().map(|&r| Json::Num(r)).collect()),
         ),
     ])
 }
@@ -408,9 +360,9 @@ mod tests {
     fn arms_are_bit_identical_and_measured() {
         let m = measure_advisor(&micro(), 2);
         assert!(m.distinct >= 1 && m.distinct <= 2);
-        assert!(m.naive_secs > 0.0 && m.engine_secs > 0.0);
-        assert_eq!(m.pair_ratios.len(), 2);
-        assert!(m.speedup() > 0.0);
+        assert!(m.pairs.best_secs.iter().all(|&s| s > 0.0));
+        assert_eq!(m.pairs.ratios.len(), 2);
+        assert!(m.pairs.median_ratio() > 0.0);
         assert_eq!(m.warm_hits, m.distinct, "warm round must be pure cache");
         assert_eq!(m.warm_computed, 0);
         assert!((m.warm_hit_rate() - 1.0).abs() < f64::EPSILON);
@@ -429,10 +381,14 @@ mod tests {
     #[test]
     fn single_query_overhead_compares_identical_work() {
         let m = measure_single_query_overhead(&micro(), 2);
-        assert!(m.off_secs > 0.0 && m.on_secs > 0.0);
-        assert_eq!(m.pair_ratios.len(), 2);
+        assert!(m.best_secs.iter().all(|&s| s > 0.0));
+        assert_eq!(m.ratios.len(), 2);
         // Identical compute either way: the plumbing ratio is near 1.
         // Generous bound — a correctness test, not a timing gate.
-        assert!(m.ratio() < 1.5, "plumbing ratio {}", m.ratio());
+        assert!(
+            m.median_ratio() < 1.5,
+            "plumbing ratio {}",
+            m.median_ratio()
+        );
     }
 }

@@ -12,11 +12,10 @@
 //!                        # BENCH_trace_replay.json
 //! repro bench-check <file>
 //!                        # validate a bench-replay JSON report
-//! repro bench-gate [--config LABEL] [--tol F]
-//!                        # time one config and require the parallel
-//!                        # path to be >= (1 - F) x the streaming
-//!                        # path's throughput (default
-//!                        # stream_64x50000 at 5%); exit 1 on failure
+//! repro gate [NAME]      # run the CI bench gates (bench::gate::table),
+//!                        # or one row of it, each up to 3 attempts;
+//!                        # exit 1 when a timing bound misses on every
+//!                        # attempt (structural asserts panic at once)
 //! repro profile [config] [--out PATH] [--metrics PATH]
 //!               [--timeseries PATH]
 //!                        # streaming replay with telemetry on; write a
@@ -60,29 +59,14 @@
 //!                        # >F regression (default 10%); --append adds
 //!                        # an entry derived from the report's own
 //!                        # numbers and writes the file back
-//! repro bench-overhead [--config LABEL] [--iters N] [--tol F]
-//!                        # assert the telemetry-off vs -on streaming
-//!                        # wall-time ratio stays within tolerance
-//! repro sampling-overhead [--config LABEL] [--iters N] [--tol F]
-//!                        # assert the timeseries-sampling-off vs -on
-//!                        # streaming wall-time ratio stays within
-//!                        # tolerance (replay bit-identity asserted)
 //! repro migrate [--golden]
 //!                        # run the Cori-style migration T-sweep
 //!                        # (statics vs migrated, crossover verdict)
-//! repro migrate-overhead [--config LABEL] [--iters N] [--tol F]
-//!                        # assert a disabled migration scheduler adds
-//!                        # no replay overhead vs the static path
 //! repro sweep-reuse [--smoke] [--iters N]
 //!                        # time the classify-once sweep engine against
 //!                        # regenerate-per-point (bit-identity asserted)
 //!                        # and print the speedup + classify-cache
 //!                        # metrics
-//! repro bench-sweep [--smoke] [--iters N] [--tol F] [--min-speedup F]
-//!                        # CI gate: sweep-reuse speedup >= F (default
-//!                        # 1.1) and reuse plumbing overhead with the
-//!                        # cache disabled <= tol (default 2%); exit 1
-//!                        # on failure
 //! repro advise <workload> [--budget-kib K] [--threads T] [--seed S]
 //!              [--period P] [--json]
 //!                        # one placement-advice query through the
@@ -97,11 +81,6 @@
 //!                        # batch asserting bit-identical answers and
 //!                        # a warm cache; --out writes one advice
 //!                        # document per query
-//! repro bench-advisor [--smoke] [--iters N] [--tol F] [--min-speedup F]
-//!                        # CI gate: batch engine >= F x the naive
-//!                        # query loop (default 5) and single-query
-//!                        # plumbing overhead <= tol (default 2%);
-//!                        # exit 1 on failure
 //! repro trace [cores] [per_core] [--metrics PATH]
 //!                        # replay the paper workloads; optionally dump
 //!                        # the merged telemetry registry as JSON
@@ -122,13 +101,11 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// Positional arguments after the subcommand; flags taking a value
 /// consume the following argument.
 fn positionals(args: &[String]) -> Vec<&str> {
-    const VALUE_FLAGS: [&str; 16] = [
+    const VALUE_FLAGS: [&str; 14] = [
         "--out",
         "--metrics",
-        "--config",
         "--iters",
         "--tol",
-        "--min-speedup",
         "--budget-kib",
         "--threads",
         "--seed",
@@ -347,49 +324,6 @@ fn main() {
                 }
             }
         }
-        "bench-overhead" => {
-            // repro bench-overhead [--config LABEL] [--iters N] [--tol F]
-            let label = flag_value(&args, "--config").unwrap_or("stream_64x50000");
-            let cfg = bench::replay::ReplayConfig::parse_label(label).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            let iters: usize = flag_value(&args, "--iters")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(3);
-            let tol: f64 = flag_value(&args, "--tol")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0.02);
-            let m = bench::replay::measure_overhead(&cfg, iters);
-            // Two estimators with different noise modes: the median
-            // of per-pair ratios (robust to outlier runs, but carries
-            // any residual pairing bias) and the ratio of best times
-            // (immune to pairing bias, but one lucky off-run inflates
-            // it). A genuine per-access cost inflates both, so the
-            // gate takes the smaller.
-            let best_ratio = if m.off_secs > 0.0 {
-                m.on_secs / m.off_secs
-            } else {
-                1.0
-            };
-            let ratio = m.ratio().min(best_ratio);
-            println!(
-                "{label}: telemetry off {:.4} s, on {:.4} s over {iters} pairs -> median pair ratio {:.4}, best ratio {:.4} (tolerance {:.2}%)",
-                m.off_secs,
-                m.on_secs,
-                m.ratio(),
-                best_ratio,
-                tol * 100.0
-            );
-            if ratio > 1.0 + tol {
-                eprintln!(
-                    "telemetry overhead {:.2}% exceeds {:.2}%",
-                    (ratio - 1.0) * 100.0,
-                    tol * 100.0
-                );
-                std::process::exit(1);
-            }
-        }
         "compare" => {
             let cmp = hybridmem::compare_with_model();
             print!("{}", hybridmem::paper::render_comparison(&cmp));
@@ -509,27 +443,27 @@ fn main() {
                 knl::tracesim::worker_threads()
             );
         }
-        "bench-gate" => {
-            // repro bench-gate [--config LABEL] [--tol F]
-            let label = flag_value(&args, "--config").unwrap_or("stream_64x50000");
-            let cfg = bench::replay::ReplayConfig::parse_label(label).unwrap_or_else(|e| {
-                eprintln!("{e}");
+        "gate" => {
+            // repro gate [NAME]
+            let gates = bench::gate::table();
+            let selected: Vec<_> = match args.get(1) {
+                Some(name) => gates.iter().filter(|g| g.name == name).collect(),
+                None => gates.iter().collect(),
+            };
+            if selected.is_empty() {
+                let names: Vec<_> = gates.iter().map(|g| g.name).collect();
+                eprintln!("unknown gate {:?}; try: {}", args[1], names.join(", "));
                 std::process::exit(2);
-            });
-            let tol: f64 = flag_value(&args, "--tol")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0.05);
-            match bench::replay::gate_parallel_vs_streaming(&cfg, tol) {
-                Ok((parallel, streaming)) => println!(
-                    "{label}: parallel {parallel:.3} Macc/s >= streaming {streaming:.3} Macc/s \
-                     (tolerance {:.0}%, {} worker thread(s))",
-                    tol * 100.0,
-                    knl::tracesim::worker_threads()
-                ),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
+            }
+            let failed: Vec<String> = selected
+                .into_iter()
+                .filter_map(|g| bench::gate::run_gate(g).err())
+                .collect();
+            for e in &failed {
+                eprintln!("{e}");
+            }
+            if !failed.is_empty() {
+                std::process::exit(1);
             }
         }
         "bench-check" => {
@@ -574,46 +508,6 @@ fn main() {
                 }
             }
         }
-        "migrate-overhead" => {
-            // repro migrate-overhead [--config LABEL] [--iters N] [--tol F]
-            let label = flag_value(&args, "--config").unwrap_or("stream_16x12500");
-            let cfg = bench::replay::ReplayConfig::parse_label(label).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            let iters: usize = flag_value(&args, "--iters")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(3);
-            let tol: f64 = flag_value(&args, "--tol")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0.02);
-            let m = bench::replay::measure_migration_overhead(&cfg, iters);
-            // Same two-estimator gate as bench-overhead: a genuine
-            // per-access routing cost inflates both the median pair
-            // ratio and the best-times ratio; take the smaller.
-            let best_ratio = if m.off_secs > 0.0 {
-                m.on_secs / m.off_secs
-            } else {
-                1.0
-            };
-            let ratio = m.ratio().min(best_ratio);
-            println!(
-                "{label}: migration-off {:.4} s, disabled-scheduler {:.4} s over {iters} pairs -> median pair ratio {:.4}, best ratio {:.4} (tolerance {:.2}%)",
-                m.off_secs,
-                m.on_secs,
-                m.ratio(),
-                best_ratio,
-                tol * 100.0
-            );
-            if ratio > 1.0 + tol {
-                eprintln!(
-                    "migration-off overhead {:.2}% exceeds {:.2}%",
-                    (ratio - 1.0) * 100.0,
-                    tol * 100.0
-                );
-                std::process::exit(1);
-            }
-        }
         "sweep-reuse" => {
             // repro sweep-reuse [--smoke] [--iters N]
             let smoke = args.iter().any(|a| a == "--smoke");
@@ -653,76 +547,15 @@ fn main() {
                     println!("{name}: {v:?}");
                 }
             }
-            let m = bench::sweep::measure_sweep(&cfg, iters);
+            let m = bench::sweep::measure_sweep(&cfg, iters).pairs;
             println!(
                 "regenerate-per-point best {:.4} s, classify-once best {:.4} s over {iters} pairs \
                  -> speedup median pair {:.2}x, best {:.2}x (arms asserted bit-identical)",
-                m.regen_secs,
-                m.reuse_secs,
-                m.speedup(),
-                m.best_speedup()
+                m.best_secs[1],
+                m.best_secs[0],
+                m.median_ratio(),
+                m.best_ratio()
             );
-        }
-        "bench-sweep" => {
-            // repro bench-sweep [--smoke] [--iters N] [--tol F] [--min-speedup F]
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let iters: usize = flag_value(&args, "--iters")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(3);
-            let tol: f64 = flag_value(&args, "--tol")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0.02);
-            let min_speedup: f64 = flag_value(&args, "--min-speedup")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(1.1);
-            let cfg = if smoke {
-                bench::sweep::smoke_sweep_config()
-            } else {
-                bench::sweep::standard_sweep_config()
-            };
-            let label = cfg.label();
-            let m = bench::sweep::measure_sweep(&cfg, iters);
-            // Two estimators, mirroring bench-overhead but inverted:
-            // a genuine speedup inflates both the median pair ratio
-            // and the best-times ratio, while one noisy run only moves
-            // one of them — so the floor gates on the larger.
-            let speedup = m.speedup().max(m.best_speedup());
-            println!(
-                "{label}: regenerate {:.4} s, reuse {:.4} s over {iters} pairs -> \
-                 median pair {:.2}x, best {:.2}x (floor {min_speedup:.2}x)",
-                m.regen_secs,
-                m.reuse_secs,
-                m.speedup(),
-                m.best_speedup()
-            );
-            if speedup < min_speedup {
-                eprintln!("sweep-reuse speedup {speedup:.2}x below the {min_speedup:.2}x floor");
-                std::process::exit(1);
-            }
-            let o = bench::sweep::measure_sweep_overhead(&cfg, iters);
-            let best_ratio = if o.off_secs > 0.0 {
-                o.on_secs / o.off_secs
-            } else {
-                1.0
-            };
-            let ratio = o.ratio().min(best_ratio);
-            println!(
-                "{label}: reuse-off plumbing — direct {:.4} s, engine-routed {:.4} s -> \
-                 median pair ratio {:.4}, best ratio {:.4} (tolerance {:.2}%)",
-                o.off_secs,
-                o.on_secs,
-                o.ratio(),
-                best_ratio,
-                tol * 100.0
-            );
-            if ratio > 1.0 + tol {
-                eprintln!(
-                    "reuse-disabled plumbing overhead {:.2}% exceeds {:.2}%",
-                    (ratio - 1.0) * 100.0,
-                    tol * 100.0
-                );
-                std::process::exit(1);
-            }
         }
         "advise" => {
             // repro advise <workload> [--budget-kib K] [--threads T]
@@ -891,68 +724,6 @@ fn main() {
                     .collect();
                 std::fs::write(out, lines.join("\n") + "\n").expect("write advice batch");
                 println!("wrote {out} ({} advice documents)", lines.len());
-            }
-        }
-        "bench-advisor" => {
-            // repro bench-advisor [--smoke] [--iters N] [--tol F] [--min-speedup F]
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let iters: usize = flag_value(&args, "--iters")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(3);
-            let tol: f64 = flag_value(&args, "--tol")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0.02);
-            let min_speedup: f64 = flag_value(&args, "--min-speedup")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(5.0);
-            let cfg = if smoke {
-                bench::advisor::smoke_advisor_config()
-            } else {
-                bench::advisor::standard_advisor_config()
-            };
-            let label = cfg.label();
-            let m = bench::advisor::measure_advisor(&cfg, iters);
-            // Same inverted two-estimator floor as bench-sweep: a
-            // genuine speedup inflates both estimators, one noisy run
-            // only moves one — gate on the larger.
-            let speedup = m.speedup().max(m.best_speedup());
-            println!(
-                "{label}: naive loop {:.4} s, batch engine {:.4} s over {iters} pairs -> \
-                 median pair {:.2}x, best {:.2}x (floor {min_speedup:.2}x; {} distinct, warm hit rate {:.2})",
-                m.naive_secs,
-                m.engine_secs,
-                m.speedup(),
-                m.best_speedup(),
-                m.distinct,
-                m.warm_hit_rate()
-            );
-            if speedup < min_speedup {
-                eprintln!("advisor batch speedup {speedup:.2}x below the {min_speedup:.2}x floor");
-                std::process::exit(1);
-            }
-            let o = bench::advisor::measure_single_query_overhead(&cfg, iters);
-            let best_ratio = if o.off_secs > 0.0 {
-                o.on_secs / o.off_secs
-            } else {
-                1.0
-            };
-            let ratio = o.ratio().min(best_ratio);
-            println!(
-                "{label}: single-query plumbing — direct {:.4} s, service-routed {:.4} s -> \
-                 median pair ratio {:.4}, best ratio {:.4} (tolerance {:.2}%)",
-                o.off_secs,
-                o.on_secs,
-                o.ratio(),
-                best_ratio,
-                tol * 100.0
-            );
-            if ratio > 1.0 + tol {
-                eprintln!(
-                    "single-query plumbing overhead {:.2}% exceeds {:.2}%",
-                    (ratio - 1.0) * 100.0,
-                    tol * 100.0
-                );
-                std::process::exit(1);
             }
         }
         "report" => {
@@ -1140,46 +911,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "sampling-overhead" => {
-            // repro sampling-overhead [--config LABEL] [--iters N] [--tol F]
-            let label = flag_value(&args, "--config").unwrap_or("stream_64x50000");
-            let cfg = bench::replay::ReplayConfig::parse_label(label).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            let iters: usize = flag_value(&args, "--iters")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(3);
-            let tol: f64 = flag_value(&args, "--tol")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(0.02);
-            let m = bench::replay::measure_sampling_overhead(&cfg, iters);
-            // Same two-estimator gate as bench-overhead: a genuine
-            // per-access sampling cost inflates both the median pair
-            // ratio and the best-times ratio; take the smaller.
-            let best_ratio = if m.off_secs > 0.0 {
-                m.on_secs / m.off_secs
-            } else {
-                1.0
-            };
-            let ratio = m.ratio().min(best_ratio);
-            println!(
-                "{label}: sampling off {:.4} s, on {:.4} s over {iters} pairs -> median pair ratio {:.4}, best ratio {:.4} (tolerance {:.2}%)",
-                m.off_secs,
-                m.on_secs,
-                m.ratio(),
-                best_ratio,
-                tol * 100.0
-            );
-            if ratio > 1.0 + tol {
-                eprintln!(
-                    "sampling overhead {:.2}% exceeds {:.2}%",
-                    (ratio - 1.0) * 100.0,
-                    tol * 100.0
-                );
-                std::process::exit(1);
-            }
-        }
         "decompose" => {
             // repro decompose <GB> [sequential|random] [max_nodes]
             let gb: f64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(140.0);
@@ -1205,7 +936,7 @@ fn main() {
             }
             None => {
                 eprintln!(
-                    "unknown target {id:?}; try: all, validate, latency, trace, compare, sensitivity, export, diff, decompose, migrate, migrate-overhead, bench-replay, bench-check, bench-history, sweep-reuse, bench-sweep, advise, advise-batch, bench-advisor, serve, serve-check, queries, profile, profile-check, report, bench-overhead, sampling-overhead, table1, table2, fig2, fig3, fig4a-e, fig5, fig6a-d, ext-hybrid, ext-interleave, ext-energy, ext-migrate"
+                    "unknown target {id:?}; try: all, validate, latency, trace, compare, sensitivity, export, diff, decompose, migrate, bench-replay, bench-check, bench-history, gate, sweep-reuse, advise, advise-batch, serve, serve-check, queries, profile, profile-check, report, table1, table2, fig2, fig3, fig4a-e, fig5, fig6a-d, ext-hybrid, ext-interleave, ext-energy, ext-migrate"
                 );
                 std::process::exit(2);
             }

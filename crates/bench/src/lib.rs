@@ -5,6 +5,7 @@
 //! table and figure as text/CSV.
 
 pub mod advisor;
+pub mod gate;
 pub mod harness;
 pub mod history;
 pub mod replay;

@@ -11,9 +11,10 @@
 //! report equality as a cheap guard, so a benchmark run can never
 //! silently time a diverged engine.
 
+use crate::gate::{run_equal_pairs, timed, Paired, Side};
 use hybridmem::json::Json;
 use hybridmem::service::parse_workload;
-use knl::tracesim::{worker_threads, TracePlacement, TraceSim};
+use knl::tracesim::{worker_threads, TracePlacement, TraceSim, TraceSimReport};
 use knl::{MachineConfig, MemSetup};
 use simfabric::ByteSize;
 use std::time::Instant;
@@ -147,6 +148,15 @@ pub struct ReplayMeasurement {
 }
 
 impl ReplayMeasurement {
+    /// Wall seconds of the named path ([`run_config`] times all three).
+    pub fn seconds(&self, path: &str) -> f64 {
+        self.paths
+            .iter()
+            .find(|p| p.path == path)
+            .map(|p| p.seconds)
+            .unwrap_or_else(|| panic!("{}: missing path {path:?}", self.config.label()))
+    }
+
     /// Streaming throughput over sequential throughput.
     pub fn streaming_speedup(&self) -> f64 {
         let get = |name| {
@@ -320,49 +330,6 @@ pub fn check_report(report: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Compare the parallel and streaming throughput of a measurement:
-/// `Ok((parallel, streaming))` in Macc/s when parallel is at least
-/// `(1 - tolerance) ×` streaming, `Err` with a diagnostic otherwise.
-/// Split from [`gate_parallel_vs_streaming`] so the decision logic is
-/// testable without a timed run.
-pub fn compare_parallel_vs_streaming(
-    m: &ReplayMeasurement,
-    tolerance: f64,
-) -> Result<(f64, f64), String> {
-    let get = |name: &str| {
-        m.paths
-            .iter()
-            .find(|p| p.path == name)
-            .map(|p| p.macc_per_s)
-            .ok_or_else(|| format!("{}: missing path {name:?}", m.config.label()))
-    };
-    let parallel = get("parallel")?;
-    let streaming = get("streaming")?;
-    if parallel >= streaming * (1.0 - tolerance) {
-        Ok((parallel, streaming))
-    } else {
-        Err(format!(
-            "{}: parallel replay ({parallel:.3} Macc/s) slower than streaming \
-             ({streaming:.3} Macc/s) beyond the {:.0}% tolerance",
-            m.config.label(),
-            tolerance * 100.0,
-        ))
-    }
-}
-
-/// The replay-inversion performance gate: time `cfg` and require the
-/// windowed parallel path to be at least `(1 - tolerance) ×` the
-/// streaming path's throughput. On the acceptance config
-/// (`stream_64x50000`) this is the regression guard for the
-/// parallel-replay inversion fix — parallel used to lose to streaming
-/// on the very traces it was built for.
-pub fn gate_parallel_vs_streaming(
-    cfg: &ReplayConfig,
-    tolerance: f64,
-) -> Result<(f64, f64), String> {
-    compare_parallel_vs_streaming(&run_config(cfg), tolerance)
-}
-
 /// Output of a telemetry-enabled streaming profile run.
 #[derive(Debug, Clone)]
 pub struct ProfileRun {
@@ -441,188 +408,78 @@ pub fn collect_metrics(configs: &[ReplayConfig]) -> Json {
     hybridmem::metrics_to_json(&merged)
 }
 
-/// Paired wall-time measurements of the telemetry-off and
-/// telemetry-on streaming paths of one configuration.
-#[derive(Debug, Clone)]
-pub struct OverheadMeasurement {
-    /// Best telemetry-off wall time (seconds).
-    pub off_secs: f64,
-    /// Best telemetry-on wall time (seconds).
-    pub on_secs: f64,
-    /// on/off ratio of each adjacent off/on pair, in run order.
-    pub pair_ratios: Vec<f64>,
-}
-
-impl OverheadMeasurement {
-    /// Estimated on/off wall-time ratio (1.0 = telemetry is free):
-    /// the **median of per-pair ratios**. Each pair runs back-to-back
-    /// and so shares the machine's momentary state (frequency step,
-    /// cache residency, co-tenant load); cross-run estimators like
-    /// min-of-N compare an off run against an on run from *different*
-    /// states and report that difference as overhead. Within a pair
-    /// the *second* run is measurably slower on a drifting host
-    /// whatever it measures, so [`measure_overhead`] alternates which
-    /// side goes first and the bias cancels across the median.
-    pub fn ratio(&self) -> f64 {
-        let mut sorted = self.pair_ratios.clone();
-        if sorted.is_empty() {
-            return 1.0;
-        }
-        sorted.sort_by(f64::total_cmp);
-        let mid = sorted.len() / 2;
-        if sorted.len() % 2 == 1 {
-            sorted[mid]
-        } else {
-            (sorted[mid - 1] + sorted[mid]) / 2.0
-        }
-    }
+/// Replay `cfg` on the streaming path from a fresh source, timing the
+/// replay alone (the simulator is built outside the timer).
+fn timed_streaming(cfg: &ReplayConfig, sim: &mut TraceSim) -> (f64, TraceSimReport) {
+    let mut source = cfg
+        .kind
+        .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
+    timed(|| replay_streaming(sim, source.as_mut()))
 }
 
 /// Measure telemetry overhead on `cfg`'s streaming path: `iters`
-/// back-to-back off/on run pairs (order alternating pair to pair),
-/// yielding the per-pair ratios behind
-/// [`OverheadMeasurement::ratio`]. Prefer an even `iters` so both
-/// orderings contribute equally.
-pub fn measure_overhead(cfg: &ReplayConfig, iters: usize) -> OverheadMeasurement {
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    let mut pair_ratios = Vec::new();
-    for i in 0..iters.max(1) {
-        let mut pair = [0.0f64; 2];
-        let order = if i % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for telemetry in order {
+/// alternating telemetry-off (A) / telemetry-on (B) pairs
+/// ([`run_pairs`](crate::gate::run_pairs)), asserting each pair's
+/// reports bit-identical — telemetry is observation, never simulation.
+pub fn measure_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
+    run_equal_pairs(
+        iters,
+        |side| {
             let mut sim = cfg.sim();
-            if telemetry {
+            if side == Side::B {
                 sim.enable_telemetry();
             }
-            let mut source = cfg
-                .kind
-                .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
-            let t0 = Instant::now();
-            let _ = replay_streaming(&mut sim, source.as_mut());
-            pair[telemetry as usize] = t0.elapsed().as_secs_f64();
-        }
-        off = off.min(pair[0]);
-        on = on.min(pair[1]);
-        if pair[0] > 0.0 {
-            pair_ratios.push(pair[1] / pair[0]);
-        }
-    }
-    OverheadMeasurement {
-        off_secs: off,
-        on_secs: on,
-        pair_ratios,
-    }
+            timed_streaming(cfg, &mut sim)
+        },
+        "telemetry must replay bit-identically to uninstrumented",
+    )
 }
 
 /// Measure the cost the migration plumbing adds to a *static* replay:
-/// `iters` back-to-back pairs of an all-DDR run against a
-/// `Migrated { period: 0 }` run — a disabled spec, so no scheduler is
-/// built and routing must cost exactly one extra `Option` branch.
-/// Alternates pair order like [`measure_overhead`] and additionally
-/// asserts the two runs produce bit-identical reports (a disabled
+/// `iters` alternating pairs of an all-DDR run (A) against a
+/// `Migrated { period: 0 }` run (B) — a disabled spec, so no scheduler
+/// is built and routing must cost exactly one extra `Option` branch.
+/// Asserts both, and that the pair replays bit-identically (a disabled
 /// scheduler degenerates to the static placement).
-pub fn measure_migration_overhead(cfg: &ReplayConfig, iters: usize) -> OverheadMeasurement {
+pub fn measure_migration_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
     let mcfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
     let disabled = TracePlacement::Migrated(memkind_sim::MigrationSpec::new(0, 0));
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    let mut pair_ratios = Vec::new();
-    for i in 0..iters.max(1) {
-        let mut pair = [0.0f64; 2];
-        let mut reports = [None, None];
-        let order = if i % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for migrated in order {
-            let placement = if migrated {
-                disabled
-            } else {
-                TracePlacement::AllDdr
+    run_equal_pairs(
+        iters,
+        |side| {
+            let placement = match side {
+                Side::A => TracePlacement::AllDdr,
+                Side::B => disabled,
             };
             let mut sim = TraceSim::new(&mcfg, cfg.cores, placement, ByteSize::mib(8));
-            let mut source = cfg
-                .kind
-                .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
-            let t0 = Instant::now();
-            let report = replay_streaming(&mut sim, source.as_mut());
-            pair[migrated as usize] = t0.elapsed().as_secs_f64();
+            let run = timed_streaming(cfg, &mut sim);
             assert!(
                 sim.migration_stats().is_none(),
                 "a period-0 spec must not build a scheduler"
             );
-            reports[migrated as usize] = Some(report);
-        }
-        assert_eq!(
-            reports[0], reports[1],
-            "disabled migration must replay bit-identically to AllDdr"
-        );
-        off = off.min(pair[0]);
-        on = on.min(pair[1]);
-        if pair[0] > 0.0 {
-            pair_ratios.push(pair[1] / pair[0]);
-        }
-    }
-    OverheadMeasurement {
-        off_secs: off,
-        on_secs: on,
-        pair_ratios,
-    }
+            run
+        },
+        "disabled migration must replay bit-identically to AllDdr",
+    )
 }
 
 /// Measure what the time-series sampler costs a streaming replay:
-/// `iters` back-to-back sampling-off/sampling-on pairs (order
-/// alternating, per-pair ratios, exactly the
-/// [`measure_overhead`] protocol), additionally asserting the two
-/// runs of every pair produce bit-identical replay reports — sampling
-/// is observation, never simulation.
-pub fn measure_sampling_overhead(cfg: &ReplayConfig, iters: usize) -> OverheadMeasurement {
+/// `iters` alternating sampling-off (A) / sampling-on (B) pairs,
+/// asserting each pair's reports bit-identical — sampling is
+/// observation, never simulation.
+pub fn measure_sampling_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
     let interval = profile_timeseries_interval(cfg);
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    let mut pair_ratios = Vec::new();
-    for i in 0..iters.max(1) {
-        let mut pair = [0.0f64; 2];
-        let mut reports = [None, None];
-        let order = if i % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for sampling in order {
+    run_equal_pairs(
+        iters,
+        |side| {
             let mut sim = cfg.sim();
-            if sampling {
+            if side == Side::B {
                 sim.enable_timeseries(interval, PROFILE_TIMESERIES_CAPACITY);
             }
-            let mut source = cfg
-                .kind
-                .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
-            let t0 = Instant::now();
-            let report = replay_streaming(&mut sim, source.as_mut());
-            pair[sampling as usize] = t0.elapsed().as_secs_f64();
-            reports[sampling as usize] = Some(report);
-        }
-        assert_eq!(
-            reports[0], reports[1],
-            "sampling must replay bit-identically to unsampled"
-        );
-        off = off.min(pair[0]);
-        on = on.min(pair[1]);
-        if pair[0] > 0.0 {
-            pair_ratios.push(pair[1] / pair[0]);
-        }
-    }
-    OverheadMeasurement {
-        off_secs: off,
-        on_secs: on,
-        pair_ratios,
-    }
+            timed_streaming(cfg, &mut sim)
+        },
+        "sampling must replay bit-identically to unsampled",
+    )
 }
 
 #[cfg(test)]
@@ -777,8 +634,8 @@ mod tests {
             accesses_per_core: 400,
         };
         let m = simfabric::par::with_threads(2, || measure_sampling_overhead(&cfg, 2));
-        assert_eq!(m.pair_ratios.len(), 2);
-        assert!(m.ratio().is_finite() && m.ratio() > 0.0);
+        assert_eq!(m.ratios.len(), 2);
+        assert!(m.median_ratio().is_finite() && m.median_ratio() > 0.0);
     }
 
     #[test]
@@ -808,52 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_vs_streaming_gate_logic() {
-        let cfg = ReplayConfig {
-            kind: TraceKind::Stream,
-            cores: 4,
-            accesses_per_core: 100,
-        };
-        let mk = |parallel: f64, streaming: f64| ReplayMeasurement {
-            config: cfg,
-            accesses: 400,
-            paths: vec![
-                PathMeasurement {
-                    path: "sequential",
-                    seconds: 1.0,
-                    macc_per_s: 1.0,
-                    peak_buffer_bytes: 0,
-                },
-                PathMeasurement {
-                    path: "parallel",
-                    seconds: 1.0,
-                    macc_per_s: parallel,
-                    peak_buffer_bytes: 0,
-                },
-                PathMeasurement {
-                    path: "streaming",
-                    seconds: 1.0,
-                    macc_per_s: streaming,
-                    peak_buffer_bytes: 0,
-                },
-            ],
-        };
-        assert_eq!(
-            compare_parallel_vs_streaming(&mk(2.0, 1.0), 0.0),
-            Ok((2.0, 1.0))
-        );
-        // Within tolerance: 0.95 vs 1.0 at 10%.
-        assert!(compare_parallel_vs_streaming(&mk(0.95, 1.0), 0.10).is_ok());
-        // Beyond tolerance.
-        let err = compare_parallel_vs_streaming(&mk(0.5, 1.0), 0.10).unwrap_err();
-        assert!(err.contains("slower than streaming"), "{err}");
-        // Missing path is an error, not a pass.
-        let mut missing = mk(1.0, 1.0);
-        missing.paths.retain(|p| p.path != "parallel");
-        assert!(compare_parallel_vs_streaming(&missing, 0.0).is_err());
-    }
-
-    #[test]
     fn overhead_measurement_produces_finite_ratio() {
         let cfg = ReplayConfig {
             kind: TraceKind::Stream,
@@ -861,27 +672,8 @@ mod tests {
             accesses_per_core: 200,
         };
         let m = simfabric::par::with_threads(2, || measure_overhead(&cfg, 2));
-        assert!(m.off_secs.is_finite() && m.on_secs.is_finite());
-        assert_eq!(m.pair_ratios.len(), 2);
-        assert!(m.ratio() > 0.0 && m.ratio().is_finite());
-        // Median of per-pair ratios, odd and even counts.
-        let odd = OverheadMeasurement {
-            off_secs: 1.0,
-            on_secs: 1.0,
-            pair_ratios: vec![5.0, 1.0, 1.02],
-        };
-        assert_eq!(odd.ratio(), 1.02);
-        let even = OverheadMeasurement {
-            off_secs: 1.0,
-            on_secs: 1.0,
-            pair_ratios: vec![1.04, 1.0, 9.0, 1.02],
-        };
-        assert!((even.ratio() - 1.03).abs() < 1e-12);
-        let empty = OverheadMeasurement {
-            off_secs: 1.0,
-            on_secs: 1.0,
-            pair_ratios: vec![],
-        };
-        assert_eq!(empty.ratio(), 1.0);
+        assert!(m.best_secs.iter().all(|s| s.is_finite()));
+        assert_eq!(m.ratios.len(), 2);
+        assert!(m.median_ratio() > 0.0 && m.median_ratio().is_finite());
     }
 }

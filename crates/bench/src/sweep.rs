@@ -16,11 +16,12 @@
 //! bench prices an end-to-end cold sweep, and timing a prior run's
 //! cached work would flatter the reuse arm.
 //!
-//! Backs `repro sweep-reuse` (report), `repro bench-sweep` (the CI
-//! speedup + overhead gate) and the `sweep_reuse` section of
+//! Backs `repro sweep-reuse` (report), the `sweep-reuse` row of
+//! `repro gate` (the CI speedup gate) and the `sweep_reuse` section of
 //! `BENCH_trace_replay.json`.
 
-use crate::replay::{OverheadMeasurement, BENCH_SEED};
+use crate::gate::{run_pairs, timed, Paired, Side};
+use crate::replay::BENCH_SEED;
 use hybridmem::json::Json;
 use hybridmem::TraceSpec;
 use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
@@ -29,7 +30,6 @@ use memkind_sim::migrate::{MigrationStats, PAGE_BYTES};
 use memkind_sim::MigrationSpec;
 use simfabric::ByteSize;
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 use workloads::tracegen::{classify_streaming, replay_streaming, TraceKind};
 
 /// One sweep-bench scenario: a trace crossed with the standard sweep
@@ -224,50 +224,14 @@ pub struct SweepMeasurement {
     pub accesses: u64,
     /// Sweep points per arm.
     pub points: usize,
-    /// Best reuse-arm wall time (seconds).
-    pub reuse_secs: f64,
-    /// Best regenerate-arm wall time (seconds).
-    pub regen_secs: f64,
-    /// regen/reuse ratio of each adjacent pair, in run order.
-    pub pair_ratios: Vec<f64>,
+    /// Reuse (A) against regenerate-per-point (B): B/A is the speedup
+    /// of reuse.
+    pub pairs: Paired,
 }
 
-impl SweepMeasurement {
-    /// Estimated speedup of reuse over regeneration: the median of
-    /// per-pair ratios (same estimator and same drift rationale as
-    /// [`OverheadMeasurement::ratio`]).
-    pub fn speedup(&self) -> f64 {
-        let mut sorted = self.pair_ratios.clone();
-        if sorted.is_empty() {
-            return 1.0;
-        }
-        sorted.sort_by(f64::total_cmp);
-        let mid = sorted.len() / 2;
-        if sorted.len() % 2 == 1 {
-            sorted[mid]
-        } else {
-            (sorted[mid - 1] + sorted[mid]) / 2.0
-        }
-    }
-
-    /// Ratio of best times — the second estimator of the two-estimator
-    /// gate (immune to pairing bias, inflatable by one lucky regen
-    /// run; a genuine speedup inflates both, so gates take the
-    /// larger-is-better minimum... here the *smaller* of the two).
-    pub fn best_speedup(&self) -> f64 {
-        if self.reuse_secs > 0.0 {
-            self.regen_secs / self.reuse_secs
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Time `iters` back-to-back regen/reuse sweep pairs (order
-/// alternating pair to pair, as in
-/// [`measure_overhead`](crate::replay::measure_overhead)), asserting
-/// the arms pointwise bit-identical every pair. Prefer an even
-/// `iters` so both orderings contribute equally.
+/// Time `iters` alternating reuse (A) / regenerate (B) sweep pairs
+/// ([`run_pairs`]), asserting the arms pointwise bit-identical every
+/// pair.
 ///
 /// Every pair also asserts the work each arm did, independent of
 /// timer noise: the reuse arm classifies once per distinct
@@ -275,9 +239,6 @@ impl SweepMeasurement {
 /// per point. Classification creeping back into the reuse arm's
 /// per-point loop fails here on every attempt.
 pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> SweepMeasurement {
-    let mut reuse_best = f64::INFINITY;
-    let mut regen_best = f64::INFINITY;
-    let mut pair_ratios = Vec::new();
     let mut accesses = 0;
     let points = cfg.points().len();
     let signatures: HashSet<String> = cfg
@@ -285,121 +246,41 @@ pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> SweepMeasurement {
         .iter()
         .map(|p| classify_signature(&MachineConfig::knl7210(p.setup, 64), p.msc))
         .collect();
-    for i in 0..iters.max(1) {
-        let mut secs = [0.0f64; 2]; // [regen, reuse]
-        let mut outcomes: [Option<(Vec<PointOutcome>, usize)>; 2] = [None, None];
-        let order = if i % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for reuse in order {
-            let t0 = Instant::now();
-            let out = if reuse {
-                run_reuse(cfg)
-            } else {
-                run_regen(cfg)
-            };
-            secs[reuse as usize] = t0.elapsed().as_secs_f64();
-            outcomes[reuse as usize] = Some(out);
-        }
-        let ((regen, regen_passes), (reuse, reuse_passes)) =
-            (outcomes[0].take().unwrap(), outcomes[1].take().unwrap());
-        assert_eq!(
-            reuse_passes,
-            signatures.len(),
-            "reuse arm classified {reuse_passes} times for {} classify signatures",
-            signatures.len()
-        );
-        assert_eq!(
-            regen_passes, points,
-            "regenerate arm classified {regen_passes} times for {points} points"
-        );
-        assert_outcomes_match(&reuse, &regen);
-        accesses = reuse[0].report.accesses;
-        regen_best = regen_best.min(secs[0]);
-        reuse_best = reuse_best.min(secs[1]);
-        if secs[1] > 0.0 {
-            pair_ratios.push(secs[0] / secs[1]);
-        }
-    }
+    let pairs = run_pairs(
+        iters,
+        |side| {
+            timed(|| match side {
+                Side::A => run_reuse(cfg),
+                Side::B => run_regen(cfg),
+            })
+        },
+        |(reuse, reuse_passes), (regen, regen_passes)| {
+            assert_eq!(
+                reuse_passes,
+                signatures.len(),
+                "reuse arm classified {reuse_passes} times for {} classify signatures",
+                signatures.len()
+            );
+            assert_eq!(
+                regen_passes, points,
+                "regenerate arm classified {regen_passes} times for {points} points"
+            );
+            assert_outcomes_match(&reuse, &regen);
+            accesses = reuse[0].report.accesses;
+        },
+    );
     SweepMeasurement {
         config: cfg.clone(),
         accesses,
         points,
-        reuse_secs: reuse_best,
-        regen_secs: regen_best,
-        pair_ratios,
-    }
-}
-
-/// Measure what the reuse *plumbing* costs when the cache contributes
-/// nothing: `iters` pairs of the direct regenerate loop against the
-/// [`TraceSpec`]-routed sweep with `SWEEP_REUSE=0` — with reuse off,
-/// [`hybridmem::replay_into`] is exactly `replay_streaming` from a
-/// fresh source, so the pair prices the spec indirection, the env
-/// check and the signature assert, nothing else. Restores the prior
-/// `SWEEP_REUSE` value before returning.
-pub fn measure_sweep_overhead(cfg: &SweepBenchConfig, iters: usize) -> OverheadMeasurement {
-    let prev = std::env::var("SWEEP_REUSE").ok();
-    std::env::set_var("SWEEP_REUSE", "0");
-    let spec = cfg.spec();
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    let mut pair_ratios = Vec::new();
-    for i in 0..iters.max(1) {
-        let mut pair = [0.0f64; 2];
-        let mut outcomes: [Option<Vec<PointOutcome>>; 2] = [None, None];
-        let order = if i % 2 == 0 {
-            [false, true]
-        } else {
-            [true, false]
-        };
-        for routed in order {
-            let t0 = Instant::now();
-            let out = if routed {
-                cfg.points()
-                    .iter()
-                    .map(|point| {
-                        let mcfg = MachineConfig::knl7210(point.setup, 64);
-                        let (sim, report) =
-                            hybridmem::replay_point(&spec, &mcfg, point.placement, point.msc);
-                        PointOutcome {
-                            label: point.label.clone(),
-                            report,
-                            migration: sim.migration_stats(),
-                        }
-                    })
-                    .collect()
-            } else {
-                run_regen(cfg).0
-            };
-            pair[routed as usize] = t0.elapsed().as_secs_f64();
-            outcomes[routed as usize] = Some(out);
-        }
-        let (direct, routed) = (outcomes[0].take().unwrap(), outcomes[1].take().unwrap());
-        assert_outcomes_match(&routed, &direct);
-        off = off.min(pair[0]);
-        on = on.min(pair[1]);
-        if pair[0] > 0.0 {
-            pair_ratios.push(pair[1] / pair[0]);
-        }
-    }
-    match prev {
-        Some(v) => std::env::set_var("SWEEP_REUSE", v),
-        None => std::env::remove_var("SWEEP_REUSE"),
-    }
-    OverheadMeasurement {
-        off_secs: off,
-        on_secs: on,
-        pair_ratios,
+        pairs,
     }
 }
 
 /// Replay the sweep through the production engine — [`TraceSpec`]
-/// routing, the global classify cache, `SWEEP_REUSE` honored — and
-/// return `(label, report, migration stats)` per point. This is the
-/// path `repro sweep-reuse` prints; the `measure_*` arms above bypass
+/// routing and the global classify cache — and return
+/// `(label, report, migration stats)` per point. This is the path
+/// `repro sweep-reuse` prints; the [`measure_sweep`] arms bypass
 /// the global cache on purpose, so this is also what populates the
 /// `replay.classify.*` metrics.
 pub fn run_engine_sweep(
@@ -453,13 +334,13 @@ pub fn sweep_report_section(m: &SweepMeasurement) -> Json {
         ("cores", Json::Num(m.config.cores as f64)),
         ("points", Json::Num(m.points as f64)),
         ("accesses", Json::Num(m.accesses as f64)),
-        ("reuse_secs", Json::Num(m.reuse_secs)),
-        ("regen_secs", Json::Num(m.regen_secs)),
-        ("speedup_reuse_vs_regen", Json::Num(m.speedup())),
-        ("best_speedup", Json::Num(m.best_speedup())),
+        ("reuse_secs", Json::Num(m.pairs.best_secs[0])),
+        ("regen_secs", Json::Num(m.pairs.best_secs[1])),
+        ("speedup_reuse_vs_regen", Json::Num(m.pairs.median_ratio())),
+        ("best_speedup", Json::Num(m.pairs.best_ratio())),
         (
             "pair_ratios",
-            Json::Arr(m.pair_ratios.iter().map(|&r| Json::Num(r)).collect()),
+            Json::Arr(m.pairs.ratios.iter().map(|&r| Json::Num(r)).collect()),
         ),
     ])
 }
@@ -544,9 +425,9 @@ mod tests {
         let m = measure_sweep(&micro(), 2);
         assert_eq!(m.points, 5);
         assert_eq!(m.accesses, 400);
-        assert_eq!(m.pair_ratios.len(), 2);
-        assert!(m.reuse_secs > 0.0 && m.regen_secs > 0.0);
-        assert!(m.speedup() > 0.0);
+        assert_eq!(m.pairs.ratios.len(), 2);
+        assert!(m.pairs.best_secs.iter().all(|&s| s > 0.0));
+        assert!(m.pairs.median_ratio() > 0.0);
     }
 
     #[test]
@@ -557,16 +438,5 @@ mod tests {
         let parsed = hybridmem::json::parse(&section.to_pretty()).expect("parse");
         check_sweep_section(&parsed).expect("parsed section validates");
         assert!(check_sweep_section(&Json::obj([])).is_err());
-    }
-
-    #[test]
-    fn overhead_measurement_compares_identical_work() {
-        let m = measure_sweep_overhead(&micro(), 2);
-        assert!(m.off_secs > 0.0 && m.on_secs > 0.0);
-        assert_eq!(m.pair_ratios.len(), 2);
-        // Identical work either way: the plumbing ratio is near 1,
-        // not near the reuse speedup. Generous bound — this is a
-        // correctness test, not a timing gate.
-        assert!(m.ratio() < 1.5, "plumbing ratio {}", m.ratio());
     }
 }

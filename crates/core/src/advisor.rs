@@ -376,15 +376,13 @@ mod tests {
         let before = stats();
         let second = query(ByteSize::kib(512));
         let after = stats();
-        if crate::sweep::sweep_reuse_enabled() {
-            assert_eq!(
-                after.misses - before.misses,
-                1,
-                "only the resized cache-mode artifact may rebuild"
-            );
-            assert_eq!(after.hits - before.hits, 4, "flat placements must hit");
-        }
-        // Same trace, same DDR baseline either way.
+        assert_eq!(
+            after.misses - before.misses,
+            1,
+            "only the resized cache-mode artifact may rebuild"
+        );
+        assert_eq!(after.hits - before.hits, 4, "flat placements must hit");
+        // Same trace, same DDR baseline for both budgets.
         assert_eq!(
             first.candidates[0].report, second.candidates[0].report,
             "all-DDR is budget-independent"

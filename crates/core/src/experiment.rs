@@ -253,10 +253,9 @@ impl TraceSweep {
     /// per hierarchy config through the global classify cache (all
     /// flat setups share one artifact; cache mode gets its own) and
     /// the timing stage replays the artifact per setup — see
-    /// [`crate::sweep`]; `SWEEP_REUSE=0` restores the old
-    /// regenerate-per-setup streaming path. The replays themselves are
-    /// internally parallel, so points run in sequence rather than
-    /// oversubscribing the worker pool.
+    /// [`crate::sweep`]. The replays themselves are internally
+    /// parallel, so points run in sequence rather than oversubscribing
+    /// the worker pool.
     pub fn run(&self) -> Vec<TraceReplay> {
         self.run_inner(false).0
     }

@@ -49,5 +49,5 @@ pub use service::{
     advice_to_json, answer, canonicalize, check_advice, fold_threads, AdviceSummary, AdvisorQuery,
     AdvisorService, BatchStats, QueryKey, ResultCache,
 };
-pub use sweep::{classified_for, replay_into, replay_point, sweep_reuse_enabled, TraceSpec};
+pub use sweep::{classified_for, replay_into, replay_point, TraceSpec};
 pub use validate::{validate_all, ShapeCheck};

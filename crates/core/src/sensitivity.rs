@@ -305,13 +305,11 @@ mod tests {
             scan_split_boundary_replayed(&spec, &[0, 1 << 20, 1 << 30])
         });
         let after = cache.with_cache(|c| c.stats());
-        if crate::sweep::sweep_reuse_enabled() {
-            assert_eq!(
-                (after.misses, after.hits),
-                (1, 3),
-                "the baseline and all boundaries must share one flat artifact"
-            );
-        }
+        assert_eq!(
+            (after.misses, after.hits),
+            (1, 3),
+            "the baseline and all boundaries must share one flat artifact"
+        );
         assert_eq!(s.points.len(), 3);
         // Boundary 0 routes nothing to HBM: parity with all-DDR.
         assert!((s.points[0].value.unwrap() - 1.0).abs() < 1e-9);

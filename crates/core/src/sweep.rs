@@ -18,17 +18,13 @@
 //!   [`TraceSim::run_classified`](knl::tracesim::TraceSim::run_classified),
 //!   bit-identical to regenerating and re-classifying from scratch
 //!   (`tests/classified_equivalence.rs`).
-//!
-//! Set `SWEEP_REUSE=0` to fall back to the regenerate-per-setup path —
-//! the bench harness uses exactly that switch to price both the
-//! speedup and the reuse plumbing's overhead.
 
 use knl::classified::ClassifyKey;
 use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
 use knl::{classify_signature, with_global_classify_cache, ClassifiedTrace, MachineConfig};
 use simfabric::{ByteSize, MetricsRegistry};
 use std::sync::Arc;
-use workloads::tracegen::{classify_streaming, replay_streaming, TraceKind, TraceSource};
+use workloads::tracegen::{classify_streaming, TraceKind, TraceSource};
 
 /// A named deterministic trace stream: the canonical label (the
 /// generator half of a [`ClassifyKey`]) plus a factory producing fresh
@@ -102,13 +98,6 @@ impl TraceSpec {
     }
 }
 
-/// Whether sweeps replay from classified artifacts (`SWEEP_REUSE`,
-/// default on; `0`/`false` falls back to regenerate-per-setup;
-/// garbage warns once via [`simfabric::env`]).
-pub fn sweep_reuse_enabled() -> bool {
-    simfabric::env::bool_var("SWEEP_REUSE").unwrap_or(true)
-}
-
 /// The classified artifact for `spec` under `cfg`, through the global
 /// [`ClassifyCache`]: built (streamed, never materializing the raw
 /// trace) on first use, shared by every later sweep point whose key
@@ -162,10 +151,7 @@ pub(crate) fn with_private_classify_cache<R>(
 /// Replay `spec` through an existing simulator (so callers can enable
 /// telemetry or tweak knobs first). `cfg`/`msc_capacity` must be the
 /// values the simulator was constructed from — asserted via the
-/// classify signature. Honors [`sweep_reuse_enabled`]: with reuse off
-/// this *is* the old regenerate-per-setup path
-/// ([`replay_streaming`] from a fresh source), so the two modes
-/// price exactly the artifact reuse, nothing else.
+/// classify signature.
 pub fn replay_into(
     sim: &mut TraceSim,
     spec: &TraceSpec,
@@ -177,18 +163,13 @@ pub fn replay_into(
         classify_signature(cfg, msc_capacity),
         "replay_into called with a config the simulator was not built from"
     );
-    if sweep_reuse_enabled() {
-        let ct = classified_for(spec, cfg, msc_capacity);
-        sim.run_classified(&ct)
-    } else {
-        replay_streaming(sim, spec.source().as_mut())
-    }
+    sim.run_classified(&classified_for(spec, cfg, msc_capacity))
 }
 
 /// Replay one sweep point: a fresh simulator for
 /// (`cfg`, `placement`, `msc_capacity`), fed from the classified
-/// artifact (or a fresh stream with reuse disabled). Returns the
-/// simulator too — device/migration stats live on it.
+/// artifact. Returns the simulator too — device/migration stats live
+/// on it.
 pub fn replay_point(
     spec: &TraceSpec,
     cfg: &MachineConfig,
@@ -211,7 +192,7 @@ pub fn classify_metrics() -> MetricsRegistry {
 mod tests {
     use super::*;
     use knl::MemSetup;
-    use workloads::tracegen::collect;
+    use workloads::tracegen::{collect, replay_streaming};
 
     fn spec() -> TraceSpec {
         TraceSpec::from_kind(TraceKind::Stream, 4, 200, 0x5EED)
@@ -241,15 +222,23 @@ mod tests {
 
     #[test]
     fn classified_for_hits_the_global_cache_on_reuse() {
-        // A spec label no other test uses, so the first call misses.
+        // A private cache: sibling tests share the global one, and
+        // their traffic would race the miss count below.
+        let cache = Arc::new(knl::SharedClassifyCache::new(
+            knl::classified::CLASSIFY_CACHE_DEFAULT_BYTES,
+        ));
         let s = TraceSpec::new("sweeptest:stream:4x150:seed=0x51", 4, || {
             TraceKind::Stream.source(4, 150, 0x51)
         });
         let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
-        let before = with_global_classify_cache(|c| c.stats());
-        let a = classified_for(&s, &cfg, ByteSize::mib(8));
-        let b = classified_for(&s, &cfg, ByteSize::mib(8));
-        let after = with_global_classify_cache(|c| c.stats());
+        let before = cache.with_cache(|c| c.stats());
+        let (a, b) = with_private_classify_cache(&cache, || {
+            (
+                classified_for(&s, &cfg, ByteSize::mib(8)),
+                classified_for(&s, &cfg, ByteSize::mib(8)),
+            )
+        });
+        let after = cache.with_cache(|c| c.stats());
         assert!(Arc::ptr_eq(&a, &b), "second lookup must share the artifact");
         assert_eq!(after.misses - before.misses, 1);
         assert!(after.hits > before.hits);
@@ -257,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_point_matches_fresh_replay_in_both_modes() {
+    fn replay_point_matches_fresh_replay() {
         let s = spec();
         let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
         let mut fresh = TraceSim::new(&cfg, 4, TracePlacement::AllDdr, ByteSize::mib(8));

@@ -1,10 +1,10 @@
 //! Warn-once environment-variable parsing.
 //!
 //! Every environment knob (`TRACESIM_THREADS`,
-//! `TRACESIM_CLASSIFY_CACHE_MB`, `ADVISOR_CACHE_MB`, `SWEEP_REUSE`)
-//! parses through here, so none can be silently dropped. A silently
-//! ignored knob is worse than a noisy one — the operator believes the
-//! setting took effect — so this module centralizes the contract:
+//! `TRACESIM_CLASSIFY_CACHE_MB`, `ADVISOR_CACHE_MB`) parses through
+//! here, so none can be silently dropped. A silently ignored knob is
+//! worse than a noisy one — the operator believes the setting took
+//! effect — so this module centralizes the contract:
 //!
 //! * unset ⇒ `None` (the caller's default applies, no noise);
 //! * set and parsable ⇒ `Some(value)` (range policy stays with the
@@ -70,21 +70,6 @@ pub fn usize_var(var: &str) -> Option<usize> {
     parsed(var, "a non-negative integer", parse_usize)
 }
 
-/// Grammar for boolean switches: `1`/`true`/`on`/`yes` and
-/// `0`/`false`/`off`/`no`, case-insensitive, whitespace-trimmed.
-pub fn parse_bool(raw: &str) -> Option<bool> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// A boolean environment variable, warn-once on garbage.
-pub fn bool_var(var: &str) -> Option<bool> {
-    parsed(var, "one of 1/true/on/yes or 0/false/off/no", parse_bool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,19 +82,6 @@ mod tests {
         assert_eq!(parse_usize("eight"), None);
         assert_eq!(parse_usize("-1"), None);
         assert_eq!(parse_usize("3.5"), None);
-    }
-
-    #[test]
-    fn bool_grammar_covers_common_spellings() {
-        for raw in ["1", "true", "ON", " yes "] {
-            assert_eq!(parse_bool(raw), Some(true), "{raw:?}");
-        }
-        for raw in ["0", "false", "Off", "no"] {
-            assert_eq!(parse_bool(raw), Some(false), "{raw:?}");
-        }
-        for raw in ["", "2", "enabled", "tru"] {
-            assert_eq!(parse_bool(raw), None, "{raw:?}");
-        }
     }
 
     #[test]

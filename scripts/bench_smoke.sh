@@ -18,101 +18,12 @@ OUT=target/BENCH_trace_replay_smoke.json
 "$REPRO" bench-replay --smoke --out "$OUT"
 "$REPRO" bench-check "$OUT"
 
-# Telemetry cost gate: the instrumented streaming path must stay
-# within 2 % of the uninstrumented one. The estimator (see `repro
-# bench-overhead`) interleaves off/on run pairs and gates on the
-# smaller of the median pair ratio and the best-time ratio; on top of
-# that, up to three attempts are allowed, because shared-host timer
-# noise at the 2 % scale is larger than the true telemetry cost — a
-# genuine per-access regression (an extra scan, an unconditional
-# allocation) shifts every pair of every attempt and still fails.
-overhead_ok=0
-for _attempt in 1 2 3; do
-    if "$REPRO" bench-overhead --config stream_16x12500 --iters 40 --tol 0.02; then
-        overhead_ok=1
-        break
-    fi
-done
-[[ "$overhead_ok" == 1 ]]
-
-# Replay-inversion gate: the windowed parallel path must be at least
-# 95 % of the streaming path's throughput on the acceptance config.
-# Three attempts for the same shared-host timer-noise reason as above;
-# a genuine inversion (parallel structurally losing to streaming, the
-# regression this PR fixed) fails all three.
-gate_ok=0
-for _attempt in 1 2 3; do
-    if "$REPRO" bench-gate --config stream_64x50000 --tol 0.05; then
-        gate_ok=1
-        break
-    fi
-done
-[[ "$gate_ok" == 1 ]]
-
-# Sweep-reuse gate. The verb asserts, deterministically, that the
-# reuse arm classifies once per distinct classify signature (twice on
-# this sweep) and the regenerate arm once per point, so classification
-# sneaking back into the per-point loop panics on every attempt. Both
-# arms are also asserted pointwise bit-identical — reports and
-# migration move digests. On top of that, reuse must beat
-# regenerate-per-point by >= 1.1x, and the reuse plumbing must stay
-# within 2 % of the direct path when the artifact cache is disabled
-# (SWEEP_REUSE=0). Reuse saves three of the five points'
-# classification passes, so the ratio falls as classification gets
-# cheaper; 12 runs on a 2-vCPU host read 1.19-1.34x, and the floor
-# sits below them. Same three-attempt timer-noise policy as above.
-sweep_ok=0
-for _attempt in 1 2 3; do
-    if "$REPRO" bench-sweep --smoke --iters 6 --min-speedup 1.1 --tol 0.02; then
-        sweep_ok=1
-        break
-    fi
-done
-[[ "$sweep_ok" == 1 ]]
-
-# Advisor-service gate: the batch query engine (canonicalize + dedup +
-# result cache + worker pool) must beat the naive loop-per-query path
-# by >= 5x on the bundled repeat-heavy smoke batch, and its
-# single-query plumbing (measured against a zero-capacity cache, so no
-# hit can mask it) must stay within 2 %. Both arms are asserted
-# pointwise bit-identical inside the verb, so this can only fail on
-# speed, never by timing a diverged engine. Same three-attempt
-# timer-noise policy as above; a genuine regression (dedup or caching
-# silently disabled) fails all three.
-advisor_ok=0
-for _attempt in 1 2 3; do
-    if "$REPRO" bench-advisor --smoke --iters 4 --min-speedup 5 --tol 0.02; then
-        advisor_ok=1
-        break
-    fi
-done
-[[ "$advisor_ok" == 1 ]]
-
-# Migration-off cost gate: carrying the (disabled) migration scheduler
-# hook in the replay hot path must cost nothing — a `Migrated` spec
-# with period 0 builds no scheduler and must replay bit-identically to
-# AllDdr (the verb asserts that) and within 2 % of its throughput.
-# Same two-estimator gate and three-attempt noise policy as above.
-migrate_ok=0
-for _attempt in 1 2 3; do
-    if "$REPRO" migrate-overhead --config stream_16x12500 --iters 40 --tol 0.02; then
-        migrate_ok=1
-        break
-    fi
-done
-[[ "$migrate_ok" == 1 ]]
-
-# Time-series sampling cost gate: the disabled sampler must cost the
-# replay hot paths nothing (one Option branch per access), and the
-# verb asserts every off/on pair replays bit-identically — sampling is
-# observation, never simulation. The acceptance bound is <= 2 % on
-# stream_64x50000; CI gates the same bound on the quicker
-# stream_16x12500 with the usual two-estimator, three-attempt policy.
-sampling_ok=0
-for _attempt in 1 2 3; do
-    if "$REPRO" sampling-overhead --config stream_16x12500 --iters 40 --tol 0.02; then
-        sampling_ok=1
-        break
-    fi
-done
-[[ "$sampling_ok" == 1 ]]
+# Performance gates, one declarative table (`bench::gate::table`):
+# telemetry, migration-off and sampling overhead <= 2 %, parallel >=
+# 0.95x streaming, sweep reuse >= 1.1x, advisor batch >= 5x and its
+# single-query plumbing <= 2 %. Each row's structural asserts
+# (bit-identical arms, classify counts, dedupe, cache retention) panic
+# on the first attempt; only a missed timing bound is retried, up to
+# three attempts, because shared-host timer noise at the 2 % scale is
+# larger than the costs being priced.
+"$REPRO" gate

@@ -23,8 +23,12 @@ TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
 # shift-mapped DRAM banks (memdev) and the page scheduler
 # (memkind-sim), each against its naive model in
 # tests/reference_models.rs; the loser tree and page hasher
-# (simfabric); and the replay engine's unit tests (knl).
-timeout 900 cargo test -q --offline -p cachesim -p knl -p memdev -p memkind-sim -p simfabric
+# (simfabric); the replay engine's unit tests (knl); the sweep,
+# advisor, service and sensitivity unit tests (hybridmem); and the
+# bench harness's paired-run estimator, gate table and report checks
+# (bench).
+timeout 900 cargo test -q --offline -p cachesim -p knl -p memdev -p memkind-sim -p simfabric \
+    -p hybridmem -p bench
 
 # The equivalence suite again at a middle worker count, under the same
 # watchdog: the producer pipe and the classification workers behind it

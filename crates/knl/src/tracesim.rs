@@ -40,10 +40,11 @@
 //!    DRAM bank models) in exactly the earliest-clock order the
 //!    sequential path uses, and never touches a hierarchy. The "core
 //!    with the earliest clock" selection runs on a fixed-size
-//!    tournament tree ([`simfabric::merge::LoserTree`]) keyed on the
-//!    per-core clocks: O(log cores) per access with no allocation. The
-//!    tree's tie-break (equal clocks select the lower core index)
-//!    matches the sequential order exactly.
+//!    winner tree ([`simfabric::merge::LoserTree`]) keyed on the
+//!    per-core clocks in picoseconds: O(log cores) per access, with no
+//!    allocation and no data-dependent branch. The tree's tie-break
+//!    (equal clocks select the lower core index) matches the
+//!    sequential order exactly.
 //!
 //! The producer runs up to the pipe's depth plus one windows ahead, so
 //! a replay costs roughly the slower stage instead of their sum. That
@@ -1408,10 +1409,10 @@ impl TraceSim {
         // The sequential path classifies inside the merge loop, so one
         // span covers both.
         let t_merge = self.telemetry.is_some().then(Instant::now);
-        let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
+        let mut tree = LoserTree::new(cores);
         for (c, q) in queues.iter().enumerate() {
             if !q.is_empty() {
-                tree.set(c, self.core_clock[c]);
+                tree.set(c, self.core_clock[c].as_ps());
             }
         }
         while let Some(c) = tree.winner() {
@@ -1420,7 +1421,7 @@ impl TraceSim {
             if queues[c].is_empty() {
                 tree.close(c);
             } else {
-                tree.set(c, self.core_clock[c]);
+                tree.set(c, self.core_clock[c].as_ps());
             }
         }
         self.end_span(t_merge, "merge", trace.len());
@@ -1596,10 +1597,10 @@ impl TraceSim {
         self.reset_run_stats();
         let window = self.replay_window;
         let mut queues: Vec<ClassifiedSoa> = (0..cores).map(|_| ClassifiedSoa::new()).collect();
-        let mut tree: LoserTree<SimTime> = LoserTree::new(cores);
+        let mut tree = LoserTree::new(cores);
         for c in 0..cores {
             if input.can_feed(c) {
-                tree.set(c, self.core_clock[c]);
+                tree.set(c, self.core_clock[c].as_ps());
             }
         }
         let tel_on = self.telemetry.is_some();
@@ -1629,7 +1630,7 @@ impl TraceSim {
             if queues[c].is_empty() && !input.can_feed(c) {
                 tree.close(c);
             } else {
-                tree.set(c, self.core_clock[c]);
+                tree.set(c, self.core_clock[c].as_ps());
             }
         }
         self.end_merge_span(t_merge, drained);

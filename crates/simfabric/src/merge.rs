@@ -4,24 +4,43 @@
 //! earliest clock?", advance that core, and update its key. A binary
 //! heap answers this with a pop/push pair per access — two O(log k)
 //! sift passes plus branchy slot shuffling. The classic alternative
-//! from external sorting is the *loser tree*: a fixed array of match
-//! results over the k sources where replacing the winner's key costs a
+//! from external sorting is a tournament tree: a fixed array of match
+//! results over the k sources where replacing one source's key costs a
 //! single leaf-to-root replay and selection is O(1).
 //!
-//! [`LoserTree`] implements that structure with one representational
-//! twist: internal nodes cache each match's **winner** rather than its
-//! loser. Winner-caching answers arbitrary single-slot updates (not
-//! just champion replacement) with the same one-path replay, which the
-//! streaming replay path needs when an empty source receives new work
-//! mid-merge. Complexity is identical to the textbook loser tree —
-//! O(log k) per update, zero allocation after construction.
+//! [`LoserTree`] (named for the structure it descends from) is a
+//! *winner* tree: every node caches its match's winner, which answers
+//! arbitrary single-slot updates (not just champion replacement) with
+//! the same one-path replay — the streaming replay path needs that
+//! when an empty source receives new work mid-merge. Each node, leaves
+//! included, is one packed `u128`:
 //!
-//! Ordering contract: the winner is the slot with the smallest
+//! ```text
+//! closed << 127 | key << 32 | slot
+//! ```
+//!
+//! A closed slot (and every padding leaf up to the power-of-two leaf
+//! count) is `1 << 127 | slot`. Plain integer order on that word is
+//! the whole match rule, so a replay level is one compare of the
+//! carried winner against its sibling, done on the two `u64` halves
+//! and resolved with [`std::hint::select_unpredictable`] into
+//! conditional moves. In a merge the popped core rarely stays the
+//! winner, so a branch at each level would mispredict about half the
+//! time.
+//!
+//! Ordering contract: the winner is the open slot with the smallest
 //! `(key, slot index)` pair, so ties break toward the lower slot —
-//! exactly the order `BinaryHeap<Reverse<(K, usize)>>` pops, which
+//! exactly the order `BinaryHeap<Reverse<(u64, usize)>>` pops, which
 //! keeps heap-based and tree-based merges bit-identical.
 
-/// A fixed-size k-way selection tree over `n` slots keyed by `K`.
+use std::hint::select_unpredictable;
+
+/// Top bit of a node: set when the node's slot is closed, so every
+/// open slot compares below every closed one.
+const CLOSED: u128 = 1 << 127;
+
+/// A fixed-size k-way selection winner tree over `n` slots keyed by
+/// `u64`, with packed `(closed, key, slot)` nodes.
 ///
 /// Slots are *closed* (excluded from selection) until [`set`] assigns
 /// them a key; [`close`] excludes them again. [`winner`] returns the
@@ -31,41 +50,37 @@
 /// [`close`]: LoserTree::close
 /// [`winner`]: LoserTree::winner
 #[derive(Debug, Clone)]
-pub struct LoserTree<K> {
+pub struct LoserTree {
     /// Leaf count: `n.next_power_of_two()`, at least 1.
     m: usize,
-    /// Match results; `node[1]` is the root (overall winner),
-    /// `node[m + i]` the leaf for slot `i`. Values are slot indices;
-    /// indices `>= n` are virtual always-losing slots padding to a
-    /// power of two.
-    node: Vec<usize>,
-    /// Per-slot keys; `None` means closed (never selected). Padded
-    /// with `None` to `m` entries, so every slot index a node can hold
-    /// indexes directly.
-    keys: Vec<Option<K>>,
+    /// Packed match results; `node[1]` is the root (overall winner),
+    /// `node[m + i]` the leaf for slot `i`. Leaves past `n` are closed
+    /// padding and never open.
+    node: Vec<u128>,
     /// Slot count `n` (the padding is not a slot).
     slots: usize,
     /// Open-slot count.
     open: usize,
 }
 
-impl<K: Ord> LoserTree<K> {
+impl LoserTree {
     /// Build a tree over `n` slots, all initially closed.
+    ///
+    /// # Panics
+    /// If `n >= 2^32`: a node keeps its slot index in 32 bits.
     pub fn new(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "{n} slots exceed 2^32 - 1");
         let m = n.next_power_of_two().max(1);
-        let mut node = vec![0usize; 2 * m];
+        let mut node = vec![0u128; 2 * m];
         for (i, leaf) in node[m..].iter_mut().enumerate() {
-            *leaf = i;
+            *leaf = CLOSED | i as u128;
         }
-        // All keys are None, so any initial match result is valid; the
-        // lower index wins by the tie-break rule.
         for j in (1..m).rev() {
             node[j] = node[2 * j].min(node[2 * j + 1]);
         }
         LoserTree {
             m,
             node,
-            keys: (0..m).map(|_| None).collect(),
             slots: n,
             open: 0,
         }
@@ -87,59 +102,55 @@ impl<K: Ord> LoserTree<K> {
     }
 
     /// The key currently assigned to `slot` (`None` when closed).
-    pub fn key(&self, slot: usize) -> Option<&K> {
-        self.keys[..self.slots][slot].as_ref()
+    pub fn key(&self, slot: usize) -> Option<u64> {
+        let w = self.node[self.leaf(slot)];
+        (w & CLOSED == 0).then_some((w >> 32) as u64)
     }
 
     /// Open `slot` with `key`, or update its key if already open, and
     /// replay its matches to the root. O(log n).
-    pub fn set(&mut self, slot: usize, key: K) {
-        assert!(slot < self.slots, "slot {slot} out of {}", self.slots);
-        if self.keys[slot].is_none() {
-            self.open += 1;
-        }
-        self.keys[slot] = Some(key);
-        self.replay(slot);
+    pub fn set(&mut self, slot: usize, key: u64) {
+        let leaf = self.leaf(slot);
+        self.open += usize::from(self.node[leaf] & CLOSED != 0);
+        self.replay(leaf, u128::from(key) << 32 | slot as u128);
     }
 
     /// Close `slot` (it no longer participates in selection). O(log n).
     pub fn close(&mut self, slot: usize) {
-        assert!(slot < self.slots, "slot {slot} out of {}", self.slots);
-        if self.keys[slot].take().is_some() {
-            self.open -= 1;
-        }
-        self.replay(slot);
+        let leaf = self.leaf(slot);
+        self.open -= usize::from(self.node[leaf] & CLOSED == 0);
+        self.replay(leaf, CLOSED | slot as u128);
     }
 
     /// The open slot with the smallest `(key, slot)` pair, or `None`
     /// when every slot is closed. O(1).
     pub fn winner(&self) -> Option<usize> {
         let w = self.node[1];
-        self.keys[w].as_ref().map(|_| w)
+        (w & CLOSED == 0).then_some(w as u32 as usize)
     }
 
-    /// Recompute the match results on the path from `slot`'s leaf to
-    /// the root. Each internal node's children are already correct
-    /// (one was just updated, the other is off-path and unchanged).
-    fn replay(&mut self, slot: usize) {
-        let mut j = (self.m + slot) >> 1;
-        while j >= 1 {
-            let (a, b) = (self.node[2 * j], self.node[2 * j + 1]);
-            self.node[j] = if self.beats(a, b) { a } else { b };
+    /// Node index of `slot`'s leaf.
+    fn leaf(&self, slot: usize) -> usize {
+        assert!(slot < self.slots, "slot {slot} out of {}", self.slots);
+        self.m + slot
+    }
+
+    /// Store `word` at leaf `j` and recompute the match results on the
+    /// path to the root. Each level keeps the carried winner or takes
+    /// its sibling (off-path, so unchanged) by conditional moves: the
+    /// word compare is split into `u64` halves because `u128::min` and
+    /// plain `if`s compile to a data-dependent jump.
+    fn replay(&mut self, mut j: usize, word: u128) {
+        self.node[j] = word;
+        let (mut hi, mut lo) = ((word >> 64) as u64, word as u64);
+        while j > 1 {
+            let s = self.node[j ^ 1];
+            let (shi, slo) = ((s >> 64) as u64, s as u64);
+            let keep = (hi < shi) | ((hi == shi) & (lo < slo));
+            hi = select_unpredictable(keep, hi, shi);
+            lo = select_unpredictable(keep, lo, slo);
             j >>= 1;
-        }
-    }
-
-    /// Whether slot `a` wins the match against slot `b`: smaller
-    /// `(key, index)` wins, closed/virtual slots always lose (between
-    /// two closed slots the lower index wins, arbitrarily but
-    /// deterministically).
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (&self.keys[a], &self.keys[b]) {
-            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
+            self.node[j] = u128::from(hi) << 64 | u128::from(lo);
         }
     }
 }
@@ -159,11 +170,11 @@ mod tests {
 
     #[test]
     fn single_slot_tree() {
-        let mut t: LoserTree<u64> = LoserTree::new(1);
+        let mut t: LoserTree = LoserTree::new(1);
         assert_eq!(t.winner(), None);
         t.set(0, 42);
         assert_eq!(t.winner(), Some(0));
-        assert_eq!(t.key(0), Some(&42));
+        assert_eq!(t.key(0), Some(42));
         t.close(0);
         assert_eq!(t.winner(), None);
         assert!(t.is_empty());
@@ -171,9 +182,9 @@ mod tests {
 
     #[test]
     fn empty_and_all_closed_trees_have_no_winner() {
-        let t: LoserTree<u64> = LoserTree::new(0);
+        let t: LoserTree = LoserTree::new(0);
         assert_eq!(t.winner(), None);
-        let mut t: LoserTree<u64> = LoserTree::new(5);
+        let mut t: LoserTree = LoserTree::new(5);
         assert_eq!(t.winner(), None);
         t.set(3, 7);
         t.close(3);
@@ -187,7 +198,7 @@ mod tests {
         // equal keys must select the lowest index, in every arrival
         // order.
         for order in [[0usize, 1, 2], [2, 1, 0], [1, 2, 0]] {
-            let mut t: LoserTree<u64> = LoserTree::new(3);
+            let mut t: LoserTree = LoserTree::new(3);
             for &s in &order {
                 t.set(s, 100);
             }
@@ -202,7 +213,7 @@ mod tests {
     #[test]
     fn non_power_of_two_slot_counts() {
         for n in [1usize, 2, 3, 5, 6, 7, 9, 64, 65] {
-            let mut t: LoserTree<u64> = LoserTree::new(n);
+            let mut t: LoserTree = LoserTree::new(n);
             for i in 0..n {
                 t.set(i, (i as u64 * 37) % 11);
             }
@@ -248,7 +259,7 @@ mod tests {
 
         let mut tree_order = Vec::new();
         {
-            let mut t: LoserTree<u64> = LoserTree::new(streams.len());
+            let mut t: LoserTree = LoserTree::new(streams.len());
             for (i, s) in streams.iter().enumerate() {
                 if let Some(&k) = s.last() {
                     t.set(i, k);
@@ -270,7 +281,7 @@ mod tests {
     fn reopening_a_closed_slot_mid_merge() {
         // The streaming replay closes a drained core and reopens it when
         // a later chunk delivers more work; selection must stay exact.
-        let mut t: LoserTree<u64> = LoserTree::new(4);
+        let mut t: LoserTree = LoserTree::new(4);
         t.set(0, 10);
         t.set(1, 20);
         assert_eq!(t.winner(), Some(0));
@@ -293,7 +304,7 @@ mod tests {
         // behave as if they did not exist — in every tree size,
         // including the n=1 tree whose replay loop body never runs.
         for n in [1usize, 2, 3, 8, 9] {
-            let mut t: LoserTree<u64> = LoserTree::new(n);
+            let mut t: LoserTree = LoserTree::new(n);
             assert_eq!(t.winner(), None, "n={n} with all shards empty");
             // Open only the last slot (worst case for the tie-break
             // padding: every virtual sibling must lose to it).
@@ -311,7 +322,7 @@ mod tests {
         // sequence must equal the globally sorted-by-(key, slot) order.
         let shards: Vec<Vec<u64>> = vec![vec![], vec![5], vec![], vec![1, 9], vec![5], vec![]];
         let mut cursors = vec![0usize; shards.len()];
-        let mut t: LoserTree<u64> = LoserTree::new(shards.len());
+        let mut t: LoserTree = LoserTree::new(shards.len());
         for (i, s) in shards.iter().enumerate() {
             if let Some(&k) = s.first() {
                 t.set(i, k);
@@ -339,7 +350,7 @@ mod tests {
         // equals the naive minimum.
         let mut rng = crate::prng::Rng::seed_from_u64(0xCAFE);
         for n in [1usize, 3, 8, 17] {
-            let mut t: LoserTree<u64> = LoserTree::new(n);
+            let mut t: LoserTree = LoserTree::new(n);
             let mut keys: Vec<Option<u64>> = vec![None; n];
             for _ in 0..2_000 {
                 let slot = rng.gen_range(0..n as u64) as usize;

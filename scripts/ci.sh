@@ -22,13 +22,20 @@ TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
 # crates: the fast tag stores, TLB and MSHR file (cachesim), the
 # shift-mapped DRAM banks (memdev) and the page scheduler
 # (memkind-sim), each against its naive model in
-# tests/reference_models.rs; the loser tree and page hasher
-# (simfabric); the replay engine's unit tests (knl); the sweep,
+# tests/reference_models.rs; the packed winner tree against the
+# Option-keyed tree it replaced (simfabric
+# tests/reference_models.rs) and the page hasher (simfabric); the
+# replay engine's unit tests (knl); the sweep,
 # advisor, service and sensitivity unit tests (hybridmem); and the
 # bench harness's paired-run estimator, gate table and report checks
 # (bench).
 timeout 900 cargo test -q --offline -p cachesim -p knl -p memdev -p memkind-sim -p simfabric \
     -p hybridmem -p bench
+
+# `cargo test` never builds crates/bench/benches/*, so compile every
+# bench target here: a bench that no longer builds fails CI instead of
+# the next person to run it.
+cargo bench --no-run --offline -p bench
 
 # The equivalence suite again at a middle worker count, under the same
 # watchdog: the producer pipe and the classification workers behind it

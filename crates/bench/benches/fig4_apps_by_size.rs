@@ -29,14 +29,15 @@ fn bench_fig4(c: &mut Criterion) {
         group.finish();
     }
     // Trace-level counterpart: the fig-4 apps with trace generators,
-    // replayed through the sharded parallel engine.
+    // replayed through the sweep engine (classify once per hierarchy
+    // config, replay the artifact per setup).
     let mut group = c.benchmark_group("fig4_trace_replay");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(800));
     for kind in [TraceKind::Gups, TraceKind::XsBench, TraceKind::Bfs] {
         group.bench_with_input(
-            BenchmarkId::new("run_parallel", kind.name()),
+            BenchmarkId::new("trace_sweep", kind.name()),
             &kind,
             |b, &kind| {
                 b.iter(|| {

@@ -7,7 +7,7 @@ use knl::tracesim::{TracePlacement, TraceSim};
 use knl::{Machine, MachineConfig, MemSetup};
 use simfabric::{par, ByteSize};
 use workloads::stream::StreamBench;
-use workloads::tracegen::TraceKind;
+use workloads::tracegen::{replay_streaming, TraceKind};
 
 fn bench_fig5(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_stream_threads");
@@ -31,23 +31,24 @@ fn bench_fig5(c: &mut Criterion) {
     }
     group.finish();
     // Trace-level counterpart: the STREAM trace replayed on the
-    // sharded parallel engine at a 1/2/4/8 worker ladder (the replay
-    // is bit-identical at every rung; only wall-clock changes).
+    // streaming engine, generation included, at a 1/2/4/8
+    // classification-worker ladder (the replay is bit-identical at
+    // every rung; only wall-clock changes).
     let mut group = c.benchmark_group("fig5_trace_replay_workers");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(800));
-    let trace = TraceKind::Stream.generate(16, 2_000, 0xF15);
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("run_parallel", format!("workers{workers}")),
+            BenchmarkId::new("run_streaming", format!("workers{workers}")),
             &workers,
             |b, &workers| {
                 b.iter(|| {
                     let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
                     let mut sim = TraceSim::new(&cfg, 16, TracePlacement::AllDdr, ByteSize::mib(8));
+                    let mut source = TraceKind::Stream.source(16, 2_000, 0xF15);
                     par::with_threads(workers, || {
-                        bench::harness::black_box(sim.run_parallel(&trace))
+                        bench::harness::black_box(replay_streaming(&mut sim, source.as_mut()))
                     })
                 })
             },

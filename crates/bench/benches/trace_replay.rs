@@ -1,8 +1,8 @@
-//! Trace-replay engine bench: accesses/second through the sequential,
-//! sharded-parallel, and streaming replay paths, plus the peak bytes
-//! of trace each path buffers. Uses small configurations so a bench
-//! run stays in seconds; `repro bench-replay` times the full-size
-//! configurations and records them in `BENCH_trace_replay.json`.
+//! Trace-replay engine bench: accesses/second through the sequential
+//! and streaming replay paths, plus the peak bytes of trace each path
+//! buffers. Uses small configurations so a bench run stays in seconds;
+//! `repro bench-replay` times the full-size configurations and records
+//! them in `BENCH_trace_replay.json`.
 //!
 //! The `timing_kernel` group times the merge thread's three per-access
 //! models one at a time through their public APIs — the earliest-clock
@@ -70,20 +70,6 @@ fn bench_replay_paths(c: &mut Criterion) {
                     bench::harness::black_box(r)
                 });
                 peaks.push(("sequential", peak));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("parallel", cfg.label()),
-            &trace,
-            |b, trace| {
-                let mut peak = 0;
-                b.iter(|| {
-                    let mut sim = make_sim(&cfg);
-                    let r = sim.run_parallel(trace);
-                    peak = sim.last_peak_trace_buffer_bytes() as u64;
-                    bench::harness::black_box(r)
-                });
-                peaks.push(("parallel", peak));
             },
         );
         // Streaming regenerates the trace inside the timed region —

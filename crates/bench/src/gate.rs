@@ -31,8 +31,7 @@
 
 use crate::advisor::{measure_advisor, measure_single_query_overhead, smoke_advisor_config};
 use crate::replay::{
-    measure_migration_overhead, measure_overhead, measure_sampling_overhead, run_config,
-    ReplayConfig,
+    measure_migration_overhead, measure_overhead, measure_sampling_overhead, ReplayConfig,
 };
 use crate::sweep::{measure_sweep, smoke_sweep_config};
 use std::time::Instant;
@@ -65,13 +64,6 @@ impl Paired {
             best_secs: [f64::INFINITY; 2],
             ratios: Vec::new(),
         }
-    }
-
-    /// A single-shot record: one pair, timed once.
-    pub fn single(a_secs: f64, b_secs: f64) -> Paired {
-        let mut p = Paired::empty();
-        p.push(a_secs, b_secs);
-        p
     }
 
     fn push(&mut self, a_secs: f64, b_secs: f64) {
@@ -193,7 +185,7 @@ pub struct Gate {
     /// The workload both arms run: a replay label, or `smoke` for the
     /// bundled smoke sweep/advisor scenario.
     pub config: &'static str,
-    /// Alternating pairs per attempt (1 = single shot).
+    /// Alternating pairs per attempt.
     pub pairs: usize,
     /// The timing bound on B/A.
     pub bound: Bound,
@@ -208,7 +200,7 @@ fn replay(label: &str) -> ReplayConfig {
 }
 
 /// Every bench gate CI runs, in `scripts/bench_smoke.sh` order.
-pub fn table() -> [Gate; 7] {
+pub fn table() -> [Gate; 6] {
     [
         // Telemetry must cost the uninstrumented streaming path
         // nothing beyond its Option branches.
@@ -220,20 +212,6 @@ pub fn table() -> [Gate; 7] {
             bound: Bound::MaxOverhead(0.02),
             asserts: &["off/on replays bit-identical"],
             measure: |c, n| measure_overhead(&replay(c), n),
-        },
-        // The windowed parallel path must keep up with streaming on
-        // the acceptance config — the replay-inversion guard.
-        Gate {
-            name: "parallel",
-            arms: ["parallel", "streaming"],
-            config: "stream_64x50000",
-            pairs: 1,
-            bound: Bound::MinSpeedup(0.95),
-            asserts: &["sequential == parallel == streaming"],
-            measure: |c, _| {
-                let m = run_config(&replay(c));
-                Paired::single(m.seconds("parallel"), m.seconds("streaming"))
-            },
         },
         // Reuse saves three of the five points' classification
         // passes, so the ratio falls as classification gets cheaper;
@@ -385,7 +363,11 @@ mod tests {
         assert_eq!(p.best_ratio(), 2.0);
 
         // A side A that timed zero carries no ratio information.
-        let zero = Paired::single(0.0, 3.0);
+        let zero = run_pairs(
+            1,
+            |side| (if side == Side::A { 0.0 } else { 3.0 }, ()),
+            |_, _| {},
+        );
         assert_eq!(zero.best_ratio(), 1.0);
         assert!(zero.ratios.is_empty());
 

@@ -1,12 +1,11 @@
-//! Trace-replay throughput benchmark: times the sequential,
-//! sharded-parallel, and streaming replay paths over the bundled trace
-//! generators and reports accesses/second plus peak trace-buffer
-//! bytes.
+//! Trace-replay throughput benchmark: times the sequential and
+//! streaming replay paths over the bundled trace generators and
+//! reports accesses/second plus peak trace-buffer bytes.
 //!
 //! This backs both the `trace_replay` bench group and the
 //! `repro bench-replay` subcommand, which writes
 //! `BENCH_trace_replay.json` so the replay-performance trajectory is
-//! tracked in-tree from PR to PR. The three paths are bit-identical by
+//! tracked in-tree from change to change. The two paths are bit-identical by
 //! contract (`tests/parallel_equivalence.rs`); [`run_config`] asserts
 //! report equality as a cheap guard, so a benchmark run can never
 //! silently time a diverged engine.
@@ -126,7 +125,7 @@ pub fn smoke_configs() -> Vec<ReplayConfig> {
 /// One timed path of a configuration.
 #[derive(Debug, Clone)]
 pub struct PathMeasurement {
-    /// `"sequential"`, `"parallel"`, or `"streaming"`.
+    /// `"sequential"` or `"streaming"`.
     pub path: &'static str,
     /// Wall-clock seconds.
     pub seconds: f64,
@@ -136,27 +135,18 @@ pub struct PathMeasurement {
     pub peak_buffer_bytes: u64,
 }
 
-/// All three paths of one configuration.
+/// Both paths of one configuration.
 #[derive(Debug, Clone)]
 pub struct ReplayMeasurement {
     /// The configuration measured.
     pub config: ReplayConfig,
     /// Total accesses in the trace.
     pub accesses: u64,
-    /// Sequential / parallel / streaming, in that order.
+    /// Sequential, then streaming.
     pub paths: Vec<PathMeasurement>,
 }
 
 impl ReplayMeasurement {
-    /// Wall seconds of the named path ([`run_config`] times all three).
-    pub fn seconds(&self, path: &str) -> f64 {
-        self.paths
-            .iter()
-            .find(|p| p.path == path)
-            .map(|p| p.seconds)
-            .unwrap_or_else(|| panic!("{}: missing path {path:?}", self.config.label()))
-    }
-
     /// Streaming throughput over sequential throughput.
     pub fn streaming_speedup(&self) -> f64 {
         let get = |name| {
@@ -175,12 +165,12 @@ impl ReplayMeasurement {
     }
 }
 
-/// Time all three replay paths for one configuration.
+/// Time both replay paths for one configuration.
 ///
-/// The sequential and parallel paths are timed replay-only (the trace
-/// is materialized outside the timer — the pre-streaming pipeline's
-/// best case); the streaming path is timed end-to-end *including*
-/// generation, since overlapping generation with replay is the point.
+/// The sequential path is timed replay-only (the trace is materialized
+/// outside the timer — the pre-streaming pipeline's best case); the
+/// streaming path is timed end-to-end *including* generation, since
+/// overlapping generation with replay is the point.
 pub fn run_config(cfg: &ReplayConfig) -> ReplayMeasurement {
     let trace = cfg
         .kind
@@ -192,11 +182,6 @@ pub fn run_config(cfg: &ReplayConfig) -> ReplayMeasurement {
     let t0 = Instant::now();
     let seq_report = seq.run(&trace);
     paths.push(measure("sequential", t0.elapsed().as_secs_f64(), n, &seq));
-
-    let mut par_sim = cfg.sim();
-    let t0 = Instant::now();
-    let par_report = par_sim.run_parallel(&trace);
-    paths.push(measure("parallel", t0.elapsed().as_secs_f64(), n, &par_sim));
 
     drop(trace);
     let mut stream_sim = cfg.sim();
@@ -212,7 +197,6 @@ pub fn run_config(cfg: &ReplayConfig) -> ReplayMeasurement {
         &stream_sim,
     ));
 
-    assert_eq!(par_report, seq_report, "parallel diverged from sequential");
     assert_eq!(
         stream_report, seq_report,
         "streaming diverged from sequential"
@@ -273,8 +257,10 @@ pub fn bench_report(configs: &[ReplayConfig]) -> Json {
 }
 
 /// Validate a `bench_trace_replay/v1` report (the CI smoke gate):
-/// schema tag, non-empty config list, every config carrying all
-/// three paths with positive throughput, and a well-formed
+/// schema tag, non-empty config list, every config carrying the
+/// sequential and streaming paths with positive throughput (older
+/// reports also carry a `parallel` path, checked like any other), and
+/// a well-formed
 /// `sweep_reuse` section (the classify-once engine's speedup record)
 /// and a well-formed `advisor_service` section (the batch query
 /// engine's) — both required, so a regenerated report can never
@@ -310,7 +296,7 @@ pub fn check_report(report: &Json) -> Result<(), String> {
             }
             seen.push(name);
         }
-        for want in ["sequential", "parallel", "streaming"] {
+        for want in ["sequential", "streaming"] {
             if !seen.iter().any(|s| s == want) {
                 return Err(format!("{label}: missing path {want:?}"));
             }
@@ -546,6 +532,18 @@ mod tests {
         assert!(check_report(&bare)
             .unwrap_err()
             .contains("missing sweep_reuse"));
+    }
+
+    #[test]
+    fn committed_report_with_parallel_rows_still_validates() {
+        // The committed report predates the removal of the windowed
+        // parallel path, so its configs carry a third `parallel` path.
+        let text = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_trace_replay.json"
+        ));
+        let report = hybridmem::json::parse(text).expect("committed report parses");
+        check_report(&report).expect("committed report validates");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Profile exporters and validators: the flat-JSON metrics dump for a
-//! [`MetricsRegistry`](simfabric::MetricsRegistry), plus structural
+//! [`MetricsRegistry`], plus structural
 //! checkers for both exporter outputs (the metrics JSON here and the
 //! Chrome `trace_event` JSONL produced by
 //! [`simfabric::telemetry::chrome_trace_jsonl`]).

@@ -60,7 +60,7 @@ pub fn render_figure(fig: &FigureData) -> String {
 /// generator × setup).
 pub fn render_trace_replays(rows: &[TraceReplay]) -> String {
     let mut out = String::from(
-        "== Trace replay (sharded parallel engine) ==\n\
+        "== Trace replay (classified sweep engine) ==\n\
          workload    setup       accesses  mem-acc  avg-lat(ns)  bandwidth(GB/s)\n",
     );
     for r in rows {

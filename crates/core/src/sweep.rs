@@ -10,7 +10,7 @@
 //! * a [`TraceSpec`] names a deterministic trace stream (canonical
 //!   label + a factory for fresh sources);
 //! * [`classified_for`] returns the stream's
-//!   [`ClassifiedTrace`](knl::ClassifiedTrace) artifact for a machine
+//!   [`ClassifiedTrace`] artifact for a machine
 //!   config, built at most once per process through the global
 //!   LRU [`ClassifyCache`](knl::ClassifyCache);
 //! * [`replay_point`] / [`replay_into`] replay one timing setup from
@@ -99,7 +99,7 @@ impl TraceSpec {
 }
 
 /// The classified artifact for `spec` under `cfg`, through the global
-/// [`ClassifyCache`]: built (streamed, never materializing the raw
+/// [`ClassifyCache`](knl::ClassifyCache): built (streamed, never materializing the raw
 /// trace) on first use, shared by every later sweep point whose key
 /// matches — across experiments, not just within one sweep. Builds go
 /// through the in-flight guard

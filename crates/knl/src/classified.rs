@@ -101,7 +101,7 @@ impl ClassifyKey {
 }
 
 /// The canonical classification signature of a machine config: every
-/// input of [`hierarchy_config`] that changes private-hierarchy
+/// input of `hierarchy_config` that changes private-hierarchy
 /// behaviour, and nothing else. Flat-mode setups (`DramOnly`,
 /// `HbmOnly`, hybrid) share one signature — their placements differ
 /// only in the timing stage — while cache mode gets its own (the
@@ -142,7 +142,7 @@ impl ClassifiedTrace {
     /// by core and classified on [`worker_threads`] workers exactly as
     /// the replay engine would. The artifact is bit-for-bit the
     /// classification that engine would produce — one shared step
-    /// ([`classify_chunk`]) guarantees it.
+    /// (`classify_chunk`) guarantees it.
     pub fn build_streaming(
         cfg: &MachineConfig,
         cores: u32,

@@ -9,32 +9,27 @@
 //! beats DDR for streams, DDR beats HBM for chases) and roughly on
 //! magnitude.
 //!
-//! # One windowed engine, three inputs
+//! # One windowed engine, two inputs
 //!
 //! [`TraceSim::run`] is the sequential reference implementation, kept
-//! as the oracle the equivalence suites compare against. Every other
-//! entry point — [`TraceSim::run_parallel`] (a materialized trace),
-//! [`TraceSim::run_streaming`] (a generator callback) and
-//! [`TraceSim::run_classified`] (a prebuilt artifact) — feeds the same
-//! windowed engine and produces **bit-identical** reports and device
-//! statistics. The engine rests on a structural property of the
+//! as the oracle the equivalence suites compare against. The other two
+//! entry points — [`TraceSim::run_streaming`] (a generator callback)
+//! and [`TraceSim::run_classified`] (a prebuilt artifact) — feed the
+//! same windowed engine and produce **bit-identical** reports and
+//! device statistics. The engine rests on a structural property of the
 //! model: the private cache hierarchy (L1/L2/TLB, and the
 //! memory-side-cache tags in cache mode) is *timing-independent* —
 //! which level serves an access depends only on that core's own
-//! address stream, never on the clock. Replay therefore runs as a
-//! two-stage pipeline ([`simfabric::par::pipelined_stats`]):
+//! address stream, never on the clock. Streaming replay therefore runs
+//! as a two-stage pipeline ([`simfabric::par::pipelined_stats`]):
 //!
 //! 1. a **producer stage** on its own thread, which owns the per-core
 //!    [`Hierarchy`]s for the duration of the run. It takes the next
-//!    window of trace — a generator chunk for
-//!    [`TraceSim::run_streaming`], a
-//!    [`set_replay_window`](TraceSim::set_replay_window)-sized slice
-//!    of the caller's trace for [`TraceSim::run_parallel`] — partitions
-//!    it by core (see [`partition_by_core`]), drives each shard's
-//!    private hierarchy on the caller's [`worker_threads`] count of
-//!    workers, and ships the per-core outcomes as SoA batches
-//!    (separate address / latency / flag arrays, 17 B per access
-//!    instead of a 40 B record), and
+//!    generator chunk, partitions it by core (see
+//!    [`partition_by_core`]), drives each shard's private hierarchy on
+//!    the caller's [`worker_threads`] count of workers, and ships the
+//!    per-core outcomes as SoA batches (separate address / latency /
+//!    flag arrays, 17 B per access instead of a 40 B record), and
 //! 2. a **merge stage** on the calling thread, which replays the
 //!    classified batches through the shared resources (MSHRs, mesh,
 //!    DRAM bank models) in exactly the earliest-clock order the
@@ -46,7 +41,7 @@
 //!    (equal clocks select the lower core index) matches the
 //!    sequential order exactly.
 //!
-//! The producer runs up to the pipe's depth plus one windows ahead, so
+//! The producer runs up to the pipe's depth plus one chunks ahead, so
 //! a replay costs roughly the slower stage instead of their sum. That
 //! changes no merge decision: classification of a core depends only on
 //! that core's own address stream.
@@ -56,11 +51,11 @@
 //! its current clock — a lower bound on its next access — and a ghost
 //! winning pulls the next batch off the pipe (or, for an artifact, the
 //! next per-core slices). So the merge order is exact while buffering
-//! stays near one window. A materialized trace knows where each core's
-//! last access sits, so a finished core closes at once; a stream cannot
-//! say which cores it will still feed, so every dry core stays a ghost
-//! until the producer ends, and then the engine closes them. A streamed
-//! workload confined to a few cores (a single-core pointer chase is the
+//! stays near one chunk. An artifact knows how many accesses each core
+//! holds, so a finished core closes at once; a stream cannot say which
+//! cores it will still feed, so every dry core stays a ghost until the
+//! producer ends, and then the engine closes them. A streamed workload
+//! confined to a few cores (a single-core pointer chase is the
 //! extreme) therefore buffers most of its classified trace —
 //! correctness is never traded for memory, and [`buffer_warning`] says
 //! so once per process. Peak buffering is tracked per run and exposed
@@ -85,14 +80,6 @@
 //! key mismatch can never alias — `run_classified` asserts the
 //! signature and the cache treats any changed key as a miss.
 //!
-//! # Batched mesh pricing
-//!
-//! The mesh's analytic message accounting (a counter bump per memory
-//! access) batches into a detached [`MeshTally`] folded back at
-//! window boundaries and in [`TraceSim::finish`] — bit-identical by
-//! construction (pure counter sums, proven by the differential suite
-//! through [`TraceSim::set_mesh_batching`]), and always on otherwise.
-//!
 //! Per-shard totals are folded with [`ShardTotals::merge`], an
 //! order-independent (commutative, associative, integer-only)
 //! reduction, so worker count never leaks into results.
@@ -105,7 +92,7 @@ use cachesim::mcdram_cache::MemorySideCache;
 use cachesim::mshr::{Mshr, MshrOutcome};
 use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
-use mesh::{MeshModel, MeshTally};
+use mesh::MeshModel;
 use simfabric::merge::LoserTree;
 use simfabric::par;
 use simfabric::stats::Histogram;
@@ -211,7 +198,7 @@ pub struct TraceSimReport {
 /// a [`TraceSimReport`] is derived. Every field combines with a sum or
 /// a max, so [`merge`](Self::merge) is commutative and associative:
 /// shards reduce to identical totals in any order — the property that
-/// lets the parallel path match the sequential path bit for bit.
+/// lets the windowed paths match the sequential path bit for bit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTotals {
     /// Accesses replayed.
@@ -272,16 +259,6 @@ pub fn partition_by_core(core: u32, shards: usize) -> usize {
     core as usize % shards
 }
 
-/// Parse a `TRACESIM_THREADS`-style value: a non-negative integer,
-/// surrounding whitespace ignored; empty and garbage are `None`. Zero
-/// parses (and is later clamped to one worker) so `TRACESIM_THREADS=0`
-/// reads as "let the machine decide the floor" instead of being
-/// silently dropped as a parse error.
-#[doc(hidden)]
-pub fn parse_thread_count(raw: &str) -> Option<usize> {
-    simfabric::env::parse_usize(raw)
-}
-
 /// Clamp a requested worker count to what the machine can usefully
 /// run: at least one worker, at most `cores`. Zero workers cannot make
 /// progress, and over-subscribing the replay (whose workers are
@@ -290,7 +267,8 @@ pub fn clamp_thread_count(requested: usize, cores: usize) -> usize {
     requested.clamp(1, cores.max(1))
 }
 
-/// Worker count for [`TraceSim::run_parallel`]: an explicit
+/// Worker count for the classification stage of
+/// [`TraceSim::run_streaming`] and [`ClassifiedTrace`] builds: an explicit
 /// [`par::with_threads`] override wins, then the `TRACESIM_THREADS`
 /// environment variable, then the machine's available parallelism.
 ///
@@ -334,11 +312,12 @@ pub enum TimingMode {
     Concurrent,
 }
 
-/// Default classification window for [`TraceSim::run_parallel`] and
-/// [`TraceSim::run_classified`], in accesses: large enough to amortize
-/// the per-window fan-out, small enough that the classified batch is
-/// still cache-resident when the timing phase consumes it.
-/// [`TraceSim::set_replay_window`] overrides it.
+/// Default refill window for [`TraceSim::run_classified`], in
+/// accesses: large enough to amortize the per-refill bookkeeping,
+/// small enough that the copied slices are still cache-resident when
+/// the timing merge consumes them. [`TraceSim::set_replay_window`]
+/// overrides it. Streaming replay refills one generator chunk at a
+/// time instead.
 pub const PAR_WINDOW: usize = 1 << 16;
 
 /// Streaming-replay backlog threshold: warn when the classified
@@ -589,10 +568,10 @@ pub(crate) fn classify_chunk(shards: &mut [ReplayShard], chunk: &[TraceAccess]) 
 }
 
 /// Slots in the replay pipe: the producer stage classifies at most
-/// this many windows, plus the one in hand, ahead of the merge.
+/// this many chunks, plus the one in hand, ahead of the merge.
 const PIPE_DEPTH: usize = 2;
 
-/// One window classified by the producer stage: per-core batches in
+/// One chunk classified by the producer stage: per-core batches in
 /// core order, the raw accesses they came from, and — when telemetry
 /// is on — the generation and classification bursts' start/end
 /// instants (the span log lives on the merge thread, so the instants
@@ -629,21 +608,14 @@ impl PipeBatch {
 
 /// What feeds the windowed engine's refills. Both variants uphold the
 /// refill contract the ghost-slot merge relies on: a refill pulled by
-/// a ghost adds classified work or reports the input exhausted, and
-/// buffering stays bounded by roughly one window.
+/// a ghost adds classified work or reports the input exhausted.
 enum ReplayInput<'a, 'p> {
-    /// Batches from the producer stage ([`TraceSim::run_parallel`],
-    /// [`TraceSim::run_streaming`]). `received` counts the raw
-    /// accesses delivered so far, `done` is set once the producer has
-    /// ended, and `max_chunk` is the largest batch so far (the
-    /// [`buffer_warning`] yardstick). A materialized trace sets
-    /// `end[c]` one past core `c`'s last access, so `c` closes as soon
-    /// as `received` passes it; a generator has no `end`, and every
-    /// core may receive work until the producer ends.
+    /// Batches from the producer stage ([`TraceSim::run_streaming`]).
+    /// `done` is set once the producer has ended — until then every
+    /// core may receive work — and `max_chunk` is the largest batch so
+    /// far (the [`buffer_warning`] yardstick).
     Pipe {
         rx: &'a mut par::ChunkReceiver<'p, PipeBatch>,
-        end: Option<Vec<usize>>,
-        received: usize,
         done: bool,
         max_chunk: usize,
     },
@@ -659,11 +631,6 @@ impl ReplayInput<'_, '_> {
     /// Whether core `c` may still receive accesses.
     fn can_feed(&self, c: usize) -> bool {
         match self {
-            ReplayInput::Pipe {
-                end: Some(end),
-                received,
-                ..
-            } => *received < end[c],
             ReplayInput::Pipe { done, .. } => !*done,
             ReplayInput::Classified { ct, next } => next[c] < ct.per_core_len(c),
         }
@@ -737,12 +704,6 @@ pub struct TraceSim {
     /// Round-trip hop counts for analytic mesh message accounting.
     hops_ddr: u64,
     hops_hbm: u64,
-    /// Batched mesh pricing (on unless a test turns it off with
-    /// [`set_mesh_batching`](Self::set_mesh_batching)): analytic
-    /// messages accumulate in `mesh_tally` and fold into the mesh at
-    /// window boundaries and in [`finish`](Self::finish).
-    mesh_batch: bool,
-    mesh_tally: MeshTally,
     /// Canonical classification signature of this simulator's
     /// hierarchy config (see [`classify_signature`]); a
     /// [`ClassifiedTrace`] replays here only if its key carries the
@@ -758,11 +719,11 @@ pub struct TraceSim {
     /// length; the windowed paths their actual backlog high-water).
     peak_buffered_accesses: usize,
     /// Producer-to-merge pipe stall/occupancy stats from the most
-    /// recent `run_parallel` or `run_streaming` call (zeroed by `run`
-    /// and `run_classified`, which use no pipe).
+    /// recent `run_streaming` call (zeroed by `run` and
+    /// `run_classified`, which use no pipe).
     last_pipe_stats: par::PipeStats,
-    /// Classification window for [`run_parallel`](Self::run_parallel)
-    /// and [`run_classified`](Self::run_classified), in accesses.
+    /// Refill window for [`run_classified`](Self::run_classified), in
+    /// accesses.
     replay_window: usize,
     /// Window counters from the most recent `run*` call.
     timing_stats: TimingEngineStats,
@@ -803,8 +764,6 @@ impl TraceSim {
             resp_half_hbm,
             hops_ddr,
             hops_hbm,
-            mesh_batch: true,
-            mesh_tally: MeshTally::default(),
             classify_sig: classify_signature(cfg, msc_capacity),
             ddr: DramModel::ddr4_knl(),
             hbm: DramModel::mcdram_knl(),
@@ -838,21 +797,12 @@ impl TraceSim {
     #[doc(hidden)]
     pub fn set_timing_mode(&mut self, _mode: Option<TimingMode>) {}
 
-    /// Set the classification window (in accesses, default
-    /// [`PAR_WINDOW`]) for [`run_parallel`](Self::run_parallel) and
+    /// Set the refill window (in accesses, default [`PAR_WINDOW`]) for
     /// [`run_classified`](Self::run_classified); clamped to at least
     /// one. Tests shrink this to force many window refills on small
     /// traces.
     pub fn set_replay_window(&mut self, accesses: usize) {
         self.replay_window = accesses.max(1);
-    }
-
-    /// Turn batched mesh pricing (on by default) on or off for
-    /// subsequent `run*` calls. Both settings are bit-identical (the
-    /// differential suite proves it); the switch exists so the proof
-    /// has something to compare.
-    pub fn set_mesh_batching(&mut self, on: bool) {
-        self.mesh_batch = on;
     }
 
     /// This simulator's classification signature — the cache/TLB half
@@ -904,7 +854,7 @@ impl TraceSim {
     /// `migrate.moves`; zero when migration is off). Because the tick
     /// is merge-order simulated progress, window boundaries and
     /// sampled values are bit-identical across the sequential,
-    /// windowed-parallel, and streaming engines at any worker count.
+    /// streaming, and classified engines at any worker count.
     /// Replay results are unchanged with sampling on or off; the
     /// equivalence suite asserts both properties.
     pub fn enable_timeseries(&mut self, interval: u64, capacity: usize) {
@@ -1031,8 +981,7 @@ impl TraceSim {
     }
 
     /// Producer-to-merge pipe stall/occupancy stats from the most
-    /// recent [`run_parallel`](Self::run_parallel) or
-    /// [`run_streaming`](Self::run_streaming) call; zero after
+    /// recent [`run_streaming`](Self::run_streaming) call; zero after
     /// [`run`](Self::run) and [`run_classified`](Self::run_classified).
     pub fn last_pipe_stats(&self) -> par::PipeStats {
         self.last_pipe_stats
@@ -1202,30 +1151,6 @@ impl TraceSim {
         self.migration.as_ref().map(|m| m.stats().clone())
     }
 
-    /// Count one analytic mesh message of `hops` hops: straight onto
-    /// the shared counters per-access, or into the detached tally when
-    /// batching — identical totals either way (pure sums), but the
-    /// batched path touches one hot cache line instead of the mesh's
-    /// counter pair on every memory access.
-    #[inline]
-    fn note_mesh_message(&mut self, hops: u64) {
-        if self.mesh_batch {
-            self.mesh_tally.note(hops);
-        } else {
-            self.mesh.note_analytic_message(hops);
-        }
-    }
-
-    /// Fold the pending mesh tally into the shared counters. Called at
-    /// classification-window / stream-chunk boundaries and from
-    /// [`finish`](Self::finish), so [`mesh_stats`](Self::mesh_stats)
-    /// is exact after any completed `run*` call.
-    fn flush_mesh_tally(&mut self) {
-        if !self.mesh_tally.is_empty() {
-            self.mesh.absorb_tally(std::mem::take(&mut self.mesh_tally));
-        }
-    }
-
     /// Advance the migration clock by one consumed access. Every
     /// engine calls this exactly once per access, in the earliest-
     /// `(clock, core)` merge order, with the winner's pre-stall clock
@@ -1265,7 +1190,7 @@ impl TraceSim {
 
     /// The timing half of [`access`](Self::access): everything after
     /// the (timing-independent) private-hierarchy lookup. The
-    /// sequential, parallel, and streaming paths all funnel through
+    /// sequential, streaming, and classified paths all funnel through
     /// this one body, so they cannot diverge.
     fn access_timed(
         &mut self,
@@ -1318,7 +1243,7 @@ impl TraceSim {
             // KNL mesh is provisioned well beyond memory bandwidth),
             // so the request half of the average round trip is added
             // as latency instead. Messages and hops are still counted.
-            self.note_mesh_message(if is_hbm_target {
+            self.mesh.note_analytic_message(if is_hbm_target {
                 self.hops_hbm
             } else {
                 self.hops_ddr
@@ -1428,57 +1353,18 @@ impl TraceSim {
         self.finish()
     }
 
-    /// Replay a whole trace through the two-stage pipeline:
-    /// classification on a producer thread (sharded across
-    /// [`worker_threads`] workers), timing on the calling thread;
-    /// bit-identical to [`run`](Self::run) at every worker count.
-    ///
-    /// The producer classifies the trace straight from `trace` in
-    /// windows of [`set_replay_window`](Self::set_replay_window)
-    /// accesses: each window is partitioned by core (preserving
-    /// per-core program order), run through the per-shard private
-    /// hierarchies and shipped as SoA batches, at most a few windows
-    /// ahead. The merge drains them through the same earliest-clock
-    /// tournament the sequential path uses. A core whose batch runs dry
-    /// but which still has undelivered accesses stays in the tree as a
-    /// *ghost* keyed by its clock — exactly where the sequential tree
-    /// would hold it — and a ghost winning pulls the next batch, so the
-    /// merge order is exact while peak buffering stays near one window
-    /// instead of the whole trace. A core whose last access has been
-    /// delivered closes as soon as its batch runs dry.
-    pub fn run_parallel(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        let cores = self.cores();
-        let t_partition = self.telemetry.is_some().then(Instant::now);
-        // One past each core's last access, so a dry batch can be told
-        // apart from a finished core.
-        let mut end = vec![0usize; cores];
-        for (i, t) in trace.iter().enumerate() {
-            end[partition_by_core(t.core, cores)] = i + 1;
-        }
-        self.end_span(t_partition, "partition", trace.len());
-        let (window, timed) = (self.replay_window, self.telemetry.is_some());
-        let mut next = 0usize;
-        self.run_pipelined(Some(end), move |shards| {
-            if next >= trace.len() {
-                return None;
-            }
-            let stop = (next + window).min(trace.len());
-            let batch = PipeBatch::classify(shards, &trace[next..stop], None, timed);
-            next = stop;
-            Some(batch)
-        })
-    }
-
     /// Replay a prebuilt [`ClassifiedTrace`] artifact: the timing-only
     /// fast path of the classify-once / replay-many sweep engine. The
     /// generators never run and the private cache hierarchies are
     /// never consulted — each refill is a memcpy of the artifact's SoA
     /// slices — yet the merge discipline, MSHR/mesh/bank models,
     /// migration ticks, and worker counts behave exactly as in
-    /// [`run_parallel`](Self::run_parallel), so the report and every
+    /// [`run_streaming`](Self::run_streaming), so the report and every
     /// device statistic are **bit-identical** to a fresh
     /// [`run`](Self::run) of the same trace (the differential suite
-    /// proves it across generators × setups × workers).
+    /// proves it across generators × setups × workers). Refills copy
+    /// at most [`set_replay_window`](Self::set_replay_window) accesses,
+    /// split evenly across the cores.
     ///
     /// Because classification never happens here, this simulator's
     /// private-hierarchy counters stay at zero; classification-stage
@@ -1520,10 +1406,11 @@ impl TraceSim {
     ///
     /// `fill` appends the next bounded chunk of the trace to the given
     /// buffer and returns how many accesses it added; returning 0 ends
-    /// the stream. It runs on the producer thread of the pipeline
-    /// [`run_parallel`](Self::run_parallel) uses, which classifies each
-    /// chunk as one window, so chunk `n + 1` is generated and
-    /// classified while chunk `n` is timed.
+    /// the stream. It runs on a producer thread that owns this
+    /// simulator's hierarchies for the whole run (and hands them back
+    /// afterwards, also on an empty run) and classifies each chunk as
+    /// one window on [`worker_threads`] workers, so chunk `n + 1` is
+    /// generated and classified while chunk `n` is timed here.
     ///
     /// Until the producer ends any core may still receive work, so a
     /// core whose queue runs dry stays in the merge as a ghost, and the
@@ -1538,28 +1425,6 @@ impl TraceSim {
         mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize + Send,
     ) -> TraceSimReport {
         let timed = self.telemetry.is_some();
-        let mut buf = Vec::new();
-        self.run_pipelined(None, move |shards| {
-            buf.clear();
-            let started = timed.then(Instant::now);
-            if fill(&mut buf) == 0 {
-                return None;
-            }
-            let generated = started.map(|s| (s, Instant::now()));
-            Some(PipeBatch::classify(shards, &buf, generated, timed))
-        })
-    }
-
-    /// Run the two-stage pipeline: `produce` classifies the next window
-    /// on a producer thread that owns this simulator's hierarchies for
-    /// the whole run (and hands them back afterwards, also on an empty
-    /// run), while the windowed engine times the batches here. `end` is
-    /// the per-core close rule of [`ReplayInput::Pipe`].
-    fn run_pipelined(
-        &mut self,
-        end: Option<Vec<usize>>,
-        mut produce: impl FnMut(&mut [ReplayShard]) -> Option<PipeBatch> + Send,
-    ) -> TraceSimReport {
         // `with_threads` overrides are thread-local: carry the caller's
         // worker count onto the producer thread.
         let threads = worker_threads();
@@ -1568,14 +1433,23 @@ impl TraceSim {
             .map(ReplayShard::new)
             .collect();
         let producer_shards = &mut shards;
+        let mut buf = Vec::new();
         let (report, pipe_stats) = par::pipelined_stats(
             PIPE_DEPTH,
-            move || par::with_threads(threads, || produce(producer_shards)),
+            move || {
+                par::with_threads(threads, || {
+                    buf.clear();
+                    let started = timed.then(Instant::now);
+                    if fill(&mut buf) == 0 {
+                        return None;
+                    }
+                    let generated = started.map(|s| (s, Instant::now()));
+                    Some(PipeBatch::classify(producer_shards, &buf, generated, timed))
+                })
+            },
             |rx| {
                 self.run_windowed(ReplayInput::Pipe {
                     rx,
-                    end,
-                    received: 0,
                     done: false,
                     max_chunk: 0,
                 })
@@ -1586,9 +1460,8 @@ impl TraceSim {
         report
     }
 
-    /// The windowed merge behind [`run_parallel`](Self::run_parallel),
-    /// [`run_classified`](Self::run_classified) and
-    /// [`run_streaming`](Self::run_streaming): the merge discipline of
+    /// The windowed merge behind [`run_streaming`](Self::run_streaming)
+    /// and [`run_classified`](Self::run_classified): the merge discipline of
     /// [`run`](Self::run), with ghost-slot refills taking the next
     /// classified batch off the producer pipe (or copying the next
     /// artifact slices). Timing only — it never touches a hierarchy.
@@ -1670,22 +1543,18 @@ impl TraceSim {
     /// Refill the per-core queues with the next window of input — a
     /// classified batch off the producer pipe, or prebuilt slices
     /// copied from a [`ClassifiedTrace`]. Returns `false` when the
-    /// input is exhausted. Also the window boundary at which the
-    /// batched mesh tally folds back into the shared counters.
+    /// input is exhausted.
     fn refill_window(
         &mut self,
         input: &mut ReplayInput<'_, '_>,
         window: usize,
         queues: &mut [ClassifiedSoa],
     ) -> bool {
-        self.flush_mesh_tally();
         let raw_accesses = match input {
             ReplayInput::Pipe {
                 rx,
-                received,
                 done,
                 max_chunk,
-                ..
             } => {
                 let Some(batch) = rx.recv() else {
                     *done = true;
@@ -1703,7 +1572,6 @@ impl TraceSim {
                         }
                     }
                 }
-                *received += n;
                 *max_chunk = (*max_chunk).max(n);
                 for (q, b) in queues.iter_mut().zip(batch.per_core) {
                     q.append(b);
@@ -1749,12 +1617,7 @@ impl TraceSim {
         self.last_peak_buffer = self.last_peak_buffer.max(buffered);
         self.peak_buffered_accesses = self.peak_buffered_accesses.max(backlog);
         self.timing_stats.windows += 1;
-        if let ReplayInput::Pipe {
-            end: None,
-            max_chunk,
-            ..
-        } = input
-        {
+        if let ReplayInput::Pipe { max_chunk, .. } = input {
             if let Some(msg) = buffer_warning(backlog, *max_chunk) {
                 simfabric::env::warn_once("tracesim.buffer_backlog", &msg);
             }
@@ -1764,10 +1627,7 @@ impl TraceSim {
 
     /// Finalize and return the report (the order-independent reduction
     /// of the per-core totals). Idempotent, and safe on an empty run.
-    /// Also folds any batched mesh accounting into the shared
-    /// counters, so mesh statistics are exact after every `run*` call.
     pub fn finish(&mut self) -> TraceSimReport {
-        self.flush_mesh_tally();
         if self.timeseries.is_some() {
             // Close the trailing partial window. The far-future probe
             // time sees every MSHR entry as retired (`ready <= now`
@@ -1963,7 +1823,15 @@ mod tests {
         );
         assert_eq!(sim.finish(), TraceSimReport::default());
         assert_eq!(sim.run(&[]), TraceSimReport::default());
-        assert_eq!(sim.run_parallel(&[]), TraceSimReport::default());
+        assert_eq!(sim.run_streaming(|_| 0), TraceSimReport::default());
+        let empty = ClassifiedTrace::build_from_trace(
+            &cfg(MemSetup::DramOnly),
+            4,
+            ByteSize::mib(1),
+            "empty",
+            &[],
+        );
+        assert_eq!(sim.run_classified(&empty), TraceSimReport::default());
     }
 
     #[test]
@@ -2005,10 +1873,22 @@ mod tests {
         assert_eq!(forward.into_report(64), report);
     }
 
+    /// Classify `trace` for `cores` cores under the DDR-only config the
+    /// unit tests use.
+    fn artifact(cores: u32, trace: &[TraceAccess]) -> ClassifiedTrace {
+        ClassifiedTrace::build_from_trace(
+            &cfg(MemSetup::DramOnly),
+            cores,
+            ByteSize::mib(1),
+            "unit",
+            trace,
+        )
+    }
+
     #[test]
-    fn parallel_replay_matches_sequential_in_unit() {
-        // Small smoke version of tests/parallel_equivalence.rs: the
-        // sharded path must be bit-identical to the reference at
+    fn classified_replay_matches_sequential_in_unit() {
+        // Small smoke version of tests/classified_equivalence.rs: the
+        // artifact replay must be bit-identical to the reference at
         // several worker counts (including more workers than cores),
         // and with a window far smaller than the trace so refills and
         // ghost slots are exercised.
@@ -2020,60 +1900,32 @@ mod tests {
             ByteSize::mib(1),
         );
         let expect = seq.run(&trace);
+        let ct = artifact(4, &trace);
         for workers in [1, 2, 4, 8, 64] {
             for window in [None, Some(64)] {
-                let mut par_sim = TraceSim::new(
+                let mut sim = TraceSim::new(
                     &cfg(MemSetup::DramOnly),
                     4,
                     TracePlacement::AllDdr,
                     ByteSize::mib(1),
                 );
                 if let Some(w) = window {
-                    par_sim.set_replay_window(w);
+                    sim.set_replay_window(w);
                 }
-                let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
+                let got = par::with_threads(workers, || sim.run_classified(&ct));
                 let at = format!("workers={workers} window={window:?}");
                 assert_eq!(got, expect, "{at}");
-                assert_eq!(par_sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                assert_eq!(par_sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
                 if window.is_some() {
                     assert!(
-                        par_sim.last_timing_stats().windows > 1,
+                        sim.last_timing_stats().windows > 1,
                         "{at}: a 64-access window over {} accesses must refill",
                         trace.len()
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn windowed_replay_buffers_less_than_whole_trace() {
-        // The windowed parallel path should hold ~one window of
-        // classified accesses, not the full trace.
-        let trace = stream_trace(4, 2000);
-        let mut sim = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            4,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        sim.set_replay_window(128);
-        let mut reference = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            4,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let expect = reference.run(&trace);
-        let got = par::with_threads(2, || sim.run_parallel(&trace));
-        assert_eq!(got, expect);
-        assert!(
-            sim.last_peak_buffered_accesses() < trace.len() / 2,
-            "peak {} should be window-bounded, trace is {}",
-            sim.last_peak_buffered_accesses(),
-            trace.len()
-        );
     }
 
     #[test]
@@ -2088,23 +1940,6 @@ mod tests {
         assert_eq!(partition_by_core(64, 64), 0);
         assert_eq!(partition_by_core(1_000_003, 64), 1_000_003 % 64);
         assert_eq!(partition_by_core(5, 1), 0);
-    }
-
-    #[test]
-    fn thread_count_parsing() {
-        // Empty and garbage are rejected (worker_threads then warns
-        // once and falls back to the machine default); numbers —
-        // including 0 — parse, and the clamp maps them into [1, cores].
-        assert_eq!(parse_thread_count(""), None);
-        assert_eq!(parse_thread_count("   "), None);
-        assert_eq!(parse_thread_count("garbage"), None);
-        assert_eq!(parse_thread_count("-4"), None);
-        assert_eq!(parse_thread_count("4x"), None);
-        assert_eq!(parse_thread_count("0"), Some(0));
-        assert_eq!(parse_thread_count(" 0 "), Some(0));
-        assert_eq!(parse_thread_count("4"), Some(4));
-        assert_eq!(parse_thread_count(" 8 "), Some(8));
-        assert_eq!(parse_thread_count("1"), Some(1));
     }
 
     #[test]
@@ -2189,8 +2024,8 @@ mod tests {
     fn identical_clocks_tie_break_toward_lower_core() {
         // Two cores issue the same dependent-chase pattern, so their
         // clocks collide constantly; every tie must resolve toward the
-        // lower core, as in the sequential order. All three replay
-        // paths must agree exactly.
+        // lower core, as in the sequential order. The sequential,
+        // classified and streaming paths must agree exactly.
         let mut trace = Vec::new();
         for i in 0..200u64 {
             for c in [1u32, 0] {
@@ -2207,12 +2042,11 @@ mod tests {
         };
         let mut seq = make();
         let expect = seq.run(&trace);
-        let mut par_sim = make();
-        assert_eq!(
-            par::with_threads(2, || par_sim.run_parallel(&trace)),
-            expect
-        );
-        assert_eq!(par_sim.ddr_stats(), seq.ddr_stats());
+        let mut classified = make();
+        // A small window forces refills mid-tie.
+        classified.set_replay_window(8);
+        assert_eq!(classified.run_classified(&artifact(2, &trace)), expect);
+        assert_eq!(classified.ddr_stats(), seq.ddr_stats());
         let mut stream_sim = make();
         // Tiny chunks force many refills mid-tie.
         let got = par::with_threads(2, || stream_chunks(&mut stream_sim, trace.chunks(7)));
@@ -2280,7 +2114,7 @@ mod tests {
                 assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "chunk={chunk}");
                 assert_eq!(sim.per_core_totals(), seq.per_core_totals());
                 // A spread-across-cores workload streams in bounded
-                // buffers: far below the materialized paths' footprint.
+                // buffers: far below the materialized path's footprint.
                 if chunk == 64 {
                     assert!(
                         sim.last_peak_trace_buffer_bytes() < seq.last_peak_trace_buffer_bytes(),
@@ -2341,7 +2175,9 @@ mod tests {
         // 1000 lines per core fit each private L2, so a second replay of
         // the same trace hits where the first missed — but only if the
         // producer hands the warm hierarchies back after each run,
-        // including the empty run that comes first.
+        // including the empty run that comes first. Chunks of 64 match
+        // the trace's four-core burst rounds; chunks of 100 cut through
+        // them.
         let trace = stream_trace(4, 1000);
         let make = || {
             TraceSim::new(
@@ -2355,20 +2191,13 @@ mod tests {
             Some(simfabric::telemetry::MetricValue::Counter(n)) => *n,
             other => panic!("cache.l2_hits: {other:?}"),
         };
-        for streaming in [false, true] {
+        for chunk in [64, 100] {
             let (mut seq, mut sim) = (make(), make());
-            sim.set_replay_window(64);
             let mut hits = Vec::new();
             for (round, input) in [&[][..], &trace[..], &trace[..]].into_iter().enumerate() {
                 let want = seq.run(input);
-                let got = par::with_threads(2, || {
-                    if streaming {
-                        stream_chunks(&mut sim, input.chunks(100))
-                    } else {
-                        sim.run_parallel(input)
-                    }
-                });
-                let at = format!("streaming={streaming} round {round}");
+                let got = par::with_threads(2, || stream_chunks(&mut sim, input.chunks(chunk)));
+                let at = format!("chunk={chunk} round {round}");
                 assert_eq!(got, want, "{at}");
                 assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
                 assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
@@ -2379,46 +2208,18 @@ mod tests {
             }
             assert!(
                 hits[2] - hits[1] > hits[1],
-                "streaming={streaming}: the warm round must hit L2 more often \
+                "chunk={chunk}: the warm round must hit L2 more often \
                  than the cold one: {hits:?}"
             );
         }
     }
 
     #[test]
-    fn parallel_single_core_chase_closes_idle_cores() {
-        // One busy core on a 64-core sim: the 63 idle cores have no
-        // accesses in the trace, so they must never enter the merge as
-        // ghosts. If they did, they would win every round at clock 0
-        // and pull the whole trace into the queues.
-        let trace = chase_trace(0, 4000, 2 * 1024 * 1024 + 64);
-        let make = || {
-            TraceSim::new(
-                &cfg(MemSetup::DramOnly),
-                64,
-                TracePlacement::AllDdr,
-                ByteSize::mib(1),
-            )
-        };
-        let mut seq = make();
-        let want = seq.run(&trace);
-        let mut sim = make();
-        let window = 64;
-        sim.set_replay_window(window);
-        let got = par::with_threads(2, || sim.run_parallel(&trace));
-        assert_eq!(got, want);
-        assert!(
-            sim.last_peak_buffered_accesses() <= 2 * window,
-            "peak {} accesses buffered, window {window}",
-            sim.last_peak_buffered_accesses()
-        );
-    }
-
-    #[test]
     fn every_run_resets_the_window_count() {
-        // A streaming replay after a windowed one must report its own
+        // A streaming replay after a classified one must report its own
         // window count — one per chunk pulled — not the earlier run's.
         let trace = stream_trace(4, 300);
+        let ct = artifact(4, &trace);
         let mut sim = TraceSim::new(
             &cfg(MemSetup::DramOnly),
             4,
@@ -2426,9 +2227,11 @@ mod tests {
             ByteSize::mib(1),
         );
         sim.set_replay_window(64);
-        par::with_threads(2, || sim.run_parallel(&trace));
+        sim.run_classified(&ct);
         let windowed = sim.last_timing_stats().windows;
-        assert_eq!(windowed, trace.len().div_ceil(64) as u64);
+        // A 64-access window gives each of the 4 cores 16 accesses per
+        // refill, so each core's 300 accesses need at least 19 refills.
+        assert!(windowed >= 300u64.div_ceil(16), "{windowed} windows");
         let chunk = 100;
         par::with_threads(2, || stream_chunks(&mut sim, trace.chunks(chunk)));
         let chunks = trace.len().div_ceil(chunk) as u64;

@@ -46,7 +46,7 @@ impl DramTiming {
     }
 
     /// MCDRAM-ish timings: similar core timing to DRAM (3D stacking
-    /// does not shorten the array access — Chang et al. [25]), much
+    /// does not shorten the array access — Chang et al. \[25\]), much
     /// faster burst because of the wide on-package interface.
     pub fn mcdram() -> Self {
         DramTiming {

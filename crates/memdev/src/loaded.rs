@@ -10,7 +10,7 @@
 //! clamped at `u_max` (queues never grow unbounded in a closed system —
 //! the cores stall instead). The curve parameters were chosen so the
 //! model reproduces the measured behaviour cited by the paper
-//! (McCalpin's KNL latency study [18] and Chang et al. [25]): latency
+//! (McCalpin's KNL latency study \[18\] and Chang et al. \[25\]): latency
 //! roughly doubles near saturation.
 
 use simfabric::Duration;

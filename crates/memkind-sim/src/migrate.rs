@@ -6,8 +6,8 @@
 //! access stream and, every `T` accesses, promotes the hottest pages
 //! DDR→MCDRAM and demotes cold pages back, under a fixed MCDRAM
 //! capacity budget. [`PageScheduler`] is that scheduler, factored so
-//! the trace simulator (`knl::tracesim`) can drive it from all three
-//! replay engines and stay bit-identical:
+//! the trace simulator (`knl::tracesim`) can drive it from every
+//! replay path and stay bit-identical:
 //!
 //! * **Sampling** — [`PageScheduler::tick`] is called exactly once per
 //!   consumed access, in the replay's merge order, with the access's
@@ -30,7 +30,7 @@
 //! Everything the scheduler does is a pure function of the tick
 //! sequence `(addr, memory_level, now)` — hash-map iteration is always
 //! sorted before it can influence an outcome — which is what makes the
-//! sequential, windowed-parallel, and streaming replays bit-identical
+//! sequential, streaming, and classified replays bit-identical
 //! under active migration ([`MigrationStats::digest`] pins the exact
 //! `(tick, page, direction)` move sequence across engines).
 //!

@@ -24,5 +24,5 @@ pub mod routing;
 pub mod topology;
 
 pub use cluster::ClusterMode;
-pub use routing::{MeshModel, MeshStats, MeshTally};
+pub use routing::{MeshModel, MeshStats};
 pub use topology::{Coord, MemPort, Topology};

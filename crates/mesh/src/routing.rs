@@ -150,43 +150,10 @@ impl MeshModel {
     /// (the trace simulator's memory round trips): bumps the message
     /// and hop counters without reserving links, so timing is
     /// unaffected and the counts are independent of processing order.
+    #[inline]
     pub fn note_analytic_message(&mut self, hops: u64) {
         self.stats.messages.incr();
         self.stats.hops.add(hops);
-    }
-
-    /// Fold a batch of analytically-charged messages accumulated in a
-    /// [`MeshTally`] into the stats — equivalent to one
-    /// [`note_analytic_message`](Self::note_analytic_message) call per
-    /// tallied message, in any order (pure counter sums).
-    pub fn absorb_tally(&mut self, tally: MeshTally) {
-        self.stats.messages.add(tally.messages);
-        self.stats.hops.add(tally.hops);
-    }
-}
-
-/// A detached accumulator for analytic mesh messages, used by trace
-/// replay to batch accounting away from the shared [`MeshModel`] and
-/// fold it back with
-/// [`MeshModel::absorb_tally`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MeshTally {
-    /// Messages tallied.
-    pub messages: u64,
-    /// Total hops across tallied messages.
-    pub hops: u64,
-}
-
-impl MeshTally {
-    /// Tally one analytic message of `hops` hops.
-    pub fn note(&mut self, hops: u64) {
-        self.messages += 1;
-        self.hops += hops;
-    }
-
-    /// Whether anything has been tallied.
-    pub fn is_empty(&self) -> bool {
-        self.messages == 0
     }
 }
 
@@ -285,20 +252,6 @@ mod tests {
         assert!(matches!(p1, MemPort::Edc(_)));
         let (_, p3) = m1.memory_path(7, 0xDEADBEC0, false, SimTime::ZERO);
         assert!(matches!(p3, MemPort::DdrMc(_)));
-    }
-
-    #[test]
-    fn tally_absorb_equals_direct_analytic_notes() {
-        let mut direct = MeshModel::knl(ClusterMode::Quadrant);
-        let mut batched = MeshModel::knl(ClusterMode::Quadrant);
-        let mut tally = MeshTally::default();
-        assert!(tally.is_empty());
-        for hops in [3u64, 0, 7, 7, 12] {
-            direct.note_analytic_message(hops);
-            tally.note(hops);
-        }
-        batched.absorb_tally(tally);
-        assert_eq!(batched.stats(), direct.stats());
     }
 
     #[test]

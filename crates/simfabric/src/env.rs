@@ -77,9 +77,12 @@ mod tests {
     #[test]
     fn usize_grammar_accepts_trimmed_integers_including_zero() {
         assert_eq!(parse_usize("8"), Some(8));
+        assert_eq!(parse_usize(" 8 "), Some(8));
         assert_eq!(parse_usize("  0\n"), Some(0));
         assert_eq!(parse_usize(""), None);
+        assert_eq!(parse_usize("   "), None);
         assert_eq!(parse_usize("eight"), None);
+        assert_eq!(parse_usize("4x"), None);
         assert_eq!(parse_usize("-1"), None);
         assert_eq!(parse_usize("3.5"), None);
     }

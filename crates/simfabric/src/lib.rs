@@ -14,7 +14,7 @@
 //!   sampled time-series over simulated ticks, Chrome `trace_event`
 //!   export) in [`telemetry`],
 //! * warn-once parsing for tuning-knob environment variables in
-//!   [`env`],
+//!   [`env`](mod@env),
 //! * a sharded, byte-bounded concurrent LRU ([`ShardedLru`]) in
 //!   [`cache`],
 //! * a multiplicative hasher for page-number keys ([`PageMap`],

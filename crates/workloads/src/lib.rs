@@ -22,7 +22,7 @@
 //!   paper's figures at full problem sizes (up to 90 GB of *virtual*
 //!   footprint; see DESIGN.md on the virtual-footprint substitution).
 //!
-//! The [`catalog`] module reproduces Table I, and [`PaperWorkload`] is
+//! The [`catalog`](mod@catalog) module reproduces Table I, and [`PaperWorkload`] is
 //! the common interface the experiment harness sweeps over.
 
 #![warn(missing_docs)]

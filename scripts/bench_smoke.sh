@@ -19,9 +19,8 @@ OUT=target/BENCH_trace_replay_smoke.json
 "$REPRO" bench-check "$OUT"
 
 # Performance gates, one declarative table (`bench::gate::table`):
-# telemetry, migration-off and sampling overhead <= 2 %, parallel >=
-# 0.95x streaming, sweep reuse >= 1.1x, advisor batch >= 5x and its
-# single-query plumbing <= 2 %. Each row's structural asserts
+# telemetry, migration-off and sampling overhead <= 2 %, sweep reuse
+# >= 1.1x, advisor batch >= 5x and its single-query plumbing <= 2 %. Each row's structural asserts
 # (bit-identical arms, classify counts, dedupe, cache retention) panic
 # on the first attempt; only a missed timing bound is retried, up to
 # three attempts, because shared-host timer noise at the 2 % scale is

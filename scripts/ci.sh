@@ -10,10 +10,10 @@ cargo build --release --offline --workspace
 
 # The test suite runs twice: once pinned to a single trace-replay
 # worker and once at eight, so the sequential-equivalence contract of
-# the sharded parallel engine is exercised at both extremes on every
-# commit (see tests/parallel_equivalence.rs). Every parallel and
-# streaming replay crosses the producer-to-merge pipe, where a deadlock
-# would present as a hang, so both passes run under a watchdog.
+# the streaming engine is exercised at both extremes on every commit
+# (see tests/parallel_equivalence.rs). Every streaming replay crosses
+# the producer-to-merge pipe, where a deadlock would present as a
+# hang, so both passes run under a watchdog.
 TRACESIM_THREADS=1 timeout 1800 cargo test -q --offline
 TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
 
@@ -37,6 +37,10 @@ timeout 900 cargo test -q --offline -p cachesim -p knl -p memdev -p memkind-sim 
 # the next person to run it.
 cargo bench --no-run --offline -p bench
 
+# API docs must build without a warning: an intra-doc link to a
+# deleted or private item fails here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 # The equivalence suite again at a middle worker count, under the same
 # watchdog: the producer pipe and the classification workers behind it
 # are the only cross-thread handoffs of a replay; the timeout turns a
@@ -48,7 +52,8 @@ TRACESIM_THREADS=4 timeout 900 \
 # one classified artifact replayed against every placement (including
 # active migration, where the move digest is compared) must stay
 # bit-identical to fresh per-setup streaming replays
-# (tests/classified_equivalence.rs).
+# (tests/classified_equivalence.rs), at the default refill window and
+# at one small enough to refill many times.
 TRACESIM_THREADS=4 timeout 900 \
     cargo test -q --offline -p knl-hybrid-memory --test classified_equivalence
 

@@ -5,10 +5,12 @@
 //! per-shard totals, device and mesh statistics, and (under a
 //! `Migrated` placement) the scheduler's move-sequence digest — across
 //! every workload generator, every paper memory setup, and a 1/2/4/8
-//! worker ladder. The same contract is pinned for batched mesh pricing
-//! (`set_mesh_batching`): batching detaches hop/contention sums from
-//! the per-access loop and must change nothing observable. This is what makes the sweep engine's
-//! speedup trustworthy: "classified == regenerated, only faster".
+//! worker ladder. Each artifact is replayed at the default refill
+//! window (one refill at this trace size) and at a 64-access window,
+//! so ghost-slot refills, and cores closing as their slices run out
+//! mid-replay, run here and not only at benchmark scale. This is what makes
+//! the sweep engine's speedup trustworthy: "classified == regenerated,
+//! only faster".
 
 use hybridmem::TraceSpec;
 use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
@@ -29,6 +31,10 @@ fn msc() -> ByteSize {
 /// Period/budget small enough that the 3200-access trace crosses many
 /// rebalance boundaries (mirrors the parallel-equivalence suite).
 const MIGRATE_SPEC: MigrationSpec = MigrationSpec::new(256, 16);
+
+/// Refill windows every artifact replays at: the default, and one small
+/// enough that each core refills many times.
+const WINDOWS: [Option<usize>; 2] = [None, Some(64)];
 
 /// The timing setups a flat artifact must serve: every placement,
 /// including an actively-migrating one. Cache mode replays its own
@@ -84,9 +90,34 @@ fn assert_sims_match(got: &TraceSim, want: &TraceSim, ctx: &str) {
     );
 }
 
+/// Replay `ct` on a fresh simulator for `placement` at `workers`
+/// workers and refill `window` (the default when `None`); a small
+/// window must actually refill more than once.
+fn replay_classified(
+    ct: &ClassifiedTrace,
+    cfg: &MachineConfig,
+    placement: TracePlacement,
+    workers: usize,
+    window: Option<usize>,
+) -> (TraceSim, TraceSimReport) {
+    let mut sim = TraceSim::new(cfg, CORES, placement, msc());
+    if let Some(w) = window {
+        sim.set_replay_window(w);
+    }
+    let report = par::with_threads(workers, || sim.run_classified(ct));
+    if window.is_some() {
+        assert!(
+            sim.last_timing_stats().windows > 1,
+            "a {window:?} window over {} accesses must refill more than once",
+            ct.accesses()
+        );
+    }
+    (sim, report)
+}
+
 /// Replay `kind` under `setup`: one classified artifact against every
-/// placement × worker count, checked against a
-/// fresh streaming replay of the same placement.
+/// placement × worker count × refill window, checked against a fresh
+/// streaming replay of the same placement.
 fn check(kind: TraceKind, setup: MemSetup) {
     let cfg = MachineConfig::knl7210(setup, 64);
     let ct = artifact(kind, &cfg);
@@ -102,11 +133,14 @@ fn check(kind: TraceKind, setup: MemSetup) {
             replay_streaming(&mut seq, source.as_mut())
         };
         for workers in WORKERS {
-            let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
-            let got = par::with_threads(workers, || sim.run_classified(&ct));
-            let ctx = format!("{kind:?} under {setup:?} at {placement:?} workers={workers}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_sims_match(&sim, &seq, &ctx);
+            for window in WINDOWS {
+                let (sim, got) = replay_classified(&ct, &cfg, placement, workers, window);
+                let ctx = format!(
+                    "{kind:?} under {setup:?} at {placement:?} workers={workers} window={window:?}"
+                );
+                assert_eq!(got, expect, "report diverged: {ctx}");
+                assert_sims_match(&sim, &seq, &ctx);
+            }
         }
     }
 }
@@ -172,53 +206,19 @@ fn hot_cold_migration_digest_matches_streaming() {
         "hot/cold trace must drive promotions and demotions, got {stats:?}"
     );
     for workers in WORKERS {
-        let mut sim = TraceSim::new(&cfg, CORES, placement, msc());
-        let got = par::with_threads(workers, || sim.run_classified(&ct));
-        let ctx = format!("hotcold workers={workers}");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_sims_match(&sim, &seq, &ctx);
-    }
-}
-
-/// Batched mesh pricing must be invisible: for every generator and
-/// paper setup, a replay with per-access mesh pricing
-/// (`set_mesh_batching(false)`) and a batched replay — on both the
-/// streaming and the classified engines — land on identical reports
-/// and mesh statistics.
-#[test]
-fn mesh_batching_is_bit_identical() {
-    for kind in TraceKind::ALL {
-        for setup in MemSetup::PAPER_SETUPS {
-            let cfg = MachineConfig::knl7210(setup, 64);
-            let mut unbatched = TraceSim::new(&cfg, CORES, TracePlacement::AllDdr, msc());
-            unbatched.set_mesh_batching(false);
-            let expect = {
-                let mut source = kind.source(CORES, PER_CORE, SEED);
-                replay_streaming(&mut unbatched, source.as_mut())
-            };
-            let mut batched = TraceSim::new(&cfg, CORES, TracePlacement::AllDdr, msc());
-            batched.set_mesh_batching(true);
-            let got = {
-                let mut source = kind.source(CORES, PER_CORE, SEED);
-                replay_streaming(&mut batched, source.as_mut())
-            };
-            let ctx = format!("{kind:?} under {setup:?}");
-            assert_eq!(got, expect, "batched mesh report diverged: {ctx}");
-            assert_sims_match(&batched, &unbatched, &ctx);
-
-            let ct = artifact(kind, &cfg);
-            let mut classified = TraceSim::new(&cfg, CORES, TracePlacement::AllDdr, msc());
-            classified.set_mesh_batching(true);
-            let got = classified.run_classified(&ct);
-            assert_eq!(got, expect, "classified batched report diverged: {ctx}");
-            assert_sims_match(&classified, &unbatched, &ctx);
+        for window in WINDOWS {
+            let (sim, got) = replay_classified(&ct, &cfg, placement, workers, window);
+            let ctx = format!("hotcold workers={workers} window={window:?}");
+            assert_eq!(got, expect, "report diverged: {ctx}");
+            assert_sims_match(&sim, &seq, &ctx);
         }
     }
 }
 
-/// End-to-end through the sweep engine: `replay_point` must produce
-/// the same reports with reuse on (artifact via the global cache) and
-/// off (regenerate per point) — the switch the bench harness prices.
+/// End-to-end through the sweep engine: `replay_point` (which replays
+/// an artifact from the global classify cache) must produce the same
+/// reports and device statistics as a fresh streaming replay, at every
+/// flat placement.
 #[test]
 fn sweep_engine_modes_agree_end_to_end() {
     let spec = TraceSpec::from_kind(TraceKind::Gups, CORES, PER_CORE, SEED ^ 0xE2E);

@@ -1,12 +1,14 @@
-//! Sequential-equivalence differential suite for the sharded parallel
-//! and streaming trace engines: for every workload trace generator,
-//! every paper memory setup, and a 1/2/4/8 worker-thread ladder, both
-//! `run_parallel` (over the materialized trace) and `run_streaming`
-//! (fed chunk-by-chunk from the generator's `TraceSource`) must
-//! produce reports and device statistics **bit-identical** to the
-//! sequential reference `run`. This is the correctness contract that
-//! makes the parallel/streaming speedup trustworthy: "parallel ==
-//! sequential, only faster".
+//! Sequential-equivalence differential suite for the streaming trace
+//! engine: for every workload trace generator, every paper memory
+//! setup, and a 1/2/4/8 worker-thread ladder, `run_streaming` (fed
+//! chunk-by-chunk from the generator's `TraceSource`) must produce
+//! reports and device statistics **bit-identical** to the sequential
+//! reference `run`. The contention, migration and time-series cases
+//! also stream the materialized trace in 512-access chunks, so ghost
+//! refills land mid-contention and between rebalances. This is the
+//! correctness contract that makes the streaming speedup trustworthy:
+//! "streaming == sequential, only faster". Classified (artifact)
+//! replay is held to streaming replay in `tests/classified_equivalence.rs`.
 
 use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport};
 use knl::{MachineConfig, MemSetup};
@@ -18,6 +20,9 @@ const CORES: u32 = 8;
 const PER_CORE: u64 = 400;
 const SEED: u64 = 0xD1FF;
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
+/// Chunk size for streaming a materialized trace: far below the
+/// trace length, so the merge refills many times.
+const CHUNK: usize = 512;
 
 fn placement(setup: MemSetup) -> TracePlacement {
     match setup {
@@ -35,66 +40,74 @@ fn fresh(setup: MemSetup) -> TraceSim {
     )
 }
 
-/// Replay `kind` under `setup` sequentially and at every worker count;
-/// assert everything observable is identical.
+/// Stream the materialized `trace` through `sim` in [`CHUNK`]-access
+/// chunks on `workers` classification workers.
+fn stream_chunked(sim: &mut TraceSim, trace: &[TraceAccess], workers: usize) -> TraceSimReport {
+    let mut chunks = trace.chunks(CHUNK);
+    par::with_threads(workers, || {
+        sim.run_streaming(|buf| match chunks.next() {
+            Some(chunk) => {
+                buf.extend_from_slice(chunk);
+                chunk.len()
+            }
+            None => 0,
+        })
+    })
+}
+
+/// Stream `source` through `sim` on `workers` classification workers.
+fn stream_source(
+    sim: &mut TraceSim,
+    mut source: Box<dyn TraceSource + Send>,
+    workers: usize,
+) -> TraceSimReport {
+    par::with_threads(workers, || replay_streaming(sim, source.as_mut()))
+}
+
+/// Everything observable outside the report: per-shard totals, both
+/// DRAM bank models, the mesh, and the migration scheduler (whose
+/// move digest pins remaps to identical trace offsets).
+fn assert_sims_match(got: &TraceSim, want: &TraceSim, ctx: &str) {
+    assert_eq!(
+        got.per_core_totals(),
+        want.per_core_totals(),
+        "per-shard totals diverged: {ctx}"
+    );
+    assert_eq!(
+        got.ddr_stats(),
+        want.ddr_stats(),
+        "DDR bank stats diverged: {ctx}"
+    );
+    assert_eq!(
+        got.hbm_stats(),
+        want.hbm_stats(),
+        "MCDRAM bank stats diverged: {ctx}"
+    );
+    assert_eq!(
+        got.mesh_stats(),
+        want.mesh_stats(),
+        "mesh stats diverged: {ctx}"
+    );
+    assert_eq!(
+        got.migration_stats(),
+        want.migration_stats(),
+        "migration stats (incl. move digest) diverged: {ctx}"
+    );
+}
+
+/// Replay `kind` under `setup` sequentially and streaming at every
+/// worker count; assert everything observable is identical.
 fn check(kind: TraceKind, setup: MemSetup) {
     let trace = kind.generate(CORES, PER_CORE, SEED);
     assert!(!trace.is_empty(), "{kind:?} generated an empty trace");
     let mut seq = fresh(setup);
     let expect: TraceSimReport = seq.run(&trace);
     for workers in WORKERS {
-        let mut par_sim = fresh(setup);
-        let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
-        let ctx = format!("{kind:?} under {setup:?} at {workers} workers");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_eq!(
-            par_sim.per_core_totals(),
-            seq.per_core_totals(),
-            "per-shard totals diverged: {ctx}"
-        );
-        assert_eq!(
-            par_sim.ddr_stats(),
-            seq.ddr_stats(),
-            "DDR bank stats diverged: {ctx}"
-        );
-        assert_eq!(
-            par_sim.hbm_stats(),
-            seq.hbm_stats(),
-            "MCDRAM bank stats diverged: {ctx}"
-        );
-        assert_eq!(
-            par_sim.mesh_stats(),
-            seq.mesh_stats(),
-            "mesh stats diverged: {ctx}"
-        );
-
-        let mut stream_sim = fresh(setup);
-        let got = par::with_threads(workers, || {
-            let mut source = kind.source(CORES, PER_CORE, SEED);
-            replay_streaming(&mut stream_sim, source.as_mut())
-        });
+        let mut sim = fresh(setup);
+        let got = stream_source(&mut sim, kind.source(CORES, PER_CORE, SEED), workers);
         let ctx = format!("streaming {kind:?} under {setup:?} at {workers} workers");
         assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_eq!(
-            stream_sim.per_core_totals(),
-            seq.per_core_totals(),
-            "per-shard totals diverged: {ctx}"
-        );
-        assert_eq!(
-            stream_sim.ddr_stats(),
-            seq.ddr_stats(),
-            "DDR bank stats diverged: {ctx}"
-        );
-        assert_eq!(
-            stream_sim.hbm_stats(),
-            seq.hbm_stats(),
-            "MCDRAM bank stats diverged: {ctx}"
-        );
-        assert_eq!(
-            stream_sim.mesh_stats(),
-            seq.mesh_stats(),
-            "mesh stats diverged: {ctx}"
-        );
+        assert_sims_match(&sim, &seq, &ctx);
     }
 }
 
@@ -150,30 +163,19 @@ fn split_placement_parallel_equals_sequential() {
     let expect = seq.run(&trace);
     assert!(expect.memory_accesses > 0);
     for workers in WORKERS {
-        let mut par_sim = mk();
-        let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
-        assert_eq!(got, expect, "split placement at {workers} workers");
-        assert_eq!(par_sim.ddr_stats(), seq.ddr_stats());
-        assert_eq!(par_sim.hbm_stats(), seq.hbm_stats());
-
-        let mut stream_sim = mk();
-        let got = par::with_threads(workers, || {
-            let mut source = TraceKind::Bfs.source(CORES, PER_CORE, SEED ^ 0x5917);
-            replay_streaming(&mut stream_sim, source.as_mut())
-        });
-        assert_eq!(
-            got, expect,
-            "streaming split placement at {workers} workers"
-        );
-        assert_eq!(stream_sim.ddr_stats(), seq.ddr_stats());
-        assert_eq!(stream_sim.hbm_stats(), seq.hbm_stats());
+        let mut sim = mk();
+        let source = TraceKind::Bfs.source(CORES, PER_CORE, SEED ^ 0x5917);
+        let got = stream_source(&mut sim, source, workers);
+        let ctx = format!("streaming split placement at {workers} workers");
+        assert_eq!(got, expect, "report diverged: {ctx}");
+        assert_sims_match(&sim, &seq, &ctx);
     }
 }
 
 /// The device/shard portion of a metrics registry — everything except
 /// the `pipeline.*` stall counters and `replay.peak_buffer_bytes`,
 /// which measure wall-clock scheduling and are legitimately different
-/// between the sequential, sharded, and streaming paths.
+/// between the sequential and streaming paths.
 fn deterministic_metrics(sim: &TraceSim) -> Vec<(String, simfabric::telemetry::MetricValue)> {
     sim.metrics_registry()
         .iter()
@@ -194,8 +196,8 @@ fn merged_shards(sim: &TraceSim) -> simfabric::MetricsRegistry {
 
 /// Telemetry must be (1) invisible to replay results and (2) a
 /// commutative-merge view: the fold of per-shard registries and the
-/// full device registry both land on the sequential values no matter
-/// which engine ran or at what worker count.
+/// full device registry both land on the sequential values at every
+/// worker count.
 #[test]
 fn telemetry_registries_merge_to_sequential_values() {
     let setup = MemSetup::CacheMode;
@@ -216,35 +218,17 @@ fn telemetry_registries_merge_to_sequential_values() {
 
         for workers in WORKERS {
             let ctx = format!("{kind:?} at {workers} workers");
-            let mut par_sim = fresh(setup);
-            par_sim.enable_telemetry();
-            let got = par::with_threads(workers, || par_sim.run_parallel(&trace));
-            assert_eq!(got, expect, "parallel report diverged: {ctx}");
-            assert_eq!(
-                merged_shards(&par_sim),
-                expect_shards,
-                "parallel shard registries diverged: {ctx}"
-            );
-            assert_eq!(
-                deterministic_metrics(&par_sim),
-                expect_metrics,
-                "parallel device metrics diverged: {ctx}"
-            );
-
-            let mut stream_sim = fresh(setup);
-            stream_sim.enable_telemetry();
-            let got = par::with_threads(workers, || {
-                let mut source = kind.source(CORES, PER_CORE, SEED);
-                replay_streaming(&mut stream_sim, source.as_mut())
-            });
+            let mut sim = fresh(setup);
+            sim.enable_telemetry();
+            let got = stream_source(&mut sim, kind.source(CORES, PER_CORE, SEED), workers);
             assert_eq!(got, expect, "streaming report diverged: {ctx}");
             assert_eq!(
-                merged_shards(&stream_sim),
+                merged_shards(&sim),
                 expect_shards,
                 "streaming shard registries diverged: {ctx}"
             );
             assert_eq!(
-                deterministic_metrics(&stream_sim),
+                deterministic_metrics(&sim),
                 expect_metrics,
                 "streaming device metrics diverged: {ctx}"
             );
@@ -289,8 +273,8 @@ fn contention_trace(cores: u32, per_core: u64) -> Vec<TraceAccess> {
 
 /// Satellite stress test: the adversarial contention trace must stay
 /// bit-identical to the sequential oracle across worker counts, paper
-/// setups, and a replay window small enough to force many ghost-slot
-/// refills mid-contention.
+/// setups, and chunks small enough to force many ghost-slot refills
+/// mid-contention.
 #[test]
 fn contention_stress_parallel_equals_sequential() {
     let trace = contention_trace(CORES, PER_CORE);
@@ -303,37 +287,17 @@ fn contention_stress_parallel_equals_sequential() {
         );
         for workers in WORKERS {
             let mut sim = fresh(setup);
-            sim.set_replay_window(512);
-            let got = par::with_threads(workers, || sim.run_parallel(&trace));
+            let got = stream_chunked(&mut sim, &trace, workers);
             let ctx = format!("contention {setup:?} workers={workers}");
             assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_eq!(
-                sim.per_core_totals(),
-                seq.per_core_totals(),
-                "per-shard totals diverged: {ctx}"
-            );
-            assert_eq!(
-                sim.ddr_stats(),
-                seq.ddr_stats(),
-                "DDR stats diverged: {ctx}"
-            );
-            assert_eq!(
-                sim.hbm_stats(),
-                seq.hbm_stats(),
-                "HBM stats diverged: {ctx}"
-            );
-            assert_eq!(
-                sim.mesh_stats(),
-                seq.mesh_stats(),
-                "mesh stats diverged: {ctx}"
-            );
+            assert_sims_match(&sim, &seq, &ctx);
         }
     }
 }
 
 /// The same adversarial trace with telemetry enabled: order-sensitive
 /// recorders (MSHR occupancy, DRAM queue-wait histograms) must land on
-/// the sequential values even though window refills interrupt the
+/// the sequential values even though chunk refills interrupt the
 /// merge mid-contention.
 #[test]
 fn contention_stress_telemetry_matches_sequential() {
@@ -348,8 +312,7 @@ fn contention_stress_telemetry_matches_sequential() {
     for workers in WORKERS {
         let mut sim = fresh(setup);
         sim.enable_telemetry();
-        sim.set_replay_window(512);
-        let got = par::with_threads(workers, || sim.run_parallel(&trace));
+        let got = stream_chunked(&mut sim, &trace, workers);
         let ctx = format!("contention telemetry workers={workers}");
         assert_eq!(got, expect, "report diverged: {ctx}");
         assert_eq!(
@@ -374,15 +337,25 @@ fn fresh_migrated() -> TraceSim {
     )
 }
 
-/// Replay `trace` under active migration sequentially, sharded (with a
-/// small window so remaps straddle window refills), and streaming; everything observable — including the
+/// Materialize everything `source` yields.
+fn drain(mut source: Box<dyn TraceSource + Send>) -> Vec<TraceAccess> {
+    let mut out = Vec::new();
+    while let Some(a) = source.next_access() {
+        out.push(a);
+    }
+    out
+}
+
+/// Replay `trace` under active migration sequentially and streaming —
+/// from the generator, and from the materialized trace in small chunks
+/// so remaps straddle refills; everything observable — including the
 /// scheduler's move-sequence digest — must be bit-identical. A remap
-/// landing one access early or late on any engine changes the routing
-/// of that access and shows up in the digest and device stats.
+/// landing one access early or late changes the routing of that
+/// access and shows up in the digest and device stats.
 fn check_migration(
     label: &str,
     trace: &[TraceAccess],
-    mut source: impl FnMut() -> Box<dyn TraceSource + Send>,
+    source: impl Fn() -> Box<dyn TraceSource + Send>,
 ) {
     let mut seq = fresh_migrated();
     let expect = seq.run(trace);
@@ -395,63 +368,22 @@ fn check_migration(
     );
     for workers in WORKERS {
         let mut sim = fresh_migrated();
-        sim.set_replay_window(512);
-        let got = par::with_threads(workers, || sim.run_parallel(trace));
-        let ctx = format!("migrated {label} workers={workers}");
+        let got = stream_chunked(&mut sim, trace, workers);
+        let ctx = format!("migrated chunked {label} workers={workers}");
         assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_eq!(
-            sim.migration_stats().as_ref(),
-            Some(&expect_stats),
-            "migration stats diverged: {ctx}"
-        );
-        assert_eq!(
-            sim.per_core_totals(),
-            seq.per_core_totals(),
-            "per-shard totals diverged: {ctx}"
-        );
-        assert_eq!(
-            sim.ddr_stats(),
-            seq.ddr_stats(),
-            "DDR stats diverged: {ctx}"
-        );
-        assert_eq!(
-            sim.hbm_stats(),
-            seq.hbm_stats(),
-            "HBM stats diverged: {ctx}"
-        );
-        assert_eq!(
-            sim.mesh_stats(),
-            seq.mesh_stats(),
-            "mesh stats diverged: {ctx}"
-        );
+        assert_sims_match(&sim, &seq, &ctx);
 
-        let mut stream_sim = fresh_migrated();
-        let got = par::with_threads(workers, || {
-            let mut src = source();
-            replay_streaming(&mut stream_sim, src.as_mut())
-        });
+        let mut sim = fresh_migrated();
+        let got = stream_source(&mut sim, source(), workers);
         let ctx = format!("migrated streaming {label} workers={workers}");
         assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_eq!(
-            stream_sim.migration_stats().as_ref(),
-            Some(&expect_stats),
-            "migration stats diverged: {ctx}"
-        );
-        assert_eq!(
-            stream_sim.ddr_stats(),
-            seq.ddr_stats(),
-            "DDR stats diverged: {ctx}"
-        );
-        assert_eq!(
-            stream_sim.hbm_stats(),
-            seq.hbm_stats(),
-            "HBM stats diverged: {ctx}"
-        );
+        assert_sims_match(&sim, &seq, &ctx);
     }
 }
 
 /// Migration equivalence across the five paper generators: remaps must
-/// land at the same trace offset no matter how the replay is sharded.
+/// land at the same trace offset no matter how the replay is chunked
+/// or sharded.
 #[test]
 fn migration_parallel_equals_sequential() {
     for kind in TraceKind::ALL {
@@ -462,24 +394,17 @@ fn migration_parallel_equals_sequential() {
     }
 }
 
-/// Same contract on the phased hot/cold workload the `T`-sweep uses —
-/// the one trace where the scheduler actually promotes and demotes
-/// whole waves of pages every period.
+/// The phased hot/cold workload the `T`-sweep uses: the one trace
+/// where the scheduler actually promotes and demotes whole waves of
+/// pages every period.
+fn hot_cold() -> Box<dyn TraceSource + Send> {
+    Box::new(HotColdSource::new(CORES, 3, 160, 64 << 10, 4 << 20, SEED))
+}
+
+/// Same contract on the hot/cold workload.
 #[test]
 fn migration_hot_cold_parallel_equals_sequential() {
-    let (phases, per_core) = (3, 160);
-    let (hot, cold) = (64 << 10, 4 << 20);
-    let mk = || -> Box<dyn TraceSource + Send> {
-        Box::new(HotColdSource::new(CORES, phases, per_core, hot, cold, SEED))
-    };
-    let trace = {
-        let mut src = mk();
-        let mut out = Vec::new();
-        while let Some(a) = src.next_access() {
-            out.push(a);
-        }
-        out
-    };
+    let trace = drain(hot_cold());
     let mut seq = fresh_migrated();
     seq.run(&trace);
     let stats = seq.migration_stats().unwrap();
@@ -487,16 +412,21 @@ fn migration_hot_cold_parallel_equals_sequential() {
         stats.promoted_pages > 0 && stats.demoted_pages > 0,
         "hot/cold trace must drive promotions and demotions, got {stats:?}"
     );
-    check_migration("HotCold", &trace, mk);
+    check_migration("HotCold", &trace, hot_cold);
+}
+
+/// Sampled series of `sim` as JSONL.
+fn timeseries_jsonl(sim: &TraceSim) -> String {
+    sim.timeseries().expect("sampling enabled").to_jsonl()
 }
 
 /// Tentpole contract for in-replay time-series sampling: enabling the
 /// sampler must leave replay results bit-identical, and the sampled
-/// windows themselves must be bit-identical across the sequential,
-/// sharded (with small windows), and streaming engines at every
-/// worker count — the sampling clock is merge-order simulated
-/// progress, not wall time, so the exported JSONL matches byte for
-/// byte. Covers all five paper generators.
+/// windows themselves must be bit-identical across the sequential and
+/// streaming engines — from the generator and from the materialized
+/// trace in small chunks — at every worker count. The sampling clock
+/// is merge-order simulated progress, not wall time, so the exported
+/// JSONL matches byte for byte. Covers all five paper generators.
 #[test]
 fn timeseries_sampling_invisible_and_identical_across_engines() {
     // Co-prime with the generators' burst lengths so boundaries land
@@ -520,34 +450,22 @@ fn timeseries_sampling_invisible_and_identical_across_engines() {
         let expect_jsonl = rec.to_jsonl();
 
         for workers in WORKERS {
-            let mut sim = fresh(setup);
-            sim.enable_timeseries(INTERVAL, CAPACITY);
-            sim.set_replay_window(512);
-            let got = par::with_threads(workers, || sim.run_parallel(&trace));
-            let ctx = format!("{kind:?} workers={workers}");
-            assert_eq!(got, expect, "sampled report diverged: {ctx}");
-            assert_eq!(
-                sim.timeseries().expect("sampling enabled").to_jsonl(),
-                expect_jsonl,
-                "sampled windows diverged: {ctx}"
-            );
-
-            let mut stream_sim = fresh(setup);
-            stream_sim.enable_timeseries(INTERVAL, CAPACITY);
-            let got = par::with_threads(workers, || {
-                let mut source = kind.source(CORES, PER_CORE, SEED);
-                replay_streaming(&mut stream_sim, source.as_mut())
-            });
-            let ctx = format!("streaming {kind:?} workers={workers}");
-            assert_eq!(got, expect, "sampled report diverged: {ctx}");
-            assert_eq!(
-                stream_sim
-                    .timeseries()
-                    .expect("sampling enabled")
-                    .to_jsonl(),
-                expect_jsonl,
-                "sampled windows diverged: {ctx}"
-            );
+            for chunked in [true, false] {
+                let mut sim = fresh(setup);
+                sim.enable_timeseries(INTERVAL, CAPACITY);
+                let got = if chunked {
+                    stream_chunked(&mut sim, &trace, workers)
+                } else {
+                    stream_source(&mut sim, kind.source(CORES, PER_CORE, SEED), workers)
+                };
+                let ctx = format!("{kind:?} chunked={chunked} workers={workers}");
+                assert_eq!(got, expect, "sampled report diverged: {ctx}");
+                assert_eq!(
+                    timeseries_jsonl(&sim),
+                    expect_jsonl,
+                    "sampled windows diverged: {ctx}"
+                );
+            }
         }
     }
 }
@@ -560,19 +478,7 @@ fn timeseries_sampling_invisible_and_identical_across_engines() {
 fn timeseries_migration_series_identical_across_engines() {
     const INTERVAL: u64 = 131;
     const CAPACITY: usize = 4; // force ring eviction
-    let (phases, per_core) = (3, 160);
-    let (hot, cold) = (64 << 10, 4 << 20);
-    let mk_src = || -> Box<dyn TraceSource + Send> {
-        Box::new(HotColdSource::new(CORES, phases, per_core, hot, cold, SEED))
-    };
-    let trace = {
-        let mut src = mk_src();
-        let mut out = Vec::new();
-        while let Some(a) = src.next_access() {
-            out.push(a);
-        }
-        out
-    };
+    let trace = drain(hot_cold());
     let mut plain = fresh_migrated();
     let expect = plain.run(&trace);
 
@@ -593,34 +499,22 @@ fn timeseries_migration_series_identical_across_engines() {
     let expect_jsonl = rec.to_jsonl();
 
     for workers in WORKERS {
-        let mut sim = fresh_migrated();
-        sim.enable_timeseries(INTERVAL, CAPACITY);
-        sim.set_replay_window(512);
-        let got = par::with_threads(workers, || sim.run_parallel(&trace));
-        let ctx = format!("migrated sampling workers={workers}");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_eq!(
-            sim.timeseries().expect("sampling enabled").to_jsonl(),
-            expect_jsonl,
-            "sampled windows diverged: {ctx}"
-        );
-
-        let mut stream_sim = fresh_migrated();
-        stream_sim.enable_timeseries(INTERVAL, CAPACITY);
-        let got = par::with_threads(workers, || {
-            let mut src = mk_src();
-            replay_streaming(&mut stream_sim, src.as_mut())
-        });
-        let ctx = format!("migrated streaming sampling workers={workers}");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_eq!(
-            stream_sim
-                .timeseries()
-                .expect("sampling enabled")
-                .to_jsonl(),
-            expect_jsonl,
-            "sampled windows diverged: {ctx}"
-        );
+        for chunked in [true, false] {
+            let mut sim = fresh_migrated();
+            sim.enable_timeseries(INTERVAL, CAPACITY);
+            let got = if chunked {
+                stream_chunked(&mut sim, &trace, workers)
+            } else {
+                stream_source(&mut sim, hot_cold(), workers)
+            };
+            let ctx = format!("migrated sampling chunked={chunked} workers={workers}");
+            assert_eq!(got, expect, "report diverged: {ctx}");
+            assert_eq!(
+                timeseries_jsonl(&sim),
+                expect_jsonl,
+                "sampled windows diverged: {ctx}"
+            );
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Trace-replay engine bench: accesses/second through the sequential
 //! and streaming replay paths, plus the peak bytes of trace each path
 //! buffers. Uses small configurations so a bench run stays in seconds;
-//! `repro bench-replay` times the full-size configurations and records
-//! them in `BENCH_trace_replay.json`.
+//! the repository benchmark (`benchmark/run.sh`) times full-size,
+//! digest-checked replays end to end and per layer.
 //!
 //! The `timing_kernel` group times the merge thread's three per-access
 //! models one at a time through their public APIs — the earliest-clock

@@ -8,7 +8,7 @@
 //! prior run's warmth flatters it). Both arms are asserted pointwise
 //! bit-identical, so the measured speedup can never come from a
 //! diverged engine. A second, untimed warm round on the same service
-//! records the cross-batch hit rate the report publishes.
+//! must be served wholly from the result cache.
 //!
 //! The bundled batch is repeat-heavy on purpose — hundreds of queries
 //! over a dozen distinct configurations, with budgets and thread
@@ -18,12 +18,11 @@
 //! variation).
 //!
 //! Backs the `advisor` and `advisor-plumbing` rows of `repro gate`
-//! (the CI speedup and single-query overhead gates) and the
-//! `advisor_service` section of `BENCH_trace_replay.json`.
+//! (the CI speedup and single-query overhead gates) and the bundled
+//! batches of `repro advise-batch` and `repro queries`.
 
 use crate::gate::{run_equal_pairs, run_pairs, timed, Paired, Side};
 use crate::replay::BENCH_SEED;
-use hybridmem::json::Json;
 use hybridmem::service::RESULT_CACHE_DEFAULT_BYTES;
 use hybridmem::{answer, canonicalize, AdvisorQuery, AdvisorService};
 use memkind_sim::migrate::PAGE_BYTES;
@@ -49,11 +48,6 @@ pub struct AdvisorBenchConfig {
 }
 
 impl AdvisorBenchConfig {
-    /// Stable identifier, e.g. `advisor_200q_12c`.
-    pub fn label(&self) -> String {
-        format!("advisor_{}q_{}c", self.queries, self.pool_size())
-    }
-
     /// Distinct configurations in the pool.
     pub fn pool_size(&self) -> usize {
         self.kinds.len() * self.budgets_pages.len()
@@ -102,8 +96,8 @@ impl AdvisorBenchConfig {
     }
 }
 
-/// The bundled 200-query scenario for `repro bench-replay` /
-/// `repro advise-batch --bundled full`: 12 distinct configurations
+/// The bundled 200-query scenario for `repro advise-batch --bundled
+/// full` and `repro queries`: 12 distinct configurations
 /// (3 kinds × 4 budget buckets) behind 200 repeat-heavy queries.
 pub fn standard_advisor_config() -> AdvisorBenchConfig {
     AdvisorBenchConfig {
@@ -127,53 +121,20 @@ pub fn smoke_advisor_config() -> AdvisorBenchConfig {
     }
 }
 
-/// Paired wall-time comparison of the naive loop and the batch
-/// engine, plus the warm-round cache statistics.
-#[derive(Debug, Clone)]
-pub struct AdvisorMeasurement {
-    /// The scenario measured.
-    pub config: AdvisorBenchConfig,
-    /// Distinct canonical keys the batch folded into.
-    pub distinct: usize,
-    /// Batch engine on a cold service (A) against the naive loop (B):
-    /// B/A is the speedup of the engine.
-    pub pairs: Paired,
-    /// Result-cache hits of an untimed warm re-run of the batch on
-    /// the last cold service (distinct keys served without compute).
-    pub warm_hits: usize,
-    /// Distinct keys the warm round computed (asserted 0: the cache
-    /// retains every key).
-    pub warm_computed: usize,
-}
-
-impl AdvisorMeasurement {
-    /// Warm-round hit rate over distinct keys (1.0 = every repeat
-    /// batch is pure cache).
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.distinct > 0 {
-            self.warm_hits as f64 / self.distinct as f64
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Time `iters` alternating engine (A) / naive (B) batch pairs
 /// ([`run_pairs`]), asserting the arms pointwise bit-identical every
-/// pair. The engine arm constructs a fresh service inside the timed
-/// region — construction cost is part of the price.
+/// pair. B/A is the speedup of the engine. The engine arm constructs
+/// a fresh service inside the timed region — construction cost is
+/// part of the price.
 ///
 /// Every pair also asserts, independent of timer noise, that the
 /// batch deduplicated to at most the configuration pool and that an
 /// untimed warm re-run on the same service is bit-identical and
 /// computes nothing — a result cache that silently stops retaining
 /// fails here on the first attempt.
-pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> AdvisorMeasurement {
+pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> Paired {
     let batch = cfg.batch();
-    let mut distinct = 0;
-    let mut warm_hits = 0;
-    let mut warm_computed = 0;
-    let pairs = run_pairs(
+    run_pairs(
         iters,
         |side| match side {
             Side::A => {
@@ -185,7 +146,7 @@ pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> AdvisorMeasure
                     let batch_out = service.advise_batch(&batch);
                     (service, batch_out)
                 });
-                distinct = stats.distinct;
+                let distinct = stats.distinct;
                 assert!(
                     distinct <= cfg.pool_size() && stats.computed == distinct,
                     "cold batch: {distinct} distinct keys over a {}-configuration pool, \
@@ -193,13 +154,10 @@ pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> AdvisorMeasure
                     cfg.pool_size(),
                     stats.computed
                 );
-                // Untimed warm round: same batch, same service — the
-                // cross-batch behavior the report publishes.
+                // Untimed warm round: same batch, same service.
                 let (warm, warm_stats) = service.advise_batch(&batch);
-                warm_hits = warm_stats.cache_hits;
-                warm_computed = warm_stats.computed;
                 assert_eq!(
-                    warm_computed, 0,
+                    warm_stats.computed, 0,
                     "warm round recomputed keys — the result cache is not retaining"
                 );
                 for (cold, warm) in answers.iter().zip(&warm) {
@@ -220,14 +178,7 @@ pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> AdvisorMeasure
                 assert_eq!(**n, **e, "engine diverged from naive loop at query {i}");
             }
         },
-    );
-    AdvisorMeasurement {
-        config: cfg.clone(),
-        distinct,
-        pairs,
-        warm_hits,
-        warm_computed,
-    }
+    )
 }
 
 /// Measure what the service *plumbing* costs on the path that cannot
@@ -253,76 +204,6 @@ pub fn measure_single_query_overhead(cfg: &AdvisorBenchConfig, iters: usize) -> 
         },
         "the service must answer exactly as a direct call",
     )
-}
-
-/// Render a measurement as the `advisor_service` section of the
-/// `bench_trace_replay/v1` report.
-pub fn advisor_report_section(m: &AdvisorMeasurement) -> Json {
-    Json::obj([
-        ("label", Json::Str(m.config.label())),
-        ("queries", Json::Num(m.config.queries as f64)),
-        ("distinct", Json::Num(m.distinct as f64)),
-        ("naive_secs", Json::Num(m.pairs.best_secs[1])),
-        ("engine_secs", Json::Num(m.pairs.best_secs[0])),
-        ("speedup_engine_vs_naive", Json::Num(m.pairs.median_ratio())),
-        ("best_speedup", Json::Num(m.pairs.best_ratio())),
-        ("warm_hit_rate", Json::Num(m.warm_hit_rate())),
-        ("warm_computed", Json::Num(m.warm_computed as f64)),
-        (
-            "pair_ratios",
-            Json::Arr(m.pairs.ratios.iter().map(|&r| Json::Num(r)).collect()),
-        ),
-    ])
-}
-
-/// Validate an `advisor_service` section (called from
-/// [`check_report`](crate::replay::check_report)).
-pub fn check_advisor_section(section: &Json) -> Result<(), String> {
-    let label = section.str_field("label")?;
-    let queries = section.num_field("queries")?;
-    let distinct = section.num_field("distinct")?;
-    if distinct < 1.0 || queries < distinct {
-        return Err(format!(
-            "{label}: {queries} queries over {distinct} distinct keys (need queries >= distinct >= 1)"
-        ));
-    }
-    for field in [
-        "naive_secs",
-        "engine_secs",
-        "speedup_engine_vs_naive",
-        "best_speedup",
-    ] {
-        let v = section.num_field(field)?;
-        if v <= 0.0 || !v.is_finite() {
-            return Err(format!("{label}: non-positive {field} {v}"));
-        }
-    }
-    let warm = section.num_field("warm_hit_rate")?;
-    if !(0.0..=1.0).contains(&warm) {
-        return Err(format!("{label}: warm_hit_rate {warm} outside [0, 1]"));
-    }
-    section.num_field("warm_computed")?;
-    if section.arr_field("pair_ratios")?.is_empty() {
-        return Err(format!("{label}: empty pair_ratios"));
-    }
-    Ok(())
-}
-
-/// [`bench_report_with_sweep`](crate::sweep::bench_report_with_sweep)
-/// plus the `advisor_service` section — what `repro bench-replay`
-/// writes.
-pub fn bench_report_with_service(
-    configs: &[crate::replay::ReplayConfig],
-    sweep_cfg: &crate::sweep::SweepBenchConfig,
-    advisor_cfg: &AdvisorBenchConfig,
-    iters: usize,
-) -> Json {
-    let mut report = crate::sweep::bench_report_with_sweep(configs, sweep_cfg, iters);
-    let m = measure_advisor(advisor_cfg, iters);
-    if let Json::Obj(map) = &mut report {
-        map.insert("advisor_service".to_string(), advisor_report_section(&m));
-    }
-    report
 }
 
 #[cfg(test)]
@@ -353,29 +234,14 @@ mod tests {
             "jitter must stay inside canonicalization buckets"
         );
         assert!(distinct.len() < a.len(), "batch must contain repeats");
-        assert_eq!(cfg.label(), "advisor_12q_2c");
     }
 
     #[test]
     fn arms_are_bit_identical_and_measured() {
         let m = measure_advisor(&micro(), 2);
-        assert!(m.distinct >= 1 && m.distinct <= 2);
-        assert!(m.pairs.best_secs.iter().all(|&s| s > 0.0));
-        assert_eq!(m.pairs.ratios.len(), 2);
-        assert!(m.pairs.median_ratio() > 0.0);
-        assert_eq!(m.warm_hits, m.distinct, "warm round must be pure cache");
-        assert_eq!(m.warm_computed, 0);
-        assert!((m.warm_hit_rate() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn advisor_section_round_trips_and_validates() {
-        let m = measure_advisor(&micro(), 1);
-        let section = advisor_report_section(&m);
-        check_advisor_section(&section).expect("fresh section validates");
-        let parsed = hybridmem::json::parse(&section.to_pretty()).expect("parse");
-        check_advisor_section(&parsed).expect("parsed section validates");
-        assert!(check_advisor_section(&Json::obj([])).is_err());
+        assert!(m.best_secs.iter().all(|&s| s > 0.0));
+        assert_eq!(m.ratios.len(), 2);
+        assert!(m.median_ratio() > 0.0);
     }
 
     #[test]

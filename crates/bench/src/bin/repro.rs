@@ -6,12 +6,6 @@
 //! repro table1|table2    # the tables
 //! repro latency          # the §IV-A idle-latency point values
 //! repro validate         # run every shape check against the paper
-//! repro bench-replay [--smoke] [--out PATH] [--metrics PATH]
-//!                        # time the trace-replay engines (including
-//!                        # the classify-once sweep-reuse arm), write
-//!                        # BENCH_trace_replay.json
-//! repro bench-check <file>
-//!                        # validate a bench-replay JSON report
 //! repro gate [NAME]      # run the CI bench gates (bench::gate::table),
 //!                        # or one row of it, each up to 3 attempts;
 //!                        # exit 1 when a timing bound misses on every
@@ -22,7 +16,7 @@
 //!                        # Chrome trace_event JSONL (about:tracing /
 //!                        # Perfetto) and optionally the metrics JSON
 //!                        # and the in-replay timeseries/v1 JSONL.
-//!                        # config is a bench label, default
+//!                        # config is a replay label, default
 //!                        # stream_64x50000
 //! repro profile-check <trace.jsonl> [--metrics PATH] [--timeseries PATH]
 //!                        # validate a profile: JSONL parses, spans are
@@ -52,21 +46,9 @@
 //!                        # emit the bundled advisor query batch as
 //!                        # JSON lines (the serve/advise-batch input
 //!                        # format)
-//! repro bench-history <report.json> [--append] [--check] [--tol F]
-//!                        # regression sentinel over the report's
-//!                        # history section: latest entry vs trailing
-//!                        # median per tracked metric, exit 1 on a
-//!                        # >F regression (default 10%); --append adds
-//!                        # an entry derived from the report's own
-//!                        # numbers and writes the file back
 //! repro migrate [--golden]
 //!                        # run the Cori-style migration T-sweep
 //!                        # (statics vs migrated, crossover verdict)
-//! repro sweep-reuse [--smoke] [--iters N]
-//!                        # time the classify-once sweep engine against
-//!                        # regenerate-per-point (bit-identity asserted)
-//!                        # and print the speedup + classify-cache
-//!                        # metrics
 //! repro advise <workload> [--budget-kib K] [--threads T] [--seed S]
 //!              [--period P] [--json]
 //!                        # one placement-advice query through the
@@ -101,11 +83,9 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// Positional arguments after the subcommand; flags taking a value
 /// consume the following argument.
 fn positionals(args: &[String]) -> Vec<&str> {
-    const VALUE_FLAGS: [&str; 14] = [
+    const VALUE_FLAGS: [&str; 12] = [
         "--out",
         "--metrics",
-        "--iters",
-        "--tol",
         "--budget-kib",
         "--threads",
         "--seed",
@@ -210,7 +190,7 @@ fn main() {
             let label = positionals(&args)
                 .first()
                 .copied()
-                .unwrap_or("stream_64x50000")
+                .unwrap_or(bench::replay::DEFAULT_PROFILE_LABEL)
                 .to_string();
             let cfg = bench::replay::ReplayConfig::parse_label(&label).unwrap_or_else(|e| {
                 eprintln!("{e}");
@@ -363,86 +343,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "bench-replay" => {
-            // repro bench-replay [--smoke] [--out PATH] [--metrics PATH]
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let out = flag_value(&args, "--out").unwrap_or("BENCH_trace_replay.json");
-            let configs = if smoke {
-                bench::replay::smoke_configs()
-            } else {
-                bench::replay::standard_configs()
-            };
-            let sweep_cfg = if smoke {
-                bench::sweep::smoke_sweep_config()
-            } else {
-                bench::sweep::standard_sweep_config()
-            };
-            let advisor_cfg = if smoke {
-                bench::advisor::smoke_advisor_config()
-            } else {
-                bench::advisor::standard_advisor_config()
-            };
-            let report =
-                bench::advisor::bench_report_with_service(&configs, &sweep_cfg, &advisor_cfg, 3);
-            // Carry the previous report's history forward and append
-            // this run, so the file at --out remembers how fast it
-            // used to be (repro bench-history gates on it).
-            let prior = std::fs::read_to_string(out)
-                .ok()
-                .and_then(|t| hybridmem::json::parse(&t).ok());
-            let report = bench::history::with_appended_run(
-                &report,
-                prior.as_ref(),
-                bench::history::unix_now_s(),
-            )
-            .expect("fresh report yields a history entry");
-            bench::replay::check_report(&report).expect("fresh bench report validates");
-            std::fs::write(out, report.to_pretty()).expect("write bench report");
-            if let Some(path) = flag_value(&args, "--metrics") {
-                // A separate telemetry-enabled pass, so the timed runs
-                // above stay unobserved.
-                let doc = bench::replay::collect_metrics(&configs);
-                hybridmem::check_metrics(&doc).expect("fresh metrics dump validates");
-                std::fs::write(path, doc.to_pretty()).expect("write metrics");
-                println!("wrote {path}");
-            }
-            for cfg in report.arr_field("configs").unwrap() {
-                println!(
-                    "{:<22} streaming speedup vs sequential: {:.2}x",
-                    cfg.str_field("label").unwrap(),
-                    cfg.num_field("streaming_speedup_vs_sequential").unwrap()
-                );
-            }
-            let sweep = report.get("sweep_reuse").unwrap();
-            println!(
-                "{:<22} sweep-reuse speedup vs regenerate: {:.2}x ({} points)",
-                sweep.str_field("label").unwrap(),
-                sweep.num_field("speedup_reuse_vs_regen").unwrap(),
-                sweep.num_field("points").unwrap()
-            );
-            let advisor = report.get("advisor_service").unwrap();
-            println!(
-                "{:<22} advisor batch speedup vs naive loop: {:.2}x ({} queries, {} distinct, warm hit rate {:.2})",
-                advisor.str_field("label").unwrap(),
-                advisor.num_field("speedup_engine_vs_naive").unwrap(),
-                advisor.num_field("queries").unwrap(),
-                advisor.num_field("distinct").unwrap(),
-                advisor.num_field("warm_hit_rate").unwrap()
-            );
-            println!(
-                "history: {} entr{}",
-                bench::history::entries(&report).len(),
-                if bench::history::entries(&report).len() == 1 {
-                    "y"
-                } else {
-                    "ies"
-                }
-            );
-            println!(
-                "wrote {out} ({} worker thread(s))",
-                knl::tracesim::worker_threads()
-            );
-        }
         "gate" => {
             // repro gate [NAME]
             let gates = bench::gate::table();
@@ -464,22 +364,6 @@ fn main() {
             }
             if !failed.is_empty() {
                 std::process::exit(1);
-            }
-        }
-        "bench-check" => {
-            // repro bench-check <file>
-            let path = args.get(1).expect("bench report path");
-            let text = std::fs::read_to_string(path).expect("read bench report");
-            let report = hybridmem::json::parse(&text).unwrap_or_else(|e| {
-                eprintln!("{path}: invalid JSON: {e}");
-                std::process::exit(1);
-            });
-            match bench::replay::check_report(&report) {
-                Ok(()) => println!("{path}: ok"),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(1);
-                }
             }
         }
         "migrate" => {
@@ -507,55 +391,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        }
-        "sweep-reuse" => {
-            // repro sweep-reuse [--smoke] [--iters N]
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let iters: usize = flag_value(&args, "--iters")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(3);
-            let cfg = if smoke {
-                bench::sweep::smoke_sweep_config()
-            } else {
-                bench::sweep::standard_sweep_config()
-            };
-            println!("{} — classify-once / replay-many sweep:", cfg.label());
-            println!(
-                "{:<18} {:>14} {:>10} {:>12}",
-                "point", "makespan_us", "bw_GBs", "moved_pages"
-            );
-            for (label, report, stats) in bench::sweep::run_engine_sweep(&cfg) {
-                let moved = stats
-                    .map(|s| (s.promoted_pages + s.demoted_pages).to_string())
-                    .unwrap_or_else(|| "-".to_string());
-                println!(
-                    "{:<18} {:>14.3} {:>10.3} {:>12}",
-                    label,
-                    report.makespan.as_ns() / 1e3,
-                    report.bandwidth_gbs,
-                    moved
-                );
-            }
-            let metrics = hybridmem::sweep::classify_metrics();
-            for name in [
-                "replay.classify.hits",
-                "replay.classify.misses",
-                "replay.classify.bytes",
-                "replay.classify.peak_bytes",
-            ] {
-                if let Some(v) = metrics.get(name) {
-                    println!("{name}: {v:?}");
-                }
-            }
-            let m = bench::sweep::measure_sweep(&cfg, iters).pairs;
-            println!(
-                "regenerate-per-point best {:.4} s, classify-once best {:.4} s over {iters} pairs \
-                 -> speedup median pair {:.2}x, best {:.2}x (arms asserted bit-identical)",
-                m.best_secs[1],
-                m.best_secs[0],
-                m.median_ratio(),
-                m.best_ratio()
-            );
         }
         "advise" => {
             // repro advise <workload> [--budget-kib K] [--threads T]
@@ -853,64 +688,6 @@ fn main() {
                 }
             }
         }
-        "bench-history" => {
-            // repro bench-history <report.json> [--append] [--check] [--tol F]
-            let path = positionals(&args)
-                .first()
-                .copied()
-                .unwrap_or_else(|| {
-                    eprintln!(
-                        "usage: repro bench-history <report.json> [--append] [--check] [--tol F]"
-                    );
-                    std::process::exit(2);
-                })
-                .to_string();
-            let tol: f64 = flag_value(&args, "--tol")
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(bench::history::DEFAULT_TOLERANCE);
-            let text = std::fs::read_to_string(&path).expect("read bench report");
-            let mut report = hybridmem::json::parse(&text).unwrap_or_else(|e| {
-                eprintln!("{path}: invalid JSON: {e}");
-                std::process::exit(1);
-            });
-            if args.iter().any(|a| a == "--append") {
-                report = bench::history::with_appended_run(
-                    &report,
-                    Some(&report),
-                    bench::history::unix_now_s(),
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(1);
-                });
-                std::fs::write(&path, report.to_pretty()).expect("write bench report");
-                println!(
-                    "{path}: appended entry {} (host {}, rev {})",
-                    bench::history::entries(&report).len(),
-                    bench::history::host_fingerprint(),
-                    bench::history::git_rev()
-                );
-            }
-            let verdict = bench::history::sentinel(&report, tol).unwrap_or_else(|e| {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            });
-            print!("{}", verdict.render());
-            let regressions = verdict.regressions();
-            if !regressions.is_empty() {
-                for r in &regressions {
-                    eprintln!(
-                        "{}: latest {:.3} is {:.1}% below the trailing median {:.3} (tolerance {:.0}%)",
-                        r.metric,
-                        r.latest,
-                        (1.0 - r.latest / r.median) * 100.0,
-                        r.median,
-                        tol * 100.0
-                    );
-                }
-                std::process::exit(1);
-            }
-        }
         "decompose" => {
             // repro decompose <GB> [sequential|random] [max_nodes]
             let gb: f64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(140.0);
@@ -936,7 +713,7 @@ fn main() {
             }
             None => {
                 eprintln!(
-                    "unknown target {id:?}; try: all, validate, latency, trace, compare, sensitivity, export, diff, decompose, migrate, bench-replay, bench-check, bench-history, gate, sweep-reuse, advise, advise-batch, serve, serve-check, queries, profile, profile-check, report, table1, table2, fig2, fig3, fig4a-e, fig5, fig6a-d, ext-hybrid, ext-interleave, ext-energy, ext-migrate"
+                    "unknown target {id:?}; try: all, validate, latency, trace, compare, sensitivity, export, diff, decompose, migrate, gate, advise, advise-batch, serve, serve-check, queries, profile, profile-check, report, table1, table2, fig2, fig3, fig4a-e, fig5, fig6a-d, ext-hybrid, ext-interleave, ext-energy, ext-migrate"
                 );
                 std::process::exit(2);
             }

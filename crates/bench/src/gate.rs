@@ -228,7 +228,7 @@ pub fn table() -> [Gate; 6] {
                 "regenerate classifies once per point",
                 "arms bit-identical, reports and move digests",
             ],
-            measure: |_, n| measure_sweep(&smoke_sweep_config(), n).pairs,
+            measure: |_, n| measure_sweep(&smoke_sweep_config(), n),
         },
         Gate {
             name: "advisor",
@@ -242,7 +242,7 @@ pub fn table() -> [Gate; 6] {
                 "warm round computes nothing (warm_computed == 0)",
                 "dedupe: cold batch computes each distinct key once, at most the pool",
             ],
-            measure: |_, n| measure_advisor(&smoke_advisor_config(), n).pairs,
+            measure: |_, n| measure_advisor(&smoke_advisor_config(), n),
         },
         // Against a zero-capacity service, so no hit can mask the
         // canonicalize → probe → compute → distribute plumbing.

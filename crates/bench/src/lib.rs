@@ -7,7 +7,6 @@
 pub mod advisor;
 pub mod gate;
 pub mod harness;
-pub mod history;
 pub mod replay;
 pub mod serve;
 pub mod sweep;

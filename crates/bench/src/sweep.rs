@@ -16,14 +16,10 @@
 //! bench prices an end-to-end cold sweep, and timing a prior run's
 //! cached work would flatter the reuse arm.
 //!
-//! Backs `repro sweep-reuse` (report), the `sweep-reuse` row of
-//! `repro gate` (the CI speedup gate) and the `sweep_reuse` section of
-//! `BENCH_trace_replay.json`.
+//! Backs the `sweep-reuse` row of `repro gate` (the CI speedup gate).
 
 use crate::gate::{run_pairs, timed, Paired, Side};
 use crate::replay::BENCH_SEED;
-use hybridmem::json::Json;
-use hybridmem::TraceSpec;
 use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
 use knl::{classify_signature, ClassifiedTrace, MachineConfig, MemSetup};
 use memkind_sim::migrate::{MigrationStats, PAGE_BYTES};
@@ -52,22 +48,8 @@ pub struct SweepBenchConfig {
 }
 
 impl SweepBenchConfig {
-    /// Stable identifier, e.g. `sweep_stream_32x20000`.
-    pub fn label(&self) -> String {
-        format!(
-            "sweep_{}_{}x{}",
-            self.kind.name().to_lowercase(),
-            self.cores,
-            self.accesses_per_core
-        )
-    }
-
     fn budget_bytes(&self) -> u64 {
         self.budget_pages as u64 * PAGE_BYTES
-    }
-
-    fn spec(&self) -> TraceSpec {
-        TraceSpec::from_kind(self.kind, self.cores, self.accesses_per_core, BENCH_SEED)
     }
 
     /// The sweep points, fixed order: DDR, split, HBM, cache, then one
@@ -214,39 +196,23 @@ fn assert_outcomes_match(reuse: &[PointOutcome], regen: &[PointOutcome]) {
     }
 }
 
-/// Paired wall-time comparison of the two sweep arms.
-#[derive(Debug, Clone)]
-pub struct SweepMeasurement {
-    /// The scenario measured.
-    pub config: SweepBenchConfig,
-    /// Accesses replayed per point (every point replays the full
-    /// trace).
-    pub accesses: u64,
-    /// Sweep points per arm.
-    pub points: usize,
-    /// Reuse (A) against regenerate-per-point (B): B/A is the speedup
-    /// of reuse.
-    pub pairs: Paired,
-}
-
 /// Time `iters` alternating reuse (A) / regenerate (B) sweep pairs
 /// ([`run_pairs`]), asserting the arms pointwise bit-identical every
-/// pair.
+/// pair. B/A is the speedup of reuse.
 ///
 /// Every pair also asserts the work each arm did, independent of
 /// timer noise: the reuse arm classifies once per distinct
 /// [`classify_signature`] among the points, the regenerate arm once
 /// per point. Classification creeping back into the reuse arm's
 /// per-point loop fails here on every attempt.
-pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> SweepMeasurement {
-    let mut accesses = 0;
+pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> Paired {
     let points = cfg.points().len();
     let signatures: HashSet<String> = cfg
         .points()
         .iter()
         .map(|p| classify_signature(&MachineConfig::knl7210(p.setup, 64), p.msc))
         .collect();
-    let pairs = run_pairs(
+    run_pairs(
         iters,
         |side| {
             timed(|| match side {
@@ -266,51 +232,8 @@ pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> SweepMeasurement {
                 "regenerate arm classified {regen_passes} times for {points} points"
             );
             assert_outcomes_match(&reuse, &regen);
-            accesses = reuse[0].report.accesses;
         },
-    );
-    SweepMeasurement {
-        config: cfg.clone(),
-        accesses,
-        points,
-        pairs,
-    }
-}
-
-/// Replay the sweep through the production engine — [`TraceSpec`]
-/// routing and the global classify cache — and return
-/// `(label, report, migration stats)` per point. This is the path
-/// `repro sweep-reuse` prints; the [`measure_sweep`] arms bypass
-/// the global cache on purpose, so this is also what populates the
-/// `replay.classify.*` metrics.
-pub fn run_engine_sweep(
-    cfg: &SweepBenchConfig,
-) -> Vec<(String, TraceSimReport, Option<MigrationStats>)> {
-    let spec = cfg.spec();
-    cfg.points()
-        .iter()
-        .map(|point| {
-            let mcfg = MachineConfig::knl7210(point.setup, 64);
-            let (sim, report) = hybridmem::replay_point(&spec, &mcfg, point.placement, point.msc);
-            (point.label.clone(), report, sim.migration_stats())
-        })
-        .collect()
-}
-
-/// The bundled sweep-bench scenario for `repro bench-replay` /
-/// `repro sweep-reuse`: 7 points (4 statics + 3 migration periods)
-/// over a 640 k-access XSBench trace. XSBench because its random
-/// lookups exercise the private-cache models hardest, which is the
-/// cost class the artifact amortizes — STREAM's classification is
-/// nearly free and measures mostly the (smaller) generator saving.
-pub fn standard_sweep_config() -> SweepBenchConfig {
-    SweepBenchConfig {
-        kind: TraceKind::XsBench,
-        cores: 32,
-        accesses_per_core: 20_000,
-        periods: vec![2_000, 8_000, 32_000],
-        budget_pages: 64,
-    }
+    )
 }
 
 /// Tiny scenario for the CI smoke gate (seconds, not minutes): 5
@@ -323,75 +246,6 @@ pub fn smoke_sweep_config() -> SweepBenchConfig {
         periods: vec![1_000],
         budget_pages: 32,
     }
-}
-
-/// Render a measurement as the `sweep_reuse` section of the
-/// `bench_trace_replay/v1` report.
-pub fn sweep_report_section(m: &SweepMeasurement) -> Json {
-    Json::obj([
-        ("label", Json::Str(m.config.label())),
-        ("kind", Json::Str(m.config.kind.name().to_string())),
-        ("cores", Json::Num(m.config.cores as f64)),
-        ("points", Json::Num(m.points as f64)),
-        ("accesses", Json::Num(m.accesses as f64)),
-        ("reuse_secs", Json::Num(m.pairs.best_secs[0])),
-        ("regen_secs", Json::Num(m.pairs.best_secs[1])),
-        ("speedup_reuse_vs_regen", Json::Num(m.pairs.median_ratio())),
-        ("best_speedup", Json::Num(m.pairs.best_ratio())),
-        (
-            "pair_ratios",
-            Json::Arr(m.pairs.ratios.iter().map(|&r| Json::Num(r)).collect()),
-        ),
-    ])
-}
-
-/// Validate a `sweep_reuse` section (called from
-/// [`check_report`](crate::replay::check_report)).
-pub fn check_sweep_section(sweep: &Json) -> Result<(), String> {
-    let label = sweep.str_field("label")?;
-    sweep.str_field("kind")?;
-    sweep.num_field("cores")?;
-    let points = sweep.num_field("points")?;
-    if points < 4.0 {
-        return Err(format!(
-            "{label}: {points} sweep points (expected the 4 statics at least)"
-        ));
-    }
-    let accesses = sweep.num_field("accesses")?;
-    if accesses <= 0.0 {
-        return Err(format!("{label}: non-positive access count"));
-    }
-    for field in [
-        "reuse_secs",
-        "regen_secs",
-        "speedup_reuse_vs_regen",
-        "best_speedup",
-    ] {
-        let v = sweep.num_field(field)?;
-        if v <= 0.0 || !v.is_finite() {
-            return Err(format!("{label}: non-positive {field} {v}"));
-        }
-    }
-    let ratios = sweep.arr_field("pair_ratios")?;
-    if ratios.is_empty() {
-        return Err(format!("{label}: empty pair_ratios"));
-    }
-    Ok(())
-}
-
-/// [`bench_report`](crate::replay::bench_report) plus the
-/// `sweep_reuse` section — what `repro bench-replay` writes.
-pub fn bench_report_with_sweep(
-    configs: &[crate::replay::ReplayConfig],
-    sweep_cfg: &SweepBenchConfig,
-    iters: usize,
-) -> Json {
-    let mut report = crate::replay::bench_report(configs);
-    let m = measure_sweep(sweep_cfg, iters);
-    if let Json::Obj(map) = &mut report {
-        map.insert("sweep_reuse".to_string(), sweep_report_section(&m));
-    }
-    report
 }
 
 #[cfg(test)]
@@ -417,26 +271,13 @@ mod tests {
         assert_eq!(points[2].label, "hbm");
         assert!(points[3].label.starts_with("cache("));
         assert_eq!(points[4].label, "migrated_T100");
-        assert_eq!(cfg.label(), "sweep_stream_2x200");
     }
 
     #[test]
     fn arms_are_bit_identical_and_measured() {
         let m = measure_sweep(&micro(), 2);
-        assert_eq!(m.points, 5);
-        assert_eq!(m.accesses, 400);
-        assert_eq!(m.pairs.ratios.len(), 2);
-        assert!(m.pairs.best_secs.iter().all(|&s| s > 0.0));
-        assert!(m.pairs.median_ratio() > 0.0);
-    }
-
-    #[test]
-    fn sweep_section_round_trips_and_validates() {
-        let m = measure_sweep(&micro(), 1);
-        let section = sweep_report_section(&m);
-        check_sweep_section(&section).expect("fresh section validates");
-        let parsed = hybridmem::json::parse(&section.to_pretty()).expect("parse");
-        check_sweep_section(&parsed).expect("parsed section validates");
-        assert!(check_sweep_section(&Json::obj([])).is_err());
+        assert_eq!(m.ratios.len(), 2);
+        assert!(m.best_secs.iter().all(|&s| s > 0.0));
+        assert!(m.median_ratio() > 0.0);
     }
 }

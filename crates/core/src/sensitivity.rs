@@ -165,8 +165,9 @@ pub fn scan_cache_capacity() -> SensitivityScan {
 /// because every boundary is a *timing-stage* change: all points
 /// replay one shared classified artifact through [`crate::sweep`],
 /// classification runs once for the whole scan. Not part of
-/// [`all_scans`] (those stay analytic and paper-shaped); `repro
-/// sweep-reuse` exercises this path at repro scale.
+/// [`all_scans`] (those stay analytic and paper-shaped); the
+/// advisor's replayed candidates (`repro advise`) take the same
+/// [`replay_point`] path.
 pub fn scan_split_boundary_replayed(spec: &TraceSpec, boundaries: &[u64]) -> SensitivityScan {
     let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
     let msc = ByteSize::mib(8);

@@ -25,12 +25,13 @@ TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
 # tests/reference_models.rs; the packed winner tree against the
 # Option-keyed tree it replaced (simfabric
 # tests/reference_models.rs) and the page hasher (simfabric); the
-# replay engine's unit tests (knl); the sweep,
-# advisor, service and sensitivity unit tests (hybridmem); and the
-# bench harness's paired-run estimator, gate table and report checks
-# (bench).
+# replay engine's unit tests (knl); the mesh routing model (mesh);
+# the NUMA policy engine (numamem); the trace generators and their
+# golden vectors (workloads); the sweep, advisor, service and
+# sensitivity unit tests (hybridmem); and the bench harness's
+# paired-run estimator and gate table (bench).
 timeout 900 cargo test -q --offline -p cachesim -p knl -p memdev -p memkind-sim -p simfabric \
-    -p hybridmem -p bench
+    -p mesh -p numamem -p workloads -p hybridmem -p bench
 
 # `cargo test` never builds crates/bench/benches/*, so compile every
 # bench target here: a bench that no longer builds fails CI instead of
@@ -67,14 +68,21 @@ TRACESIM_THREADS=4 timeout 900 \
 timeout 900 cargo test -q --offline -p knl-hybrid-memory --test migration_golden
 timeout 900 target/release/repro migrate
 
-# Tiny replay-bench run + JSON validation (see scripts/bench_smoke.sh).
+# The timed bench gates (see scripts/bench_smoke.sh).
 scripts/bench_smoke.sh
+
+# The repository benchmark's own checks (benchmark/check.sh): its unit
+# and self tests, a digest-checked smoke run of all four workloads
+# (each must report `"correct": true`) and its formatting. The
+# benchmark is a separate package built from these crates, so an API
+# change that breaks it fails here instead of at the next bench run.
+bash benchmark/check.sh
 
 # Telemetry profile smoke: produce a Chrome-trace profile + metrics
 # dump + in-replay time-series export from a tiny streaming replay and
-# re-validate all three files the bench-check way (spans for every
-# replay phase, >= 5 metric series, monotonic timestamps,
-# schema-tagged metrics JSON, timeseries/v1 window chain), then render
+# re-validate all three files (spans for every replay phase, >= 5
+# metric series, monotonic timestamps, schema-tagged metrics JSON,
+# timeseries/v1 window chain), then render
 # the text dashboard from them (repro report exits nonzero on a
 # malformed input).
 target/release/repro profile stream_8x2000 \
@@ -115,13 +123,6 @@ target/release/repro serve-check target/serve_out_w1.jsonl \
 target/release/repro serve-check target/serve_out_w8.jsonl \
     --queries 200 --timeseries target/serve_ts_w8.jsonl
 cmp target/serve_ts_w1.jsonl target/serve_ts_w8.jsonl
-
-# Bench-history regression sentinel over the committed report: the
-# history section must validate, and the newest entry must not sit
-# more than 10 % below the trailing median on any tracked metric
-# (streaming Macc/s per config, sweep-reuse and advisor speedups).
-# Deterministic — it reads the committed file, it never re-times.
-target/release/repro bench-history BENCH_trace_replay.json --check
 
 cargo fmt --check
 

@@ -157,50 +157,11 @@ fn bench_msc_associativity(c: &mut Criterion) {
     );
 }
 
-/// Prefetcher: coverage on streaming vs random traces — the mechanism
-/// behind §IV-B's "prefetcher ... can increase the number of memory
-/// requests" and the calibrated per-core stream MLP.
-fn bench_prefetcher(c: &mut Criterion) {
-    use cachesim::prefetch::{Prefetcher, PrefetcherConfig};
-    let mut group = c.benchmark_group("ablation_prefetcher");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(800));
-    let stream = workloads::tracegen::stream_trace(1, 4_000, 1);
-    let random = workloads::tracegen::gups_trace(1, 1 << 28, 4_000, 5);
-    for (name, trace) in [("stream", &stream), ("random", &random)] {
-        group.bench_with_input(BenchmarkId::new("coverage", name), &trace, |b, trace| {
-            b.iter(|| {
-                let mut pf = Prefetcher::knl();
-                for a in trace.iter() {
-                    pf.observe(a.addr);
-                }
-                bench::harness::black_box(pf.coverage())
-            })
-        });
-    }
-    group.finish();
-    for (name, trace) in [("stream", &stream), ("random", &random)] {
-        let mut on = Prefetcher::knl();
-        let mut off = Prefetcher::new(PrefetcherConfig::off());
-        for a in trace.iter() {
-            on.observe(a.addr);
-            off.observe(a.addr);
-        }
-        println!(
-            "prefetcher coverage on {name}: {:.1}% (disabled: {:.1}%)",
-            on.coverage() * 100.0,
-            off.coverage() * 100.0
-        );
-    }
-}
-
 criterion_group!(
     benches,
     bench_hybrid_fraction,
     bench_huge_pages,
     bench_cluster_modes,
-    bench_msc_associativity,
-    bench_prefetcher
+    bench_msc_associativity
 );
 criterion_main!(benches);

@@ -4,8 +4,7 @@
 //! The hierarchy charges each access the latency of the level that
 //! serves it, plus TLB overhead, and reports which level hit so the
 //! trace simulator can attribute time. It models a single core's view;
-//! the multi-tile directory and mesh effects are layered on by the
-//! `knl` crate.
+//! mesh and DRAM-bank effects are layered on by the `knl` crate.
 
 use crate::cache::{AccessKind, Cache, CacheConfig};
 use crate::mcdram_cache::MemorySideCache;

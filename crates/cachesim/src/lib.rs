@@ -9,8 +9,6 @@
 //! * [`mshr`] — miss-status holding registers bounding the number of
 //!   outstanding misses a core can sustain (the hardware lever behind
 //!   the paper's threading results).
-//! * [`directory`] — the distributed MESIF tag directory that keeps
-//!   tile L2s coherent and enables cache-to-cache forwarding.
 //! * [`mcdram_cache`] — the direct-mapped, memory-side MCDRAM cache
 //!   used in *cache mode*, with both a line-accurate simulator and the
 //!   analytic hit-ratio model that explains Fig. 2's bandwidth cliff.
@@ -24,19 +22,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
-pub mod directory;
 pub mod hierarchy;
 pub mod mcdram_cache;
 pub mod mshr;
-pub mod prefetch;
 pub mod replacement;
 pub mod tlb;
 
 pub use cache::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats};
-pub use directory::{CoherenceState, Directory, DirectoryOutcome};
 pub use hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
 pub use mcdram_cache::{DirectMappedModel, MemorySideCache};
 pub use mshr::{Mshr, MshrOutcome};
-pub use prefetch::{Prefetcher, PrefetcherConfig};
 pub use replacement::ReplacementPolicy;
 pub use tlb::{PageSize, Tlb, TlbConfig};

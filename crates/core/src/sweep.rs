@@ -21,8 +21,8 @@
 
 use knl::classified::ClassifyKey;
 use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
-use knl::{classify_signature, with_global_classify_cache, ClassifiedTrace, MachineConfig};
-use simfabric::{ByteSize, MetricsRegistry};
+use knl::{classify_signature, ClassifiedTrace, MachineConfig};
+use simfabric::ByteSize;
 use std::sync::Arc;
 use workloads::tracegen::{classify_streaming, TraceKind, TraceSource};
 
@@ -181,13 +181,6 @@ pub fn replay_point(
     (sim, report)
 }
 
-/// Snapshot of the global classify cache as `replay.classify.*`
-/// metrics (hit/miss/eviction counters, current/high-water/budget
-/// byte gauges).
-pub fn classify_metrics() -> MetricsRegistry {
-    with_global_classify_cache(|cache| cache.metrics_registry())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,8 +246,6 @@ mod tests {
         let want = replay_streaming(&mut fresh, s.source().as_mut());
         let (_, got) = replay_point(&s, &cfg, TracePlacement::AllDdr, ByteSize::mib(8));
         assert_eq!(got, want, "classified replay must be bit-identical");
-        let metrics = classify_metrics();
-        assert!(metrics.get("replay.classify.hits").is_some());
     }
 
     #[test]

@@ -16,10 +16,6 @@
 //!   event-level timing, used by the trace-driven simulator and by the
 //!   unit tests that validate the analytic constants against the
 //!   detailed model.
-//!
-//! The [`regulator::BandwidthRegulator`] converts a request stream into
-//! completion times under a peak-bandwidth constraint and is shared by
-//! both paths.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,10 +23,8 @@
 pub mod bank;
 pub mod loaded;
 pub mod presets;
-pub mod regulator;
 pub mod spec;
 
 pub use loaded::LoadedLatencyCurve;
 pub use presets::{ddr4_knl, mcdram_knl};
-pub use regulator::BandwidthRegulator;
 pub use spec::{DeviceKind, MemDeviceSpec};

@@ -2,7 +2,7 @@
 //! random cases from the in-tree PRNG.
 
 use memdev::bank::{DramGeometry, DramModel};
-use memdev::{ddr4_knl, mcdram_knl, BandwidthRegulator, LoadedLatencyCurve};
+use memdev::{ddr4_knl, mcdram_knl, LoadedLatencyCurve};
 use simfabric::prng::Rng;
 use simfabric::{Duration, SimTime};
 use std::collections::HashSet;
@@ -57,30 +57,6 @@ fn completions_follow_arrivals() {
             t = t.max(done - Duration::from_ns(1.0));
         }
         assert_eq!(m.stats().total(), addrs.len() as u64, "case {case}");
-    }
-}
-
-/// The bandwidth regulator never exceeds its configured rate: N
-/// lines complete no earlier than N x line/bandwidth after the
-/// first arrival.
-#[test]
-fn regulator_respects_rate() {
-    let mut rng = Rng::seed_from_u64(0xd1a9_0003);
-    for case in 0..64 {
-        let n = rng.gen_range(1u64..500);
-        let channels = rng.gen_range(1u32..8);
-        let bw = 77.0;
-        let mut r = BandwidthRegulator::new(channels, bw, 64);
-        let mut last = SimTime::ZERO;
-        for _ in 0..n {
-            last = r.submit_line(SimTime::ZERO);
-        }
-        let min_secs = n as f64 * 64.0 / (bw * 1e9) * (channels as f64 - 1.0) / channels as f64;
-        assert!(
-            last.as_secs() >= min_secs,
-            "case {case}: {n} lines in {}s",
-            last.as_secs()
-        );
     }
 }
 

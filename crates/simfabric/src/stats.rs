@@ -1,10 +1,8 @@
-//! Measurement primitives: counters, log-scale histograms, bandwidth
-//! meters and online mean/variance accumulators.
+//! Measurement primitives: counters, log-scale histograms and online
+//! mean/variance accumulators.
 //!
 //! These are the building blocks from which the cache simulator, device
 //! models and the experiment harness assemble their reports.
-
-use crate::time::{Duration, SimTime};
 
 /// A simple monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -180,61 +178,6 @@ impl Histogram {
         if other.count > 0 {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
-        }
-    }
-}
-
-/// Accumulates bytes moved over simulated time and reports bandwidth.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BandwidthMeter {
-    bytes: u64,
-    start: Option<SimTime>,
-    end: SimTime,
-}
-
-impl BandwidthMeter {
-    /// New meter with no traffic.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` transferred during the window ending at `now`.
-    /// The first call opens the observation window.
-    pub fn record(&mut self, bytes: u64, now: SimTime) {
-        if self.start.is_none() {
-            self.start = Some(now);
-        }
-        self.bytes += bytes;
-        self.end = self.end.max(now);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Observation window (end − start of traffic).
-    pub fn window(&self) -> Duration {
-        match self.start {
-            Some(start) => self.end.saturating_since(start),
-            None => Duration::ZERO,
-        }
-    }
-
-    /// Average bandwidth in GB/s (decimal GB, as memory vendors and the
-    /// paper report it).
-    ///
-    /// Always finite: a meter with no traffic, a single sample, or a
-    /// zero-width observation window reports 0.0 — exported metrics
-    /// must never carry NaN/∞ from a division by an empty window (a
-    /// non-finite `secs` can only arise from a corrupted window and is
-    /// caught by the same guard).
-    pub fn gb_per_sec(&self) -> f64 {
-        let secs = self.window().as_secs();
-        if !secs.is_finite() || secs <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / 1e9 / secs
         }
     }
 }
@@ -431,40 +374,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.min(), Some(4));
         assert_eq!(a.max(), Some(16));
-    }
-
-    #[test]
-    fn bandwidth_meter_reports_gb_per_sec() {
-        let mut m = BandwidthMeter::new();
-        m.record(0, SimTime::ZERO);
-        // 1e9 bytes over 1 second = 1 GB/s.
-        let mut t = SimTime::ZERO;
-        t += Duration::from_secs(1.0);
-        m.record(1_000_000_000, t);
-        assert!((m.gb_per_sec() - 1.0).abs() < 1e-9);
-        assert_eq!(m.bytes(), 1_000_000_000);
-    }
-
-    #[test]
-    fn bandwidth_meter_empty_window_is_zero() {
-        let mut m = BandwidthMeter::new();
-        m.record(100, SimTime::ZERO);
-        assert_eq!(m.gb_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn bandwidth_meter_degenerate_windows_stay_finite() {
-        // No traffic at all.
-        assert_eq!(BandwidthMeter::new().gb_per_sec(), 0.0);
-        // Bytes recorded entirely at one instant (zero-width window):
-        // defined 0.0, not bytes/0 = inf.
-        let mut m = BandwidthMeter::new();
-        let t = SimTime::ZERO + Duration::from_ns(5.0);
-        m.record(1 << 30, t);
-        m.record(1 << 30, t);
-        assert_eq!(m.gb_per_sec(), 0.0);
-        assert!(m.gb_per_sec().is_finite());
-        assert_eq!(m.window(), Duration::ZERO);
     }
 
     #[test]

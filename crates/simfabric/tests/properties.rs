@@ -2,33 +2,7 @@
 //! randomized cases from the in-tree PRNG (deterministic across runs).
 
 use simfabric::prng::Rng;
-use simfabric::{ByteSize, Duration, EventQueue, Histogram, OnlineStats, SimTime};
-
-/// The event queue pops in exactly the order of a stable sort by
-/// timestamp (FIFO on ties).
-#[test]
-fn event_queue_matches_stable_sort() {
-    let mut rng = Rng::seed_from_u64(0x51f0_0001);
-    for case in 0..128 {
-        let len = rng.gen_range(1usize..200);
-        let times: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..1000)).collect();
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ps(t), i);
-        }
-        let mut expected: Vec<(u64, usize)> = times
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, t)| (t, i))
-            .collect();
-        expected.sort_by_key(|&(t, _)| t); // stable: ties keep insertion order
-        let got: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
-            .map(|(t, i)| (t.as_ps(), i))
-            .collect();
-        assert_eq!(got, expected, "case {case}");
-    }
-}
+use simfabric::{ByteSize, Duration, Histogram, OnlineStats};
 
 /// ByteSize display → parse round-trips within formatting precision.
 #[test]

@@ -9,11 +9,11 @@
 //!
 //! This facade crate re-exports the workspace members:
 //!
-//! * [`simfabric`] — discrete-event substrate (time, events, RNG,
-//!   stats);
+//! * [`simfabric`] — simulation substrate (time, seeded PRNG,
+//!   earliest-clock merge tree, stats, telemetry);
 //! * [`memdev`] — DDR4 and MCDRAM device models;
-//! * [`cachesim`] — L1/L2 caches, MESIF directory, direct-mapped
-//!   MCDRAM cache, TLB;
+//! * [`cachesim`] — L1/L2 caches, MSHRs, direct-mapped MCDRAM cache,
+//!   TLB;
 //! * [`mesh`] — the tile mesh and cluster modes;
 //! * [`numamem`] — NUMA topology, policies, and the numactl front end;
 //! * [`memkind_sim`] — the memkind-style heap manager;

@@ -5,9 +5,10 @@
 //! reports and device statistics **bit-identical** to the sequential
 //! reference `run`. The contention, migration and time-series cases
 //! also stream the materialized trace in 512-access chunks, so ghost
-//! refills land mid-contention and between rebalances. This is the
-//! correctness contract that makes the streaming speedup trustworthy:
-//! "streaming == sequential, only faster". Classified (artifact)
+//! refills land mid-contention and between rebalances; the edge trace
+//! streams in 1-access chunks. This is the correctness contract that
+//! makes the streaming speedup trustworthy: "streaming == sequential,
+//! only faster". Classified (artifact)
 //! replay is held to streaming replay in `tests/classified_equivalence.rs`.
 
 use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport};
@@ -40,10 +41,15 @@ fn fresh(setup: MemSetup) -> TraceSim {
     )
 }
 
-/// Stream the materialized `trace` through `sim` in [`CHUNK`]-access
+/// Stream the materialized `trace` through `sim` in `chunk`-access
 /// chunks on `workers` classification workers.
-fn stream_chunked(sim: &mut TraceSim, trace: &[TraceAccess], workers: usize) -> TraceSimReport {
-    let mut chunks = trace.chunks(CHUNK);
+fn stream_chunked(
+    sim: &mut TraceSim,
+    trace: &[TraceAccess],
+    chunk: usize,
+    workers: usize,
+) -> TraceSimReport {
+    let mut chunks = trace.chunks(chunk);
     par::with_threads(workers, || {
         sim.run_streaming(|buf| match chunks.next() {
             Some(chunk) => {
@@ -287,7 +293,7 @@ fn contention_stress_parallel_equals_sequential() {
         );
         for workers in WORKERS {
             let mut sim = fresh(setup);
-            let got = stream_chunked(&mut sim, &trace, workers);
+            let got = stream_chunked(&mut sim, &trace, CHUNK, workers);
             let ctx = format!("contention {setup:?} workers={workers}");
             assert_eq!(got, expect, "report diverged: {ctx}");
             assert_sims_match(&sim, &seq, &ctx);
@@ -312,7 +318,7 @@ fn contention_stress_telemetry_matches_sequential() {
     for workers in WORKERS {
         let mut sim = fresh(setup);
         sim.enable_telemetry();
-        let got = stream_chunked(&mut sim, &trace, workers);
+        let got = stream_chunked(&mut sim, &trace, CHUNK, workers);
         let ctx = format!("contention telemetry workers={workers}");
         assert_eq!(got, expect, "report diverged: {ctx}");
         assert_eq!(
@@ -320,6 +326,62 @@ fn contention_stress_telemetry_matches_sequential() {
             expect_metrics,
             "device metrics diverged: {ctx}"
         );
+    }
+}
+
+/// A hand-built edge trace: of `cores` cores only the highest-numbered
+/// one is busy, so every other slot of the merge stays closed. It
+/// reads and writes the two lines within 64 B of `u64::MAX`, where an
+/// unchecked line, page or bank computation would overflow, and
+/// interleaves dependent chases to the top line and across low pages.
+fn edge_trace(cores: u32, per_core: u64) -> Vec<TraceAccess> {
+    let core = cores - 1;
+    (0..per_core)
+        .map(|i| {
+            let top = u64::MAX - (i * 8) % 72;
+            match i % 4 {
+                0 => TraceAccess::read(core, top),
+                1 => TraceAccess::write(core, top),
+                2 => TraceAccess::chase(core, top),
+                _ => TraceAccess::chase(core, (i * 4096) % (1 << 22)),
+            }
+        })
+        .collect()
+}
+
+/// The edge trace streamed one access per chunk, so every access is a
+/// refill, must match the sequential oracle under a static placement,
+/// under migration every access with a budget above the footprint,
+/// and under migration every access into a one-page budget.
+#[test]
+fn edge_trace_one_access_chunks_equal_sequential() {
+    let trace = edge_trace(CORES, PER_CORE);
+    let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
+    for placement in [
+        TracePlacement::AllDdr,
+        TracePlacement::Migrated(MigrationSpec::new(1, u32::MAX)),
+        TracePlacement::Migrated(MigrationSpec::new(1, 1)),
+    ] {
+        let mk = || TraceSim::new(&cfg, CORES, placement, ByteSize::mib(4));
+        let mut seq = mk();
+        let expect = seq.run(&trace);
+        assert!(
+            expect.memory_accesses > 0,
+            "edge trace must reach memory under {placement:?}"
+        );
+        if let Some(stats) = seq.migration_stats() {
+            assert!(
+                stats.promoted_pages > 0,
+                "edge trace must promote under {placement:?}, got {stats:?}"
+            );
+        }
+        for workers in WORKERS {
+            let mut sim = mk();
+            let got = stream_chunked(&mut sim, &trace, 1, workers);
+            let ctx = format!("edge {placement:?} workers={workers}");
+            assert_eq!(got, expect, "report diverged: {ctx}");
+            assert_sims_match(&sim, &seq, &ctx);
+        }
     }
 }
 
@@ -368,7 +430,7 @@ fn check_migration(
     );
     for workers in WORKERS {
         let mut sim = fresh_migrated();
-        let got = stream_chunked(&mut sim, trace, workers);
+        let got = stream_chunked(&mut sim, trace, CHUNK, workers);
         let ctx = format!("migrated chunked {label} workers={workers}");
         assert_eq!(got, expect, "report diverged: {ctx}");
         assert_sims_match(&sim, &seq, &ctx);
@@ -454,7 +516,7 @@ fn timeseries_sampling_invisible_and_identical_across_engines() {
                 let mut sim = fresh(setup);
                 sim.enable_timeseries(INTERVAL, CAPACITY);
                 let got = if chunked {
-                    stream_chunked(&mut sim, &trace, workers)
+                    stream_chunked(&mut sim, &trace, CHUNK, workers)
                 } else {
                     stream_source(&mut sim, kind.source(CORES, PER_CORE, SEED), workers)
                 };
@@ -503,7 +565,7 @@ fn timeseries_migration_series_identical_across_engines() {
             let mut sim = fresh_migrated();
             sim.enable_timeseries(INTERVAL, CAPACITY);
             let got = if chunked {
-                stream_chunked(&mut sim, &trace, workers)
+                stream_chunked(&mut sim, &trace, CHUNK, workers)
             } else {
                 stream_source(&mut sim, hot_cold(), workers)
             };

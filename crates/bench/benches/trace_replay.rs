@@ -138,32 +138,39 @@ fn bench_timing_kernel(c: &mut Criterion) {
         });
     });
 
-    // A full 12-entry file on a miss stream of distinct lines: every
-    // miss stalls, then allocates at the earliest completion, as the
-    // replay's stall path does.
-    group.bench_function("mshr_register_complete/12_full", |b| {
-        let mut mshr = Mshr::new(12);
-        let mut now = SimTime::ZERO;
-        let mut line = 0u64;
-        b.iter(|| {
-            for &l in &lat {
-                line += 1;
-                let mut issue = now;
-                loop {
-                    match mshr.register(line, issue) {
-                        MshrOutcome::Stall { free_at } => issue = free_at,
-                        MshrOutcome::Merged { .. } => break,
-                        MshrOutcome::Allocated => {
-                            mshr.complete_at(line, issue + Duration::from_ps(l));
-                            break;
+    // A full file on a miss stream of distinct lines: every miss
+    // stalls, then allocates at the earliest completion, as the
+    // replay's stall path does. 12 entries is the replay's file
+    // (`STREAM_MLP_PER_CORE_1T`), 25 the per-core cap
+    // (`STREAM_MLP_PER_CORE_CAP`).
+    for capacity in [
+        knl::calib::STREAM_MLP_PER_CORE_1T as usize,
+        knl::calib::STREAM_MLP_PER_CORE_CAP as usize,
+    ] {
+        group.bench_function(&format!("mshr_register_complete/{capacity}_full"), |b| {
+            let mut mshr = Mshr::new(capacity);
+            let mut now = SimTime::ZERO;
+            let mut line = 0u64;
+            b.iter(|| {
+                for &l in &lat {
+                    line += 1;
+                    let mut issue = now;
+                    loop {
+                        match mshr.register(line, issue) {
+                            MshrOutcome::Stall { free_at } => issue = free_at,
+                            MshrOutcome::Merged { .. } => break,
+                            MshrOutcome::Allocated => {
+                                mshr.complete_at(line, issue + Duration::from_ps(l));
+                                break;
+                            }
                         }
                     }
+                    now += Duration::from_ps(l / 64);
                 }
-                now += Duration::from_ps(l / 64);
-            }
-            now
+                now
+            });
         });
-    });
+    }
 
     // DDR banks on a line-interleaved stream, one access per ns.
     group.bench_function("dram_access/ddr_line_interleaved", |b| {

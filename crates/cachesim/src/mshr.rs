@@ -32,18 +32,31 @@ pub enum MshrOutcome {
 ///
 /// The file is tiny (a real core has on the order of a dozen entries),
 /// and `register` sits on the trace replay's per-access hot path, so
-/// entries live in a flat pre-allocated vector scanned linearly —
-/// no tree walks and no allocation after construction. Lines are
-/// unique in the file and every query is a lookup by line, a count or
-/// a minimum, so entry order never reaches an outcome: retiring swaps
-/// the last entry into the hole, and one scan per `register` retires,
-/// looks for a merge and finds the earliest completion together.
+/// entries live in a flat pre-allocated vector — no tree walks and no
+/// allocation after construction. The vector holds the entries in
+/// ascending completion order behind a start index: everything before
+/// `head` has retired, everything from `head` on is in flight. Because
+/// the order is by completion time, the entries complete at `now` are
+/// always a prefix of the live ones, so retiring advances `head` past
+/// them, and the earliest completion a stalled miss waits for is the
+/// entry at `head`; only the merge check scans the live lines. An
+/// allocation pushes a placeholder (`u64::MAX`, the largest key) at the
+/// tail, and `complete_at` moves it down to its sorted slot, which on
+/// a stream is at or near the tail. The retired prefix is drained once
+/// it grows past `capacity`, so the vector never holds more than
+/// `2 × capacity` entries.
+///
+/// Order never reaches an outcome: lines are unique among the live
+/// entries, and every query is a lookup by line, a count or a minimum,
+/// each of which the ordered file answers exactly as an unordered scan
+/// would, ties and placeholders included.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     capacity: usize,
-    // (line address, completion time) of each outstanding fetch; lines
-    // are unique, order is arbitrary.
+    // (line address, completion time) of each fetch, ascending by
+    // completion; `inflight[head..]` are outstanding, the rest retired.
     inflight: Vec<(u64, SimTime)>,
+    head: usize,
     /// Primary misses that allocated an entry.
     pub allocations: Counter,
     /// Secondary misses merged into an existing entry.
@@ -63,7 +76,8 @@ impl Mshr {
         assert!(capacity > 0, "MSHR file needs at least one entry");
         Mshr {
             capacity,
-            inflight: Vec::with_capacity(capacity),
+            inflight: Vec::with_capacity(2 * capacity),
+            head: 0,
             allocations: Counter::new(),
             merges: Counter::new(),
             stalls: Counter::new(),
@@ -90,7 +104,7 @@ impl Mshr {
     /// at `now`).
     pub fn occupancy(&mut self, now: SimTime) -> usize {
         self.retire(now);
-        self.inflight.len()
+        self.live().len()
     }
 
     /// Total capacity.
@@ -98,15 +112,19 @@ impl Mshr {
         self.capacity
     }
 
+    /// The outstanding entries, ascending by completion time.
+    fn live(&self) -> &[(u64, SimTime)] {
+        &self.inflight[self.head..]
+    }
+
     /// Drop entries whose fetches completed at or before `now`.
     pub fn retire(&mut self, now: SimTime) {
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].1 <= now {
-                self.inflight.swap_remove(i);
-            } else {
-                i += 1;
-            }
+        while self.head < self.inflight.len() && self.inflight[self.head].1 <= now {
+            self.head += 1;
+        }
+        if self.head > self.capacity {
+            self.inflight.drain(..self.head);
+            self.head = 0;
         }
     }
 
@@ -121,43 +139,26 @@ impl Mshr {
     /// the probed value is identical no matter which replay engine (or
     /// worker count) reached the boundary.
     pub fn probe_occupancy(&self, now: SimTime) -> usize {
-        self.inflight
-            .iter()
-            .filter(|&&(_, done)| done > now)
-            .count()
+        let live = self.live();
+        live.len() - live.partition_point(|&(_, done)| done <= now)
     }
 
     /// Register a miss for `line_addr` at time `now`. If an entry is
     /// allocated, the caller must then call [`Mshr::complete_at`] with
     /// the fetch completion time.
     pub fn register(&mut self, line_addr: u64, now: SimTime) -> MshrOutcome {
-        // One scan: retire completed fetches, and among the survivors
-        // find this line's entry and the earliest completion.
-        let mut merge = None;
-        let mut free_at = SimTime::from_ps(u64::MAX);
-        let mut i = 0;
-        while i < self.inflight.len() {
-            let (line, done) = self.inflight[i];
-            if done <= now {
-                self.inflight.swap_remove(i);
-                continue;
-            }
-            if line == line_addr {
-                merge = Some(done);
-            }
-            free_at = free_at.min(done);
-            i += 1;
-        }
+        self.retire(now);
+        let live = &self.inflight[self.head..];
         if let Some(h) = &mut self.occupancy {
-            h.record(self.inflight.len() as u64);
+            h.record(live.len() as u64);
         }
-        if let Some(ready_at) = merge {
+        if let Some(&(_, ready_at)) = live.iter().find(|&&(line, _)| line == line_addr) {
             self.merges.incr();
             return MshrOutcome::Merged { ready_at };
         }
-        if self.inflight.len() >= self.capacity {
+        if live.len() >= self.capacity {
             self.stalls.incr();
-            return MshrOutcome::Stall { free_at };
+            return MshrOutcome::Stall { free_at: live[0].1 };
         }
         self.allocations.incr();
         // Placeholder completion; the caller sets the real one.
@@ -167,15 +168,21 @@ impl Mshr {
 
     /// Record the completion time of the fetch for `line_addr`
     /// (must follow an `Allocated` outcome). The search starts at the
-    /// tail, where `register` just pushed the entry.
+    /// tail, where `register` just pushed the entry, and the entry then
+    /// moves to its slot in completion order.
     pub fn complete_at(&mut self, line_addr: u64, done: SimTime) {
-        let entry = self
-            .inflight
-            .iter_mut()
-            .rev()
-            .find(|&&mut (l, _)| l == line_addr)
-            .expect("complete_at without allocation");
-        entry.1 = done;
+        let head = self.head;
+        let mut i = head
+            + self.inflight[head..]
+                .iter()
+                .rposition(|&(l, _)| l == line_addr)
+                .expect("complete_at without allocation");
+        debug_assert_eq!(self.inflight[i].1, SimTime::from_ps(u64::MAX));
+        while i > head && self.inflight[i - 1].1 > done {
+            self.inflight[i] = self.inflight[i - 1];
+            i -= 1;
+        }
+        self.inflight[i] = (line_addr, done);
     }
 }
 

@@ -367,7 +367,7 @@ fn msc_writeback_addresses_at_high_addresses() {
 
 /// Naive MSHR file: insertion-ordered entries, retired with `retain`,
 /// looked up with `find` and a separate minimum scan — the model the
-/// single-pass, order-free file must reproduce exactly.
+/// completion-ordered file must reproduce exactly.
 struct RefMshr {
     capacity: usize,
     inflight: Vec<(u64, SimTime)>,
@@ -425,11 +425,18 @@ impl RefMshr {
 /// from small pools (duplicates merge), latencies from a short list
 /// (equal completion times tie for the earliest free slot), clocks
 /// sometimes stand still or step back, and some probes see an entry
-/// whose completion is not yet set.
+/// whose completion is not yet set. Capacity 25 is the per-core cap
+/// `knl::calib::STREAM_MLP_PER_CORE_CAP`.
+///
+/// A second pass keeps several placeholders outstanding at once and
+/// sets their completions in random order from the same short list,
+/// so completions tie and land out of allocation order, and it calls
+/// `occupancy` and `retire` between registers, so the retired prefix
+/// of the ordered file is drained many times in each case.
 #[test]
 fn mshr_matches_reference() {
     let mut rng = Rng::seed_from_u64(0x5a5a_0003);
-    for capacity in [1usize, 2, 12] {
+    for capacity in [1usize, 2, 12, 25] {
         for case in 0..24 {
             let lines = rng.gen_range(1..3 * capacity as u64 + 2);
             let mut mshr = Mshr::new(capacity);
@@ -478,6 +485,72 @@ fn mshr_matches_reference() {
                 );
             }
             let ctx = format!("capacity {capacity} case {case}");
+            assert_eq!(mshr.allocations.get(), reference.allocations, "{ctx}");
+            assert_eq!(mshr.merges.get(), reference.merges, "{ctx}");
+            assert_eq!(mshr.stalls.get(), reference.stalls, "{ctx}");
+            assert_eq!(
+                mshr.occupancy_histogram(),
+                Some(&reference.occupancy),
+                "{ctx}"
+            );
+            reference.retire(now);
+            assert_eq!(mshr.occupancy(now), reference.inflight.len(), "{ctx}");
+        }
+    }
+
+    let mut rng = Rng::seed_from_u64(0x5a5a_0004);
+    for capacity in [1usize, 2, 12, 25] {
+        for case in 0..24 {
+            let lines = rng.gen_range(1..3 * capacity as u64 + 2);
+            let max_pending = rng.gen_range(1..capacity.min(6) + 1);
+            let mut mshr = Mshr::new(capacity);
+            mshr.enable_occupancy_histogram();
+            let mut reference = RefMshr::new(capacity);
+            let mut now = SimTime::ZERO;
+            // Allocated lines whose completion is not yet set.
+            let mut pending: Vec<u64> = Vec::new();
+            for step in 0..2_000 {
+                let ctx = format!("pending: capacity {capacity} case {case} step {step}");
+                match rng.gen_range(0..10u32) {
+                    0 => {}
+                    1 => now = SimTime::from_ps(now.as_ps().saturating_sub(40_000)),
+                    _ => now += Duration::from_ps(rng.gen_range(0..30_000)),
+                }
+                match rng.gen_range(0..6u32) {
+                    0 => {
+                        reference.retire(now);
+                        assert_eq!(mshr.occupancy(now), reference.inflight.len(), "{ctx}");
+                    }
+                    1 => {
+                        mshr.retire(now);
+                        reference.retire(now);
+                    }
+                    _ => {}
+                }
+                if !pending.is_empty() && (pending.len() >= max_pending || rng.gen_bool(0.4)) {
+                    let line = pending.swap_remove(rng.gen_range(0..pending.len()));
+                    let latency = [0u64, 50_000, 50_000, 100_000, 130_000];
+                    let done = now + Duration::from_ps(latency[rng.gen_range(0..latency.len())]);
+                    mshr.complete_at(line, done);
+                    reference.complete_at(line, done);
+                } else {
+                    // A stall is not retried here: its `free_at` may be
+                    // a placeholder's, which only a completion moves.
+                    let line = rng.gen_range(0..lines) * 64;
+                    let got = mshr.register(line, now);
+                    assert_eq!(got, reference.register(line, now), "{ctx}");
+                    if got == MshrOutcome::Allocated {
+                        pending.push(line);
+                    }
+                }
+                let probe = SimTime::from_ps(now.as_ps() + rng.gen_range(0..150_000));
+                assert_eq!(
+                    mshr.probe_occupancy(probe),
+                    reference.probe_occupancy(probe),
+                    "{ctx}"
+                );
+            }
+            let ctx = format!("pending: capacity {capacity} case {case}");
             assert_eq!(mshr.allocations.get(), reference.allocations, "{ctx}");
             assert_eq!(mshr.merges.get(), reference.merges, "{ctx}");
             assert_eq!(mshr.stalls.get(), reference.stalls, "{ctx}");

@@ -5,7 +5,7 @@
 //! Two levels of fidelity are provided:
 //!
 //! * [`spec::MemDeviceSpec`] — a calibrated analytic description
-//!   (capacity, peak/sustained bandwidth, idle/loaded latency, maximum
+//!   (capacity, peak/sustained bandwidth, idle latency, maximum
 //!   useful concurrency) consumed by the Little's-law machine model in
 //!   the `knl` crate. The calibration constants come straight from the
 //!   paper's measurements (§IV-A): DDR sustains 77 GB/s on STREAM triad
@@ -21,10 +21,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bank;
-pub mod loaded;
 pub mod presets;
 pub mod spec;
 
-pub use loaded::LoadedLatencyCurve;
 pub use presets::{ddr4_knl, mcdram_knl};
 pub use spec::{DeviceKind, MemDeviceSpec};

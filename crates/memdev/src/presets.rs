@@ -15,7 +15,6 @@
 //! | MCDRAM sustained BW | 330 GB/s @1 HT (420 max) | Fig. 2 / §IV-A |
 //! | MCDRAM idle latency | 154.0 ns | §IV-A |
 
-use crate::loaded::LoadedLatencyCurve;
 use crate::spec::{DeviceKind, MemDeviceSpec};
 use simfabric::{ByteSize, Duration};
 
@@ -43,7 +42,6 @@ pub fn ddr4_knl() -> MemDeviceSpec {
         // 6 channels × 16 banks × ~2 scheduler slots.
         max_concurrency: 192,
         line_bytes: 64,
-        loaded_curve: LoadedLatencyCurve::ddr_like(),
     }
 }
 
@@ -65,7 +63,6 @@ pub fn mcdram_knl() -> MemDeviceSpec {
         // 8 modules × 16 pseudo-channels × ~8 deep.
         max_concurrency: 1024,
         line_bytes: 64,
-        loaded_curve: LoadedLatencyCurve::mcdram_like(),
     }
 }
 

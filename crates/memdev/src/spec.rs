@@ -5,7 +5,6 @@
 //! taken from the paper or from Intel's published figures, the field
 //! documentation says so.
 
-use crate::loaded::LoadedLatencyCurve;
 use simfabric::{ByteSize, Duration};
 
 /// Which technology a device models. Determines defaults and how the
@@ -44,8 +43,6 @@ pub struct MemDeviceSpec {
     pub max_concurrency: u32,
     /// Cache-line transfer size in bytes (64 on x86).
     pub line_bytes: u32,
-    /// How loaded latency grows with utilization.
-    pub loaded_curve: LoadedLatencyCurve,
 }
 
 impl MemDeviceSpec {
@@ -63,12 +60,6 @@ impl MemDeviceSpec {
     /// Time to stream `bytes` at sustained bandwidth, ignoring latency.
     pub fn stream_time(&self, bytes: u64) -> Duration {
         Duration::from_ps((bytes as f64 / self.sustained_bytes_per_ps()).round() as u64)
-    }
-
-    /// Latency under a given utilization (0.0–1.0+) of sustained
-    /// bandwidth; delegates to the loaded-latency curve.
-    pub fn latency_at(&self, utilization: f64) -> Duration {
-        self.loaded_curve.latency(self.idle_latency, utilization)
     }
 
     /// Bandwidth achievable by `outstanding` concurrent requests at the

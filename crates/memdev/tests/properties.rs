@@ -2,7 +2,7 @@
 //! random cases from the in-tree PRNG.
 
 use memdev::bank::{DramGeometry, DramModel};
-use memdev::{ddr4_knl, mcdram_knl, LoadedLatencyCurve};
+use memdev::{ddr4_knl, mcdram_knl};
 use simfabric::prng::Rng;
 use simfabric::{Duration, SimTime};
 use std::collections::HashSet;
@@ -57,33 +57,6 @@ fn completions_follow_arrivals() {
             t = t.max(done - Duration::from_ns(1.0));
         }
         assert_eq!(m.stats().total(), addrs.len() as u64, "case {case}");
-    }
-}
-
-/// Loaded latency is monotone in utilization and bounded.
-#[test]
-fn loaded_latency_monotone() {
-    let mut rng = Rng::seed_from_u64(0xd1a9_0004);
-    for case in 0..64 {
-        let k = rng.gen_range(0.01f64..0.5);
-        let steps = rng.gen_range(2usize..40);
-        let curve = LoadedLatencyCurve {
-            queue_factor: k,
-            max_utilization: 0.95,
-        };
-        let idle = Duration::from_ns(130.4);
-        let mut prev = Duration::ZERO;
-        for i in 0..=steps {
-            let u = i as f64 / steps as f64;
-            let l = curve.latency(idle, u);
-            assert!(l >= prev, "case {case}");
-            assert!(l >= idle, "case {case}");
-            assert!(
-                l.as_ns() < idle.as_ns() * (1.0 + k * 20.0) + 1.0,
-                "case {case}"
-            );
-            prev = l;
-        }
     }
 }
 

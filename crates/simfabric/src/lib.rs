@@ -50,7 +50,7 @@ pub use cache::{ShardedCacheStats, ShardedLru};
 pub use hash::{PageHasher, PageMap, PageSet};
 pub use merge::LoserTree;
 pub use prng::Rng;
-pub use stats::{Counter, Histogram, OnlineStats};
+pub use stats::{Counter, Histogram};
 pub use telemetry::timeseries::{SeriesId, SeriesKind, TimeSeriesRecorder, TimeSeriesWindow};
 pub use telemetry::{MetricValue, MetricsRegistry, SpanLog, SpanRecord};
 pub use time::{Duration, SimTime};

@@ -1,5 +1,5 @@
-//! Measurement primitives: counters, log-scale histograms and online
-//! mean/variance accumulators.
+//! Measurement primitives: counters, log-scale histograms and the
+//! harmonic and geometric means that aggregate rates.
 //!
 //! These are the building blocks from which the cache simulator, device
 //! models and the experiment harness assemble their reports.
@@ -182,87 +182,6 @@ impl Histogram {
     }
 }
 
-/// Online mean / variance via Welford's algorithm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// New accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance with Bessel's correction (0.0 for n < 2).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Relative standard deviation (stddev / mean); 0.0 when mean is 0.
-    pub fn rel_stddev(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.stddev() / m.abs()
-        }
-    }
-}
-
 /// Harmonic mean of a set of positive rates, as used by Graph500 for
 /// aggregating TEPS over BFS roots. Returns 0.0 on an empty slice and
 /// ignores non-positive entries the way the reference code drops
@@ -374,20 +293,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.min(), Some(4));
         assert_eq!(a.max(), Some(16));
-    }
-
-    #[test]
-    fn online_stats_mean_variance() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Population variance is 4.0; sample variance = 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.count(), 8);
     }
 
     #[test]

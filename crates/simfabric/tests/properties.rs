@@ -2,7 +2,7 @@
 //! randomized cases from the in-tree PRNG (deterministic across runs).
 
 use simfabric::prng::Rng;
-use simfabric::{ByteSize, Duration, Histogram, OnlineStats};
+use simfabric::{ByteSize, Duration, Histogram};
 
 /// ByteSize display → parse round-trips within formatting precision.
 #[test]
@@ -65,31 +65,6 @@ fn histogram_quantile_bounds() {
                 "case {case} q{q}: est {est} vs true {truth}"
             );
         }
-    }
-}
-
-/// OnlineStats matches the two-pass mean/variance.
-#[test]
-fn online_stats_match_two_pass() {
-    let mut rng = Rng::seed_from_u64(0x51f0_0004);
-    for case in 0..128 {
-        let len = rng.gen_range(2usize..200);
-        let xs: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e6f64..1e6)).collect();
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-        assert!(
-            (s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0),
-            "case {case}"
-        );
-        assert!(
-            (s.variance() - var).abs() < 1e-6 * var.abs().max(1.0),
-            "case {case}"
-        );
     }
 }
 

@@ -112,8 +112,20 @@ fn latency_draws() -> Vec<u64> {
         .collect()
 }
 
+/// Seeded stream-shaped latencies in picoseconds: a 120 ns DRAM base
+/// plus 0–2 ns jitter. Completions arrive nearly in request order, so
+/// the ordered MSHR file inserts each at or near its tail, as a STREAM
+/// replay does.
+fn stream_latency_draws() -> Vec<u64> {
+    let mut rng = Rng::seed_from_u64(BENCH_SEED);
+    (0..KERNEL_OPS)
+        .map(|_| 120_000 + rng.gen_range(0..2_000u64))
+        .collect()
+}
+
 fn bench_timing_kernel(c: &mut Criterion) {
     let lat = latency_draws();
+    let stream_lat = stream_latency_draws();
     let mut group = c.benchmark_group("timing_kernel");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(200));
@@ -142,17 +154,22 @@ fn bench_timing_kernel(c: &mut Criterion) {
     // stalls, then allocates at the earliest completion, as the
     // replay's stall path does. 12 entries is the replay's file
     // (`STREAM_MLP_PER_CORE_1T`), 25 the per-core cap
-    // (`STREAM_MLP_PER_CORE_CAP`).
-    for capacity in [
+    // (`STREAM_MLP_PER_CORE_CAP`). `_full` draws latencies uniformly
+    // (completions land anywhere in the file); `_stream` draws them
+    // stream-shaped (completions land at or near the tail).
+    for (capacity, shape, draws) in [
         knl::calib::STREAM_MLP_PER_CORE_1T as usize,
         knl::calib::STREAM_MLP_PER_CORE_CAP as usize,
-    ] {
-        group.bench_function(&format!("mshr_register_complete/{capacity}_full"), |b| {
+    ]
+    .into_iter()
+    .flat_map(|cap| [(cap, "full", &lat), (cap, "stream", &stream_lat)])
+    {
+        group.bench_function(&format!("mshr_register_complete/{capacity}_{shape}"), |b| {
             let mut mshr = Mshr::new(capacity);
             let mut now = SimTime::ZERO;
             let mut line = 0u64;
             b.iter(|| {
-                for &l in &lat {
+                for &l in draws {
                     line += 1;
                     let mut issue = now;
                     loop {

@@ -30,8 +30,8 @@
 //!                        # span table, top-k stalls, final counters,
 //!                        # and (with --timeseries) one sparkline
 //!                        # timeline per sampled series
-//! repro serve [--threads N] [--flush-every N] [--interval N]
-//!             [--timeseries PATH] [--full]
+//! repro serve [--flush-every N] [--interval N] [--timeseries PATH]
+//!             [--full]
 //!                        # long-running advisor service: JSON-lines
 //!                        # queries on stdin, one response per query on
 //!                        # stdout with a causal id and a per-query
@@ -181,8 +181,8 @@ fn main() {
             };
             print!("{}", hybridmem::render_trace_replays(&rows));
             println!(
-                "(replayed with {} worker thread(s); set TRACESIM_THREADS to change)",
-                knl::tracesim::worker_threads()
+                "(replayed with {} worker thread(s))",
+                simfabric::par::num_threads()
             );
         }
         "profile" => {
@@ -583,12 +583,9 @@ fn main() {
             }
         }
         "serve" => {
-            // repro serve [--threads N] [--flush-every N] [--interval N]
-            //             [--timeseries PATH] [--full]
+            // repro serve [--flush-every N] [--interval N] [--timeseries PATH]
+            //             [--full]
             let mut opts = bench::serve::ServeOptions::default();
-            if let Some(t) = flag_value(&args, "--threads").and_then(|a| a.parse().ok()) {
-                opts.workers = t;
-            }
             if let Some(f) = flag_value(&args, "--flush-every").and_then(|a| a.parse().ok()) {
                 opts.flush_every = f;
             }
@@ -606,8 +603,8 @@ fn main() {
             // The transcript owns stdout; the human-facing summary
             // goes to stderr.
             eprintln!(
-                "served {} queries ({} cache hits, {} computed, {} errors) with {} worker(s)",
-                summary.queries, summary.hits, summary.computed, summary.errors, opts.workers
+                "served {} queries ({} cache hits, {} computed, {} errors)",
+                summary.queries, summary.hits, summary.computed, summary.errors
             );
             if let Some(path) = flag_value(&args, "--timeseries") {
                 let ts = hybridmem::check_timeseries(&summary.timeseries_jsonl)

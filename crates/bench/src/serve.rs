@@ -16,9 +16,9 @@
 //! [`TimeSeriesRecorder`] once per query — cache hit/compute
 //! counters and entry/byte gauges whose evolution depends only on the
 //! input stream (queries are answered strictly in line order, one at
-//! a time), so the exported `timeseries/v1` document is byte-identical
-//! at any `--threads` setting. CI serves the bundled 200-query batch
-//! at 1 and 8 workers and byte-compares the two exports.
+//! a time), so the exported `timeseries/v1` document is a pure
+//! function of the input. CI serves the bundled 200-query batch and
+//! validates the export.
 
 use hybridmem::json::Json;
 use hybridmem::{advice_to_json, canonicalize, AdvisorQuery, AdvisorService};
@@ -29,8 +29,6 @@ use std::time::Instant;
 /// Tuning for one [`serve_loop`] session.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker-pool width of the underlying [`AdvisorService`].
-    pub workers: usize,
     /// Emit a `flush` event line after every this many queries
     /// (0 disables periodic flushes; the EOF drain always runs).
     pub flush_every: u64,
@@ -46,7 +44,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            workers: simfabric::par::num_threads(),
             flush_every: 50,
             ts_interval: 50,
             ts_capacity: 256,
@@ -91,7 +88,7 @@ pub fn serve_loop(
     mut output: impl Write,
     opts: &ServeOptions,
 ) -> Result<ServeSummary, String> {
-    let service = AdvisorService::new(hybridmem::ResultCache::capacity_from_env(), opts.workers);
+    let service = AdvisorService::with_defaults();
     let mut rec = TimeSeriesRecorder::new(opts.ts_interval.max(1), opts.ts_capacity.max(1));
     let ts_queries = rec.register_counter("serve.queries");
     let ts_hits = rec.register_counter("serve.cache_hits");
@@ -332,7 +329,6 @@ mod tests {
 
     fn tiny_opts() -> ServeOptions {
         ServeOptions {
-            workers: 2,
             flush_every: 2,
             ts_interval: 2,
             ts_capacity: 8,
@@ -366,21 +362,6 @@ mod tests {
         let ts = hybridmem::check_timeseries(&summary.timeseries_jsonl).expect("valid timeseries");
         assert_eq!(ts.ticks, 3);
         assert_eq!(ts.windows, 2, "one full window + the drain tail");
-    }
-
-    #[test]
-    fn serve_timeseries_identical_across_worker_counts() {
-        let run = |workers: usize| {
-            let opts = ServeOptions {
-                workers,
-                ..tiny_opts()
-            };
-            let mut out = Vec::new();
-            serve_loop(tiny_batch().as_bytes(), &mut out, &opts)
-                .expect("serves")
-                .timeseries_jsonl
-        };
-        assert_eq!(run(1), run(4), "sampled windows must not depend on workers");
     }
 
     #[test]

@@ -213,9 +213,9 @@ pub struct TraceReplay {
 /// hierarchy config into a bounded artifact (streamed from
 /// [`TraceKind::source`], never materializing the full trace) and
 /// each setup replays the artifact through the timing stage
-/// ([`crate::sweep`]). The worker count comes from `TRACESIM_THREADS`
-/// (or the ambient [`par`] override) and the output is bit-identical
-/// to the sequential reference at any setting.
+/// ([`crate::sweep`]). The worker count comes from
+/// [`par::num_threads`] and the output is bit-identical to the
+/// sequential reference at any setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSweep {
     /// Trace generators to replay.

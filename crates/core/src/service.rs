@@ -42,7 +42,6 @@ use simfabric::cache::{ShardedCacheStats, ShardedLru};
 use simfabric::telemetry::MetricsRegistry;
 use simfabric::{par, ByteSize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use workloads::tracegen::TraceKind;
 
@@ -420,22 +419,15 @@ pub struct BatchStats {
 pub struct AdvisorService {
     cache: ResultCache,
     workers: usize,
-    /// Distinct keys each pool worker computed, indexed by the stable
-    /// worker slot [`par::par_queued_tagged`] reports — the provenance
-    /// behind the `worker{i}.` shards in
-    /// [`metrics_registry`](Self::metrics_registry).
-    worker_computed: Vec<AtomicU64>,
 }
 
 impl AdvisorService {
     /// A service with a `cap_bytes` result-cache budget and at most
     /// `workers` concurrent miss computations.
     pub fn new(cap_bytes: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
         AdvisorService {
             cache: ResultCache::new(cap_bytes),
-            workers,
-            worker_computed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            workers: workers.max(1),
         }
     }
 
@@ -449,28 +441,6 @@ impl AdvisorService {
     /// The service's result cache (stats, metrics).
     pub fn cache(&self) -> &ResultCache {
         &self.cache
-    }
-
-    /// Worker-pool width for miss computation.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The service's metric dump: the result cache's
-    /// `advisor.cache.*` registry plus one shard per pool worker
-    /// merged under a stable `worker{i}.` prefix
-    /// ([`MetricsRegistry::merge_prefixed`]), so per-worker compute
-    /// provenance survives the merge instead of folding into one
-    /// anonymous counter. `worker0.` also covers inline single-miss
-    /// computations (they run on the caller's thread).
-    pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut reg = self.cache.metrics_registry();
-        for (i, computed) in self.worker_computed.iter().enumerate() {
-            let mut shard = MetricsRegistry::new();
-            shard.counter("advisor.computed", computed.load(Ordering::Relaxed));
-            reg.merge_prefixed(&format!("worker{i}."), &shard);
-        }
-        reg
     }
 
     /// Answer one query — the batch path at N = 1, so the CLI and
@@ -506,27 +476,16 @@ impl AdvisorService {
             distinct.iter().map(|key| self.cache.get(key)).collect();
         let cache_hits = resolved.iter().filter(|r| r.is_some()).count();
 
-        // Level 3: compute the misses — inline for one, through the
-        // worker pool for many.
+        // Level 3: compute the misses — inline for one (`par_queued`
+        // runs a single item on this thread), through the worker pool
+        // for many.
         let miss_slots: Vec<usize> = resolved
             .iter()
             .enumerate()
             .filter_map(|(slot, r)| r.is_none().then_some(slot))
             .collect();
         let miss_keys: Vec<&QueryKey> = miss_slots.iter().map(|&s| &distinct[s]).collect();
-        let computed: Vec<ReplayedAdvice> = if miss_keys.len() <= 1 {
-            // The inline path runs on the caller's thread: worker 0.
-            self.worker_computed[0].fetch_add(miss_keys.len() as u64, Ordering::Relaxed);
-            miss_keys.iter().map(|key| answer(key)).collect()
-        } else {
-            par::par_queued_tagged(&miss_keys, self.workers, |_, key| answer(key))
-                .into_iter()
-                .map(|(worker, advice)| {
-                    self.worker_computed[worker].fetch_add(1, Ordering::Relaxed);
-                    advice
-                })
-                .collect()
-        };
+        let computed = par::par_queued(&miss_keys, self.workers, |_, key| answer(key));
         for (&slot, advice) in miss_slots.iter().zip(computed) {
             let advice = Arc::new(advice);
             self.cache

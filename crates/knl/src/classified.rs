@@ -30,9 +30,9 @@
 //!
 //! # Cache observability
 //!
-//! [`ClassifyCache`] is LRU by total payload bytes and exports
-//! `replay.classify.*` counters/gauges through the telemetry registry
-//! (hits, misses, evictions, current and high-water bytes). An
+//! [`ClassifyCache`] is LRU by total payload bytes and counts hits,
+//! misses, inserts, evictions and rejections ([`ClassifyCacheStats`])
+//! next to current and high-water bytes. An
 //! artifact larger than the whole budget warns once per process
 //! ([`classify_cache_warning`], mirroring the streaming replay's
 //! buffered-accesses warning) because every sweep over it silently
@@ -40,12 +40,10 @@
 
 use crate::config::MachineConfig;
 use crate::tracesim::{
-    classify_chunk, hierarchy_config, worker_threads, ClassifiedSoa, ReplayShard, TraceAccess,
+    classify_chunk, hierarchy_config, ClassifiedSoa, ReplayShard, TraceAccess,
     CLASSIFIED_ACCESS_BYTES,
 };
 use cachesim::hierarchy::{Hierarchy, LevelHit};
-use simfabric::par;
-use simfabric::telemetry::MetricsRegistry;
 use simfabric::ByteSize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -139,8 +137,9 @@ impl ClassifiedTrace {
     /// (returning 0 ends the stream — the same contract as
     /// [`TraceSim::run_streaming`](crate::tracesim::TraceSim::run_streaming)),
     /// so the raw trace never materializes; each chunk is partitioned
-    /// by core and classified on [`worker_threads`] workers exactly as
-    /// the replay engine would. The artifact is bit-for-bit the
+    /// by core and classified on the caller's
+    /// [`par::num_threads`](simfabric::par::num_threads) workers exactly
+    /// as the replay engine would. The artifact is bit-for-bit the
     /// classification that engine would produce — one shared step
     /// (`classify_chunk`) guarantees it.
     pub fn build_streaming(
@@ -148,25 +147,14 @@ impl ClassifiedTrace {
         cores: u32,
         msc_capacity: ByteSize,
         trace_spec: &str,
-        mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize,
+        fill: impl FnMut(&mut Vec<TraceAccess>) -> usize,
     ) -> ClassifiedTrace {
         let key = ClassifyKey::new(trace_spec, cores, classify_signature(cfg, msc_capacity));
         let hier_cfg = hierarchy_config(cfg, msc_capacity);
         let mut shards: Vec<ReplayShard> = (0..cores)
             .map(|_| ReplayShard::new(Hierarchy::new(hier_cfg)))
             .collect();
-        let mut accesses = 0u64;
-        par::with_threads(worker_threads(), || {
-            let mut buf = Vec::new();
-            loop {
-                buf.clear();
-                if fill(&mut buf) == 0 {
-                    break;
-                }
-                accesses += buf.len() as u64;
-                classify_chunk(&mut shards, &buf);
-            }
-        });
+        let accesses = classify_all(&mut shards, fill);
         let mut level_hits = [0u64; 4];
         for s in &shards {
             for (i, lvl) in [
@@ -271,8 +259,28 @@ pub fn classify_cache_warning(entry_bytes: usize, cap_bytes: usize) -> Option<St
     }
 }
 
-/// Counters for [`ClassifyCache`] behaviour, exported as
-/// `replay.classify.*` metrics.
+/// Classify every chunk `fill` yields through `shards`; returns the
+/// number of accesses classified. A function of its own: with this
+/// loop written inline in [`ClassifiedTrace::build_streaming`], the
+/// `sweep_migrate` benchmark's set-up (two artifact builds) measured
+/// about 5 % slower.
+fn classify_all(
+    shards: &mut [ReplayShard],
+    mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize,
+) -> u64 {
+    let mut accesses = 0u64;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if fill(&mut buf) == 0 {
+            return accesses;
+        }
+        accesses += buf.len() as u64;
+        classify_chunk(shards, &buf);
+    }
+}
+
+/// Counters for [`ClassifyCache`] behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassifyCacheStats {
     /// Lookups served from the cache.
@@ -314,35 +322,6 @@ impl ClassifyCache {
             peak_bytes: 0,
             stats: ClassifyCacheStats::default(),
         }
-    }
-
-    /// Return the artifact for `key`, building it with `build` on a
-    /// miss. Hits move the entry to the MRU position; misses insert
-    /// (evicting LRU entries until the new artifact fits) unless the
-    /// cache is disabled or the artifact exceeds the whole budget
-    /// (warned once per process).
-    ///
-    /// The build runs with the cache borrowed, so callers sharing one
-    /// cache across threads serialize their builds; use
-    /// [`SharedClassifyCache::get_or_build`] for the concurrent path,
-    /// which builds outside the lock and deduplicates in-flight
-    /// builds of the same key.
-    pub fn get_or_build(
-        &mut self,
-        key: &ClassifyKey,
-        build: impl FnOnce() -> ClassifiedTrace,
-    ) -> Arc<ClassifiedTrace> {
-        if let Some(entry) = self.lookup(key) {
-            return entry;
-        }
-        let built = Arc::new(build());
-        debug_assert_eq!(
-            built.key(),
-            key,
-            "builder produced an artifact under a different key"
-        );
-        self.insert_built(Arc::clone(&built));
-        built
     }
 
     /// The cached artifact under `key`, moved to the MRU position and
@@ -425,23 +404,6 @@ impl ClassifyCache {
     pub fn clear(&mut self) {
         self.lru.clear();
         self.bytes = 0;
-    }
-
-    /// Snapshot the cache as `replay.classify.*` metrics for the
-    /// telemetry registry: hit/miss/insert/eviction counters plus
-    /// current, high-water, and budget byte gauges.
-    pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("replay.classify.hits", self.stats.hits);
-        reg.counter("replay.classify.misses", self.stats.misses);
-        reg.counter("replay.classify.inserts", self.stats.inserts);
-        reg.counter("replay.classify.evictions", self.stats.evictions);
-        reg.counter("replay.classify.rejected", self.stats.rejected);
-        reg.gauge("replay.classify.entries", self.lru.len() as f64);
-        reg.gauge("replay.classify.bytes", self.bytes as f64);
-        reg.gauge("replay.classify.peak_bytes", self.peak_bytes as f64);
-        reg.gauge("replay.classify.cap_bytes", self.cap_bytes as f64);
-        reg
     }
 }
 
@@ -542,8 +504,7 @@ impl SharedClassifyCache {
     }
 
     /// Run `f` against the inner [`ClassifyCache`] (stats snapshots,
-    /// metrics export, direct `get_or_build` for single-threaded
-    /// paths). `f` must not block on another classify build, which
+    /// clearing). `f` must not block on another classify build, which
     /// would deadlock against a builder's insert.
     pub fn with_cache<R>(&self, f: impl FnOnce(&mut ClassifyCache) -> R) -> R {
         f(&mut self.cache.lock().expect("classify cache poisoned"))
@@ -632,11 +593,10 @@ pub fn global_classify_cache() -> &'static SharedClassifyCache {
     CACHE.get_or_init(|| SharedClassifyCache::new(classify_cache_capacity_from_env()))
 }
 
-/// Run `f` against the process-wide classify cache. Kept for stats
-/// snapshots, metrics export, and single-threaded `get_or_build`
-/// callers; concurrent build paths should use
-/// [`global_classify_cache`]`().get_or_build(..)` instead, which
-/// builds outside the lock.
+/// Run `f` against the process-wide classify cache (stats snapshots,
+/// clearing). Builds go through
+/// [`global_classify_cache`]`().get_or_build(..)`, which builds
+/// outside the lock.
 pub fn with_global_classify_cache<R>(f: impl FnOnce(&mut ClassifyCache) -> R) -> R {
     global_classify_cache().with_cache(f)
 }
@@ -713,33 +673,32 @@ mod tests {
 
     #[test]
     fn cache_hits_evicts_lru_and_tracks_bytes() {
-        let a = tiny_artifact("a", 2, 8);
-        let entry_bytes = a.bytes();
+        let entry_bytes = tiny_artifact("a", 2, 8).bytes();
         // Room for exactly two artifacts of this size.
-        let mut cache = ClassifyCache::new(entry_bytes * 2);
-        let key_a = a.key().clone();
-        let key_b = ClassifyKey::new("b", 2, key_a.classify_sig());
-        let key_c = ClassifyKey::new("c", 2, key_a.classify_sig());
+        let cache = SharedClassifyCache::new(entry_bytes * 2);
+        let key_a = ClassifyKey::new("a", 2, real_sig());
+        let key_b = ClassifyKey::new("b", 2, real_sig());
+        let key_c = ClassifyKey::new("c", 2, real_sig());
 
-        cache.get_or_build(&key_a, || a);
+        cache.get_or_build(&key_a, || tiny_artifact("a", 2, 8));
         cache.get_or_build(&key_b, || tiny_artifact("b", 2, 8));
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.bytes(), entry_bytes * 2);
+        assert_eq!(cache.with_cache(|c| c.stats()).misses, 2);
+        assert_eq!(cache.with_cache(|c| c.bytes()), entry_bytes * 2);
 
         // Hit A so B becomes the LRU entry…
         cache.get_or_build(&key_a, || unreachable!("hit must not rebuild"));
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.with_cache(|c| c.stats()).hits, 1);
         // …then C evicts B, not A.
         cache.get_or_build(&key_c, || tiny_artifact("c", 2, 8));
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.with_cache(|c| c.stats()).evictions, 1);
         cache.get_or_build(&key_a, || unreachable!("A must have survived"));
-        let mut rebuilt = false;
+        let rebuilt = std::cell::Cell::new(false);
         cache.get_or_build(&key_b, || {
-            rebuilt = true;
+            rebuilt.set(true);
             tiny_artifact("b", 2, 8)
         });
-        assert!(rebuilt, "B was evicted and must rebuild");
-        assert_eq!(cache.peak_bytes(), entry_bytes * 2);
+        assert!(rebuilt.get(), "B was evicted and must rebuild");
+        assert_eq!(cache.with_cache(|c| c.peak_bytes()), entry_bytes * 2);
     }
 
     fn real_sig() -> String {
@@ -748,13 +707,15 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_retention() {
-        let mut cache = ClassifyCache::new(0);
+        let cache = SharedClassifyCache::new(0);
         let key = ClassifyKey::new("a", 2, real_sig());
         cache.get_or_build(&key, || tiny_artifact("a", 2, 8));
         cache.get_or_build(&key, || tiny_artifact("a", 2, 8));
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.bytes(), 0);
+        cache.with_cache(|c| {
+            assert_eq!(c.stats().misses, 2);
+            assert_eq!(c.len(), 0);
+            assert_eq!(c.bytes(), 0);
+        });
     }
 
     #[test]
@@ -765,11 +726,13 @@ mod tests {
             classify_cache_warning(10, 0).is_none(),
             "disabled cache never warns"
         );
-        let mut cache = ClassifyCache::new(1);
+        let cache = SharedClassifyCache::new(1);
         let key = ClassifyKey::new("big", 2, real_sig());
         cache.get_or_build(&key, || tiny_artifact("big", 2, 8));
-        assert_eq!(cache.stats().rejected, 1);
-        assert!(cache.is_empty());
+        cache.with_cache(|c| {
+            assert_eq!(c.stats().rejected, 1);
+            assert!(c.is_empty());
+        });
     }
 
     #[test]
@@ -848,27 +811,5 @@ mod tests {
         let stats = shared.with_cache(|c| c.stats());
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 0);
-    }
-
-    #[test]
-    fn metrics_cover_counters_and_gauges() {
-        let mut cache = ClassifyCache::new(1 << 20);
-        let key = ClassifyKey::new("a", 2, real_sig());
-        cache.get_or_build(&key, || tiny_artifact("a", 2, 8));
-        cache.get_or_build(&key, || unreachable!("second lookup hits"));
-        let reg = cache.metrics_registry();
-        use simfabric::telemetry::MetricValue;
-        assert_eq!(
-            reg.get("replay.classify.hits"),
-            Some(&MetricValue::Counter(1))
-        );
-        assert_eq!(
-            reg.get("replay.classify.misses"),
-            Some(&MetricValue::Counter(1))
-        );
-        assert!(matches!(
-            reg.get("replay.classify.peak_bytes"),
-            Some(MetricValue::Gauge(b)) if *b > 0.0
-        ));
     }
 }

@@ -27,7 +27,7 @@
 //!    [`Hierarchy`]s for the duration of the run. It takes the next
 //!    generator chunk, partitions it by core (see
 //!    [`partition_by_core`]), drives each shard's private hierarchy on
-//!    the caller's [`worker_threads`] count of workers, and ships the
+//!    the caller's [`par::num_threads`] count of workers, and ships the
 //!    per-core outcomes as SoA batches (separate address / latency /
 //!    flag arrays, 17 B per access instead of a 40 B record), and
 //! 2. a **merge stage** on the calling thread, which replays the
@@ -259,49 +259,6 @@ pub fn partition_by_core(core: u32, shards: usize) -> usize {
     core as usize % shards
 }
 
-/// Clamp a requested worker count to what the machine can usefully
-/// run: at least one worker, at most `cores`. Zero workers cannot make
-/// progress, and over-subscribing the replay (whose workers are
-/// compute-bound, not I/O-bound) only buys context-switch overhead.
-pub fn clamp_thread_count(requested: usize, cores: usize) -> usize {
-    requested.clamp(1, cores.max(1))
-}
-
-/// Worker count for the classification stage of
-/// [`TraceSim::run_streaming`] and [`ClassifiedTrace`] builds: an explicit
-/// [`par::with_threads`] override wins, then the `TRACESIM_THREADS`
-/// environment variable, then the machine's available parallelism.
-///
-/// Environment-sourced values are clamped to `[1, cores]` (warning
-/// once when the clamp changes the value); a set-but-unparsable
-/// `TRACESIM_THREADS` falls through to the machine default and warns
-/// once to stderr via [`simfabric::env`] (a silently ignored knob is
-/// worse than a noisy one — every `TRACESIM_*` knob shares that
-/// contract now). Programmatic overrides are taken as-is — tests
-/// deliberately over-subscribe to shake out scheduling-dependent bugs.
-pub fn worker_threads() -> usize {
-    if let Some(n) = par::thread_override() {
-        return n.max(1);
-    }
-    match simfabric::env::usize_var("TRACESIM_THREADS") {
-        Some(n) => {
-            let cores = par::num_threads();
-            let clamped = clamp_thread_count(n, cores);
-            if clamped != n {
-                simfabric::env::warn_once(
-                    "TRACESIM_THREADS.clamp",
-                    &format!(
-                        "tracesim: clamping TRACESIM_THREADS={n} to {clamped} \
-                         (machine supports {cores})"
-                    ),
-                );
-            }
-            clamped
-        }
-        None => par::num_threads(),
-    }
-}
-
 /// Retained only so the `benchmark/` crate keeps compiling: replay has
 /// a single inline timing loop, so this selects nothing. Remove it with
 /// the next change to that crate.
@@ -318,6 +275,12 @@ pub enum TimingMode {
 /// the timing merge consumes them. [`TraceSim::set_replay_window`]
 /// overrides it. Streaming replay refills one generator chunk at a
 /// time instead.
+///
+/// The copy pays for itself: the merge interleaves 8–64 per-core
+/// streams, and window-sized slices of each stay cache-resident,
+/// while reading the artifact's per-core arrays in place walks that
+/// many far-apart streams and misses. Replaying in place without the
+/// copy measured slower on every `sweep_migrate` pair tried.
 pub const PAR_WINDOW: usize = 1 << 16;
 
 /// Streaming-replay backlog threshold: warn when the classified
@@ -1409,7 +1372,7 @@ impl TraceSim {
     /// the stream. It runs on a producer thread that owns this
     /// simulator's hierarchies for the whole run (and hands them back
     /// afterwards, also on an empty run) and classifies each chunk as
-    /// one window on [`worker_threads`] workers, so chunk `n + 1` is
+    /// one window on [`par::num_threads`] workers, so chunk `n + 1` is
     /// generated and classified while chunk `n` is timed here.
     ///
     /// Until the producer ends any core may still receive work, so a
@@ -1427,7 +1390,7 @@ impl TraceSim {
         let timed = self.telemetry.is_some();
         // `with_threads` overrides are thread-local: carry the caller's
         // worker count onto the producer thread.
-        let threads = worker_threads();
+        let threads = par::num_threads();
         let mut shards: Vec<ReplayShard> = std::mem::take(&mut self.hierarchies)
             .into_iter()
             .map(ReplayShard::new)
@@ -1943,19 +1906,6 @@ mod tests {
         assert_eq!(partition_by_core(5, 1), 0);
     }
 
-    #[test]
-    fn thread_count_clamping() {
-        // TRACESIM_THREADS=0 and over-subscription both clamp into
-        // [1, cores] instead of erroring or oversubscribing.
-        assert_eq!(clamp_thread_count(0, 8), 1);
-        assert_eq!(clamp_thread_count(1, 8), 1);
-        assert_eq!(clamp_thread_count(8, 8), 8);
-        assert_eq!(clamp_thread_count(64, 8), 8);
-        assert_eq!(clamp_thread_count(3, 8), 3);
-        // Degenerate core counts never clamp to zero.
-        assert_eq!(clamp_thread_count(0, 0), 1);
-        assert_eq!(clamp_thread_count(5, 0), 1);
-    }
     #[test]
     fn classified_flags_roundtrip() {
         for write in [false, true] {

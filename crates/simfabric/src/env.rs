@@ -1,15 +1,15 @@
 //! Warn-once environment-variable parsing.
 //!
-//! Every environment knob (`TRACESIM_THREADS`,
-//! `TRACESIM_CLASSIFY_CACHE_MB`, `ADVISOR_CACHE_MB`) parses through
-//! here, so none can be silently dropped. A silently ignored knob is
-//! worse than a noisy one — the operator believes the setting took
-//! effect — so this module centralizes the contract:
+//! Every environment knob (`TRACESIM_CLASSIFY_CACHE_MB`,
+//! `ADVISOR_CACHE_MB`) parses through here, so none can be silently
+//! dropped. A silently ignored knob is worse than a noisy one — the
+//! operator believes the setting took effect — so this module
+//! centralizes the contract:
 //!
 //! * unset ⇒ `None` (the caller's default applies, no noise);
 //! * set and parsable ⇒ `Some(value)` (range policy stays with the
-//!   caller — e.g. `TRACESIM_THREADS=0` legitimately parses and is
-//!   clamped downstream);
+//!   caller — e.g. `TRACESIM_CLASSIFY_CACHE_MB=0` legitimately parses
+//!   and disables retention);
 //! * set but unparsable ⇒ `None` **plus one warning per variable per
 //!   process** naming the variable, the rejected value, and the
 //!   expected grammar.
@@ -56,11 +56,10 @@ pub fn parsed<T>(var: &str, expected: &str, parse: impl Fn(&str) -> Option<T>) -
     }
 }
 
-/// Grammar shared by the counted knobs (`TRACESIM_THREADS`,
-/// `TRACESIM_CLASSIFY_CACHE_MB`): a non-negative integer with
-/// surrounding whitespace ignored. Zero parses — what zero *means*
-/// (clamp to one, disable retention, …) is the caller's policy, not
-/// the parser's.
+/// Grammar shared by the counted knobs (`TRACESIM_CLASSIFY_CACHE_MB`,
+/// `ADVISOR_CACHE_MB`): a non-negative integer with surrounding
+/// whitespace ignored. Zero parses — what zero *means* (disable
+/// retention, …) is the caller's policy, not the parser's.
 pub fn parse_usize(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok()
 }

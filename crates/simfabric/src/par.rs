@@ -6,10 +6,12 @@
 //! flat-map. Work is split into one contiguous range per worker, so
 //! results are deterministic regardless of scheduling.
 //!
-//! Thread counts come from [`num_threads`]; a caller that needs a
-//! specific parallelism level (the native measurement harness) wraps
-//! its region in [`with_threads`], which scopes an override to the
-//! calling thread.
+//! Every worker count in the workspace comes from [`num_threads`]: the
+//! innermost [`with_threads`] scope on the calling thread, otherwise
+//! the machine's available parallelism (which on Linux honours
+//! `taskset` and cgroup CPU limits). A caller that needs a specific
+//! parallelism level (the native measurement harness, the equivalence
+//! suites) wraps its region in [`with_threads`].
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -28,14 +30,6 @@ pub fn num_threads() -> usize {
     THREAD_OVERRIDE
         .with(|o| o.get())
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// The innermost [`with_threads`] override active on this thread, if
-/// any. Lets callers with their own fallback chain (an environment
-/// knob, a config file) distinguish "explicitly overridden" from "use
-/// the machine default".
-pub fn thread_override() -> Option<usize> {
-    THREAD_OVERRIDE.with(|o| o.get())
 }
 
 /// Run `f` with parallel regions on this thread capped at `threads`
@@ -316,36 +310,15 @@ pub fn par_queued<T: Sync, U: Send>(
     workers: usize,
     f: impl Fn(usize, &T) -> U + Sync,
 ) -> Vec<U> {
-    par_queued_tagged(items, workers, f)
-        .into_iter()
-        .map(|(_, u)| u)
-        .collect()
-}
-
-/// [`par_queued`], but each result is tagged with the index of the
-/// pool worker that computed it (`0..workers`): `(worker, result)` in
-/// item order. The tag gives callers per-worker provenance — a
-/// metrics dump can namespace each worker's contribution (e.g. a
-/// `worker{i}.` prefix) without any shared mutable state inside `f`.
-/// The inline single-worker path tags everything with worker 0.
-pub fn par_queued_tagged<T: Sync, U: Send>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(usize, &T) -> U + Sync,
-) -> Vec<(usize, U)> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let workers = workers.clamp(1, items.len().max(1));
     if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (0, f(i, t)))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut labelled: Vec<(usize, (usize, U))> = thread::scope(|s| {
+    let mut labelled: Vec<(usize, U)> = thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|me| {
+            .map(|_| {
                 let (next, f) = (&next, &f);
                 s.spawn(move || {
                     let mut out = Vec::new();
@@ -354,7 +327,7 @@ pub fn par_queued_tagged<T: Sync, U: Send>(
                         if i >= items.len() {
                             break;
                         }
-                        out.push((i, (me, f(i, &items[i]))));
+                        out.push((i, f(i, &items[i])));
                     }
                     out
                 })

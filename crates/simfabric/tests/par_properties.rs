@@ -109,14 +109,3 @@ fn more_threads_than_items_is_exact() {
     });
     assert_eq!(data, vec![0, 11, 22, 33, 44]);
 }
-
-#[test]
-fn thread_override_is_visible_and_scoped() {
-    assert_eq!(par::thread_override(), None);
-    par::with_threads(3, || {
-        assert_eq!(par::thread_override(), Some(3));
-        par::with_threads(9, || assert_eq!(par::thread_override(), Some(9)));
-        assert_eq!(par::thread_override(), Some(3));
-    });
-    assert_eq!(par::thread_override(), None);
-}

@@ -8,14 +8,14 @@ cd "$(dirname "$0")/.."
 # gates below invoke from target/release.
 cargo build --release --offline --workspace
 
-# The test suite runs twice: once pinned to a single trace-replay
-# worker and once at eight, so the sequential-equivalence contract of
-# the streaming engine is exercised at both extremes on every commit
-# (see tests/parallel_equivalence.rs). Every streaming replay crosses
-# the producer-to-merge pipe, where a deadlock would present as a
-# hang, so both passes run under a watchdog.
-TRACESIM_THREADS=1 timeout 1800 cargo test -q --offline
-TRACESIM_THREADS=8 timeout 1800 cargo test -q --offline
+# The root test suite. The equivalence suites pin their own worker
+# ladders with `par::with_threads` (1/2/4/8 in
+# tests/parallel_equivalence.rs for streaming replay and in
+# tests/classified_equivalence.rs for artifact builds), so one pass
+# covers every worker count. Every streaming replay crosses the
+# producer-to-merge pipe, where a deadlock would present as a hang,
+# so the pass runs under a watchdog.
+timeout 1800 cargo test -q --offline
 
 # The root `cargo test` above covers the root package only. Test every
 # other crate by excluding it, so a new crate cannot silently drop out.
@@ -29,22 +29,6 @@ cargo bench --no-run --offline -p bench
 # API docs must build without a warning: an intra-doc link to a
 # deleted or private item fails here instead of rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
-
-# The equivalence suite again at a middle worker count, under the same
-# watchdog: the producer pipe and the classification workers behind it
-# are the only cross-thread handoffs of a replay; the timeout turns a
-# deadlock into a CI failure in minutes instead of a stuck job.
-TRACESIM_THREADS=4 timeout 900 \
-    cargo test -q --offline -p knl-hybrid-memory --test parallel_equivalence
-
-# The classify-once / replay-many contract under the same watchdog:
-# one classified artifact replayed against every placement (including
-# active migration, where the move digest is compared) must stay
-# bit-identical to fresh per-setup streaming replays
-# (tests/classified_equivalence.rs), at the default refill window and
-# at one small enough to refill many times.
-TRACESIM_THREADS=4 timeout 900 \
-    cargo test -q --offline -p knl-hybrid-memory --test classified_equivalence
 
 # Migration gates, under the same watchdog. The equivalence runs above
 # already prove the scheduler remaps at identical trace offsets on
@@ -92,25 +76,16 @@ target/release/repro advise-batch --bundled smoke --rounds 2 \
     --out target/advise_smoke.jsonl
 
 # Serve-loop smoke: drive the long-running advisor service with the
-# bundled 200-query batch under a watchdog (a deadlocked worker pool
-# or a loop that never drains presents as a hang, and the timeout
-# turns that into a failure). The transcript is validated for causal
-# ids, one span per response, and matching drain totals; the run
-# repeats at 1 and 8 workers and the two time-series exports must be
-# byte-identical — the sampler ticks on query order, never on thread
-# schedule.
+# bundled 200-query batch under a watchdog (a loop that never drains
+# presents as a hang, and the timeout turns that into a failure). The transcript is validated for causal
+# ids, one span per response, and matching drain totals, and the
+# time-series export against timeseries/v1.
 target/release/repro queries --bundled full --out target/serve_queries.jsonl
-timeout 900 target/release/repro serve --threads 1 \
-    --timeseries target/serve_ts_w1.jsonl \
-    < target/serve_queries.jsonl > target/serve_out_w1.jsonl
-timeout 900 target/release/repro serve --threads 8 \
-    --timeseries target/serve_ts_w8.jsonl \
-    < target/serve_queries.jsonl > target/serve_out_w8.jsonl
-target/release/repro serve-check target/serve_out_w1.jsonl \
-    --queries 200 --timeseries target/serve_ts_w1.jsonl
-target/release/repro serve-check target/serve_out_w8.jsonl \
-    --queries 200 --timeseries target/serve_ts_w8.jsonl
-cmp target/serve_ts_w1.jsonl target/serve_ts_w8.jsonl
+timeout 900 target/release/repro serve \
+    --timeseries target/serve_ts.jsonl \
+    < target/serve_queries.jsonl > target/serve_out.jsonl
+target/release/repro serve-check target/serve_out.jsonl \
+    --queries 200 --timeseries target/serve_ts.jsonl
 
 cargo fmt --check
 

@@ -4,12 +4,16 @@
 //! canonicalization buckets — and concurrent batch calls into one
 //! service agree with a serial reference.
 //!
-//! Runs under both `TRACESIM_THREADS` pins of `scripts/ci.sh`, so the
-//! pool-over-pool case (service workers over replay workers) is
-//! exercised on every commit.
+//! The invariance test runs inside `par::with_threads(1)` and
+//! `par::with_threads(8)`, so the pool-over-pool case (service workers
+//! over replay workers) is exercised at both replay-worker extremes.
+//! The scope reaches the reference answers, which classify afresh in
+//! each round, and the service's inline single-miss path; pool
+//! workers are fresh threads and use the host's default count.
 
 use knl_hybrid_memory::hybridmem::{answer, canonicalize, AdvisorQuery, AdvisorService};
-use knl_hybrid_memory::simfabric::ByteSize;
+use knl_hybrid_memory::knl::with_global_classify_cache;
+use knl_hybrid_memory::simfabric::{par, ByteSize};
 use knl_hybrid_memory::workloads::tracegen::TraceKind;
 use std::sync::Arc;
 
@@ -36,18 +40,26 @@ fn batch() -> Vec<AdvisorQuery> {
 #[test]
 fn service_answers_are_invariant_to_workers_and_capacity() {
     let queries = batch();
-    let reference: Vec<_> = queries.iter().map(|q| answer(&canonicalize(q))).collect();
-    for (workers, cap) in [(1, 0), (1, 16 << 20), (4, 16 << 20), (8, 1 << 10)] {
-        let service = AdvisorService::new(cap, workers);
-        let (answers, stats) = service.advise_batch(&queries);
-        assert_eq!(stats.queries, queries.len());
-        assert_eq!(stats.distinct, 4, "jitter must fold into 4 buckets");
-        for (i, (got, want)) in answers.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                **got, *want,
-                "workers={workers} cap={cap}: query {i} diverged"
-            );
-        }
+    for replay_workers in [1, 8] {
+        par::with_threads(replay_workers, || {
+            // Drop retained artifacts so the reference classifies at
+            // this worker count instead of reusing an earlier round's.
+            with_global_classify_cache(|c| c.clear());
+            let reference: Vec<_> = queries.iter().map(|q| answer(&canonicalize(q))).collect();
+            for (workers, cap) in [(1, 0), (1, 16 << 20), (4, 16 << 20), (8, 1 << 10)] {
+                let service = AdvisorService::new(cap, workers);
+                let (answers, stats) = service.advise_batch(&queries);
+                assert_eq!(stats.queries, queries.len());
+                assert_eq!(stats.distinct, 4, "jitter must fold into 4 buckets");
+                for (i, (got, want)) in answers.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        **got, *want,
+                        "replay_workers={replay_workers} workers={workers} cap={cap}: \
+                         query {i} diverged"
+                    );
+                }
+            }
+        });
     }
 }
 

@@ -4,9 +4,11 @@
 //! **bit-identical** to a fresh per-setup streaming replay — reports,
 //! per-shard totals, device and mesh statistics, and (under a
 //! `Migrated` placement) the scheduler's move-sequence digest — across
-//! every workload generator, every paper memory setup, and a 1/2/4/8
-//! worker ladder. Each artifact is replayed at the default refill
-//! window (one refill at this trace size) and at a 64-access window,
+//! every workload generator, every paper memory setup, and artifacts
+//! built on a 1/2/4/8 worker ladder (classification is the only stage
+//! of a classified replay that runs on `par` workers; the replay
+//! itself is a single merge). Each artifact is replayed at the default
+//! refill window (one refill at this trace size) and at a 64-access window,
 //! so ghost-slot refills, and cores closing as their slices run out
 //! mid-replay, run here and not only at benchmark scale. This is what makes
 //! the sweep engine's speedup trustworthy: "classified == regenerated,
@@ -90,21 +92,20 @@ fn assert_sims_match(got: &TraceSim, want: &TraceSim, ctx: &str) {
     );
 }
 
-/// Replay `ct` on a fresh simulator for `placement` at `workers`
-/// workers and refill `window` (the default when `None`); a small
-/// window must actually refill more than once.
+/// Replay `ct` on a fresh simulator for `placement` at refill
+/// `window` (the default when `None`); a small window must actually
+/// refill more than once.
 fn replay_classified(
     ct: &ClassifiedTrace,
     cfg: &MachineConfig,
     placement: TracePlacement,
-    workers: usize,
     window: Option<usize>,
 ) -> (TraceSim, TraceSimReport) {
     let mut sim = TraceSim::new(cfg, CORES, placement, msc());
     if let Some(w) = window {
         sim.set_replay_window(w);
     }
-    let report = par::with_threads(workers, || sim.run_classified(ct));
+    let report = sim.run_classified(ct);
     if window.is_some() {
         assert!(
             sim.last_timing_stats().windows > 1,
@@ -115,31 +116,35 @@ fn replay_classified(
     (sim, report)
 }
 
-/// Replay `kind` under `setup`: one classified artifact against every
-/// placement × worker count × refill window, checked against a fresh
-/// streaming replay of the same placement.
+/// Replay `kind` under `setup`: the artifact built at every worker
+/// count, each replayed against every placement × refill window and
+/// checked against a fresh streaming replay of the same placement.
 fn check(kind: TraceKind, setup: MemSetup) {
     let cfg = MachineConfig::knl7210(setup, 64);
-    let ct = artifact(kind, &cfg);
-    // Generators emit *approximately* PER_CORE accesses per core.
-    assert!(
-        ct.accesses() > 0,
-        "{kind:?} classified to an empty artifact"
-    );
-    for placement in placements(setup) {
-        let mut seq = TraceSim::new(&cfg, CORES, placement, msc());
-        let expect: TraceSimReport = {
+    let references: Vec<(TracePlacement, TraceSim, TraceSimReport)> = placements(setup)
+        .into_iter()
+        .map(|placement| {
+            let mut seq = TraceSim::new(&cfg, CORES, placement, msc());
             let mut source = kind.source(CORES, PER_CORE, SEED);
-            replay_streaming(&mut seq, source.as_mut())
-        };
-        for workers in WORKERS {
+            let expect = replay_streaming(&mut seq, source.as_mut());
+            (placement, seq, expect)
+        })
+        .collect();
+    for workers in WORKERS {
+        let ct = par::with_threads(workers, || artifact(kind, &cfg));
+        // Generators emit *approximately* PER_CORE accesses per core.
+        assert!(
+            ct.accesses() > 0,
+            "{kind:?} classified to an empty artifact"
+        );
+        for (placement, seq, expect) in &references {
             for window in WINDOWS {
-                let (sim, got) = replay_classified(&ct, &cfg, placement, workers, window);
+                let (sim, got) = replay_classified(&ct, &cfg, *placement, window);
                 let ctx = format!(
                     "{kind:?} under {setup:?} at {placement:?} workers={workers} window={window:?}"
                 );
-                assert_eq!(got, expect, "report diverged: {ctx}");
-                assert_sims_match(&sim, &seq, &ctx);
+                assert_eq!(&got, expect, "report diverged: {ctx}");
+                assert_sims_match(&sim, seq, &ctx);
             }
         }
     }
@@ -190,10 +195,6 @@ fn hot_cold_migration_digest_matches_streaming() {
     let (hot, cold) = (64u64 << 10, 4u64 << 20);
     let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
     let mk = || HotColdSource::new(CORES, phases, per_core, hot, cold, SEED);
-    let ct = {
-        let mut source = mk();
-        classify_streaming(&cfg, CORES, msc(), "hotcold:equiv", &mut source)
-    };
     let placement = TracePlacement::Migrated(MIGRATE_SPEC);
     let mut seq = TraceSim::new(&cfg, CORES, placement, msc());
     let expect = {
@@ -206,8 +207,12 @@ fn hot_cold_migration_digest_matches_streaming() {
         "hot/cold trace must drive promotions and demotions, got {stats:?}"
     );
     for workers in WORKERS {
+        let ct = par::with_threads(workers, || {
+            let mut source = mk();
+            classify_streaming(&cfg, CORES, msc(), "hotcold:equiv", &mut source)
+        });
         for window in WINDOWS {
-            let (sim, got) = replay_classified(&ct, &cfg, placement, workers, window);
+            let (sim, got) = replay_classified(&ct, &cfg, placement, window);
             let ctx = format!("hotcold workers={workers} window={window:?}");
             assert_eq!(got, expect, "report diverged: {ctx}");
             assert_sims_match(&sim, &seq, &ctx);

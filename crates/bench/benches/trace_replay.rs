@@ -4,6 +4,10 @@
 //! the repository benchmark (`benchmark/run.sh`) times full-size,
 //! digest-checked replays end to end and per layer.
 //!
+//! The `sim_new` group times `TraceSim::new` alone at 8 and 64 cores
+//! in flat and cache mode: the fixed cost every replay pays before its
+//! first access, which dominates short replays such as an advisor's.
+//!
 //! The `timing_kernel` group times the merge thread's three per-access
 //! models one at a time through their public APIs — the earliest-clock
 //! selector, the MSHR file and the DRAM bank model — so a timing-stage
@@ -101,6 +105,32 @@ fn bench_replay_paths(c: &mut Criterion) {
             );
         }
     }
+}
+
+fn bench_sim_new(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim_new");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(200));
+    group.measurement_time(std::time::Duration::from_millis(600));
+    for (mode, setup) in [
+        ("flat", knl::MemSetup::DramOnly),
+        ("cache", knl::MemSetup::CacheMode),
+    ] {
+        let machine = knl::MachineConfig::knl7210(setup, 64);
+        for cores in [8u32, 64] {
+            group.bench_function(&format!("{mode}/{cores}"), |b| {
+                b.iter(|| {
+                    bench::harness::black_box(knl::tracesim::TraceSim::new(
+                        &machine,
+                        cores,
+                        knl::tracesim::TracePlacement::AllDdr,
+                        simfabric::ByteSize::mib(8),
+                    ))
+                });
+            });
+        }
+    }
+    group.finish();
 }
 
 /// Seeded per-access latencies in picoseconds, 1–200 ns: the spread
@@ -208,5 +238,10 @@ fn bench_timing_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_replay_paths, bench_timing_kernel);
+criterion_group!(
+    benches,
+    bench_replay_paths,
+    bench_sim_new,
+    bench_timing_kernel
+);
 criterion_main!(benches);

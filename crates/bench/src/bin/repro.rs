@@ -515,8 +515,8 @@ fn main() {
             for round in 1..=rounds {
                 let (answers, stats) = service.advise_batch(&queries);
                 println!(
-                    "round {round}: {} queries -> {} distinct, {} cache hits, {} computed",
-                    stats.queries, stats.distinct, stats.cache_hits, stats.computed
+                    "round {round}: {} queries -> {} distinct, {} cache hits, {} shared, {} computed",
+                    stats.queries, stats.distinct, stats.cache_hits, stats.shared, stats.computed
                 );
                 last_hits = stats.cache_hits;
                 match &first {
@@ -603,8 +603,8 @@ fn main() {
             // The transcript owns stdout; the human-facing summary
             // goes to stderr.
             eprintln!(
-                "served {} queries ({} cache hits, {} computed, {} errors)",
-                summary.queries, summary.hits, summary.computed, summary.errors
+                "served {} queries ({} cache hits, {} shared, {} computed, {} errors)",
+                summary.queries, summary.hits, summary.shared, summary.computed, summary.errors
             );
             if let Some(path) = flag_value(&args, "--timeseries") {
                 let ts = hybridmem::check_timeseries(&summary.timeseries_jsonl)
@@ -634,8 +634,8 @@ fn main() {
             let expect = flag_value(&args, "--queries").and_then(|a| a.parse().ok());
             match bench::serve::check_serve_output(&text, expect) {
                 Ok(c) => println!(
-                    "{path}: ok ({} responses, {} cache hits, {} errors, {} flush events)",
-                    c.responses, c.hits, c.errors, c.flushes
+                    "{path}: ok ({} responses, {} cache hits, {} shared, {} errors, {} flush events)",
+                    c.responses, c.hits, c.shared, c.errors, c.flushes
                 ),
                 Err(e) => {
                     eprintln!("{path}: {e}");

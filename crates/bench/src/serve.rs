@@ -5,15 +5,17 @@
 //! One query per input line (the [`AdvisorQuery::from_json`] format
 //! `repro advise-batch` also reads); one response line per query,
 //! carrying a **causal id** (the 1-based input line ordinal), the
-//! canonical key, whether the result cache answered, the
-//! recommendation, and a per-query wall-clock span broken into the
-//! service's phases (canonicalize → advise → respond). Every
+//! canonical key, how the service answered (`cache`: `hit` from the
+//! result cache, `shared` re-stamped from the same key at another SMT
+//! level, or `miss` computed by replay), the recommendation, and a
+//! per-query wall-clock span broken into the service's phases
+//! (canonicalize → advise → respond). Every
 //! `flush_every` queries the loop emits a `flush` event line with the
 //! `advisor.cache.*` counters; on EOF it drains cleanly with a single
 //! final `drain` event summarizing the session.
 //!
 //! Alongside the wall-clock spans the loop samples a deterministic
-//! [`TimeSeriesRecorder`] once per query — cache hit/compute
+//! [`TimeSeriesRecorder`] once per query — cache hit/shared/compute
 //! counters and entry/byte gauges whose evolution depends only on the
 //! input stream (queries are answered strictly in line order, one at
 //! a time), so the exported `timeseries/v1` document is a pure
@@ -62,6 +64,9 @@ pub struct ServeSummary {
     pub errors: u64,
     /// Queries the result cache answered.
     pub hits: u64,
+    /// Queries answered by re-stamping the advice of the same key at
+    /// another SMT level.
+    pub shared: u64,
     /// Queries that computed fresh advice.
     pub computed: u64,
     /// The session's `timeseries/v1` JSONL export.
@@ -92,6 +97,7 @@ pub fn serve_loop(
     let mut rec = TimeSeriesRecorder::new(opts.ts_interval.max(1), opts.ts_capacity.max(1));
     let ts_queries = rec.register_counter("serve.queries");
     let ts_hits = rec.register_counter("serve.cache_hits");
+    let ts_shared = rec.register_counter("serve.shared");
     let ts_computed = rec.register_counter("serve.computed");
     let ts_errors = rec.register_counter("serve.errors");
     let ts_entries = rec.register_gauge("advisor.cache.entries");
@@ -100,6 +106,7 @@ pub fn serve_loop(
         queries: 0,
         errors: 0,
         hits: 0,
+        shared: 0,
         computed: 0,
         timeseries_jsonl: String::new(),
     };
@@ -136,19 +143,24 @@ pub fn serve_loop(
                 let (answers, stats) = service.advise_batch(std::slice::from_ref(&query));
                 let advise_us = t1.elapsed().as_secs_f64() * 1e6;
                 let advice = &answers[0];
-                let hit = stats.cache_hits > 0;
-                if hit {
+                let cache = if stats.cache_hits > 0 {
                     summary.hits += 1;
                     rec.add(ts_hits, 1.0);
+                    "hit"
+                } else if stats.shared > 0 {
+                    summary.shared += 1;
+                    rec.add(ts_shared, 1.0);
+                    "shared"
                 } else {
                     summary.computed += 1;
                     rec.add(ts_computed, 1.0);
-                }
+                    "miss"
+                };
                 let t2 = Instant::now();
                 let mut fields = vec![
                     ("id", Json::Num(id as f64)),
                     ("canonical", Json::Str(key.canonical())),
-                    ("cache", Json::Str(if hit { "hit" } else { "miss" }.into())),
+                    ("cache", Json::Str(cache.into())),
                     ("recommended", Json::Str(advice.recommended().label.clone())),
                     ("speedup_vs_ddr", Json::Num(advice.speedup_vs_ddr)),
                 ];
@@ -195,6 +207,7 @@ pub fn serve_loop(
         ("queries", Json::Num(summary.queries as f64)),
         ("errors", Json::Num(summary.errors as f64)),
         ("cache_hits", Json::Num(summary.hits as f64)),
+        ("shared", Json::Num(summary.shared as f64)),
         ("computed", Json::Num(summary.computed as f64)),
         ("windows", Json::Num(rec.windows().count() as f64)),
         ("dropped", Json::Num(rec.dropped() as f64)),
@@ -211,6 +224,8 @@ pub struct ServeCheck {
     pub responses: u64,
     /// Responses answered from the cache.
     pub hits: u64,
+    /// Responses re-stamped from another SMT level's answer.
+    pub shared: u64,
     /// Error responses.
     pub errors: u64,
     /// `flush` event lines.
@@ -221,12 +236,12 @@ pub struct ServeCheck {
 /// with a causal id (1, 2, 3, … in order) and — unless it is an error
 /// response — a span whose phase times are non-negative and sum to
 /// `total_us`; exactly one `drain` event closes the transcript, its
-/// totals matching the responses counted. `expect_queries`, when
-/// `Some`, additionally pins the response count (the CI smoke knows
-/// its batch size).
+/// query, hit, shared and error totals matching the responses
+/// counted. `expect_queries`, when `Some`, additionally pins the
+/// response count (the CI smoke knows its batch size).
 pub fn check_serve_output(text: &str, expect_queries: Option<u64>) -> Result<ServeCheck, String> {
     let mut check = ServeCheck::default();
-    let mut drained: Option<(u64, u64, u64)> = None; // (queries, hits, errors)
+    let mut drained: Option<(u64, u64, u64, u64)> = None; // (queries, hits, shared, errors)
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
         if drained.is_some() {
@@ -249,10 +264,13 @@ pub fn check_serve_output(text: &str, expect_queries: Option<u64>) -> Result<Ser
                     let h = doc
                         .num_field("cache_hits")
                         .map_err(|e| format!("line {lineno}: {e}"))?;
+                    let sh = doc
+                        .num_field("shared")
+                        .map_err(|e| format!("line {lineno}: {e}"))?;
                     let e = doc
                         .num_field("errors")
                         .map_err(|e| format!("line {lineno}: {e}"))?;
-                    drained = Some((q as u64, h as u64, e as u64));
+                    drained = Some((q as u64, h as u64, sh as u64, e as u64));
                 }
                 other => return Err(format!("line {lineno}: unknown event {other:?}")),
             }
@@ -282,6 +300,7 @@ pub fn check_serve_output(text: &str, expect_queries: Option<u64>) -> Result<Ser
             .as_str()
         {
             "hit" => check.hits += 1,
+            "shared" => check.shared += 1,
             "miss" => {}
             other => return Err(format!("line {lineno}: bad cache field {other:?}")),
         }
@@ -307,12 +326,12 @@ pub fn check_serve_output(text: &str, expect_queries: Option<u64>) -> Result<Ser
             ));
         }
     }
-    let (q, h, e) = drained.ok_or("missing drain event (the loop did not finish cleanly)")?;
-    if q != check.responses || h != check.hits || e != check.errors {
+    let (q, h, sh, e) = drained.ok_or("missing drain event (the loop did not finish cleanly)")?;
+    if q != check.responses || h != check.hits || sh != check.shared || e != check.errors {
         return Err(format!(
-            "drain totals ({q} queries, {h} hits, {e} errors) disagree with the transcript \
-             ({} responses, {} hits, {} errors)",
-            check.responses, check.hits, check.errors
+            "drain totals ({q} queries, {h} hits, {sh} shared, {e} errors) disagree with the \
+             transcript ({} responses, {} hits, {} shared, {} errors)",
+            check.responses, check.hits, check.shared, check.errors
         ));
     }
     if let Some(want) = expect_queries {
@@ -337,11 +356,13 @@ mod tests {
     }
 
     fn tiny_batch() -> String {
-        // Three queries, the third repeating the first's canonical key.
+        // Four queries: the third repeats the first's canonical key,
+        // the fourth is the first at another SMT level.
         [
             "{\"workload\": \"stream_2x200\", \"budget_kib\": 64}",
             "{\"workload\": \"gups_2x200\", \"budget_kib\": 64}",
             "{\"workload\": \"stream_2x200\", \"budget_kib\": 64}",
+            "{\"workload\": \"stream_2x200\", \"budget_kib\": 64, \"threads\": 128}",
         ]
         .join("\n")
     }
@@ -350,18 +371,24 @@ mod tests {
     fn serve_answers_flushes_and_drains() {
         let mut out = Vec::new();
         let summary = serve_loop(tiny_batch().as_bytes(), &mut out, &tiny_opts()).expect("serves");
-        assert_eq!(summary.queries, 3);
+        assert_eq!(summary.queries, 4);
         assert_eq!(summary.errors, 0);
         assert_eq!(summary.hits, 1, "third query repeats the first");
+        assert_eq!(
+            summary.shared, 1,
+            "fourth query is the first at 128 threads"
+        );
         assert_eq!(summary.computed, 2);
         let text = String::from_utf8(out).expect("utf8");
-        let check = check_serve_output(&text, Some(3)).expect("valid transcript");
-        assert_eq!(check.responses, 3);
+        assert!(text.contains("\"cache\":\"shared\""), "{text}");
+        let check = check_serve_output(&text, Some(4)).expect("valid transcript");
+        assert_eq!(check.responses, 4);
         assert_eq!(check.hits, 1);
-        assert_eq!(check.flushes, 1, "flush after query 2");
+        assert_eq!(check.shared, 1);
+        assert_eq!(check.flushes, 2, "flushes after queries 2 and 4");
         let ts = hybridmem::check_timeseries(&summary.timeseries_jsonl).expect("valid timeseries");
-        assert_eq!(ts.ticks, 3);
-        assert_eq!(ts.windows, 2, "one full window + the drain tail");
+        assert_eq!(ts.ticks, 4);
+        assert_eq!(ts.windows, 2, "two full windows");
     }
 
     #[test]
@@ -384,14 +411,20 @@ mod tests {
             .contains("missing drain"));
         // Causal-order break.
         let bad = "{\"id\":2,\"error\":\"x\"}\n\
-                   {\"event\":\"drain\",\"queries\":1,\"errors\":1,\"cache_hits\":0,\"computed\":0}\n";
+                   {\"event\":\"drain\",\"queries\":1,\"errors\":1,\"cache_hits\":0,\"shared\":0,\"computed\":0}\n";
         assert!(check_serve_output(bad, None)
             .unwrap_err()
             .contains("causal"));
         // Drain totals disagreeing with the transcript.
         let lying = "{\"id\":1,\"error\":\"x\"}\n\
-                     {\"event\":\"drain\",\"queries\":5,\"errors\":1,\"cache_hits\":0,\"computed\":0}\n";
+                     {\"event\":\"drain\",\"queries\":5,\"errors\":1,\"cache_hits\":0,\"shared\":0,\"computed\":0}\n";
         assert!(check_serve_output(lying, None)
+            .unwrap_err()
+            .contains("disagree"));
+        // A shared count the responses do not back.
+        let unbacked = "{\"id\":1,\"error\":\"x\"}\n\
+                        {\"event\":\"drain\",\"queries\":1,\"errors\":1,\"cache_hits\":0,\"shared\":1,\"computed\":0}\n";
+        assert!(check_serve_output(unbacked, None)
             .unwrap_err()
             .contains("disagree"));
     }

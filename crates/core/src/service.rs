@@ -6,7 +6,7 @@
 //! asks that question at volume, where most queries repeat the same
 //! few hundred configurations. [`advise_replayed`] answers one query
 //! by replaying five placements; this module makes repeats nearly
-//! free with a three-level fast path:
+//! free with a four-level fast path:
 //!
 //! 1. **Canonicalize** ([`canonicalize`]): an [`AdvisorQuery`] folds
 //!    into a [`QueryKey`] — budgets round up to placement-equivalent
@@ -18,7 +18,15 @@
 //!    sharded, byte-bounded LRU ([`simfabric::ShardedLru`]) before
 //!    any replay runs; repeats across batches cost a lookup. Exported
 //!    as `advisor.cache.*` metrics.
-//! 3. **Worker pool**: remaining misses fan out over
+//! 3. **SMT-level sharing**: trace replay does not model hardware
+//!    threads (the advice only echoes them), so keys that differ only
+//!    in `threads` have the same candidates. A miss whose key is
+//!    cached at another SMT level takes that answer re-stamped with
+//!    its own `threads`, and misses of one batch that differ only in
+//!    `threads` compute once. Sibling probes
+//!    ([`ShardedLru::peek`]) are not result-cache lookups: they count
+//!    neither a hit nor a miss.
+//! 4. **Worker pool**: remaining misses fan out over
 //!    [`simfabric::par::par_queued`] workers, each running the pure
 //!    [`answer`] function; concurrent workers share classification
 //!    work through the global classify cache's in-flight guard
@@ -258,11 +266,18 @@ impl QueryKey {
     }
 }
 
+/// The thread counts [`fold_threads`] folds into: one per SMT level
+/// of the 64-core KNL.
+pub const SMT_LEVELS: [u32; 4] = [64, 128, 192, 256];
+
 /// Fold a requested thread count through the machine's valid range:
 /// up to the next full SMT level (64 threads per level on the 64-core
-/// KNL), clamped to 1–4 levels. Trace replay is per-core, so within a
-/// level the advice is identical — folding is what makes "63
-/// threads" and "64 threads" one cache entry.
+/// KNL), clamped to 1–4 levels ([`SMT_LEVELS`]). Within a level the
+/// advice is identical — folding is what makes "63 threads" and "64
+/// threads" one cache entry. Across levels only the echoed `threads`
+/// differs today, because trace replay is per-core and never reads
+/// the thread count; [`AdvisorService::advise_batch`] relies on that
+/// to replay once per SMT-level group.
 pub fn fold_threads(threads: u32) -> u32 {
     64 * threads.div_ceil(64).clamp(1, 4)
 }
@@ -348,6 +363,17 @@ impl ResultCache {
         self.lru.get(key)
     }
 
+    /// The cached advice for `key` at any SMT level, found without
+    /// counting a lookup ([`ShardedLru::peek`]).
+    fn peek_smt_sibling(&self, key: &QueryKey) -> Option<Arc<ReplayedAdvice>> {
+        SMT_LEVELS.iter().find_map(|&threads| {
+            self.lru.peek(&QueryKey {
+                threads,
+                ..key.clone()
+            })
+        })
+    }
+
     /// Retain `advice` under `key`, weighted by [`advice_bytes`].
     pub fn insert(&self, key: QueryKey, advice: Arc<ReplayedAdvice>) {
         let bytes = advice_bytes(&advice);
@@ -398,23 +424,41 @@ impl ResultCache {
 
 /// What one [`AdvisorService::advise_batch`] call did, level by
 /// level: how many raw queries came in, how many distinct keys they
-/// folded into, how many of those the result cache answered, and how
-/// many had to compute.
+/// folded into, how many of those the result cache answered under
+/// their own key, how many took a re-stamped answer from another SMT
+/// level, and how many had to compute. `distinct` is the sum of the
+/// last three.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Raw queries in the batch.
     pub queries: usize,
     /// Distinct canonical keys after dedup.
     pub distinct: usize,
-    /// Distinct keys served from the result cache.
+    /// Distinct keys served from the result cache under their own key.
     pub cache_hits: usize,
+    /// Distinct keys answered by re-stamping the advice of a key that
+    /// differs only in `threads` (cached, or computed in this batch).
+    pub shared: usize,
     /// Distinct keys that ran [`answer`].
     pub computed: usize,
 }
 
+/// `advice` as answered for `threads`: the same candidates, `best`
+/// and speedup, with the echoed thread count replaced.
+fn restamp(advice: &Arc<ReplayedAdvice>, threads: u32) -> Arc<ReplayedAdvice> {
+    if advice.threads == threads {
+        return Arc::clone(advice);
+    }
+    Arc::new(ReplayedAdvice {
+        threads,
+        ..(**advice).clone()
+    })
+}
+
 /// The batch advisor engine: canonicalize → dedupe → result cache →
-/// worker pool. One instance owns one [`ResultCache`]; the global
-/// classify cache is shared process-wide regardless.
+/// SMT-level sharing → worker pool. One instance owns one
+/// [`ResultCache`]; the global classify cache is shared process-wide
+/// regardless.
 #[derive(Debug)]
 pub struct AdvisorService {
     cache: ResultCache,
@@ -452,10 +496,13 @@ impl AdvisorService {
 
     /// Answer a batch: canonicalize every query, dedupe identical
     /// keys (N duplicates → one computation with N subscribers),
-    /// serve repeats from the result cache, and fan the remaining
-    /// misses over the worker pool (a single miss computes inline —
-    /// no pool spin-up on the single-query path). Answers come back
-    /// in input order; element `i` answers `queries[i]`.
+    /// serve repeats from the result cache, answer misses cached at
+    /// another SMT level by re-stamping, and fan the remaining misses
+    /// over the worker pool, one per group of keys that differ only in
+    /// `threads` (a single miss computes inline — no pool spin-up on
+    /// the single-query path). Every answered miss is cached under its
+    /// own key. Answers come back in input order; element `i` answers
+    /// `queries[i]`.
     pub fn advise_batch(&self, queries: &[AdvisorQuery]) -> (Vec<Arc<ReplayedAdvice>>, BatchStats) {
         // Level 1: canonicalize and dedupe within the batch.
         let keys: Vec<QueryKey> = queries.iter().map(canonicalize).collect();
@@ -476,21 +523,45 @@ impl AdvisorService {
             distinct.iter().map(|key| self.cache.get(key)).collect();
         let cache_hits = resolved.iter().filter(|r| r.is_some()).count();
 
-        // Level 3: compute the misses — inline for one (`par_queued`
-        // runs a single item on this thread), through the worker pool
-        // for many.
-        let miss_slots: Vec<usize> = resolved
+        // Level 3: group the misses by everything but `threads`; a
+        // group cached at another SMT level needs no replay.
+        let mut groups: Vec<(Option<Arc<ReplayedAdvice>>, Vec<usize>)> = Vec::new();
+        let mut group_of: HashMap<QueryKey, usize> = HashMap::new();
+        for slot in (0..distinct.len()).filter(|&s| resolved[s].is_none()) {
+            let smt_free = QueryKey {
+                threads: 0,
+                ..distinct[slot].clone()
+            };
+            let g = *group_of.entry(smt_free).or_insert_with(|| {
+                let donor = self.cache.peek_smt_sibling(&distinct[slot]);
+                groups.push((donor, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(slot);
+        }
+
+        // Level 4: compute one member of every group without a donor —
+        // inline for one (`par_queued` runs a single item on this
+        // thread), through the worker pool for many.
+        let leaders: Vec<usize> = groups
             .iter()
             .enumerate()
-            .filter_map(|(slot, r)| r.is_none().then_some(slot))
+            .filter_map(|(g, (donor, _))| donor.is_none().then_some(g))
             .collect();
-        let miss_keys: Vec<&QueryKey> = miss_slots.iter().map(|&s| &distinct[s]).collect();
-        let computed = par::par_queued(&miss_keys, self.workers, |_, key| answer(key));
-        for (&slot, advice) in miss_slots.iter().zip(computed) {
-            let advice = Arc::new(advice);
-            self.cache
-                .insert(distinct[slot].clone(), Arc::clone(&advice));
-            resolved[slot] = Some(advice);
+        let leader_keys: Vec<&QueryKey> =
+            leaders.iter().map(|&g| &distinct[groups[g].1[0]]).collect();
+        let computed = par::par_queued(&leader_keys, self.workers, |_, key| answer(key));
+        for (&g, advice) in leaders.iter().zip(computed) {
+            groups[g].0 = Some(Arc::new(advice));
+        }
+        for (donor, members) in &groups {
+            let donor = donor.as_ref().expect("every group has a donor now");
+            for &slot in members {
+                let advice = restamp(donor, distinct[slot].threads);
+                self.cache
+                    .insert(distinct[slot].clone(), Arc::clone(&advice));
+                resolved[slot] = Some(advice);
+            }
         }
 
         let answers = subscriptions
@@ -509,7 +580,8 @@ impl AdvisorService {
                 queries: queries.len(),
                 distinct: distinct.len(),
                 cache_hits,
-                computed: miss_slots.len(),
+                shared: distinct.len() - cache_hits - leaders.len(),
+                computed: leaders.len(),
             },
         )
     }
@@ -758,6 +830,7 @@ mod tests {
         assert_eq!(stats.distinct, 3, "pairs must dedupe to one key each");
         assert_eq!(stats.computed, 3);
         assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.shared, 0);
         for pair in answers.chunks(2) {
             assert!(
                 Arc::ptr_eq(&pair[0], &pair[1]),
@@ -774,6 +847,94 @@ mod tests {
         let cache_stats = service.cache().stats();
         assert_eq!(cache_stats.inserts, 3);
         assert!(cache_stats.hits >= 3);
+    }
+
+    /// Guard for the SMT-level sharing in `advise_batch`: it is exact
+    /// only while replay ignores the thread count.
+    #[test]
+    fn answers_differ_across_smt_levels_only_in_threads() {
+        for kind in TraceKind::ALL {
+            let mut q = tiny_query();
+            q.kind = kind;
+            let base = canonicalize(&q);
+            let want = answer(&base);
+            for threads in SMT_LEVELS {
+                let got = answer(&QueryKey {
+                    threads,
+                    ..base.clone()
+                });
+                assert_eq!(got.threads, threads, "{kind:?}: threads must be echoed");
+                assert_eq!(
+                    ReplayedAdvice {
+                        threads: want.threads,
+                        ..got
+                    },
+                    want,
+                    "{kind:?} at {threads} threads: replay now reads threads, so the SMT \
+                     sharing in `advise_batch` must key on `threads_per_core` (ROADMAP, \
+                     hardware threads in trace replay)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn smt_levels_of_one_key_replay_once() {
+        let service = AdvisorService::new(RESULT_CACHE_DEFAULT_BYTES, 2);
+        let queries: Vec<AdvisorQuery> = SMT_LEVELS
+            .iter()
+            .map(|&threads| AdvisorQuery {
+                threads,
+                ..tiny_query()
+            })
+            .collect();
+        let (answers, stats) = service.advise_batch(&queries);
+        assert_eq!(stats.distinct, 4);
+        assert_eq!((stats.cache_hits, stats.shared, stats.computed), (0, 3, 1));
+        for (q, got) in queries.iter().zip(&answers) {
+            assert_eq!(**got, answer(&canonicalize(q)), "threads {}", q.threads);
+        }
+        let lookups = service.cache().stats();
+        assert_eq!((lookups.hits, lookups.misses, lookups.inserts), (0, 4, 4));
+        let (warm, warm_stats) = service.advise_batch(&queries);
+        assert_eq!(
+            (
+                warm_stats.cache_hits,
+                warm_stats.shared,
+                warm_stats.computed
+            ),
+            (4, 0, 0)
+        );
+        for (a, b) in answers.iter().zip(&warm) {
+            assert!(
+                Arc::ptr_eq(a, b),
+                "warm answers come from each key's own entry"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cached_smt_sibling_answers_a_miss_without_a_lookup() {
+        let service = AdvisorService::new(RESULT_CACHE_DEFAULT_BYTES, 1);
+        let first = service.advise(&tiny_query());
+        let other = AdvisorQuery {
+            threads: 200,
+            ..tiny_query()
+        };
+        let (answers, stats) = service.advise_batch(std::slice::from_ref(&other));
+        assert_eq!((stats.cache_hits, stats.shared, stats.computed), (0, 1, 0));
+        assert_eq!(answers[0].threads, 256);
+        assert_eq!(*answers[0], answer(&canonicalize(&other)));
+        assert_eq!(answers[0].candidates, first.candidates);
+        let lookups = service.cache().stats();
+        assert_eq!(
+            (lookups.hits, lookups.misses),
+            (0, 2),
+            "the sibling probe is not a lookup"
+        );
+        // The re-stamped answer now sits under its own key.
+        let (_, again) = service.advise_batch(std::slice::from_ref(&other));
+        assert_eq!((again.cache_hits, again.shared), (1, 0));
     }
 
     #[test]

@@ -88,7 +88,6 @@ use crate::classified::{classify_signature, ClassifiedTrace};
 use crate::config::{MachineConfig, MemSetup};
 use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
-use cachesim::mcdram_cache::MemorySideCache;
 use cachesim::mshr::{Mshr, MshrOutcome};
 use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
@@ -643,7 +642,12 @@ struct ReplayTimeSeries {
 
 /// The trace-driven simulator.
 pub struct TraceSim {
+    /// Per-core private hierarchies, built from `hier_cfg` on first
+    /// use by [`access`](Self::access), [`run`](Self::run) or
+    /// [`run_streaming`](Self::run_streaming); empty until then, and
+    /// for good on a simulator that only replays classified artifacts.
     hierarchies: Vec<Hierarchy>,
+    hier_cfg: HierarchyConfig,
     /// Per-core MSHR files bounding outstanding line misses — the same
     /// limit [`crate::calib::STREAM_MLP_PER_CORE_1T`] captures
     /// analytically.
@@ -652,7 +656,10 @@ pub struct TraceSim {
     mesh: MeshModel,
     ddr: DramModel,
     hbm: DramModel,
-    msc: Option<MemorySideCache>,
+    /// Cache mode: memory-level accesses go to DDR behind the MCDRAM
+    /// cache, whose hits the private hierarchy classifies as
+    /// [`LevelHit::McdramCache`].
+    cache_mode: bool,
     placement: TracePlacement,
     /// Hot-page migration scheduler, present only for an *enabled*
     /// [`TracePlacement::Migrated`] spec in flat mode. Ticked exactly
@@ -704,36 +711,38 @@ impl TraceSim {
     /// Build a trace simulator for `cores` cores under `cfg`'s memory
     /// setup. `msc_capacity` scales the MCDRAM cache for tractable
     /// tests (pass the full 16 GiB for fidelity).
+    ///
+    /// Construction builds only what every replay path reads: the
+    /// timing state (MSHR files, clocks, DRAM and mesh models) and the
+    /// mesh's memory-path averages, which come from a per-process
+    /// table ([`MeshModel::knl_memory_path_averages`]). The per-core
+    /// private hierarchies, whose cache-mode tag stores scale with
+    /// `msc_capacity`, are built on first use by the paths that
+    /// classify (`access`, `run`, `run_streaming`), so a simulator
+    /// that only replays classified artifacts never allocates them.
     pub fn new(
         cfg: &MachineConfig,
         cores: u32,
         placement: TracePlacement,
         msc_capacity: ByteSize,
     ) -> Self {
-        let hier_cfg = hierarchy_config(cfg, msc_capacity);
-        let mesh = MeshModel::knl(cfg.cluster);
-        let resp_half_ddr = mesh.avg_memory_latency(false).scale(0.5);
-        let resp_half_hbm = mesh.avg_memory_latency(true).scale(0.5);
-        let hops_ddr = mesh.avg_memory_hops(false);
-        let hops_hbm = mesh.avg_memory_hops(true);
+        let path = MeshModel::knl_memory_path_averages(cfg.cluster);
         TraceSim {
-            hierarchies: (0..cores).map(|_| Hierarchy::new(hier_cfg)).collect(),
+            hierarchies: Vec::new(),
+            hier_cfg: hierarchy_config(cfg, msc_capacity),
             mshrs: (0..cores)
                 .map(|_| Mshr::new(crate::calib::STREAM_MLP_PER_CORE_1T as usize))
                 .collect(),
             core_clock: vec![SimTime::ZERO; cores as usize],
-            mesh,
-            resp_half_ddr,
-            resp_half_hbm,
-            hops_ddr,
-            hops_hbm,
+            mesh: MeshModel::knl(cfg.cluster),
+            resp_half_ddr: path.latency_ddr.scale(0.5),
+            resp_half_hbm: path.latency_hbm.scale(0.5),
+            hops_ddr: path.hops_ddr,
+            hops_hbm: path.hops_hbm,
             classify_sig: classify_signature(cfg, msc_capacity),
             ddr: DramModel::ddr4_knl(),
             hbm: DramModel::mcdram_knl(),
-            msc: cfg
-                .setup
-                .has_mcdram_cache()
-                .then(|| MemorySideCache::new(msc_capacity, 64)),
+            cache_mode: cfg.setup.has_mcdram_cache(),
             migration: match placement {
                 TracePlacement::Migrated(spec) if !cfg.setup.has_mcdram_cache() => {
                     PageScheduler::new(spec, MigrationCost::from_devices(&cfg.ddr, &cfg.mcdram))
@@ -872,14 +881,14 @@ impl TraceSim {
         arrive: SimTime,
         done: SimTime,
     ) {
-        let msc = self.msc.is_some();
+        let cache_mode = self.cache_mode;
         let resp_half = if is_hbm_target {
             self.resp_half_hbm
         } else {
             self.resp_half_ddr
         };
         let ts = self.timeseries.as_mut().expect("caller gates on is_some");
-        match (msc, level) {
+        match (cache_mode, level) {
             (true, LevelHit::McdramCache) => ts.rec.add(ts.hbm_lines, 1.0),
             (true, _) => {
                 ts.rec.add(ts.hbm_lines, 2.0);
@@ -888,7 +897,7 @@ impl TraceSim {
             (false, _) if is_hbm_target => ts.rec.add(ts.hbm_lines, 1.0),
             (false, _) => ts.rec.add(ts.ddr_lines, 1.0),
         }
-        let (serves_ddr, m1, m2) = match (msc, level) {
+        let (serves_ddr, m1, m2) = match (cache_mode, level) {
             (true, LevelHit::McdramCache) => (false, ts.hbm_min, Duration::ZERO),
             (true, _) => (true, ts.hbm_min, ts.ddr_min),
             (false, _) if is_hbm_target => (false, ts.hbm_min, Duration::ZERO),
@@ -971,11 +980,12 @@ impl TraceSim {
         reg.counter("shard.mcdram_cache_hits", t.mcdram_cache_hits);
         reg.counter("shard.total_latency_ps", t.total_latency.as_ps());
         reg.gauge("shard.makespan_us", t.makespan.as_ns() / 1e3);
-        let h = &self.hierarchies[core];
-        reg.counter("cache.l1_hits", h.hits_at(LevelHit::L1));
-        reg.counter("cache.l2_hits", h.hits_at(LevelHit::L2));
-        reg.counter("cache.mcdram_cache_hits", h.hits_at(LevelHit::McdramCache));
-        reg.counter("cache.memory_misses", h.hits_at(LevelHit::Memory));
+        // A hierarchy not built yet has classified nothing.
+        let hits = |level| self.hierarchies.get(core).map_or(0, |h| h.hits_at(level));
+        reg.counter("cache.l1_hits", hits(LevelHit::L1));
+        reg.counter("cache.l2_hits", hits(LevelHit::L2));
+        reg.counter("cache.mcdram_cache_hits", hits(LevelHit::McdramCache));
+        reg.counter("cache.memory_misses", hits(LevelHit::Memory));
         let m = &self.mshrs[core];
         reg.counter("mshr.allocations", m.allocations.get());
         reg.counter("mshr.merges", m.merges.get());
@@ -1139,15 +1149,24 @@ impl TraceSim {
         }
     }
 
+    /// The per-core private hierarchies, built on first use.
+    fn hierarchies(&mut self) -> &mut Vec<Hierarchy> {
+        if self.hierarchies.is_empty() {
+            let cfg = self.hier_cfg;
+            self.hierarchies = (0..self.cores()).map(|_| Hierarchy::new(cfg)).collect();
+        }
+        &mut self.hierarchies
+    }
+
     /// Replay one access; returns its latency.
     pub fn access(&mut self, t: TraceAccess) -> Duration {
-        let core = partition_by_core(t.core, self.hierarchies.len());
+        let core = partition_by_core(t.core, self.cores());
         let kind = if t.write {
             AccessKind::Write
         } else {
             AccessKind::Read
         };
-        let (level, sram_lat) = self.hierarchies[core].access(t.addr, kind);
+        let (level, sram_lat) = self.hierarchies()[core].access(t.addr, kind);
         self.access_timed(core, t.addr, t.dependent, level, sram_lat)
     }
 
@@ -1196,10 +1215,10 @@ impl TraceSim {
             done = issue + sram_lat; // the stall may have moved `issue`
             self.core_totals[core].memory_accesses += 1;
             // Mesh traversal to the serving port.
-            let is_hbm_target = match (&self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => true,
-                (Some(_), _) => false, // DDR behind the cache
-                (None, _) => routed_hbm,
+            let is_hbm_target = match (self.cache_mode, level) {
+                (true, LevelHit::McdramCache) => true,
+                (true, _) => false, // DDR behind the cache
+                (false, _) => routed_hbm,
             };
             // Mesh traversal charged analytically: per-link flit
             // reservation is far too pessimistic at memory rates (the
@@ -1221,12 +1240,12 @@ impl TraceSim {
             // lands; the floor is a no-op when migration is off.
             let arrive = self.migrate_floor(addr, arrive);
             // Device service.
-            let served = match (&mut self.msc, level) {
-                (Some(_), LevelHit::McdramCache) => {
+            let served = match (self.cache_mode, level) {
+                (true, LevelHit::McdramCache) => {
                     self.core_totals[core].mcdram_cache_hits += 1;
                     self.hbm.access(addr, arrive)
                 }
-                (Some(_), _) => {
+                (true, _) => {
                     // Tag probe in MCDRAM, then the DDR fetch, then the
                     // fill write into MCDRAM (fill not on critical path).
                     let tag_done = self.hbm.access(addr, arrive);
@@ -1234,7 +1253,7 @@ impl TraceSim {
                     let _fill = self.hbm.access(addr, data);
                     data
                 }
-                (None, _) => {
+                (false, _) => {
                     if is_hbm_target {
                         self.hbm.access(addr, arrive)
                     } else {
@@ -1330,8 +1349,10 @@ impl TraceSim {
     /// split evenly across the cores.
     ///
     /// Because classification never happens here, this simulator's
-    /// private-hierarchy counters stay at zero; classification-stage
-    /// totals live on the artifact ([`ClassifiedTrace::level_hits`]).
+    /// private hierarchies are not even built (a later classifying
+    /// call builds them fresh) and its `cache.*` counters read zero;
+    /// classification-stage totals live on the artifact
+    /// ([`ClassifiedTrace::level_hits`]).
     ///
     /// # Panics
     ///
@@ -1391,7 +1412,7 @@ impl TraceSim {
         // `with_threads` overrides are thread-local: carry the caller's
         // worker count onto the producer thread.
         let threads = par::num_threads();
-        let mut shards: Vec<ReplayShard> = std::mem::take(&mut self.hierarchies)
+        let mut shards: Vec<ReplayShard> = std::mem::take(self.hierarchies())
             .into_iter()
             .map(ReplayShard::new)
             .collect();
@@ -2280,6 +2301,75 @@ mod tests {
             .iter()
             .any(|r| r.name == "generate" && r.tid == 1));
         assert!(sim.last_peak_buffered_accesses() > 0);
+    }
+
+    /// The `cache.*` counters of every shard, in core order.
+    fn cache_counters(sim: &TraceSim) -> Vec<Vec<u64>> {
+        use simfabric::telemetry::MetricValue;
+        (0..sim.cores())
+            .map(|c| {
+                let reg = sim.shard_metrics(c);
+                [
+                    "cache.l1_hits",
+                    "cache.l2_hits",
+                    "cache.mcdram_cache_hits",
+                    "cache.memory_misses",
+                ]
+                .iter()
+                .map(|name| match reg.get(name) {
+                    Some(MetricValue::Counter(n)) => *n,
+                    other => panic!("{name}: {other:?}"),
+                })
+                .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn classified_replays_leave_the_hierarchies_unbuilt() {
+        let cache = cfg(MemSetup::CacheMode);
+        let msc = ByteSize::kib(64);
+        let new_sim = || TraceSim::new(&cache, 2, TracePlacement::AllDdr, msc);
+        let first = stream_trace(2, 200);
+        let second = stream_trace(2, 300);
+        let probe = TraceAccess::read(1, 0x40_0000);
+        let ct = ClassifiedTrace::build_from_trace(&cache, 2, msc, "unit", &first);
+
+        let mut sim = new_sim();
+        let classified = sim.run_classified(&ct);
+        assert_eq!(classified, new_sim().run_classified(&ct));
+        assert!(sim.hierarchies.is_empty());
+        assert_eq!(cache_counters(&sim), vec![vec![0; 4]; 2]);
+        let reg = sim.metrics_registry();
+        for name in [
+            "cache.l1_hits",
+            "cache.l2_hits",
+            "cache.mcdram_cache_hits",
+            "cache.memory_misses",
+        ] {
+            assert_eq!(
+                reg.get(name),
+                Some(&simfabric::telemetry::MetricValue::Counter(0)),
+                "{name}"
+            );
+        }
+
+        // The classifying paths then build fresh hierarchies: the same
+        // sequence through the sequential oracle agrees, and the
+        // hierarchies see exactly what a fresh simulator's do.
+        let streamed = stream_chunks(&mut sim, second.chunks(64));
+        let latency = sim.access(probe);
+        let mut oracle = new_sim();
+        oracle.run_classified(&ct);
+        assert_eq!(oracle.run(&second), streamed);
+        assert_eq!(oracle.access(probe), latency);
+        assert_eq!(oracle.ddr_stats(), sim.ddr_stats());
+        assert_eq!(oracle.hbm_stats(), sim.hbm_stats());
+        let mut fresh = new_sim();
+        stream_chunks(&mut fresh, second.chunks(64));
+        fresh.access(probe);
+        assert_eq!(cache_counters(&fresh), cache_counters(&sim));
+        assert_eq!(cache_counters(&oracle), cache_counters(&sim));
     }
 
     #[test]

@@ -62,6 +62,13 @@ impl<K: Eq, V> Shard<K, V> {
         }
     }
 
+    fn peek(&self, key: &K) -> Option<Arc<V>> {
+        self.lru
+            .iter()
+            .find(|(k, _, _)| k == key)
+            .map(|(_, v, _)| Arc::clone(v))
+    }
+
     fn insert(&mut self, key: K, value: Arc<V>, entry_bytes: usize, cap_bytes: usize) {
         if cap_bytes == 0 {
             return;
@@ -130,6 +137,17 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
             .lock()
             .expect("cache shard poisoned")
             .lookup(key)
+    }
+
+    /// The entry under `key`, without touching the shard: no hit or
+    /// miss is counted and the LRU order is unchanged. For probes
+    /// that are not lookups of their own (a caller checking whether a
+    /// related entry could stand in for a miss).
+    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
+        self.shard(key)
+            .lock()
+            .expect("cache shard poisoned")
+            .peek(key)
     }
 
     /// Retain `value` under `key`, declared `entry_bytes` large,
@@ -235,6 +253,20 @@ mod tests {
         tiny.insert(1, Arc::new(9), 64);
         assert!(tiny.get(&1).is_none());
         assert_eq!(tiny.stats().rejected, 1);
+    }
+
+    #[test]
+    fn peek_neither_counts_nor_reorders() {
+        let cache: ShardedLru<u32, u64> = ShardedLru::new(1, 100);
+        assert!(cache.peek(&1).is_none());
+        cache.insert(1, Arc::new(10), 40);
+        cache.insert(2, Arc::new(20), 40);
+        assert_eq!(cache.peek(&1).as_deref(), Some(&10));
+        assert_eq!(cache.stats().hits + cache.stats().misses, 0);
+        // 1 is still LRU despite the peek, so it goes first.
+        cache.insert(3, Arc::new(30), 40);
+        assert!(cache.peek(&1).is_none());
+        assert_eq!(cache.peek(&2).as_deref(), Some(&20));
     }
 
     #[test]

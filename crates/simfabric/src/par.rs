@@ -303,8 +303,9 @@ pub fn pipelined_stats<T: Send, R>(
 ///
 /// `workers` is clamped to `[1, items.len()]`; a single worker (or a
 /// single item) runs inline on the calling thread. Worker threads are
-/// fresh, so thread-local state ([`with_threads`] overrides included)
-/// does not propagate into `f`.
+/// fresh, so the caller's [`num_threads`] is carried into each of them:
+/// parallel regions inside `f` see the caller's [`with_threads`] scope
+/// on every worker, as they would inline.
 pub fn par_queued<T: Sync, U: Send>(
     items: &[T],
     workers: usize,
@@ -315,21 +316,24 @@ pub fn par_queued<T: Sync, U: Send>(
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
+    let threads = num_threads();
     let next = AtomicUsize::new(0);
     let mut labelled: Vec<(usize, U)> = thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let (next, f) = (&next, &f);
                 s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
+                    with_threads(threads, || {
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break;
+                            }
+                            out.push((i, f(i, &items[i])));
                         }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
+                        out
+                    })
                 })
             })
             .collect();
@@ -610,6 +614,15 @@ mod tests {
             );
         }
         assert!(par_queued(&[] as &[u8], 4, |_, _| 0u8).is_empty());
+    }
+
+    #[test]
+    fn par_queued_workers_inherit_the_callers_thread_count() {
+        let items: Vec<usize> = (0..8).collect();
+        for workers in [2usize, 4] {
+            let seen = with_threads(3, || par_queued(&items, workers, |_, _| num_threads()));
+            assert_eq!(seen, vec![3; items.len()], "workers {workers}");
+        }
     }
 
     #[test]

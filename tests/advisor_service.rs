@@ -8,8 +8,9 @@
 //! `par::with_threads(8)`, so the pool-over-pool case (service workers
 //! over replay workers) is exercised at both replay-worker extremes.
 //! The scope reaches the reference answers, which classify afresh in
-//! each round, and the service's inline single-miss path; pool
-//! workers are fresh threads and use the host's default count.
+//! each round, the service's inline single-miss path, and its pool
+//! workers, which carry the caller's worker count onto their fresh
+//! threads (`par::par_queued`).
 
 use knl_hybrid_memory::hybridmem::{answer, canonicalize, AdvisorQuery, AdvisorService};
 use knl_hybrid_memory::knl::with_global_classify_cache;

@@ -369,13 +369,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 —
-                    // it came from a &str).
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -514,6 +518,18 @@ mod tests {
         // Surrogate pair: U+1F600.
         assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
         assert!(parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_text_and_escapes_round_trip() {
+        let s = "é \"ü\" \\ 😀\tend";
+        let text = Json::Str(s.into()).to_compact();
+        assert_eq!(parse(&text).unwrap(), Json::Str(s.into()));
+        let long = "ab é".repeat(10_000);
+        assert_eq!(
+            parse(&format!("[\"{long}\"]")).unwrap(),
+            Json::Arr(vec![Json::Str(long)])
+        );
     }
 
     #[test]

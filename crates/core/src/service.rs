@@ -279,7 +279,7 @@ pub const SMT_LEVELS: [u32; 4] = [64, 128, 192, 256];
 /// the thread count; [`AdvisorService::advise_batch`] relies on that
 /// to replay once per SMT-level group.
 pub fn fold_threads(threads: u32) -> u32 {
-    64 * threads.div_ceil(64).clamp(1, 4)
+    SMT_LEVELS[threads.div_ceil(64).clamp(1, 4) as usize - 1]
 }
 
 /// The migration period a zero-period query resolves to: an eighth of
@@ -363,15 +363,18 @@ impl ResultCache {
         self.lru.get(key)
     }
 
-    /// The cached advice for `key` at any SMT level, found without
+    /// The cached advice for `key` at another SMT level, found without
     /// counting a lookup ([`ShardedLru::peek`]).
     fn peek_smt_sibling(&self, key: &QueryKey) -> Option<Arc<ReplayedAdvice>> {
-        SMT_LEVELS.iter().find_map(|&threads| {
-            self.lru.peek(&QueryKey {
-                threads,
-                ..key.clone()
+        SMT_LEVELS
+            .iter()
+            .filter(|&&threads| threads != key.threads)
+            .find_map(|&threads| {
+                self.lru.peek(&QueryKey {
+                    threads,
+                    ..key.clone()
+                })
             })
-        })
     }
 
     /// Retain `advice` under `key`, weighted by [`advice_bytes`].

@@ -91,7 +91,7 @@ use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
 use cachesim::mshr::{Mshr, MshrOutcome};
 use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
-use mesh::MeshModel;
+use mesh::{ClusterMode, MeshModel};
 use simfabric::merge::LoserTree;
 use simfabric::par;
 use simfabric::stats::Histogram;
@@ -99,6 +99,7 @@ use simfabric::telemetry::timeseries::{SeriesId, TimeSeriesRecorder};
 use simfabric::telemetry::{MetricsRegistry, SpanLog};
 use simfabric::{ByteSize, Duration, SimTime};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One trace record.
@@ -707,6 +708,37 @@ pub struct TraceSim {
     timeseries: Option<Box<ReplayTimeSeries>>,
 }
 
+/// The memory-path averages of a KNL mesh: round-trip latency and
+/// round-trip hops to a DDR and to an MCDRAM port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PathAverages {
+    latency_ddr: Duration,
+    latency_hbm: Duration,
+    hops_ddr: u64,
+    hops_hbm: u64,
+}
+
+/// [`MeshModel::avg_memory_latency`] and [`MeshModel::avg_memory_hops`]
+/// of `mesh`, a fresh [`MeshModel::knl`] model. They depend on the
+/// cluster mode alone and each one samples 4,096 addresses, so they
+/// are computed once per mode per process and read from a table
+/// afterwards.
+fn path_averages(mesh: &MeshModel) -> PathAverages {
+    static TABLE: [OnceLock<PathAverages>; 4] = [const { OnceLock::new() }; 4];
+    let slot = match mesh.mode() {
+        ClusterMode::AllToAll => 0,
+        ClusterMode::Quadrant => 1,
+        ClusterMode::Hemisphere => 2,
+        ClusterMode::Snc4 => 3,
+    };
+    *TABLE[slot].get_or_init(|| PathAverages {
+        latency_ddr: mesh.avg_memory_latency(false),
+        latency_hbm: mesh.avg_memory_latency(true),
+        hops_ddr: mesh.avg_memory_hops(false),
+        hops_hbm: mesh.avg_memory_hops(true),
+    })
+}
+
 impl TraceSim {
     /// Build a trace simulator for `cores` cores under `cfg`'s memory
     /// setup. `msc_capacity` scales the MCDRAM cache for tractable
@@ -715,7 +747,7 @@ impl TraceSim {
     /// Construction builds only what every replay path reads: the
     /// timing state (MSHR files, clocks, DRAM and mesh models) and the
     /// mesh's memory-path averages, which come from a per-process
-    /// table ([`MeshModel::knl_memory_path_averages`]). The per-core
+    /// table after the first simulator of each cluster mode. The per-core
     /// private hierarchies, whose cache-mode tag stores scale with
     /// `msc_capacity`, are built on first use by the paths that
     /// classify (`access`, `run`, `run_streaming`), so a simulator
@@ -726,7 +758,8 @@ impl TraceSim {
         placement: TracePlacement,
         msc_capacity: ByteSize,
     ) -> Self {
-        let path = MeshModel::knl_memory_path_averages(cfg.cluster);
+        let mesh = MeshModel::knl(cfg.cluster);
+        let path = path_averages(&mesh);
         TraceSim {
             hierarchies: Vec::new(),
             hier_cfg: hierarchy_config(cfg, msc_capacity),
@@ -734,7 +767,7 @@ impl TraceSim {
                 .map(|_| Mshr::new(crate::calib::STREAM_MLP_PER_CORE_1T as usize))
                 .collect(),
             core_clock: vec![SimTime::ZERO; cores as usize],
-            mesh: MeshModel::knl(cfg.cluster),
+            mesh,
             resp_half_ddr: path.latency_ddr.scale(0.5),
             resp_half_hbm: path.latency_hbm.scale(0.5),
             hops_ddr: path.hops_ddr,
@@ -2323,6 +2356,28 @@ mod tests {
                 .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn memoized_path_averages_equal_a_fresh_computation() {
+        for mode in [
+            ClusterMode::AllToAll,
+            ClusterMode::Quadrant,
+            ClusterMode::Hemisphere,
+            ClusterMode::Snc4,
+        ] {
+            let fresh = MeshModel::knl(mode);
+            let want = PathAverages {
+                latency_ddr: fresh.avg_memory_latency(false),
+                latency_hbm: fresh.avg_memory_latency(true),
+                hops_ddr: fresh.avg_memory_hops(false),
+                hops_hbm: fresh.avg_memory_hops(true),
+            };
+            // Twice: the first call may fill the table, the second reads it.
+            for _ in 0..2 {
+                assert_eq!(path_averages(&MeshModel::knl(mode)), want, "{mode:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::topology::{Coord, MemPort, Topology};
 use simfabric::stats::Counter;
 use simfabric::{Duration, SimTime};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Statistics for the mesh.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,21 +34,6 @@ impl MeshStats {
             contended: self.contended.merge(other.contended),
         }
     }
-}
-
-/// The analytic memory-path averages of a KNL mesh in one cluster
-/// mode: [`MeshModel::avg_memory_latency`] and
-/// [`MeshModel::avg_memory_hops`] for each memory class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryPathAverages {
-    /// Average round-trip mesh latency to a DDR port.
-    pub latency_ddr: Duration,
-    /// Average round-trip mesh latency to an MCDRAM port.
-    pub latency_hbm: Duration,
-    /// Round-trip hops to a DDR port, rounded to whole hops.
-    pub hops_ddr: u64,
-    /// Round-trip hops to an MCDRAM port, rounded to whole hops.
-    pub hops_hbm: u64,
 }
 
 /// The mesh model: topology + cluster mode + link state.
@@ -212,30 +196,6 @@ impl MeshModel {
         let cha_to_port = self.mode.avg_cha_to_port_hops(&self.topo, is_mcdram, 4096);
         (tile_to_cha + cha_to_port + tile_to_cha).round() as u64
     }
-
-    /// The memory-path averages of [`MeshModel::knl`]`(mode)`. They
-    /// depend on the cluster mode alone and each one samples 4,096
-    /// addresses, so they are computed once per mode per process and
-    /// read from a table afterwards; the values are those of a fresh
-    /// model, bit for bit.
-    pub fn knl_memory_path_averages(mode: ClusterMode) -> MemoryPathAverages {
-        static TABLE: [OnceLock<MemoryPathAverages>; 4] = [const { OnceLock::new() }; 4];
-        let slot = match mode {
-            ClusterMode::AllToAll => 0,
-            ClusterMode::Quadrant => 1,
-            ClusterMode::Hemisphere => 2,
-            ClusterMode::Snc4 => 3,
-        };
-        *TABLE[slot].get_or_init(|| {
-            let mesh = MeshModel::knl(mode);
-            MemoryPathAverages {
-                latency_ddr: mesh.avg_memory_latency(false),
-                latency_hbm: mesh.avg_memory_latency(true),
-                hops_ddr: mesh.avg_memory_hops(false),
-                hops_hbm: mesh.avg_memory_hops(true),
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -292,28 +252,6 @@ mod tests {
         assert!(matches!(p1, MemPort::Edc(_)));
         let (_, p3) = m1.memory_path(7, 0xDEADBEC0, false, SimTime::ZERO);
         assert!(matches!(p3, MemPort::DdrMc(_)));
-    }
-
-    #[test]
-    fn memoized_path_averages_equal_a_fresh_computation() {
-        for mode in [
-            ClusterMode::AllToAll,
-            ClusterMode::Quadrant,
-            ClusterMode::Hemisphere,
-            ClusterMode::Snc4,
-        ] {
-            let fresh = MeshModel::knl(mode);
-            let want = MemoryPathAverages {
-                latency_ddr: fresh.avg_memory_latency(false),
-                latency_hbm: fresh.avg_memory_latency(true),
-                hops_ddr: fresh.avg_memory_hops(false),
-                hops_hbm: fresh.avg_memory_hops(true),
-            };
-            // Twice: the first call fills the table, the second reads it.
-            for _ in 0..2 {
-                assert_eq!(MeshModel::knl_memory_path_averages(mode), want, "{mode:?}");
-            }
-        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! setups — flat placements, cache mode, migration periods. The
 //! regenerate arm re-runs the generator and the private-cache models
 //! for every point (the pre-engine behavior); the reuse arm classifies
-//! once per hierarchy config (flat + cache = twice) and replays each
-//! point from the [`ClassifiedTrace`] artifact. Both arms are asserted
+//! once per hierarchy config — once in all, since flat placements and
+//! cache mode share one — and replays each point from the
+//! [`ClassifiedTrace`] artifact. Both arms are asserted
 //! pointwise bit-identical — reports *and* migration move digests — so
 //! the measured speedup can never come from a diverged engine.
 //!
@@ -129,19 +130,19 @@ fn run_point(
 }
 
 /// The reuse arm: classify once per hierarchy config (keyed by the
-/// classify signature, so all flat points share one artifact), then
+/// classify signature, which every point shares), then
 /// replay every point from the artifacts. Classification happens
 /// inside the caller's timer — this is a cold sweep, not a warm-cache
 /// replay. Also returns how many classification passes ran.
 fn run_reuse(cfg: &SweepBenchConfig) -> (Vec<PointOutcome>, usize) {
     let trace_spec = cfg.kind.spec(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
     let mut passes = 0;
-    let mut classify = |mcfg: &MachineConfig, msc: ByteSize| {
+    let mut classify = |mcfg: &MachineConfig| {
         passes += 1;
         let mut source = cfg
             .kind
             .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
-        classify_streaming(mcfg, cfg.cores, msc, &trace_spec, source.as_mut())
+        classify_streaming(mcfg, cfg.cores, &trace_spec, source.as_mut())
     };
     let mut artifacts: HashMap<String, ClassifiedTrace> = HashMap::new();
     let outcomes = cfg
@@ -149,9 +150,9 @@ fn run_reuse(cfg: &SweepBenchConfig) -> (Vec<PointOutcome>, usize) {
         .iter()
         .map(|point| {
             let mcfg = MachineConfig::knl7210(point.setup, 64);
-            let sig = classify_signature(&mcfg, point.msc);
+            let sig = classify_signature(&mcfg);
             if !artifacts.contains_key(&sig) {
-                artifacts.insert(sig.clone(), classify(&mcfg, point.msc));
+                artifacts.insert(sig.clone(), classify(&mcfg));
             }
             run_point(&mcfg, cfg.cores, point, &artifacts[&sig])
         })
@@ -210,7 +211,7 @@ pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> Paired {
     let signatures: HashSet<String> = cfg
         .points()
         .iter()
-        .map(|p| classify_signature(&MachineConfig::knl7210(p.setup, 64), p.msc))
+        .map(|p| classify_signature(&MachineConfig::knl7210(p.setup, 64)))
         .collect();
     run_pairs(
         iters,
@@ -271,6 +272,14 @@ mod tests {
         assert_eq!(points[2].label, "hbm");
         assert!(points[3].label.starts_with("cache("));
         assert_eq!(points[4].label, "migrated_T100");
+    }
+
+    #[test]
+    fn reuse_arm_classifies_once_for_every_point() {
+        // Flat placements, cache mode and migration share one artifact.
+        let (outcomes, passes) = run_reuse(&micro());
+        assert_eq!(outcomes.len(), 5);
+        assert_eq!(passes, 1);
     }
 
     #[test]

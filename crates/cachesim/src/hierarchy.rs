@@ -1,15 +1,17 @@
 //! Composition of the per-core hierarchy for trace replay:
-//! L1 → L2 → (optional MCDRAM cache) → memory.
+//! L1 → L2 → memory.
 //!
 //! The hierarchy charges each access the latency of the level that
 //! serves it, plus TLB overhead, and reports which level hit so the
-//! trace simulator can attribute time. It models a single core's view;
-//! mesh and DRAM-bank effects are layered on by the `knl` crate.
+//! trace simulator can attribute time. It models a single core's view
+//! of its private caches only: the memory-side MCDRAM cache of cache
+//! mode sits below L2 and is probed by the `knl` crate's trace
+//! simulator on L2 misses, which also layers on mesh and DRAM-bank
+//! effects.
 
 use crate::cache::{AccessKind, Cache, CacheConfig};
-use crate::mcdram_cache::MemorySideCache;
 use crate::tlb::{Tlb, TlbConfig};
-use simfabric::{ByteSize, Duration};
+use simfabric::Duration;
 
 /// Which level served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,7 +20,9 @@ pub enum LevelHit {
     L1,
     /// Per-tile L2.
     L2,
-    /// Memory-side MCDRAM cache (cache mode only).
+    /// Memory-side MCDRAM cache (cache mode only). [`Hierarchy`]
+    /// never reports it: the cache sits below L2, and its owner turns
+    /// an L2 miss into this level on a tag hit.
     McdramCache,
     /// Backing memory (DDR, or MCDRAM in flat mode).
     Memory,
@@ -35,15 +39,11 @@ pub struct HierarchyConfig {
     pub l1_latency: Duration,
     /// L2 hit latency (includes tag directory lookup on the tile).
     pub l2_latency: Duration,
-    /// MCDRAM-cache hit latency (cache mode only).
-    pub mcdram_cache_latency: Duration,
     /// Memory latency (device idle latency; the caller picks DDR or
     /// MCDRAM flat).
     pub memory_latency: Duration,
     /// TLB configuration.
     pub tlb: TlbConfig,
-    /// Memory-side cache capacity; `None` = flat mode (no L3).
-    pub mcdram_cache_capacity: Option<ByteSize>,
 }
 
 impl HierarchyConfig {
@@ -56,26 +56,8 @@ impl HierarchyConfig {
             // ~4 cycles at 1.3 GHz ≈ 3 ns; L2 ≈ 20 cycles ≈ 15 ns.
             l1_latency: Duration::from_ns(3.0),
             l2_latency: Duration::from_ns(15.0),
-            mcdram_cache_latency: Duration::from_ns(0.0),
             memory_latency,
             tlb: TlbConfig::knl_4k(),
-            mcdram_cache_capacity: None,
-        }
-    }
-
-    /// KNL single-core hierarchy in **cache** mode: DDR behind a
-    /// direct-mapped MCDRAM cache. A scaled-down `msc_capacity` keeps
-    /// trace tests tractable; pass 16 GiB for full fidelity.
-    pub fn knl_cache_mode(
-        ddr_latency: Duration,
-        mcdram_latency: Duration,
-        msc_capacity: ByteSize,
-    ) -> Self {
-        HierarchyConfig {
-            mcdram_cache_latency: mcdram_latency,
-            memory_latency: ddr_latency,
-            mcdram_cache_capacity: Some(msc_capacity),
-            ..Self::knl_flat(ddr_latency)
         }
     }
 }
@@ -85,7 +67,6 @@ pub struct Hierarchy {
     config: HierarchyConfig,
     l1: Cache,
     l2: Cache,
-    msc: Option<MemorySideCache>,
     tlb: Tlb,
     hits: [u64; 4],
 }
@@ -96,9 +77,6 @@ impl Hierarchy {
         Hierarchy {
             l1: Cache::new(config.l1),
             l2: Cache::new(config.l2),
-            msc: config
-                .mcdram_cache_capacity
-                .map(|c| MemorySideCache::new(c, config.l1.line_bytes)),
             tlb: Tlb::new(config.tlb),
             hits: [0; 4],
             config,
@@ -116,29 +94,10 @@ impl Hierarchy {
                 self.config.l1_latency + self.config.l2_latency,
             )
         } else {
-            let below_l2 = self.config.l1_latency + self.config.l2_latency;
-            match &mut self.msc {
-                Some(msc) => {
-                    if msc.access(addr, kind == AccessKind::Write).is_hit() {
-                        (
-                            LevelHit::McdramCache,
-                            below_l2 + self.config.mcdram_cache_latency,
-                        )
-                    } else {
-                        // Tag check in MCDRAM happens before the DDR
-                        // fetch: cache-mode misses pay *both* latencies,
-                        // which is why cache mode can undercut plain
-                        // DRAM (§IV-C).
-                        (
-                            LevelHit::Memory,
-                            below_l2
-                                + self.config.mcdram_cache_latency
-                                + self.config.memory_latency,
-                        )
-                    }
-                }
-                None => (LevelHit::Memory, below_l2 + self.config.memory_latency),
-            }
+            (
+                LevelHit::Memory,
+                self.config.l1_latency + self.config.l2_latency + self.config.memory_latency,
+            )
         };
         self.hits[level_index(level)] += 1;
         (level, lat + tlb_overhead)
@@ -209,36 +168,6 @@ mod tests {
         }
         let (lvl, _) = h.access(0, AccessKind::Read);
         assert_eq!(lvl, LevelHit::L2);
-    }
-
-    #[test]
-    fn cache_mode_hits_mcdram_after_first_pass() {
-        let mut h = Hierarchy::new(HierarchyConfig::knl_cache_mode(
-            Duration::from_ns(130.4),
-            Duration::from_ns(154.0),
-            ByteSize::mib(8),
-        ));
-        // Stream 4 MiB (fits MSC, exceeds L2).
-        let lines = 4 * 1024 * 1024 / 64u64;
-        for i in 0..lines {
-            h.access(i * 64, AccessKind::Read);
-        }
-        for i in 0..lines {
-            h.access(i * 64, AccessKind::Read);
-        }
-        assert!(h.hits_at(LevelHit::McdramCache) > lines / 2);
-    }
-
-    #[test]
-    fn cache_mode_miss_pays_both_latencies() {
-        let mut h = Hierarchy::new(HierarchyConfig::knl_cache_mode(
-            Duration::from_ns(130.4),
-            Duration::from_ns(154.0),
-            ByteSize::mib(1),
-        ));
-        let (lvl, lat) = h.access(0x100000, AccessKind::Read);
-        assert_eq!(lvl, LevelHit::Memory);
-        assert!(lat.as_ns() > 130.4 + 154.0, "lat {lat}");
     }
 
     #[test]

@@ -250,9 +250,9 @@ impl TraceSweep {
     }
 
     /// Replay every (kind × setup) point. Each kind classifies once
-    /// per hierarchy config through the global classify cache (all
-    /// flat setups share one artifact; cache mode gets its own) and
-    /// the timing stage replays the artifact per setup — see
+    /// through the global classify cache (every setup, cache mode
+    /// included, shares one artifact) and the timing stage replays the
+    /// artifact per setup — see
     /// [`crate::sweep`]. The replays themselves are internally
     /// parallel, so points run in sequence rather than oversubscribing
     /// the worker pool.

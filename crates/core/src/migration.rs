@@ -99,8 +99,8 @@ impl MigrationSweepConfig {
 
     /// The sweep's workload as a [`TraceSpec`], so every point —
     /// statics, cache mode, and all migrated periods — replays one
-    /// classified artifact per hierarchy config instead of
-    /// regenerating and re-classifying the stream per point.
+    /// classified artifact instead of regenerating and re-classifying
+    /// the stream per point.
     pub fn trace_spec(&self) -> TraceSpec {
         let (cores, phases, per, hot, cold, seed) = (
             self.cores,
@@ -216,9 +216,9 @@ fn price(sim: &TraceSim, moved_bytes: u64) -> EnergyReport {
 }
 
 /// Run the full sweep: four static baselines, then one migrated run
-/// per period. Every flat point (statics and all migrated periods)
-/// replays one shared classified artifact, and cache mode a second —
-/// classification runs twice where it used to run `3 + periods` times.
+/// per period. Every point (statics, cache mode and all migrated
+/// periods) replays one shared classified artifact — classification
+/// runs once where it used to run `3 + periods` times.
 /// Bit-identical to regenerating per point (the classified-equivalence
 /// suite pins it), so the sweep itself needs no engine knob.
 pub fn run_migration_sweep(cfg: &MigrationSweepConfig) -> MigrationSweep {

@@ -2,17 +2,18 @@
 //!
 //! Every multi-setup experiment in this crate replays *the same*
 //! deterministic trace against several timing setups — placements,
-//! device presets, memory-side-cache sizes, migration periods. The
-//! classification stage (private caches, TLB, MSHR occupancy tags)
-//! dominates replay cost but is identical across every setup sharing
-//! one hierarchy config, so this module factors it out:
+//! device presets, cache mode at any memory-side-cache size, migration
+//! periods. The classification stage (private L1/L2 and TLB)
+//! dominates replay cost but is identical across every one of them
+//! (cache mode's memory-side tags are probed by the timing side), so
+//! this module factors it out:
 //!
 //! * a [`TraceSpec`] names a deterministic trace stream (canonical
 //!   label + a factory for fresh sources);
 //! * [`classified_for`] returns the stream's
-//!   [`ClassifiedTrace`] artifact for a machine
-//!   config, built at most once per process through the global
-//!   LRU [`ClassifyCache`](knl::ClassifyCache);
+//!   [`ClassifiedTrace`] artifact, built at most once per process
+//!   through the global LRU [`ClassifyCache`](knl::ClassifyCache) and
+//!   shared by every memory setup;
 //! * [`replay_point`] / [`replay_into`] replay one timing setup from
 //!   the artifact via
 //!   [`TraceSim::run_classified`](knl::tracesim::TraceSim::run_classified),
@@ -89,19 +90,20 @@ impl TraceSpec {
     }
 
     /// The full classify key of this stream under a machine config.
-    pub fn key(&self, cfg: &MachineConfig, msc_capacity: ByteSize) -> ClassifyKey {
-        ClassifyKey::new(
-            self.label.clone(),
-            self.cores,
-            classify_signature(cfg, msc_capacity),
-        )
+    /// Every memory setup shares it; `_msc_capacity` is ignored and
+    /// kept only for the `benchmark/` crate, which passes it (remove
+    /// it with the next change there).
+    pub fn key(&self, cfg: &MachineConfig, _msc_capacity: ByteSize) -> ClassifyKey {
+        ClassifyKey::new(self.label.clone(), self.cores, classify_signature(cfg))
     }
 }
 
 /// The classified artifact for `spec` under `cfg`, through the global
 /// [`ClassifyCache`](knl::ClassifyCache): built (streamed, never materializing the raw
 /// trace) on first use, shared by every later sweep point whose key
-/// matches — across experiments, not just within one sweep. Builds go
+/// matches — every memory setup and MCDRAM-cache capacity, across
+/// experiments, not just within one sweep. `msc_capacity` is ignored,
+/// as in [`TraceSpec::key`]. Builds go
 /// through the in-flight guard
 /// ([`SharedClassifyCache`](knl::SharedClassifyCache)), so concurrent
 /// callers missing on one key — advisor-service workers, say — run
@@ -112,15 +114,7 @@ pub fn classified_for(
     msc_capacity: ByteSize,
 ) -> Arc<ClassifiedTrace> {
     let key = spec.key(cfg, msc_capacity);
-    let build = || {
-        classify_streaming(
-            cfg,
-            spec.cores,
-            msc_capacity,
-            spec.label(),
-            spec.source().as_mut(),
-        )
-    };
+    let build = || classify_streaming(cfg, spec.cores, spec.label(), spec.source().as_mut());
     #[cfg(test)]
     if let Some(cache) = PRIVATE_CACHE.with(|p| p.borrow().clone()) {
         return cache.get_or_build(&key, build);
@@ -149,9 +143,10 @@ pub(crate) fn with_private_classify_cache<R>(
 }
 
 /// Replay `spec` through an existing simulator (so callers can enable
-/// telemetry or tweak knobs first). `cfg`/`msc_capacity` must be the
-/// values the simulator was constructed from — asserted via the
-/// classify signature.
+/// telemetry or tweak knobs first). `cfg` must classify as the config
+/// the simulator was constructed from — asserted via the classify
+/// signature; the memory setup and MCDRAM-cache capacity are the
+/// simulator's own.
 pub fn replay_into(
     sim: &mut TraceSim,
     spec: &TraceSpec,
@@ -160,7 +155,7 @@ pub fn replay_into(
 ) -> TraceSimReport {
     assert_eq!(
         sim.classify_signature(),
-        classify_signature(cfg, msc_capacity),
+        classify_signature(cfg),
         "replay_into called with a config the simulator was not built from"
     );
     sim.run_classified(&classified_for(spec, cfg, msc_capacity))
@@ -203,14 +198,63 @@ mod tests {
     }
 
     #[test]
-    fn flat_setups_share_one_key_and_cache_mode_does_not() {
+    fn every_setup_and_capacity_shares_one_key() {
         let s = spec();
-        let msc = ByteSize::mib(8);
-        let ddr = s.key(&MachineConfig::knl7210(MemSetup::DramOnly, 64), msc);
-        let hbm = s.key(&MachineConfig::knl7210(MemSetup::HbmOnly, 64), msc);
-        let cache = s.key(&MachineConfig::knl7210(MemSetup::CacheMode, 64), msc);
-        assert_eq!(ddr, hbm);
-        assert_ne!(ddr, cache);
+        let ddr = s.key(
+            &MachineConfig::knl7210(MemSetup::DramOnly, 64),
+            ByteSize::mib(8),
+        );
+        for (setup, msc) in [
+            (MemSetup::HbmOnly, ByteSize::mib(8)),
+            (MemSetup::CacheMode, ByteSize::mib(8)),
+            (MemSetup::CacheMode, ByteSize::kib(64)),
+        ] {
+            let key = s.key(&MachineConfig::knl7210(setup, 64), msc);
+            assert_eq!(key, ddr, "{setup:?} at {msc}");
+        }
+    }
+
+    #[test]
+    fn classified_for_classifies_once_for_every_setup() {
+        // DRAM-only, HBM-only and cache mode at two capacities: one
+        // build, then hits, all sharing the one artifact.
+        let cache = Arc::new(knl::SharedClassifyCache::new(
+            knl::classified::CLASSIFY_CACHE_DEFAULT_BYTES,
+        ));
+        let s = TraceSpec::new("sweeptest:gups:4x150:seed=0x52", 4, || {
+            TraceKind::Gups.source(4, 150, 0x52)
+        });
+        let points = [
+            (MemSetup::DramOnly, ByteSize::mib(8)),
+            (MemSetup::HbmOnly, ByteSize::mib(8)),
+            (MemSetup::CacheMode, ByteSize::kib(64)),
+            (MemSetup::CacheMode, ByteSize::mib(1)),
+        ];
+        let artifacts: Vec<_> = with_private_classify_cache(&cache, || {
+            points
+                .iter()
+                .map(|&(setup, msc)| classified_for(&s, &MachineConfig::knl7210(setup, 64), msc))
+                .collect()
+        });
+        let stats = cache.with_cache(|c| c.stats());
+        assert_eq!(stats.misses, 1, "one classification serves every setup");
+        assert_eq!(stats.hits, points.len() as u64 - 1);
+        for ct in &artifacts[1..] {
+            assert!(Arc::ptr_eq(&artifacts[0], ct));
+        }
+        // The shared artifact replays cache mode at both capacities
+        // exactly as a fresh streaming replay does.
+        for &(setup, msc) in &points[2..] {
+            let cfg = MachineConfig::knl7210(setup, 64);
+            let mut fresh = TraceSim::new(&cfg, 4, TracePlacement::AllDdr, msc);
+            let want = replay_streaming(&mut fresh, s.source().as_mut());
+            let mut sim = TraceSim::new(&cfg, 4, TracePlacement::AllDdr, msc);
+            assert_eq!(
+                sim.run_classified(&artifacts[0]),
+                want,
+                "cache mode at {msc}"
+            );
+        }
     }
 
     #[test]
@@ -253,8 +297,10 @@ mod tests {
     fn replay_into_rejects_mismatched_configs() {
         let s = spec();
         let flat = MachineConfig::knl7210(MemSetup::DramOnly, 64);
-        let cache = MachineConfig::knl7210(MemSetup::CacheMode, 64);
+        // A slower DDR classifies under another signature.
+        let mut slow = flat.clone();
+        slow.ddr.idle_latency += simfabric::Duration::from_ns(1.0);
         let mut sim = TraceSim::new(&flat, 4, TracePlacement::AllDdr, ByteSize::mib(8));
-        replay_into(&mut sim, &s, &cache, ByteSize::mib(8));
+        replay_into(&mut sim, &s, &slow, ByteSize::mib(8));
     }
 }

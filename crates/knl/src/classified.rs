@@ -1,15 +1,16 @@
 //! Classified-trace artifacts: the reusable half of replay.
 //!
-//! The trace simulator's classification stage (private L1/L2/TLB and
-//! memory-side-cache tags) is timing-independent *and* setup-
-//! independent across every configuration sharing the same hierarchy
-//! config — see the [`tracesim`](crate::tracesim) module docs. This
+//! The trace simulator's classification stage (private L1/L2/TLB) is
+//! timing-independent *and* setup-independent: every memory setup,
+//! cache mode at any MCDRAM-cache capacity included, shares the same
+//! hierarchy config — see the [`tracesim`](crate::tracesim) module
+//! docs. This
 //! module materializes that stage as a [`ClassifiedTrace`]: the
 //! per-core SoA batches ([17 bytes per
 //! access](crate::tracesim::CLASSIFIED_ACCESS_BYTES)) plus the
 //! canonical [`ClassifyKey`] describing exactly what was classified
 //! (generator spec × cores × cache/TLB config). A multi-setup sweep
-//! builds the artifact once — streamed, so the raw trace never
+//! builds the artifact once per trace — streamed, so the raw trace never
 //! materializes — and replays it N times through
 //! [`TraceSim::run_classified`](crate::tracesim::TraceSim::run_classified),
 //! skipping the generators and cache models entirely.
@@ -18,15 +19,15 @@
 //!
 //! A key names its artifact completely: if any key component changes —
 //! different generator/seed/length, different core count, different
-//! memory mode or MSC capacity (which change hierarchy behaviour) —
-//! the canonical string changes, the [`ClassifyCache`] lookup misses,
-//! and the artifact is rebuilt. There is no partial invalidation to
-//! get wrong: keys are compared whole, and
-//! `run_classified` additionally asserts the signature against the
+//! hierarchy config — the canonical string changes, the
+//! [`ClassifyCache`] lookup misses, and the artifact is rebuilt. There
+//! is no partial invalidation to get wrong: keys are compared whole,
+//! and `run_classified` additionally asserts the signature against the
 //! replaying simulator so a hand-constructed mismatch panics instead
-//! of silently replaying the wrong classification. Placement, worker
-//! count, and migration specs are deliberately *not* in
-//! the key — they only affect the timing stage.
+//! of silently replaying the wrong classification. Memory setup,
+//! MCDRAM-cache capacity, placement, worker count, and migration specs
+//! are deliberately *not* in the key — they only affect the timing
+//! stage, which probes cache mode's memory-side tags itself.
 //!
 //! # Cache observability
 //!
@@ -99,22 +100,13 @@ impl ClassifyKey {
 }
 
 /// The canonical classification signature of a machine config: every
-/// input of `hierarchy_config` that changes private-hierarchy
-/// behaviour, and nothing else. Flat-mode setups (`DramOnly`,
-/// `HbmOnly`, hybrid) share one signature — their placements differ
-/// only in the timing stage — while cache mode gets its own (the
-/// memory-side-cache tags classify, and their capacity matters).
-pub fn classify_signature(cfg: &MachineConfig, msc_capacity: ByteSize) -> String {
-    if cfg.setup.has_mcdram_cache() {
-        format!(
-            "cache:ddr={}ps:hbm={}ps:msc={}B",
-            cfg.ddr.idle_latency.as_ps(),
-            cfg.mcdram.idle_latency.as_ps(),
-            msc_capacity.as_u64()
-        )
-    } else {
-        format!("flat:ddr={}ps", cfg.ddr.idle_latency.as_ps())
-    }
+/// input of `hierarchy_config`, and nothing else. Every memory setup
+/// shares one signature: flat placements differ only in the timing
+/// stage, and cache mode's memory-side cache sits below L2, where the
+/// timing side probes it, so neither the setup nor the MCDRAM-cache
+/// capacity is part of it.
+pub fn classify_signature(cfg: &MachineConfig) -> String {
+    format!("l1l2tlb:ddr={}ps", cfg.ddr.idle_latency.as_ps())
 }
 
 /// A fully classified trace: per-core SoA arrays of
@@ -141,16 +133,16 @@ impl ClassifiedTrace {
     /// [`par::num_threads`](simfabric::par::num_threads) workers exactly
     /// as the replay engine would. The artifact is bit-for-bit the
     /// classification that engine would produce — one shared step
-    /// (`classify_chunk`) guarantees it.
+    /// (`classify_chunk`) guarantees it. Classification stops at L2, so
+    /// one artifact replays under every memory setup.
     pub fn build_streaming(
         cfg: &MachineConfig,
         cores: u32,
-        msc_capacity: ByteSize,
         trace_spec: &str,
         fill: impl FnMut(&mut Vec<TraceAccess>) -> usize,
     ) -> ClassifiedTrace {
-        let key = ClassifyKey::new(trace_spec, cores, classify_signature(cfg, msc_capacity));
-        let hier_cfg = hierarchy_config(cfg, msc_capacity);
+        let key = ClassifyKey::new(trace_spec, cores, classify_signature(cfg));
+        let hier_cfg = hierarchy_config(cfg);
         let mut shards: Vec<ReplayShard> = (0..cores)
             .map(|_| ReplayShard::new(Hierarchy::new(hier_cfg)))
             .collect();
@@ -179,15 +171,18 @@ impl ClassifiedTrace {
 
     /// Classify an already-materialized trace (test convenience; the
     /// sweep paths use [`build_streaming`](Self::build_streaming)).
+    /// `_msc_capacity` is ignored — classification no longer models
+    /// the memory-side cache — and is kept only for the `benchmark/`
+    /// crate, which passes it; remove it with the next change there.
     pub fn build_from_trace(
         cfg: &MachineConfig,
         cores: u32,
-        msc_capacity: ByteSize,
+        _msc_capacity: ByteSize,
         trace_spec: &str,
         trace: &[TraceAccess],
     ) -> ClassifiedTrace {
         let mut offset = 0usize;
-        Self::build_streaming(cfg, cores, msc_capacity, trace_spec, |buf| {
+        Self::build_streaming(cfg, cores, trace_spec, |buf| {
             let chunk = 64 * 1024;
             let end = (offset + chunk).min(trace.len());
             buf.extend_from_slice(&trace[offset..end]);
@@ -226,7 +221,10 @@ impl ClassifiedTrace {
     /// Classification-stage hit totals, indexed L1 / L2 / MCDRAM-cache
     /// / memory. The timing-only replay never touches the private
     /// hierarchies, so these artifact-level totals are where the
-    /// cache-behaviour counters live for sweep consumers.
+    /// cache-behaviour counters live for sweep consumers. Slot 2 is
+    /// always 0 and slot 3 counts L2 misses: classification stops at
+    /// L2, and the memory-side cache's hits are counted by the replay
+    /// that probes it ([`TraceSimReport::mcdram_cache_hits`](crate::tracesim::TraceSimReport::mcdram_cache_hits)).
     pub fn level_hits(&self) -> [u64; 4] {
         self.level_hits
     }
@@ -262,8 +260,8 @@ pub fn classify_cache_warning(entry_bytes: usize, cap_bytes: usize) -> Option<St
 /// Classify every chunk `fill` yields through `shards`; returns the
 /// number of accesses classified. A function of its own: with this
 /// loop written inline in [`ClassifiedTrace::build_streaming`], the
-/// `sweep_migrate` benchmark's set-up (two artifact builds) measured
-/// about 5 % slower.
+/// `sweep_migrate` benchmark's set-up (then two artifact builds)
+/// measured about 5 % slower.
 fn classify_all(
     shards: &mut [ReplayShard],
     mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize,
@@ -644,21 +642,30 @@ mod tests {
     }
 
     #[test]
-    fn flat_setups_share_a_signature_and_cache_mode_does_not() {
-        let msc = ByteSize::mib(4);
-        let ddr = classify_signature(&MachineConfig::knl7210(MemSetup::DramOnly, 64), msc);
-        let hbm = classify_signature(&MachineConfig::knl7210(MemSetup::HbmOnly, 64), msc);
-        let cache = classify_signature(&MachineConfig::knl7210(MemSetup::CacheMode, 64), msc);
-        assert_eq!(ddr, hbm, "flat placements must share one artifact");
-        assert_ne!(
-            ddr, cache,
-            "MSC tags classify, so cache mode must not alias"
-        );
-        let bigger = classify_signature(
-            &MachineConfig::knl7210(MemSetup::CacheMode, 64),
-            ByteSize::mib(8),
-        );
-        assert_ne!(cache, bigger, "MSC capacity is part of the signature");
+    fn every_setup_and_capacity_shares_one_signature() {
+        let flat = classify_signature(&flat_cfg());
+        for setup in [
+            MemSetup::HbmOnly,
+            MemSetup::CacheMode,
+            MemSetup::Interleaved,
+            MemSetup::Hybrid,
+        ] {
+            let cfg = MachineConfig::knl7210(setup, 64);
+            assert_eq!(classify_signature(&cfg), flat, "{setup:?}");
+        }
+        // The capacity a caller passes changes neither the key nor the
+        // classification.
+        let trace = tiny_trace(2, 64);
+        let cache = MachineConfig::knl7210(MemSetup::CacheMode, 64);
+        let want = ClassifiedTrace::build_from_trace(&flat_cfg(), 2, ByteSize::mib(4), "t", &trace);
+        for msc in [ByteSize::bytes(64), ByteSize::mib(8)] {
+            let ct = ClassifiedTrace::build_from_trace(&cache, 2, msc, "t", &trace);
+            assert_eq!(ct.key(), want.key(), "{msc}");
+            assert_eq!(ct.level_hits(), want.level_hits(), "{msc}");
+            for c in 0..2 {
+                assert_eq!(ct.core_arrays(c), want.core_arrays(c), "{msc} core {c}");
+            }
+        }
     }
 
     #[test]
@@ -702,7 +709,7 @@ mod tests {
     }
 
     fn real_sig() -> String {
-        classify_signature(&flat_cfg(), ByteSize::mib(4))
+        classify_signature(&flat_cfg())
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Replays line-granularity address traces through the exact substrate
 //! models — per-core L1/L2 + TLB ([`cachesim::Hierarchy`]), the mesh
-//! ([`mesh::MeshModel`]), the direct-mapped MCDRAM cache, and the
-//! bank-level DRAM models ([`memdev::bank::DramModel`]). It exists to
+//! ([`mesh::MeshModel`]), the direct-mapped MCDRAM cache
+//! ([`MemorySideCache`]), and the bank-level DRAM models
+//! ([`memdev::bank::DramModel`]). It exists to
 //! *validate* the analytic machine model at small scales: the
 //! integration tests check that both paths agree on ordering (HBM
 //! beats DDR for streams, DDR beats HBM for chases) and roughly on
@@ -17,11 +18,16 @@
 //! and [`TraceSim::run_classified`] (a prebuilt artifact) — feed the
 //! same windowed engine and produce **bit-identical** reports and
 //! device statistics. The engine rests on a structural property of the
-//! model: the private cache hierarchy (L1/L2/TLB, and the
-//! memory-side-cache tags in cache mode) is *timing-independent* —
-//! which level serves an access depends only on that core's own
-//! address stream, never on the clock. Streaming replay therefore runs
-//! as a two-stage pipeline ([`simfabric::par::pipelined_stats`]):
+//! model: the private cache hierarchy (L1/L2/TLB) is
+//! *timing-independent* — which level serves an access depends only
+//! on that core's own address stream, never on the clock. So is cache
+//! mode's memory-side cache, modelled as one store per core: its tags
+//! depend only on that core's own stream of L2 misses. Classification
+//! stops at L2, and the merge stage probes each core's store as that
+//! core's classified accesses enter its queue, in program order (the
+//! sequential [`TraceSim::access`] probes inline). Streaming replay
+//! therefore runs as a two-stage pipeline
+//! ([`simfabric::par::pipelined_stats`]):
 //!
 //! 1. a **producer stage** on its own thread, which owns the per-core
 //!    [`Hierarchy`]s for the duration of the run. It takes the next
@@ -33,7 +39,9 @@
 //! 2. a **merge stage** on the calling thread, which replays the
 //!    classified batches through the shared resources (MSHRs, mesh,
 //!    DRAM bank models) in exactly the earliest-clock order the
-//!    sequential path uses, and never touches a hierarchy. The "core
+//!    sequential path uses, and never touches a hierarchy (in cache
+//!    mode it first runs each arriving batch through its core's
+//!    memory-side cache). The "core
 //!    with the earliest clock" selection runs on a fixed-size
 //!    winner tree ([`simfabric::merge::LoserTree`]) keyed on the
 //!    per-core clocks in picoseconds: O(log cores) per access, with no
@@ -63,12 +71,14 @@
 //!
 //! # Classify once, replay many ([`TraceSim::run_classified`])
 //!
-//! Because classification is timing-independent, it is also
-//! *setup-independent* across every configuration that shares the same
-//! private-hierarchy config: flat-mode placements (`AllDdr`, `AllHbm`,
-//! `SplitAt`, `Migrated`), device presets, and worker counts all
-//! replay the exact same classified stream. A multi-setup sweep can
-//! therefore classify **once** into a [`ClassifiedTrace`] artifact
+//! Because classification is timing-independent and stops at L2, it is
+//! also *setup-independent*: flat-mode placements (`AllDdr`, `AllHbm`,
+//! `SplitAt`, `Migrated`), cache mode at any MCDRAM-cache capacity,
+//! device presets, and worker counts all replay the exact same
+//! classified stream. In cache mode, [`TraceSim::run_classified`]
+//! builds cold memory-side caches at its start and probes the
+//! artifact's slices as it copies them in. A multi-setup sweep can
+//! therefore classify **once** per trace into a [`ClassifiedTrace`] artifact
 //! (the same 17 B/access SoA batches, held per core, keyed by a
 //! canonical [`ClassifyKey`](crate::classified::ClassifyKey) of
 //! generator spec × cores × cache/TLB config) and replay it N times
@@ -88,6 +98,7 @@ use crate::classified::{classify_signature, ClassifiedTrace};
 use crate::config::{MachineConfig, MemSetup};
 use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
+use cachesim::mcdram_cache::MemorySideCache;
 use cachesim::mshr::{Mshr, MshrOutcome};
 use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
@@ -329,6 +340,12 @@ fn unpack_dependent(flags: u8) -> bool {
     flags & 0b10 != 0
 }
 
+/// The [`LevelHit::Memory`] and [`LevelHit::McdramCache`] codes of
+/// [`pack_flags`], in place.
+const LEVEL_MEMORY_BITS: u8 = 3 << 2;
+const LEVEL_MCDRAM_CACHE_BITS: u8 = 2 << 2;
+const LEVEL_MASK: u8 = 0b11 << 2;
+
 fn unpack_level(flags: u8) -> LevelHit {
     match (flags >> 2) & 0b11 {
         0 => LevelHit::L1,
@@ -399,6 +416,19 @@ impl ClassifiedSoa {
         ))
     }
 
+    /// Cache mode: run every unconsumed access that missed L2 through
+    /// this core's memory-side cache `msc`, in program order, and mark
+    /// the tag hits [`LevelHit::McdramCache`]. The write bit of `flags`
+    /// dirties the line, as the store would.
+    fn probe_msc(&mut self, msc: &mut MemorySideCache) {
+        let (addr, flags) = (&self.addr[self.head..], &mut self.flags[self.head..]);
+        for (&a, f) in addr.iter().zip(flags) {
+            if *f & LEVEL_MASK == LEVEL_MEMORY_BITS && msc.access(a, *f & 1 != 0).is_hit() {
+                *f = *f & !LEVEL_MASK | LEVEL_MCDRAM_CACHE_BITS;
+            }
+        }
+    }
+
     /// Drop the consumed prefix so refills don't grow without bound.
     fn compact(&mut self) {
         if self.head > 0 {
@@ -454,25 +484,17 @@ impl ClassifiedSoa {
 pub const CLASSIFIED_ACCESS_BYTES: usize = 8 + 8 + 1;
 
 /// The private-hierarchy configuration replay uses under `cfg`: the
-/// KNL cache-mode hierarchy (with the memory-side-cache tags sized to
-/// `msc_capacity`) when the setup has an MCDRAM cache, the flat
-/// hierarchy otherwise. The hierarchy's own memory/MCDRAM-cache
-/// latencies are zeroed — the bank models provide all device timing.
+/// KNL L1/L2/TLB hierarchy, the same under every memory setup (cache
+/// mode's memory-side cache sits below L2 and belongs to the timing
+/// side, see [`TraceSim`]). The hierarchy's own memory latency is
+/// zeroed — the bank models provide all device timing.
 /// [`TraceSim::new`] and [`ClassifiedTrace::build_streaming`] must
 /// agree on this, byte for byte, for an artifact to be replayable.
-pub(crate) fn hierarchy_config(cfg: &MachineConfig, msc_capacity: ByteSize) -> HierarchyConfig {
-    let mut hier_cfg = match cfg.setup {
-        MemSetup::CacheMode => HierarchyConfig::knl_cache_mode(
-            cfg.ddr.idle_latency,
-            cfg.mcdram.idle_latency,
-            msc_capacity,
-        ),
-        _ => HierarchyConfig::knl_flat(cfg.ddr.idle_latency),
-    };
+pub(crate) fn hierarchy_config(cfg: &MachineConfig) -> HierarchyConfig {
+    let mut hier_cfg = HierarchyConfig::knl_flat(cfg.ddr.idle_latency);
     // The memory latency charged by the hierarchy is superseded by
     // the bank model; zero it out and let devices provide timing.
     hier_cfg.memory_latency = Duration::ZERO;
-    hier_cfg.mcdram_cache_latency = Duration::ZERO;
     hier_cfg
 }
 
@@ -583,10 +605,14 @@ enum ReplayInput<'a, 'p> {
         max_chunk: usize,
     },
     /// Prebuilt artifact ([`TraceSim::run_classified`]); `next` holds
-    /// one cursor per core, and refills copy SoA slices.
+    /// one cursor per core, and refills copy SoA slices. In cache mode
+    /// `msc` holds this replay's per-core memory-side caches, cold at
+    /// its start as the artifact's private caches were (empty in flat
+    /// mode).
     Classified {
         ct: &'a ClassifiedTrace,
         next: Vec<usize>,
+        msc: Vec<MemorySideCache>,
     },
 }
 
@@ -595,7 +621,7 @@ impl ReplayInput<'_, '_> {
     fn can_feed(&self, c: usize) -> bool {
         match self {
             ReplayInput::Pipe { done, .. } => !*done,
-            ReplayInput::Classified { ct, next } => next[c] < ct.per_core_len(c),
+            ReplayInput::Classified { ct, next, .. } => next[c] < ct.per_core_len(c),
         }
     }
 }
@@ -649,6 +675,17 @@ pub struct TraceSim {
     /// for good on a simulator that only replays classified artifacts.
     hierarchies: Vec<Hierarchy>,
     hier_cfg: HierarchyConfig,
+    /// Cache mode: one memory-side cache of `msc_capacity` per core,
+    /// probed with that core's L2 misses in program order. Built and
+    /// kept warm alongside `hierarchies` for the classifying paths
+    /// (`access` probes inline, `run_streaming` as each batch enters a
+    /// core's queue); empty in every other setup. A classified replay
+    /// probes cold stores of its own instead (see
+    /// [`run_classified`](Self::run_classified)).
+    msc: Vec<MemorySideCache>,
+    /// The capacity of each store in `msc`; `None` unless the setup is
+    /// [`MemSetup::CacheMode`].
+    msc_capacity: Option<ByteSize>,
     /// Per-core MSHR files bounding outstanding line misses — the same
     /// limit [`crate::calib::STREAM_MLP_PER_CORE_1T`] captures
     /// analytically.
@@ -658,7 +695,7 @@ pub struct TraceSim {
     ddr: DramModel,
     hbm: DramModel,
     /// Cache mode: memory-level accesses go to DDR behind the MCDRAM
-    /// cache, whose hits the private hierarchy classifies as
+    /// cache, whose tag hits (probed in `msc`) are served as
     /// [`LevelHit::McdramCache`].
     cache_mode: bool,
     placement: TracePlacement,
@@ -741,17 +778,20 @@ fn path_averages(mesh: &MeshModel) -> PathAverages {
 
 impl TraceSim {
     /// Build a trace simulator for `cores` cores under `cfg`'s memory
-    /// setup. `msc_capacity` scales the MCDRAM cache for tractable
-    /// tests (pass the full 16 GiB for fidelity).
+    /// setup. In cache mode, `msc_capacity` sizes each core's MCDRAM
+    /// cache, scaled down for tractable tests (pass the full 16 GiB for
+    /// fidelity); flat setups ignore it.
     ///
     /// Construction builds only what every replay path reads: the
     /// timing state (MSHR files, clocks, DRAM and mesh models) and the
     /// mesh's memory-path averages, which come from a per-process
     /// table after the first simulator of each cluster mode. The per-core
-    /// private hierarchies, whose cache-mode tag stores scale with
-    /// `msc_capacity`, are built on first use by the paths that
-    /// classify (`access`, `run`, `run_streaming`), so a simulator
-    /// that only replays classified artifacts never allocates them.
+    /// private hierarchies and, in cache mode, the memory-side tag
+    /// stores, which scale with `msc_capacity`, are built at the start
+    /// of the run call that needs them: on first use by the paths
+    /// that classify (`access`, `run`, `run_streaming`), and afresh
+    /// for each `run_classified` (tag stores only). A flat simulator
+    /// that only replays classified artifacts allocates neither.
     pub fn new(
         cfg: &MachineConfig,
         cores: u32,
@@ -762,7 +802,9 @@ impl TraceSim {
         let path = path_averages(&mesh);
         TraceSim {
             hierarchies: Vec::new(),
-            hier_cfg: hierarchy_config(cfg, msc_capacity),
+            hier_cfg: hierarchy_config(cfg),
+            msc: Vec::new(),
+            msc_capacity: (cfg.setup == MemSetup::CacheMode).then_some(msc_capacity),
             mshrs: (0..cores)
                 .map(|_| Mshr::new(crate::calib::STREAM_MLP_PER_CORE_1T as usize))
                 .collect(),
@@ -772,7 +814,7 @@ impl TraceSim {
             resp_half_hbm: path.latency_hbm.scale(0.5),
             hops_ddr: path.hops_ddr,
             hops_hbm: path.hops_hbm,
-            classify_sig: classify_signature(cfg, msc_capacity),
+            classify_sig: classify_signature(cfg),
             ddr: DramModel::ddr4_knl(),
             hbm: DramModel::mcdram_knl(),
             cache_mode: cfg.setup.has_mcdram_cache(),
@@ -811,10 +853,11 @@ impl TraceSim {
     }
 
     /// This simulator's classification signature — the cache/TLB half
-    /// of a [`ClassifyKey`](crate::classified::ClassifyKey). An
-    /// artifact built under a different signature (other memory mode,
-    /// other MSC capacity, other idle latencies) must be rebuilt, not
-    /// replayed: [`run_classified`](Self::run_classified) checks.
+    /// of a [`ClassifyKey`](crate::classified::ClassifyKey). Every
+    /// memory setup and MSC capacity shares it; an artifact built
+    /// under a different signature (another DDR idle latency) must be
+    /// rebuilt, not replayed: [`run_classified`](Self::run_classified)
+    /// checks.
     pub fn classify_signature(&self) -> &str {
         &self.classify_sig
     }
@@ -1013,11 +1056,12 @@ impl TraceSim {
         reg.counter("shard.mcdram_cache_hits", t.mcdram_cache_hits);
         reg.counter("shard.total_latency_ps", t.total_latency.as_ps());
         reg.gauge("shard.makespan_us", t.makespan.as_ns() / 1e3);
-        // A hierarchy not built yet has classified nothing.
+        // A hierarchy not built yet has classified nothing. The
+        // hierarchies end at L2, so `memory_misses` counts L2 misses;
+        // the memory-side cache's hits are `shard.mcdram_cache_hits`.
         let hits = |level| self.hierarchies.get(core).map_or(0, |h| h.hits_at(level));
         reg.counter("cache.l1_hits", hits(LevelHit::L1));
         reg.counter("cache.l2_hits", hits(LevelHit::L2));
-        reg.counter("cache.mcdram_cache_hits", hits(LevelHit::McdramCache));
         reg.counter("cache.memory_misses", hits(LevelHit::Memory));
         let m = &self.mshrs[core];
         reg.counter("mshr.allocations", m.allocations.get());
@@ -1182,13 +1226,26 @@ impl TraceSim {
         }
     }
 
-    /// The per-core private hierarchies, built on first use.
+    /// The per-core private hierarchies, built on first use together
+    /// with the classifying paths' memory-side caches.
     fn hierarchies(&mut self) -> &mut Vec<Hierarchy> {
         if self.hierarchies.is_empty() {
             let cfg = self.hier_cfg;
             self.hierarchies = (0..self.cores()).map(|_| Hierarchy::new(cfg)).collect();
+            self.msc = self.cold_msc();
         }
         &mut self.hierarchies
+    }
+
+    /// Cold memory-side caches, one per core in cache mode; none in
+    /// any other setup.
+    fn cold_msc(&self) -> Vec<MemorySideCache> {
+        let Some(capacity) = self.msc_capacity else {
+            return Vec::new();
+        };
+        (0..self.cores())
+            .map(|_| MemorySideCache::new(capacity, self.line_bytes as u32))
+            .collect()
     }
 
     /// Replay one access; returns its latency.
@@ -1199,12 +1256,18 @@ impl TraceSim {
         } else {
             AccessKind::Read
         };
-        let (level, sram_lat) = self.hierarchies()[core].access(t.addr, kind);
+        let (mut level, sram_lat) = self.hierarchies()[core].access(t.addr, kind);
+        if let (LevelHit::Memory, Some(msc)) = (level, self.msc.get_mut(core)) {
+            if msc.access(t.addr, t.write).is_hit() {
+                level = LevelHit::McdramCache;
+            }
+        }
         self.access_timed(core, t.addr, t.dependent, level, sram_lat)
     }
 
     /// The timing half of [`access`](Self::access): everything after
-    /// the (timing-independent) private-hierarchy lookup. The
+    /// the (timing-independent) private-hierarchy lookup and, in cache
+    /// mode, the memory-side tag probe. The
     /// sequential, streaming, and classified paths all funnel through
     /// this one body, so they cannot diverge.
     fn access_timed(
@@ -1381,11 +1444,20 @@ impl TraceSim {
     /// at most [`set_replay_window`](Self::set_replay_window) accesses,
     /// split evenly across the cores.
     ///
+    /// One artifact serves every memory setup. In cache mode this call
+    /// builds one cold memory-side cache per core, on the calling
+    /// thread before the merge starts, and probes each slice as it is
+    /// copied in: the artifact was classified from cold caches, and the
+    /// tag stores start cold too, on every call. They are dropped when
+    /// the call returns, and the stores the classifying paths keep
+    /// warm are left as they were.
+    ///
     /// Because classification never happens here, this simulator's
     /// private hierarchies are not even built (a later classifying
     /// call builds them fresh) and its `cache.*` counters read zero;
     /// classification-stage totals live on the artifact
-    /// ([`ClassifiedTrace::level_hits`]).
+    /// ([`ClassifiedTrace::level_hits`]), memory-side cache hits in the
+    /// report and in `shard.mcdram_cache_hits`.
     ///
     /// # Panics
     ///
@@ -1414,6 +1486,7 @@ impl TraceSim {
         self.run_windowed(ReplayInput::Classified {
             ct,
             next: vec![0; cores],
+            msc: self.cold_msc(),
         })
     }
 
@@ -1481,7 +1554,9 @@ impl TraceSim {
     /// and [`run_classified`](Self::run_classified): the merge discipline of
     /// [`run`](Self::run), with ghost-slot refills taking the next
     /// classified batch off the producer pipe (or copying the next
-    /// artifact slices). Timing only — it never touches a hierarchy.
+    /// artifact slices). It never touches a hierarchy; in cache mode
+    /// each refill probes the memory-side caches (see
+    /// [`refill_window`](Self::refill_window)).
     fn run_windowed(&mut self, mut input: ReplayInput<'_, '_>) -> TraceSimReport {
         let cores = self.cores();
         self.reset_run_stats();
@@ -1561,6 +1636,13 @@ impl TraceSim {
     /// classified batch off the producer pipe, or prebuilt slices
     /// copied from a [`ClassifiedTrace`]. Returns `false` when the
     /// pipe is exhausted; an artifact refill always copies something.
+    ///
+    /// In cache mode each core's new accesses then run through that
+    /// core's memory-side cache before the merge sees them: the pipe's
+    /// batches through the warm stores in `self.msc`, an artifact's
+    /// slices through the replay's own. A core's accesses enter its
+    /// queue in program order, so the tags see exactly the L2-miss
+    /// stream that [`access`](Self::access) probes inline.
     fn refill_window(
         &mut self,
         input: &mut ReplayInput<'_, '_>,
@@ -1590,12 +1672,15 @@ impl TraceSim {
                     }
                 }
                 *max_chunk = (*max_chunk).max(n);
-                for (q, b) in queues.iter_mut().zip(batch.per_core) {
+                for (c, (q, mut b)) in queues.iter_mut().zip(batch.per_core).enumerate() {
+                    if let Some(msc) = self.msc.get_mut(c) {
+                        b.probe_msc(msc);
+                    }
                     q.append(b);
                 }
                 n
             }
-            ReplayInput::Classified { ct, next } => {
+            ReplayInput::Classified { ct, next, msc } => {
                 // Top up every dry core with its next slice; cores
                 // split the window budget evenly, so a full refill
                 // copies at most ~one window across all shards.
@@ -1614,6 +1699,9 @@ impl TraceSim {
                         &lat_ps[start..start + take],
                         &flags[start..start + take],
                     );
+                    if let Some(msc) = msc.get_mut(c) {
+                        queue.probe_msc(msc);
+                    }
                     next[c] = start + take;
                     copied += take;
                 }
@@ -1771,9 +1859,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_mode_hits_when_fitting() {
+    fn cache_mode_hits_mcdram_after_first_pass() {
         // 4-MB working set (exceeds the 1-MB L2, fits the 8-MB MSC)
-        // streamed twice: the second pass should hit the MSC.
+        // streamed twice: the second pass should hit the MSC, in the
+        // sequential oracle, in streaming replay, and in a replay of
+        // an artifact classified under a flat config.
         let lines = 4 * 1024 * 1024 / 64u64;
         let mut trace = Vec::new();
         for _pass in 0..2 {
@@ -1781,14 +1871,26 @@ mod tests {
                 trace.push(TraceAccess::read(0, i * 64));
             }
         }
-        let mut sim = TraceSim::new(
-            &cfg(MemSetup::CacheMode),
-            1,
-            TracePlacement::AllDdr,
-            ByteSize::mib(8),
-        );
-        let r = sim.run(&trace);
+        let make = || {
+            TraceSim::new(
+                &cfg(MemSetup::CacheMode),
+                1,
+                TracePlacement::AllDdr,
+                ByteSize::mib(8),
+            )
+        };
+        let r = make().run(&trace);
         assert!(r.mcdram_cache_hits > lines / 2, "too few MSC hits: {r:?}");
+        assert_eq!(stream_chunks(&mut make(), trace.chunks(4096)), r);
+        let flat = ClassifiedTrace::build_from_trace(
+            &cfg(MemSetup::DramOnly),
+            1,
+            ByteSize::mib(8),
+            "unit",
+            &trace,
+        );
+        assert_eq!(flat.level_hits()[2], 0, "classification stops at L2");
+        assert_eq!(make().run_classified(&flat), r);
     }
 
     #[test]
@@ -1976,6 +2078,144 @@ mod tests {
                     assert_eq!(f & 1 != 0, write);
                 }
             }
+        }
+    }
+
+    /// A write-heavy trace whose L2 misses re-touch a few lines: each
+    /// core picks among 48 lines that share one L2 set (16 ways), so
+    /// about two thirds of its accesses miss L2, and half of them are
+    /// stores, so the memory-side caches hold dirty lines to evict.
+    fn conflict_trace(cores: u32, per_core: u64) -> Vec<TraceAccess> {
+        let mut rng = simfabric::prng::Rng::seed_from_u64(0xD1_27);
+        let mut t = Vec::new();
+        for _ in 0..per_core {
+            for c in 0..cores {
+                let line = c as u64 * 7_919 + rng.next_below(48) * 1024;
+                let addr = line * 64;
+                t.push(match rng.next_below(4) {
+                    0 | 1 => TraceAccess::write(c, addr),
+                    2 => TraceAccess::chase(c, addr),
+                    _ => TraceAccess::read(c, addr),
+                });
+            }
+        }
+        t
+    }
+
+    /// `(hits, misses, writebacks)` of every memory-side cache.
+    fn msc_counts(msc: &[MemorySideCache]) -> Vec<(u64, u64, u64)> {
+        msc.iter()
+            .map(|m| (m.hits.get(), m.misses.get(), m.writebacks.get()))
+            .collect()
+    }
+
+    #[test]
+    fn batch_probe_matches_one_probe_per_l2_miss() {
+        // The windowed engines probe a batch at a time and `access`
+        // probes one L2 miss at a time; both must leave the tags, the
+        // dirty bits and the levels identical.
+        let trace = conflict_trace(1, 4_000);
+        // 16 Ki slots: the 48 lines spread over 16 of them.
+        let capacity = ByteSize::mib(1);
+        let mut hier = Hierarchy::new(hierarchy_config(&cfg(MemSetup::DramOnly)));
+        let mut inline = MemorySideCache::new(capacity, 64);
+        let mut batched = MemorySideCache::new(capacity, 64);
+        let mut batch = ClassifiedSoa::new();
+        let mut want = Vec::new();
+        for t in &trace {
+            let kind = if t.write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let (level, lat) = hier.access(t.addr, kind);
+            batch.push(t.addr, lat, t.write, t.dependent, level);
+            let hit = level == LevelHit::Memory && inline.access(t.addr, t.write).is_hit();
+            want.push(if hit { LevelHit::McdramCache } else { level });
+        }
+        // Probe in two batches, the second behind a consumed prefix.
+        let mut first = ClassifiedSoa::new();
+        let (addr, lat_ps, flags) = batch.arrays();
+        let cut = trace.len() / 3;
+        first.extend_from_arrays(&addr[..cut], &lat_ps[..cut], &flags[..cut]);
+        first.probe_msc(&mut batched);
+        let mut got: Vec<LevelHit> = std::iter::from_fn(|| first.pop().map(|p| p.3)).collect();
+        let mut rest = ClassifiedSoa::new();
+        rest.extend_from_arrays(addr, lat_ps, flags);
+        for _ in 0..cut {
+            rest.pop();
+        }
+        rest.probe_msc(&mut batched);
+        got.extend(std::iter::from_fn(|| rest.pop().map(|p| p.3)));
+        assert_eq!(got, want);
+        let counts = msc_counts(&[inline]);
+        assert_eq!(msc_counts(&[batched]), counts);
+        let (hits, _, writebacks) = counts[0];
+        assert!(hits > 0 && writebacks > 0, "{counts:?}");
+    }
+
+    #[test]
+    fn classified_replays_build_tag_stores_only_in_cache_mode() {
+        let trace = conflict_trace(4, 200);
+        let ct = artifact(4, &trace);
+        for (setup, stores) in [(MemSetup::DramOnly, 0), (MemSetup::CacheMode, 4)] {
+            let mut sim = TraceSim::new(&cfg(setup), 4, TracePlacement::AllDdr, ByteSize::kib(4));
+            let cold = sim.cold_msc();
+            assert_eq!(cold.len(), stores, "{setup:?}");
+            assert!(cold.iter().all(|m| m.slots() == 64 && m.hits.get() == 0));
+            sim.run_classified(&ct);
+            // The replay's own stores are gone, and the classifying
+            // paths' state was never built.
+            assert!(
+                sim.msc.is_empty() && sim.hierarchies.is_empty(),
+                "{setup:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn consecutive_classified_replays_start_from_cold_tags() {
+        // Two passes over 2 MiB per core: more than L2, less than the
+        // 4 MiB memory-side cache, with every line distinct within a
+        // pass, so no access merges into an in-flight miss and the
+        // count of MSC hits depends on the tags alone. Each replay on
+        // one simulator scores what a fresh simulator scores; stores
+        // kept warm from the first replay would hit on the first pass
+        // of the second.
+        let lines = 2 * 1024 * 1024 / 64u64;
+        let mut trace = Vec::new();
+        for _pass in 0..2 {
+            for i in 0..lines {
+                for c in 0..2u32 {
+                    trace.push(TraceAccess::write(c, ((c as u64) << 30) | (i * 64)));
+                }
+            }
+        }
+        let ct = artifact(2, &trace);
+        let make = || {
+            TraceSim::new(
+                &cfg(MemSetup::CacheMode),
+                2,
+                TracePlacement::AllDdr,
+                ByteSize::mib(4),
+            )
+        };
+        let fresh = make().run_classified(&ct);
+        assert!(fresh.mcdram_cache_hits > 0, "{fresh:?}");
+        let mut sim = make();
+        let first = sim.run_classified(&ct);
+        assert_eq!(first, fresh);
+        let second = sim.run_classified(&ct);
+        for (name, total, once) in [
+            ("accesses", second.accesses, fresh.accesses),
+            ("memory", second.memory_accesses, fresh.memory_accesses),
+            (
+                "msc hits",
+                second.mcdram_cache_hits,
+                fresh.mcdram_cache_hits,
+            ),
+        ] {
+            assert_eq!(total, 2 * once, "{name}: second replay vs a fresh one");
         }
     }
 
@@ -2177,44 +2417,86 @@ mod tests {
 
     #[test]
     fn consecutive_pipelined_runs_keep_hierarchies_warm() {
-        // 1000 lines per core fit each private L2, so a second replay of
-        // the same trace hits where the first missed — but only if the
-        // producer hands the warm hierarchies back after each run,
-        // including the empty run that comes first. Chunks of 64 match
-        // the trace's four-core burst rounds; chunks of 100 cut through
-        // them.
-        let trace = stream_trace(4, 1000);
-        let make = || {
-            TraceSim::new(
-                &cfg(MemSetup::DramOnly),
-                4,
-                TracePlacement::AllDdr,
-                ByteSize::mib(1),
-            )
-        };
-        let l2_hits = |s: &TraceSim| match s.shard_metrics(0).get("cache.l2_hits") {
-            Some(simfabric::telemetry::MetricValue::Counter(n)) => *n,
-            other => panic!("cache.l2_hits: {other:?}"),
-        };
-        for chunk in [64, 100] {
-            let (mut seq, mut sim) = (make(), make());
-            let mut hits = Vec::new();
-            for (round, input) in [&[][..], &trace[..], &trace[..]].into_iter().enumerate() {
-                let want = seq.run(input);
-                let got = par::with_threads(2, || stream_chunks(&mut sim, input.chunks(chunk)));
-                let at = format!("chunk={chunk} round {round}");
-                assert_eq!(got, want, "{at}");
-                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                for c in 0..4 {
-                    assert_eq!(sim.shard_metrics(c), seq.shard_metrics(c), "{at} core {c}");
+        // In flat mode, 1000 lines per core fit each private L2, so a
+        // second replay of the same trace hits where the first missed —
+        // but only if the producer hands the warm hierarchies back after
+        // each run, including the empty run that comes first. In cache
+        // mode, 20,000 lines per core overflow L2 but fit the 4 MiB
+        // memory-side caches, so the second replay hits those instead,
+        // and only if the merge thread keeps them warm too. Chunks of 64
+        // match the trace's four-core burst rounds; chunks of 100 cut
+        // through them.
+        for (setup, per_core) in [(MemSetup::DramOnly, 1000), (MemSetup::CacheMode, 20_000)] {
+            let trace = stream_trace(4, per_core);
+            let make = || TraceSim::new(&cfg(setup), 4, TracePlacement::AllDdr, ByteSize::mib(4));
+            let l2_hits = |s: &TraceSim| match s.shard_metrics(0).get("cache.l2_hits") {
+                Some(simfabric::telemetry::MetricValue::Counter(n)) => *n,
+                other => panic!("cache.l2_hits: {other:?}"),
+            };
+            for chunk in [64, 100] {
+                let (mut seq, mut sim) = (make(), make());
+                let (mut hits, mut msc_hits) = (Vec::new(), Vec::new());
+                for (round, input) in [&[][..], &trace[..], &trace[..]].into_iter().enumerate() {
+                    let want = seq.run(input);
+                    let got = par::with_threads(2, || stream_chunks(&mut sim, input.chunks(chunk)));
+                    let at = format!("{setup:?} chunk={chunk} round {round}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                    assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{at}");
+                    assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                    for c in 0..4 {
+                        assert_eq!(sim.shard_metrics(c), seq.shard_metrics(c), "{at} core {c}");
+                    }
+                    if round > 0 {
+                        // `run` builds its stores at its first access.
+                        assert_eq!(msc_counts(&sim.msc), msc_counts(&seq.msc), "{at}");
+                    }
+                    hits.push(l2_hits(&sim));
+                    msc_hits.push(got.mcdram_cache_hits);
                 }
-                hits.push(l2_hits(&sim));
+                let at = format!("{setup:?} chunk={chunk}");
+                if setup == MemSetup::CacheMode {
+                    assert!(
+                        msc_hits[2] - msc_hits[1] > msc_hits[1],
+                        "{at}: the warm round must hit the MSC more often \
+                         than the cold one: {msc_hits:?}"
+                    );
+                } else {
+                    assert!(
+                        hits[2] - hits[1] > hits[1],
+                        "{at}: the warm round must hit L2 more often \
+                         than the cold one: {hits:?}"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn streaming_probes_match_the_sequential_oracle_under_writes() {
+        // The pipe's batch probes and `run`'s inline probes must leave
+        // every core's tags, dirty bits and counters identical.
+        let trace = conflict_trace(4, 500);
+        for capacity in [ByteSize::bytes(64), ByteSize::kib(4), ByteSize::mib(1)] {
+            let make = || {
+                TraceSim::new(
+                    &cfg(MemSetup::CacheMode),
+                    4,
+                    TracePlacement::AllDdr,
+                    capacity,
+                )
+            };
+            let mut seq = make();
+            let want = seq.run(&trace);
+            let mut sim = make();
+            let got = par::with_threads(2, || stream_chunks(&mut sim, trace.chunks(37)));
+            assert_eq!(got, want, "{capacity}");
+            assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{capacity}");
+            let counts = msc_counts(&seq.msc);
+            assert_eq!(msc_counts(&sim.msc), counts, "{capacity}");
             assert!(
-                hits[2] - hits[1] > hits[1],
-                "chunk={chunk}: the warm round must hit L2 more often \
-                 than the cold one: {hits:?}"
+                counts.iter().all(|&(_, _, wb)| wb > 0),
+                "{capacity}: {counts:?}"
             );
         }
     }
@@ -2342,18 +2624,13 @@ mod tests {
         (0..sim.cores())
             .map(|c| {
                 let reg = sim.shard_metrics(c);
-                [
-                    "cache.l1_hits",
-                    "cache.l2_hits",
-                    "cache.mcdram_cache_hits",
-                    "cache.memory_misses",
-                ]
-                .iter()
-                .map(|name| match reg.get(name) {
-                    Some(MetricValue::Counter(n)) => *n,
-                    other => panic!("{name}: {other:?}"),
-                })
-                .collect()
+                ["cache.l1_hits", "cache.l2_hits", "cache.memory_misses"]
+                    .iter()
+                    .map(|name| match reg.get(name) {
+                        Some(MetricValue::Counter(n)) => *n,
+                        other => panic!("{name}: {other:?}"),
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -2393,15 +2670,11 @@ mod tests {
         let mut sim = new_sim();
         let classified = sim.run_classified(&ct);
         assert_eq!(classified, new_sim().run_classified(&ct));
-        assert!(sim.hierarchies.is_empty());
-        assert_eq!(cache_counters(&sim), vec![vec![0; 4]; 2]);
+        assert!(sim.hierarchies.is_empty() && sim.msc.is_empty());
+        assert_eq!(cache_counters(&sim), vec![vec![0; 3]; 2]);
         let reg = sim.metrics_registry();
-        for name in [
-            "cache.l1_hits",
-            "cache.l2_hits",
-            "cache.mcdram_cache_hits",
-            "cache.memory_misses",
-        ] {
+        assert_eq!(reg.get("cache.mcdram_cache_hits"), None);
+        for name in ["cache.l1_hits", "cache.l2_hits", "cache.memory_misses"] {
             assert_eq!(
                 reg.get(name),
                 Some(&simfabric::telemetry::MetricValue::Counter(0)),

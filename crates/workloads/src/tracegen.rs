@@ -28,7 +28,6 @@ use knl::classified::ClassifiedTrace;
 use knl::config::MachineConfig;
 use knl::tracesim::{TraceAccess, TraceSim, TraceSimReport};
 use simfabric::prng::Rng;
-use simfabric::ByteSize;
 
 /// De-aliased per-core base addresses (physically scattered pages
 /// never alias all cores onto one DRAM bank; synthetic traces must
@@ -109,11 +108,10 @@ pub fn replay_streaming(
 pub fn classify_streaming(
     cfg: &MachineConfig,
     cores: u32,
-    msc_capacity: ByteSize,
     trace_spec: &str,
     source: &mut (dyn TraceSource + Send),
 ) -> ClassifiedTrace {
-    ClassifiedTrace::build_streaming(cfg, cores, msc_capacity, trace_spec, |buf| {
+    ClassifiedTrace::build_streaming(cfg, cores, trace_spec, |buf| {
         source.fill(buf, DEFAULT_CHUNK)
     })
 }

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 # gates below invoke from target/release.
 cargo build --release --offline --workspace
 
+# Every target of the workspace must compile without a rustc warning,
+# as the API docs must below: a helper that a change leaves without a
+# caller fails here instead of waiting for a reader to notice.
+RUSTFLAGS="-D warnings" cargo check --offline --workspace --all-targets
+
 # The root test suite. The equivalence suites pin their own worker
 # ladders with `par::with_threads` (1/2/4/8 in
 # tests/parallel_equivalence.rs for streaming replay and in

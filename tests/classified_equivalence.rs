@@ -1,6 +1,8 @@
 //! Differential suite for the classify-once / replay-many engine: a
-//! [`ClassifiedTrace`](knl::ClassifiedTrace) artifact built once per
-//! hierarchy config and replayed via `run_classified` must be
+//! [`ClassifiedTrace`](knl::ClassifiedTrace) artifact built once, under
+//! a flat config, and replayed via `run_classified` under every memory
+//! setup (cache mode included, whose memory-side tags the replay
+//! probes) must be
 //! **bit-identical** to a fresh per-setup streaming replay — reports,
 //! per-shard totals, device and mesh statistics, and (under a
 //! `Migrated` placement) the scheduler's move-sequence digest — across
@@ -15,7 +17,7 @@
 //! only faster".
 
 use hybridmem::TraceSpec;
-use knl::tracesim::{TracePlacement, TraceSim, TraceSimReport};
+use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport, PAR_WINDOW};
 use knl::{ClassifiedTrace, MachineConfig, MemSetup};
 use memkind_sim::MigrationSpec;
 use simfabric::{par, ByteSize};
@@ -38,9 +40,9 @@ const MIGRATE_SPEC: MigrationSpec = MigrationSpec::new(256, 16);
 /// enough that each core refills many times.
 const WINDOWS: [Option<usize>; 2] = [None, Some(64)];
 
-/// The timing setups a flat artifact must serve: every placement,
-/// including an actively-migrating one. Cache mode replays its own
-/// artifact under the one placement it supports.
+/// The timing setups the artifact must serve: every flat placement,
+/// including an actively-migrating one, and the one placement cache
+/// mode supports.
 fn placements(setup: MemSetup) -> Vec<TracePlacement> {
     match setup {
         MemSetup::CacheMode => vec![TracePlacement::AllDdr],
@@ -53,12 +55,16 @@ fn placements(setup: MemSetup) -> Vec<TracePlacement> {
     }
 }
 
-fn artifact(kind: TraceKind, cfg: &MachineConfig) -> ClassifiedTrace {
+/// The DRAM-only config every artifact is classified under.
+fn flat() -> MachineConfig {
+    MachineConfig::knl7210(MemSetup::DramOnly, 64)
+}
+
+fn artifact(kind: TraceKind) -> ClassifiedTrace {
     let mut source = kind.source(CORES, PER_CORE, SEED);
     classify_streaming(
-        cfg,
+        &flat(),
         CORES,
-        msc(),
         &kind.spec(CORES, PER_CORE, SEED),
         source.as_mut(),
     )
@@ -116,7 +122,7 @@ fn replay_classified(
     (sim, report)
 }
 
-/// Replay `kind` under `setup`: the artifact built at every worker
+/// Replay `kind` under `setup`: the flat artifact built at every worker
 /// count, each replayed against every placement × refill window and
 /// checked against a fresh streaming replay of the same placement.
 fn check(kind: TraceKind, setup: MemSetup) {
@@ -131,7 +137,7 @@ fn check(kind: TraceKind, setup: MemSetup) {
         })
         .collect();
     for workers in WORKERS {
-        let ct = par::with_threads(workers, || artifact(kind, &cfg));
+        let ct = par::with_threads(workers, || artifact(kind));
         // Generators emit *approximately* PER_CORE accesses per core.
         assert!(
             ct.accesses() > 0,
@@ -209,7 +215,7 @@ fn hot_cold_migration_digest_matches_streaming() {
     for workers in WORKERS {
         let ct = par::with_threads(workers, || {
             let mut source = mk();
-            classify_streaming(&cfg, CORES, msc(), "hotcold:equiv", &mut source)
+            classify_streaming(&cfg, CORES, "hotcold:equiv", &mut source)
         });
         for window in WINDOWS {
             let (sim, got) = replay_classified(&ct, &cfg, placement, window);
@@ -223,20 +229,70 @@ fn hot_cold_migration_digest_matches_streaming() {
 /// End-to-end through the sweep engine: `replay_point` (which replays
 /// an artifact from the global classify cache) must produce the same
 /// reports and device statistics as a fresh streaming replay, at every
-/// flat placement.
+/// flat placement and in cache mode.
 #[test]
 fn sweep_engine_modes_agree_end_to_end() {
     let spec = TraceSpec::from_kind(TraceKind::Gups, CORES, PER_CORE, SEED ^ 0xE2E);
-    let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
-    for placement in placements(MemSetup::DramOnly) {
+    let points = MemSetup::PAPER_SETUPS.into_iter().flat_map(|setup| {
+        let cfg = MachineConfig::knl7210(setup, 64);
+        placements(setup).into_iter().map(move |p| (cfg.clone(), p))
+    });
+    for (cfg, placement) in points {
         let (reuse_sim, reuse_report) = hybridmem::replay_point(&spec, &cfg, placement, msc());
         let mut fresh = TraceSim::new(&cfg, CORES, placement, msc());
         let fresh_report = {
             let mut source = spec.source();
             replay_streaming(&mut fresh, source.as_mut())
         };
-        let ctx = format!("sweep engine at {placement:?}");
+        let ctx = format!("sweep engine under {:?} at {placement:?}", cfg.setup);
         assert_eq!(reuse_report, fresh_report, "report diverged: {ctx}");
         assert_sims_match(&reuse_sim, &fresh, &ctx);
     }
+}
+
+/// A write-heavy trace whose L2 misses re-touch a few lines: each core
+/// picks among 48 lines that share one L2 set (16 ways), so about two
+/// thirds of its accesses miss L2; half are stores, so the memory-side
+/// caches evict dirty lines, and a quarter are dependent.
+fn conflict_trace(per_core: u64) -> Vec<TraceAccess> {
+    let mut rng = simfabric::prng::Rng::seed_from_u64(SEED);
+    let mut t = Vec::new();
+    for _ in 0..per_core {
+        for c in 0..CORES {
+            let addr = (c as u64 * 7_919 + rng.next_below(48) * 1024) * 64;
+            t.push(match rng.next_below(4) {
+                0 | 1 => TraceAccess::write(c, addr),
+                2 => TraceAccess::chase(c, addr),
+                _ => TraceAccess::read(c, addr),
+            });
+        }
+    }
+    t
+}
+
+/// One artifact, classified under a flat config, replays cache mode at
+/// any memory-side-cache capacity and refill window bit-identical to
+/// the sequential oracle `run`, which probes the tags inline: from one
+/// line (every L2 miss conflicts) to 16 Ki lines per core.
+#[test]
+fn flat_artifact_replays_cache_mode_bit_identical_to_run() {
+    let trace = conflict_trace(PER_CORE);
+    let ct = ClassifiedTrace::build_from_trace(&flat(), CORES, msc(), "conflict", &trace);
+    assert_eq!(ct.level_hits()[2], 0, "classification stops at L2");
+    let cache = MachineConfig::knl7210(MemSetup::CacheMode, 64);
+    let mut hits = Vec::new();
+    for capacity in [ByteSize::bytes(64), ByteSize::kib(4), ByteSize::mib(1)] {
+        let mut seq = TraceSim::new(&cache, CORES, TracePlacement::AllDdr, capacity);
+        let want = seq.run(&trace);
+        hits.push(want.mcdram_cache_hits);
+        for window in [1, 7, PAR_WINDOW] {
+            let mut sim = TraceSim::new(&cache, CORES, TracePlacement::AllDdr, capacity);
+            sim.set_replay_window(window);
+            let got = sim.run_classified(&ct);
+            let ctx = format!("cache mode at {capacity} window={window}");
+            assert_eq!(got, want, "report diverged: {ctx}");
+            assert_sims_match(&sim, &seq, &ctx);
+        }
+    }
+    assert!(hits[2] > 0, "the largest cache must hit: {hits:?}");
 }

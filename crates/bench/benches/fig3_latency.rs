@@ -1,10 +1,9 @@
 //! Fig. 3 bench: dual random read latency model over the block-size
-//! sweep, plus the native pointer-chase kernel at cache-resident
-//! scale as a sanity anchor.
+//! sweep.
 
 use bench::harness::{BenchmarkId, Criterion};
 use bench::{criterion_group, criterion_main};
-use workloads::tinymembench::{fig3_block_sizes, ChaseBuffer};
+use workloads::tinymembench::fig3_block_sizes;
 
 fn bench_fig3_model(c: &mut Criterion) {
     let tlb = cachesim::tlb::TlbConfig::knl_4k();
@@ -34,19 +33,5 @@ fn bench_fig3_model(c: &mut Criterion) {
     );
 }
 
-fn bench_native_chase(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig3_native_chase");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(800));
-    for slots in [4_096usize, 65_536] {
-        let buf = ChaseBuffer::new(slots, 42);
-        group.bench_with_input(BenchmarkId::new("dual_chase", slots), &slots, |b, _| {
-            b.iter(|| bench::harness::black_box(buf.dual_chase(0, 1, 10_000)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_fig3_model, bench_native_chase);
+criterion_group!(benches, bench_fig3_model);
 criterion_main!(benches);

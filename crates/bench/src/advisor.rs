@@ -249,12 +249,7 @@ mod tests {
         let m = measure_single_query_overhead(&micro(), 2);
         assert!(m.best_secs.iter().all(|&s| s > 0.0));
         assert_eq!(m.ratios.len(), 2);
-        // Identical compute either way: the plumbing ratio is near 1.
-        // Generous bound — a correctness test, not a timing gate.
-        assert!(
-            m.median_ratio() < 1.5,
-            "plumbing ratio {}",
-            m.median_ratio()
-        );
+        // The plumbing ratio is bounded in release by the
+        // `advisor-plumbing` row of `repro gate`, not here.
     }
 }

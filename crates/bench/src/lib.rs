@@ -1,5 +1,5 @@
 //! Benchmark harness crate: see `benches/` for the benches (one per
-//! paper table/figure plus native-kernel and ablation benches),
+//! paper table/figure plus trace-replay and ablation benches),
 //! `src/harness.rs` for the in-tree fixed-iteration harness they run
 //! on, and `src/bin/repro.rs` for the binary that regenerates every
 //! table and figure as text/CSV.

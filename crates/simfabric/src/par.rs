@@ -1,17 +1,18 @@
 //! In-tree data parallelism over `std::thread::scope`.
 //!
 //! Replaces the `rayon` dependency for the handful of shapes the
-//! testbed actually uses: element-wise updates over slices, chunked
-//! owner-computes loops, parallel reductions, and ordered map /
-//! flat-map. Work is split into one contiguous range per worker, so
-//! results are deterministic regardless of scheduling.
+//! testbed actually uses: element-wise updates over slices, an ordered
+//! map, a work-queue map and a bounded producer–consumer pipeline.
+//! Work is split into one contiguous range per worker (or, for the
+//! work queue, re-sorted into item order), so results are
+//! deterministic regardless of scheduling.
 //!
 //! Every worker count in the workspace comes from [`num_threads`]: the
 //! innermost [`with_threads`] scope on the calling thread, otherwise
 //! the machine's available parallelism (which on Linux honours
 //! `taskset` and cgroup CPU limits). A caller that needs a specific
-//! parallelism level (the native measurement harness, the equivalence
-//! suites) wraps its region in [`with_threads`].
+//! parallelism level (the equivalence suites) wraps its region in
+//! [`with_threads`].
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -91,39 +92,6 @@ pub fn par_update<T: Send>(data: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
                 let base = w * chunk;
                 for (i, x) in ch.iter_mut().enumerate() {
                     f(base + i, x);
-                }
-            });
-        }
-    });
-}
-
-/// Run `f(chunk_index, chunk)` over `chunk_len`-sized pieces of `data`
-/// in parallel (the `par_chunks_mut` shape). Chunks are handed to a
-/// bounded worker set through a shared queue, so a long slice never
-/// spawns more than [`num_threads`] threads.
-pub fn par_chunks_mut<T: Send>(
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    assert!(chunk_len > 0, "par_chunks_mut: zero chunk length");
-    let mut chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-    let workers = num_threads().clamp(1, chunks.len().max(1));
-    if workers <= 1 {
-        for (i, ch) in chunks {
-            f(i, ch);
-        }
-        return;
-    }
-    let queue = Mutex::new(chunks.drain(..).collect::<Vec<_>>());
-    thread::scope(|s| {
-        for _ in 0..workers {
-            let (queue, f) = (&queue, &f);
-            s.spawn(move || loop {
-                let item = queue.lock().unwrap().pop();
-                match item {
-                    Some((i, ch)) => f(i, ch),
-                    None => break,
                 }
             });
         }
@@ -347,49 +315,9 @@ pub fn par_queued<T: Sync, U: Send>(
     labelled.into_iter().map(|(_, u)| u).collect()
 }
 
-/// Parallel sum of `f(i)` for `i in 0..len`.
-pub fn par_sum(len: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
-    run_ranges(len, |r| r.map(&f).sum::<f64>())
-        .into_iter()
-        .sum()
-}
-
 /// Parallel ordered map over a slice.
 pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     let nested = run_ranges(items.len(), |r| items[r].iter().map(&f).collect::<Vec<U>>());
-    nested.into_iter().flatten().collect()
-}
-
-/// Parallel ordered map over an index range.
-pub fn par_map_range<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    run_ranges(n, |r| r.map(&f).collect::<Vec<U>>())
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Parallel flat-map over a slice: `f` pushes any number of outputs
-/// per item; outputs keep item order within and across workers.
-pub fn par_flat_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T, &mut Vec<U>) + Sync) -> Vec<U> {
-    let nested = run_ranges(items.len(), |r| {
-        let mut out = Vec::new();
-        for item in &items[r] {
-            f(item, &mut out);
-        }
-        out
-    });
-    nested.into_iter().flatten().collect()
-}
-
-/// Parallel flat-map over an index range.
-pub fn par_flat_map_range<U: Send>(n: usize, f: impl Fn(usize, &mut Vec<U>) + Sync) -> Vec<U> {
-    let nested = run_ranges(n, |r| {
-        let mut out = Vec::new();
-        for i in r {
-            f(i, &mut out);
-        }
-        out
-    });
     nested.into_iter().flatten().collect()
 }
 
@@ -425,51 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_visits_every_chunk_once() {
-        let mut a = vec![0u32; 103];
-        par_chunks_mut(&mut a, 10, |ci, ch| {
-            for x in ch.iter_mut() {
-                *x += ci as u32 + 1;
-            }
-        });
-        for (i, &x) in a.iter().enumerate() {
-            assert_eq!(x, (i / 10) as u32 + 1, "element {i}");
-        }
-    }
-
-    #[test]
-    fn par_sum_matches_serial() {
-        let s = par_sum(10_000, |i| i as f64);
-        assert_eq!(s, (9999.0 * 10_000.0) / 2.0);
-    }
-
-    #[test]
     fn par_map_preserves_order() {
         let v: Vec<usize> = (0..500).collect();
         assert_eq!(
             par_map(&v, |&x| x * 2),
             (0..500).map(|x| x * 2).collect::<Vec<_>>()
-        );
-        assert_eq!(par_map_range(500, |i| i + 1), (1..=500).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_flat_map_preserves_order() {
-        let v: Vec<usize> = (0..100).collect();
-        let out = par_flat_map(&v, |&x, out| {
-            if x % 2 == 0 {
-                out.push(x);
-                out.push(x);
-            }
-        });
-        let expect: Vec<usize> = (0..100)
-            .filter(|x| x % 2 == 0)
-            .flat_map(|x| [x, x])
-            .collect();
-        assert_eq!(out, expect);
-        assert_eq!(
-            par_flat_map_range(10, |i, out| out.push(i * i)),
-            (0..10).map(|i| i * i).collect::<Vec<_>>()
         );
     }
 
@@ -629,7 +517,5 @@ mod tests {
     fn empty_inputs_are_fine() {
         let mut empty: Vec<u8> = Vec::new();
         par_update(&mut empty, |_, _| unreachable!());
-        assert_eq!(par_sum(0, |_| 1.0), 0.0);
-        assert!(par_map_range(0, |i| i).is_empty());
     }
 }

@@ -112,14 +112,6 @@ impl Rng {
             }
         }
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 /// Types [`Rng::gen`] can draw uniformly.
@@ -287,17 +279,6 @@ mod tests {
         let mut rng = Rng::seed_from_u64(5);
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.3)).count();
         assert!((2800..3200).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::seed_from_u64(9);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-        assert_ne!(v, sorted, "shuffle left the identity order");
     }
 
     /// SplitMix64 reference outputs for seed 1234567

@@ -1,5 +1,4 @@
-//! Measurement primitives: counters, log-scale histograms and the
-//! harmonic and geometric means that aggregate rates.
+//! Measurement primitives: counters and log-scale histograms.
 //!
 //! These are the building blocks from which the cache simulator, device
 //! models and the experiment harness assemble their reports.
@@ -30,11 +29,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0
-    }
-
-    /// Reset to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
     }
 
     /// Combine two counters (commutative and associative, so shard
@@ -158,16 +152,6 @@ impl Histogram {
         self.quantile(q).unwrap_or(0)
     }
 
-    /// Non-empty `(bucket_low_bound, count)` pairs, for reporting.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-            .collect()
-    }
-
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -179,43 +163,6 @@ impl Histogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-    }
-}
-
-/// Harmonic mean of a set of positive rates, as used by Graph500 for
-/// aggregating TEPS over BFS roots. Returns 0.0 on an empty slice and
-/// ignores non-positive entries the way the reference code drops
-/// invalid runs.
-pub fn harmonic_mean(xs: &[f64]) -> f64 {
-    let mut n = 0u64;
-    let mut recip_sum = 0.0;
-    for &x in xs {
-        if x > 0.0 {
-            n += 1;
-            recip_sum += 1.0 / x;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        n as f64 / recip_sum
-    }
-}
-
-/// Geometric mean of positive values; 0.0 on empty input.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    let mut n = 0u64;
-    let mut log_sum = 0.0;
-    for &x in xs {
-        if x > 0.0 {
-            n += 1;
-            log_sum += x.ln();
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        (log_sum / n as f64).exp()
     }
 }
 
@@ -231,8 +178,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         assert_eq!(c.ratio_of(10), 0.5);
         assert_eq!(c.ratio_of(0), 0.0);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -246,9 +191,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1024));
-        let buckets = h.nonzero_buckets();
-        // 0 and 1 in bucket 0; 2 and 3 in bucket [2,4); 1024 in [1024,2048).
-        assert_eq!(buckets, vec![(0, 2), (2, 2), (1024, 1)]);
         assert!((h.mean() - (0.0 + 1.0 + 2.0 + 3.0 + 1024.0) / 5.0).abs() < 1e-12);
     }
 
@@ -293,20 +235,5 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.min(), Some(4));
         assert_eq!(a.max(), Some(16));
-    }
-
-    #[test]
-    fn harmonic_mean_matches_graph500_convention() {
-        // Harmonic mean of 1, 2, 4 = 3 / (1 + 0.5 + 0.25) = 12/7.
-        assert!((harmonic_mean(&[1.0, 2.0, 4.0]) - 12.0 / 7.0).abs() < 1e-12);
-        // Zero/negative entries are skipped.
-        assert!((harmonic_mean(&[2.0, 0.0, 2.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(harmonic_mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert_eq!(geometric_mean(&[]), 0.0);
     }
 }

@@ -71,16 +71,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
     /// Add `n` to the counter `name` (registering it at zero first).
     pub fn counter(&mut self, name: &str, n: u64) {
         match self
@@ -211,11 +201,6 @@ impl SpanLog {
             epoch: Instant::now(),
             records: Vec::new(),
         }
-    }
-
-    /// The log's epoch, for producer-side span construction.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// Microseconds from the epoch to `t` (0 for pre-epoch instants).

@@ -13,18 +13,12 @@
 //! deterministic and independent of worker count, exactly like the
 //! replay reports themselves.
 //!
-//! Windows live in a bounded ring: the newest [`capacity`] windows are
+//! Windows live in a bounded ring: the newest `capacity` windows are
 //! retained and older ones are counted in `dropped`, so a recorder on
 //! an arbitrarily long run uses constant memory. Samples of counter
 //! series are *cumulative* (the running total at the window boundary);
 //! consumers difference adjacent windows for rates. Gauge samples are
 //! instantaneous.
-//!
-//! Per-shard recorders merge commutatively with the same rules as
-//! [`MetricsRegistry::merge`]: counter samples sum, gauge samples take
-//! the maximum, windows align by index. The merged result is
-//! independent of merge order, so sharded producers can combine in any
-//! order and still reproduce the single-recorder output byte for byte.
 //!
 //! Two exporters, both byte-deterministic: [`to_jsonl`] writes the
 //! `timeseries/v1` line-JSON document (a header line followed by one
@@ -33,8 +27,6 @@
 //! window-end tick as its timestamp, so a trace viewer plots the
 //! series over simulated time.
 //!
-//! [`capacity`]: TimeSeriesRecorder::capacity
-//! [`MetricsRegistry::merge`]: super::MetricsRegistry::merge
 //! [`to_jsonl`]: TimeSeriesRecorder::to_jsonl
 //! [`chrome_counter_trace`]: TimeSeriesRecorder::chrome_counter_trace
 
@@ -45,13 +37,12 @@ use super::{write_json_num, write_json_str};
 /// Schema tag on the header line of the JSONL export.
 pub const TIMESERIES_SCHEMA: &str = "timeseries/v1";
 
-/// How a registered series samples and merges.
+/// How a registered series samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesKind {
-    /// Monotone running total; samples are cumulative and shard
-    /// merges sum them.
+    /// Monotone running total; samples are cumulative.
     Counter,
-    /// Instantaneous level; shard merges take the maximum.
+    /// Instantaneous level.
     Gauge,
 }
 
@@ -116,21 +107,6 @@ impl TimeSeriesRecorder {
             dropped: 0,
             windows: VecDeque::new(),
         }
-    }
-
-    /// The sampling interval in ticks.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// The ring capacity in windows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Ticks seen so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// Windows evicted from the ring.
@@ -226,55 +202,6 @@ impl TimeSeriesRecorder {
     /// Retained windows, oldest first.
     pub fn windows(&self) -> impl Iterator<Item = &TimeSeriesWindow> {
         self.windows.iter()
-    }
-
-    /// Merge another shard's recorder into this one, commutatively:
-    /// counter samples sum, gauge samples take the maximum, windows
-    /// align by index (a window present on one side only is kept
-    /// as-is). Panics if the recorders disagree on interval or series
-    /// layout — shards of one producer are clones by construction.
-    pub fn merge(&mut self, other: &TimeSeriesRecorder) {
-        assert_eq!(self.interval, other.interval, "interval mismatch in merge");
-        assert_eq!(self.names, other.names, "series mismatch in merge");
-        assert_eq!(self.kinds, other.kinds, "series kind mismatch in merge");
-        for (i, kind) in self.kinds.iter().enumerate() {
-            match kind {
-                SeriesKind::Counter => self.cur[i] += other.cur[i],
-                SeriesKind::Gauge => self.cur[i] = self.cur[i].max(other.cur[i]),
-            }
-        }
-        self.ticks = self.ticks.max(other.ticks);
-        self.last_close = self.last_close.max(other.last_close);
-        self.dropped += other.dropped;
-        for ow in &other.windows {
-            match self.windows.iter_mut().find(|w| w.index == ow.index) {
-                Some(w) => {
-                    assert_eq!(
-                        (w.start_tick, w.end_tick),
-                        (ow.start_tick, ow.end_tick),
-                        "window {} spans diverged in merge",
-                        w.index
-                    );
-                    for (i, kind) in self.kinds.iter().enumerate() {
-                        match kind {
-                            SeriesKind::Counter => w.values[i] += ow.values[i],
-                            SeriesKind::Gauge => w.values[i] = w.values[i].max(ow.values[i]),
-                        }
-                    }
-                }
-                None => {
-                    let at = self.windows.partition_point(|w| w.index < ow.index);
-                    self.windows.insert(at, ow.clone());
-                }
-            }
-        }
-        self.next_index = self
-            .next_index
-            .max(self.windows.back().map_or(0, |w| w.index + 1));
-        while self.windows.len() > self.capacity {
-            self.windows.pop_front();
-            self.dropped += 1;
-        }
     }
 
     /// Render the `timeseries/v1` document: a header line naming the
@@ -409,45 +336,6 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let idx: Vec<u64> = r.windows().map(|w| w.index).collect();
         assert_eq!(idx, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn merge_mirrors_registry_rules_and_commutes() {
-        let mk = |counter_base: f64, gauge: f64, windows: u64| {
-            let (mut r, c, g) = two_series();
-            for i in 0..windows * 4 {
-                r.add(c, counter_base);
-                r.set(g, gauge + i as f64);
-                if r.tick() {
-                    r.close_window();
-                }
-            }
-            r
-        };
-        // Shard B saw fewer ticks: its missing trailing windows pass
-        // through the merge untouched.
-        let a = mk(1.0, 10.0, 3);
-        let b = mk(5.0, 0.0, 2);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        let ws: Vec<_> = ab.windows().cloned().collect();
-        assert_eq!(ws.len(), 3);
-        assert_eq!(ws[0].values, vec![4.0 + 20.0, 13.0]);
-        assert_eq!(ws[1].values, vec![8.0 + 40.0, 17.0]);
-        assert_eq!(ws[2].values, vec![12.0, 21.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "series mismatch")]
-    fn merge_rejects_mismatched_series() {
-        let mut a = TimeSeriesRecorder::new(4, 8);
-        a.register_counter("x");
-        let mut b = TimeSeriesRecorder::new(4, 8);
-        b.register_counter("y");
-        a.merge(&b);
     }
 
     #[test]

@@ -40,12 +40,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Value in microseconds (lossy; for reporting only).
-    #[inline]
-    pub fn as_us(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Value in seconds (lossy; for reporting only).
     #[inline]
     pub fn as_secs(self) -> f64 {
@@ -71,12 +65,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// The later of two timestamps.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
 }
 
 impl Duration {
@@ -95,12 +83,6 @@ impl Duration {
     pub fn from_ns(ns: f64) -> Self {
         debug_assert!(ns >= 0.0, "negative duration");
         Duration((ns * 1_000.0).round() as u64)
-    }
-
-    /// Construct from microseconds.
-    #[inline]
-    pub fn from_us(us: f64) -> Self {
-        Self::from_ns(us * 1_000.0)
     }
 
     /// Construct from seconds.
@@ -151,18 +133,6 @@ impl Duration {
     pub fn scale(self, f: f64) -> Duration {
         debug_assert!(f >= 0.0, "negative scale factor");
         Duration((self.0 as f64 * f).round() as u64)
-    }
-
-    /// The larger of two spans.
-    #[inline]
-    pub fn max(self, other: Duration) -> Duration {
-        Duration(self.0.max(other.0))
-    }
-
-    /// The smaller of two spans.
-    #[inline]
-    pub fn min(self, other: Duration) -> Duration {
-        Duration(self.0.min(other.0))
     }
 }
 
@@ -314,7 +284,7 @@ mod tests {
     #[test]
     fn display_units() {
         assert_eq!(format!("{}", Duration::from_ns(1.5)), "1.500 ns");
-        assert_eq!(format!("{}", Duration::from_us(2.0)), "2.000 us");
+        assert_eq!(format!("{}", Duration::from_ns(2_000.0)), "2.000 us");
         assert_eq!(format!("{}", Duration::from_secs(3.0)), "3.000 s");
     }
 

@@ -69,30 +69,11 @@ impl ByteSize {
         self.0 as f64 / MIB as f64
     }
 
-    /// Number of cache lines of `line` bytes needed to hold this size
-    /// (rounded up).
-    #[inline]
-    pub fn lines(self, line: u64) -> u64 {
-        self.0.div_ceil(line)
-    }
-
     /// Number of pages of `page` bytes needed to hold this size
     /// (rounded up).
     #[inline]
     pub fn pages(self, page: u64) -> u64 {
         self.0.div_ceil(page)
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, other: ByteSize) -> Option<ByteSize> {
-        self.0.checked_add(other.0).map(ByteSize)
     }
 }
 
@@ -183,11 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn line_and_page_counts_round_up() {
-        assert_eq!(ByteSize::bytes(65).lines(64), 2);
-        assert_eq!(ByteSize::bytes(64).lines(64), 1);
+    fn page_counts_round_up() {
         assert_eq!(ByteSize::bytes(4097).pages(4096), 2);
-        assert_eq!(ByteSize::ZERO.lines(64), 0);
     }
 
     #[test]
@@ -213,9 +191,5 @@ mod tests {
         assert_eq!(a, ByteSize::mib(2));
         assert_eq!(a - ByteSize::mib(1), ByteSize::mib(1));
         assert_eq!(ByteSize::kib(1) * 4, ByteSize::kib(4));
-        assert_eq!(
-            ByteSize::kib(1).saturating_sub(ByteSize::mib(1)),
-            ByteSize::ZERO
-        );
     }
 }

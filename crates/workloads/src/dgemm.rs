@@ -4,17 +4,14 @@
 //! whose combined footprint is swept from 0.1 to 24 GB (Fig. 4a) and
 //! over 64/128/192 threads (Fig. 6a; 256-thread runs did not finish).
 //!
-//! The native path is a cache-blocked, Rayon-parallel triple loop with
-//! a small register-tiled micro-kernel — not MKL, but the same blocking
-//! structure, and validated against a naive reference. The model path
-//! prices the roofline: `min(compute roof, arithmetic-intensity ×
-//! effective bandwidth)`, with the memory traffic reduced by the
-//! fraction of the working set the 32-MB aggregate L2 captures.
+//! The model prices the roofline: `min(compute roof,
+//! arithmetic-intensity × effective bandwidth)`, with the memory
+//! traffic reduced by the fraction of the working set the 32-MB
+//! aggregate L2 captures.
 
 use crate::PaperWorkload;
 use knl::access::Reuse;
 use knl::{calib, Machine, MachineError, StreamOp};
-use simfabric::par;
 use simfabric::ByteSize;
 
 /// A DGEMM problem: C (m×n) += A (m×k) × B (k×n), square in the paper.
@@ -136,86 +133,10 @@ impl PaperWorkload for Dgemm {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native kernel
-// ---------------------------------------------------------------------
-
-/// Block size for the native cache-blocked kernel (fits three 64×64
-/// f64 panels in a 256-KB L2 slice).
-const BLOCK: usize = 64;
-
-/// Naive reference: C += A·B, row-major.
-pub fn matmul_reference(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
-    for i in 0..n {
-        for l in 0..n {
-            let av = a[i * n + l];
-            for j in 0..n {
-                c[i * n + j] += av * b[l * n + j];
-            }
-        }
-    }
-}
-
-/// Cache-blocked, Rayon-parallel DGEMM: C += A·B, row-major square.
-pub fn matmul_blocked(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
-    assert_eq!(a.len(), n * n);
-    assert_eq!(b.len(), n * n);
-    assert_eq!(c.len(), n * n);
-    // Parallelize over row-blocks of C; each task owns its C rows.
-    par::par_chunks_mut(c, BLOCK * n, |bi, c_rows| {
-        let i0 = bi * BLOCK;
-        let i_max = (i0 + BLOCK).min(n) - i0;
-        for l0 in (0..n).step_by(BLOCK) {
-            let l_max = (l0 + BLOCK).min(n);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j_max = (j0 + BLOCK).min(n);
-                for i in 0..i_max {
-                    for l in l0..l_max {
-                        let av = a[(i0 + i) * n + l];
-                        let brow = &b[l * n + j0..l * n + j_max];
-                        let crow = &mut c_rows[i * n + j0..i * n + j_max];
-                        for (cj, &bj) in crow.iter_mut().zip(brow) {
-                            *cj += av * bj;
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use knl::MemSetup;
-    use simfabric::prng::Rng;
-
-    #[test]
-    fn blocked_matches_reference() {
-        let n = 97; // not a multiple of BLOCK: exercises edge blocks
-        let mut rng = Rng::seed_from_u64(1);
-        let a: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut c_ref = vec![0.0; n * n];
-        let mut c_blk = vec![0.0; n * n];
-        matmul_reference(&a, &b, &mut c_ref, n);
-        matmul_blocked(&a, &b, &mut c_blk, n);
-        for i in 0..n * n {
-            assert!((c_ref[i] - c_blk[i]).abs() < 1e-9, "mismatch at {i}");
-        }
-    }
-
-    #[test]
-    fn blocked_accumulates_into_c() {
-        let n = 8;
-        let a = vec![1.0; n * n];
-        let b = vec![1.0; n * n];
-        let mut c = vec![5.0; n * n];
-        matmul_blocked(&a, &b, &mut c, n);
-        for &v in &c {
-            assert_eq!(v, 5.0 + n as f64);
-        }
-    }
 
     #[test]
     fn footprint_roundtrip() {

@@ -1,30 +1,20 @@
-//! Graph500 \[15\] — breadth-first search over a Kronecker graph.
+//! Graph500 \[15\] — breadth-first search over a scale-free graph.
 //!
-//! The reference benchmark generates a scale-free Kronecker graph
+//! The reference benchmark generates a scale-free R-MAT graph
 //! (scale s → 2^s vertices, edge factor 16), runs BFS from 64 random
 //! roots, validates each parent tree, and reports the harmonic mean of
 //! traversed edges per second (TEPS). The paper uses the v2.1.4
 //! OpenMP/CSR reference implementation.
 //!
-//! The native path implements the full pipeline — generator, CSR
-//! builder, level-synchronous parallel BFS with atomic parent claims,
-//! and the validator — and is exercised at laptop scales. The model
-//! path prices BFS memory behaviour per traversed edge with the
+//! The model prices BFS memory behaviour per traversed edge with the
 //! calibrated constants in [`knl::calib`].
 
 use crate::PaperWorkload;
 use knl::access::RandomOp;
 use knl::{calib, Machine, MachineError};
-use simfabric::par;
-use simfabric::prng::Rng;
 use simfabric::ByteSize;
-use std::sync::atomic::{AtomicI64, Ordering};
 
-// ---------------------------------------------------------------------
-// Model
-// ---------------------------------------------------------------------
-
-/// A Graph500 problem instance for the model path.
+/// A Graph500 problem instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Graph500 {
     /// Total graph footprint in bytes (Fig. 4d's x-axis).
@@ -85,401 +75,10 @@ impl PaperWorkload for Graph500 {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native pipeline
-// ---------------------------------------------------------------------
-
-/// Kronecker (R-MAT) edge generator with the Graph500 reference
-/// parameters A=0.57, B=0.19, C=0.19.
-pub struct Kronecker {
-    /// log2 of the vertex count.
-    pub scale: u32,
-    /// Edges per vertex.
-    pub edge_factor: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Kronecker {
-    /// Reference-parameter generator.
-    pub fn new(scale: u32, seed: u64) -> Self {
-        Kronecker {
-            scale,
-            edge_factor: 16,
-            seed,
-        }
-    }
-
-    /// Number of vertices.
-    pub fn vertices(&self) -> u64 {
-        1u64 << self.scale
-    }
-
-    /// Generate the edge list (directed pairs; the CSR builder
-    /// symmetrizes).
-    pub fn generate(&self) -> Vec<(u32, u32)> {
-        let mut rng = Rng::seed_from_u64(self.seed);
-        let m = self.vertices() * self.edge_factor as u64;
-        let mut edges = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            let (mut u, mut v) = (0u64, 0u64);
-            for _ in 0..self.scale {
-                let r: f64 = rng.gen();
-                let (du, dv) = if r < 0.57 {
-                    (0, 0)
-                } else if r < 0.76 {
-                    (0, 1)
-                } else if r < 0.95 {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                u = (u << 1) | du;
-                v = (v << 1) | dv;
-            }
-            edges.push((u as u32, v as u32));
-        }
-        edges
-    }
-}
-
-/// An undirected graph in CSR form.
-///
-/// # Example
-///
-/// ```
-/// use workloads::graph500::{Graph, Kronecker};
-///
-/// let gen = Kronecker::new(8, 42);
-/// let g = Graph::from_edges(gen.vertices() as usize, &gen.generate());
-/// let root = (0..g.num_vertices() as u32)
-///     .find(|&v| !g.neighbors_of(v).is_empty())
-///     .unwrap();
-/// let parents = g.bfs(root);
-/// g.validate_bfs(root, &parents).unwrap();
-/// ```
-pub struct Graph {
-    /// Row offsets, len = n+1.
-    pub offsets: Vec<usize>,
-    /// Neighbour lists.
-    pub neighbors: Vec<u32>,
-    /// Undirected input edge count (before symmetrization, self-loops
-    /// removed) — the quantity TEPS counts.
-    pub input_edges: u64,
-}
-
-impl Graph {
-    /// Build a CSR from a directed edge list: self-loops dropped,
-    /// each edge stored in both directions.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut degree = vec![0usize; n];
-        let mut kept = 0u64;
-        for &(u, v) in edges {
-            if u != v {
-                degree[u as usize] += 1;
-                degree[v as usize] += 1;
-                kept += 1;
-            }
-        }
-        let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0u32; offsets[n]];
-        for &(u, v) in edges {
-            if u != v {
-                neighbors[cursor[u as usize]] = v;
-                cursor[u as usize] += 1;
-                neighbors[cursor[v as usize]] = u;
-                cursor[v as usize] += 1;
-            }
-        }
-        Graph {
-            offsets,
-            neighbors,
-            input_edges: kept,
-        }
-    }
-
-    /// Vertex count.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Neighbours of `v`.
-    pub fn neighbors_of(&self, v: u32) -> &[u32] {
-        &self.neighbors[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-
-    /// Level-synchronous parallel BFS. Returns the parent array
-    /// (−1 = unreached; the root is its own parent).
-    pub fn bfs(&self, root: u32) -> Vec<i64> {
-        let n = self.num_vertices();
-        let parents: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
-        parents[root as usize].store(root as i64, Ordering::Relaxed);
-        let mut frontier = vec![root];
-        while !frontier.is_empty() {
-            let parents_ref = &parents;
-            frontier = par::par_flat_map(&frontier, |&u, next| {
-                for &v in self.neighbors_of(u) {
-                    // Claim v for parent u; only one thread wins.
-                    if parents_ref[v as usize]
-                        .compare_exchange(-1, u as i64, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        next.push(v);
-                    }
-                }
-            });
-        }
-        parents.into_iter().map(AtomicI64::into_inner).collect()
-    }
-
-    /// Direction-optimizing BFS (Beamer's algorithm, the strategy the
-    /// post-2.1.4 reference adopted): run top-down while the frontier
-    /// is small, switch to bottom-up sweeps when the frontier's edge
-    /// count grows past `1/alpha` of the unexplored edges. Produces a
-    /// valid (possibly different) parent tree with the identical
-    /// reached set.
-    pub fn bfs_direction_optimizing(&self, root: u32) -> Vec<i64> {
-        const ALPHA: usize = 14;
-        let n = self.num_vertices();
-        let mut parents = vec![-1i64; n];
-        parents[root as usize] = root as i64;
-        let mut frontier = vec![root];
-        let mut in_frontier = vec![false; n];
-        in_frontier[root as usize] = true;
-        while !frontier.is_empty() {
-            let frontier_edges: usize = frontier.iter().map(|&v| self.neighbors_of(v).len()).sum();
-            let unexplored_edges: usize = (0..n)
-                .filter(|&v| parents[v] < 0)
-                .map(|v| self.neighbors_of(v as u32).len())
-                .sum();
-            let next: Vec<u32> = if frontier_edges * ALPHA > unexplored_edges {
-                // Bottom-up: every unreached vertex scans its own
-                // neighbours for a frontier member.
-                let parents_ro = &parents;
-                let in_frontier_ro = &in_frontier;
-                par::par_flat_map_range(n, |v, out: &mut Vec<(u32, u32)>| {
-                    let v = v as u32;
-                    if parents_ro[v as usize] < 0 {
-                        if let Some(&w) = self
-                            .neighbors_of(v)
-                            .iter()
-                            .find(|&&w| in_frontier_ro[w as usize])
-                        {
-                            out.push((v, w));
-                        }
-                    }
-                })
-                .into_iter()
-                .map(|(v, w)| {
-                    parents[v as usize] = w as i64;
-                    v
-                })
-                .collect()
-            } else {
-                // Top-down (serial claim loop; the atomic variant is
-                // `bfs`).
-                let mut next = Vec::new();
-                for &u in &frontier {
-                    for &v in self.neighbors_of(u) {
-                        if parents[v as usize] < 0 {
-                            parents[v as usize] = u as i64;
-                            next.push(v);
-                        }
-                    }
-                }
-                next
-            };
-            for &v in &frontier {
-                in_frontier[v as usize] = false;
-            }
-            for &v in &next {
-                in_frontier[v as usize] = true;
-            }
-            frontier = next;
-        }
-        parents
-    }
-
-    /// Count the input edges with at least one endpoint reached by the
-    /// BFS — the edges "traversed" for TEPS purposes (reference
-    /// definition: edges in the connected component of the root).
-    pub fn traversed_edges(&self, parents: &[i64]) -> u64 {
-        let mut count = 0u64;
-        for (v, &p) in parents.iter().enumerate().take(self.num_vertices()) {
-            if p >= 0 {
-                count += self.neighbors_of(v as u32).len() as u64;
-            }
-        }
-        count / 2
-    }
-
-    /// Graph500 validation of one BFS tree: the root is its own
-    /// parent; every reached vertex's parent is reached and adjacent;
-    /// depths are finite (no cycles).
-    pub fn validate_bfs(&self, root: u32, parents: &[i64]) -> Result<(), String> {
-        if parents.len() != self.num_vertices() {
-            return Err("parent array length mismatch".into());
-        }
-        if parents[root as usize] != root as i64 {
-            return Err("root is not its own parent".into());
-        }
-        // Depth via memoized chase; cycle detection with a step cap.
-        let n = self.num_vertices();
-        for v in 0..n {
-            let p = parents[v];
-            if p < 0 || v == root as usize {
-                continue;
-            }
-            let p = p as u32;
-            if parents[p as usize] < 0 {
-                return Err(format!("vertex {v} has unreached parent {p}"));
-            }
-            if !self.neighbors_of(p).contains(&(v as u32)) {
-                return Err(format!("parent {p} of {v} is not adjacent"));
-            }
-            // Walk to the root; must terminate within n steps.
-            let mut cur = v as u32;
-            let mut steps = 0;
-            while cur != root {
-                cur = parents[cur as usize] as u32;
-                steps += 1;
-                if steps > n {
-                    return Err(format!("cycle in parent chain of {v}"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run BFS from `roots`, validate each tree, and return the
-    /// harmonic-mean TEPS using the supplied per-BFS runtimes.
-    pub fn teps_harmonic_mean(&self, rates: &[f64]) -> f64 {
-        simfabric::stats::harmonic_mean(rates)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use knl::MemSetup;
-
-    fn small_graph() -> Graph {
-        let gen = Kronecker::new(10, 42);
-        Graph::from_edges(gen.vertices() as usize, &gen.generate())
-    }
-
-    #[test]
-    fn generator_produces_requested_edges_in_range() {
-        let gen = Kronecker::new(8, 1);
-        let edges = gen.generate();
-        assert_eq!(edges.len(), 256 * 16);
-        assert!(edges.iter().all(|&(u, v)| u < 256 && v < 256));
-    }
-
-    #[test]
-    fn kronecker_is_skewed() {
-        // Scale-free structure: the max degree far exceeds the mean.
-        let g = small_graph();
-        let max_deg = (0..g.num_vertices())
-            .map(|v| g.neighbors_of(v as u32).len())
-            .max()
-            .unwrap();
-        let mean = g.neighbors.len() / g.num_vertices();
-        assert!(max_deg > 5 * mean, "max {max_deg} vs mean {mean}");
-    }
-
-    #[test]
-    fn csr_is_symmetric() {
-        let g = small_graph();
-        for v in 0..g.num_vertices() as u32 {
-            for &w in g.neighbors_of(v) {
-                assert!(
-                    g.neighbors_of(w).contains(&v),
-                    "edge {v}->{w} missing reverse"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bfs_tree_validates() {
-        let g = small_graph();
-        // Pick a root with neighbours.
-        let root = (0..g.num_vertices() as u32)
-            .find(|&v| !g.neighbors_of(v).is_empty())
-            .unwrap();
-        let parents = g.bfs(root);
-        g.validate_bfs(root, &parents).unwrap();
-        assert!(g.traversed_edges(&parents) > 0);
-    }
-
-    #[test]
-    fn bfs_reaches_exactly_the_component() {
-        // A hand-built graph: a path 0-1-2 plus an isolated edge 3-4.
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
-        let parents = g.bfs(0);
-        assert!(parents[0] == 0 && parents[1] >= 0 && parents[2] >= 0);
-        assert_eq!(parents[3], -1);
-        assert_eq!(parents[4], -1);
-        g.validate_bfs(0, &parents).unwrap();
-        assert_eq!(g.traversed_edges(&parents), 2);
-    }
-
-    #[test]
-    fn self_loops_are_dropped() {
-        let g = Graph::from_edges(3, &[(0, 0), (0, 1), (1, 2)]);
-        assert_eq!(g.input_edges, 2);
-        assert_eq!(g.neighbors_of(0), &[1]);
-    }
-
-    #[test]
-    fn validator_rejects_forged_trees() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut parents = g.bfs(0);
-        // Forge: parent not adjacent.
-        parents[3] = 0;
-        assert!(g.validate_bfs(0, &parents).is_err());
-        // Forge: cycle.
-        let mut parents = g.bfs(0);
-        parents[1] = 2;
-        parents[2] = 1;
-        assert!(g.validate_bfs(0, &parents).is_err());
-    }
-
-    #[test]
-    fn direction_optimizing_bfs_matches_top_down_reachability() {
-        let g = small_graph();
-        let root = (0..g.num_vertices() as u32)
-            .find(|&v| !g.neighbors_of(v).is_empty())
-            .unwrap();
-        let td = g.bfs(root);
-        let dopt = g.bfs_direction_optimizing(root);
-        g.validate_bfs(root, &dopt).unwrap();
-        // Identical reached sets (trees may differ).
-        for v in 0..g.num_vertices() {
-            assert_eq!(td[v] >= 0, dopt[v] >= 0, "reachability differs at {v}");
-        }
-        assert_eq!(g.traversed_edges(&td), g.traversed_edges(&dopt));
-    }
-
-    #[test]
-    fn direction_optimizing_bfs_on_path_graph() {
-        // A long path never triggers the bottom-up switch (tiny
-        // frontier) — exercise the top-down arm end to end.
-        let edges: Vec<(u32, u32)> = (0..63).map(|i| (i, i + 1)).collect();
-        let g = Graph::from_edges(64, &edges);
-        let parents = g.bfs_direction_optimizing(0);
-        g.validate_bfs(0, &parents).unwrap();
-        assert!(parents.iter().all(|&p| p >= 0));
-        // The path forces a unique tree.
-        for (v, &p) in parents.iter().enumerate().skip(1) {
-            assert_eq!(p, v as i64 - 1);
-        }
-    }
 
     #[test]
     fn model_matches_fig4d_scale_and_large_size_ordering() {

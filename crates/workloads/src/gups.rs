@@ -2,12 +2,10 @@
 //!
 //! A table of 2^k 64-bit words is updated at uniformly random indices
 //! (`table[idx] ^= value`); the metric is giga-updates-per-second.
-//! The native path implements the actual xorshift-driven update kernel
-//! (with the HPCC verification pass: re-applying the same update
-//! stream must restore the table). The model path prices the updates
-//! as random read-modify-writes; the reported GUPS applies the
-//! [`knl::calib::GUPS_SERIALIZATION`] reporting constant that matches
-//! the paper's HPCC configuration scale.
+//! The model prices the updates as random read-modify-writes; the
+//! reported GUPS applies the [`knl::calib::GUPS_SERIALIZATION`]
+//! reporting constant that matches the paper's HPCC configuration
+//! scale.
 
 use crate::PaperWorkload;
 use knl::access::RandomOp;
@@ -69,102 +67,10 @@ impl PaperWorkload for Gups {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native kernel
-// ---------------------------------------------------------------------
-
-/// The HPCC polynomial random-number stream: x ← (x << 1) ^ (POLY if
-/// the top bit was set).
-#[inline]
-fn hpcc_next(x: u64) -> u64 {
-    const POLY: u64 = 0x0000000000000007;
-    (x << 1) ^ (if (x as i64) < 0 { POLY } else { 0 })
-}
-
-/// A native GUPS table.
-pub struct GupsTable {
-    /// The table; entry i is initialized to i.
-    pub table: Vec<u64>,
-}
-
-impl GupsTable {
-    /// Allocate a table of `entries` (power of two) words.
-    pub fn new(entries: usize) -> Self {
-        assert!(
-            entries.is_power_of_two(),
-            "HPCC requires a power-of-two table"
-        );
-        GupsTable {
-            table: (0..entries as u64).collect(),
-        }
-    }
-
-    /// Run `n` updates from the given stream seed; returns the number
-    /// of updates applied.
-    pub fn run_updates(&mut self, n: u64, seed: u64) -> u64 {
-        let mask = self.table.len() as u64 - 1;
-        let mut x = if seed == 0 { 1 } else { seed };
-        for _ in 0..n {
-            x = hpcc_next(x);
-            let idx = (x & mask) as usize;
-            self.table[idx] ^= x;
-        }
-        n
-    }
-
-    /// HPCC verification: re-running the identical update stream must
-    /// restore the initial table (xor is an involution). Returns the
-    /// number of mismatching entries.
-    pub fn verify(&mut self, n: u64, seed: u64) -> u64 {
-        self.run_updates(n, seed);
-        self.table
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| v != i as u64)
-            .count() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use knl::MemSetup;
-
-    #[test]
-    fn native_updates_verify_to_zero_errors() {
-        let mut t = GupsTable::new(1 << 12);
-        t.run_updates(4 << 12, 42);
-        let errors = t.verify(4 << 12, 42);
-        assert_eq!(errors, 0);
-    }
-
-    #[test]
-    fn native_updates_actually_change_the_table() {
-        // xor updates cancel in pairs, so roughly half the entries end
-        // up changed; assert a loose statistical bound.
-        let mut t = GupsTable::new(1 << 10);
-        t.run_updates(1 << 12, 7);
-        let changed = t
-            .table
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| v != i as u64)
-            .count();
-        assert!(changed > 256, "only {changed} entries changed");
-    }
-
-    #[test]
-    fn hpcc_stream_has_long_period() {
-        let mut x = 1u64;
-        let mut seen_one_again = 0;
-        for _ in 0..100_000 {
-            x = hpcc_next(x);
-            if x == 1 {
-                seen_one_again += 1;
-            }
-        }
-        assert_eq!(seen_one_again, 0, "stream cycled suspiciously early");
-    }
 
     #[test]
     fn table_size_rounds_to_power_of_two() {

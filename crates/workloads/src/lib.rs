@@ -11,16 +11,13 @@
 //! | [`graph500`] | Graph500 (BFS) | data analytics | random | TEPS |
 //! | [`xsbench`] | XSBench | scientific | random | lookups/s |
 //!
-//! Every workload exists in two coupled forms:
-//!
-//! * a **native kernel** — a real, tested Rust implementation (parallel
-//!   with Rayon where the original uses OpenMP) that computes verified
-//!   results at laptop scale; and
-//! * a **machine-model driver** — the same algorithm's memory behaviour
-//!   expressed as [`knl::StreamOp`]/[`knl::RandomOp`] phases against
-//!   regions allocated through the simulated KNL, used to reproduce the
-//!   paper's figures at full problem sizes (up to 90 GB of *virtual*
-//!   footprint; see DESIGN.md on the virtual-footprint substitution).
+//! Every workload is a **machine-model driver**: the algorithm's
+//! memory behaviour expressed as [`knl::StreamOp`]/[`knl::RandomOp`]
+//! phases against regions allocated through the simulated KNL, used to
+//! reproduce the paper's figures at full problem sizes (up to 90 GB of
+//! *virtual* footprint; see DESIGN.md on the virtual-footprint
+//! substitution). [`tracegen`] emits the same applications as
+//! per-access address streams for trace replay.
 //!
 //! The [`catalog`](mod@catalog) module reproduces Table I, and [`PaperWorkload`] is
 //! the common interface the experiment harness sweeps over.
@@ -33,7 +30,6 @@ pub mod dgemm;
 pub mod graph500;
 pub mod gups;
 pub mod minife;
-pub mod native;
 pub mod stream;
 pub mod tinymembench;
 pub mod tracegen;

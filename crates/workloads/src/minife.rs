@@ -2,17 +2,13 @@
 //!
 //! The performance-critical part is the conjugate-gradient solve over
 //! the assembled sparse system (the paper reports "total Mflops in the
-//! CG part"). The native path assembles the 27-point (3D structured
-//! hexahedral) stiffness-like matrix in CSR form and runs a real CG
-//! solver (Rayon-parallel SpMV, axpy, dot) validated on a Poisson
-//! problem. The model path prices one CG iteration's traffic — matrix
+//! CG part"). The model prices one CG iteration's traffic — matrix
 //! stream, x-vector gather, CG vector sweeps — with the calibrated
 //! per-row constants in [`knl::calib`].
 
 use crate::PaperWorkload;
 use knl::access::Reuse;
 use knl::{calib, Machine, MachineError, StreamOp};
-use simfabric::par;
 use simfabric::ByteSize;
 
 /// Approximate bytes of footprint per matrix row (CSR + CG vectors).
@@ -123,213 +119,10 @@ impl PaperWorkload for MiniFe {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native kernel: CSR assembly + CG solver
-// ---------------------------------------------------------------------
-
-/// A CSR sparse matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Csr {
-    /// Row pointers (len = rows + 1).
-    pub row_ptr: Vec<usize>,
-    /// Column indices.
-    pub cols: Vec<u32>,
-    /// Values.
-    pub vals: Vec<f64>,
-}
-
-impl Csr {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// y = A·x (parallel over rows).
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.rows());
-        assert_eq!(y.len(), self.rows());
-        par::par_update(y, |i, yi| {
-            let mut acc = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.vals[k] * x[self.cols[k] as usize];
-            }
-            *yi = acc;
-        });
-    }
-}
-
-/// Assemble the 27-point stencil operator for an nx³ grid: diagonal 26,
-/// off-diagonals −1 toward every lattice neighbour (a strictly
-/// diagonally dominant M-matrix, so CG converges).
-pub fn assemble_27pt(nx: usize) -> Csr {
-    let n = nx * nx * nx;
-    let idx = |x: usize, y: usize, z: usize| (z * nx + y) * nx + x;
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    row_ptr.push(0);
-    for z in 0..nx {
-        for y in 0..nx {
-            for x in 0..nx {
-                for dz in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dx in -1i64..=1 {
-                            let (xx, yy, zz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                            if xx < 0
-                                || yy < 0
-                                || zz < 0
-                                || xx >= nx as i64
-                                || yy >= nx as i64
-                                || zz >= nx as i64
-                            {
-                                continue;
-                            }
-                            let j = idx(xx as usize, yy as usize, zz as usize);
-                            if dx == 0 && dy == 0 && dz == 0 {
-                                cols.push(j as u32);
-                                vals.push(26.0);
-                            } else {
-                                cols.push(j as u32);
-                                vals.push(-1.0);
-                            }
-                        }
-                    }
-                }
-                row_ptr.push(cols.len());
-            }
-        }
-    }
-    Csr {
-        row_ptr,
-        cols,
-        vals,
-    }
-}
-
-/// Result of a CG solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CgResult {
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Final residual 2-norm.
-    pub residual: f64,
-    /// Flops executed (2·nnz + 10·n per iteration, as MiniFE counts).
-    pub flops: f64,
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    par::par_sum(a.len(), |i| a[i] * b[i])
-}
-
-/// Conjugate gradient: solve A·x = b to `tol` or `max_iters`.
-pub fn cg_solve(a: &Csr, b: &[f64], x: &mut [f64], tol: f64, max_iters: usize) -> CgResult {
-    let n = a.rows();
-    let mut r = b.to_vec();
-    let mut ap = vec![0.0; n];
-    // r = b - A·x
-    a.spmv(x, &mut ap);
-    par::par_update(&mut r, |i, ri| *ri -= ap[i]);
-    let mut p = r.clone();
-    let mut rsq = dot(&r, &r);
-    let b_norm = dot(b, b).sqrt().max(f64::MIN_POSITIVE);
-    let mut iterations = 0;
-    while iterations < max_iters && rsq.sqrt() / b_norm > tol {
-        a.spmv(&p, &mut ap);
-        let alpha = rsq / dot(&p, &ap);
-        par::par_update(x, |i, xi| *xi += alpha * p[i]);
-        par::par_update(&mut r, |i, ri| *ri -= alpha * ap[i]);
-        let rsq_new = dot(&r, &r);
-        let beta = rsq_new / rsq;
-        par::par_update(&mut p, |i, pi| *pi = r[i] + beta * *pi);
-        rsq = rsq_new;
-        iterations += 1;
-    }
-    CgResult {
-        iterations,
-        residual: rsq.sqrt(),
-        flops: iterations as f64 * (2.0 * a.nnz() as f64 + 10.0 * n as f64),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use knl::MemSetup;
-
-    #[test]
-    fn assembly_shape_and_symmetry() {
-        let a = assemble_27pt(4);
-        assert_eq!(a.rows(), 64);
-        // Interior nodes have 27 entries; corners 8.
-        let interior = (4 + 1) * 4 + 1; // node (1,1,1)
-        assert_eq!(a.row_ptr[interior + 1] - a.row_ptr[interior], 27);
-        assert_eq!(a.row_ptr[1] - a.row_ptr[0], 8);
-        // Weak diagonal dominance: interior rows sum to exactly zero
-        // (26 - 26 neighbours), boundary rows are strictly positive —
-        // together with irreducibility this makes the operator SPD.
-        for i in 0..a.rows() {
-            let sum: f64 = (a.row_ptr[i]..a.row_ptr[i + 1]).map(|k| a.vals[k]).sum();
-            assert!(sum >= 0.0, "row {i} sum {sum}");
-        }
-        let corner_sum: f64 = (a.row_ptr[0]..a.row_ptr[1]).map(|k| a.vals[k]).sum();
-        assert!(corner_sum > 0.0, "corner row should be strictly dominant");
-    }
-
-    #[test]
-    fn spmv_matches_dense_reference() {
-        let a = assemble_27pt(3);
-        let n = a.rows();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut y = vec![0.0; n];
-        a.spmv(&x, &mut y);
-        // Dense reference.
-        for (i, &yi) in y.iter().enumerate().take(n) {
-            let mut acc = 0.0;
-            for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-                acc += a.vals[k] * x[a.cols[k] as usize];
-            }
-            assert!((yi - acc).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cg_converges_and_solves() {
-        let a = assemble_27pt(6);
-        let n = a.rows();
-        // Manufactured solution.
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 31 % 17) as f64) / 17.0).collect();
-        let mut b = vec![0.0; n];
-        a.spmv(&x_true, &mut b);
-        let mut x = vec![0.0; n];
-        let res = cg_solve(&a, &b, &mut x, 1e-10, 500);
-        assert!(
-            res.iterations < 200,
-            "CG took {} iterations",
-            res.iterations
-        );
-        let err: f64 = x
-            .iter()
-            .zip(&x_true)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        assert!(err < 1e-6, "solution error {err}");
-        assert!(res.flops > 0.0);
-    }
-
-    #[test]
-    fn cg_zero_rhs_terminates_immediately() {
-        let a = assemble_27pt(3);
-        let b = vec![0.0; a.rows()];
-        let mut x = vec![0.0; a.rows()];
-        let res = cg_solve(&a, &b, &mut x, 1e-8, 100);
-        assert_eq!(res.iterations, 0);
-    }
 
     #[test]
     fn model_fig4b_ordering_and_3x() {

@@ -2,15 +2,13 @@
 //!
 //! The paper uses the triad kernel (`a[i] = b[i] + s*c[i]`) with one
 //! thread per core to produce Fig. 2, and sweeps hardware threads for
-//! Fig. 5. The native path implements all four kernels (copy, scale,
-//! add, triad) with Rayon and verifies results; the model path submits
-//! the triad's traffic (two streamed reads + one streamed write, plus
-//! the write-allocate read the paper's compiler flags imply away with
-//! streaming stores — STREAM convention counts 3 × N × 8 bytes).
+//! Fig. 5. The model submits the triad's traffic (two streamed reads +
+//! one streamed write, plus the write-allocate read the paper's
+//! compiler flags imply away with streaming stores — STREAM convention
+//! counts 3 × N × 8 bytes).
 
 use crate::PaperWorkload;
 use knl::{Machine, MachineError, StreamOp};
-use simfabric::par;
 use simfabric::ByteSize;
 
 /// STREAM configured for a total array footprint (all three arrays).
@@ -87,100 +85,10 @@ impl PaperWorkload for StreamBench {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native kernels
-// ---------------------------------------------------------------------
-
-/// Native STREAM arrays.
-pub struct StreamArrays {
-    /// `a` — destination of copy/triad.
-    pub a: Vec<f64>,
-    /// `b` — destination of scale, source of add/triad.
-    pub b: Vec<f64>,
-    /// `c` — destination of add, source of copy/scale/triad.
-    pub c: Vec<f64>,
-}
-
-impl StreamArrays {
-    /// Initialize as the reference code does: a=1, b=2, c=0.
-    pub fn new(n: usize) -> Self {
-        StreamArrays {
-            a: vec![1.0; n],
-            b: vec![2.0; n],
-            c: vec![0.0; n],
-        }
-    }
-
-    /// `c = a`.
-    pub fn copy(&mut self) {
-        let a = &self.a;
-        par::par_update(&mut self.c, |i, c| *c = a[i]);
-    }
-
-    /// `b = s * c`.
-    pub fn scale(&mut self, s: f64) {
-        let c = &self.c;
-        par::par_update(&mut self.b, |i, b| *b = s * c[i]);
-    }
-
-    /// `c = a + b`.
-    pub fn add(&mut self) {
-        let (a, b) = (&self.a, &self.b);
-        par::par_update(&mut self.c, |i, c| *c = a[i] + b[i]);
-    }
-
-    /// `a = b + s * c`.
-    pub fn triad(&mut self, s: f64) {
-        let (b, c) = (&self.b, &self.c);
-        par::par_update(&mut self.a, |i, a| *a = b[i] + s * c[i]);
-    }
-
-    /// Run the full STREAM sequence once and verify against the
-    /// closed-form expected values; returns `Err` with the first
-    /// mismatching index otherwise.
-    pub fn run_and_verify(&mut self, s: f64) -> Result<(), usize> {
-        self.copy(); // c = 1
-        self.scale(s); // b = s
-        self.add(); // c = 1 + s
-        self.triad(s); // a = s + s(1+s)
-        let expect_a = s + s * (1.0 + s);
-        let expect_b = s;
-        let expect_c = 1.0 + s;
-        for i in 0..self.a.len() {
-            if (self.a[i] - expect_a).abs() > 1e-12
-                || (self.b[i] - expect_b).abs() > 1e-12
-                || (self.c[i] - expect_c).abs() > 1e-12
-            {
-                return Err(i);
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use knl::MemSetup;
-
-    #[test]
-    fn native_kernels_verify() {
-        let mut s = StreamArrays::new(10_000);
-        s.run_and_verify(3.0).unwrap();
-    }
-
-    #[test]
-    fn native_triad_matches_formula_elementwise() {
-        let mut s = StreamArrays::new(257); // odd size exercises tails
-        s.b.iter_mut().enumerate().for_each(|(i, b)| *b = i as f64);
-        s.c.iter_mut()
-            .enumerate()
-            .for_each(|(i, c)| *c = 2.0 * i as f64);
-        s.triad(0.5);
-        for i in 0..257 {
-            assert_eq!(s.a[i], i as f64 + 0.5 * 2.0 * i as f64);
-        }
-    }
 
     #[test]
     fn model_reproduces_fig2_ordering() {

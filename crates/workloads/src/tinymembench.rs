@@ -2,12 +2,9 @@
 //!
 //! The paper measures the latency of two simultaneous dependent random
 //! read chains over buffers from 128 KB to 1 GB (Fig. 3), in DRAM and
-//! HBM. The native path implements the actual dual pointer chase
-//! (with a Sattolo-cycle permutation so every element is visited); the
-//! model path evaluates [`knl::dual_random_read_latency`].
+//! HBM. The model evaluates [`knl::dual_random_read_latency`].
 
 use knl::{Machine, MachineError};
-use simfabric::prng::Rng;
 use simfabric::ByteSize;
 
 /// The block sizes Fig. 3 sweeps (128 KB … 1 GB, powers of two).
@@ -43,77 +40,6 @@ pub fn model_latency_ns(machine: &mut Machine, block: ByteSize) -> Result<f64, M
     Ok(ns)
 }
 
-/// A pointer-chase buffer: `next[i]` is the index to visit after `i`,
-/// forming a single cycle covering every slot (Sattolo's algorithm),
-/// so the chase cannot be predicted or shortcut.
-pub struct ChaseBuffer {
-    next: Vec<u32>,
-}
-
-impl ChaseBuffer {
-    /// Build a chase over `n` slots with the given seed.
-    pub fn new(n: usize, seed: u64) -> Self {
-        assert!(n >= 2, "need at least two slots");
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        let mut rng = Rng::seed_from_u64(seed);
-        // Sattolo: single cycle.
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..i);
-            idx.swap(i, j);
-        }
-        // The shuffled permutation is a single cycle when applied as a
-        // successor function.
-        ChaseBuffer { next: idx }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.next.len()
-    }
-
-    /// True if empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.next.is_empty()
-    }
-
-    /// Chase one chain for `steps` starting at `start`; returns the
-    /// final index (forces the dependency chain).
-    pub fn chase(&self, start: u32, steps: usize) -> u32 {
-        let mut p = start;
-        for _ in 0..steps {
-            p = self.next[p as usize];
-        }
-        p
-    }
-
-    /// Chase two chains in lockstep — the "dual random read" pattern.
-    /// Returns both endpoints.
-    pub fn dual_chase(&self, start_a: u32, start_b: u32, steps: usize) -> (u32, u32) {
-        let mut a = start_a;
-        let mut b = start_b;
-        for _ in 0..steps {
-            a = self.next[a as usize];
-            b = self.next[b as usize];
-        }
-        (a, b)
-    }
-
-    /// Verify the successor map is a single cycle through all slots.
-    pub fn is_single_cycle(&self) -> bool {
-        let n = self.next.len();
-        let mut seen = vec![false; n];
-        let mut p = 0u32;
-        for _ in 0..n {
-            if seen[p as usize] {
-                return false;
-            }
-            seen[p as usize] = true;
-            p = self.next[p as usize];
-        }
-        p == 0 && seen.iter().all(|&s| s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,30 +51,6 @@ mod tests {
         assert_eq!(sizes.first().unwrap().as_u64(), 128 * 1024);
         assert_eq!(sizes.last().unwrap().as_u64(), 1 << 30);
         assert_eq!(sizes.len(), 14);
-    }
-
-    #[test]
-    fn chase_buffer_is_single_cycle() {
-        for n in [2usize, 3, 64, 1000] {
-            let c = ChaseBuffer::new(n, 42);
-            assert!(c.is_single_cycle(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn chase_visits_everything_in_n_steps() {
-        let c = ChaseBuffer::new(128, 7);
-        // A full cycle returns to the start.
-        assert_eq!(c.chase(5, 128), 5);
-        assert_ne!(c.chase(5, 64), 5);
-    }
-
-    #[test]
-    fn dual_chase_matches_two_singles() {
-        let c = ChaseBuffer::new(256, 3);
-        let (a, b) = c.dual_chase(0, 100, 37);
-        assert_eq!(a, c.chase(0, 37));
-        assert_eq!(b, c.chase(100, 37));
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! workload's characteristic access pattern, at footprints the
 //! line-accurate trace simulator can chew through.
 //!
-//! This closes the validation triangle: the *native kernels* prove the
-//! algorithms are real, the *machine model* prices them at paper
-//! scale, and these traces let the *trace simulator* check the model's
-//! orderings with the exact cache/bank/TLB substrate models
+//! The *machine model* prices each application at paper scale, and
+//! these traces let the *trace simulator* check the model's orderings
+//! with the exact cache/bank/TLB substrate models
 //! (`tests/trace_crosscheck.rs`).
 //!
 //! # Streaming sources

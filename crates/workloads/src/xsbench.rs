@@ -8,22 +8,15 @@
 //! grid-point count (`-g`) to push the footprint from 5.6 to 90 GB —
 //! beyond MCDRAM, almost filling DDR.
 //!
-//! The native path implements the real data structures (nuclide grids,
-//! unionized grid with index vectors, interpolated lookups) and
-//! validates them; the model path prices the per-nuclide dependent
-//! chases with the calibrated constants in [`knl::calib`].
+//! The model prices the per-nuclide dependent chases with the
+//! calibrated constants in [`knl::calib`].
 
 use crate::PaperWorkload;
 use knl::access::RandomOp;
 use knl::{calib, Machine, MachineError};
-use simfabric::prng::Rng;
 use simfabric::ByteSize;
 
-// ---------------------------------------------------------------------
-// Model
-// ---------------------------------------------------------------------
-
-/// An XSBench problem instance for the model path.
+/// An XSBench problem instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XsBench {
     /// Total footprint in bytes (Fig. 4e's x-axis; scaled via `-g`).
@@ -87,267 +80,10 @@ impl PaperWorkload for XsBench {
     }
 }
 
-// ---------------------------------------------------------------------
-// Native kernel
-// ---------------------------------------------------------------------
-
-/// Cross sections in the five reaction channels XSBench tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct XsVector {
-    /// Total cross section.
-    pub total: f64,
-    /// Elastic scattering.
-    pub elastic: f64,
-    /// Absorption.
-    pub absorption: f64,
-    /// Fission.
-    pub fission: f64,
-    /// Neutron production (ν·fission).
-    pub nu_fission: f64,
-}
-
-/// One nuclide's energy grid with per-point cross sections.
-pub struct NuclideGrid {
-    /// Ascending energies in (0, 1].
-    pub energy: Vec<f64>,
-    /// Cross sections at each energy.
-    pub xs: Vec<XsVector>,
-}
-
-/// The full data set: nuclides plus the unionized energy grid with
-/// per-nuclide index vectors (the XSBench "unionized" layout).
-pub struct XsData {
-    /// Per-nuclide grids.
-    pub nuclides: Vec<NuclideGrid>,
-    /// Unionized (merged, sorted) energies.
-    pub unionized: Vec<f64>,
-    /// For unionized point i and nuclide n: the index into nuclide n's
-    /// grid of the last point ≤ unionized\[i\].
-    pub index: Vec<u32>,
-    /// Materials: lists of (nuclide, number-density).
-    pub materials: Vec<Vec<(u32, f64)>>,
-}
-
-impl XsData {
-    /// Build a data set with `n_nuclides` nuclides of `grid_points`
-    /// points each, and a few materials of varying nuclide counts.
-    pub fn build(n_nuclides: usize, grid_points: usize, seed: u64) -> Self {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut nuclides = Vec::with_capacity(n_nuclides);
-        for _ in 0..n_nuclides {
-            let mut energy: Vec<f64> = (0..grid_points)
-                .map(|_| rng.gen_range(1e-11..1.0))
-                .collect();
-            energy.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            energy.dedup();
-            let xs = energy
-                .iter()
-                .map(|_| XsVector {
-                    total: rng.gen(),
-                    elastic: rng.gen(),
-                    absorption: rng.gen(),
-                    fission: rng.gen(),
-                    nu_fission: rng.gen(),
-                })
-                .collect();
-            nuclides.push(NuclideGrid { energy, xs });
-        }
-        // Unionized grid = sorted union of all energies.
-        let mut unionized: Vec<f64> = nuclides
-            .iter()
-            .flat_map(|n| n.energy.iter().copied())
-            .collect();
-        unionized.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        unionized.dedup();
-        // Index vectors.
-        let mut index = vec![0u32; unionized.len() * n_nuclides];
-        for (n_i, nuc) in nuclides.iter().enumerate() {
-            let mut k = 0usize;
-            for (u_i, &e) in unionized.iter().enumerate() {
-                while k + 1 < nuc.energy.len() && nuc.energy[k + 1] <= e {
-                    k += 1;
-                }
-                index[u_i * n_nuclides + n_i] = k as u32;
-            }
-        }
-        // Materials: one "fuel" with most nuclides, a few lighter ones.
-        let mut materials = Vec::new();
-        let fuel: Vec<(u32, f64)> = (0..n_nuclides as u32)
-            .map(|n| (n, rng.gen_range(0.01..1.0)))
-            .collect();
-        materials.push(fuel);
-        for size in [n_nuclides / 2, n_nuclides / 4, 2.max(n_nuclides / 8)] {
-            let m: Vec<(u32, f64)> = (0..size.max(1) as u32)
-                .map(|n| (n % n_nuclides as u32, rng.gen_range(0.01..1.0)))
-                .collect();
-            materials.push(m);
-        }
-        XsData {
-            nuclides,
-            unionized,
-            index,
-            materials,
-        }
-    }
-
-    /// Binary search the unionized grid for the last index with
-    /// energy ≤ `e` (0 if `e` precedes the grid).
-    pub fn unionized_search(&self, e: f64) -> usize {
-        match self
-            .unionized
-            .binary_search_by(|probe| probe.partial_cmp(&e).unwrap())
-        {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        }
-    }
-
-    /// Micro XS for nuclide `n` at energy `e`, linearly interpolated.
-    pub fn micro_xs(&self, n: u32, grid_idx: usize, e: f64) -> XsVector {
-        let nuc = &self.nuclides[n as usize];
-        let lo = grid_idx.min(nuc.energy.len() - 1);
-        let hi = (lo + 1).min(nuc.energy.len() - 1);
-        if hi == lo {
-            return nuc.xs[lo];
-        }
-        let (e0, e1) = (nuc.energy[lo], nuc.energy[hi]);
-        let f = if e1 > e0 {
-            ((e - e0) / (e1 - e0)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let (a, b) = (nuc.xs[lo], nuc.xs[hi]);
-        XsVector {
-            total: a.total + f * (b.total - a.total),
-            elastic: a.elastic + f * (b.elastic - a.elastic),
-            absorption: a.absorption + f * (b.absorption - a.absorption),
-            fission: a.fission + f * (b.fission - a.fission),
-            nu_fission: a.nu_fission + f * (b.nu_fission - a.nu_fission),
-        }
-    }
-
-    /// Macroscopic XS for `material` at energy `e`: density-weighted
-    /// sum of micro XS over the material's nuclides, located through
-    /// the unionized index (the XSBench hot loop).
-    pub fn macro_xs(&self, material: usize, e: f64) -> XsVector {
-        let u = self.unionized_search(e);
-        let n_nuclides = self.nuclides.len();
-        let mut acc = XsVector::default();
-        for &(n, density) in &self.materials[material] {
-            let grid_idx = self.index[u * n_nuclides + n as usize] as usize;
-            let micro = self.micro_xs(n, grid_idx, e);
-            acc.total += density * micro.total;
-            acc.elastic += density * micro.elastic;
-            acc.absorption += density * micro.absorption;
-            acc.fission += density * micro.fission;
-            acc.nu_fission += density * micro.nu_fission;
-        }
-        acc
-    }
-
-    /// Run `n` random lookups; returns a checksum (so the work cannot
-    /// be optimized away) and the count performed.
-    pub fn run_lookups(&self, n: u64, seed: u64) -> (f64, u64) {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut checksum = 0.0;
-        for _ in 0..n {
-            let e: f64 = rng.gen_range(1e-11..1.0);
-            let m = rng.gen_range(0..self.materials.len());
-            checksum += self.macro_xs(m, e).total;
-        }
-        (checksum, n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use knl::MemSetup;
-
-    fn data() -> XsData {
-        XsData::build(12, 200, 7)
-    }
-
-    #[test]
-    fn unionized_grid_is_sorted_union() {
-        let d = data();
-        assert!(d.unionized.windows(2).all(|w| w[0] < w[1]));
-        let total: usize = d.nuclides.iter().map(|n| n.energy.len()).sum();
-        assert!(d.unionized.len() <= total);
-        assert!(d.unionized.len() >= d.nuclides[0].energy.len());
-    }
-
-    #[test]
-    fn index_vectors_are_correct() {
-        let d = data();
-        let nn = d.nuclides.len();
-        for (u_i, &e) in d.unionized.iter().enumerate().step_by(37) {
-            for (n_i, nuc) in d.nuclides.iter().enumerate() {
-                let k = d.index[u_i * nn + n_i] as usize;
-                if k == 0 && nuc.energy[0] > e {
-                    // e precedes this nuclide's grid: clamped to 0.
-                    continue;
-                }
-                assert!(nuc.energy[k] <= e + 1e-15, "index points past e");
-                if k + 1 < nuc.energy.len() {
-                    assert!(nuc.energy[k + 1] > e - 1e-15, "index not maximal");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unionized_search_brackets_energy() {
-        let d = data();
-        for &e in d.unionized.iter().step_by(53) {
-            let i = d.unionized_search(e);
-            assert!(d.unionized[i] <= e);
-        }
-        assert_eq!(d.unionized_search(0.0), 0);
-        assert_eq!(d.unionized_search(2.0), d.unionized.len() - 1);
-    }
-
-    #[test]
-    fn interpolation_is_exact_at_grid_points_and_bounded_between() {
-        let d = data();
-        let nuc = &d.nuclides[0];
-        let k = nuc.energy.len() / 2;
-        let at_point = d.micro_xs(0, k, nuc.energy[k]);
-        assert!((at_point.total - nuc.xs[k].total).abs() < 1e-12);
-        // Midpoint lies between neighbours.
-        let mid_e = (nuc.energy[k] + nuc.energy[k + 1]) / 2.0;
-        let mid = d.micro_xs(0, k, mid_e);
-        let (lo, hi) = (
-            nuc.xs[k].total.min(nuc.xs[k + 1].total),
-            nuc.xs[k].total.max(nuc.xs[k + 1].total),
-        );
-        assert!(mid.total >= lo - 1e-12 && mid.total <= hi + 1e-12);
-    }
-
-    #[test]
-    fn macro_xs_is_density_weighted_sum() {
-        let d = data();
-        // A single-nuclide material reproduces the micro XS scaled.
-        let mut d2 = d;
-        d2.materials = vec![vec![(3, 2.0)]];
-        let e = 0.5;
-        let u = d2.unionized_search(e);
-        let k = d2.index[u * d2.nuclides.len() + 3] as usize;
-        let micro = d2.micro_xs(3, k, e);
-        let mac = d2.macro_xs(0, e);
-        assert!((mac.total - 2.0 * micro.total).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lookups_produce_stable_checksum() {
-        let d = data();
-        let (c1, n1) = d.run_lookups(1000, 99);
-        let (c2, n2) = d.run_lookups(1000, 99);
-        assert_eq!(n1, n2);
-        assert_eq!(c1, c2);
-        assert!(c1.is_finite() && c1 > 0.0);
-    }
 
     #[test]
     fn model_matches_fig4e_scale_and_dram_preference() {

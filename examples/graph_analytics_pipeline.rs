@@ -1,58 +1,14 @@
-//! A data-analytics pipeline end to end: generate a Kronecker graph,
-//! build the CSR, run and validate BFS natively (real computation),
-//! then project the run to the full KNL node with the machine model
-//! and pick the best memory configuration — the paper's Graph500
+//! A data-analytics workflow on the machine model: project a Graph500
+//! BFS run to the full KNL node at paper scale, pick the best memory
+//! configuration, then walk the thread ladder — the paper's Graph500
 //! story (§IV) as a user workflow.
 //!
 //! Run with: `cargo run --release --example graph_analytics_pipeline`
 
 use knl_hybrid_memory::prelude::*;
-use simfabric::stats::harmonic_mean;
-use std::time::Instant;
-use workloads::graph500::{Graph, Graph500, Kronecker};
+use workloads::graph500::Graph500;
 
 fn main() {
-    // --- Native stage: a scale-14 graph we can actually hold. ---
-    let scale = 14;
-    let gen = Kronecker::new(scale, 2017);
-    println!("Generating Kronecker graph: scale {scale}, edge factor 16...");
-    let t0 = Instant::now();
-    let edges = gen.generate();
-    let graph = Graph::from_edges(gen.vertices() as usize, &edges);
-    println!(
-        "  {} vertices, {} undirected edges, built in {:.2?}",
-        graph.num_vertices(),
-        graph.input_edges,
-        t0.elapsed()
-    );
-
-    // 8 BFS roots, validated, harmonic-mean TEPS (reference protocol).
-    let mut rates = Vec::new();
-    let mut done = 0;
-    for root in 0..graph.num_vertices() as u32 {
-        if graph.neighbors_of(root).is_empty() {
-            continue;
-        }
-        let t = Instant::now();
-        let parents = graph.bfs(root);
-        let secs = t.elapsed().as_secs_f64();
-        graph
-            .validate_bfs(root, &parents)
-            .expect("BFS tree failed Graph500 validation");
-        let traversed = graph.traversed_edges(&parents);
-        rates.push(traversed as f64 / secs);
-        done += 1;
-        if done == 8 {
-            break;
-        }
-    }
-    println!(
-        "  {} validated BFS runs, native harmonic-mean TEPS on this host: {:.3e}\n",
-        rates.len(),
-        harmonic_mean(&rates)
-    );
-
-    // --- Model stage: project to the KNL node at paper scale. ---
     println!("Projected on the KNL node (35 GB graph, Fig. 4d):");
     let big = Graph500::with_footprint(ByteSize::gib(35));
     for setup in MemSetup::PAPER_SETUPS {

@@ -13,8 +13,6 @@ use numamem::system::PAGE_BYTES;
 use numamem::{MemPolicy, NumaSystem, NumaTopology};
 use simfabric::prng::Rng;
 use simfabric::SimTime;
-use workloads::graph500::Graph;
-use workloads::tinymembench::ChaseBuffer;
 
 /// The arena never double-allocates: live extents are disjoint,
 /// and live + free bytes always equals the span.
@@ -143,43 +141,6 @@ fn heap_node_of_matches_fractions() {
                 (frac - heap.fraction_on(&block, 1)).abs() < 1e-9,
                 "case {case}"
             );
-        }
-    }
-}
-
-/// Sattolo chase buffers are always a single full cycle.
-#[test]
-fn chase_buffer_single_cycle() {
-    let mut rng = Rng::seed_from_u64(0x1007_0005);
-    for case in 0..64 {
-        let n = rng.gen_range(2usize..512);
-        let seed: u64 = rng.gen();
-        let c = ChaseBuffer::new(n, seed);
-        assert!(c.is_single_cycle(), "case {case}: n={n} seed={seed}");
-    }
-}
-
-/// BFS parent trees always validate, for arbitrary edge lists.
-#[test]
-fn bfs_always_validates() {
-    let mut rng = Rng::seed_from_u64(0x1007_0006);
-    for case in 0..64 {
-        let len = rng.gen_range(0usize..200);
-        let edges: Vec<(u32, u32)> = (0..len)
-            .map(|_| (rng.gen_range(0u32..64), rng.gen_range(0u32..64)))
-            .collect();
-        let root = rng.gen_range(0u32..64);
-        let g = Graph::from_edges(64, &edges);
-        let parents = g.bfs(root);
-        assert!(g.validate_bfs(root, &parents).is_ok(), "case {case}");
-        // Reached set is closed: every neighbour of a reached vertex
-        // is reached.
-        for v in 0..64u32 {
-            if parents[v as usize] >= 0 {
-                for &w in g.neighbors_of(v) {
-                    assert!(parents[w as usize] >= 0, "case {case}: frontier leaked {w}");
-                }
-            }
         }
     }
 }

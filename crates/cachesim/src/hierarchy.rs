@@ -1,16 +1,17 @@
 //! Composition of the per-core hierarchy for trace replay:
 //! L1 → L2 → memory.
 //!
-//! The hierarchy charges each access the latency of the level that
-//! serves it, plus TLB overhead, and reports which level hit so the
-//! trace simulator can attribute time. It models a single core's view
-//! of its private caches only: the memory-side MCDRAM cache of cache
-//! mode sits below L2 and is probed by the `knl` crate's trace
-//! simulator on L2 misses, which also layers on mesh and DRAM-bank
-//! effects.
+//! The hierarchy reports which level served each access and where its
+//! translation was satisfied; [`HierarchyConfig::latency`] prices that
+//! pair as the serving level's latency plus the TLB overhead, so the
+//! trace simulator can store the pair and price it later. It models a
+//! single core's view of its private caches only: the memory-side
+//! MCDRAM cache of cache mode sits below L2 and is probed by the `knl`
+//! crate's trace simulator on L2 misses, which also layers on mesh and
+//! DRAM-bank effects.
 
 use crate::cache::{AccessKind, Cache, CacheConfig};
-use crate::tlb::{Tlb, TlbConfig};
+use crate::tlb::{Tlb, TlbConfig, TlbOutcome};
 use simfabric::Duration;
 
 /// Which level served an access.
@@ -60,11 +61,26 @@ impl HierarchyConfig {
             tlb: TlbConfig::knl_4k(),
         }
     }
+
+    /// The latency of an access served at `level` whose translation
+    /// ended in `tlb`: L1, L1 + L2, or L1 + L2 + memory for anything
+    /// that missed L2 ([`LevelHit::McdramCache`] included, since the
+    /// memory-side cache's own timing belongs to its owner), plus the
+    /// TLB overhead.
+    pub fn latency(&self, level: LevelHit, tlb: TlbOutcome) -> Duration {
+        let lat = match level {
+            LevelHit::L1 => self.l1_latency,
+            LevelHit::L2 => self.l1_latency + self.l2_latency,
+            LevelHit::McdramCache | LevelHit::Memory => {
+                self.l1_latency + self.l2_latency + self.memory_latency
+            }
+        };
+        lat + tlb.latency(&self.tlb)
+    }
 }
 
 /// The per-core hierarchy simulator.
 pub struct Hierarchy {
-    config: HierarchyConfig,
     l1: Cache,
     l2: Cache,
     tlb: Tlb,
@@ -79,53 +95,27 @@ impl Hierarchy {
             l2: Cache::new(config.l2),
             tlb: Tlb::new(config.tlb),
             hits: [0; 4],
-            config,
         }
     }
 
-    /// Access `addr`; returns `(serving level, total latency)`.
-    pub fn access(&mut self, addr: u64, kind: AccessKind) -> (LevelHit, Duration) {
-        let tlb_overhead = self.tlb.translate(addr).latency(&self.config.tlb);
-        let (level, lat) = if self.l1.access(addr, kind).is_hit() {
-            (LevelHit::L1, self.config.l1_latency)
+    /// Access `addr`; returns `(serving level, TLB outcome)`, which
+    /// [`HierarchyConfig::latency`] prices.
+    pub fn access(&mut self, addr: u64, kind: AccessKind) -> (LevelHit, TlbOutcome) {
+        let tlb = self.tlb.translate(addr);
+        let level = if self.l1.access(addr, kind).is_hit() {
+            LevelHit::L1
         } else if self.l2.access(addr, kind).is_hit() {
-            (
-                LevelHit::L2,
-                self.config.l1_latency + self.config.l2_latency,
-            )
+            LevelHit::L2
         } else {
-            (
-                LevelHit::Memory,
-                self.config.l1_latency + self.config.l2_latency + self.config.memory_latency,
-            )
+            LevelHit::Memory
         };
         self.hits[level_index(level)] += 1;
-        (level, lat + tlb_overhead)
+        (level, tlb)
     }
 
     /// Count of accesses served by `level`.
     pub fn hits_at(&self, level: LevelHit) -> u64 {
         self.hits[level_index(level)]
-    }
-
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.hits.iter().sum()
-    }
-
-    /// The L1 cache (for stats).
-    pub fn l1(&self) -> &Cache {
-        &self.l1
-    }
-
-    /// The L2 cache (for stats).
-    pub fn l2(&self) -> &Cache {
-        &self.l2
-    }
-
-    /// The TLB (for stats).
-    pub fn tlb(&self) -> &Tlb {
-        &self.tlb
     }
 }
 
@@ -142,20 +132,25 @@ fn level_index(level: LevelHit) -> usize {
 mod tests {
     use super::*;
 
+    fn flat_config() -> HierarchyConfig {
+        HierarchyConfig::knl_flat(Duration::from_ns(130.4))
+    }
+
     fn flat() -> Hierarchy {
-        Hierarchy::new(HierarchyConfig::knl_flat(Duration::from_ns(130.4)))
+        Hierarchy::new(flat_config())
     }
 
     #[test]
     fn first_touch_goes_to_memory_then_l1() {
         let mut h = flat();
-        let (lvl, lat) = h.access(0x10000, AccessKind::Read);
-        assert_eq!(lvl, LevelHit::Memory);
+        let (lvl, tlb) = h.access(0x10000, AccessKind::Read);
+        assert_eq!((lvl, tlb), (LevelHit::Memory, TlbOutcome::Walk));
         // L1 + L2 + memory + page walk.
+        let lat = flat_config().latency(lvl, tlb);
         assert!((lat.as_ns() - (3.0 + 15.0 + 130.4 + 35.0)).abs() < 1e-9);
-        let (lvl, lat) = h.access(0x10000, AccessKind::Read);
-        assert_eq!(lvl, LevelHit::L1);
-        assert_eq!(lat.as_ns(), 3.0);
+        let (lvl, tlb) = h.access(0x10000, AccessKind::Read);
+        assert_eq!((lvl, tlb), (LevelHit::L1, TlbOutcome::L1Hit));
+        assert_eq!(flat_config().latency(lvl, tlb).as_ns(), 3.0);
     }
 
     #[test]
@@ -177,7 +172,6 @@ mod tests {
             h.access(i * 64, AccessKind::Read);
             h.access(i * 64, AccessKind::Read);
         }
-        assert_eq!(h.accesses(), 200);
         assert_eq!(h.hits_at(LevelHit::L1), 100);
         assert_eq!(h.hits_at(LevelHit::Memory), 100);
         assert_eq!(h.hits_at(LevelHit::McdramCache), 0);

@@ -144,13 +144,6 @@ pub const STREAM_SAFE_FRACTION: f64 = 0.5;
 pub const STREAM_CONFLICT_RATE: f64 = 2.1;
 
 impl DirectMappedModel {
-    /// The 16-GB KNL MCDRAM cache.
-    pub fn knl() -> Self {
-        DirectMappedModel {
-            capacity: ByteSize::gib(16),
-        }
-    }
-
     /// Load factor of a footprint (footprint / capacity).
     pub fn load_factor(&self, footprint: ByteSize) -> f64 {
         footprint.as_u64() as f64 / self.capacity.as_u64() as f64
@@ -260,9 +253,16 @@ mod tests {
         );
     }
 
+    /// The 16-GB KNL MCDRAM cache.
+    fn knl_model() -> DirectMappedModel {
+        DirectMappedModel {
+            capacity: ByteSize::gib(16),
+        }
+    }
+
     #[test]
     fn analytic_streaming_curve_shape() {
-        let m = DirectMappedModel::knl();
+        let m = knl_model();
         assert_eq!(m.streaming_hit_ratio(ByteSize::gib(4)), 1.0);
         assert_eq!(m.streaming_hit_ratio(ByteSize::gib(8)), 1.0);
         let h11 = m.streaming_hit_ratio(ByteSize::gib_f(11.4));
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn analytic_random_curve_shape() {
-        let m = DirectMappedModel::knl();
+        let m = knl_model();
         assert_eq!(m.random_hit_ratio(ByteSize::gib(8)), 1.0);
         assert_eq!(m.random_hit_ratio(ByteSize::gib(16)), 1.0);
         assert!((m.random_hit_ratio(ByteSize::gib(32)) - 0.5).abs() < 1e-12);

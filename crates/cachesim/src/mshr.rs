@@ -110,11 +110,6 @@ impl Mshr {
         self.live().len()
     }
 
-    /// Total capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The outstanding entries, ascending by completion time.
     fn live(&self) -> &[(u64, SimTime)] {
         &self.inflight[self.head..]

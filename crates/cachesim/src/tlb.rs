@@ -69,16 +69,6 @@ impl TlbConfig {
         }
     }
 
-    /// Footprint fully covered by the L1 TLB.
-    pub fn l1_coverage(&self) -> ByteSize {
-        ByteSize::bytes(self.l1_entries as u64 * self.page_size.bytes())
-    }
-
-    /// Footprint fully covered by both levels.
-    pub fn total_coverage(&self) -> ByteSize {
-        ByteSize::bytes((self.l1_entries + self.l2_entries) as u64 * self.page_size.bytes())
-    }
-
     /// Analytic expected translation overhead per access for *uniform
     /// random* accesses over `footprint`, as added latency.
     ///
@@ -183,11 +173,6 @@ impl Tlb {
             l2_hits: Counter::new(),
             walks: Counter::new(),
         }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
     }
 
     /// Translate the page containing `addr`.
@@ -345,15 +330,6 @@ mod tests {
         }
         // Cyclic sweep over 100 pages through 8 entries: all walks.
         assert_eq!(tlb.walks.get(), 300);
-    }
-
-    #[test]
-    fn huge_pages_extend_coverage() {
-        let small = TlbConfig::knl_4k();
-        let huge = TlbConfig::knl_2m();
-        assert_eq!(small.l1_coverage(), ByteSize::kib(256));
-        assert_eq!(huge.l1_coverage(), ByteSize::mib(16));
-        assert!(huge.total_coverage() > small.total_coverage());
     }
 
     #[test]

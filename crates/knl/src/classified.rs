@@ -6,7 +6,7 @@
 //! hierarchy config — see the [`tracesim`](crate::tracesim) module
 //! docs. This
 //! module materializes that stage as a [`ClassifiedTrace`]: the
-//! per-core SoA batches ([17 bytes per
+//! per-core SoA batches ([9 bytes per
 //! access](crate::tracesim::CLASSIFIED_ACCESS_BYTES)) plus the
 //! canonical [`ClassifyKey`] describing exactly what was classified
 //! (generator spec × cores × cache/TLB config). A multi-setup sweep
@@ -109,8 +109,8 @@ pub fn classify_signature(cfg: &MachineConfig) -> String {
     format!("l1l2tlb:ddr={}ps", cfg.ddr.idle_latency.as_ps())
 }
 
-/// A fully classified trace: per-core SoA arrays of
-/// `(addr, sram_latency, flags)` in program order, plus the
+/// A fully classified trace: per-core SoA arrays of `(addr, flags)`
+/// in program order, plus the
 /// [`ClassifyKey`] that names them. Build once with
 /// [`build_streaming`](Self::build_streaming), replay any number of
 /// times with
@@ -212,7 +212,7 @@ impl ClassifiedTrace {
         self.per_core[c].len()
     }
 
-    /// Payload bytes (17 per access) — the unit the [`ClassifyCache`]
+    /// Payload bytes (9 per access) — the unit the [`ClassifyCache`]
     /// budget is measured in.
     pub fn bytes(&self) -> usize {
         self.accesses as usize * CLASSIFIED_ACCESS_BYTES
@@ -230,13 +230,13 @@ impl ClassifiedTrace {
     }
 
     /// Core `c`'s SoA arrays for the replay's window copies.
-    pub(crate) fn core_arrays(&self, c: usize) -> (&[u64], &[u64], &[u8]) {
+    pub(crate) fn core_arrays(&self, c: usize) -> (&[u64], &[u8]) {
         self.per_core[c].arrays()
     }
 }
 
 /// Default [`ClassifyCache`] budget: 256 MiB of classified payload
-/// (~15.8 M accesses), several paper-scale sweep artifacts.
+/// (~29.8 M accesses), several paper-scale sweep artifacts.
 pub const CLASSIFY_CACHE_DEFAULT_BYTES: usize = 256 << 20;
 
 /// Warn-once condition for the classify cache, mirroring the streaming
@@ -612,7 +612,7 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..per_core {
             for c in 0..cores {
-                out.push(TraceAccess::read(c, (c as u64) << 24 | i * 64));
+                out.push(TraceAccess::read(c, ((c as u64) << 24) | (i * 64)));
             }
         }
         out

@@ -34,8 +34,8 @@
 //!    generator chunk, partitions it by core (see
 //!    [`partition_by_core`]), drives each shard's private hierarchy on
 //!    the caller's [`par::num_threads`] count of workers, and ships the
-//!    per-core outcomes as SoA batches (separate address / latency /
-//!    flag arrays, 17 B per access instead of a 40 B record), and
+//!    per-core outcomes as SoA batches (separate address and flag
+//!    arrays, 9 B per access instead of a 40 B record), and
 //! 2. a **merge stage** on the calling thread, which replays the
 //!    classified batches through the shared resources (MSHRs, mesh,
 //!    DRAM bank models) in exactly the earliest-clock order the
@@ -79,7 +79,7 @@
 //! builds cold memory-side caches at its start and probes the
 //! artifact's slices as it copies them in. A multi-setup sweep can
 //! therefore classify **once** per trace into a [`ClassifiedTrace`] artifact
-//! (the same 17 B/access SoA batches, held per core, keyed by a
+//! (the same 9 B/access SoA batches, held per core, keyed by a
 //! canonical [`ClassifyKey`](crate::classified::ClassifyKey) of
 //! generator spec × cores × cache/TLB config) and replay it N times
 //! through [`TraceSim::run_classified`], whose refills memcpy
@@ -95,11 +95,12 @@
 //! reduction, so worker count never leaks into results.
 
 use crate::classified::{classify_signature, ClassifiedTrace};
-use crate::config::{MachineConfig, MemSetup};
+use crate::config::MachineConfig;
 use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
 use cachesim::mcdram_cache::MemorySideCache;
 use cachesim::mshr::{Mshr, MshrOutcome};
+use cachesim::tlb::TlbOutcome;
 use memdev::bank::{DramModel, DramStats};
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler};
 use mesh::{ClusterMode, MeshModel};
@@ -324,16 +325,22 @@ pub fn buffer_warning(backlog_accesses: usize, max_chunk_accesses: usize) -> Opt
     }
 }
 
-/// Pack the classification outcome's boolean/enum half into one byte:
-/// bit 0 = write, bit 1 = dependent, bits 2–3 = [`LevelHit`].
-fn pack_flags(write: bool, dependent: bool, level: LevelHit) -> u8 {
+/// Pack a classified access into one byte: bit 0 = write, bit 1 =
+/// dependent, bits 2–3 = [`LevelHit`], bits 4–5 = [`TlbOutcome`].
+/// `flags >> 2` indexes [`sram_latency_table`].
+fn pack_flags(write: bool, dependent: bool, level: LevelHit, tlb: TlbOutcome) -> u8 {
     let lvl = match level {
         LevelHit::L1 => 0u8,
         LevelHit::L2 => 1,
         LevelHit::McdramCache => 2,
         LevelHit::Memory => 3,
     };
-    (write as u8) | (dependent as u8) << 1 | lvl << 2
+    let tlb = match tlb {
+        TlbOutcome::L1Hit => 0u8,
+        TlbOutcome::L2Hit => 1,
+        TlbOutcome::Walk => 2,
+    };
+    (write as u8) | ((dependent as u8) << 1) | (lvl << 2) | (tlb << 4)
 }
 
 fn unpack_dependent(flags: u8) -> bool {
@@ -355,15 +362,37 @@ fn unpack_level(flags: u8) -> LevelHit {
     }
 }
 
+/// The SRAM latency (private caches plus translation) of every
+/// `(level, TLB outcome)` code of [`pack_flags`], indexed by
+/// `flags >> 2`, priced by [`HierarchyConfig::latency`]. The
+/// [`LevelHit::McdramCache`] rows equal the [`LevelHit::Memory`] rows,
+/// as the memory-side probe rewrites only the level bits of an L2
+/// miss. Codes with TLB bits `0b11` never occur and price zero.
+fn sram_latency_table(hier_cfg: &HierarchyConfig) -> [Duration; 16] {
+    let mut table = [Duration::ZERO; 16];
+    for level in [
+        LevelHit::L1,
+        LevelHit::L2,
+        LevelHit::McdramCache,
+        LevelHit::Memory,
+    ] {
+        for tlb in [TlbOutcome::L1Hit, TlbOutcome::L2Hit, TlbOutcome::Walk] {
+            table[(pack_flags(false, false, level, tlb) >> 2) as usize] =
+                hier_cfg.latency(level, tlb);
+        }
+    }
+    table
+}
+
 /// A classified per-core batch in SoA layout: one array per field the
 /// timing loop actually reads, instead of striding over padded AoS
-/// records. 17 bytes per access, popped front-to-back through a head
+/// records. 9 bytes per access, popped front-to-back through a head
 /// cursor; [`compact`](Self::compact) reclaims the consumed prefix
-/// when the batch is refilled mid-stream.
+/// when the batch is refilled mid-stream. The SRAM latency is not
+/// stored: the flags carry the level and TLB outcome that price it.
 #[derive(Debug, Default)]
 pub(crate) struct ClassifiedSoa {
     addr: Vec<u64>,
-    lat_ps: Vec<u64>,
     flags: Vec<u8>,
     head: usize,
 }
@@ -383,37 +412,29 @@ impl ClassifiedSoa {
 
     fn reserve(&mut self, extra: usize) {
         self.addr.reserve(extra);
-        self.lat_ps.reserve(extra);
         self.flags.reserve(extra);
     }
 
     pub(crate) fn push(
         &mut self,
         addr: u64,
-        sram_lat: Duration,
         write: bool,
         dependent: bool,
         level: LevelHit,
+        tlb: TlbOutcome,
     ) {
         self.addr.push(addr);
-        self.lat_ps.push(sram_lat.as_ps());
-        self.flags.push(pack_flags(write, dependent, level));
+        self.flags.push(pack_flags(write, dependent, level, tlb));
     }
 
-    /// Pop the oldest access: `(addr, sram_lat, dependent, level)`.
-    fn pop(&mut self) -> Option<(u64, Duration, bool, LevelHit)> {
+    /// Pop the oldest access: `(addr, flags)`.
+    fn pop(&mut self) -> Option<(u64, u8)> {
         if self.is_empty() {
             return None;
         }
         let i = self.head;
         self.head += 1;
-        let flags = self.flags[i];
-        Some((
-            self.addr[i],
-            Duration::from_ps(self.lat_ps[i]),
-            unpack_dependent(flags),
-            unpack_level(flags),
-        ))
+        Some((self.addr[i], self.flags[i]))
     }
 
     /// Cache mode: run every unconsumed access that missed L2 through
@@ -433,7 +454,6 @@ impl ClassifiedSoa {
     fn compact(&mut self) {
         if self.head > 0 {
             self.addr.drain(..self.head);
-            self.lat_ps.drain(..self.head);
             self.flags.drain(..self.head);
             self.head = 0;
         }
@@ -444,24 +464,18 @@ impl ClassifiedSoa {
         self.len() * CLASSIFIED_ACCESS_BYTES
     }
 
-    /// Unconsumed accesses as raw parallel slices
-    /// `(addr, lat_ps, flags)` — the storage view a
-    /// [`ClassifiedTrace`] artifact keeps.
-    pub(crate) fn arrays(&self) -> (&[u64], &[u64], &[u8]) {
-        (
-            &self.addr[self.head..],
-            &self.lat_ps[self.head..],
-            &self.flags[self.head..],
-        )
+    /// Unconsumed accesses as raw parallel slices `(addr, flags)` —
+    /// the storage view a [`ClassifiedTrace`] artifact keeps.
+    pub(crate) fn arrays(&self) -> (&[u64], &[u8]) {
+        (&self.addr[self.head..], &self.flags[self.head..])
     }
 
     /// Append a pre-classified range (a [`ClassifiedTrace`] window) —
     /// the timing-only replay's refill is this memcpy instead of a
     /// generator + hierarchy pass.
-    pub(crate) fn extend_from_arrays(&mut self, addr: &[u64], lat_ps: &[u64], flags: &[u8]) {
-        debug_assert!(addr.len() == lat_ps.len() && addr.len() == flags.len());
+    pub(crate) fn extend_from_arrays(&mut self, addr: &[u64], flags: &[u8]) {
+        debug_assert!(addr.len() == flags.len());
         self.addr.extend_from_slice(addr);
-        self.lat_ps.extend_from_slice(lat_ps);
         self.flags.extend_from_slice(flags);
     }
 
@@ -472,16 +486,16 @@ impl ClassifiedSoa {
             *self = batch;
         } else {
             self.compact();
-            let (addr, lat_ps, flags) = batch.arrays();
-            self.extend_from_arrays(addr, lat_ps, flags);
+            let (addr, flags) = batch.arrays();
+            self.extend_from_arrays(addr, flags);
         }
     }
 }
 
-/// Bytes per access in the SoA layout (u64 address + u64 latency +
-/// packed flag byte) — the unit `ClassifiedTrace::bytes` and the
-/// classify-cache budget are measured in.
-pub const CLASSIFIED_ACCESS_BYTES: usize = 8 + 8 + 1;
+/// Bytes per access in the SoA layout (u64 address + packed flag
+/// byte) — the unit `ClassifiedTrace::bytes` and the classify-cache
+/// budget are measured in.
+pub const CLASSIFIED_ACCESS_BYTES: usize = 8 + 1;
 
 /// The private-hierarchy configuration replay uses under `cfg`: the
 /// KNL L1/L2/TLB hierarchy, the same under every memory setup (cache
@@ -531,9 +545,8 @@ impl ReplayShard {
             } else {
                 AccessKind::Read
             };
-            let (level, sram_lat) = self.hier.access(t.addr, kind);
-            self.queue
-                .push(t.addr, sram_lat, t.write, t.dependent, level);
+            let (level, tlb) = self.hier.access(t.addr, kind);
+            self.queue.push(t.addr, t.write, t.dependent, level, tlb);
         }
         self.pending.clear();
     }
@@ -675,6 +688,9 @@ pub struct TraceSim {
     /// for good on a simulator that only replays classified artifacts.
     hierarchies: Vec<Hierarchy>,
     hier_cfg: HierarchyConfig,
+    /// [`sram_latency_table`] of `hier_cfg`: every engine prices an
+    /// access's private-cache and translation time from its flags here.
+    sram_lat: [Duration; 16],
     /// Cache mode: one memory-side cache of `msc_capacity` per core,
     /// probed with that core's L2 misses in program order. Built and
     /// kept warm alongside `hierarchies` for the classifying paths
@@ -683,8 +699,10 @@ pub struct TraceSim {
     /// probes cold stores of its own instead (see
     /// [`run_classified`](Self::run_classified)).
     msc: Vec<MemorySideCache>,
-    /// The capacity of each store in `msc`; `None` unless the setup is
-    /// [`MemSetup::CacheMode`].
+    /// The capacity of each store in `msc`; `None` unless the setup
+    /// [has an MCDRAM cache](crate::config::MemSetup::has_mcdram_cache).
+    /// When set, memory-level accesses go to DDR behind the MCDRAM
+    /// cache, whose tag hits are served as [`LevelHit::McdramCache`].
     msc_capacity: Option<ByteSize>,
     /// Per-core MSHR files bounding outstanding line misses — the same
     /// limit [`crate::calib::STREAM_MLP_PER_CORE_1T`] captures
@@ -694,10 +712,6 @@ pub struct TraceSim {
     mesh: MeshModel,
     ddr: DramModel,
     hbm: DramModel,
-    /// Cache mode: memory-level accesses go to DDR behind the MCDRAM
-    /// cache, whose tag hits (probed in `msc`) are served as
-    /// [`LevelHit::McdramCache`].
-    cache_mode: bool,
     placement: TracePlacement,
     /// Hot-page migration scheduler, present only for an *enabled*
     /// [`TracePlacement::Migrated`] spec in flat mode. Ticked exactly
@@ -792,6 +806,10 @@ impl TraceSim {
     /// that classify (`access`, `run`, `run_streaming`), and afresh
     /// for each `run_classified` (tag stores only). A flat simulator
     /// that only replays classified artifacts allocates neither.
+    ///
+    /// Hybrid mode replays as cache mode with `msc_capacity` per core:
+    /// trace replay still ignores hybrid's flat MCDRAM partition, and
+    /// with it `placement`, as it does in cache mode.
     pub fn new(
         cfg: &MachineConfig,
         cores: u32,
@@ -800,11 +818,13 @@ impl TraceSim {
     ) -> Self {
         let mesh = MeshModel::knl(cfg.cluster);
         let path = path_averages(&mesh);
+        let hier_cfg = hierarchy_config(cfg);
         TraceSim {
             hierarchies: Vec::new(),
-            hier_cfg: hierarchy_config(cfg),
+            hier_cfg,
+            sram_lat: sram_latency_table(&hier_cfg),
             msc: Vec::new(),
-            msc_capacity: (cfg.setup == MemSetup::CacheMode).then_some(msc_capacity),
+            msc_capacity: cfg.setup.has_mcdram_cache().then_some(msc_capacity),
             mshrs: (0..cores)
                 .map(|_| Mshr::new(crate::calib::STREAM_MLP_PER_CORE_1T as usize))
                 .collect(),
@@ -817,7 +837,6 @@ impl TraceSim {
             classify_sig: classify_signature(cfg),
             ddr: DramModel::ddr4_knl(),
             hbm: DramModel::mcdram_knl(),
-            cache_mode: cfg.setup.has_mcdram_cache(),
             migration: match placement {
                 TracePlacement::Migrated(spec) if !cfg.setup.has_mcdram_cache() => {
                     PageScheduler::new(spec, MigrationCost::from_devices(&cfg.ddr, &cfg.mcdram))
@@ -957,7 +976,7 @@ impl TraceSim {
         arrive: SimTime,
         done: SimTime,
     ) {
-        let cache_mode = self.cache_mode;
+        let cache_mode = self.msc_capacity.is_some();
         let resp_half = if is_hbm_target {
             self.resp_half_hbm
         } else {
@@ -1256,28 +1275,26 @@ impl TraceSim {
         } else {
             AccessKind::Read
         };
-        let (mut level, sram_lat) = self.hierarchies()[core].access(t.addr, kind);
+        let (level, tlb) = self.hierarchies()[core].access(t.addr, kind);
+        let mut flags = pack_flags(t.write, t.dependent, level, tlb);
         if let (LevelHit::Memory, Some(msc)) = (level, self.msc.get_mut(core)) {
             if msc.access(t.addr, t.write).is_hit() {
-                level = LevelHit::McdramCache;
+                flags = flags & !LEVEL_MASK | LEVEL_MCDRAM_CACHE_BITS;
             }
         }
-        self.access_timed(core, t.addr, t.dependent, level, sram_lat)
+        self.access_timed(core, t.addr, flags)
     }
 
     /// The timing half of [`access`](Self::access): everything after
     /// the (timing-independent) private-hierarchy lookup and, in cache
-    /// mode, the memory-side tag probe. The
-    /// sequential, streaming, and classified paths all funnel through
-    /// this one body, so they cannot diverge.
-    fn access_timed(
-        &mut self,
-        core: usize,
-        addr: u64,
-        dependent: bool,
-        level: LevelHit,
-        sram_lat: Duration,
-    ) -> Duration {
+    /// mode, the memory-side tag probe, for an access classified as
+    /// `flags` (see [`pack_flags`]). The sequential, streaming, and
+    /// classified paths all funnel through this one body, and price
+    /// the SRAM latency from one table, so they cannot diverge.
+    fn access_timed(&mut self, core: usize, addr: u64, flags: u8) -> Duration {
+        let dependent = unpack_dependent(flags);
+        let level = unpack_level(flags);
+        let sram_lat = self.sram_lat[(flags >> 2) as usize & 0xF];
         // Migration ticks on the pre-stall clock of the consuming
         // core, so rebalances land at identical trace offsets in every
         // engine.
@@ -1311,7 +1328,8 @@ impl TraceSim {
             done = issue + sram_lat; // the stall may have moved `issue`
             self.core_totals[core].memory_accesses += 1;
             // Mesh traversal to the serving port.
-            let is_hbm_target = match (self.cache_mode, level) {
+            let cache_mode = self.msc_capacity.is_some();
+            let is_hbm_target = match (cache_mode, level) {
                 (true, LevelHit::McdramCache) => true,
                 (true, _) => false, // DDR behind the cache
                 (false, _) => routed_hbm,
@@ -1336,7 +1354,7 @@ impl TraceSim {
             // lands; the floor is a no-op when migration is off.
             let arrive = self.migrate_floor(addr, arrive);
             // Device service.
-            let served = match (self.cache_mode, level) {
+            let served = match (cache_mode, level) {
                 (true, LevelHit::McdramCache) => {
                     self.core_totals[core].mcdram_cache_hits += 1;
                     self.hbm.access(addr, arrive)
@@ -1406,7 +1424,7 @@ impl TraceSim {
             queues[partition_by_core(t.core, cores)].push_back(t);
         }
         self.reset_run_stats();
-        self.last_peak_buffer = trace.len() * std::mem::size_of::<TraceAccess>();
+        self.last_peak_buffer = std::mem::size_of_val(trace);
         self.peak_buffered_accesses = trace.len();
         self.end_span(t_partition, "partition", trace.len());
         // The sequential path classifies inside the merge loop, so one
@@ -1589,8 +1607,8 @@ impl TraceSim {
                 t_merge = tel_on.then(Instant::now);
                 continue;
             }
-            let (addr, sram_lat, dependent, level) = queues[c].pop().expect("non-empty batch");
-            self.access_timed(c, addr, dependent, level, sram_lat);
+            let (addr, flags) = queues[c].pop().expect("non-empty batch");
+            self.access_timed(c, addr, flags);
             drained += 1;
             if queues[c].is_empty() && !input.can_feed(c) {
                 tree.close(c);
@@ -1692,11 +1710,10 @@ impl TraceSim {
                     if take == 0 || !queue.is_empty() {
                         continue;
                     }
-                    let (addr, lat_ps, flags) = ct.core_arrays(c);
+                    let (addr, flags) = ct.core_arrays(c);
                     queue.compact();
                     queue.extend_from_arrays(
                         &addr[start..start + take],
-                        &lat_ps[start..start + take],
                         &flags[start..start + take],
                     );
                     if let Some(msc) = msc.get_mut(c) {
@@ -1764,6 +1781,7 @@ impl TraceSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MemSetup;
 
     fn cfg(setup: MemSetup) -> MachineConfig {
         MachineConfig::knl7210(setup, 64)
@@ -1858,12 +1876,9 @@ mod tests {
         assert!(rd.avg_latency.as_ns() > 80.0, "ddr {}", rd.avg_latency);
     }
 
-    #[test]
-    fn cache_mode_hits_mcdram_after_first_pass() {
-        // 4-MB working set (exceeds the 1-MB L2, fits the 8-MB MSC)
-        // streamed twice: the second pass should hit the MSC, in the
-        // sequential oracle, in streaming replay, and in a replay of
-        // an artifact classified under a flat config.
+    /// A 4-MB working set (exceeds the 1-MB L2, fits an 8-MB MSC)
+    /// streamed twice by core 0.
+    fn fitting_two_pass_trace() -> Vec<TraceAccess> {
         let lines = 4 * 1024 * 1024 / 64u64;
         let mut trace = Vec::new();
         for _pass in 0..2 {
@@ -1871,6 +1886,16 @@ mod tests {
                 trace.push(TraceAccess::read(0, i * 64));
             }
         }
+        trace
+    }
+
+    #[test]
+    fn cache_mode_hits_mcdram_after_first_pass() {
+        // The second pass should hit the MSC, in the sequential
+        // oracle, in streaming replay, and in a replay of an artifact
+        // classified under a flat config.
+        let trace = fitting_two_pass_trace();
+        let lines = trace.len() as u64 / 2;
         let make = || {
             TraceSim::new(
                 &cfg(MemSetup::CacheMode),
@@ -1891,6 +1916,22 @@ mod tests {
         );
         assert_eq!(flat.level_hits()[2], 0, "classification stops at L2");
         assert_eq!(make().run_classified(&flat), r);
+    }
+
+    #[test]
+    fn hybrid_replay_hits_its_mcdram_cache_like_cache_mode() {
+        // Hybrid replays as cache mode with the capacity it is given:
+        // a fitting footprint scores the same MSC hits, in `run` and
+        // in an artifact replay.
+        let trace = fitting_two_pass_trace();
+        let ct = artifact(1, &trace);
+        let make = |setup| TraceSim::new(&cfg(setup), 1, TracePlacement::AllDdr, ByteSize::mib(8));
+        let cache = make(MemSetup::CacheMode).run(&trace);
+        assert!(cache.mcdram_cache_hits > 0, "{cache:?}");
+        let hybrid = make(MemSetup::Hybrid).run(&trace);
+        assert_eq!(hybrid.mcdram_cache_hits, cache.mcdram_cache_hits);
+        assert_eq!(hybrid, cache);
+        assert_eq!(make(MemSetup::Hybrid).run_classified(&ct), cache);
     }
 
     #[test]
@@ -1961,7 +2002,7 @@ mod tests {
         // whole-trace report (guards the deterministic merge).
         let mut trace = stream_trace(4, 200);
         for i in 0..400u64 {
-            trace.push(TraceAccess::write((i % 4) as u32, 1 << 20 | i * 64));
+            trace.push(TraceAccess::write((i % 4) as u32, (1 << 20) | (i * 64)));
         }
         trace.extend(chase_trace(2, 300, 2 * 1024 * 1024 + 64));
         let mut sim = TraceSim::new(
@@ -2062,23 +2103,82 @@ mod tests {
         assert_eq!(partition_by_core(5, 1), 0);
     }
 
+    const LEVELS: [LevelHit; 4] = [
+        LevelHit::L1,
+        LevelHit::L2,
+        LevelHit::McdramCache,
+        LevelHit::Memory,
+    ];
+    const TLB_OUTCOMES: [TlbOutcome; 3] = [TlbOutcome::L1Hit, TlbOutcome::L2Hit, TlbOutcome::Walk];
+
     #[test]
     fn classified_flags_roundtrip() {
+        let mut codes = std::collections::BTreeSet::new();
         for write in [false, true] {
             for dependent in [false, true] {
-                for level in [
-                    LevelHit::L1,
-                    LevelHit::L2,
-                    LevelHit::McdramCache,
-                    LevelHit::Memory,
-                ] {
-                    let f = pack_flags(write, dependent, level);
-                    assert_eq!(unpack_dependent(f), dependent);
-                    assert_eq!(unpack_level(f), level);
-                    assert_eq!(f & 1 != 0, write);
+                for level in LEVELS {
+                    for (t, tlb) in TLB_OUTCOMES.into_iter().enumerate() {
+                        let f = pack_flags(write, dependent, level, tlb);
+                        assert_eq!(unpack_dependent(f), dependent);
+                        assert_eq!(unpack_level(f), level);
+                        assert_eq!(f & 1 != 0, write);
+                        assert_eq!(f >> 4, t as u8, "TLB bits of {tlb:?}");
+                        assert!(codes.insert(f), "{f:#010b} packed twice");
+                        // The memory-side probe's rewrite keeps the
+                        // TLB bits.
+                        if level == LevelHit::Memory {
+                            let hit = f & !LEVEL_MASK | LEVEL_MCDRAM_CACHE_BITS;
+                            assert_eq!(
+                                hit,
+                                pack_flags(write, dependent, LevelHit::McdramCache, tlb)
+                            );
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn sram_table_prices_every_level_and_tlb_outcome() {
+        // A memory latency of its own, unlike replay's zeroed one, so
+        // an L2 miss priced as an L2 hit shows.
+        let hier_cfg = HierarchyConfig::knl_flat(Duration::from_ns(130.4));
+        let table = sram_latency_table(&hier_cfg);
+        let (l1, l2, mem) = (
+            hier_cfg.l1_latency,
+            hier_cfg.l2_latency,
+            hier_cfg.memory_latency,
+        );
+        for tlb in TLB_OUTCOMES {
+            let translate = match tlb {
+                TlbOutcome::L1Hit => Duration::ZERO,
+                TlbOutcome::L2Hit => hier_cfg.tlb.l2_hit_latency,
+                TlbOutcome::Walk => hier_cfg.tlb.walk_latency,
+            };
+            for (level, sram) in [
+                (LevelHit::L1, l1),
+                (LevelHit::L2, l1 + l2),
+                (LevelHit::McdramCache, l1 + l2 + mem),
+                (LevelHit::Memory, l1 + l2 + mem),
+            ] {
+                let code = pack_flags(true, true, level, tlb);
+                assert_eq!(
+                    table[(code >> 2) as usize],
+                    sram + translate,
+                    "{level:?} {tlb:?}"
+                );
+            }
+        }
+        // The simulator prices from the table of replay's hierarchy.
+        let sim = TraceSim::new(
+            &cfg(MemSetup::CacheMode),
+            1,
+            TracePlacement::AllDdr,
+            ByteSize::mib(1),
+        );
+        let replay_cfg = hierarchy_config(&cfg(MemSetup::CacheMode));
+        assert_eq!(sim.sram_lat, sram_latency_table(&replay_cfg));
     }
 
     /// A write-heavy trace whose L2 misses re-touch a few lines: each
@@ -2128,25 +2228,26 @@ mod tests {
             } else {
                 AccessKind::Read
             };
-            let (level, lat) = hier.access(t.addr, kind);
-            batch.push(t.addr, lat, t.write, t.dependent, level);
+            let (level, tlb) = hier.access(t.addr, kind);
+            batch.push(t.addr, t.write, t.dependent, level, tlb);
             let hit = level == LevelHit::Memory && inline.access(t.addr, t.write).is_hit();
             want.push(if hit { LevelHit::McdramCache } else { level });
         }
         // Probe in two batches, the second behind a consumed prefix.
         let mut first = ClassifiedSoa::new();
-        let (addr, lat_ps, flags) = batch.arrays();
+        let (addr, flags) = batch.arrays();
         let cut = trace.len() / 3;
-        first.extend_from_arrays(&addr[..cut], &lat_ps[..cut], &flags[..cut]);
+        first.extend_from_arrays(&addr[..cut], &flags[..cut]);
         first.probe_msc(&mut batched);
-        let mut got: Vec<LevelHit> = std::iter::from_fn(|| first.pop().map(|p| p.3)).collect();
+        let level = |(_, f): (u64, u8)| unpack_level(f);
+        let mut got: Vec<LevelHit> = std::iter::from_fn(|| first.pop().map(level)).collect();
         let mut rest = ClassifiedSoa::new();
-        rest.extend_from_arrays(addr, lat_ps, flags);
+        rest.extend_from_arrays(addr, flags);
         for _ in 0..cut {
             rest.pop();
         }
         rest.probe_msc(&mut batched);
-        got.extend(std::iter::from_fn(|| rest.pop().map(|p| p.3)));
+        got.extend(std::iter::from_fn(|| rest.pop().map(level)));
         assert_eq!(got, want);
         let counts = msc_counts(&[inline]);
         assert_eq!(msc_counts(&[batched]), counts);
@@ -2224,22 +2325,18 @@ mod tests {
         let mut q = ClassifiedSoa::new();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+        let tlb = |i: u64| TLB_OUTCOMES[i as usize % 3];
         for i in 0..10u64 {
-            q.push(
-                i * 64,
-                Duration::from_ps(i),
-                i % 2 == 0,
-                i % 3 == 0,
-                LevelHit::Memory,
-            );
+            q.push(i * 64, i % 2 == 0, i % 3 == 0, LevelHit::Memory, tlb(i));
         }
         assert_eq!(q.len(), 10);
         for i in 0..4u64 {
-            let (addr, lat, dep, level) = q.pop().unwrap();
+            let (addr, flags) = q.pop().unwrap();
             assert_eq!(addr, i * 64);
-            assert_eq!(lat, Duration::from_ps(i));
-            assert_eq!(dep, i % 3 == 0);
-            assert_eq!(level, LevelHit::Memory);
+            assert_eq!(
+                flags,
+                pack_flags(i % 2 == 0, i % 3 == 0, LevelHit::Memory, tlb(i))
+            );
         }
         let before = q.buffered_bytes();
         q.compact();
@@ -2274,7 +2371,7 @@ mod tests {
         let mut trace = Vec::new();
         for i in 0..200u64 {
             for c in [1u32, 0] {
-                trace.push(TraceAccess::chase(c, (c as u64) << 32 | i * (4 << 20)));
+                trace.push(TraceAccess::chase(c, ((c as u64) << 32) | (i * (4 << 20))));
             }
         }
         let make = || {
@@ -2499,6 +2596,103 @@ mod tests {
                 "{capacity}: {counts:?}"
             );
         }
+    }
+
+    /// A seeded trace that is hard on the TLB, with writes and
+    /// dependent chains mixed in at random: bursts of page-stride
+    /// accesses over more pages than the TLB's 320 entries (each at a
+    /// line offset that spreads them over L1's sets, so L1 can hit
+    /// under a page walk), pairs straddling a page boundary, random
+    /// lines over 64 MiB, and revisits of a core's recent lines.
+    fn tlb_hostile_trace(rng: &mut simfabric::prng::Rng, cores: u32) -> Vec<TraceAccess> {
+        let mut recent: Vec<Vec<u64>> = vec![Vec::new(); cores as usize];
+        let mut trace = Vec::new();
+        for _ in 0..rng.gen_range(40..80u64) {
+            let core = rng.next_below(cores as u64) as u32;
+            let pattern = rng.next_below(4);
+            let mut page = rng.next_below(1 << 14);
+            let stride = 1 + rng.next_below(3);
+            for i in 0..rng.gen_range(16..400u64) {
+                let addr = match pattern {
+                    0 => {
+                        page += stride;
+                        (page << 12) | ((page % 64) << 6)
+                    }
+                    1 => ((page + 1 + i / 2) << 12) - 64 + (i % 2) * 64,
+                    2 => rng.next_below(1 << 20) << 6,
+                    _ => match recent[core as usize].len() as u64 {
+                        0 => page << 12,
+                        n => recent[core as usize][(n - 1 - rng.next_below(n.min(2048))) as usize],
+                    },
+                };
+                recent[core as usize].push(addr);
+                trace.push(TraceAccess {
+                    core,
+                    addr,
+                    write: rng.next_below(4) == 0,
+                    dependent: rng.next_below(4) == 0,
+                });
+            }
+        }
+        trace
+    }
+
+    #[test]
+    fn tlb_hostile_replays_are_bit_identical_across_engines() {
+        // Seeded loop: streaming at random chunk sizes and artifact
+        // replay at random windows must match the sequential oracle,
+        // device state included, in flat and cache mode; and the
+        // traces must emit every (level, TLB outcome) code.
+        let mut rng = simfabric::prng::Rng::seed_from_u64(0x71B9);
+        let mut msc_hits = 0;
+        for round in 0..6 {
+            let cores = rng.gen_range(1..5u64) as u32;
+            let trace = tlb_hostile_trace(&mut rng, cores);
+            let ct = artifact(cores, &trace);
+            let mut codes = std::collections::BTreeSet::new();
+            for c in 0..cores as usize {
+                codes.extend(ct.core_arrays(c).1.iter().map(|f| f >> 2));
+            }
+            let want: std::collections::BTreeSet<u8> =
+                [LevelHit::L1, LevelHit::L2, LevelHit::Memory]
+                    .into_iter()
+                    .flat_map(|l| TLB_OUTCOMES.map(|t| pack_flags(false, false, l, t) >> 2))
+                    .collect();
+            assert_eq!(codes, want, "round {round}: {} accesses", trace.len());
+            let capacity = ByteSize::kib(1 << rng.gen_range(4..12u64));
+            for setup in [MemSetup::DramOnly, MemSetup::CacheMode] {
+                let make = || TraceSim::new(&cfg(setup), cores, TracePlacement::AllDdr, capacity);
+                let mut seq = make();
+                let expect = seq.run(&trace);
+                let mut streamed = make();
+                let mut rest = &trace[..];
+                let chunk_rng = &mut rng;
+                let got = streamed.run_streaming(|buf| {
+                    let n = (chunk_rng.gen_range(1..3000u64) as usize).min(rest.len());
+                    buf.extend_from_slice(&rest[..n]);
+                    rest = &rest[n..];
+                    n
+                });
+                let window = rng.gen_range(1..5000u64) as usize;
+                let mut classified = make();
+                classified.set_replay_window(window);
+                let replayed = classified.run_classified(&ct);
+                for (engine, report, sim) in [
+                    ("streaming", got, &streamed),
+                    ("classified", replayed, &classified),
+                ] {
+                    let at =
+                        format!("round {round} {setup:?} {engine} window {window} msc {capacity}");
+                    assert_eq!(report, expect, "{at}");
+                    assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
+                    assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                    assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{at}");
+                    assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                }
+                msc_hits += expect.mcdram_cache_hits;
+            }
+        }
+        assert!(msc_hits > 0, "cache mode never hit its memory-side cache");
     }
 
     #[test]

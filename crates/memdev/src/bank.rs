@@ -568,7 +568,7 @@ mod tests {
             };
             out.push((addr, at));
             if i % 3 == 0 {
-                at = at + Duration::from_ns(2.5);
+                at += Duration::from_ns(2.5);
             }
         }
         out

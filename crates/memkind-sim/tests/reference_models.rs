@@ -86,9 +86,8 @@ impl RefScheduler {
 
     fn rebalance(&mut self, now: SimTime) {
         self.stats.rebalances += 1;
-        if self.window_mem > 0 {
-            self.window_hist
-                .record(self.window_hbm * 1000 / self.window_mem);
+        if let Some(permille) = (self.window_hbm * 1000).checked_div(self.window_mem) {
+            self.window_hist.record(permille);
         }
         self.window_mem = 0;
         self.window_hbm = 0;

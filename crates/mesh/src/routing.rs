@@ -50,7 +50,7 @@ pub struct MeshModel {
     /// Telemetry: traversal count per directed link, recorded in
     /// [`send`](Self::send). `None` (the default) costs one branch per
     /// hop; the map only grows to links actually traversed.
-    link_traversals: Option<Box<HashMap<(Coord, Coord), u64>>>,
+    link_traversals: Option<HashMap<(Coord, Coord), u64>>,
 }
 
 impl MeshModel {
@@ -73,16 +73,14 @@ impl MeshModel {
     /// [`send`](Self::send) increments its directed link's counter.
     /// Purely observational — routing and timing are unchanged.
     pub fn enable_link_telemetry(&mut self) {
-        if self.link_traversals.is_none() {
-            self.link_traversals = Some(Box::default());
-        }
+        self.link_traversals.get_or_insert_with(HashMap::default);
     }
 
     /// Per-link traversal counts sorted by `(from, to)` coordinate, if
     /// link telemetry was enabled. Sorted so exports are deterministic
     /// regardless of hash-map iteration order.
     pub fn link_traversals(&self) -> Option<Vec<((Coord, Coord), u64)>> {
-        let map = self.link_traversals.as_deref()?;
+        let map = self.link_traversals.as_ref()?;
         let mut v: Vec<_> = map.iter().map(|(&k, &n)| (k, n)).collect();
         v.sort_unstable_by_key(|&((a, b), _)| (a.x, a.y, b.x, b.y));
         Some(v)

@@ -337,7 +337,7 @@ mod tests {
                     assert!(r.end > r.start);
                     next = r.end;
                 }
-                assert_eq!(next, len.max(0));
+                assert_eq!(next, len);
                 if len == 0 {
                     assert!(ranges.is_empty());
                 }

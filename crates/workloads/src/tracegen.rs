@@ -303,7 +303,7 @@ impl TraceSource for ChaseSource {
         }
         // Jump far enough to defeat the prefetcher and row buffer.
         let hop = self.rng.gen_range(self.lines / 4..self.lines.max(2));
-        let addr = if self.i % 2 == 0 {
+        let addr = if self.i.is_multiple_of(2) {
             self.a = (self.a + hop) % self.lines;
             self.a * 64
         } else {
@@ -896,7 +896,7 @@ mod tests {
         for (kind, mut src) in sources() {
             let total = src.remaining().expect("in-tree sources know their length");
             let mut seen = 0u64;
-            while let Some(_) = src.next_access() {
+            while src.next_access().is_some() {
                 seen += 1;
                 assert_eq!(src.remaining(), Some(total - seen), "{kind:?} at {seen}");
             }

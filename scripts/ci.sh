@@ -13,6 +13,10 @@ cargo build --release --offline --workspace
 # caller fails here instead of waiting for a reader to notice.
 RUSTFLAGS="-D warnings" cargo check --offline --workspace --all-targets
 
+# The same targets must stay clippy-clean, so a lint finding is fixed
+# by the change that introduces it.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 # The root test suite. The equivalence suites pin their own worker
 # ladders with `par::with_threads` (1/2/4/8 in
 # tests/parallel_equivalence.rs for streaming replay and in

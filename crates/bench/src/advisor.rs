@@ -49,7 +49,7 @@ pub struct AdvisorBenchConfig {
 
 impl AdvisorBenchConfig {
     /// Distinct configurations in the pool.
-    pub fn pool_size(&self) -> usize {
+    pub(crate) fn pool_size(&self) -> usize {
         self.kinds.len() * self.budgets_pages.len()
     }
 
@@ -132,7 +132,7 @@ pub fn smoke_advisor_config() -> AdvisorBenchConfig {
 /// untimed warm re-run on the same service is bit-identical and
 /// computes nothing — a result cache that silently stops retaining
 /// fails here on the first attempt.
-pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> Paired {
+pub(crate) fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> Paired {
     let batch = cfg.batch();
     run_pairs(
         iters,
@@ -188,7 +188,7 @@ pub fn measure_advisor(cfg: &AdvisorBenchConfig, iters: usize) -> Paired {
 /// canonicalize → probe → compute → distribute path), asserting both
 /// give the same advice. The pair prices canonicalization, the cache
 /// probe and the batch scaffolding, nothing else.
-pub fn measure_single_query_overhead(cfg: &AdvisorBenchConfig, iters: usize) -> Paired {
+pub(crate) fn measure_single_query_overhead(cfg: &AdvisorBenchConfig, iters: usize) -> Paired {
     let query = &cfg.batch()[0];
     let key = canonicalize(query);
     let service = AdvisorService::new(0, 1);

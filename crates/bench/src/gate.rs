@@ -3,7 +3,7 @@
 //!
 //! Every CI performance gate compares two arms of identical work —
 //! telemetry off vs on, regenerate vs reuse, naive loop vs batch
-//! engine. [`run_pairs`] times them as back-to-back pairs, alternating
+//! engine. `run_pairs` times them as back-to-back pairs, alternating
 //! which arm runs first, and keeps the best time per arm and the B/A
 //! ratio of each pair. Two estimators read that record:
 //!
@@ -22,7 +22,7 @@
 //!
 //! [`table`] declares every gate `scripts/bench_smoke.sh` runs, and
 //! [`run_gate`] runs one row under the single retry policy: up to
-//! [`ATTEMPTS`] timed attempts, because shared-host timer noise at the
+//! `ATTEMPTS` timed attempts, because shared-host timer noise at the
 //! 2 % scale is larger than the costs being priced. A genuine
 //! regression shifts every pair of every attempt and still fails.
 //! Structural asserts — bit-identical arms, classify counts, cache
@@ -37,11 +37,11 @@ use crate::sweep::{measure_sweep, smoke_sweep_config};
 use std::time::Instant;
 
 /// Timed attempts per gate before a missed bound fails it.
-pub const ATTEMPTS: usize = 3;
+pub(crate) const ATTEMPTS: usize = 3;
 
 /// One arm of a pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
+pub(crate) enum Side {
     /// The ratio's denominator; runs first on even pairs.
     A,
     /// The ratio's numerator; runs first on odd pairs.
@@ -75,7 +75,7 @@ impl Paired {
     }
 
     /// Median of the per-pair B/A ratios (1.0 with no pairs).
-    pub fn median_ratio(&self) -> f64 {
+    pub(crate) fn median_ratio(&self) -> f64 {
         let mut sorted = self.ratios.clone();
         if sorted.is_empty() {
             return 1.0;
@@ -90,7 +90,7 @@ impl Paired {
     }
 
     /// Best B time over best A time (1.0 when A timed zero).
-    pub fn best_ratio(&self) -> f64 {
+    pub(crate) fn best_ratio(&self) -> f64 {
         if self.best_secs[0] > 0.0 {
             self.best_secs[1] / self.best_secs[0]
         } else {
@@ -100,7 +100,7 @@ impl Paired {
 }
 
 /// Time `f`, returning its wall time in seconds and its result.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let t0 = Instant::now();
     let out = f();
     (t0.elapsed().as_secs_f64(), out)
@@ -112,7 +112,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 /// returns its wall time (usually through [`timed`], so set-up stays
 /// outside the timer) and its outcome; `check` receives each pair's
 /// outcomes as (A, B) and panics on a structural mismatch.
-pub fn run_pairs<T>(
+pub(crate) fn run_pairs<T>(
     pairs: usize,
     mut run: impl FnMut(Side) -> (f64, T),
     mut check: impl FnMut(T, T),
@@ -140,7 +140,7 @@ pub fn run_pairs<T>(
 
 /// [`run_pairs`] asserting each pair's two outcomes equal: the arms
 /// must do identical work, so the timing compares like with like.
-pub fn run_equal_pairs<T: PartialEq + std::fmt::Debug>(
+pub(crate) fn run_equal_pairs<T: PartialEq + std::fmt::Debug>(
     pairs: usize,
     run: impl FnMut(Side) -> (f64, T),
     what: &str,
@@ -161,7 +161,7 @@ pub enum Bound {
 
 impl Bound {
     /// The estimator this bound reads, and whether it holds.
-    pub fn check(self, p: &Paired) -> (f64, bool) {
+    pub(crate) fn check(self, p: &Paired) -> (f64, bool) {
         match self {
             Bound::MaxOverhead(tol) => {
                 let r = p.median_ratio().min(p.best_ratio());
@@ -284,7 +284,7 @@ pub fn table() -> [Gate; 6] {
 }
 
 /// Run one gate under the retry policy, printing one line per attempt.
-/// `Err` names the last estimate after [`ATTEMPTS`] missed bounds; a
+/// `Err` names the last estimate after `ATTEMPTS` missed bounds; a
 /// structural assert panics out of the first attempt.
 pub fn run_gate(gate: &Gate) -> Result<(), String> {
     println!(

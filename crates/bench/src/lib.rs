@@ -9,14 +9,14 @@ pub mod gate;
 pub mod harness;
 pub mod replay;
 pub mod serve;
-pub mod sweep;
+pub(crate) mod sweep;
 
 /// Define a bench group function that runs each target against a
 /// default-configured [`harness::Criterion`].
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
+        pub(crate) fn $name() {
             let mut criterion = $crate::harness::Criterion::default();
             $( $target(&mut criterion); )+
         }

@@ -87,13 +87,13 @@ pub struct ProfileRun {
 /// windows over the whole trace, floored so tiny smoke configs still
 /// sample. Derived from the config alone, so the export is
 /// reproducible from the label.
-pub fn profile_timeseries_interval(cfg: &ReplayConfig) -> u64 {
+pub(crate) fn profile_timeseries_interval(cfg: &ReplayConfig) -> u64 {
     (cfg.cores as u64 * cfg.accesses_per_core / 64).max(1)
 }
 
 /// Windows the profile sampler retains (more than
 /// [`profile_timeseries_interval`] produces, so profiles never drop).
-pub const PROFILE_TIMESERIES_CAPACITY: usize = 128;
+pub(crate) const PROFILE_TIMESERIES_CAPACITY: usize = 128;
 
 /// Profile one configuration's streaming replay with telemetry on,
 /// producing both exporter outputs. Telemetry never changes replay
@@ -140,7 +140,7 @@ fn timed_streaming(cfg: &ReplayConfig, sim: &mut TraceSim) -> (f64, TraceSimRepo
 /// alternating telemetry-off (A) / telemetry-on (B) pairs
 /// ([`run_pairs`](crate::gate::run_pairs)), asserting each pair's
 /// reports bit-identical — telemetry is observation, never simulation.
-pub fn measure_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
+pub(crate) fn measure_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
     run_equal_pairs(
         iters,
         |side| {
@@ -160,7 +160,7 @@ pub fn measure_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
 /// is built and routing must cost exactly one extra `Option` branch.
 /// Asserts both, and that the pair replays bit-identically (a disabled
 /// scheduler degenerates to the static placement).
-pub fn measure_migration_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
+pub(crate) fn measure_migration_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
     let mcfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
     let disabled = TracePlacement::Migrated(memkind_sim::MigrationSpec::new(0, 0));
     run_equal_pairs(
@@ -186,7 +186,7 @@ pub fn measure_migration_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
 /// `iters` alternating sampling-off (A) / sampling-on (B) pairs,
 /// asserting each pair's reports bit-identical — sampling is
 /// observation, never simulation.
-pub fn measure_sampling_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
+pub(crate) fn measure_sampling_overhead(cfg: &ReplayConfig, iters: usize) -> Paired {
     let interval = profile_timeseries_interval(cfg);
     run_equal_pairs(
         iters,

@@ -175,7 +175,7 @@ pub fn serve_loop(
         write_line(&response.to_compact(), &mut output)?;
         // The deterministic sample: cache shape after this query.
         let cache = service.cache();
-        rec.set(ts_entries, cache.len() as f64);
+        rec.set(ts_entries, cache.entries() as f64);
         rec.set(ts_bytes, cache.bytes() as f64);
         if rec.tick() {
             rec.close_window();
@@ -191,7 +191,7 @@ pub fn serve_loop(
                         ("hits", Json::Num(stats.hits as f64)),
                         ("misses", Json::Num(stats.misses as f64)),
                         ("inserts", Json::Num(stats.inserts as f64)),
-                        ("entries", Json::Num(cache.len() as f64)),
+                        ("entries", Json::Num(cache.entries() as f64)),
                         ("bytes", Json::Num(cache.bytes() as f64)),
                     ]),
                 ),
@@ -401,6 +401,20 @@ mod tests {
         let text = String::from_utf8(out).expect("utf8");
         let check = check_serve_output(&text, Some(3)).expect("valid transcript");
         assert_eq!(check.errors, 2);
+    }
+
+    #[test]
+    fn oversized_queries_get_error_responses() {
+        let input = "{\"workload\": \"stream_64x100000000000\"}\n";
+        let mut out = Vec::new();
+        let summary = serve_loop(input.as_bytes(), &mut out, &tiny_opts()).expect("serves");
+        assert_eq!(
+            (summary.queries, summary.errors, summary.computed),
+            (1, 1, 0)
+        );
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.contains("admission limit"), "{text}");
+        check_serve_output(&text, Some(1)).expect("valid transcript");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use workloads::tracegen::{classify_streaming, replay_streaming, TraceKind};
 /// points (three flat statics, cache mode, one migrated point per
 /// period).
 #[derive(Debug, Clone)]
-pub struct SweepBenchConfig {
+pub(crate) struct SweepBenchConfig {
     /// Trace generator.
     pub kind: TraceKind,
     /// Simulated core count.
@@ -206,7 +206,7 @@ fn assert_outcomes_match(reuse: &[PointOutcome], regen: &[PointOutcome]) {
 /// [`classify_signature`] among the points, the regenerate arm once
 /// per point. Classification creeping back into the reuse arm's
 /// per-point loop fails here on every attempt.
-pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> Paired {
+pub(crate) fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> Paired {
     let points = cfg.points().len();
     let signatures: HashSet<String> = cfg
         .points()
@@ -239,7 +239,7 @@ pub fn measure_sweep(cfg: &SweepBenchConfig, iters: usize) -> Paired {
 
 /// Tiny scenario for the CI smoke gate (seconds, not minutes): 5
 /// points over a 32 k-access XSBench trace.
-pub fn smoke_sweep_config() -> SweepBenchConfig {
+pub(crate) fn smoke_sweep_config() -> SweepBenchConfig {
     SweepBenchConfig {
         kind: TraceKind::XsBench,
         cores: 8,

@@ -56,7 +56,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// The KNL per-core 32-KB, 8-way L1 data cache.
-    pub fn knl_l1d() -> Self {
+    pub(crate) fn knl_l1d() -> Self {
         CacheConfig {
             capacity: ByteSize::kib(32),
             line_bytes: 64,
@@ -78,12 +78,12 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the configuration.
-    pub fn num_sets(&self) -> u32 {
+    pub(crate) fn num_sets(&self) -> u32 {
         (self.capacity.as_u64() / (self.line_bytes as u64 * self.ways as u64)) as u32
     }
 
     /// Validate the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.line_bytes.is_power_of_two() || self.line_bytes == 0 {
             return Err("line size must be a power of two".into());
         }
@@ -133,7 +133,7 @@ impl CacheStats {
     }
 
     /// Total misses.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.read_misses.get() + self.write_misses.get()
     }
 
@@ -180,7 +180,7 @@ impl Cache {
         let num_sets = config.num_sets();
         Cache {
             sets: vec![0; num_sets as usize * config.ways as usize],
-            replacer: Replacer::new(config.replacement, num_sets, config.ways, 0xCAC4E),
+            replacer: Replacer::new(config.replacement, num_sets, config.ways),
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
             set_shift: num_sets.trailing_zeros(),
@@ -264,7 +264,7 @@ impl Cache {
         };
         let dirty = if kind == AccessKind::Write { DIRTY } else { 0 };
         self.sets[ways.start + victim_way as usize] = tag << TAG_SHIFT | dirty | VALID;
-        self.replacer.fill(set, victim_way);
+        self.replacer.touch(set, victim_way);
         AccessOutcome::Miss { evicted_dirty }
     }
 

@@ -27,10 +27,3 @@ pub mod mcdram_cache;
 pub mod mshr;
 pub mod replacement;
 pub mod tlb;
-
-pub use cache::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats};
-pub use hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
-pub use mcdram_cache::{DirectMappedModel, MemorySideCache};
-pub use mshr::{Mshr, MshrOutcome};
-pub use replacement::ReplacementPolicy;
-pub use tlb::{PageSize, Tlb, TlbConfig};

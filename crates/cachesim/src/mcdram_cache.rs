@@ -137,15 +137,15 @@ pub struct DirectMappedModel {
 /// Fraction of capacity a streaming footprint can occupy before
 /// conflict misses appear (page-placement collisions are negligible
 /// below half capacity; Fig. 2 peaks at ~8 GB of 16 GB).
-pub const STREAM_SAFE_FRACTION: f64 = 0.5;
+pub(crate) const STREAM_SAFE_FRACTION: f64 = 0.5;
 
 /// Decay rate of streaming hit ratio with excess load factor,
 /// calibrated to the Fig. 2 points (125 GB/s at 11.4 GB).
-pub const STREAM_CONFLICT_RATE: f64 = 2.1;
+pub(crate) const STREAM_CONFLICT_RATE: f64 = 2.1;
 
 impl DirectMappedModel {
     /// Load factor of a footprint (footprint / capacity).
-    pub fn load_factor(&self, footprint: ByteSize) -> f64 {
+    pub(crate) fn load_factor(&self, footprint: ByteSize) -> f64 {
         footprint.as_u64() as f64 / self.capacity.as_u64() as f64
     }
 

@@ -21,7 +21,7 @@ pub enum PageSize {
 
 impl PageSize {
     /// Bytes per page.
-    pub fn bytes(self) -> u64 {
+    pub(crate) fn bytes(self) -> u64 {
         match self {
             PageSize::Small => 4 * 1024,
             PageSize::Huge => 2 * 1024 * 1024,
@@ -142,7 +142,7 @@ pub enum TlbOutcome {
 
 impl TlbOutcome {
     /// Latency contributed by this outcome under `config`.
-    pub fn latency(self, config: &TlbConfig) -> Duration {
+    pub(crate) fn latency(self, config: &TlbConfig) -> Duration {
         match self {
             TlbOutcome::L1Hit => Duration::ZERO,
             TlbOutcome::L2Hit => config.l2_hit_latency,

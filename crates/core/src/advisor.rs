@@ -185,11 +185,6 @@ fn prev_power_of_two(n: u64) -> u64 {
     }
 }
 
-/// Migration rebalance period (accesses) used by
-/// [`advise_replayed`]'s `Migrated` candidate when the caller has no
-/// opinion; [`advise_replayed_query`] takes it as a parameter.
-pub const DEFAULT_MIGRATE_PERIOD: u64 = 4_096;
-
 /// The pure query function behind the advisor service: replay `spec`
 /// against every placement that fits a `budget`-sized fast tier —
 /// all-DDR, a boundary split, cache mode, periodic migration with
@@ -205,7 +200,7 @@ pub const DEFAULT_MIGRATE_PERIOD: u64 = 4_096;
 /// memory-side cache at replay time, so the budget-sized capacity
 /// never reaches the key — and a follow-up query over the same trace
 /// (a different budget, say) replays without classifying anything.
-pub fn advise_replayed_query(
+pub(crate) fn advise_replayed_query(
     spec: &TraceSpec,
     budget: ByteSize,
     threads: u32,
@@ -286,13 +281,6 @@ pub fn advise_replayed_query(
     }
 }
 
-/// The advisor-as-a-service form of [`advise`] at its defaults: 64
-/// threads, [`DEFAULT_MIGRATE_PERIOD`]. See [`advise_replayed_query`]
-/// for the full parameter set the service canonicalizes over.
-pub fn advise_replayed(spec: &TraceSpec, budget: ByteSize) -> ReplayedAdvice {
-    advise_replayed_query(spec, budget, 64, DEFAULT_MIGRATE_PERIOD)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,7 +344,9 @@ mod tests {
         ));
         let stats = || cache.with_cache(|c| c.stats());
         let query = |budget| {
-            crate::sweep::with_private_classify_cache(&cache, || advise_replayed(&spec, budget))
+            crate::sweep::with_private_classify_cache(&cache, || {
+                advise_replayed_query(&spec, budget, 64, 4_096)
+            })
         };
         let first = query(ByteSize::kib(256));
         assert_eq!(first.candidates.len(), 5);

@@ -22,7 +22,7 @@ pub struct Archive {
 }
 
 /// Current archive schema version.
-pub const ARCHIVE_VERSION: u32 = 1;
+pub(crate) const ARCHIVE_VERSION: u32 = 1;
 
 impl Archive {
     /// Capture figures into an archive.
@@ -67,7 +67,7 @@ impl Archive {
     }
 
     /// Find a figure by id.
-    pub fn figure(&self, id: &str) -> Option<&FigureData> {
+    pub(crate) fn figure(&self, id: &str) -> Option<&FigureData> {
         self.figures.iter().find(|f| f.id == id)
     }
 }

@@ -60,18 +60,6 @@ impl AppSpec {
             AppSpec::XsBench => "XSBench",
         }
     }
-
-    /// Metric name.
-    pub fn metric(self) -> &'static str {
-        match self {
-            AppSpec::Stream => "GB/s",
-            AppSpec::Dgemm => "GFLOPS",
-            AppSpec::MiniFe => "CG MFLOPS",
-            AppSpec::Gups => "GUPS",
-            AppSpec::Graph500 => "TEPS",
-            AppSpec::XsBench => "Lookups/s",
-        }
-    }
 }
 
 /// One evaluated point.
@@ -96,19 +84,11 @@ pub struct Series {
 
 impl Series {
     /// The value at `x`, if present and runnable.
-    pub fn value_at(&self, x: f64) -> Option<f64> {
+    pub(crate) fn value_at(&self, x: f64) -> Option<f64> {
         self.points
             .iter()
             .find(|p| (p.x - x).abs() < 1e-9)
             .and_then(|p| p.value)
-    }
-
-    /// Largest value in the series.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .filter_map(|p| p.value)
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
     }
 }
 
@@ -213,7 +193,7 @@ pub struct TraceReplay {
 /// hierarchy config into a bounded artifact (streamed from
 /// [`TraceKind::source`], never materializing the full trace) and
 /// each setup replays the artifact through the timing stage
-/// ([`crate::sweep`]). The worker count comes from
+/// (`crate::sweep`). The worker count comes from
 /// [`par::num_threads`] and the output is bit-identical to the
 /// sequential reference at any setting.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,7 +233,7 @@ impl TraceSweep {
     /// through the global classify cache (every setup, cache mode
     /// included, shares one artifact) and the timing stage replays the
     /// artifact per setup — see
-    /// [`crate::sweep`]. The replays themselves are internally
+    /// `crate::sweep`. The replays themselves are internally
     /// parallel, so points run in sequence rather than oversubscribing
     /// the worker pool.
     pub fn run(&self) -> Vec<TraceReplay> {
@@ -270,7 +250,7 @@ impl TraceSweep {
     }
 
     /// Metric-name prefix of one (kind × setup) point.
-    pub fn point_prefix(kind: TraceKind, setup: MemSetup) -> String {
+    pub(crate) fn point_prefix(kind: TraceKind, setup: MemSetup) -> String {
         format!(
             "{}.{}.",
             kind.name().to_lowercase(),
@@ -357,7 +337,6 @@ mod tests {
             AppSpec::XsBench,
         ] {
             assert!(!app.name().is_empty());
-            assert!(!app.metric().is_empty());
             let w = app.build(ByteSize::gib(1));
             assert_eq!(w.name(), app.name());
         }
@@ -433,6 +412,5 @@ mod tests {
         assert_eq!(s.value_at(1.0), Some(5.0));
         assert_eq!(s.value_at(2.0), None);
         assert_eq!(s.value_at(7.0), None);
-        assert_eq!(s.max_value(), Some(9.0));
     }
 }

@@ -46,7 +46,7 @@ impl Json {
     }
 
     /// The value as an f64.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,

@@ -10,44 +10,36 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod advisor;
+pub(crate) mod advisor;
 pub mod archive;
-pub mod experiment;
+pub(crate) mod experiment;
 pub mod extensions;
 pub mod figures;
 pub mod json;
-pub mod migration;
+pub(crate) mod migration;
 pub mod paper;
-pub mod profile;
+pub(crate) mod profile;
 pub mod report;
 pub mod sensitivity;
 pub mod service;
-pub mod sweep;
+pub(crate) mod sweep;
 pub mod validate;
 
-pub use advisor::{
-    advise, advise_replayed, AppProfile, Recommendation, ReplayedAdvice, ReplayedCandidate,
-};
-pub use archive::{diff, Archive, Divergence};
-pub use experiment::{
-    AppSpec, Measurement, Series, SizeSweep, ThreadSweep, TraceReplay, TraceSweep,
-};
-pub use extensions::{decompose, DecompositionPlan};
-pub use figures::{all_figures, FigureData};
+pub use advisor::{advise, AppProfile, ReplayedAdvice};
+pub use archive::{diff, Archive};
+pub use experiment::{AppSpec, SizeSweep, ThreadSweep, TraceSweep};
+pub use extensions::decompose;
+pub use figures::FigureData;
 pub use migration::{
-    ext_migration, render_migration_sweep, run_migration_sweep, MigrationSweep,
-    MigrationSweepConfig,
+    ext_migration, render_migration_sweep, run_migration_sweep, MigrationSweepConfig,
 };
-pub use paper::{compare_with_model, paper_reference};
+pub use paper::compare_with_model;
 pub use profile::{
     check_chrome_trace, check_metrics, check_timeseries, metrics_to_json, render_report,
-    ChromeTraceSummary, MetricsSummary, TimeSeriesSummary,
 };
-pub use report::{render_figure, render_trace_replays, series_csv};
-pub use sensitivity::{all_scans, scan_split_boundary_replayed, SensitivityScan};
+pub use report::render_trace_replays;
+pub use sensitivity::all_scans;
 pub use service::{
-    advice_to_json, answer, canonicalize, check_advice, fold_threads, AdviceSummary, AdvisorQuery,
-    AdvisorService, BatchStats, QueryKey, ResultCache,
+    advice_to_json, answer, canonicalize, check_advice, AdvisorQuery, AdvisorService, QueryKey,
 };
-pub use sweep::{classified_for, replay_into, replay_point, TraceSpec};
-pub use validate::{validate_all, ShapeCheck};
+pub use sweep::{classified_for, replay_point, TraceSpec};

@@ -158,7 +158,7 @@ pub struct MigrationSweep {
 
 impl MigrationSweep {
     /// The best (lowest-makespan) migrated point.
-    pub fn best_migrated(&self) -> &MigratedPoint {
+    pub(crate) fn best_migrated(&self) -> &MigratedPoint {
         self.migrated
             .iter()
             .min_by_key(|p| (p.report.makespan, p.period))
@@ -166,7 +166,7 @@ impl MigrationSweep {
     }
 
     /// The best static placement that fits the budget.
-    pub fn best_static_fitting(&self) -> &StaticPoint {
+    pub(crate) fn best_static_fitting(&self) -> &StaticPoint {
         self.statics
             .iter()
             .filter(|s| s.fits_budget)
@@ -344,7 +344,7 @@ pub fn ext_migration() -> FigureData {
 }
 
 /// Build the figure from an already-run sweep.
-pub fn figure_from_sweep(sweep: &MigrationSweep) -> FigureData {
+pub(crate) fn figure_from_sweep(sweep: &MigrationSweep) -> FigureData {
     let xs: Vec<f64> = sweep.migrated.iter().map(|m| m.period as f64).collect();
     let mut series = vec![Series {
         label: "Migrated".into(),

@@ -39,7 +39,7 @@ pub struct PaperPoint {
 }
 
 /// Every number transcribed from the paper.
-pub fn paper_reference() -> Vec<PaperPoint> {
+pub(crate) fn paper_reference() -> Vec<PaperPoint> {
     use Provenance::*;
     vec![
         // §IV-A stated values.

@@ -17,7 +17,7 @@ use crate::json::{self, Json};
 use simfabric::telemetry::{MetricValue, MetricsRegistry};
 
 /// Schema tag of the metrics dump.
-pub const METRICS_SCHEMA: &str = "telemetry_metrics/v1";
+pub(crate) const METRICS_SCHEMA: &str = "telemetry_metrics/v1";
 
 /// Render a registry as a flat JSON document: one object per metric,
 /// keyed by metric name, each self-describing via a `"type"` field.
@@ -71,7 +71,7 @@ impl MetricsSummary {
     }
 }
 
-/// Validate a metrics dump against [`METRICS_SCHEMA`]: the schema tag,
+/// Validate a metrics dump against `METRICS_SCHEMA`: the schema tag,
 /// and per metric a known `"type"` with that type's required numeric
 /// fields. Errors name the offending metric.
 pub fn check_metrics(doc: &Json) -> Result<MetricsSummary, String> {

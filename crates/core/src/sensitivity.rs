@@ -9,8 +9,6 @@
 //! each finding flips.
 
 use crate::experiment::Measurement;
-use crate::sweep::{replay_point, TraceSpec};
-use knl::tracesim::TracePlacement;
 use knl::{Machine, MachineConfig, MemSetup};
 use memdev::presets;
 use simfabric::{ByteSize, Duration};
@@ -53,7 +51,7 @@ fn find_flip(points: &[Measurement], threshold: f64) -> Option<f64> {
 /// Scan the HBM latency penalty (HBM idle latency / DDR idle latency)
 /// and test the finding "latency-bound applications prefer DRAM"
 /// (merit: DRAM GUPS / HBM GUPS; holds while > 1).
-pub fn scan_latency_penalty() -> SensitivityScan {
+pub(crate) fn scan_latency_penalty() -> SensitivityScan {
     let mut points = Vec::new();
     for penalty in [0.85, 0.95, 1.0, 1.05, 1.1, 1.18, 1.3, 1.5] {
         let mut cfg_h = MachineConfig::knl7210(MemSetup::HbmOnly, 64);
@@ -88,7 +86,7 @@ pub fn scan_latency_penalty() -> SensitivityScan {
 /// Scan the HBM/DDR bandwidth ratio and test "bandwidth-bound
 /// applications gain ≥ 2× from HBM" (merit: MiniFE HBM/DRAM; holds
 /// while > 2).
-pub fn scan_bandwidth_ratio() -> SensitivityScan {
+pub(crate) fn scan_bandwidth_ratio() -> SensitivityScan {
     let mut points = Vec::new();
     let minife = MiniFe::with_footprint(ByteSize::gib_f(7.2));
     let mut dram = Machine::knl7210(MemSetup::DramOnly, 64).unwrap();
@@ -125,7 +123,7 @@ pub fn scan_bandwidth_ratio() -> SensitivityScan {
 /// Scan the fast-memory capacity and test "cache mode drops below
 /// plain DRAM for a 28.8-GB stream" (merit: cache/DRAM bandwidth;
 /// holds while < 1).
-pub fn scan_cache_capacity() -> SensitivityScan {
+pub(crate) fn scan_cache_capacity() -> SensitivityScan {
     let mut points = Vec::new();
     let bench = StreamBench::new(ByteSize::gib_f(28.8));
     let mut dram = Machine::knl7210(MemSetup::DramOnly, 64).unwrap();
@@ -150,55 +148,6 @@ pub fn scan_cache_capacity() -> SensitivityScan {
             .find(|p| (p.x - 16.0).abs() < 1e-9)
             .and_then(|p| p.value)
             .map(|v| v < 1.0)
-            .unwrap_or(false),
-        points,
-        threshold: 1.0,
-        flip_at,
-    }
-}
-
-/// Replay-backed scan: sweep the fast-tier boundary of a
-/// [`TracePlacement::SplitAt`] placement and measure the makespan
-/// speedup over all-DDR at each boundary (merit > 1 means the partial
-/// fast tier wins). Unlike the analytic scans above this runs the
-/// line-accurate trace simulator — which is affordable precisely
-/// because every boundary is a *timing-stage* change: all points
-/// replay one shared classified artifact through [`crate::sweep`],
-/// classification runs once for the whole scan. Not part of
-/// [`all_scans`] (those stay analytic and paper-shaped); the
-/// advisor's replayed candidates (`repro advise`) take the same
-/// [`replay_point`] path.
-pub fn scan_split_boundary_replayed(spec: &TraceSpec, boundaries: &[u64]) -> SensitivityScan {
-    let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
-    let msc = ByteSize::mib(8);
-    let ddr = replay_point(spec, &cfg, TracePlacement::AllDdr, msc)
-        .1
-        .makespan
-        .as_ps() as f64;
-    let points: Vec<Measurement> = boundaries
-        .iter()
-        .map(|&b| {
-            let split = replay_point(spec, &cfg, TracePlacement::SplitAt(b), msc)
-                .1
-                .makespan
-                .as_ps() as f64;
-            Measurement {
-                x: b as f64,
-                value: Some(ddr / split),
-            }
-        })
-        .collect();
-    let flip_at = find_flip(&points, 1.0);
-    SensitivityScan {
-        parameter: "SplitAt fast-tier boundary (bytes)".into(),
-        finding: format!(
-            "a partial fast tier speeds up {} over all-DDR (merit: makespan ratio > 1)",
-            spec.label()
-        ),
-        holds_on_knl: points
-            .last()
-            .and_then(|p| p.value)
-            .map(|v| v > 1.0)
             .unwrap_or(false),
         points,
         threshold: 1.0,
@@ -289,47 +238,6 @@ mod tests {
             .value
             .unwrap();
         assert!(big > 1.5, "48 GiB cache ratio {big}");
-    }
-
-    #[test]
-    fn replayed_split_scan_shares_one_artifact_and_matches_endpoints() {
-        use workloads::tracegen::TraceKind;
-        let spec = TraceSpec::from_kind(TraceKind::Stream, 4, 400, 0x5CA9);
-        // A private classify cache: sibling tests share the global one,
-        // and their traffic would leak into the count below.
-        let cache = std::sync::Arc::new(knl::SharedClassifyCache::new(
-            knl::classified::CLASSIFY_CACHE_DEFAULT_BYTES,
-        ));
-        // Boundaries from "nothing in HBM" to "everything in HBM"
-        // (stream addresses sit below ~2 MiB at this scale).
-        let s = crate::sweep::with_private_classify_cache(&cache, || {
-            scan_split_boundary_replayed(&spec, &[0, 1 << 20, 1 << 30])
-        });
-        let after = cache.with_cache(|c| c.stats());
-        assert_eq!(
-            (after.misses, after.hits),
-            (1, 3),
-            "the baseline and all boundaries must share one flat artifact"
-        );
-        assert_eq!(s.points.len(), 3);
-        // Boundary 0 routes nothing to HBM: parity with all-DDR.
-        assert!((s.points[0].value.unwrap() - 1.0).abs() < 1e-9);
-        // A boundary above the whole footprint is all-HBM exactly: the
-        // merit must equal the direct AllDdr/AllHbm makespan ratio.
-        // (At this tiny scale the trace is latency-bound and HBM
-        // *loses* — the bandwidth win only appears at repro scale, as
-        // with the migration golden; the scan reports either way.)
-        let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
-        let msc = ByteSize::mib(8);
-        let ddr = replay_point(&spec, &cfg, TracePlacement::AllDdr, msc).1;
-        let hbm = replay_point(&spec, &cfg, TracePlacement::AllHbm, msc).1;
-        let want = ddr.makespan.as_ps() as f64 / hbm.makespan.as_ps() as f64;
-        assert!(
-            (s.points[2].value.unwrap() - want).abs() < 1e-12,
-            "{:?}",
-            s.points
-        );
-        assert_eq!(s.holds_on_knl, want > 1.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! §VI of the paper is a lookup table in prose — "which memory tier
 //! should this workload use?" — and the ROADMAP's service framing
 //! asks that question at volume, where most queries repeat the same
-//! few hundred configurations. [`advise_replayed`] answers one query
+//! few hundred configurations. A replayed advice answers one query
 //! by replaying five placements; this module makes repeats nearly
 //! free with a four-level fast path:
 //!
@@ -15,7 +15,7 @@
 //!    default — and duplicate keys within a batch dedupe to one
 //!    computation with N subscribers.
 //! 2. **Result cache** ([`ResultCache`]): distinct keys probe a
-//!    sharded, byte-bounded LRU ([`simfabric::ShardedLru`]) before
+//!    sharded, byte-bounded LRU ([`simfabric::cache::ShardedLru`]) before
 //!    any replay runs; repeats across batches cost a lookup. Exported
 //!    as `advisor.cache.*` metrics.
 //! 3. **SMT-level sharing**: trace replay does not model hardware
@@ -39,8 +39,6 @@
 //! advice, distinct keys never alias — is property-tested below: the
 //! engine *answers at the bucket's representative*, so a bucketed
 //! query is answered exactly, for the bucket it canonicalized into.
-//!
-//! [`advise_replayed`]: crate::advisor::advise_replayed
 
 use crate::advisor::{advise_replayed_query, ReplayedAdvice};
 use crate::json::Json;
@@ -55,10 +53,10 @@ use workloads::tracegen::TraceKind;
 
 /// Schema tag of the advice documents [`advice_to_json`] writes and
 /// [`check_advice`] validates.
-pub const ADVICE_SCHEMA: &str = "advisor_advice/v1";
+pub(crate) const ADVICE_SCHEMA: &str = "advisor_advice/v1";
 
 /// Seed a query uses when the JSON line omits `seed`.
-pub const DEFAULT_QUERY_SEED: u64 = 0xAD5E;
+pub(crate) const DEFAULT_QUERY_SEED: u64 = 0xAD5E;
 
 /// Default [`ResultCache`] budget: plenty for tens of thousands of
 /// advice entries (an entry is a few hundred bytes, not a trace).
@@ -66,7 +64,7 @@ pub const RESULT_CACHE_DEFAULT_BYTES: usize = 16 << 20;
 
 /// Shards in the [`ResultCache`] — enough that a worker pool's
 /// concurrent probes rarely collide on one lock.
-pub const RESULT_CACHE_SHARDS: usize = 16;
+pub(crate) const RESULT_CACHE_SHARDS: usize = 16;
 
 /// One advisor query, as the CLI and the JSON-lines batch files state
 /// it: which trace, how much fast-tier budget, how many threads, and
@@ -88,14 +86,17 @@ pub struct AdvisorQuery {
     /// machine's valid SMT range.
     pub threads: u32,
     /// Migration rebalance period in accesses; 0 means "pick for me"
-    /// (resolved to [`auto_period`] during canonicalization).
+    /// (resolved to `auto_period` during canonicalization).
     pub migrate_period: u64,
 }
 
 /// Parse a `<kind>_<cores>x<per_core>` workload label (the bench
 /// config format, e.g. `stream_8x2000`). Admits 1 to
 /// [`knl::calib::CORES`] cores and a nonzero per-core count whose
-/// trace total fits a `u64`.
+/// trace total fits the classify cache
+/// ([`CLASSIFY_CACHE_MAX_ACCESSES`](knl::classified::CLASSIFY_CACHE_MAX_ACCESSES)),
+/// so no admitted query can classify more than one cached artifact
+/// holds.
 pub fn parse_workload(label: &str) -> Result<(TraceKind, u32, u64), String> {
     let shape = || format!("bad workload label {label:?} (expected <kind>_<cores>x<per_core>)");
     let (kind_s, rest) = label.rsplit_once('_').ok_or_else(shape)?;
@@ -121,10 +122,14 @@ pub fn parse_workload(label: &str) -> Result<(TraceKind, u32, u64), String> {
             knl::calib::CORES
         ));
     }
-    if (cores as u64).checked_mul(accesses_per_core).is_none() {
+    let max = knl::classified::CLASSIFY_CACHE_MAX_ACCESSES;
+    if (cores as u64)
+        .checked_mul(accesses_per_core)
+        .is_none_or(|total| total > max)
+    {
         return Err(format!(
-            "workload {label:?} has more than {} accesses in total",
-            u64::MAX
+            "workload {label:?} exceeds the admission limit of {max} accesses in total \
+             (what the classify cache holds)"
         ));
     }
     Ok((kind, cores, accesses_per_core))
@@ -159,7 +164,7 @@ impl AdvisorQuery {
 
     /// Parse one JSON-lines query document. `workload` is required;
     /// `budget_kib` defaults to 256, `seed` to
-    /// [`DEFAULT_QUERY_SEED`], `threads` to 64, `period` to 0
+    /// `DEFAULT_QUERY_SEED`, `threads` to 64, `period` to 0
     /// (auto). Unknown fields are ignored so batch files can carry
     /// annotations.
     pub fn from_json(doc: &Json) -> Result<AdvisorQuery, String> {
@@ -268,7 +273,7 @@ impl QueryKey {
 
 /// The thread counts [`fold_threads`] folds into: one per SMT level
 /// of the 64-core KNL.
-pub const SMT_LEVELS: [u32; 4] = [64, 128, 192, 256];
+pub(crate) const SMT_LEVELS: [u32; 4] = [64, 128, 192, 256];
 
 /// Fold a requested thread count through the machine's valid range:
 /// up to the next full SMT level (64 threads per level on the 64-core
@@ -278,7 +283,7 @@ pub const SMT_LEVELS: [u32; 4] = [64, 128, 192, 256];
 /// differs today, because trace replay is per-core and never reads
 /// the thread count; [`AdvisorService::advise_batch`] relies on that
 /// to replay once per SMT-level group.
-pub fn fold_threads(threads: u32) -> u32 {
+pub(crate) fn fold_threads(threads: u32) -> u32 {
     SMT_LEVELS[threads.div_ceil(64).clamp(1, 4) as usize - 1]
 }
 
@@ -286,7 +291,7 @@ pub fn fold_threads(threads: u32) -> u32 {
 /// the trace (eight rebalance opportunities), floored at 256 accesses
 /// so tiny traces still migrate. Saturates rather than overflowing on
 /// a trace too long to count.
-pub fn auto_period(cores: u32, accesses_per_core: u64) -> u64 {
+pub(crate) fn auto_period(cores: u32, accesses_per_core: u64) -> u64 {
     ((cores as u64).saturating_mul(accesses_per_core) / 8).max(256)
 }
 
@@ -312,7 +317,7 @@ pub fn canonicalize(q: &AdvisorQuery) -> QueryKey {
 
 /// The pure query function: answer a canonicalized key by replaying
 /// its five placement candidates
-/// ([`advise_replayed_query`]). Deterministic in the key alone;
+/// (`advise_replayed_query`). Deterministic in the key alone;
 /// everything cached or deduplicated upstream funnels through here.
 pub fn answer(key: &QueryKey) -> ReplayedAdvice {
     advise_replayed_query(&key.spec(), key.budget(), key.threads, key.period)
@@ -320,7 +325,7 @@ pub fn answer(key: &QueryKey) -> ReplayedAdvice {
 
 /// Approximate heap footprint of an advice entry, the unit the
 /// [`ResultCache`] budget is measured in.
-pub fn advice_bytes(advice: &ReplayedAdvice) -> usize {
+pub(crate) fn advice_bytes(advice: &ReplayedAdvice) -> usize {
     std::mem::size_of::<ReplayedAdvice>()
         + advice.trace.len()
         + advice
@@ -342,24 +347,14 @@ impl ResultCache {
     /// A cache with a `cap_bytes` budget over
     /// [`RESULT_CACHE_SHARDS`] shards (0 disables retention — every
     /// lookup misses, which the single-query overhead gate uses).
-    pub fn new(cap_bytes: usize) -> Self {
+    pub(crate) fn new(cap_bytes: usize) -> Self {
         ResultCache {
             lru: ShardedLru::new(RESULT_CACHE_SHARDS, cap_bytes),
         }
     }
 
-    /// Budget from the environment: `ADVISOR_CACHE_MB` (MiB; 0
-    /// disables retention), defaulting to
-    /// [`RESULT_CACHE_DEFAULT_BYTES`].
-    pub fn capacity_from_env() -> usize {
-        match simfabric::env::usize_var("ADVISOR_CACHE_MB") {
-            Some(mib) => mib << 20,
-            None => RESULT_CACHE_DEFAULT_BYTES,
-        }
-    }
-
     /// The cached advice for `key`, if any (counts a hit or miss).
-    pub fn get(&self, key: &QueryKey) -> Option<Arc<ReplayedAdvice>> {
+    pub(crate) fn get(&self, key: &QueryKey) -> Option<Arc<ReplayedAdvice>> {
         self.lru.get(key)
     }
 
@@ -378,7 +373,7 @@ impl ResultCache {
     }
 
     /// Retain `advice` under `key`, weighted by [`advice_bytes`].
-    pub fn insert(&self, key: QueryKey, advice: Arc<ReplayedAdvice>) {
+    pub(crate) fn insert(&self, key: QueryKey, advice: Arc<ReplayedAdvice>) {
         let bytes = advice_bytes(&advice);
         self.lru.insert(key, advice, bytes);
     }
@@ -389,13 +384,8 @@ impl ResultCache {
     }
 
     /// Retained entries.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
+    pub fn entries(&self) -> usize {
+        self.lru.entries()
     }
 
     /// Retained payload bytes.
@@ -414,7 +404,7 @@ impl ResultCache {
         reg.counter("advisor.cache.inserts", stats.inserts);
         reg.counter("advisor.cache.evictions", stats.evictions);
         reg.counter("advisor.cache.rejected", stats.rejected);
-        reg.gauge("advisor.cache.entries", self.len() as f64);
+        reg.gauge("advisor.cache.entries", self.entries() as f64);
         reg.gauge("advisor.cache.bytes", self.bytes() as f64);
         reg.gauge(
             "advisor.cache.shard_cap_bytes",
@@ -478,11 +468,10 @@ impl AdvisorService {
         }
     }
 
-    /// A service sized from the environment:
-    /// [`ResultCache::capacity_from_env`] and
-    /// [`par::num_threads`] workers.
+    /// A service with a [`RESULT_CACHE_DEFAULT_BYTES`] result cache
+    /// and [`par::num_threads`] workers.
     pub fn with_defaults() -> Self {
-        Self::new(ResultCache::capacity_from_env(), par::num_threads())
+        Self::new(RESULT_CACHE_DEFAULT_BYTES, par::num_threads())
     }
 
     /// The service's result cache (stats, metrics).
@@ -1085,5 +1074,27 @@ mod tests {
         }
         assert!(parse_workload("stream_64x100").is_ok());
         assert_eq!(auto_period(64, u64::MAX), u64::MAX / 8);
+    }
+
+    /// Admission is by total accesses: the largest workload the
+    /// repository runs (`stream_64x50000`) and a trace exactly at the
+    /// classify cache's capacity pass, one access more does not, and a
+    /// countable but huge query is turned away before anything runs.
+    #[test]
+    fn oversized_workloads_are_refused_at_admission() {
+        let max = knl::classified::CLASSIFY_CACHE_MAX_ACCESSES;
+        assert_eq!(max, 29_826_161);
+        assert!(parse_workload("stream_64x50000").is_ok());
+        assert!(parse_workload(&format!("stream_1x{max}")).is_ok());
+        for big in [
+            format!("stream_1x{}", max + 1),
+            "stream_64x100000000000".to_string(),
+            "gups_64x466034".to_string(),
+        ] {
+            let err = parse_workload(&big).unwrap_err();
+            assert!(err.contains("admission limit"), "{big}: {err}");
+            let doc = crate::json::parse(&format!("{{\"workload\": \"{big}\"}}")).unwrap();
+            assert!(AdvisorQuery::from_json(&doc).is_err(), "{big}");
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   label + a factory for fresh sources);
 //! * [`classified_for`] returns the stream's
 //!   [`ClassifiedTrace`] artifact, built at most once per process
-//!   through the global LRU [`ClassifyCache`](knl::ClassifyCache) and
+//!   through the global LRU [`ClassifyCache`](knl::classified::ClassifyCache) and
 //!   shared by every memory setup;
 //! * [`replay_point`] / [`replay_into`] replay one timing setup from
 //!   the artifact via
@@ -52,7 +52,7 @@ impl TraceSpec {
     /// owns the label contract: everything that changes the stream
     /// must reach the label, and equal labels must mean bit-identical
     /// streams.
-    pub fn new(
+    pub(crate) fn new(
         label: impl Into<String>,
         cores: u32,
         make: impl Fn() -> Box<dyn TraceSource + Send> + Send + Sync + 'static,
@@ -79,11 +79,6 @@ impl TraceSpec {
         &self.label
     }
 
-    /// Simulated (and trace-emitting) core count.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
     /// A fresh source over the stream.
     pub fn source(&self) -> Box<dyn TraceSource + Send> {
         (self.make)()
@@ -99,7 +94,7 @@ impl TraceSpec {
 }
 
 /// The classified artifact for `spec` under `cfg`, through the global
-/// [`ClassifyCache`](knl::ClassifyCache): built (streamed, never materializing the raw
+/// [`ClassifyCache`](knl::classified::ClassifyCache): built (streamed, never materializing the raw
 /// trace) on first use, shared by every later sweep point whose key
 /// matches — every memory setup and MCDRAM-cache capacity, across
 /// experiments, not just within one sweep. `msc_capacity` is ignored,
@@ -147,7 +142,7 @@ pub(crate) fn with_private_classify_cache<R>(
 /// the simulator was constructed from — asserted via the classify
 /// signature; the memory setup and MCDRAM-cache capacity are the
 /// simulator's own.
-pub fn replay_into(
+pub(crate) fn replay_into(
     sim: &mut TraceSim,
     spec: &TraceSpec,
     cfg: &MachineConfig,
@@ -190,7 +185,6 @@ mod tests {
     fn spec_sources_are_reproducible_and_labelled() {
         let s = spec();
         assert_eq!(s.label(), TraceKind::Stream.spec(4, 200, 0x5EED));
-        assert_eq!(s.cores(), 4);
         let a = collect(s.source().as_mut());
         let b = collect(s.source().as_mut());
         assert_eq!(a, b, "spec factories must be pure");

@@ -27,11 +27,6 @@ impl Region {
     pub fn size(&self) -> ByteSize {
         self.block.size
     }
-
-    /// Virtual start address.
-    pub fn addr(&self) -> u64 {
-        self.block.addr
-    }
 }
 
 /// How often a streamed region re-visits the same lines — determines
@@ -132,7 +127,7 @@ impl RandomOp {
 
     /// Total memory line touches implied (reads, plus writes for
     /// updates).
-    pub fn line_touches(&self) -> u64 {
+    pub(crate) fn line_touches(&self) -> u64 {
         let per_unit = self.dependent_depth as u64 + if self.updates { 1 } else { 0 };
         self.count * per_unit
     }

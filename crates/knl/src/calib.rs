@@ -8,16 +8,13 @@
 //! and auditable.
 
 /// Core clock of the Xeon Phi 7210 (§III-A). \[paper\]
-pub const CORE_GHZ: f64 = 1.3;
+pub(crate) const CORE_GHZ: f64 = 1.3;
 
 /// Cores per node (§III-A). \[paper\]
 pub const CORES: u32 = 64;
 
 /// Hardware threads per core (§II). \[paper\]
 pub const MAX_HT: u32 = 4;
-
-/// Cache-line size in bytes. \[KNL docs\]
-pub const LINE_BYTES: u32 = 64;
 
 /// Per-core streaming memory-level parallelism (in-flight lines) with
 /// one hardware thread: the L1 hardware prefetcher sustains ~12
@@ -38,11 +35,7 @@ pub const STREAM_MLP_PER_CORE_CAP: f64 = 25.0;
 /// pattern halves the useful overlap. \[KNL docs + fit: Fig. 4c's
 /// DRAM-over-HBM ordering requires demand below the DDR random line
 /// rate at 64 threads\]
-pub const RANDOM_MLP_PER_THREAD: f64 = 2.0;
-
-/// Per-thread MLP for *dependent* pointer chases (one address depends
-/// on the previous load): exactly 1 by construction.
-pub const DEPENDENT_MLP: f64 = 1.0;
+pub(crate) const RANDOM_MLP_PER_THREAD: f64 = 2.0;
 
 /// Exponent of the per-thread MLP derate under hyper-threading:
 /// hardware threads sharing a core also share its load buffers, so
@@ -50,39 +43,39 @@ pub const DEPENDENT_MLP: f64 = 1.0;
 /// thread count grows linearly — the *net* gain is what makes
 /// multi-threading "critical to take advantage of HBM" (§IV-D).
 /// \[fit: Fig. 6d's ~2.5× XSBench gain at 4 threads/core\]
-pub const HT_MLP_EXPONENT: f64 = 0.3;
+pub(crate) const HT_MLP_EXPONENT: f64 = 0.3;
 
 /// Multiplier on idle DDR latency observed by the *dual* random-read
 /// pattern of TinyMemBench (two chases share one core's resources).
 /// \[fit: Fig. 3's ~200 ns mid-tier from a 130.4 ns device\]
-pub const DUAL_READ_LOAD_FACTOR_DDR: f64 = 1.35;
+pub(crate) const DUAL_READ_LOAD_FACTOR_DDR: f64 = 1.35;
 
 /// As [`DUAL_READ_LOAD_FACTOR_DDR`], for MCDRAM: the 3D stack's loaded
 /// latency degrades slightly faster under concurrent chases (Chang et
 /// al. \[25\] report 3D-stacked latency claims do not hold under
 /// load). \[fit: Fig. 3's ~20 % peak gap just past the L2 capacity\]
-pub const DUAL_READ_LOAD_FACTOR_HBM: f64 = 1.42;
+pub(crate) const DUAL_READ_LOAD_FACTOR_HBM: f64 = 1.42;
 
 /// Average number of mesh hops' latency added to every memory access
 /// beyond the tile (tile→CHA→port and back), in nanoseconds, quadrant
 /// mode. \[derived from `mesh::MeshModel::avg_memory_latency`\]
-pub const MESH_MEMORY_NS: f64 = 11.0;
+pub(crate) const MESH_MEMORY_NS: f64 = 11.0;
 
 /// Local-L2 service latency for the Fig. 3 pointer chase when the
 /// block fits in the tile's 1 MB L2 (§IV-A reports "approximately
 /// 10 ns"). \[paper\]
-pub const L2_CHASE_NS: f64 = 10.0;
+pub(crate) const L2_CHASE_NS: f64 = 10.0;
 
 /// Bandwidth derate applied to MCDRAM-cache *hits* relative to flat
 /// HBM (tag checks and fills consume MCDRAM bandwidth). \[fit: Fig. 2
 /// cache-mode plateau of 260 GB/s vs 330 GB/s flat\]
-pub const CACHE_HIT_BW_DERATE: f64 = 0.79;
+pub(crate) const CACHE_HIT_BW_DERATE: f64 = 0.79;
 
 /// Bandwidth derate applied to MCDRAM-cache *misses* relative to plain
 /// DDR (each miss also fills the MCDRAM line, and conflict evictions
 /// write back). \[fit: Fig. 2 cache mode dipping below the 77 GB/s
 /// DRAM line beyond ~24 GB\]
-pub const CACHE_MISS_BW_DERATE: f64 = 0.845;
+pub(crate) const CACHE_MISS_BW_DERATE: f64 = 0.845;
 
 /// Extra latency in nanoseconds paid by an MCDRAM-cache miss before
 /// the DDR access starts: tags live *in* MCDRAM, so a miss costs most
@@ -90,7 +83,7 @@ pub const CACHE_MISS_BW_DERATE: f64 = 0.845;
 /// cache-mode miss latency near the sum of both devices' latencies
 /// (~270 ns) \[18\]; Chang et al. \[25\] report the same effect.
 /// \[derived\]
-pub const CACHE_MISS_TAG_NS: f64 = 100.0;
+pub(crate) const CACHE_MISS_TAG_NS: f64 = 100.0;
 
 /// DGEMM arithmetic intensity actually presented to memory after MKL's
 /// cache blocking, in flops per byte. \[fit: Fig. 4a's 300 GFLOPS
@@ -193,10 +186,13 @@ mod tests {
     use super::*;
     use memdev::presets;
 
+    /// Cache-line size in bytes. \[KNL docs\]
+    const LINE_BYTES: f64 = 64.0;
+
     #[test]
     fn stream_mlp_reproduces_hbm_plateau() {
         // 64 cores × MLP × 64 B / 154 ns should be ≈ 330 GB/s.
-        let bw = CORES as f64 * STREAM_MLP_PER_CORE_1T * LINE_BYTES as f64
+        let bw = CORES as f64 * STREAM_MLP_PER_CORE_1T * LINE_BYTES
             / (presets::MCDRAM_IDLE_LATENCY_NS * 1e-9)
             / 1e9;
         assert!(
@@ -208,7 +204,7 @@ mod tests {
     #[test]
     fn mlp_cap_exceeds_saturation_needs() {
         // With the cap, HBM can reach its 420 GB/s maximum.
-        let bw = CORES as f64 * STREAM_MLP_PER_CORE_CAP * LINE_BYTES as f64
+        let bw = CORES as f64 * STREAM_MLP_PER_CORE_CAP * LINE_BYTES
             / (presets::MCDRAM_IDLE_LATENCY_NS * 1e-9)
             / 1e9;
         assert!(bw > presets::MCDRAM_SUSTAINED_MAX_GBS, "bw {bw}");
@@ -216,7 +212,7 @@ mod tests {
 
     #[test]
     fn ddr_saturates_even_at_one_thread() {
-        let bw = CORES as f64 * STREAM_MLP_PER_CORE_1T * LINE_BYTES as f64
+        let bw = CORES as f64 * STREAM_MLP_PER_CORE_1T * LINE_BYTES
             / (presets::DDR_IDLE_LATENCY_NS * 1e-9)
             / 1e9;
         assert!(bw > presets::DDR_SUSTAINED_GBS * 3.0);

@@ -6,8 +6,7 @@
 //! hierarchy config — see the [`tracesim`](crate::tracesim) module
 //! docs. This
 //! module materializes that stage as a [`ClassifiedTrace`]: the
-//! per-core SoA batches ([9 bytes per
-//! access](crate::tracesim::CLASSIFIED_ACCESS_BYTES)) plus the
+//! per-core SoA batches (9 bytes per access) plus the
 //! canonical [`ClassifyKey`] describing exactly what was classified
 //! (generator spec × cores × cache/TLB config). A multi-setup sweep
 //! builds the artifact once per trace — streamed, so the raw trace never
@@ -35,7 +34,7 @@
 //! misses, inserts, evictions and rejections ([`ClassifyCacheStats`])
 //! next to current and high-water bytes. An
 //! artifact larger than the whole budget warns once per process
-//! ([`classify_cache_warning`], mirroring the streaming replay's
+//! (`classify_cache_warning`, mirroring the streaming replay's
 //! buffered-accesses warning) because every sweep over it silently
 //! degenerates to rebuild-per-setup.
 
@@ -75,27 +74,9 @@ impl ClassifyKey {
         }
     }
 
-    /// The generator half of the key.
-    pub fn trace_spec(&self) -> &str {
-        &self.trace_spec
-    }
-
-    /// Simulated cores the trace was partitioned over.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
     /// The cache/TLB-config half of the key.
-    pub fn classify_sig(&self) -> &str {
+    pub(crate) fn classify_sig(&self) -> &str {
         &self.classify_sig
-    }
-
-    /// The canonical string form (used in logs and metrics labels).
-    pub fn canonical(&self) -> String {
-        format!(
-            "{}|cores={}|{}",
-            self.trace_spec, self.cores, self.classify_sig
-        )
     }
 }
 
@@ -193,12 +174,12 @@ impl ClassifiedTrace {
     }
 
     /// The key this artifact was built under.
-    pub fn key(&self) -> &ClassifyKey {
+    pub(crate) fn key(&self) -> &ClassifyKey {
         &self.key
     }
 
     /// Cores the trace was partitioned over.
-    pub fn cores(&self) -> u32 {
+    pub(crate) fn cores(&self) -> u32 {
         self.per_core.len() as u32
     }
 
@@ -208,13 +189,13 @@ impl ClassifiedTrace {
     }
 
     /// Classified accesses belonging to core `c`.
-    pub fn per_core_len(&self, c: usize) -> usize {
+    pub(crate) fn per_core_len(&self, c: usize) -> usize {
         self.per_core[c].len()
     }
 
     /// Payload bytes (9 per access) — the unit the [`ClassifyCache`]
     /// budget is measured in.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.accesses as usize * CLASSIFIED_ACCESS_BYTES
     }
 
@@ -239,18 +220,22 @@ impl ClassifiedTrace {
 /// (~29.8 M accesses), several paper-scale sweep artifacts.
 pub const CLASSIFY_CACHE_DEFAULT_BYTES: usize = 256 << 20;
 
+/// The most accesses one artifact can hold and still fit the default
+/// classify cache: 29,826,161 at 9 bytes per access.
+pub const CLASSIFY_CACHE_MAX_ACCESSES: u64 =
+    (CLASSIFY_CACHE_DEFAULT_BYTES / CLASSIFIED_ACCESS_BYTES) as u64;
+
 /// Warn-once condition for the classify cache, mirroring the streaming
 /// replay's `buffer_warning`: an artifact larger than the entire cache
 /// budget can never be retained, so every sweep over that trace
 /// silently degenerates to rebuild-per-setup. Pure so the threshold is
 /// testable without capturing stderr.
-pub fn classify_cache_warning(entry_bytes: usize, cap_bytes: usize) -> Option<String> {
+pub(crate) fn classify_cache_warning(entry_bytes: usize, cap_bytes: usize) -> Option<String> {
     if cap_bytes > 0 && entry_bytes > cap_bytes {
         Some(format!(
             "tracesim: classified artifact of {entry_bytes} bytes exceeds the \
              {cap_bytes}-byte classify-cache budget; multi-setup sweeps over this \
-             trace will re-classify it every time (raise TRACESIM_CLASSIFY_CACHE_MB \
-             or shrink the trace)"
+             trace will re-classify it every time (shrink the trace)"
         ))
     } else {
         None
@@ -312,7 +297,7 @@ pub struct ClassifyCache {
 impl ClassifyCache {
     /// An empty cache with a `cap_bytes` payload budget (0 disables
     /// retention).
-    pub fn new(cap_bytes: usize) -> Self {
+    pub(crate) fn new(cap_bytes: usize) -> Self {
         ClassifyCache {
             cap_bytes,
             lru: VecDeque::new(),
@@ -337,7 +322,7 @@ impl ClassifyCache {
 
     /// Count one shared hit: a concurrent caller that obtained the
     /// artifact from an in-flight build instead of building its own.
-    pub fn note_shared_hit(&mut self) {
+    pub(crate) fn note_shared_hit(&mut self) {
         self.stats.hits += 1;
     }
 
@@ -367,30 +352,10 @@ impl ClassifyCache {
         self.lru.push_back(built);
     }
 
-    /// Retained artifacts.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Retained payload bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
     /// High-water mark of retained payload bytes — the "buffered
     /// classified bytes" gauge.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
-    }
-
-    /// The byte budget.
-    pub fn cap_bytes(&self) -> usize {
-        self.cap_bytes
     }
 
     /// Behaviour counters so far.
@@ -402,17 +367,6 @@ impl ClassifyCache {
     pub fn clear(&mut self) {
         self.lru.clear();
         self.bytes = 0;
-    }
-}
-
-/// Capacity for the process-wide cache: `TRACESIM_CLASSIFY_CACHE_MB`
-/// (MiB; 0 disables retention; garbage warns once via
-/// [`simfabric::env`]), defaulting to
-/// [`CLASSIFY_CACHE_DEFAULT_BYTES`].
-pub fn classify_cache_capacity_from_env() -> usize {
-    match simfabric::env::usize_var("TRACESIM_CLASSIFY_CACHE_MB") {
-        Some(mib) => mib << 20,
-        None => CLASSIFY_CACHE_DEFAULT_BYTES,
     }
 }
 
@@ -493,7 +447,7 @@ pub struct SharedClassifyCache {
 
 impl SharedClassifyCache {
     /// A shared cache with a `cap_bytes` payload budget (0 disables
-    /// retention, exactly as in [`ClassifyCache::new`]).
+    /// retention, exactly as in `ClassifyCache::new`).
     pub fn new(cap_bytes: usize) -> Self {
         SharedClassifyCache {
             cache: Mutex::new(ClassifyCache::new(cap_bytes)),
@@ -581,14 +535,14 @@ impl SharedClassifyCache {
 }
 
 /// The process-wide [`SharedClassifyCache`] (created on first use
-/// with [`classify_cache_capacity_from_env`]). Sweep consumers share
+/// with a [`CLASSIFY_CACHE_DEFAULT_BYTES`] budget). Sweep consumers share
 /// artifacts through this instance, so a figure sweep, the migration
 /// T-sweep, and concurrent advisor-service workers over the same
 /// trace all hit the same entries — and two workers missing on one
 /// key build it once.
 pub fn global_classify_cache() -> &'static SharedClassifyCache {
     static CACHE: OnceLock<SharedClassifyCache> = OnceLock::new();
-    CACHE.get_or_init(|| SharedClassifyCache::new(classify_cache_capacity_from_env()))
+    CACHE.get_or_init(|| SharedClassifyCache::new(CLASSIFY_CACHE_DEFAULT_BYTES))
 }
 
 /// Run `f` against the process-wide classify cache (stats snapshots,
@@ -629,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn key_components_all_reach_the_canonical_string() {
+    fn every_key_component_distinguishes_keys() {
         let base = ClassifyKey::new("stream:4x8", 4, "flat:ddr=1ps");
         for other in [
             ClassifyKey::new("gups:4x8", 4, "flat:ddr=1ps"),
@@ -637,7 +591,6 @@ mod tests {
             ClassifyKey::new("stream:4x8", 4, "cache:ddr=1ps:hbm=2ps:msc=64B"),
         ] {
             assert_ne!(base, other);
-            assert_ne!(base.canonical(), other.canonical());
         }
     }
 
@@ -690,7 +643,7 @@ mod tests {
         cache.get_or_build(&key_a, || tiny_artifact("a", 2, 8));
         cache.get_or_build(&key_b, || tiny_artifact("b", 2, 8));
         assert_eq!(cache.with_cache(|c| c.stats()).misses, 2);
-        assert_eq!(cache.with_cache(|c| c.bytes()), entry_bytes * 2);
+        assert_eq!(cache.with_cache(|c| c.bytes), entry_bytes * 2);
 
         // Hit A so B becomes the LRU entry…
         cache.get_or_build(&key_a, || unreachable!("hit must not rebuild"));
@@ -720,8 +673,8 @@ mod tests {
         cache.get_or_build(&key, || tiny_artifact("a", 2, 8));
         cache.with_cache(|c| {
             assert_eq!(c.stats().misses, 2);
-            assert_eq!(c.len(), 0);
-            assert_eq!(c.bytes(), 0);
+            assert!(c.lru.is_empty());
+            assert_eq!(c.bytes, 0);
         });
     }
 
@@ -738,7 +691,7 @@ mod tests {
         cache.get_or_build(&key, || tiny_artifact("big", 2, 8));
         cache.with_cache(|c| {
             assert_eq!(c.stats().rejected, 1);
-            assert!(c.is_empty());
+            assert!(c.lru.is_empty());
         });
     }
 

@@ -47,7 +47,7 @@ impl MemSetup {
 
     /// The NUMA topology the OS exposes under this setup (Table II).
     /// Hybrid mode needs the partition ratio; use
-    /// [`MachineConfig::topology`] for that case (this method assumes
+    /// `MachineConfig::topology` for that case (this method assumes
     /// the 50/50 split).
     pub fn topology(self) -> NumaTopology {
         match self {
@@ -58,7 +58,7 @@ impl MemSetup {
     }
 
     /// Whether (some of) the MCDRAM fronts DDR as a cache.
-    pub fn has_mcdram_cache(self) -> bool {
+    pub(crate) fn has_mcdram_cache(self) -> bool {
         matches!(self, MemSetup::CacheMode | MemSetup::Hybrid)
     }
 }
@@ -128,7 +128,7 @@ impl MachineConfig {
     }
 
     /// The NUMA topology the OS exposes under this configuration.
-    pub fn topology(&self) -> NumaTopology {
+    pub(crate) fn topology(&self) -> NumaTopology {
         match self.setup {
             MemSetup::CacheMode => NumaTopology::knl_cache(),
             MemSetup::Hybrid => hybrid_topology(self.hybrid_cache_fraction),
@@ -137,12 +137,12 @@ impl MachineConfig {
     }
 
     /// Hardware threads per core in use (ceiling of threads/cores).
-    pub fn threads_per_core(&self) -> u32 {
+    pub(crate) fn threads_per_core(&self) -> u32 {
         self.threads.div_ceil(self.cores).max(1)
     }
 
     /// Cores actually running at least one thread.
-    pub fn active_cores(&self) -> u32 {
+    pub(crate) fn active_cores(&self) -> u32 {
         self.threads.min(self.cores)
     }
 
@@ -171,7 +171,7 @@ impl MachineConfig {
     }
 
     /// Validate the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("zero cores".into());
         }

@@ -62,7 +62,7 @@ impl EnergyReport {
     }
 
     /// Price traffic under `model`.
-    pub fn from_traffic(model: &EnergyModel, ddr_bytes: f64, mcdram_bytes: f64) -> Self {
+    pub(crate) fn from_traffic(model: &EnergyModel, ddr_bytes: f64, mcdram_bytes: f64) -> Self {
         Self::with_migration(model, ddr_bytes, mcdram_bytes, 0.0)
     }
 

@@ -27,18 +27,17 @@ pub mod access;
 pub mod calib;
 pub mod classified;
 pub mod config;
-pub mod energy;
+pub(crate) mod energy;
 pub mod latency;
-pub mod machine;
+pub(crate) mod machine;
 pub mod tracesim;
 
-pub use access::{RandomOp, Region, StreamOp};
+pub use access::{RandomOp, StreamOp};
 pub use classified::{
     classify_signature, global_classify_cache, with_global_classify_cache, ClassifiedTrace,
-    ClassifyCache, ClassifyKey, SharedClassifyCache,
+    SharedClassifyCache,
 };
 pub use config::{MachineConfig, MemSetup};
 pub use energy::{EnergyModel, EnergyReport};
 pub use latency::dual_random_read_latency;
-pub use machine::{Machine, MachineError, RunStats};
-pub use tracesim::{ShardTotals, TraceAccess, TracePlacement, TraceSim, TraceSimReport};
+pub use machine::{Machine, MachineError};

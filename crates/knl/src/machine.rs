@@ -63,22 +63,14 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// Aggregate counters for a run.
+/// Device traffic of a run, for the energy model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunStats {
-    /// Bytes priced through `stream`.
-    pub stream_bytes: u64,
-    /// Units priced through `random`.
-    pub random_units: u64,
-    /// Flops priced through `compute`.
-    pub flops: f64,
-    /// Number of operations executed.
-    pub ops: u64,
-    /// Bytes of traffic that hit the DDR device (for the energy
-    /// model; cache-mode misses count their fills on MCDRAM too).
-    pub ddr_traffic_bytes: f64,
+struct DeviceTraffic {
+    /// Bytes of traffic that hit the DDR device (cache-mode misses
+    /// count their fills on MCDRAM too).
+    ddr_bytes: f64,
     /// Bytes of traffic that hit the MCDRAM device.
-    pub mcdram_traffic_bytes: f64,
+    mcdram_bytes: f64,
 }
 
 /// One configured KNL node.
@@ -106,7 +98,7 @@ pub struct Machine {
     heap: MemkindHeap,
     msc: Option<DirectMappedModel>,
     clock: Duration,
-    stats: RunStats,
+    traffic: DeviceTraffic,
 }
 
 /// Which device class a slice of traffic targets.
@@ -127,7 +119,7 @@ impl Machine {
             heap: MemkindHeap::new(cfg.topology()),
             msc,
             clock: Duration::ZERO,
-            stats: RunStats::default(),
+            traffic: DeviceTraffic::default(),
             cfg,
         })
     }
@@ -150,18 +142,6 @@ impl Machine {
     /// Simulated time accumulated so far.
     pub fn elapsed(&self) -> Duration {
         self.clock
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> RunStats {
-        self.stats
-    }
-
-    /// Reset the clock and counters (allocations survive — the paper
-    /// times kernels after a warm-up pass).
-    pub fn reset_clock(&mut self) {
-        self.clock = Duration::ZERO;
-        self.stats = RunStats::default();
     }
 
     /// Allocate a region under this machine's memory setup: the
@@ -279,8 +259,6 @@ impl Machine {
     pub fn stream(&mut self, ops: &[StreamOp]) -> Duration {
         let dur = self.price_stream(ops);
         self.clock += dur;
-        self.stats.ops += 1;
-        self.stats.stream_bytes += ops.iter().map(StreamOp::bytes).sum::<u64>();
         // Device traffic attribution for the energy model.
         for op in ops {
             let bytes = op.bytes() as f64;
@@ -295,11 +273,11 @@ impl Machine {
                     Reuse::Resident => 1.0,
                 };
                 // Hits and fills touch MCDRAM; misses touch DDR.
-                self.stats.mcdram_traffic_bytes += bytes * f + ddr_share;
-                self.stats.ddr_traffic_bytes += ddr_share * (1.0 - h);
+                self.traffic.mcdram_bytes += bytes * f + ddr_share;
+                self.traffic.ddr_bytes += ddr_share * (1.0 - h);
             } else {
-                self.stats.mcdram_traffic_bytes += bytes * f;
-                self.stats.ddr_traffic_bytes += bytes * (1.0 - f);
+                self.traffic.mcdram_bytes += bytes * f;
+                self.traffic.ddr_bytes += bytes * (1.0 - f);
             }
         }
         dur
@@ -358,31 +336,6 @@ impl Machine {
             ddr_bytes / 1e9 / bw_ddr + hbm_bytes / 1e9 / bw_hbm
         };
         Duration::from_secs(secs)
-    }
-
-    /// The effective streaming bandwidth (GB/s) a workload of the given
-    /// footprint/reuse/placement sees — handy for reporting.
-    pub fn effective_stream_bw(&self, region: &Region, reuse: Reuse) -> f64 {
-        if self.cfg.setup.has_mcdram_cache() {
-            let f = region.hbm_fraction;
-            let ddr_fp = ByteSize::bytes((region.size().as_u64() as f64 * (1.0 - f)) as u64);
-            let cache_bw = self.cache_mode_stream_bw(ddr_fp, reuse);
-            let hbm_bw = self.flat_stream_bw(Dev::Hbm);
-            1.0 / (f / hbm_bw + (1.0 - f) / cache_bw)
-        } else {
-            let f = region.hbm_fraction;
-            let bw_ddr = self.flat_stream_bw(Dev::Ddr);
-            let bw_hbm = self.flat_stream_bw(Dev::Hbm);
-            if matches!(region.block.kind, Kind::Interleave | Kind::HbwInterleave)
-                && f > 0.0
-                && f < 1.0
-            {
-                // Concurrent drain of both shares.
-                1.0 / ((f / bw_hbm).max((1.0 - f) / bw_ddr))
-            } else {
-                1.0 / (f / bw_hbm + (1.0 - f) / bw_ddr)
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -451,18 +404,16 @@ impl Machine {
     pub fn random(&mut self, op: &RandomOp) -> Duration {
         let dur = self.price_random(op);
         self.clock += dur;
-        self.stats.ops += 1;
-        self.stats.random_units += op.count;
         // Device traffic attribution for the energy model.
         let bytes = op.line_touches() as f64 * self.cfg.ddr.line_bytes as f64;
         let f = op.region.hbm_fraction;
         let (_lat, ddr_cost, _dom) = self.random_latency_and_cost(op);
         if self.msc.is_some() {
-            self.stats.mcdram_traffic_bytes += bytes * f + bytes * (1.0 - f);
-            self.stats.ddr_traffic_bytes += bytes * (1.0 - f) * ddr_cost;
+            self.traffic.mcdram_bytes += bytes * f + bytes * (1.0 - f);
+            self.traffic.ddr_bytes += bytes * (1.0 - f) * ddr_cost;
         } else {
-            self.stats.mcdram_traffic_bytes += bytes * f;
-            self.stats.ddr_traffic_bytes += bytes * (1.0 - f);
+            self.traffic.mcdram_bytes += bytes * f;
+            self.traffic.ddr_bytes += bytes * (1.0 - f);
         }
         dur
     }
@@ -512,12 +463,12 @@ impl Machine {
     }
 
     /// Price this run's accumulated memory traffic under an energy
-    /// model (extension; see [`crate::energy`]).
+    /// model (extension; see `crate::energy`).
     pub fn energy(&self, model: &crate::energy::EnergyModel) -> crate::energy::EnergyReport {
         crate::energy::EnergyReport::from_traffic(
             model,
-            self.stats.ddr_traffic_bytes,
-            self.stats.mcdram_traffic_bytes,
+            self.traffic.ddr_bytes,
+            self.traffic.mcdram_bytes,
         )
     }
 
@@ -531,21 +482,7 @@ impl Machine {
         assert!(roof_gflops > 0.0, "compute roof must be positive");
         let dur = Duration::from_secs(flops / (roof_gflops * 1e9));
         self.clock += dur;
-        self.stats.ops += 1;
-        self.stats.flops += flops;
         dur
-    }
-
-    /// A generic scalar compute roof for this thread count (GFLOPS):
-    /// 2 flops/cycle/core × active cores, derated below 2 threads/core
-    /// (single-thread KNL cores cannot fill the pipeline).
-    pub fn scalar_roof_gflops(&self) -> f64 {
-        let per_core = if self.cfg.threads_per_core() >= 2 {
-            2.0
-        } else {
-            1.4
-        };
-        self.cfg.active_cores() as f64 * calib::CORE_GHZ * per_core
     }
 }
 
@@ -678,7 +615,8 @@ mod tests {
         let mut m = Machine::knl7210(MemSetup::Interleaved, 64).unwrap();
         let r = m.alloc("x", ByteSize::gib(8)).unwrap();
         assert!((r.hbm_fraction - 0.5).abs() < 0.01);
-        let bw = m.effective_stream_bw(&r, Reuse::Streaming);
+        let d = m.price_stream(&[StreamOp::read_all(&r)]);
+        let bw = r.size().as_u64() as f64 / 1e9 / d.as_secs();
         // Parallel drain of both halves: limited by DDR half => 2×77.
         assert!((bw - 154.0).abs() < 8.0, "interleaved bw {bw}");
     }
@@ -743,8 +681,7 @@ mod tests {
         let mut m = Machine::knl7210(MemSetup::DramOnly, 128).unwrap();
         let d = m.compute(1e9, 100.0);
         assert!((d.as_secs() - 0.01).abs() < 1e-9);
-        assert!(m.scalar_roof_gflops() > m.config().cores as f64);
-        assert_eq!(m.stats().ops, 1);
+        assert_eq!(m.elapsed(), d);
     }
 
     #[test]
@@ -755,9 +692,5 @@ mod tests {
         m.random(&RandomOp::probes(&r, 1000));
         m.compute(1e9, 100.0);
         assert!(m.elapsed() > Duration::from_secs(0.01));
-        m.reset_clock();
-        assert_eq!(m.elapsed(), Duration::ZERO);
-        // Region is still usable after reset.
-        assert!(m.price_stream(&[StreamOp::read_all(&r)]) > Duration::ZERO);
     }
 }

@@ -1,7 +1,7 @@
 //! Trace-driven simulator.
 //!
 //! Replays line-granularity address traces through the exact substrate
-//! models — per-core L1/L2 + TLB ([`cachesim::Hierarchy`]), the mesh
+//! models — per-core L1/L2 + TLB ([`cachesim::hierarchy::Hierarchy`]), the mesh
 //! ([`mesh::MeshModel`]), the direct-mapped MCDRAM cache
 //! ([`MemorySideCache`]), and the bank-level DRAM models
 //! ([`memdev::bank::DramModel`]). It exists to
@@ -25,14 +25,14 @@
 //! depend only on that core's own stream of L2 misses. Classification
 //! stops at L2, and the merge stage probes each core's store as that
 //! core's classified accesses enter its queue, in program order (the
-//! sequential [`TraceSim::access`] probes inline). Streaming replay
+//! sequential `TraceSim::access` probes inline). Streaming replay
 //! therefore runs as a two-stage pipeline
 //! ([`simfabric::par::pipelined_stats`]):
 //!
 //! 1. a **producer stage** on its own thread, which owns the per-core
 //!    [`Hierarchy`]s for the duration of the run. It takes the next
 //!    generator chunk, partitions it by core (see
-//!    [`partition_by_core`]), drives each shard's private hierarchy on
+//!    `partition_by_core`), drives each shard's private hierarchy on
 //!    the caller's [`par::num_threads`] count of workers, and ships the
 //!    per-core outcomes as SoA batches (separate address and flag
 //!    arrays, 9 B per access instead of a 40 B record), and
@@ -65,7 +65,7 @@
 //! producer ends, and then the engine closes them. A streamed workload
 //! confined to a few cores (a single-core pointer chase is the
 //! extreme) therefore buffers most of its classified trace —
-//! correctness is never traded for memory, and [`buffer_warning`] says
+//! correctness is never traded for memory, and `buffer_warning` says
 //! so once per process. Peak buffering is tracked per run and exposed
 //! via [`TraceSim::last_peak_trace_buffer_bytes`].
 //!
@@ -90,7 +90,7 @@
 //! key mismatch can never alias — `run_classified` asserts the
 //! signature and the cache treats any changed key as a miss.
 //!
-//! Per-shard totals are folded with [`ShardTotals::merge`], an
+//! Per-shard totals are folded with `ShardTotals::merge`, an
 //! order-independent (commutative, associative, integer-only)
 //! reduction, so worker count never leaks into results.
 
@@ -106,7 +106,6 @@ use memkind_sim::migrate::{MigrationCost, MigrationSpec, MigrationStats, PageSch
 use mesh::{ClusterMode, MeshModel};
 use simfabric::merge::LoserTree;
 use simfabric::par;
-use simfabric::stats::Histogram;
 use simfabric::telemetry::timeseries::{SeriesId, TimeSeriesRecorder};
 use simfabric::telemetry::{MetricsRegistry, SpanLog};
 use simfabric::{ByteSize, Duration, SimTime};
@@ -208,7 +207,7 @@ pub struct TraceSimReport {
 
 /// Raw per-shard totals, in integer picoseconds and counts, from which
 /// a [`TraceSimReport`] is derived. Every field combines with a sum or
-/// a max, so [`merge`](Self::merge) is commutative and associative:
+/// a max, so `merge` is commutative and associative:
 /// shards reduce to identical totals in any order — the property that
 /// lets the windowed paths match the sequential path bit for bit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -227,7 +226,7 @@ pub struct ShardTotals {
 
 impl ShardTotals {
     /// Combine two shards' totals (order-independent reduction).
-    pub fn merge(self, other: ShardTotals) -> ShardTotals {
+    pub(crate) fn merge(self, other: ShardTotals) -> ShardTotals {
         ShardTotals {
             accesses: self.accesses + other.accesses,
             memory_accesses: self.memory_accesses + other.memory_accesses,
@@ -240,7 +239,7 @@ impl ShardTotals {
     /// Derive the user-facing report. An empty run (zero accesses)
     /// yields an all-zero report — the average-latency and bandwidth
     /// divisions are guarded, never performed on zero counts.
-    pub fn into_report(self, line_bytes: u64) -> TraceSimReport {
+    pub(crate) fn into_report(self, line_bytes: u64) -> TraceSimReport {
         if self.accesses == 0 {
             return TraceSimReport::default();
         }
@@ -267,7 +266,7 @@ impl ShardTotals {
 /// Traces may name cores beyond the simulated core count (a trace
 /// captured on a larger machine); they wrap modulo the shard count, so
 /// per-core program order within a shard is still preserved.
-pub fn partition_by_core(core: u32, shards: usize) -> usize {
+pub(crate) fn partition_by_core(core: u32, shards: usize) -> usize {
     core as usize % shards
 }
 
@@ -300,16 +299,16 @@ pub const PAR_WINDOW: usize = 1 << 16;
 /// delivered — the pipeline is then no longer streaming, it is
 /// materializing the trace (the single-core worst case the module docs
 /// describe).
-pub const BUFFER_WARN_CHUNKS: usize = 8;
+pub(crate) const BUFFER_WARN_CHUNKS: usize = 8;
 
 /// Minimum backlog (in accesses) before the warning can fire, so the
 /// tiny chunks the unit tests feed never trip it.
-pub const BUFFER_WARN_MIN_ACCESSES: usize = 1 << 16;
+pub(crate) const BUFFER_WARN_MIN_ACCESSES: usize = 1 << 16;
 
 /// The warning [`TraceSim::run_streaming`] emits (once per process)
 /// when its classified backlog stops being bounded by the chunk size.
 /// Pure so the threshold logic is testable without capturing stderr.
-pub fn buffer_warning(backlog_accesses: usize, max_chunk_accesses: usize) -> Option<String> {
+pub(crate) fn buffer_warning(backlog_accesses: usize, max_chunk_accesses: usize) -> Option<String> {
     if backlog_accesses >= BUFFER_WARN_MIN_ACCESSES
         && max_chunk_accesses > 0
         && backlog_accesses > BUFFER_WARN_CHUNKS * max_chunk_accesses
@@ -495,7 +494,7 @@ impl ClassifiedSoa {
 /// Bytes per access in the SoA layout (u64 address + packed flag
 /// byte) — the unit `ClassifiedTrace::bytes` and the classify-cache
 /// budget are measured in.
-pub const CLASSIFIED_ACCESS_BYTES: usize = 8 + 1;
+pub(crate) const CLASSIFIED_ACCESS_BYTES: usize = 8 + 1;
 
 /// The private-hierarchy configuration replay uses under `cfg`: the
 /// KNL L1/L2/TLB hierarchy, the same under every memory setup (cache
@@ -888,7 +887,7 @@ impl TraceSim {
 
     /// Turn on telemetry for subsequent `run*` calls: a [`SpanLog`]
     /// for phase spans, plus the Option-gated device recorders (MSHR
-    /// occupancy, DRAM bank queue-wait, mesh per-link traversals).
+    /// occupancy and DRAM bank queue-wait histograms).
     /// Telemetry is purely observational — replay results and device
     /// statistics are bit-identical with it on or off, which the
     /// equivalence suite asserts.
@@ -901,12 +900,6 @@ impl TraceSim {
         }
         self.ddr.enable_queue_wait_histogram();
         self.hbm.enable_queue_wait_histogram();
-        self.mesh.enable_link_telemetry();
-    }
-
-    /// Whether [`enable_telemetry`](Self::enable_telemetry) was called.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
     }
 
     /// Turn on time-resolved sampling for subsequent `run*` calls: a
@@ -956,11 +949,6 @@ impl TraceSim {
     /// [`enable_timeseries`](Self::enable_timeseries) was called.
     pub fn timeseries(&self) -> Option<&TimeSeriesRecorder> {
         self.timeseries.as_deref().map(|ts| &ts.rec)
-    }
-
-    /// Whether time-series sampling is enabled.
-    pub fn timeseries_enabled(&self) -> bool {
-        self.timeseries.is_some()
     }
 
     /// Device-level time-series accounting for an access routed to
@@ -1054,19 +1042,12 @@ impl TraceSim {
         self.last_pipe_stats
     }
 
-    /// Peak classified accesses buffered ahead of the timing merge in
-    /// the most recent `run*` call (see `pipeline.buffered_accesses`
-    /// in [`metrics_registry`](Self::metrics_registry)).
-    pub fn last_peak_buffered_accesses(&self) -> usize {
-        self.peak_buffered_accesses
-    }
-
     /// Snapshot shard `core`'s private state (cache hierarchy, MSHR
     /// file, raw totals) as an *unindexed* metrics registry: every
     /// shard uses the same metric names, so per-shard registries merge
     /// with [`MetricsRegistry::merge`] into exactly the totals the
     /// sequential path reports — the registry-level analogue of
-    /// [`ShardTotals::merge`], asserted by the equivalence suite.
+    /// `ShardTotals::merge`, asserted by the equivalence suite.
     pub fn shard_metrics(&self, core: usize) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         let t = &self.core_totals[core];
@@ -1119,14 +1100,6 @@ impl TraceSim {
         reg.counter("mesh.messages", ms.messages.get());
         reg.counter("mesh.hops", ms.hops.get());
         reg.counter("mesh.contended", ms.contended.get());
-        if let Some(links) = self.mesh.link_traversals() {
-            reg.gauge("mesh.links_used", links.len() as f64);
-            let mut h = Histogram::new();
-            for &(_, n) in &links {
-                h.record(n);
-            }
-            reg.histogram("mesh.link_traversals", &h);
-        }
         reg.counter(
             "pipeline.producer_stalls",
             self.last_pipe_stats.producer_stalls,
@@ -1178,11 +1151,6 @@ impl TraceSim {
         self.hbm.stats()
     }
 
-    /// Combined device statistics (DDR + MCDRAM, merged).
-    pub fn memory_stats(&self) -> DramStats {
-        self.ddr.stats().merge(self.hbm.stats())
-    }
-
     /// Mesh statistics (messages, hops, contention).
     pub fn mesh_stats(&self) -> mesh::MeshStats {
         self.mesh.stats()
@@ -1196,7 +1164,7 @@ impl TraceSim {
     }
 
     /// Totals merged over all shards.
-    pub fn totals(&self) -> ShardTotals {
+    pub(crate) fn totals(&self) -> ShardTotals {
         self.core_totals
             .iter()
             .fold(ShardTotals::default(), |a, &b| a.merge(b))
@@ -1268,7 +1236,7 @@ impl TraceSim {
     }
 
     /// Replay one access; returns its latency.
-    pub fn access(&mut self, t: TraceAccess) -> Duration {
+    pub(crate) fn access(&mut self, t: TraceAccess) -> Duration {
         let core = partition_by_core(t.core, self.cores());
         let kind = if t.write {
             AccessKind::Write
@@ -1375,8 +1343,7 @@ impl TraceSim {
                     }
                 }
             };
-            // Response traverses the mesh back (charged as latency, no
-            // link reservation: response links mirror request links).
+            // Response traverses the mesh back, charged as latency.
             done = served
                 + if is_hbm_target {
                     self.resp_half_hbm
@@ -1413,9 +1380,8 @@ impl TraceSim {
     ///
     /// Per-core program order is preserved, but across cores the
     /// simulator always advances the core with the earliest clock —
-    /// otherwise cores that drift ahead would reserve mesh links and
-    /// bank slots "in the future" and laggards would queue behind
-    /// phantom traffic.
+    /// otherwise cores that drift ahead would reserve bank slots "in
+    /// the future" and laggards would queue behind phantom traffic.
     pub fn run(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
         let cores = self.cores();
         let t_partition = self.telemetry.is_some().then(Instant::now);
@@ -1527,7 +1493,7 @@ impl TraceSim {
     /// a workload confined to a subset of cores (a single-core pointer
     /// chase is the extreme) buffers most of its classified trace —
     /// trading memory, never correctness — and warns once via
-    /// [`buffer_warning`].
+    /// `buffer_warning`.
     pub fn run_streaming(
         &mut self,
         mut fill: impl FnMut(&mut Vec<TraceAccess>) -> usize + Send,
@@ -1750,7 +1716,7 @@ impl TraceSim {
 
     /// Finalize and return the report (the order-independent reduction
     /// of the per-core totals). Idempotent, and safe on an empty run.
-    pub fn finish(&mut self) -> TraceSimReport {
+    pub(crate) fn finish(&mut self) -> TraceSimReport {
         if self.timeseries.is_some() {
             // Close the trailing partial window. The far-future probe
             // time sees every MSHR entry as retired (`ready <= now`
@@ -2637,12 +2603,135 @@ mod tests {
         trace
     }
 
+    /// The adversarial shapes drawn after the mixed TLB-hostile
+    /// rounds: one busy core among eight, every core hammering one
+    /// line or one DRAM row, and all-dependent chains.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        OneBusyCore,
+        OneLine,
+        OneRow,
+        AllDependent,
+    }
+
+    /// A seeded trace of `shape` over `cores` cores.
+    fn adversarial_trace(
+        rng: &mut simfabric::prng::Rng,
+        shape: Shape,
+        cores: u32,
+    ) -> Vec<TraceAccess> {
+        let n = rng.gen_range(500..3000u64);
+        let access = |core: u32, addr: u64, rng: &mut simfabric::prng::Rng| TraceAccess {
+            core,
+            addr,
+            write: rng.next_below(4) == 0,
+            dependent: rng.next_below(4) == 0,
+        };
+        match shape {
+            Shape::OneBusyCore => {
+                let busy = rng.next_below(cores as u64) as u32;
+                let mut trace = tlb_hostile_trace(rng, 1);
+                for a in &mut trace {
+                    a.core = busy;
+                }
+                trace
+            }
+            Shape::OneLine => {
+                let line = rng.next_below(1 << 20) << 6;
+                (0..n)
+                    .map(|i| access((i % cores as u64) as u32, line, rng))
+                    .collect()
+            }
+            Shape::OneRow => {
+                // The 128 lines of one DDR row: one channel (every
+                // sixth line), consecutive lines within it.
+                let g = memdev::bank::DramGeometry::ddr4_knl();
+                let (channels, per_row) = (g.channels as u64, (g.row_bytes / g.line_bytes) as u64);
+                let first = rng.next_below(1 << 12) * per_row;
+                let channel = rng.next_below(channels);
+                let row = g.map((first * channels + channel) << 6);
+                (0..n)
+                    .map(|i| {
+                        let line = (first + rng.next_below(per_row)) * channels + channel;
+                        assert_eq!(g.map(line << 6), row);
+                        access((i % cores as u64) as u32, line << 6, rng)
+                    })
+                    .collect()
+            }
+            Shape::AllDependent => {
+                let mut trace = tlb_hostile_trace(rng, cores);
+                for a in &mut trace {
+                    a.dependent = true;
+                }
+                trace
+            }
+        }
+    }
+
+    /// Replay `trace` through the sequential oracle, through streaming
+    /// at random chunk sizes and through its artifact at a random
+    /// window, in flat and cache mode, and assert the three agree:
+    /// report, per-core totals, device and mesh stats, and, with
+    /// `ts_interval`, the time-series export. Returns the cache-mode
+    /// MCDRAM-cache hits.
+    fn assert_engines_agree(
+        rng: &mut simfabric::prng::Rng,
+        trace: &[TraceAccess],
+        cores: u32,
+        ts_interval: Option<u64>,
+        label: &str,
+    ) -> u64 {
+        let ct = artifact(cores, trace);
+        let capacity = ByteSize::kib(1 << rng.gen_range(4..12u64));
+        let mut msc_hits = 0;
+        for setup in [MemSetup::DramOnly, MemSetup::CacheMode] {
+            let make = || {
+                let mut sim = TraceSim::new(&cfg(setup), cores, TracePlacement::AllDdr, capacity);
+                if let Some(interval) = ts_interval {
+                    sim.enable_timeseries(interval, 1024);
+                }
+                sim
+            };
+            let mut seq = make();
+            let expect = seq.run(trace);
+            let mut streamed = make();
+            let mut rest = trace;
+            let chunk_rng = &mut *rng;
+            let got = streamed.run_streaming(|buf| {
+                let n = (chunk_rng.gen_range(1..3000u64) as usize).min(rest.len());
+                buf.extend_from_slice(&rest[..n]);
+                rest = &rest[n..];
+                n
+            });
+            let window = rng.gen_range(1..5000u64) as usize;
+            let mut classified = make();
+            classified.set_replay_window(window);
+            let replayed = classified.run_classified(&ct);
+            for (engine, report, sim) in [
+                ("streaming", got, &streamed),
+                ("classified", replayed, &classified),
+            ] {
+                let at = format!("{label} {setup:?} {engine} window {window} msc {capacity}");
+                assert_eq!(report, expect, "{at}");
+                assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
+                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
+                assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{at}");
+                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
+                let export = |s: &TraceSim| s.timeseries().map(|ts| ts.to_jsonl());
+                assert_eq!(export(sim), export(&seq), "{at}");
+            }
+            msc_hits += expect.mcdram_cache_hits;
+        }
+        msc_hits
+    }
+
     #[test]
     fn tlb_hostile_replays_are_bit_identical_across_engines() {
         // Seeded loop: streaming at random chunk sizes and artifact
         // replay at random windows must match the sequential oracle,
-        // device state included, in flat and cache mode; and the
-        // traces must emit every (level, TLB outcome) code.
+        // device state included, in flat and cache mode; the mixed
+        // traces must emit every (level, TLB outcome) code, and the
+        // adversarial shapes replay with a time-series interval of 1.
         let mut rng = simfabric::prng::Rng::seed_from_u64(0x71B9);
         let mut msc_hits = 0;
         for round in 0..6 {
@@ -2659,40 +2748,23 @@ mod tests {
                     .flat_map(|l| TLB_OUTCOMES.map(|t| pack_flags(false, false, l, t) >> 2))
                     .collect();
             assert_eq!(codes, want, "round {round}: {} accesses", trace.len());
-            let capacity = ByteSize::kib(1 << rng.gen_range(4..12u64));
-            for setup in [MemSetup::DramOnly, MemSetup::CacheMode] {
-                let make = || TraceSim::new(&cfg(setup), cores, TracePlacement::AllDdr, capacity);
-                let mut seq = make();
-                let expect = seq.run(&trace);
-                let mut streamed = make();
-                let mut rest = &trace[..];
-                let chunk_rng = &mut rng;
-                let got = streamed.run_streaming(|buf| {
-                    let n = (chunk_rng.gen_range(1..3000u64) as usize).min(rest.len());
-                    buf.extend_from_slice(&rest[..n]);
-                    rest = &rest[n..];
-                    n
-                });
-                let window = rng.gen_range(1..5000u64) as usize;
-                let mut classified = make();
-                classified.set_replay_window(window);
-                let replayed = classified.run_classified(&ct);
-                for (engine, report, sim) in [
-                    ("streaming", got, &streamed),
-                    ("classified", replayed, &classified),
-                ] {
-                    let at =
-                        format!("round {round} {setup:?} {engine} window {window} msc {capacity}");
-                    assert_eq!(report, expect, "{at}");
-                    assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
-                    assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                    assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{at}");
-                    assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                }
-                msc_hits += expect.mcdram_cache_hits;
-            }
+            msc_hits +=
+                assert_engines_agree(&mut rng, &trace, cores, None, &format!("round {round}"));
         }
         assert!(msc_hits > 0, "cache mode never hit its memory-side cache");
+        for shape in [
+            Shape::OneBusyCore,
+            Shape::OneLine,
+            Shape::OneRow,
+            Shape::AllDependent,
+        ] {
+            let cores = match shape {
+                Shape::OneBusyCore => 8,
+                _ => rng.gen_range(2..9u64) as u32,
+            };
+            let trace = adversarial_trace(&mut rng, shape, cores);
+            assert_engines_agree(&mut rng, &trace, cores, Some(1), &format!("{shape:?}"));
+        }
     }
 
     #[test]
@@ -2809,7 +2881,7 @@ mod tests {
             .records()
             .iter()
             .any(|r| r.name == "generate" && r.tid == 1));
-        assert!(sim.last_peak_buffered_accesses() > 0);
+        assert!(sim.peak_buffered_accesses > 0);
     }
 
     /// The `cache.*` counters of every shard, in core order.

@@ -59,7 +59,7 @@ impl DramTiming {
     }
 
     /// Latency of a row-buffer hit (column access + burst).
-    pub fn row_hit(&self) -> Duration {
+    pub(crate) fn row_hit(&self) -> Duration {
         self.t_cas + self.t_burst
     }
 
@@ -71,7 +71,7 @@ impl DramTiming {
 
     /// Latency when the bank is idle with no row open
     /// (activate + column + burst).
-    pub fn row_closed(&self) -> Duration {
+    pub(crate) fn row_closed(&self) -> Duration {
         self.t_rcd + self.t_cas + self.t_burst
     }
 }
@@ -115,7 +115,7 @@ impl DramGeometry {
     /// map with shifts: at least one channel, and power-of-two line,
     /// row and bank counts with rows no smaller than lines. Channel
     /// counts need not be powers of two (KNL DDR has 6).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.channels == 0 {
             return Err("channel count must be positive".into());
         }
@@ -187,18 +187,6 @@ impl DramStats {
     pub fn hit_rate(&self) -> f64 {
         self.row_hits.ratio_of(self.total())
     }
-
-    /// Combine two stat sets. Every field is a sum, so the reduction is
-    /// commutative and associative: shard or per-device stats merge to
-    /// the same totals in any order.
-    pub fn merge(self, other: DramStats) -> DramStats {
-        DramStats {
-            row_hits: self.row_hits.merge(other.row_hits),
-            row_misses: self.row_misses.merge(other.row_misses),
-            row_closed: self.row_closed.merge(other.row_closed),
-            bank_conflicts: self.bank_conflicts.merge(other.bank_conflicts),
-        }
-    }
 }
 
 /// The event-level DRAM model.
@@ -234,7 +222,7 @@ pub struct DramModel {
 
 impl DramModel {
     /// Build a model from timing and geometry; panics on an invalid
-    /// geometry (see [`DramGeometry::validate`]; geometries are
+    /// geometry (see `DramGeometry::validate`; geometries are
     /// developer input, not user input).
     pub fn new(timing: DramTiming, geometry: DramGeometry) -> Self {
         geometry
@@ -277,11 +265,6 @@ impl DramModel {
     /// The KNL MCDRAM subsystem.
     pub fn mcdram_knl() -> Self {
         Self::new(DramTiming::mcdram(), DramGeometry::mcdram_knl())
-    }
-
-    /// Geometry in use.
-    pub fn geometry(&self) -> DramGeometry {
-        self.geometry
     }
 
     /// Access statistics so far.
@@ -356,18 +339,6 @@ impl DramModel {
         };
         // The controller/package path is pipelined latency on top.
         bank_done + timing.t_ctrl
-    }
-
-    /// Stream `lines` consecutive cache lines starting at `base`; all
-    /// requests are issued at `at` (a fully pipelined prefetch stream).
-    /// Returns the completion time of the last line.
-    pub fn stream(&mut self, base: u64, lines: u64, at: SimTime) -> SimTime {
-        let mut done = at;
-        for i in 0..lines {
-            let addr = base + i * self.geometry.line_bytes as u64;
-            done = done.max(self.access(addr, at));
-        }
-        done
     }
 }
 
@@ -490,10 +461,18 @@ mod tests {
         assert!(t.row_closed() < t.row_miss());
     }
 
+    /// Issue `lines` consecutive 64-B lines at once (a fully pipelined
+    /// prefetch stream); returns the completion time of the last line.
+    fn stream(m: &mut DramModel, lines: u64) -> SimTime {
+        (0..lines)
+            .map(|i| m.access(i * 64, SimTime::ZERO))
+            .fold(SimTime::ZERO, SimTime::max)
+    }
+
     #[test]
     fn sequential_stream_has_high_hit_rate() {
         let mut m = DramModel::ddr4_knl();
-        m.stream(0, 10_000, SimTime::ZERO);
+        stream(&mut m, 10_000);
         let hr = m.stats().hit_rate();
         assert!(hr > 0.95, "hit rate {hr}");
     }
@@ -518,7 +497,7 @@ mod tests {
         // analytic constant (77 GB/s): within a factor ~1.5 either way.
         let mut m = DramModel::ddr4_knl();
         let lines = 200_000u64;
-        let done = m.stream(0, lines, SimTime::ZERO);
+        let done = stream(&mut m, lines);
         let gbs = lines as f64 * 64.0 / 1e9 / done.as_secs();
         assert!(
             gbs > 60.0 && gbs < 120.0,
@@ -531,8 +510,8 @@ mod tests {
         let mut ddr = DramModel::ddr4_knl();
         let mut hbm = DramModel::mcdram_knl();
         let lines = 100_000u64;
-        let t_ddr = ddr.stream(0, lines, SimTime::ZERO);
-        let t_hbm = hbm.stream(0, lines, SimTime::ZERO);
+        let t_ddr = stream(&mut ddr, lines);
+        let t_hbm = stream(&mut hbm, lines);
         let ratio = t_ddr.as_secs() / t_hbm.as_secs();
         assert!(ratio > 3.0, "MCDRAM/DDR stream ratio {ratio}");
     }
@@ -576,10 +555,12 @@ mod tests {
 
     #[test]
     fn min_service_is_a_true_lower_bound() {
-        for mk in [DramModel::ddr4_knl, DramModel::mcdram_knl] {
-            let mut m = mk();
+        for (mut m, g) in [
+            (DramModel::ddr4_knl(), DramGeometry::ddr4_knl()),
+            (DramModel::mcdram_knl(), DramGeometry::mcdram_knl()),
+        ] {
             let lb = m.min_service();
-            for (addr, at) in probe_sequence(m.geometry()) {
+            for (addr, at) in probe_sequence(g) {
                 let done = m.access(addr, at);
                 assert!(done >= at + lb, "addr {addr:#x}");
             }
@@ -590,7 +571,7 @@ mod tests {
     fn bank_conflicts_counted() {
         let mut m = DramModel::ddr4_knl();
         // Two simultaneous requests to the same bank and different rows.
-        let g = m.geometry();
+        let g = DramGeometry::ddr4_knl();
         let row_stride = g.row_bytes as u64 * g.channels as u64 * g.banks_per_channel as u64;
         m.access(0, SimTime::ZERO);
         m.access(row_stride, SimTime::ZERO);

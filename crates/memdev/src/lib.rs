@@ -22,7 +22,7 @@
 
 pub mod bank;
 pub mod presets;
-pub mod spec;
+pub(crate) mod spec;
 
 pub use presets::{ddr4_knl, mcdram_knl};
 pub use spec::{DeviceKind, MemDeviceSpec};

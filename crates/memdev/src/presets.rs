@@ -66,21 +66,6 @@ pub fn mcdram_knl() -> MemDeviceSpec {
     }
 }
 
-/// A scaled custom device for ablation studies (capacity and bandwidth
-/// multipliers applied to the MCDRAM preset).
-pub fn custom_hbm(capacity: ByteSize, bw_scale: f64, latency_scale: f64) -> MemDeviceSpec {
-    let base = mcdram_knl();
-    MemDeviceSpec {
-        name: format!("HBM custom ({capacity}, {bw_scale:.2}x bw, {latency_scale:.2}x lat)"),
-        kind: DeviceKind::Custom,
-        capacity,
-        peak_bw_gbs: base.peak_bw_gbs * bw_scale,
-        sustained_bw_gbs: base.sustained_bw_gbs * bw_scale,
-        idle_latency: base.idle_latency.scale(latency_scale),
-        ..base
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,14 +91,5 @@ mod tests {
         assert_eq!(mcdram_knl().capacity, ByteSize::gib(16));
         assert_eq!(mcdram_knl().channels, 8);
         assert_eq!(ddr4_knl().channels, 6);
-    }
-
-    #[test]
-    fn custom_hbm_scales() {
-        let d = custom_hbm(ByteSize::gib(32), 2.0, 0.5);
-        assert_eq!(d.capacity, ByteSize::gib(32));
-        assert!((d.sustained_bw_gbs - 840.0).abs() < 1e-9);
-        assert!((d.idle_latency.as_ns() - 77.0).abs() < 1e-9);
-        d.validate().unwrap();
     }
 }

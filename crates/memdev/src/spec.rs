@@ -15,8 +15,6 @@ pub enum DeviceKind {
     Ddr4,
     /// On-package 3D-stacked multi-channel DRAM (the KNL HBM).
     Mcdram,
-    /// A generic device for ablation studies.
-    Custom,
 }
 
 /// Calibrated analytic description of a memory device.
@@ -48,13 +46,8 @@ pub struct MemDeviceSpec {
 impl MemDeviceSpec {
     /// Sustained bandwidth in bytes per picosecond (internal unit of
     /// the simulator). 1 GB/s = 1e9 B/s = 1e-3 B/ps.
-    pub fn sustained_bytes_per_ps(&self) -> f64 {
+    pub(crate) fn sustained_bytes_per_ps(&self) -> f64 {
         self.sustained_bw_gbs * 1e-3
-    }
-
-    /// Peak bandwidth in bytes per picosecond.
-    pub fn peak_bytes_per_ps(&self) -> f64 {
-        self.peak_bw_gbs * 1e-3
     }
 
     /// Time to stream `bytes` at sustained bandwidth, ignoring latency.
@@ -76,12 +69,6 @@ impl MemDeviceSpec {
         }
         let bw = outstanding * self.line_bytes as f64 / lat_s / 1e9;
         bw.min(self.sustained_bw_gbs)
-    }
-
-    /// Outstanding requests needed to saturate sustained bandwidth at
-    /// idle latency (the "latency-bandwidth product" in lines).
-    pub fn concurrency_to_saturate(&self) -> f64 {
-        self.sustained_bw_gbs * 1e9 * self.idle_latency.as_secs() / self.line_bytes as f64
     }
 
     /// Validate internal consistency; returns an error message when a
@@ -135,16 +122,6 @@ mod tests {
         assert!(hbm.littles_law_bw_gbs(1.0) < ddr.littles_law_bw_gbs(1.0) * 1.01);
         // At saturating concurrency HBM wins big.
         assert!(hbm.littles_law_bw_gbs(2000.0) > 3.0 * ddr.littles_law_bw_gbs(2000.0));
-    }
-
-    #[test]
-    fn concurrency_to_saturate_orders_devices() {
-        // HBM needs more in-flight lines than DDR (higher BW *and*
-        // higher latency).
-        assert!(mcdram_knl().concurrency_to_saturate() > ddr4_knl().concurrency_to_saturate());
-        // DDR at 77 GB/s * 130.4 ns / 64 B = ~157 lines.
-        let c = ddr4_knl().concurrency_to_saturate();
-        assert!((c - 77.0 * 130.4 / 64.0).abs() < 1.0, "got {c}");
     }
 
     #[test]

@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 /// A page-aligned virtual-address allocator over `[base, base+span)`.
 #[derive(Debug, Clone)]
 pub struct Arena {
-    base: u64,
-    span: u64,
     /// Free extents: start → length (bytes), non-adjacent, sorted.
     free: BTreeMap<u64, u64>,
     /// Live extents: start → length.
@@ -29,21 +27,9 @@ impl Arena {
         let mut free = BTreeMap::new();
         free.insert(base, span);
         Arena {
-            base,
-            span,
             free,
             live: BTreeMap::new(),
         }
-    }
-
-    /// Arena base address.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Total bytes under management.
-    pub fn span(&self) -> u64 {
-        self.span
     }
 
     /// Bytes currently allocated.
@@ -54,11 +40,6 @@ impl Arena {
     /// Bytes currently free (possibly fragmented).
     pub fn free_bytes(&self) -> u64 {
         self.free.values().sum()
-    }
-
-    /// Largest single free extent.
-    pub fn largest_free_extent(&self) -> u64 {
-        self.free.values().copied().max().unwrap_or(0)
     }
 
     /// Allocate `size` bytes (rounded up to whole pages); first fit.
@@ -102,20 +83,9 @@ impl Arena {
         self.free.insert(start, size);
     }
 
-    /// The live extent containing `addr`, if any: `(start, len)`.
-    pub fn extent_of(&self, addr: u64) -> Option<(u64, u64)> {
-        let (&start, &len) = self.live.range(..=addr).next_back()?;
-        (addr < start + len).then_some((start, len))
-    }
-
     /// Number of live allocations.
     pub fn live_count(&self) -> usize {
         self.live.len()
-    }
-
-    /// Number of free extents (fragmentation indicator).
-    pub fn free_extents(&self) -> usize {
-        self.free.len()
     }
 }
 
@@ -151,11 +121,14 @@ mod tests {
         let z = a.alloc(4 * PAGE_BYTES).unwrap();
         a.free(x);
         a.free(z);
-        assert_eq!(a.free_extents(), 2); // [x..y) and [z..end)
+        // Free: [x..y) and [z..end), 4 + 8 pages; nothing spans both.
+        assert_eq!(a.free_bytes(), 12 * PAGE_BYTES);
+        let mut probe = a.clone();
+        assert!(probe.alloc(9 * PAGE_BYTES).is_none());
         a.free(y);
-        assert_eq!(a.free_extents(), 1); // fully coalesced
+        // Fully coalesced: one extent covers the whole arena.
         assert_eq!(a.free_bytes(), 16 * PAGE_BYTES);
-        assert_eq!(a.largest_free_extent(), 16 * PAGE_BYTES);
+        assert_eq!(a.alloc(16 * PAGE_BYTES), Some(x));
     }
 
     #[test]
@@ -177,16 +150,6 @@ mod tests {
         assert_eq!(a.free_bytes(), 4 * PAGE_BYTES);
         assert!(a.alloc(3 * PAGE_BYTES).is_none());
         assert!(a.alloc(2 * PAGE_BYTES).is_some());
-    }
-
-    #[test]
-    fn extent_of_resolves_interior_addresses() {
-        let mut a = Arena::new(0x4000, 8 * PAGE_BYTES);
-        let x = a.alloc(3 * PAGE_BYTES).unwrap();
-        assert_eq!(a.extent_of(x), Some((x, 3 * PAGE_BYTES)));
-        assert_eq!(a.extent_of(x + 5000), Some((x, 3 * PAGE_BYTES)));
-        assert_eq!(a.extent_of(x + 3 * PAGE_BYTES), None);
-        assert_eq!(a.extent_of(0), None);
     }
 
     #[test]

@@ -59,41 +59,11 @@ pub struct Block {
     pub kind: Kind,
 }
 
-impl Block {
-    /// End address (exclusive, page-rounded).
-    pub fn end(&self) -> u64 {
-        self.addr + self.size.pages(PAGE_BYTES).max(1) * PAGE_BYTES
-    }
-
-    /// Whether `addr` falls inside this block.
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.addr && addr < self.end()
-    }
-}
-
-/// Per-kind allocation statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HeapStats {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Frees.
-    pub frees: u64,
-    /// Bytes currently live.
-    pub live_bytes: u64,
-    /// Peak live bytes.
-    pub peak_bytes: u64,
-}
-
-struct Record {
-    allocation: Allocation,
-    kind: Kind,
-}
-
 struct Inner {
     system: NumaSystem,
     arena: Arena,
-    blocks: BTreeMap<u64, Record>,
-    stats: BTreeMap<Kind, HeapStats>,
+    /// Live blocks: start address → page placement.
+    blocks: BTreeMap<u64, Allocation>,
 }
 
 /// The memkind-style heap. Cheap to clone (shared state, internally
@@ -120,7 +90,7 @@ pub struct MemkindHeap {
 
 /// Base of the simulated heap VA range (an arbitrary canonical-form
 /// address; distinct from null and from typical text/stack addresses).
-pub const HEAP_BASE: u64 = 0x6000_0000_0000;
+pub(crate) const HEAP_BASE: u64 = 0x6000_0000_0000;
 
 impl MemkindHeap {
     /// Create a heap over `topology`. The VA arena spans the sum of
@@ -133,7 +103,6 @@ impl MemkindHeap {
                 system,
                 arena: Arena::new(HEAP_BASE, span),
                 blocks: BTreeMap::new(),
-                stats: BTreeMap::new(),
             })),
         }
     }
@@ -150,7 +119,6 @@ impl MemkindHeap {
             .to_policy(inner.system.topology())
             .ok_or(HeapError::KindUnavailable(kind))?;
         let allocation = inner.system.allocate(size, &policy)?;
-        let bytes = allocation.pages() * PAGE_BYTES;
         let addr = match inner.arena.alloc(size.as_u64()) {
             Some(a) => a,
             None => {
@@ -158,11 +126,7 @@ impl MemkindHeap {
                 return Err(HeapError::AddressSpace);
             }
         };
-        inner.blocks.insert(addr, Record { allocation, kind });
-        let stats = inner.stats.entry(kind).or_default();
-        stats.allocs += 1;
-        stats.live_bytes += bytes;
-        stats.peak_bytes = stats.peak_bytes.max(stats.live_bytes);
+        inner.blocks.insert(addr, allocation);
         Ok(Block { addr, size, kind })
     }
 
@@ -179,16 +143,12 @@ impl MemkindHeap {
     /// Free a block.
     pub fn free(&self, block: &Block) -> Result<(), HeapError> {
         let mut inner = self.inner.lock().unwrap();
-        let record = inner
+        let allocation = inner
             .blocks
             .remove(&block.addr)
             .ok_or(HeapError::InvalidFree(block.addr))?;
-        inner.system.free(&record.allocation);
+        inner.system.free(&allocation);
         inner.arena.free(block.addr);
-        let bytes = record.allocation.pages() * PAGE_BYTES;
-        let stats = inner.stats.entry(record.kind).or_default();
-        stats.frees += 1;
-        stats.live_bytes = stats.live_bytes.saturating_sub(bytes);
         Ok(())
     }
 
@@ -197,21 +157,17 @@ impl MemkindHeap {
     /// pages moved. Partial moves happen when the target is tight.
     pub fn migrate(&self, block: &Block, target: NodeId) -> Result<u64, HeapError> {
         let mut inner = self.inner.lock().unwrap();
-        let record = inner
+        // Split borrows: work on a copy of the allocation.
+        let mut allocation = inner
             .blocks
-            .get_mut(&block.addr)
-            .ok_or(HeapError::InvalidFree(block.addr))?;
-        // Split borrows: temporarily take the allocation out.
-        let mut allocation = record.allocation.clone();
+            .get(&block.addr)
+            .ok_or(HeapError::InvalidFree(block.addr))?
+            .clone();
         let moved = inner
             .system
             .migrate(&mut allocation, target)
             .map_err(HeapError::Policy)?;
-        inner
-            .blocks
-            .get_mut(&block.addr)
-            .expect("record still present")
-            .allocation = allocation;
+        inner.blocks.insert(block.addr, allocation);
         Ok(moved)
     }
 
@@ -219,12 +175,11 @@ impl MemkindHeap {
     /// addresses outside any live block.
     pub fn node_of(&self, addr: u64) -> Option<NodeId> {
         let inner = self.inner.lock().unwrap();
-        let (&start, record) = inner.blocks.range(..=addr).next_back()?;
-        let rec_end = start + record.allocation.pages() * PAGE_BYTES;
-        if addr >= rec_end {
+        let (&start, allocation) = inner.blocks.range(..=addr).next_back()?;
+        if addr >= start + allocation.pages() * PAGE_BYTES {
             return None;
         }
-        record.allocation.node_of_offset(addr - start)
+        allocation.node_of_offset(addr - start)
     }
 
     /// Fraction of a block's pages on `node`.
@@ -233,35 +188,13 @@ impl MemkindHeap {
         inner
             .blocks
             .get(&block.addr)
-            .map(|r| r.allocation.fraction_on(node))
+            .map(|a| a.fraction_on(node))
             .unwrap_or(0.0)
     }
 
     /// Free bytes remaining on `node`.
     pub fn free_on(&self, node: NodeId) -> ByteSize {
         self.inner.lock().unwrap().system.free_on(node)
-    }
-
-    /// Statistics for `kind`.
-    pub fn stats(&self, kind: Kind) -> HeapStats {
-        self.inner
-            .lock()
-            .unwrap()
-            .stats
-            .get(&kind)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Total live bytes across kinds.
-    pub fn live_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .stats
-            .values()
-            .map(|s| s.live_bytes)
-            .sum()
     }
 }
 
@@ -300,7 +233,7 @@ mod tests {
         let on_hbm = h.fraction_on(&b, 1);
         assert!((on_hbm - 16.0 / 20.0).abs() < 1e-9, "fraction {on_hbm}");
         // The spilled tail resolves to node 0.
-        assert_eq!(h.node_of(b.end() - 1), Some(0));
+        assert_eq!(h.node_of(b.addr + b.size.as_u64() - 1), Some(0));
     }
 
     #[test]
@@ -332,7 +265,7 @@ mod tests {
         let h = heap();
         let b = h.malloc(Kind::Default, ByteSize::kib(4)).unwrap();
         assert_eq!(h.node_of(b.addr - 1), None);
-        assert_eq!(h.node_of(b.end()), None);
+        assert_eq!(h.node_of(b.addr + b.size.as_u64()), None);
         assert_eq!(h.node_of(0x10), None);
     }
 
@@ -344,24 +277,6 @@ mod tests {
             .unwrap();
         assert!((h.fraction_on(&b, 0) - 0.5).abs() < 1e-9);
         assert!((h.fraction_on(&b, 1) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stats_track_lifecycle() {
-        let h = heap();
-        let b1 = h.hbw_malloc(ByteSize::mib(2)).unwrap();
-        let b2 = h.hbw_malloc(ByteSize::mib(3)).unwrap();
-        let s = h.stats(Kind::Hbw);
-        assert_eq!(s.allocs, 2);
-        assert_eq!(s.live_bytes, 5 << 20);
-        assert_eq!(s.peak_bytes, 5 << 20);
-        h.free(&b1).unwrap();
-        let s = h.stats(Kind::Hbw);
-        assert_eq!(s.frees, 1);
-        assert_eq!(s.live_bytes, 3 << 20);
-        assert_eq!(s.peak_bytes, 5 << 20);
-        h.free(&b2).unwrap();
-        assert_eq!(h.live_bytes(), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Kind {
     /// Returns `None` when the kind is unsatisfiable on this topology
     /// (e.g. any HBW kind in cache mode, where no HBM node exists) —
     /// the same condition under which `hbw_check_available()` fails.
-    pub fn to_policy(self, topo: &NumaTopology) -> Option<MemPolicy> {
+    pub(crate) fn to_policy(self, topo: &NumaTopology) -> Option<MemPolicy> {
         let hbm = topo.hbm_nodes();
         let dram: Vec<u32> = topo
             .nodes
@@ -75,7 +75,7 @@ impl Kind {
 
     /// Whether HBM is available for this kind on `topo` — the
     /// `hbw_check_available()` entry point.
-    pub fn available(self, topo: &NumaTopology) -> bool {
+    pub(crate) fn available(self, topo: &NumaTopology) -> bool {
         self.to_policy(topo).is_some()
     }
 }

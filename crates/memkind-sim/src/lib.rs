@@ -24,14 +24,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
-pub mod heap;
-pub mod kind;
+pub(crate) mod arena;
+pub(crate) mod heap;
+pub(crate) mod kind;
 pub mod migrate;
 
 pub use arena::Arena;
-pub use heap::{Block, HeapError, HeapStats, MemkindHeap};
+pub use heap::{Block, HeapError, MemkindHeap};
 pub use kind::Kind;
-pub use migrate::{
-    MigratePolicy, MigrationCost, MigrationSpec, MigrationStats, PageScheduler, PAGE_BYTES,
-};
+pub use migrate::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler, PAGE_BYTES};

@@ -35,7 +35,7 @@
 //! `(tick, page, direction)` move sequence across engines).
 //!
 //! The scheduler runs on the replay's merge thread once per access, so
-//! its maps use the multiplicative [`simfabric::hash`] page hasher and
+//! its maps use the multiplicative page hasher ([`simfabric::PageMap`]) and
 //! the top-`budget_pages` pick is a selection, not a sort: the ranking
 //! is a strict total order (page number last), so the selected *set*
 //! is unique, and only sets reach the outcome — the moves are sorted
@@ -50,29 +50,8 @@ use std::cmp::Ordering;
 pub const PAGE_BYTES: u64 = 4096;
 
 /// The page a byte address falls in.
-pub fn page_of(addr: u64) -> u64 {
+pub(crate) fn page_of(addr: u64) -> u64 {
     addr / PAGE_BYTES
-}
-
-/// Which pages qualify for promotion at a rebalance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigratePolicy {
-    /// Any page touched by a memory-level access this window
-    /// qualifies; the budget picks the hottest.
-    HottestFirst,
-    /// Only pages whose decayed counter reaches the threshold qualify
-    /// (filters one-touch noise before it can thrash the budget).
-    MinHotness(u32),
-}
-
-impl MigratePolicy {
-    /// Minimum decayed counter a page needs to qualify.
-    fn threshold(self) -> u32 {
-        match self {
-            MigratePolicy::HottestFirst => 1,
-            MigratePolicy::MinHotness(t) => t.max(1),
-        }
-    }
 }
 
 /// Configuration of a migrating placement, small enough to ride inside
@@ -83,26 +62,24 @@ pub struct MigrationSpec {
     /// scheduler entirely (the placement degenerates to all-DDR).
     pub period: u64,
     /// MCDRAM capacity budget, in [`PAGE_BYTES`] pages; 0 disables.
+    /// Any page with a nonzero decayed counter qualifies for
+    /// promotion; the budget picks the hottest.
     pub budget_pages: u32,
-    /// Promotion policy.
-    pub policy: MigratePolicy,
 }
 
 impl MigrationSpec {
-    /// A spec with the given period and budget under
-    /// [`MigratePolicy::HottestFirst`].
+    /// A spec with the given period and budget.
     pub const fn new(period: u64, budget_pages: u32) -> Self {
         MigrationSpec {
             period,
             budget_pages,
-            policy: MigratePolicy::HottestFirst,
         }
     }
 
     /// Whether this spec can ever migrate a page. A disabled spec is
     /// exactly the static all-DDR placement, so callers skip building
     /// a scheduler for it.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.period > 0 && self.budget_pages > 0
     }
 }
@@ -229,11 +206,6 @@ impl PageScheduler {
         })
     }
 
-    /// The spec this scheduler runs.
-    pub fn spec(&self) -> MigrationSpec {
-        self.spec
-    }
-
     /// Whether `addr`'s page is currently mapped to MCDRAM. Every page
     /// is in exactly one tier: MCDRAM iff resident, DDR otherwise.
     pub fn is_hbm(&self, addr: u64) -> bool {
@@ -300,11 +272,10 @@ impl PageScheduler {
         self.window_mem = 0;
         self.window_hbm = 0;
         self.transit.retain(|_, ready| *ready > now);
-        let min = self.spec.policy.threshold();
         let mut cand: Vec<(u32, bool, u64)> = self
             .hot
             .iter()
-            .filter(|&(_, &n)| n >= min)
+            .filter(|&(_, &n)| n > 0)
             .map(|(&p, &n)| (n, self.resident.contains(&p), p))
             .collect();
         // Hottest first; resident pages win ties (hysteresis keeps the
@@ -459,26 +430,6 @@ mod tests {
         assert!(s.stats().demoted_pages >= 1);
         // Budget 1 was never exceeded.
         assert_eq!(s.stats().peak_resident_pages, 1);
-    }
-
-    #[test]
-    fn min_hotness_filters_cold_noise() {
-        let mut s = PageScheduler::new(
-            MigrationSpec {
-                period: 8,
-                budget_pages: 4,
-                policy: MigratePolicy::MinHotness(3),
-            },
-            cost(),
-        )
-        .unwrap();
-        // Page 0 touched 5 times, pages 1..4 once each.
-        for i in 0..8u64 {
-            let page = if i < 5 { 0 } else { i - 4 };
-            s.tick(page * PAGE_BYTES, true, SimTime::from_ps(i));
-        }
-        assert!(s.is_hbm(0));
-        assert_eq!(s.resident_pages(), 1, "one-touch pages must not qualify");
     }
 
     #[test]

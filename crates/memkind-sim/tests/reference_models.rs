@@ -3,9 +3,7 @@
 //! period check, on seeded random tick streams from the in-tree PRNG.
 
 use memdev::{ddr4_knl, mcdram_knl};
-use memkind_sim::{
-    MigratePolicy, MigrationCost, MigrationSpec, MigrationStats, PageScheduler, PAGE_BYTES,
-};
+use memkind_sim::{MigrationCost, MigrationSpec, MigrationStats, PageScheduler, PAGE_BYTES};
 use simfabric::prng::Rng;
 use simfabric::stats::Histogram;
 use simfabric::{Duration, SimTime};
@@ -92,14 +90,10 @@ impl RefScheduler {
         self.window_mem = 0;
         self.window_hbm = 0;
         self.transit.retain(|_, ready| *ready > now);
-        let min = match self.spec.policy {
-            MigratePolicy::HottestFirst => 1,
-            MigratePolicy::MinHotness(t) => t.max(1),
-        };
         let mut cand: Vec<(u32, bool, u64)> = self
             .hot
             .iter()
-            .filter(|&(_, &n)| n >= min)
+            .filter(|&(_, &n)| n > 0)
             .map(|(&p, &n)| (n, self.resident.contains(&p), p))
             .collect();
         cand.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
@@ -149,9 +143,9 @@ impl RefScheduler {
 /// The page scheduler reproduces the naive reference exactly: the
 /// routed tier of every tick, every transit floor, the resident count,
 /// the whole `MigrationStats` (move digest included) and the window
-/// histogram. Periods 1, 7 and 1024 and budgets 1 and 256 run under
-/// both policies, over page pools from a handful to several times the
-/// budget, so hotness ties at the budget cut are common; the test
+/// histogram. Periods 1, 7 and 1024 and budgets 1 and 256 run over
+/// page pools from a handful to several times the budget, so hotness
+/// ties at the budget cut are common; the test
 /// asserts that such cuts occurred.
 #[test]
 fn page_scheduler_matches_reference() {
@@ -160,51 +154,44 @@ fn page_scheduler_matches_reference() {
     let mut tied_cuts = 0;
     for period in [1u64, 7, 1024] {
         for budget in [1u32, 256] {
-            for policy in [MigratePolicy::HottestFirst, MigratePolicy::MinHotness(2)] {
-                for case in 0..3 {
-                    let spec = MigrationSpec {
-                        period,
-                        budget_pages: budget,
-                        policy,
-                    };
-                    let mut sched = PageScheduler::new(spec, cost).expect("enabled spec");
-                    let mut reference = RefScheduler::new(spec, cost);
-                    let pages = match case {
-                        0 => 4,
-                        1 => u64::from(budget) + 3,
-                        _ => 4 * u64::from(budget) + 16,
-                    };
-                    let mut now = SimTime::ZERO;
-                    for i in 0..12_000u64 {
-                        let ctx =
-                            format!("T={period} budget={budget} {policy:?} case {case} tick {i}");
-                        // A high base puts page numbers above 32 bits.
-                        let page = (1 << 40) + rng.gen_range(0..pages);
-                        let addr = page * PAGE_BYTES + rng.gen_range(0..PAGE_BYTES);
-                        let memory_level = rng.gen_bool(0.8);
-                        now += Duration::from_ps(rng.gen_range(0..40_000));
-                        let routed = sched.tick(addr, memory_level, now);
-                        reference.tick(addr, memory_level, now);
-                        assert_eq!(routed, memory_level && reference.is_hbm(addr), "{ctx}");
-                        assert_eq!(sched.is_hbm(addr), reference.is_hbm(addr), "{ctx}");
-                        let arrive = now + Duration::from_ps(rng.gen_range(0..3_000_000));
-                        assert_eq!(
-                            sched.transit_floor(addr, arrive),
-                            reference.transit_floor(addr, arrive),
-                            "{ctx}"
-                        );
-                        assert_eq!(
-                            sched.resident_pages(),
-                            reference.resident.len() as u64,
-                            "{ctx}"
-                        );
-                    }
-                    let ctx = format!("T={period} budget={budget} {policy:?} case {case}");
-                    assert_eq!(sched.stats(), &reference.stats, "{ctx}");
-                    assert_eq!(sched.window_histogram(), &reference.window_hist, "{ctx}");
-                    assert!(reference.stats.rebalances > 0, "{ctx}");
-                    tied_cuts += reference.tied_cuts;
+            for case in 0..3 {
+                let spec = MigrationSpec::new(period, budget);
+                let mut sched = PageScheduler::new(spec, cost).expect("enabled spec");
+                let mut reference = RefScheduler::new(spec, cost);
+                let pages = match case {
+                    0 => 4,
+                    1 => u64::from(budget) + 3,
+                    _ => 4 * u64::from(budget) + 16,
+                };
+                let mut now = SimTime::ZERO;
+                for i in 0..12_000u64 {
+                    let ctx = format!("T={period} budget={budget} case {case} tick {i}");
+                    // A high base puts page numbers above 32 bits.
+                    let page = (1 << 40) + rng.gen_range(0..pages);
+                    let addr = page * PAGE_BYTES + rng.gen_range(0..PAGE_BYTES);
+                    let memory_level = rng.gen_bool(0.8);
+                    now += Duration::from_ps(rng.gen_range(0..40_000));
+                    let routed = sched.tick(addr, memory_level, now);
+                    reference.tick(addr, memory_level, now);
+                    assert_eq!(routed, memory_level && reference.is_hbm(addr), "{ctx}");
+                    assert_eq!(sched.is_hbm(addr), reference.is_hbm(addr), "{ctx}");
+                    let arrive = now + Duration::from_ps(rng.gen_range(0..3_000_000));
+                    assert_eq!(
+                        sched.transit_floor(addr, arrive),
+                        reference.transit_floor(addr, arrive),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        sched.resident_pages(),
+                        reference.resident.len() as u64,
+                        "{ctx}"
+                    );
                 }
+                let ctx = format!("T={period} budget={budget} case {case}");
+                assert_eq!(sched.stats(), &reference.stats, "{ctx}");
+                assert_eq!(sched.window_histogram(), &reference.window_hist, "{ctx}");
+                assert!(reference.stats.rebalances > 0, "{ctx}");
+                tied_cuts += reference.tied_cuts;
             }
         }
     }

@@ -79,7 +79,12 @@ impl ClusterMode {
 
     /// Average CHA→port hop count over a sample of addresses — the
     /// quantity the cluster mode actually improves.
-    pub fn avg_cha_to_port_hops(self, topo: &Topology, is_mcdram: bool, samples: u64) -> f64 {
+    pub(crate) fn avg_cha_to_port_hops(
+        self,
+        topo: &Topology,
+        is_mcdram: bool,
+        samples: u64,
+    ) -> f64 {
         let mut total = 0u64;
         for i in 0..samples {
             let addr = i.wrapping_mul(0x9e3779b97f4a7c15) & !63;

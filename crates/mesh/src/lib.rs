@@ -9,20 +9,20 @@
 //! an address relative to its memory port and thereby the average hop
 //! count; the testbed in the paper runs quadrant mode (§III-A).
 //!
-//! Modules:
-//! * [`topology`] — tile grid, memory-port placement, hop distances;
-//! * [`cluster`] — cluster modes and CHA-home selection;
-//! * [`routing`] — XY routing with per-link occupancy for the
-//!   event-driven path, plus the analytic average-latency helpers the
-//!   machine model uses.
+//! Items:
+//! * [`Topology`] — tile grid, memory-port placement, hop distances;
+//! * [`ClusterMode`] — cluster modes and CHA-home selection;
+//! * [`MeshModel`] — the analytic average-latency helpers the machine
+//!   model and trace replay use, plus the message and hop counters
+//!   ([`MeshStats`]) that replay bumps per memory round trip.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod cluster;
-pub mod routing;
-pub mod topology;
+pub(crate) mod cluster;
+pub(crate) mod routing;
+pub(crate) mod topology;
 
 pub use cluster::ClusterMode;
 pub use routing::{MeshModel, MeshStats};
-pub use topology::{Coord, MemPort, Topology};
+pub use topology::Topology;

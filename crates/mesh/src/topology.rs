@@ -19,7 +19,7 @@ pub struct Coord {
 
 impl Coord {
     /// Manhattan distance to `other` (the XY-routed hop count).
-    pub fn hops_to(self, other: Coord) -> u32 {
+    pub(crate) fn hops_to(self, other: Coord) -> u32 {
         (self.x.abs_diff(other.x) + self.y.abs_diff(other.y)) as u32
     }
 }
@@ -86,16 +86,6 @@ impl Topology {
         }
     }
 
-    /// Number of active tiles.
-    pub fn num_tiles(&self) -> u32 {
-        self.tiles.len() as u32
-    }
-
-    /// Position of tile `id`.
-    pub fn tile(&self, id: u32) -> Coord {
-        self.tiles[id as usize]
-    }
-
     /// Position of a memory port.
     pub fn port(&self, port: MemPort) -> Coord {
         match port {
@@ -117,15 +107,8 @@ impl Topology {
         (c.x >= self.cols / 2) as u8
     }
 
-    /// EDC indices within quadrant `q`.
-    pub fn edcs_in_quadrant(&self, q: u8) -> Vec<u8> {
-        (0..self.edcs.len() as u8)
-            .filter(|&i| self.quadrant_of(self.edcs[i as usize]) == q)
-            .collect()
-    }
-
     /// Average tile-to-tile hop count (all ordered active pairs).
-    pub fn avg_tile_hops(&self) -> f64 {
+    pub(crate) fn avg_tile_hops(&self) -> f64 {
         let n = self.tiles.len();
         let total: u32 = self
             .tiles
@@ -143,7 +126,7 @@ mod tests {
     #[test]
     fn knl7210_has_32_tiles_8_edcs_2_mcs() {
         let t = Topology::knl7210();
-        assert_eq!(t.num_tiles(), 32);
+        assert_eq!(t.tiles.len(), 32);
         assert_eq!(t.edcs.len(), 8);
         assert_eq!(t.ddr_mcs.len(), 2);
     }
@@ -167,9 +150,11 @@ mod tests {
         // 32 tiles, 4 inactive sites split evenly: 8 per quadrant.
         assert_eq!(counts, [8, 8, 8, 8]);
         // Two EDCs per quadrant.
-        for q in 0..4 {
-            assert_eq!(t.edcs_in_quadrant(q).len(), 2, "quadrant {q}");
+        let mut edcs = [0u32; 4];
+        for &c in &t.edcs {
+            edcs[t.quadrant_of(c) as usize] += 1;
         }
+        assert_eq!(edcs, [2, 2, 2, 2]);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! the memkind heap manager built on top. This crate reproduces those
 //! semantics over simulated devices:
 //!
-//! * [`topology`] — nodes, capacities and the distance matrix
+//! * `topology` — nodes, capacities and the distance matrix
 //!   (Table II of the paper);
-//! * [`policy`] — allocation policies with Linux-faithful fallback
+//! * `policy` — allocation policies with Linux-faithful fallback
 //!   behaviour (strict bind vs preferred vs interleave);
 //! * [`numactl`] — a `numactl`-style command-line front end and the
 //!   `--hardware` report, reproduced byte-for-byte in the Table II
@@ -20,11 +20,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod numactl;
-pub mod policy;
+pub(crate) mod policy;
 pub mod system;
-pub mod topology;
+pub(crate) mod topology;
 
-pub use numactl::{parse_numactl, NumactlCommand};
 pub use policy::{MemPolicy, PolicyError};
 pub use system::{Allocation, NumaSystem};
-pub use topology::{NodeId, NodeKind, NumaNode, NumaTopology};
+pub use topology::{NodeId, NodeKind, NumaTopology};

@@ -32,15 +32,6 @@ impl Allocation {
         self.runs.iter().map(|&(_, p)| p).sum()
     }
 
-    /// Bytes placed on `node`.
-    pub fn bytes_on(&self, node: NodeId) -> u64 {
-        self.runs
-            .iter()
-            .filter(|&&(n, _)| n == node)
-            .map(|&(_, p)| p * PAGE_BYTES)
-            .sum()
-    }
-
     /// The node holding the page that contains byte `offset` of this
     /// allocation.
     pub fn node_of_offset(&self, offset: u64) -> Option<NodeId> {
@@ -326,8 +317,15 @@ mod tests {
             .allocate(ByteSize::gib(20), &MemPolicy::Preferred(1))
             .unwrap();
         // 16 GB on HBM, 4 GB spill to DDR.
-        assert_eq!(a.bytes_on(1), ByteSize::gib(16).as_u64());
-        assert_eq!(a.bytes_on(0), ByteSize::gib(4).as_u64());
+        let bytes_on = |node| {
+            a.runs
+                .iter()
+                .filter(|&&(n, _)| n == node)
+                .map(|&(_, p)| p * PAGE_BYTES)
+                .sum::<u64>()
+        };
+        assert_eq!(bytes_on(1), ByteSize::gib(16).as_u64());
+        assert_eq!(bytes_on(0), ByteSize::gib(4).as_u64());
     }
 
     #[test]

@@ -76,61 +76,14 @@ impl NumaTopology {
         }
     }
 
-    /// The SNC-4 topology: the quadrant affinity exposed to software.
-    /// Each quadrant becomes a DDR node (24 GB, 16 CPUs) plus a CPU-less
-    /// MCDRAM node (4 GB); same-quadrant distance is lower than
-    /// cross-quadrant, as on real SNC-4 parts.
-    pub fn knl_snc4() -> Self {
-        let mut nodes = Vec::new();
-        for q in 0..4u32 {
-            nodes.push(NumaNode {
-                id: q,
-                kind: NodeKind::Dram,
-                size: ByteSize::gib(24),
-                cpus: 16,
-            });
-        }
-        for q in 0..4u32 {
-            nodes.push(NumaNode {
-                id: 4 + q,
-                kind: NodeKind::Hbm,
-                size: ByteSize::gib(4),
-                cpus: 0,
-            });
-        }
-        // Distances: self 10; DDR→same-quadrant HBM 21; everything
-        // cross-quadrant 41 (one extra mesh crossing), DDR↔DDR 21.
-        let n = 8;
-        let mut distances = vec![vec![41u32; n]; n];
-        for (i, row) in distances.iter_mut().enumerate() {
-            row[i] = 10;
-        }
-        #[allow(clippy::needless_range_loop)]
-        for a in 0..4 {
-            for b in 0..4 {
-                if a != b {
-                    distances[a][b] = 21; // DDR to DDR, other quadrant
-                }
-            }
-            distances[a][4 + a] = 21; // local HBM
-            distances[4 + a][a] = 21;
-        }
-        NumaTopology { nodes, distances }
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Look up a node.
-    pub fn node(&self, id: NodeId) -> Option<&NumaNode> {
-        self.nodes.get(id as usize)
-    }
-
     /// The node local to CPU-bearing sockets (lowest-id node with
     /// CPUs) — what "local allocation" means for the default policy.
-    pub fn local_node(&self) -> NodeId {
+    pub(crate) fn local_node(&self) -> NodeId {
         self.nodes
             .iter()
             .find(|n| n.cpus > 0)
@@ -148,7 +101,7 @@ impl NumaTopology {
     }
 
     /// Distance between two nodes (`None` if either is unknown).
-    pub fn distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
         self.distances
             .get(a as usize)
             .and_then(|row| row.get(b as usize))
@@ -157,7 +110,7 @@ impl NumaTopology {
 
     /// Validate shape invariants (square symmetric matrix, 10 on the
     /// diagonal, ids consecutive).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let n = self.nodes.len();
         if n == 0 {
             return Err("topology has no nodes".into());
@@ -201,9 +154,9 @@ mod tests {
         assert_eq!(t.num_nodes(), 2);
         assert_eq!(t.distance(0, 1), Some(31));
         assert_eq!(t.distance(0, 0), Some(10));
-        assert_eq!(t.node(0).unwrap().size, ByteSize::gib(96));
-        assert_eq!(t.node(1).unwrap().size, ByteSize::gib(16));
-        assert_eq!(t.node(1).unwrap().cpus, 0);
+        assert_eq!(t.nodes[0].size, ByteSize::gib(96));
+        assert_eq!(t.nodes[1].size, ByteSize::gib(16));
+        assert_eq!(t.nodes[1].cpus, 0);
         assert_eq!(t.hbm_nodes(), vec![1]);
         assert_eq!(t.local_node(), 0);
     }
@@ -215,33 +168,6 @@ mod tests {
         assert_eq!(t.num_nodes(), 1);
         assert_eq!(t.distance(0, 0), Some(10));
         assert!(t.hbm_nodes().is_empty());
-    }
-
-    #[test]
-    fn snc4_topology_shape() {
-        let t = NumaTopology::knl_snc4();
-        t.validate().unwrap();
-        assert_eq!(t.num_nodes(), 8);
-        assert_eq!(t.hbm_nodes(), vec![4, 5, 6, 7]);
-        // Capacities still sum to the die totals.
-        let ddr: u64 = t
-            .nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Dram)
-            .map(|n| n.size.as_u64())
-            .sum();
-        let hbm: u64 = t
-            .nodes
-            .iter()
-            .filter(|n| n.kind == NodeKind::Hbm)
-            .map(|n| n.size.as_u64())
-            .sum();
-        assert_eq!(ddr, ByteSize::gib(96).as_u64());
-        assert_eq!(hbm, ByteSize::gib(16).as_u64());
-        // Local HBM is closer than cross-quadrant HBM.
-        assert!(t.distance(0, 4).unwrap() < t.distance(0, 5).unwrap());
-        let cpus: u32 = t.nodes.iter().map(|n| n.cpus).sum();
-        assert_eq!(cpus, 64);
     }
 
     #[test]
@@ -266,6 +192,6 @@ mod tests {
     fn unknown_distance_is_none() {
         let t = NumaTopology::knl_flat();
         assert_eq!(t.distance(0, 7), None);
-        assert!(t.node(9).is_none());
+        assert!(t.nodes.get(9).is_none());
     }
 }

@@ -172,16 +172,11 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     }
 
     /// Retained entries, summed over shards.
-    pub fn len(&self) -> usize {
+    pub fn entries(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("cache shard poisoned").lru.len())
             .sum()
-    }
-
-    /// Whether nothing is retained anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Retained payload bytes, summed over shards.
@@ -238,7 +233,7 @@ mod tests {
         cache.insert(7, Arc::new(1), 60);
         cache.insert(7, Arc::new(2), 60);
         assert_eq!(cache.bytes(), 60);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries(), 1);
         assert_eq!(cache.get(&7).as_deref(), Some(&2));
     }
 
@@ -247,7 +242,7 @@ mod tests {
         let off: ShardedLru<u32, u64> = ShardedLru::new(4, 0);
         off.insert(1, Arc::new(9), 8);
         assert!(off.get(&1).is_none());
-        assert!(off.is_empty());
+        assert_eq!(off.entries(), 0);
 
         let tiny: ShardedLru<u32, u64> = ShardedLru::new(2, 16); // 8 per shard
         tiny.insert(1, Arc::new(9), 64);

@@ -7,22 +7,21 @@
 //! * a simulated clock with picosecond resolution ([`SimTime`],
 //!   [`Duration`]),
 //! * a seeded xoshiro256++ generator ([`Rng`]) in [`prng`],
-//! * the fixed-size tournament tree ([`LoserTree`]) that trace replay
+//! * the fixed-size tournament tree ([`LoserTree`](merge::LoserTree)) that trace replay
 //!   uses to merge per-core clocks in earliest-clock order, in
 //!   [`merge`],
 //! * in-tree data parallelism over scoped threads in [`par`],
-//! * measurement primitives (counters, log-scale histograms, online
-//!   mean/variance) in [`stats`],
+//! * measurement primitives (counters, log-scale histograms) in
+//!   [`stats`],
 //! * an opt-in telemetry layer (named-metric registry, phase spans,
 //!   sampled time-series over simulated ticks, Chrome `trace_event`
 //!   export) in [`telemetry`],
-//! * warn-once parsing for tuning-knob environment variables in
-//!   [`env`](mod@env),
-//! * a sharded, byte-bounded concurrent LRU ([`ShardedLru`]) in
-//!   [`cache`],
+//! * warn-once diagnostics in [`env`](mod@env),
+//! * a sharded, byte-bounded concurrent LRU
+//!   ([`ShardedLru`](cache::ShardedLru)) in [`cache`],
 //! * a multiplicative hasher for page-number keys ([`PageMap`],
-//!   [`PageSet`]) in [`hash`],
-//! * byte-size units ([`ByteSize`]) in [`units`].
+//!   [`PageSet`]),
+//! * byte-size units ([`ByteSize`]).
 //!
 //! # Determinism
 //!
@@ -37,21 +36,19 @@
 
 pub mod cache;
 pub mod env;
-pub mod hash;
+pub(crate) mod hash;
 pub mod merge;
 pub mod par;
 pub mod prng;
 pub mod stats;
 pub mod telemetry;
-pub mod time;
-pub mod units;
+pub(crate) mod time;
+pub(crate) mod units;
 
-pub use cache::{ShardedCacheStats, ShardedLru};
-pub use hash::{PageHasher, PageMap, PageSet};
-pub use merge::LoserTree;
+pub use hash::{PageMap, PageSet};
 pub use prng::Rng;
-pub use stats::{Counter, Histogram};
-pub use telemetry::timeseries::{SeriesId, SeriesKind, TimeSeriesRecorder, TimeSeriesWindow};
-pub use telemetry::{MetricValue, MetricsRegistry, SpanLog, SpanRecord};
+pub use stats::Histogram;
+pub use telemetry::timeseries::TimeSeriesRecorder;
+pub use telemetry::{MetricValue, MetricsRegistry};
 pub use time::{Duration, SimTime};
-pub use units::{ByteSize, GIB, KIB, MIB};
+pub use units::ByteSize;

@@ -17,7 +17,7 @@ use std::ops::Range;
 
 /// One SplitMix64 step: advances `*state` and returns the next output.
 #[inline]
-pub fn splitmix64_next(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -66,13 +66,13 @@ impl Rng {
     /// Next 32 uniformly random bits (high half of a 64-bit draw —
     /// xoshiro's low bits are the weaker ones).
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -31,12 +31,6 @@ impl Counter {
         self.0
     }
 
-    /// Combine two counters (commutative and associative, so shard
-    /// counters can be reduced in any order).
-    pub fn merge(self, other: Counter) -> Counter {
-        Counter(self.0 + other.0)
-    }
-
     /// This counter as a fraction of `total` (0.0 if `total` is zero).
     pub fn ratio_of(&self, total: u64) -> f64 {
         if total == 0 {
@@ -153,7 +147,7 @@ impl Histogram {
     }
 
     /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }

@@ -204,7 +204,7 @@ impl SpanLog {
     }
 
     /// Microseconds from the epoch to `t` (0 for pre-epoch instants).
-    pub fn micros_since_epoch(&self, t: Instant) -> f64 {
+    pub(crate) fn micros_since_epoch(&self, t: Instant) -> f64 {
         t.saturating_duration_since(self.epoch).as_secs_f64() * 1e6
     }
 

@@ -39,7 +39,7 @@ pub const TIMESERIES_SCHEMA: &str = "timeseries/v1";
 
 /// How a registered series samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesKind {
+pub(crate) enum SeriesKind {
     /// Monotone running total; samples are cumulative.
     Counter,
     /// Instantaneous level.
@@ -48,7 +48,7 @@ pub enum SeriesKind {
 
 impl SeriesKind {
     /// The tag used in the JSONL header.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SeriesKind::Counter => "counter",
             SeriesKind::Gauge => "gauge",

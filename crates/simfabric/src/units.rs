@@ -5,11 +5,11 @@ use std::fmt;
 use std::str::FromStr;
 
 /// One kibibyte (2^10 bytes).
-pub const KIB: u64 = 1 << 10;
+pub(crate) const KIB: u64 = 1 << 10;
 /// One mebibyte (2^20 bytes).
-pub const MIB: u64 = 1 << 20;
+pub(crate) const MIB: u64 = 1 << 20;
 /// One gibibyte (2^30 bytes).
-pub const GIB: u64 = 1 << 30;
+pub(crate) const GIB: u64 = 1 << 30;
 
 /// A size in bytes with human-friendly constructors, formatting and
 /// parsing (`"16GiB"`, `"1.5 MB"`, `"4096"`).

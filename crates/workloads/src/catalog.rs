@@ -13,7 +13,7 @@ pub enum AccessClass {
 
 impl AccessClass {
     /// Label as printed in Table I.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AccessClass::Sequential => "Sequential",
             AccessClass::Random => "Random",
@@ -23,7 +23,7 @@ impl AccessClass {
 
 /// One row of Table I.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CatalogEntry {
+pub(crate) struct CatalogEntry {
     /// Application name.
     pub application: &'static str,
     /// "Scientific" or "Data analytics".
@@ -35,7 +35,7 @@ pub struct CatalogEntry {
 }
 
 /// Table I, verbatim.
-pub fn catalog() -> Vec<CatalogEntry> {
+pub(crate) fn catalog() -> Vec<CatalogEntry> {
     vec![
         CatalogEntry {
             application: "DGEMM",

@@ -22,11 +22,6 @@ pub struct Dgemm {
 }
 
 impl Dgemm {
-    /// Square DGEMM of dimension `n`.
-    pub fn new(n: u64) -> Self {
-        Dgemm { n }
-    }
-
     /// The problem whose three matrices total `footprint` bytes
     /// (Fig. 4a's x-axis).
     pub fn with_footprint(footprint: ByteSize) -> Self {
@@ -35,18 +30,18 @@ impl Dgemm {
     }
 
     /// Flops executed (2·n³).
-    pub fn flops(&self) -> f64 {
+    pub(crate) fn flops(&self) -> f64 {
         2.0 * (self.n as f64).powi(3)
     }
 
     /// Bytes of the three matrices.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         3 * self.n * self.n * 8
     }
 
     /// The MKL-like compute roof at `threads` total threads (GFLOPS);
     /// `None` when the paper could not complete the run (256 threads).
-    pub fn compute_roof(threads: u32) -> Option<f64> {
+    pub(crate) fn compute_roof(threads: u32) -> Option<f64> {
         calib::DGEMM_COMPUTE_ROOF
             .iter()
             .find(|&&(t, _)| t == threads)
@@ -73,7 +68,7 @@ impl Dgemm {
     }
 
     /// Model GFLOPS on `machine`.
-    pub fn model_gflops(&self, machine: &mut Machine) -> Result<f64, MachineError> {
+    pub(crate) fn model_gflops(&self, machine: &mut Machine) -> Result<f64, MachineError> {
         let threads = machine.config().threads;
         let roof = Self::compute_roof(threads).ok_or_else(|| {
             MachineError::Invalid(format!("DGEMM does not complete at {threads} threads"))

@@ -30,7 +30,7 @@ impl Graph500 {
     }
 
     /// Undirected edge count implied by the footprint.
-    pub fn edges(&self) -> u64 {
+    pub(crate) fn edges(&self) -> u64 {
         (self.footprint_bytes as f64 / calib::G500_BYTES_PER_EDGE) as u64
     }
 

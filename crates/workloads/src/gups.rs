@@ -29,12 +29,12 @@ impl Gups {
     }
 
     /// Number of 8-byte table entries.
-    pub fn entries(&self) -> u64 {
+    pub(crate) fn entries(&self) -> u64 {
         self.table_bytes / 8
     }
 
     /// Updates performed (HPCC uses 4× the table entries).
-    pub fn updates(&self) -> u64 {
+    pub(crate) fn updates(&self) -> u64 {
         4 * self.entries()
     }
 

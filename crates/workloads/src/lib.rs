@@ -57,5 +57,4 @@ pub trait PaperWorkload {
     fn run_model(&self, machine: &mut Machine) -> Result<f64, MachineError>;
 }
 
-pub use catalog::{catalog, AccessClass, CatalogEntry};
-pub use tracegen::TraceKind;
+pub use catalog::AccessClass;

@@ -22,11 +22,6 @@ pub struct MiniFe {
 }
 
 impl MiniFe {
-    /// Cubic problem of dimension `nx`.
-    pub fn new(nx: u64) -> Self {
-        MiniFe { nx: nx.max(2) }
-    }
-
     /// The problem whose matrix+vectors total ≈ `footprint` (Fig. 4b's
     /// x-axis).
     pub fn with_footprint(footprint: ByteSize) -> Self {
@@ -37,7 +32,7 @@ impl MiniFe {
     }
 
     /// Number of matrix rows (= grid nodes).
-    pub fn rows(&self) -> u64 {
+    pub(crate) fn rows(&self) -> u64 {
         self.nx * self.nx * self.nx
     }
 

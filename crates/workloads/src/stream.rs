@@ -31,7 +31,7 @@ impl StreamBench {
     }
 
     /// Elements per array.
-    pub fn elements(&self) -> u64 {
+    pub(crate) fn elements(&self) -> u64 {
         self.total_size.as_u64() / 3 / 8
     }
 

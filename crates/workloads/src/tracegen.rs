@@ -1,4 +1,4 @@
-//! Trace generators: emit [`knl::TraceAccess`] streams with each
+//! Trace generators: emit [`knl::tracesim::TraceAccess`] streams with each
 //! workload's characteristic access pattern, at footprints the
 //! line-accurate trace simulator can chew through.
 //!
@@ -14,7 +14,7 @@
 //! `*_trace` function that materializes the whole stream — now a thin
 //! [`collect`] wrapper kept for small tests and call sites that
 //! genuinely need a `Vec`. The source form yields bounded chunks
-//! ([`DEFAULT_CHUNK`] accesses at a time through
+//! (`DEFAULT_CHUNK` accesses at a time through
 //! [`TraceSource::fill`]), which lets [`replay_streaming`] drive
 //! [`TraceSim::run_streaming`] without ever materializing a
 //! paper-scale trace: generation overlaps classification and timing,
@@ -39,7 +39,7 @@ fn core_base(core: u32) -> u64 {
 /// (1 MiB of `TraceAccess` records) — big enough to amortize the
 /// per-chunk partition/classify fan-out, small enough that the
 /// streaming replay's working set stays cache-resident.
-pub const DEFAULT_CHUNK: usize = 64 * 1024;
+pub(crate) const DEFAULT_CHUNK: usize = 64 * 1024;
 
 /// An incremental trace generator: a resumable state machine yielding
 /// one deterministic access stream.
@@ -86,7 +86,7 @@ pub fn collect(source: &mut dyn TraceSource) -> Vec<TraceAccess> {
     out
 }
 
-/// Replay `source` through `sim` in [`DEFAULT_CHUNK`]-sized chunks via
+/// Replay `source` through `sim` in `DEFAULT_CHUNK`-sized chunks via
 /// [`TraceSim::run_streaming`]: generation overlaps classification and
 /// timing, and the report is bit-identical to materializing the trace
 /// and calling [`TraceSim::run`].
@@ -98,7 +98,7 @@ pub fn replay_streaming(
 }
 
 /// Classify `source` into a [`ClassifiedTrace`] artifact in
-/// [`DEFAULT_CHUNK`]-sized chunks — the classify-once counterpart of
+/// `DEFAULT_CHUNK`-sized chunks — the classify-once counterpart of
 /// [`replay_streaming`]: the raw trace never materializes, and the
 /// artifact replays against any number of timing setups via
 /// [`TraceSim::run_classified`]. `trace_spec` must canonically name
@@ -119,7 +119,7 @@ pub fn classify_streaming(
 /// bursts of 16 lines (the natural MSHR-drain issue pattern),
 /// round-robining cores burst by burst.
 #[derive(Debug, Clone)]
-pub struct StreamSource {
+pub(crate) struct StreamSource {
     cores: u32,
     lines: u64,
     passes: u32,
@@ -135,7 +135,7 @@ impl StreamSource {
 
     /// `lines_per_core` sequential lines per core, swept `passes`
     /// times (at least once).
-    pub fn new(cores: u32, lines_per_core: u64, passes: u32) -> Self {
+    pub(crate) fn new(cores: u32, lines_per_core: u64, passes: u32) -> Self {
         StreamSource {
             cores,
             lines: lines_per_core,
@@ -194,7 +194,7 @@ pub fn stream_trace(cores: u32, lines_per_core: u64, passes: u32) -> Vec<TraceAc
 /// GUPS source: independent random read-modify-writes over a shared
 /// table, one update per core per round.
 #[derive(Debug, Clone)]
-pub struct GupsSource {
+pub(crate) struct GupsSource {
     cores: u32,
     lines: u64,
     updates: u64,
@@ -208,7 +208,7 @@ pub struct GupsSource {
 impl GupsSource {
     /// `updates_per_core` read+write pairs per core over a
     /// `table_bytes` table.
-    pub fn new(cores: u32, table_bytes: u64, updates_per_core: u64, seed: u64) -> Self {
+    pub(crate) fn new(cores: u32, table_bytes: u64, updates_per_core: u64, seed: u64) -> Self {
         GupsSource {
             cores,
             lines: (table_bytes / 64).max(1),
@@ -272,7 +272,7 @@ pub fn gups_trace(
 /// TinyMemBench source: a dependent pointer chase over a block (two
 /// interleaved chains on one core, as the dual-read benchmark runs).
 #[derive(Debug, Clone)]
-pub struct ChaseSource {
+pub(crate) struct ChaseSource {
     lines: u64,
     steps: u64,
     rng: Rng,
@@ -283,7 +283,7 @@ pub struct ChaseSource {
 
 impl ChaseSource {
     /// `steps` dependent hops over a `block_bytes` block on core 0.
-    pub fn new(block_bytes: u64, steps: u64, seed: u64) -> Self {
+    pub(crate) fn new(block_bytes: u64, steps: u64, seed: u64) -> Self {
         let lines = (block_bytes / 64).max(2);
         ChaseSource {
             lines,
@@ -329,7 +329,7 @@ pub fn chase_trace(block_bytes: u64, steps: u64, seed: u64) -> Vec<TraceAccess> 
 /// (binary search tail) at a random position, chains from different
 /// iterations independent across cores.
 #[derive(Debug, Clone)]
-pub struct XsBenchSource {
+pub(crate) struct XsBenchSource {
     cores: u32,
     lines: u64,
     lookups: u64,
@@ -347,7 +347,7 @@ pub struct XsBenchSource {
 impl XsBenchSource {
     /// `lookups_per_core` chains of `deps_per_lookup` dependent reads
     /// per core over a `grid_bytes` grid.
-    pub fn new(
+    pub(crate) fn new(
         cores: u32,
         grid_bytes: u64,
         lookups_per_core: u64,
@@ -437,7 +437,7 @@ pub fn xsbench_trace(
 /// Graph500-like source: per traversed edge, a streaming CSR read plus
 /// a random probe of the visited structure (write when claiming).
 #[derive(Debug, Clone)]
-pub struct BfsSource {
+pub(crate) struct BfsSource {
     cores: u32,
     lines: u64,
     edges: u64,
@@ -452,7 +452,7 @@ pub struct BfsSource {
 impl BfsSource {
     /// `edges_per_core` CSR-read + visited-probe pairs per core over a
     /// `graph_bytes` footprint.
-    pub fn new(cores: u32, graph_bytes: u64, edges_per_core: u64, seed: u64) -> Self {
+    pub(crate) fn new(cores: u32, graph_bytes: u64, edges_per_core: u64, seed: u64) -> Self {
         let lines = (graph_bytes / 64).max(2);
         BfsSource {
             cores,
@@ -525,7 +525,7 @@ pub fn bfs_trace(cores: u32, graph_bytes: u64, edges_per_core: u64, seed: u64) -
 
 /// Phased hot/cold source: the migration stress workload. Each phase
 /// streams ~90% of its accesses over a small *hot* block placed high
-/// in the address space (above [`HotColdSource::HOT_BASE`], so no
+/// in the address space (above `HotColdSource::HOT_BASE`, so no
 /// low-boundary static split can capture it), mixed with ~10% cold
 /// random probes over a large low region. Every phase the hot block
 /// moves to a fresh address range, so a static placement can at best
@@ -550,10 +550,10 @@ impl HotColdSource {
     /// Hot blocks start here: far above any test-scale footprint, so
     /// `SplitAt(boundary)` placements with a low boundary route every
     /// hot access to DDR.
-    pub const HOT_BASE: u64 = 1 << 32;
+    pub(crate) const HOT_BASE: u64 = 1 << 32;
 
     /// Fraction of accesses aimed at the hot block.
-    pub const HOT_FRACTION: f64 = 0.9;
+    pub(crate) const HOT_FRACTION: f64 = 0.9;
 
     /// `accesses_per_core_per_phase` accesses per core in each of
     /// `phases` phases; each phase's hot block is `hot_bytes` at a

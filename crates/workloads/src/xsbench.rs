@@ -36,7 +36,7 @@ impl XsBench {
 
     /// Dependent uncached accesses per nuclide micro-lookup at this
     /// problem size.
-    pub fn deps_per_nuclide(&self) -> f64 {
+    pub(crate) fn deps_per_nuclide(&self) -> f64 {
         let doublings = (self.footprint_bytes as f64 / calib::XSBENCH_REFERENCE_BYTES)
             .log2()
             .max(0.0);
@@ -44,7 +44,7 @@ impl XsBench {
     }
 
     /// Model: macroscopic lookups per second on `machine`.
-    pub fn model_lookups_per_sec(&self, machine: &mut Machine) -> Result<f64, MachineError> {
+    pub(crate) fn model_lookups_per_sec(&self, machine: &mut Machine) -> Result<f64, MachineError> {
         let grid = machine.alloc("xs_grid", ByteSize::bytes(self.footprint_bytes))?;
         let nuclide_units = self.lookups as f64 * calib::XSBENCH_NUCLIDES_PER_LOOKUP;
         let op = RandomOp {

@@ -92,11 +92,8 @@ fn cache_probe_after_access() {
     for case in 0..64 {
         let len = rng.gen_range(1usize..200);
         let addrs: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..(1 << 20))).collect();
-        let policy = [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::PseudoLru,
-            ReplacementPolicy::Fifo,
-        ][rng.gen_range(0usize..3)];
+        let policy =
+            [ReplacementPolicy::Lru, ReplacementPolicy::PseudoLru][rng.gen_range(0usize..2)];
         let mut cache = Cache::new(CacheConfig {
             capacity: ByteSize::kib(4),
             line_bytes: 64,

@@ -45,9 +45,11 @@ impl ReplayConfig {
     }
 
     /// Parse a [`label`](Self::label)-format identifier back into a
-    /// configuration (`repro profile stream_64x50000`) under the
-    /// advisor's admission rules ([`parse_workload`]). Kind names
-    /// match case-insensitively; errors describe the expected shape.
+    /// configuration (`repro profile stream_64x50000`) by the label
+    /// grammar of [`parse_workload`]. Kind names match
+    /// case-insensitively; errors describe the expected shape. The
+    /// advisor's total-access cap does not apply: a profile replays
+    /// through the streaming path, in bounded memory.
     pub fn parse_label(label: &str) -> Result<ReplayConfig, String> {
         let (kind, cores, accesses_per_core) = parse_workload(label)?;
         Ok(ReplayConfig {
@@ -234,6 +236,11 @@ mod tests {
         assert!(ReplayConfig::parse_label("warp_8x100").is_err());
         assert!(ReplayConfig::parse_label("stream_0x100").is_err());
         assert!(ReplayConfig::parse_label("stream_8x0").is_err());
+        // A label past the advisor's admission limit still parses:
+        // only the advisor caches a whole classified trace.
+        let over_cap = knl::classified::CLASSIFY_CACHE_MAX_ACCESSES / 64 + 1;
+        let big = format!("stream_64x{over_cap}");
+        assert_eq!(ReplayConfig::parse_label(&big).unwrap().label(), big);
         // Kind names match case-insensitively.
         assert_eq!(
             ReplayConfig::parse_label("XSBench_4x10").unwrap().label(),

@@ -66,11 +66,16 @@ pub struct Mshr {
     pub merges: Counter,
     /// Requests that found the file full.
     pub stalls: Counter,
-    /// Telemetry: occupancy observed at each `register` call, after
-    /// retiring completed fetches. `None` (the default) keeps the hot
-    /// path at a single branch; boxed so the disabled file stays
-    /// pointer-sized.
-    occupancy: Option<Box<Histogram>>,
+    /// Telemetry: how many `register` calls observed each occupancy
+    /// (index `0..=capacity`), after retiring completed fetches. One
+    /// increment per call, folded into a [`Histogram`] when read.
+    /// `None` (the default) keeps the hot path at a single branch.
+    /// A boxed `Vec` rather than a boxed slice: the thin pointer keeps
+    /// the file's size, which replay allocates once per core, the same
+    /// as without the table (a fat one measurably grew the migration
+    /// sweep's peak RSS).
+    #[allow(clippy::box_collection)]
+    occupancy: Option<Box<Vec<u64>>>,
 }
 
 impl Mshr {
@@ -94,13 +99,19 @@ impl Mshr {
     /// outcome of every `register` call is unchanged.
     pub fn enable_occupancy_histogram(&mut self) {
         if self.occupancy.is_none() {
-            self.occupancy = Some(Box::new(Histogram::new()));
+            self.occupancy = Some(Box::new(vec![0; self.capacity + 1]));
         }
     }
 
-    /// The occupancy histogram, if telemetry was enabled.
-    pub fn occupancy_histogram(&self) -> Option<&Histogram> {
-        self.occupancy.as_deref()
+    /// The occupancy histogram, if telemetry was enabled: the same
+    /// histogram as recording each observed occupancy in turn.
+    pub fn occupancy_histogram(&self) -> Option<Histogram> {
+        let counts: &[u64] = self.occupancy.as_deref()?;
+        let mut h = Histogram::new();
+        for (occupancy, &n) in counts.iter().enumerate() {
+            h.record_n(occupancy as u64, n);
+        }
+        Some(h)
     }
 
     /// Entries currently in flight (after retiring everything complete
@@ -147,8 +158,8 @@ impl Mshr {
     pub fn register(&mut self, line_addr: u64, now: SimTime) -> MshrOutcome {
         self.retire(now);
         let live = &self.inflight[self.head..];
-        if let Some(h) = &mut self.occupancy {
-            h.record(live.len() as u64);
+        if let Some(counts) = &mut self.occupancy {
+            counts[live.len()] += 1;
         }
         if let Some(&(_, ready_at)) = live.iter().find(|&&(line, _)| line == line_addr) {
             self.merges.incr();

@@ -486,7 +486,7 @@ fn mshr_matches_reference() {
             assert_eq!(mshr.stalls.get(), reference.stalls, "{ctx}");
             assert_eq!(
                 mshr.occupancy_histogram(),
-                Some(&reference.occupancy),
+                Some(reference.occupancy.clone()),
                 "{ctx}"
             );
             reference.retire(now);
@@ -552,7 +552,7 @@ fn mshr_matches_reference() {
             assert_eq!(mshr.stalls.get(), reference.stalls, "{ctx}");
             assert_eq!(
                 mshr.occupancy_histogram(),
-                Some(&reference.occupancy),
+                Some(reference.occupancy.clone()),
                 "{ctx}"
             );
             reference.retire(now);

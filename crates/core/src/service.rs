@@ -93,10 +93,9 @@ pub struct AdvisorQuery {
 /// Parse a `<kind>_<cores>x<per_core>` workload label (the bench
 /// config format, e.g. `stream_8x2000`). Admits 1 to
 /// [`knl::calib::CORES`] cores and a nonzero per-core count whose
-/// trace total fits the classify cache
-/// ([`CLASSIFY_CACHE_MAX_ACCESSES`](knl::classified::CLASSIFY_CACHE_MAX_ACCESSES)),
-/// so no admitted query can classify more than one cached artifact
-/// holds.
+/// trace total fits a `u64`. The advisor admits less
+/// ([`AdvisorQuery::over`]); a streaming replay of any parsed label
+/// runs in bounded memory.
 pub fn parse_workload(label: &str) -> Result<(TraceKind, u32, u64), String> {
     let shape = || format!("bad workload label {label:?} (expected <kind>_<cores>x<per_core>)");
     let (kind_s, rest) = label.rsplit_once('_').ok_or_else(shape)?;
@@ -122,14 +121,10 @@ pub fn parse_workload(label: &str) -> Result<(TraceKind, u32, u64), String> {
             knl::calib::CORES
         ));
     }
-    let max = knl::classified::CLASSIFY_CACHE_MAX_ACCESSES;
-    if (cores as u64)
-        .checked_mul(accesses_per_core)
-        .is_none_or(|total| total > max)
-    {
+    if (cores as u64).checked_mul(accesses_per_core).is_none() {
         return Err(format!(
-            "workload {label:?} exceeds the admission limit of {max} accesses in total \
-             (what the classify cache holds)"
+            "workload {label:?} has more than {} accesses in total",
+            u64::MAX
         ));
     }
     Ok((kind, cores, accesses_per_core))
@@ -138,9 +133,20 @@ pub fn parse_workload(label: &str) -> Result<(TraceKind, u32, u64), String> {
 impl AdvisorQuery {
     /// A query over a `<kind>_<cores>x<per_core>` workload label at
     /// the given budget, with default seed, 64 threads, and an
-    /// auto-resolved migration period.
+    /// auto-resolved migration period. Admits a workload only if its
+    /// trace total fits the classify cache
+    /// ([`CLASSIFY_CACHE_MAX_ACCESSES`](knl::classified::CLASSIFY_CACHE_MAX_ACCESSES)),
+    /// so no admitted query can classify more than one cached artifact
+    /// holds.
     pub fn over(workload: &str, budget: ByteSize) -> Result<AdvisorQuery, String> {
         let (kind, cores, accesses_per_core) = parse_workload(workload)?;
+        let max = knl::classified::CLASSIFY_CACHE_MAX_ACCESSES;
+        if cores as u64 * accesses_per_core > max {
+            return Err(format!(
+                "workload {workload:?} exceeds the advisor's admission limit of {max} \
+                 accesses in total (what the classify cache holds)"
+            ));
+        }
         Ok(AdvisorQuery {
             kind,
             cores,
@@ -1076,25 +1082,29 @@ mod tests {
         assert_eq!(auto_period(64, u64::MAX), u64::MAX / 8);
     }
 
-    /// Admission is by total accesses: the largest workload the
-    /// repository runs (`stream_64x50000`) and a trace exactly at the
-    /// classify cache's capacity pass, one access more does not, and a
-    /// countable but huge query is turned away before anything runs.
+    /// Advisor admission is by total accesses: the largest workload
+    /// the repository runs (`stream_64x50000`) and a trace exactly at
+    /// the classify cache's capacity pass, one access more does not,
+    /// and a countable but huge query is turned away before anything
+    /// runs. The label itself still parses: the cap is the advisor's.
     #[test]
     fn oversized_workloads_are_refused_at_admission() {
         let max = knl::classified::CLASSIFY_CACHE_MAX_ACCESSES;
         assert_eq!(max, 29_826_161);
-        assert!(parse_workload("stream_64x50000").is_ok());
-        assert!(parse_workload(&format!("stream_1x{max}")).is_ok());
+        let budget = ByteSize::kib(256);
+        assert!(AdvisorQuery::over("stream_64x50000", budget).is_ok());
+        assert!(AdvisorQuery::over(&format!("stream_1x{max}"), budget).is_ok());
         for big in [
             format!("stream_1x{}", max + 1),
             "stream_64x100000000000".to_string(),
             "gups_64x466034".to_string(),
         ] {
-            let err = parse_workload(&big).unwrap_err();
+            assert!(parse_workload(&big).is_ok(), "{big}");
+            let err = AdvisorQuery::over(&big, budget).unwrap_err();
             assert!(err.contains("admission limit"), "{big}: {err}");
             let doc = crate::json::parse(&format!("{{\"workload\": \"{big}\"}}")).unwrap();
-            assert!(AdvisorQuery::from_json(&doc).is_err(), "{big}");
+            let err = AdvisorQuery::from_json(&doc).unwrap_err();
+            assert!(err.contains("admission limit"), "{big}: {err}");
         }
     }
 }

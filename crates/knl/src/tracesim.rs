@@ -677,6 +677,16 @@ struct ReplayTimeSeries {
     /// queue-wait series is `done - (arrive + min + resp_half)`.
     ddr_min: Duration,
     hbm_min: Duration,
+    /// Each device model's access count when sampling was enabled.
+    /// Every device access is one line fetch, so the line series are
+    /// the counts' growth since then, read at each window close.
+    ddr_base: u64,
+    hbm_base: u64,
+    /// `served - arrive` summed over the memory accesses each device
+    /// serves (`[DDR, MCDRAM]`): the one per-access term. Each wait
+    /// is that minus a fixed floor, so the wait series subtract the
+    /// floors at window close (exact integer sums, far below 2^53).
+    raw_wait: [u64; 2],
 }
 
 /// The trace-driven simulator.
@@ -942,6 +952,9 @@ impl TraceSim {
             migrate_moves,
             ddr_min: self.ddr.min_service(),
             hbm_min: self.hbm.min_service(),
+            ddr_base: self.ddr.stats().total(),
+            hbm_base: self.hbm.stats().total(),
+            raw_wait: [0; 2],
         }));
     }
 
@@ -949,47 +962,6 @@ impl TraceSim {
     /// [`enable_timeseries`](Self::enable_timeseries) was called.
     pub fn timeseries(&self) -> Option<&TimeSeriesRecorder> {
         self.timeseries.as_deref().map(|ts| &ts.rec)
-    }
-
-    /// Device-level time-series accounting for an access routed to
-    /// memory: one line fetch per device access it issues (the
-    /// cache-mode miss chain touches MCDRAM twice and DDR once), plus
-    /// the serving device's queue wait — its overshoot past the
-    /// completion lower bound `arrive + min_service + resp_half`.
-    /// Callers gate on `timeseries.is_some()`.
-    fn ts_note_memory(
-        &mut self,
-        level: LevelHit,
-        is_hbm_target: bool,
-        arrive: SimTime,
-        done: SimTime,
-    ) {
-        let cache_mode = self.msc_capacity.is_some();
-        let resp_half = if is_hbm_target {
-            self.resp_half_hbm
-        } else {
-            self.resp_half_ddr
-        };
-        let ts = self.timeseries.as_mut().expect("caller gates on is_some");
-        match (cache_mode, level) {
-            (true, LevelHit::McdramCache) => ts.rec.add(ts.hbm_lines, 1.0),
-            (true, _) => {
-                ts.rec.add(ts.hbm_lines, 2.0);
-                ts.rec.add(ts.ddr_lines, 1.0);
-            }
-            (false, _) if is_hbm_target => ts.rec.add(ts.hbm_lines, 1.0),
-            (false, _) => ts.rec.add(ts.ddr_lines, 1.0),
-        }
-        let (serves_ddr, m1, m2) = match (cache_mode, level) {
-            (true, LevelHit::McdramCache) => (false, ts.hbm_min, Duration::ZERO),
-            (true, _) => (true, ts.hbm_min, ts.ddr_min),
-            (false, _) if is_hbm_target => (false, ts.hbm_min, Duration::ZERO),
-            (false, _) => (true, ts.ddr_min, Duration::ZERO),
-        };
-        let lb = arrive + m1 + m2 + resp_half;
-        let wait = done.since(lb).as_ps() as f64;
-        let id = if serves_ddr { ts.ddr_wait } else { ts.hbm_wait };
-        ts.rec.add(id, wait);
     }
 
     /// Advance the sampling clock by one consumed access; `true` when
@@ -1008,6 +980,8 @@ impl TraceSim {
     /// pre-stall clock, migration scheduler totals), then snapshot.
     #[cold]
     fn ts_sample(&mut self, now: SimTime) {
+        let cache_mode = self.msc_capacity.is_some();
+        let (ddr_total, hbm_total) = (self.ddr.stats().total(), self.hbm.stats().total());
         let inflight: usize = self.mshrs.iter().map(|m| m.probe_occupancy(now)).sum();
         let stalls: u64 = self.mshrs.iter().map(|m| m.stalls.get()).sum();
         let (resident, moves) = match &self.migration {
@@ -1023,6 +997,25 @@ impl TraceSim {
         let Some(ts) = self.timeseries.as_deref_mut() else {
             return;
         };
+        let ddr_lines = ddr_total - ts.ddr_base;
+        let hbm_lines = hbm_total - ts.hbm_base;
+        // Each wait is `served - arrive` less the serving chain's
+        // minimum service. DDR serves one wait per DDR line, behind
+        // the MCDRAM tag probe in cache mode; MCDRAM serves one per
+        // line in flat mode, and in cache mode one per hit, as every
+        // miss adds a tag probe and a fill to one DDR line.
+        let (ddr, hbm) = (ts.ddr_min.as_ps(), ts.hbm_min.as_ps());
+        let (ddr_floor, hbm_waits) = if cache_mode {
+            (hbm + ddr, hbm_lines - 2 * ddr_lines)
+        } else {
+            (ddr, hbm_lines)
+        };
+        ts.rec.set(ts.ddr_lines, ddr_lines as f64);
+        ts.rec.set(ts.hbm_lines, hbm_lines as f64);
+        let ddr_wait = ts.raw_wait[0] - ddr_lines * ddr_floor;
+        ts.rec.set(ts.ddr_wait, ddr_wait as f64);
+        let hbm_wait = ts.raw_wait[1] - hbm_waits * hbm;
+        ts.rec.set(ts.hbm_wait, hbm_wait as f64);
         ts.rec.set(ts.mshr_inflight, inflight as f64);
         ts.rec.set(ts.mshr_stalls, stalls as f64);
         ts.rec.set(ts.migrate_resident, resident);
@@ -1068,7 +1061,7 @@ impl TraceSim {
         reg.counter("mshr.merges", m.merges.get());
         reg.counter("mshr.stalls", m.stalls.get());
         if let Some(occ) = m.occupancy_histogram() {
-            reg.histogram("mshr.occupancy", occ);
+            reg.histogram("mshr.occupancy", &occ);
         }
         reg
     }
@@ -1093,7 +1086,7 @@ impl TraceSim {
             reg.counter(&format!("{prefix}row_closed"), s.row_closed.get());
             reg.counter(&format!("{prefix}bank_conflicts"), s.bank_conflicts.get());
             if let Some(h) = dev.queue_wait_histogram() {
-                reg.histogram(&format!("{prefix}queue_wait_ps"), h);
+                reg.histogram(&format!("{prefix}queue_wait_ps"), &h);
             }
         }
         let ms = self.mesh.stats();
@@ -1351,8 +1344,11 @@ impl TraceSim {
                     self.resp_half_ddr
                 };
             self.mshrs[core].complete_at(addr & !(self.line_bytes - 1), done);
-            if self.timeseries.is_some() {
-                self.ts_note_memory(level, is_hbm_target, arrive, done);
+            if let Some(ts) = self.timeseries.as_deref_mut() {
+                // The serving device: MCDRAM exactly when the target
+                // is, in cache mode too (a hit, versus a miss whose
+                // DDR fetch completes the chain).
+                ts.raw_wait[is_hbm_target as usize] += served.since(arrive).as_ps();
             }
         }
         let latency = done.since(issue);

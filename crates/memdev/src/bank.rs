@@ -213,11 +213,22 @@ pub struct DramModel {
     bus_busy_until: Vec<SimTime>,
     stats: DramStats,
     /// Telemetry: picoseconds each access waited for its bank to free
-    /// up (0 for uncontended accesses). A per-access wait sample is
-    /// O(1) on the hot path, unlike a literal queue-depth scan over all
-    /// banks, and carries the same diagnostic signal: a fat tail here
-    /// *is* bank queuing. `None` (the default) costs one branch.
-    queue_wait: Option<Box<Histogram>>,
+    /// up. A per-access wait sample is O(1) on the hot path, unlike a
+    /// literal queue-depth scan over all banks, and carries the same
+    /// diagnostic signal: a fat tail here *is* bank queuing. `None`
+    /// (the default) costs nothing outside a bank conflict.
+    queue_wait: Option<Box<QueueWait>>,
+}
+
+/// The queue-wait recorder. Only bank conflicts are sampled on the
+/// hot path; every other access waited 0, and those are counted from
+/// the model's stats when the histogram is read.
+#[derive(Debug, Clone)]
+struct QueueWait {
+    /// Waits of the accesses that found their bank busy.
+    conflicts: Histogram,
+    /// The model's stats when recording began.
+    since: DramStats,
 }
 
 impl DramModel {
@@ -248,13 +259,22 @@ impl DramModel {
     /// request waited for its target bank. Purely observational.
     pub fn enable_queue_wait_histogram(&mut self) {
         if self.queue_wait.is_none() {
-            self.queue_wait = Some(Box::new(Histogram::new()));
+            self.queue_wait = Some(Box::new(QueueWait {
+                conflicts: Histogram::new(),
+                since: self.stats,
+            }));
         }
     }
 
-    /// The bank queue-wait histogram (ps), if telemetry was enabled.
-    pub fn queue_wait_histogram(&self) -> Option<&Histogram> {
-        self.queue_wait.as_deref()
+    /// The bank queue-wait histogram (ps), if telemetry was enabled:
+    /// the same histogram as recording every access's wait in turn.
+    pub fn queue_wait_histogram(&self) -> Option<Histogram> {
+        let q = self.queue_wait.as_deref()?;
+        let accesses = self.stats.total() - q.since.total();
+        let conflicts = self.stats.bank_conflicts.get() - q.since.bank_conflicts.get();
+        let mut h = q.conflicts.clone();
+        h.record_n(0, accesses - conflicts);
+        Some(h)
     }
 
     /// The KNL DDR4 subsystem.
@@ -299,11 +319,11 @@ impl DramModel {
         let b = &mut self.banks[(channel << self.bank_shift) | bank];
         let wm = &mut self.bus_busy_until[channel];
         let stats = &mut self.stats;
-        if let Some(h) = self.queue_wait.as_deref_mut() {
-            h.record(b.ready.saturating_since(at).as_ps());
-        }
         if b.ready > at {
             stats.bank_conflicts.incr();
+            if let Some(q) = self.queue_wait.as_deref_mut() {
+                q.conflicts.record(b.ready.since(at).as_ps());
+            }
         }
         let start = at.max(b.ready);
         // Array-access phase (everything before the data burst), and
@@ -551,6 +571,33 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn queue_wait_histogram_matches_per_access_recording() {
+        // Reference: record every access's wait, read off the target
+        // bank (`DramGeometry::map`) just before the access. Warm-up
+        // accesses before recording starts must not count.
+        for (mut m, g) in [
+            (DramModel::ddr4_knl(), DramGeometry::ddr4_knl()),
+            (DramModel::mcdram_knl(), DramGeometry::mcdram_knl()),
+        ] {
+            let probes = probe_sequence(g);
+            let (warm, measured) = probes.split_at(500);
+            for &(addr, at) in warm {
+                m.access(addr, at);
+            }
+            m.enable_queue_wait_histogram();
+            let mut reference = Histogram::new();
+            for &(addr, at) in measured {
+                let (channel, bank, _) = g.map(addr);
+                let b = m.banks[channel as usize * g.banks_per_channel as usize + bank as usize];
+                reference.record(b.ready.saturating_since(at).as_ps());
+                m.access(addr, at);
+            }
+            assert!(reference.max() > Some(0), "probe never conflicts");
+            assert_eq!(m.queue_wait_histogram(), Some(reference));
+        }
     }
 
     #[test]

@@ -13,19 +13,37 @@
 //! selector, the MSHR file and the DRAM bank model — so a timing-stage
 //! change can be sized per layer. Each iteration is a batch of
 //! `KERNEL_OPS` operations; ns/op is ns/iter divided by the batch.
+//!
+//! The `classify_kernel` group does the same for the producer stage's
+//! per-core classification: one KNL L1/L2/TLB `Hierarchy::access` per
+//! access on a STREAM line sweep and on GUPS read-modify-writes of
+//! uniform-random lines, and `Tlb::translate` alone on random pages.
 
 use bench::harness::{BenchmarkId, Criterion, Throughput};
 use bench::replay::{ReplayConfig, BENCH_SEED};
 use bench::{criterion_group, criterion_main};
+use cachesim::cache::AccessKind;
+use cachesim::hierarchy::{Hierarchy, HierarchyConfig};
 use cachesim::mshr::{Mshr, MshrOutcome};
+use cachesim::tlb::{Tlb, TlbConfig};
 use memdev::bank::{DramGeometry, DramModel, DramTiming};
 use simfabric::merge::LoserTree;
 use simfabric::prng::Rng;
 use simfabric::{Duration, SimTime};
 use workloads::tracegen::{replay_streaming, TraceKind};
 
-/// Operations per `timing_kernel` iteration.
+/// Operations per `timing_kernel` and `classify_kernel` iteration.
 const KERNEL_OPS: usize = 4_096;
+
+/// Bytes the `classify_kernel` accesses span: `replay_random`'s 64-MiB
+/// GUPS table, 64 times the L2 and 16 384 4-KB pages against the
+/// TLB's 320 entries.
+const CLASSIFY_SPAN: u64 = 64 << 20;
+
+/// Random line addresses the `classify_kernel` group cycles through:
+/// enough that a line comes round again only long after L2 and the
+/// TLB have forgotten it, as a fresh draw would.
+const RANDOM_DRAWS: usize = 1 << 20;
 
 fn bench_configs() -> Vec<ReplayConfig> {
     vec![
@@ -238,10 +256,65 @@ fn bench_timing_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_classify_kernel(c: &mut Criterion) {
+    let mut rng = Rng::seed_from_u64(BENCH_SEED);
+    let random_lines: Vec<u64> = (0..RANDOM_DRAWS)
+        .map(|_| rng.gen_range(0..CLASSIFY_SPAN / 64) * 64)
+        .collect();
+    let hierarchy = || Hierarchy::new(HierarchyConfig::knl_flat(Duration::ZERO));
+    let mut group = c.benchmark_group("classify_kernel");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(200));
+    group.measurement_time(std::time::Duration::from_millis(600));
+    group.throughput(Throughput::Elements(KERNEL_OPS as u64));
+
+    // One STREAM core: consecutive lines, so every access misses both
+    // caches and nearly every translation is the MRU page.
+    group.bench_function("hierarchy_access/stream", |b| {
+        let mut h = hierarchy();
+        let mut addr = 0u64;
+        b.iter(|| {
+            for _ in 0..KERNEL_OPS {
+                addr = (addr + 64) % CLASSIFY_SPAN;
+                h.access(addr, AccessKind::Read);
+            }
+            addr
+        });
+    });
+
+    // GUPS updates: a read then a write of each random line, so the
+    // reads miss both caches and walk the TLB, the writes hit L1, and
+    // L2 evicts dirty lines.
+    group.bench_function("hierarchy_access/gups_random", |b| {
+        let mut h = hierarchy();
+        let mut lines = random_lines.iter().cycle();
+        b.iter(|| {
+            for _ in 0..KERNEL_OPS / 2 {
+                let addr = *lines.next().expect("cycle never ends");
+                h.access(addr, AccessKind::Read);
+                h.access(addr, AccessKind::Write);
+            }
+        });
+    });
+
+    // The KNL 4-KB DTLB alone on the same random lines: mostly walks.
+    group.bench_function("tlb_translate/random_pages", |b| {
+        let mut tlb = Tlb::new(TlbConfig::knl_4k());
+        let mut lines = random_lines.iter().cycle();
+        b.iter(|| {
+            for _ in 0..KERNEL_OPS {
+                tlb.translate(*lines.next().expect("cycle never ends"));
+            }
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_replay_paths,
     bench_sim_new,
-    bench_timing_kernel
+    bench_timing_kernel,
+    bench_classify_kernel
 );
 criterion_main!(benches);

@@ -71,6 +71,7 @@
 use hybridmem::figures;
 use hybridmem::report::{render_figure, series_csv};
 use hybridmem::validate::{render_checks, validate_all};
+use std::io::{self, Write};
 
 /// Value of `--name <value>`, if present.
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -146,48 +147,64 @@ fn latency_report() -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let stdout = std::io::stdout();
+    match run(&args, &mut stdout.lock()) {
+        Ok(()) => {}
+        // A reader that stopped early (`repro | head`) has all it
+        // wanted: stop quietly.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("repro: writing output: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Run the subcommand in `args`, writing its output to `out`.
+fn run(args: &[String], out: &mut impl Write) -> io::Result<()> {
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let csv = args.iter().any(|a| a == "--csv");
     match cmd {
         "all" => {
             for fig in figures::all_figures() {
-                println!("{}", render_figure(&fig));
+                writeln!(out, "{}", render_figure(&fig))?;
             }
-            println!("{}", latency_report());
+            writeln!(out, "{}", latency_report())?;
         }
         "validate" => {
             let checks = validate_all();
-            print!("{}", render_checks(&checks));
+            write!(out, "{}", render_checks(&checks))?;
             if checks.iter().any(|c| !c.pass) {
                 std::process::exit(1);
             }
         }
-        "latency" => print!("{}", latency_report()),
+        "latency" => write!(out, "{}", latency_report())?,
         "trace" => {
             // repro trace [cores] [accesses_per_core] [--metrics PATH]
-            let pos = positionals(&args);
+            let pos = positionals(args);
             let cores: u32 = pos.first().and_then(|a| a.parse().ok()).unwrap_or(16);
             let per_core: u64 = pos.get(1).and_then(|a| a.parse().ok()).unwrap_or(2_000);
             let sweep = hybridmem::TraceSweep::paper(cores, per_core, 0xC0FFEE);
-            let rows = if let Some(path) = flag_value(&args, "--metrics") {
+            let rows = if let Some(path) = flag_value(args, "--metrics") {
                 let (rows, registry) = sweep.run_with_metrics();
                 let doc = hybridmem::metrics_to_json(&registry);
                 hybridmem::check_metrics(&doc).expect("fresh metrics dump validates");
                 std::fs::write(path, doc.to_pretty()).expect("write metrics");
-                println!("wrote {path}");
+                writeln!(out, "wrote {path}")?;
                 rows
             } else {
                 sweep.run()
             };
-            print!("{}", hybridmem::render_trace_replays(&rows));
-            println!(
+            write!(out, "{}", hybridmem::render_trace_replays(&rows))?;
+            writeln!(
+                out,
                 "(replayed with {} worker thread(s))",
                 simfabric::par::num_threads()
-            );
+            )?;
         }
         "profile" => {
             // repro profile [config-label] [--out PATH] [--metrics PATH]
-            let label = positionals(&args)
+            let label = positionals(args)
                 .first()
                 .copied()
                 .unwrap_or(bench::replay::DEFAULT_PROFILE_LABEL)
@@ -196,7 +213,7 @@ fn main() {
                 eprintln!("{e}");
                 std::process::exit(2);
             });
-            let out = flag_value(&args, "--out")
+            let out_path = flag_value(args, "--out")
                 .map(String::from)
                 .unwrap_or_else(|| format!("profile_{label}.jsonl"));
             let run = bench::replay::profile_config(&cfg);
@@ -205,36 +222,39 @@ fn main() {
             hybridmem::check_metrics(&run.metrics).expect("fresh metrics dump validates");
             let ts = hybridmem::check_timeseries(&run.timeseries_jsonl)
                 .expect("fresh timeseries validates");
-            std::fs::write(&out, &run.chrome_jsonl).expect("write profile");
-            println!(
+            std::fs::write(&out_path, &run.chrome_jsonl).expect("write profile");
+            writeln!(
+                out,
                 "{label}: {} accesses in {:.3} s ({:.2} Macc/s with telemetry on)",
                 run.accesses,
                 run.seconds,
                 run.accesses as f64 / run.seconds / 1e6
-            );
-            println!(
-                "wrote {out} ({} events: spans [{}], {} metric series) — load in about:tracing or ui.perfetto.dev",
+            )?;
+            writeln!(
+                out,
+                "wrote {out_path} ({} events: spans [{}], {} metric series) — load in about:tracing or ui.perfetto.dev",
                 trace.events,
                 trace.span_names.join(", "),
                 trace.counter_series
-            );
-            if let Some(path) = flag_value(&args, "--metrics") {
+            )?;
+            if let Some(path) = flag_value(args, "--metrics") {
                 std::fs::write(path, run.metrics.to_pretty()).expect("write metrics");
-                println!("wrote {path}");
+                writeln!(out, "wrote {path}")?;
             }
-            if let Some(path) = flag_value(&args, "--timeseries") {
+            if let Some(path) = flag_value(args, "--timeseries") {
                 std::fs::write(path, &run.timeseries_jsonl).expect("write timeseries");
-                println!(
+                writeln!(
+                    out,
                     "wrote {path} ({} series x {} windows, {} accesses/window)",
                     ts.series.len(),
                     ts.windows,
                     ts.interval
-                );
+                )?;
             }
         }
         "profile-check" => {
             // repro profile-check <trace.jsonl> [--metrics PATH]
-            let path = positionals(&args)
+            let path = positionals(args)
                 .first()
                 .copied()
                 .unwrap_or_else(|| {
@@ -263,40 +283,43 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            println!(
+            writeln!(
+                out,
                 "{path}: ok ({} events, spans [{}], {} metric series)",
                 trace.events,
                 trace.span_names.join(", "),
                 trace.counter_series
-            );
-            if let Some(mpath) = flag_value(&args, "--metrics") {
+            )?;
+            if let Some(mpath) = flag_value(args, "--metrics") {
                 let mtext = std::fs::read_to_string(mpath).expect("read metrics");
                 let doc = hybridmem::json::parse(&mtext).unwrap_or_else(|e| {
                     eprintln!("{mpath}: invalid JSON: {e}");
                     std::process::exit(1);
                 });
                 match hybridmem::check_metrics(&doc) {
-                    Ok(s) => println!(
+                    Ok(s) => writeln!(
+                        out,
                         "{mpath}: ok ({} counters, {} gauges, {} histograms)",
                         s.counters, s.gauges, s.histograms
-                    ),
+                    )?,
                     Err(e) => {
                         eprintln!("{mpath}: {e}");
                         std::process::exit(1);
                     }
                 }
             }
-            if let Some(tpath) = flag_value(&args, "--timeseries") {
+            if let Some(tpath) = flag_value(args, "--timeseries") {
                 let ttext = std::fs::read_to_string(tpath).expect("read timeseries");
                 match hybridmem::check_timeseries(&ttext) {
-                    Ok(s) => println!(
+                    Ok(s) => writeln!(
+                        out,
                         "{tpath}: ok ({} series [{}], {} windows, {} ticks, {} dropped)",
                         s.series.len(),
                         s.series.join(", "),
                         s.windows,
                         s.ticks,
                         s.dropped
-                    ),
+                    )?,
                     Err(e) => {
                         eprintln!("{tpath}: {e}");
                         std::process::exit(1);
@@ -306,13 +329,14 @@ fn main() {
         }
         "compare" => {
             let cmp = hybridmem::compare_with_model();
-            print!("{}", hybridmem::paper::render_comparison(&cmp));
+            write!(out, "{}", hybridmem::paper::render_comparison(&cmp))?;
         }
         "sensitivity" => {
-            print!(
+            write!(
+                out,
                 "{}",
                 hybridmem::sensitivity::render_scans(&hybridmem::all_scans())
-            );
+            )?;
         }
         "export" => {
             // repro export <path.json>
@@ -322,7 +346,7 @@ fn main() {
                 figures::all_figures(),
             );
             std::fs::write(path, archive.to_json()).expect("write archive");
-            println!("wrote {path}");
+            writeln!(out, "wrote {path}")?;
         }
         "diff" => {
             // repro diff <baseline.json> <candidate.json> [tolerance]
@@ -338,7 +362,7 @@ fn main() {
             )
             .expect("parse candidate");
             let divs = hybridmem::diff(&base, &cand, tol);
-            print!("{}", hybridmem::archive::render_diff(&divs));
+            write!(out, "{}", hybridmem::archive::render_diff(&divs))?;
             if !divs.is_empty() {
                 std::process::exit(1);
             }
@@ -355,10 +379,12 @@ fn main() {
                 eprintln!("unknown gate {:?}; try: {}", args[1], names.join(", "));
                 std::process::exit(2);
             }
-            let failed: Vec<String> = selected
-                .into_iter()
-                .filter_map(|g| bench::gate::run_gate(g).err())
-                .collect();
+            let mut failed = Vec::new();
+            for g in selected {
+                if let Err(e) = bench::gate::run_gate(g, out)? {
+                    failed.push(e);
+                }
+            }
             for e in &failed {
                 eprintln!("{e}");
             }
@@ -375,16 +401,20 @@ fn main() {
                 hybridmem::MigrationSweepConfig::cori()
             };
             let sweep = hybridmem::run_migration_sweep(&cfg);
-            print!("{}", hybridmem::render_migration_sweep(&sweep));
+            write!(out, "{}", hybridmem::render_migration_sweep(&sweep))?;
             let speedup = sweep.crossover_speedup();
             if speedup > 1.0 {
-                println!(
+                writeln!(
+                    out,
                     "crossover: migration beats every static placement that fits the \
                      {}-page budget",
                     cfg.budget_pages
-                );
+                )?;
             } else {
-                println!("no crossover at this scale (best migrated {speedup:.3}x of best static)");
+                writeln!(
+                    out,
+                    "no crossover at this scale (best migrated {speedup:.3}x of best static)"
+                )?;
                 // The golden configuration is deliberately tiny and
                 // latency-bound; only the repro-scale sweep gates.
                 if !golden {
@@ -395,14 +425,14 @@ fn main() {
         "advise" => {
             // repro advise <workload> [--budget-kib K] [--threads T]
             //              [--seed S] [--period P] [--json]
-            let pos = positionals(&args);
+            let pos = positionals(args);
             let workload = pos.first().copied().unwrap_or_else(|| {
                 eprintln!(
                     "usage: repro advise <workload> [--budget-kib K] [--threads T] [--seed S] [--period P] [--json]"
                 );
                 std::process::exit(2);
             });
-            let budget_kib: u64 = flag_value(&args, "--budget-kib")
+            let budget_kib: u64 = flag_value(args, "--budget-kib")
                 .and_then(|a| a.parse().ok())
                 .unwrap_or(256);
             let mut query =
@@ -411,13 +441,13 @@ fn main() {
                         eprintln!("{e}");
                         std::process::exit(2);
                     });
-            if let Some(t) = flag_value(&args, "--threads").and_then(|a| a.parse().ok()) {
+            if let Some(t) = flag_value(args, "--threads").and_then(|a| a.parse().ok()) {
                 query.threads = t;
             }
-            if let Some(s) = flag_value(&args, "--seed").and_then(|a| a.parse().ok()) {
+            if let Some(s) = flag_value(args, "--seed").and_then(|a| a.parse().ok()) {
                 query.seed = s;
             }
-            if let Some(p) = flag_value(&args, "--period").and_then(|a| a.parse().ok()) {
+            if let Some(p) = flag_value(args, "--period").and_then(|a| a.parse().ok()) {
                 query.migrate_period = p;
             }
             let key = hybridmem::canonicalize(&query);
@@ -426,42 +456,46 @@ fn main() {
             if args.iter().any(|a| a == "--json") {
                 let doc = hybridmem::advice_to_json(&key, &advice);
                 hybridmem::check_advice(&doc).expect("fresh advice validates");
-                println!("{}", doc.to_pretty());
+                writeln!(out, "{}", doc.to_pretty())?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "{} (canonical: {})",
                     query.workload_label(),
                     key.canonical()
-                );
-                println!(
+                )?;
+                writeln!(
+                    out,
                     "{:<28} {:>6} {:>14} {:>10}",
                     "candidate", "fits", "makespan_us", "bw_GBs"
-                );
+                )?;
                 for c in &advice.candidates {
-                    println!(
+                    writeln!(
+                        out,
                         "{:<28} {:>6} {:>14.3} {:>10.3}",
                         c.label,
                         if c.fits_budget { "yes" } else { "no" },
                         c.report.makespan.as_ns() / 1e3,
                         c.report.bandwidth_gbs
-                    );
+                    )?;
                 }
-                println!(
+                writeln!(
+                    out,
                     "recommended: {} ({:.2}x vs all-DDR)",
                     advice.recommended().label,
                     advice.speedup_vs_ddr
-                );
+                )?;
             }
         }
         "advise-batch" => {
             // repro advise-batch [file.jsonl|-] [--bundled smoke|full]
             //                    [--rounds N] [--out PATH]
-            let rounds: usize = flag_value(&args, "--rounds")
+            let rounds: usize = flag_value(args, "--rounds")
                 .and_then(|a| a.parse().ok())
                 .unwrap_or(1)
                 .max(1);
             let queries: Vec<hybridmem::AdvisorQuery> = if let Some(which) =
-                flag_value(&args, "--bundled")
+                flag_value(args, "--bundled")
             {
                 let cfg = match which {
                     "smoke" => bench::advisor::smoke_advisor_config(),
@@ -473,7 +507,7 @@ fn main() {
                 };
                 cfg.batch()
             } else {
-                let path = positionals(&args).first().copied().unwrap_or_else(|| {
+                let path = positionals(args).first().copied().unwrap_or_else(|| {
                         eprintln!(
                             "usage: repro advise-batch <file.jsonl|-> | --bundled smoke|full [--rounds N] [--out PATH]"
                         );
@@ -514,10 +548,11 @@ fn main() {
             let mut last_hits = 0;
             for round in 1..=rounds {
                 let (answers, stats) = service.advise_batch(&queries);
-                println!(
+                writeln!(
+                    out,
                     "round {round}: {} queries -> {} distinct, {} cache hits, {} shared, {} computed",
                     stats.queries, stats.distinct, stats.cache_hits, stats.shared, stats.computed
-                );
+                )?;
                 last_hits = stats.cache_hits;
                 match &first {
                     Some(cold) => {
@@ -543,10 +578,10 @@ fn main() {
                 "advisor.cache.bytes",
             ] {
                 if let Some(v) = reg.get(name) {
-                    println!("{name}: {v:?}");
+                    writeln!(out, "{name}: {v:?}")?;
                 }
             }
-            if let Some(out) = flag_value(&args, "--out") {
+            if let Some(path) = flag_value(args, "--out") {
                 let answers = first.expect("at least one round ran");
                 let lines: Vec<String> = queries
                     .iter()
@@ -557,13 +592,13 @@ fn main() {
                         doc.to_compact()
                     })
                     .collect();
-                std::fs::write(out, lines.join("\n") + "\n").expect("write advice batch");
-                println!("wrote {out} ({} advice documents)", lines.len());
+                std::fs::write(path, lines.join("\n") + "\n").expect("write advice batch");
+                writeln!(out, "wrote {path} ({} advice documents)", lines.len())?;
             }
         }
         "report" => {
             // repro report <trace.jsonl> [--timeseries PATH]
-            let path = positionals(&args)
+            let path = positionals(args)
                 .first()
                 .copied()
                 .unwrap_or_else(|| {
@@ -572,10 +607,10 @@ fn main() {
                 })
                 .to_string();
             let trace_text = std::fs::read_to_string(&path).expect("read profile");
-            let ts_text = flag_value(&args, "--timeseries")
+            let ts_text = flag_value(args, "--timeseries")
                 .map(|p| std::fs::read_to_string(p).expect("read timeseries"));
             match hybridmem::render_report(&trace_text, ts_text.as_deref()) {
-                Ok(rendered) => print!("{rendered}"),
+                Ok(rendered) => write!(out, "{rendered}")?,
                 Err(e) => {
                     eprintln!("{path}: {e}");
                     std::process::exit(1);
@@ -586,17 +621,16 @@ fn main() {
             // repro serve [--flush-every N] [--interval N] [--timeseries PATH]
             //             [--full]
             let mut opts = bench::serve::ServeOptions::default();
-            if let Some(f) = flag_value(&args, "--flush-every").and_then(|a| a.parse().ok()) {
+            if let Some(f) = flag_value(args, "--flush-every").and_then(|a| a.parse().ok()) {
                 opts.flush_every = f;
             }
-            if let Some(i) = flag_value(&args, "--interval").and_then(|a| a.parse().ok()) {
+            if let Some(i) = flag_value(args, "--interval").and_then(|a| a.parse().ok()) {
                 opts.ts_interval = i;
             }
             opts.full_advice = args.iter().any(|a| a == "--full");
             let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let summary = bench::serve::serve_loop(stdin.lock(), stdout.lock(), &opts)
-                .unwrap_or_else(|e| {
+            let summary =
+                bench::serve::serve_loop(stdin.lock(), &mut *out, &opts).unwrap_or_else(|e| {
                     eprintln!("serve: {e}");
                     std::process::exit(1);
                 });
@@ -606,7 +640,7 @@ fn main() {
                 "served {} queries ({} cache hits, {} shared, {} computed, {} errors)",
                 summary.queries, summary.hits, summary.shared, summary.computed, summary.errors
             );
-            if let Some(path) = flag_value(&args, "--timeseries") {
+            if let Some(path) = flag_value(args, "--timeseries") {
                 let ts = hybridmem::check_timeseries(&summary.timeseries_jsonl)
                     .expect("fresh serve timeseries validates");
                 std::fs::write(path, &summary.timeseries_jsonl).expect("write timeseries");
@@ -620,7 +654,7 @@ fn main() {
         }
         "serve-check" => {
             // repro serve-check <transcript.jsonl> [--queries N] [--timeseries PATH]
-            let path = positionals(&args)
+            let path = positionals(args)
                 .first()
                 .copied()
                 .unwrap_or_else(|| {
@@ -631,26 +665,28 @@ fn main() {
                 })
                 .to_string();
             let text = std::fs::read_to_string(&path).expect("read transcript");
-            let expect = flag_value(&args, "--queries").and_then(|a| a.parse().ok());
+            let expect = flag_value(args, "--queries").and_then(|a| a.parse().ok());
             match bench::serve::check_serve_output(&text, expect) {
-                Ok(c) => println!(
+                Ok(c) => writeln!(
+                    out,
                     "{path}: ok ({} responses, {} cache hits, {} shared, {} errors, {} flush events)",
                     c.responses, c.hits, c.shared, c.errors, c.flushes
-                ),
+                )?,
                 Err(e) => {
                     eprintln!("{path}: {e}");
                     std::process::exit(1);
                 }
             }
-            if let Some(tpath) = flag_value(&args, "--timeseries") {
+            if let Some(tpath) = flag_value(args, "--timeseries") {
                 let ttext = std::fs::read_to_string(tpath).expect("read timeseries");
                 match hybridmem::check_timeseries(&ttext) {
-                    Ok(s) => println!(
+                    Ok(s) => writeln!(
+                        out,
                         "{tpath}: ok ({} series, {} windows, {} ticks)",
                         s.series.len(),
                         s.windows,
                         s.ticks
-                    ),
+                    )?,
                     Err(e) => {
                         eprintln!("{tpath}: {e}");
                         std::process::exit(1);
@@ -660,7 +696,7 @@ fn main() {
         }
         "queries" => {
             // repro queries [--bundled smoke|full] [--out PATH]
-            let cfg = match flag_value(&args, "--bundled").unwrap_or("full") {
+            let cfg = match flag_value(args, "--bundled").unwrap_or("full") {
                 "smoke" => bench::advisor::smoke_advisor_config(),
                 "full" => bench::advisor::standard_advisor_config(),
                 other => {
@@ -673,14 +709,14 @@ fn main() {
                 .iter()
                 .map(|q| q.to_json().to_compact())
                 .collect();
-            match flag_value(&args, "--out") {
-                Some(out) => {
-                    std::fs::write(out, lines.join("\n") + "\n").expect("write queries");
-                    println!("wrote {out} ({} queries)", lines.len());
+            match flag_value(args, "--out") {
+                Some(path) => {
+                    std::fs::write(path, lines.join("\n") + "\n").expect("write queries");
+                    writeln!(out, "wrote {path} ({} queries)", lines.len())?;
                 }
                 None => {
                     for line in &lines {
-                        println!("{line}");
+                        writeln!(out, "{line}")?;
                     }
                 }
             }
@@ -694,18 +730,19 @@ fn main() {
             };
             let max_nodes: u32 = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(64);
             let plan = hybridmem::decompose(simfabric::ByteSize::gib_f(gb), pattern, max_nodes);
-            println!(
+            writeln!(
+                out,
                 "{} problem, {:?} access:\n  {} node(s) x {} each, {} per node\n  predicted per-node speedup vs single node: {:.2}x\n  {}",
                 plan.total, pattern, plan.nodes, plan.per_node, plan.setup.label(),
                 plan.speedup_vs_single_node, plan.rationale
-            );
+            )?;
         }
         id => match figure_by_id(id) {
             Some(fig) => {
                 if csv {
-                    print!("{}", series_csv(&fig.series));
+                    write!(out, "{}", series_csv(&fig.series))?;
                 } else {
-                    println!("{}", render_figure(&fig));
+                    writeln!(out, "{}", render_figure(&fig))?;
                 }
             }
             None => {
@@ -716,4 +753,5 @@ fn main() {
             }
         },
     }
+    Ok(())
 }

@@ -34,6 +34,7 @@ use crate::replay::{
     measure_migration_overhead, measure_overhead, measure_sampling_overhead, ReplayConfig,
 };
 use crate::sweep::{measure_sweep, smoke_sweep_config};
+use std::io::{self, Write};
 use std::time::Instant;
 
 /// Timed attempts per gate before a missed bound fails it.
@@ -283,11 +284,13 @@ pub fn table() -> [Gate; 6] {
     ]
 }
 
-/// Run one gate under the retry policy, printing one line per attempt.
-/// `Err` names the last estimate after `ATTEMPTS` missed bounds; a
-/// structural assert panics out of the first attempt.
-pub fn run_gate(gate: &Gate) -> Result<(), String> {
-    println!(
+/// Run one gate under the retry policy, writing one line per attempt
+/// to `out`. The inner `Err` names the last estimate after `ATTEMPTS`
+/// missed bounds, the outer one a failed write; a structural assert
+/// panics out of the first attempt.
+pub fn run_gate(gate: &Gate, out: &mut impl Write) -> io::Result<Result<(), String>> {
+    writeln!(
+        out,
         "gate {}: {} (A) vs {} (B) on {}, {} pair(s); asserts: {}",
         gate.name,
         gate.arms[0],
@@ -295,12 +298,13 @@ pub fn run_gate(gate: &Gate) -> Result<(), String> {
         gate.config,
         gate.pairs,
         gate.asserts.join("; ")
-    );
+    )?;
     let mut last = 0.0;
     for attempt in 1..=ATTEMPTS {
         let p = (gate.measure)(gate.config, gate.pairs);
         let (estimate, ok) = gate.bound.check(&p);
-        println!(
+        writeln!(
+            out,
             "  attempt {attempt}: A best {:.4} s, B best {:.4} s -> B/A median pair {:.4}, \
              best {:.4}; gated {estimate:.4} vs {:?} {}",
             p.best_secs[0],
@@ -309,16 +313,16 @@ pub fn run_gate(gate: &Gate) -> Result<(), String> {
             p.best_ratio(),
             gate.bound,
             if ok { "ok" } else { "MISSED" }
-        );
+        )?;
         if ok {
-            return Ok(());
+            return Ok(Ok(()));
         }
         last = estimate;
     }
-    Err(format!(
+    Ok(Err(format!(
         "gate {}: B/A {last:.4} missed {:?} on all {ATTEMPTS} attempts",
         gate.name, gate.bound
-    ))
+    )))
 }
 
 #[cfg(test)]

@@ -226,7 +226,21 @@ impl Cache {
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         let (set, tag) = self.index(addr);
         let ways = self.ways_of(set);
-        if let Some(w) = self.find(set, tag) {
+        // One pass over the set finds the hit way or, failing that, the
+        // first invalid way (`ways.len()` when the set is full).
+        let want = tag << TAG_SHIFT | DIRTY | VALID;
+        let mut invalid = ways.len();
+        let mut hit = None;
+        for (w, &v) in self.sets[ways.clone()].iter().enumerate() {
+            if v | DIRTY == want {
+                hit = Some(w);
+                break;
+            }
+            if v & VALID == 0 {
+                invalid = invalid.min(w);
+            }
+        }
+        if let Some(w) = hit {
             if kind == AccessKind::Write {
                 self.sets[ways.start + w] |= DIRTY;
                 self.stats.write_hits.incr();
@@ -247,20 +261,18 @@ impl Cache {
             };
         }
         // Prefer an invalid way before victimizing.
-        let invalid = self.sets[ways.clone()].iter().position(|&w| w & VALID == 0);
-        let (victim_way, evicted_dirty) = match invalid {
-            Some(w) => (w as u16, None),
-            None => {
-                let w = self.replacer.victim(set);
-                let v = self.sets[ways.start + w as usize];
-                let evicted = if v & DIRTY != 0 {
-                    self.stats.writebacks.incr();
-                    Some(self.reconstruct_addr(set, v >> TAG_SHIFT))
-                } else {
-                    None
-                };
-                (w, evicted)
-            }
+        let (victim_way, evicted_dirty) = if invalid < ways.len() {
+            (invalid as u16, None)
+        } else {
+            let w = self.replacer.victim(set);
+            let v = self.sets[ways.start + w as usize];
+            let evicted = if v & DIRTY != 0 {
+                self.stats.writebacks.incr();
+                Some(self.reconstruct_addr(set, v >> TAG_SHIFT))
+            } else {
+                None
+            };
+            (w, evicted)
         };
         let dirty = if kind == AccessKind::Write { DIRTY } else { 0 };
         self.sets[ways.start + victim_way as usize] = tag << TAG_SHIFT | dirty | VALID;

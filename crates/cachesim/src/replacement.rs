@@ -1,6 +1,6 @@
 //! Replacement policies for set-associative caches.
 //!
-//! Each policy maintains per-set state sized by associativity and
+//! Each policy keeps flat per-set state sized by associativity and
 //! answers two questions: *which way do I victimize?* and *update on
 //! touch*. Both policies are deterministic.
 
@@ -13,99 +13,105 @@ pub enum ReplacementPolicy {
     PseudoLru,
 }
 
-/// Per-set replacement state.
+/// Replacement engine for one cache (all sets), in flat per-set
+/// storage.
 #[derive(Debug, Clone)]
-pub(crate) enum SetState {
-    /// LRU: order[0] is the next victim.
-    Order(Vec<u8>),
-    /// Tree PLRU bits (ways must be a power of two).
-    Tree(u64),
-}
-
-/// Replacement engine for one cache (all sets).
-#[derive(Debug, Clone)]
-pub(crate) struct Replacer {
-    ways: u16,
-    /// Depth of the PLRU tree: `log2(ways)`.
-    levels: u32,
-    sets: Vec<SetState>,
+pub(crate) enum Replacer {
+    /// Exact recency stacks: `ways` entries per set, row-major; entry 0
+    /// of a set is its next victim, the last its most recent way.
+    Lru { ways: usize, order: Vec<u8> },
+    /// Tree pseudo-LRU: one word of tree bits per set. Node `n` of the
+    /// implicit tree has children `2n + 1` (left) and `2n + 2` (right),
+    /// and its bit set means "next victim is on the left". A touch
+    /// points every node on the way's path away from it, which is one
+    /// AND and one OR with per-way masks computed at construction.
+    Plru {
+        /// `log2(ways)`: the depth of the tree.
+        levels: u32,
+        /// Per way: every bit *not* on its root-to-leaf path.
+        keep: Vec<u64>,
+        /// Per way: the path bits that a touch sets (the nodes where
+        /// the path turns right).
+        right: Vec<u64>,
+        bits: Vec<u64>,
+    },
 }
 
 impl Replacer {
     pub(crate) fn new(policy: ReplacementPolicy, num_sets: u32, ways: u16) -> Self {
         assert!(ways > 0);
-        if policy == ReplacementPolicy::PseudoLru {
-            assert!(
-                ways.is_power_of_two(),
-                "tree PLRU requires power-of-two associativity, got {ways}"
-            );
-        }
-        let state = match policy {
-            ReplacementPolicy::Lru => SetState::Order((0..ways as u8).collect()),
-            ReplacementPolicy::PseudoLru => SetState::Tree(0),
-        };
-        Replacer {
-            ways,
-            levels: ways.trailing_zeros(),
-            sets: vec![state; num_sets as usize],
+        let sets = num_sets as usize;
+        match policy {
+            ReplacementPolicy::Lru => {
+                assert!(ways <= 256, "LRU ways are stored as u8, got {ways}");
+                let order = (0..ways).map(|w| w as u8).collect::<Vec<_>>().repeat(sets);
+                Replacer::Lru {
+                    ways: ways as usize,
+                    order,
+                }
+            }
+            ReplacementPolicy::PseudoLru => {
+                assert!(
+                    ways.is_power_of_two() && ways <= 64,
+                    "tree PLRU requires power-of-two associativity up to 64, got {ways}"
+                );
+                let levels = ways.trailing_zeros();
+                let (mut keep, mut right) = (Vec::new(), Vec::new());
+                for way in 0..ways as usize {
+                    let (mut path, mut turns, mut node) = (0u64, 0u64, 0usize);
+                    for level in (0..levels).rev() {
+                        let go_right = (way >> level) & 1;
+                        path |= 1 << node;
+                        turns |= (go_right as u64) << node;
+                        node = 2 * node + 1 + go_right;
+                    }
+                    keep.push(!path);
+                    right.push(turns);
+                }
+                Replacer::Plru {
+                    levels,
+                    keep,
+                    right,
+                    bits: vec![0; sets],
+                }
+            }
         }
     }
 
     /// Note that `way` in `set` was accessed (hit or fill).
+    #[inline]
     pub(crate) fn touch(&mut self, set: u32, way: u16) {
-        match &mut self.sets[set as usize] {
-            SetState::Order(order) => {
+        match self {
+            Replacer::Lru { ways, order } => {
                 // Move to MRU position (end).
+                let order = &mut order[set as usize * *ways..][..*ways];
                 if let Some(pos) = order.iter().position(|&w| w == way as u8) {
-                    let w = order.remove(pos);
-                    order.push(w);
+                    order[pos..].rotate_left(1);
                 }
             }
-            SetState::Tree(bits) => {
-                // Walk from the root; at each level set the bit to point
-                // *away* from the touched way.
-                let mut node = 0usize; // index within the implicit tree
-                let mut lo = 0u16;
-                let mut hi = self.ways;
-                for _ in 0..self.levels {
-                    let mid = (lo + hi) / 2;
-                    let go_right = way >= mid;
-                    // bit = 1 means "next victim is on the left".
-                    if go_right {
-                        *bits |= 1 << node;
-                    } else {
-                        *bits &= !(1 << node);
-                    }
-                    node = 2 * node + if go_right { 2 } else { 1 };
-                    if go_right {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
+            Replacer::Plru {
+                keep, right, bits, ..
+            } => {
+                let b = &mut bits[set as usize];
+                *b = *b & keep[way as usize] | right[way as usize];
             }
         }
     }
 
     /// Choose a victim way for `set`.
+    #[inline]
     pub(crate) fn victim(&self, set: u32) -> u16 {
-        match &self.sets[set as usize] {
-            SetState::Order(order) => order[0] as u16,
-            SetState::Tree(bits) => {
-                let mut node = 0usize;
-                let mut lo = 0u16;
-                let mut hi = self.ways;
-                for _ in 0..self.levels {
-                    let mid = (lo + hi) / 2;
-                    let go_left = (*bits >> node) & 1 == 1;
-                    node = 2 * node + if go_left { 1 } else { 2 };
-                    if go_left {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
+        match self {
+            Replacer::Lru { ways, order } => order[set as usize * *ways] as u16,
+            Replacer::Plru { levels, bits, .. } => {
+                // Follow the bits from the root: left child on 1, right
+                // on 0. The walk ends on leaf `ways - 1 + victim`.
+                let b = bits[set as usize];
+                let mut node = 0u64;
+                for _ in 0..*levels {
+                    node = 2 * node + 2 - (b >> node & 1);
                 }
-                lo
+                (node + 1 - (1 << *levels)) as u16
             }
         }
     }

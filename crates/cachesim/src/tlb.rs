@@ -8,7 +8,7 @@
 //! latency model uses at paper scale.
 
 use simfabric::stats::Counter;
-use simfabric::{ByteSize, Duration, PageMap};
+use simfabric::{ByteSize, Duration};
 
 /// Supported page sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,16 +88,16 @@ impl TlbConfig {
 ///
 /// Both levels live in one fixed slab of `l1_entries + l2_entries`
 /// nodes threaded onto two intrusive recency lists (head = MRU), and a
-/// page → slot map finds a page's node, so a translation costs O(1)
-/// whatever the TLB size. A hit on the MRU page short-circuits before
-/// the map lookup.
+/// fixed open-addressed `SlotIndex` finds a page's node, so a
+/// translation costs O(1) whatever the TLB size. A hit on the MRU page
+/// short-circuits before the index lookup.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
     page_shift: u32,
     /// Page at the head of the L1 list (`u64::MAX` while L1 is empty).
     mru_page: u64,
-    slots: PageMap<u32>,
+    index: SlotIndex,
     nodes: Vec<Node>,
     lists: [List; 2],
     /// L1 hits.
@@ -166,7 +166,7 @@ impl Tlb {
             config,
             page_shift: config.page_size.bytes().trailing_zeros(),
             mru_page: u64::MAX,
-            slots: PageMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: SlotIndex::new(capacity),
             nodes: Vec::with_capacity(capacity),
             lists: [empty; 2],
             l1_hits: Counter::new(),
@@ -182,15 +182,15 @@ impl Tlb {
             self.l1_hits.incr();
             return TlbOutcome::L1Hit;
         }
-        let (outcome, slot) = match self.slots.get(&page) {
-            Some(&slot) if self.nodes[slot as usize].level == L1 => {
+        let (outcome, slot) = match self.index.find(&self.nodes, page) {
+            Some(slot) if self.nodes[slot as usize].level == L1 => {
                 self.unlink(slot);
                 self.push_front(L1, slot);
                 self.mru_page = page;
                 self.l1_hits.incr();
                 return TlbOutcome::L1Hit;
             }
-            Some(&slot) => {
+            Some(slot) => {
                 self.unlink(slot);
                 self.l2_hits.incr();
                 (TlbOutcome::L2Hit, Some(slot))
@@ -220,7 +220,7 @@ impl Tlb {
         let slot = slot.unwrap_or_else(|| {
             let slot = match freed {
                 Some(slot) => {
-                    self.slots.remove(&self.nodes[slot as usize].page);
+                    self.index.remove(&self.nodes, slot);
                     self.nodes[slot as usize].page = page;
                     slot
                 }
@@ -234,7 +234,7 @@ impl Tlb {
                     (self.nodes.len() - 1) as u32
                 }
             };
-            self.slots.insert(page, slot);
+            self.index.insert(page, slot);
             slot
         });
         self.push_front(L1, slot);
@@ -279,6 +279,91 @@ impl Tlb {
     /// Total translations performed.
     pub fn translations(&self) -> u64 {
         self.l1_hits.get() + self.l2_hits.get() + self.walks.get()
+    }
+}
+
+/// Page → slab-slot index: a fixed open-addressed table of `u32` slots
+/// (`NIL` when empty) with a multiplicative hash, linear probing and
+/// backward-shift deletion. It stores no keys: a probe compares the
+/// page through the slab node the slot names. Sized at four times the
+/// TLB's capacity, rounded up to a power of two, the table is at most
+/// a quarter full, so probe runs stay short and always end on an
+/// empty slot.
+#[derive(Debug, Clone)]
+struct SlotIndex {
+    table: Vec<u32>,
+    /// `64 - log2(table.len())`: the multiplicative hash keeps the top
+    /// bits of the product.
+    shift: u32,
+}
+
+impl SlotIndex {
+    fn new(capacity: usize) -> Self {
+        let len = (4 * capacity).next_power_of_two();
+        SlotIndex {
+            table: vec![NIL; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// Home position of `page`.
+    #[inline]
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.table.len() - 1
+    }
+
+    /// The slot holding `page`, if any.
+    #[inline]
+    fn find(&self, nodes: &[Node], page: u64) -> Option<u32> {
+        let mut i = self.home(page);
+        loop {
+            match self.table[i] {
+                NIL => return None,
+                slot if nodes[slot as usize].page == page => return Some(slot),
+                _ => i = (i + 1) & self.mask(),
+            }
+        }
+    }
+
+    /// Index `slot` under `page`, which must be absent.
+    fn insert(&mut self, page: u64, slot: u32) {
+        let mut i = self.home(page);
+        while self.table[i] != NIL {
+            i = (i + 1) & self.mask();
+        }
+        self.table[i] = slot;
+    }
+
+    /// Drop `slot`, indexed under `nodes[slot].page`. Each later entry
+    /// of the probe run shifts back into the hole unless that would
+    /// move it before its home, so no run ever has a gap.
+    fn remove(&mut self, nodes: &[Node], slot: u32) {
+        let mask = self.mask();
+        let mut hole = self.home(nodes[slot as usize].page);
+        while self.table[hole] != slot {
+            hole = (hole + 1) & mask;
+        }
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.table[i];
+            if s == NIL {
+                break;
+            }
+            // Distances, cyclically, from `s`'s home and from the hole
+            // to `i`: it may fill the hole when its home is no later.
+            let from_home = i.wrapping_sub(self.home(nodes[s as usize].page)) & mask;
+            if from_home >= i.wrapping_sub(hole) & mask {
+                self.table[hole] = s;
+                hole = i;
+            }
+        }
+        self.table[hole] = NIL;
     }
 }
 

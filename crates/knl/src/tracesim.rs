@@ -2051,6 +2051,43 @@ mod tests {
         }
     }
 
+    /// The merge keys each core by its clock in picoseconds
+    /// (`LoserTree` packs it into the top of a `u128`), so a clock that
+    /// would pass `u64::MAX` ps must stop the replay through
+    /// `SimTime`'s checked addition on every replay input, never wrap
+    /// to a small key that jumps the merge. Core 1 starts at or a few
+    /// accesses short of the bound; core 0 at zero.
+    #[test]
+    fn clocks_past_u64_ps_fail_loudly_on_every_replay_input() {
+        let trace = stream_trace(2, 64);
+        let ct = artifact(2, &trace);
+        for setup in [MemSetup::DramOnly, MemSetup::CacheMode] {
+            for margin in [0u64, 3_000, 200_000] {
+                for input in ["run", "run_streaming", "run_classified"] {
+                    let at = format!("{input} {setup:?} margin {margin} ps");
+                    let replay = std::panic::AssertUnwindSafe(|| {
+                        let mut sim =
+                            TraceSim::new(&cfg(setup), 2, TracePlacement::AllDdr, ByteSize::mib(1));
+                        sim.core_clock[1] = SimTime::from_ps(u64::MAX - margin);
+                        match input {
+                            "run" => sim.run(&trace),
+                            "run_streaming" => stream_chunks(&mut sim, trace.chunks(16)),
+                            _ => sim.run_classified(&ct),
+                        }
+                    });
+                    let panic = std::panic::catch_unwind(replay)
+                        .expect_err(&format!("{at}: replay ran past u64::MAX ps"));
+                    let msg = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("<non-string panic>");
+                    assert!(msg.contains("SimTime overflow"), "{at}: {msg}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn partition_wraps_out_of_range_cores() {
         // Traces may name more cores than the simulator has; ids wrap

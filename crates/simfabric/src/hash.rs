@@ -1,7 +1,7 @@
 //! A fast hasher for page-number keys.
 //!
-//! The TLB model and the page-migration scheduler key hash maps by
-//! page numbers on the trace replay's per-access path. The standard
+//! The page-migration scheduler keys hash maps by page numbers on the
+//! trace replay's per-access path. The standard
 //! library's SipHash defends against adversarial keys, which these
 //! maps never see: every key is a page number the simulator derives
 //! from a generated trace. [`PageHasher`] replaces it with a single

@@ -1,8 +1,8 @@
-//! Trace-replay engine bench: accesses/second through the sequential
-//! and streaming replay paths, plus the peak bytes of trace each path
+//! Trace-replay engine bench: accesses/second through streaming
+//! replay, generation included, plus the peak bytes of trace it
 //! buffers. Uses small configurations so a bench run stays in seconds;
 //! the repository benchmark (`benchmark/run.sh`) times full-size,
-//! digest-checked replays end to end and per layer.
+//! digest-checked replays of both inputs end to end and per layer.
 //!
 //! The `sim_new` group times `TraceSim::new` alone at 8 and 64 cores
 //! in flat and cache mode: the fixed cost every replay pays before its
@@ -19,7 +19,7 @@
 //! access on a STREAM line sweep and on GUPS read-modify-writes of
 //! uniform-random lines, and `Tlb::translate` alone on random pages.
 
-use bench::harness::{BenchmarkId, Criterion, Throughput};
+use bench::harness::{Criterion, Throughput};
 use bench::replay::{ReplayConfig, BENCH_SEED};
 use bench::{criterion_group, criterion_main};
 use cachesim::cache::AccessKind;
@@ -79,49 +79,26 @@ fn bench_replay_paths(c: &mut Criterion) {
         group.measurement_time(std::time::Duration::from_millis(600));
         group.throughput(Throughput::Elements(trace.len() as u64));
 
-        let mut peaks: Vec<(&str, u64)> = Vec::new();
-        group.bench_with_input(
-            BenchmarkId::new("sequential", cfg.label()),
-            &trace,
-            |b, trace| {
-                let mut peak = 0;
-                b.iter(|| {
-                    let mut sim = make_sim(&cfg);
-                    let r = sim.run(trace);
-                    peak = sim.last_peak_trace_buffer_bytes() as u64;
-                    bench::harness::black_box(r)
-                });
-                peaks.push(("sequential", peak));
-            },
-        );
         // Streaming regenerates the trace inside the timed region —
         // overlapping generation with replay is what it is for.
-        group.bench_with_input(
-            BenchmarkId::new("streaming", cfg.label()),
-            &trace,
-            |b, _| {
-                let mut peak = 0;
-                b.iter(|| {
-                    let mut sim = make_sim(&cfg);
-                    let mut source = cfg
-                        .kind
-                        .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
-                    let r = replay_streaming(&mut sim, source.as_mut());
-                    peak = sim.last_peak_trace_buffer_bytes() as u64;
-                    bench::harness::black_box(r)
-                });
-                peaks.push(("streaming", peak));
-            },
-        );
+        let mut peak = 0;
+        group.bench_function(&format!("streaming/{}", cfg.label()), |b| {
+            b.iter(|| {
+                let mut sim = make_sim(&cfg);
+                let mut source = cfg
+                    .kind
+                    .source(cfg.cores, cfg.accesses_per_core, BENCH_SEED);
+                let r = replay_streaming(&mut sim, source.as_mut());
+                peak = sim.last_peak_trace_buffer_bytes() as u64;
+                bench::harness::black_box(r)
+            });
+        });
         group.finish();
-        for (path, peak) in peaks {
-            println!(
-                "trace_replay/{}/{:<22} peak trace buffer: {:>12} bytes",
-                path,
-                cfg.label(),
-                peak
-            );
-        }
+        println!(
+            "trace_replay/streaming/{:<22} peak trace buffer: {:>12} bytes",
+            cfg.label(),
+            peak
+        );
     }
 }
 

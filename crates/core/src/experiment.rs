@@ -194,8 +194,8 @@ pub struct TraceReplay {
 /// [`TraceKind::source`], never materializing the full trace) and
 /// each setup replays the artifact through the timing stage
 /// (`crate::sweep`). The worker count comes from
-/// [`par::num_threads`] and the output is bit-identical to the
-/// sequential reference at any setting.
+/// [`par::num_threads`] and the output is bit-identical at any
+/// setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSweep {
     /// Trace generators to replay.

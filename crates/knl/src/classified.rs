@@ -43,7 +43,7 @@ use crate::tracesim::{
     classify_chunk, hierarchy_config, ClassifiedSoa, ReplayShard, TraceAccess,
     CLASSIFIED_ACCESS_BYTES,
 };
-use cachesim::hierarchy::{Hierarchy, LevelHit};
+use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
 use simfabric::ByteSize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -80,14 +80,22 @@ impl ClassifyKey {
     }
 }
 
-/// The canonical classification signature of a machine config: every
-/// input of `hierarchy_config`, and nothing else. Every memory setup
-/// shares one signature: flat placements differ only in the timing
-/// stage, and cache mode's memory-side cache sits below L2, where the
-/// timing side probes it, so neither the setup nor the MCDRAM-cache
-/// capacity is part of it.
+/// The canonical classification signature of a machine config: the
+/// full private-hierarchy configuration classification reads
+/// (`hierarchy_config`), and nothing else. Every memory setup shares
+/// it: flat placements differ only in the timing stage, and cache
+/// mode's memory-side cache sits below L2, where the timing side
+/// probes it, so neither the setup nor the MCDRAM-cache capacity is
+/// part of it. Nor is the DDR idle latency: the bank models time every
+/// device access, so `hierarchy_config` zeroes the memory latency.
 pub fn classify_signature(cfg: &MachineConfig) -> String {
-    format!("l1l2tlb:ddr={}ps", cfg.ddr.idle_latency.as_ps())
+    hierarchy_signature(&hierarchy_config(cfg))
+}
+
+/// The signature of a private-hierarchy configuration: every field,
+/// rendered in full.
+pub(crate) fn hierarchy_signature(hier_cfg: &HierarchyConfig) -> String {
+    format!("l1l2tlb:{hier_cfg:?}")
 }
 
 /// A fully classified trace: per-core SoA arrays of `(addr, flags)`
@@ -606,6 +614,11 @@ mod tests {
             let cfg = MachineConfig::knl7210(setup, 64);
             assert_eq!(classify_signature(&cfg), flat, "{setup:?}");
         }
+        // Classification never reads the DDR latency, so a slower DDR
+        // shares the signature too.
+        let mut slow = flat_cfg();
+        slow.ddr.idle_latency += simfabric::Duration::from_ns(1.0);
+        assert_eq!(classify_signature(&slow), flat);
         // The capacity a caller passes changes neither the key nor the
         // classification.
         let trace = tiny_trace(2, 64);

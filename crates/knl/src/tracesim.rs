@@ -12,21 +12,22 @@
 //!
 //! # One windowed engine, two inputs
 //!
-//! [`TraceSim::run`] is the sequential reference implementation, kept
-//! as the oracle the equivalence suites compare against. The other two
-//! entry points — [`TraceSim::run_streaming`] (a generator callback)
-//! and [`TraceSim::run_classified`] (a prebuilt artifact) — feed the
+//! Replay has two entry points, one per input:
+//! [`TraceSim::run_streaming`] (a generator callback) and
+//! [`TraceSim::run_classified`] (a prebuilt artifact). Both feed the
 //! same windowed engine and produce **bit-identical** reports and
-//! device statistics. The engine rests on a structural property of the
-//! model: the private cache hierarchy (L1/L2/TLB) is
-//! *timing-independent* — which level serves an access depends only
-//! on that core's own address stream, never on the clock. So is cache
-//! mode's memory-side cache, modelled as one store per core: its tags
-//! depend only on that core's own stream of L2 misses. Classification
-//! stops at L2, and the merge stage probes each core's store as that
-//! core's classified accesses enter its queue, in program order (the
-//! sequential `TraceSim::access` probes inline). Streaming replay
-//! therefore runs as a two-stage pipeline
+//! device statistics. The root equivalence suites check both against
+//! an independent, naive reference replay (`tests/support`) that
+//! shares none of this module's timing code. The engine rests on a
+//! structural property of the model: the private cache hierarchy
+//! (L1/L2/TLB) is *timing-independent* — which level serves an access
+//! depends only on that core's own address stream, never on the clock.
+//! So is cache mode's memory-side cache, modelled as one store per
+//! core: its tags depend only on that core's own stream of L2 misses.
+//! Classification stops at L2, and the merge stage probes each core's
+//! store as that core's classified accesses enter its queue, in
+//! program order. Streaming replay therefore runs as a two-stage
+//! pipeline
 //! ([`simfabric::par::pipelined_stats`]):
 //!
 //! 1. a **producer stage** on its own thread, which owns the per-core
@@ -38,16 +39,14 @@
 //!    arrays, 9 B per access instead of a 40 B record), and
 //! 2. a **merge stage** on the calling thread, which replays the
 //!    classified batches through the shared resources (MSHRs, mesh,
-//!    DRAM bank models) in exactly the earliest-clock order the
-//!    sequential path uses, and never touches a hierarchy (in cache
-//!    mode it first runs each arriving batch through its core's
-//!    memory-side cache). The "core
-//!    with the earliest clock" selection runs on a fixed-size
-//!    winner tree ([`simfabric::merge::LoserTree`]) keyed on the
-//!    per-core clocks in picoseconds: O(log cores) per access, with no
-//!    allocation and no data-dependent branch. The tree's tie-break
-//!    (equal clocks select the lower core index) matches the
-//!    sequential order exactly.
+//!    DRAM bank models) in earliest-`(clock, core)` order, and never
+//!    touches a hierarchy (in cache mode it first runs each arriving
+//!    batch through its core's memory-side cache). The "core with the
+//!    earliest clock" selection runs on a fixed-size winner tree
+//!    ([`simfabric::merge::LoserTree`]) keyed on the per-core clocks
+//!    in picoseconds: O(log cores) per access, with no allocation and
+//!    no data-dependent branch. Equal clocks select the lower core
+//!    index.
 //!
 //! The producer runs up to the pipe's depth plus one chunks ahead, so
 //! a replay costs roughly the slower stage instead of their sum. That
@@ -94,7 +93,7 @@
 //! order-independent (commutative, associative, integer-only)
 //! reduction, so worker count never leaks into results.
 
-use crate::classified::{classify_signature, ClassifiedTrace};
+use crate::classified::{hierarchy_signature, ClassifiedTrace};
 use crate::config::MachineConfig;
 use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
@@ -109,7 +108,6 @@ use simfabric::par;
 use simfabric::telemetry::timeseries::{SeriesId, TimeSeriesRecorder};
 use simfabric::telemetry::{MetricsRegistry, SpanLog};
 use simfabric::{ByteSize, Duration, SimTime};
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -208,8 +206,8 @@ pub struct TraceSimReport {
 /// Raw per-shard totals, in integer picoseconds and counts, from which
 /// a [`TraceSimReport`] is derived. Every field combines with a sum or
 /// a max, so `merge` is commutative and associative:
-/// shards reduce to identical totals in any order — the property that
-/// lets the windowed paths match the sequential path bit for bit.
+/// shards reduce to identical totals in any order, so worker count
+/// never leaks into a report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTotals {
     /// Accesses replayed.
@@ -641,8 +639,8 @@ impl ReplayInput<'_, '_> {
 /// Observability counters from the most recent `run*` call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingEngineStats {
-    /// Windows refilled (one per stream chunk pulled; always 0 for
-    /// the sequential [`TraceSim::run`]).
+    /// Windows refilled (one per stream chunk pulled, or per artifact
+    /// refill).
     pub windows: u64,
     /// Always 0; kept only because the `benchmark/` crate reads it.
     /// Remove it with the next change to that crate.
@@ -692,9 +690,9 @@ struct ReplayTimeSeries {
 /// The trace-driven simulator.
 pub struct TraceSim {
     /// Per-core private hierarchies, built from `hier_cfg` on first
-    /// use by [`access`](Self::access), [`run`](Self::run) or
-    /// [`run_streaming`](Self::run_streaming); empty until then, and
-    /// for good on a simulator that only replays classified artifacts.
+    /// use by [`run_streaming`](Self::run_streaming) and kept warm
+    /// across its calls; empty until then, and for good on a simulator
+    /// that only replays classified artifacts.
     hierarchies: Vec<Hierarchy>,
     hier_cfg: HierarchyConfig,
     /// [`sram_latency_table`] of `hier_cfg`: every engine prices an
@@ -702,11 +700,10 @@ pub struct TraceSim {
     sram_lat: [Duration; 16],
     /// Cache mode: one memory-side cache of `msc_capacity` per core,
     /// probed with that core's L2 misses in program order. Built and
-    /// kept warm alongside `hierarchies` for the classifying paths
-    /// (`access` probes inline, `run_streaming` as each batch enters a
-    /// core's queue); empty in every other setup. A classified replay
-    /// probes cold stores of its own instead (see
-    /// [`run_classified`](Self::run_classified)).
+    /// kept warm alongside `hierarchies` for `run_streaming`, which
+    /// probes each batch as it enters a core's queue; empty in every
+    /// other setup. A classified replay probes cold stores of its own
+    /// instead (see [`run_classified`](Self::run_classified)).
     msc: Vec<MemorySideCache>,
     /// The capacity of each store in `msc`; `None` unless the setup
     /// [has an MCDRAM cache](crate::config::MemSetup::has_mcdram_cache).
@@ -735,23 +732,17 @@ pub struct TraceSim {
     /// Round-trip hop counts for analytic mesh message accounting.
     hops_ddr: u64,
     hops_hbm: u64,
-    /// Canonical classification signature of this simulator's
-    /// hierarchy config (see [`classify_signature`]); a
-    /// [`ClassifiedTrace`] replays here only if its key carries the
-    /// same signature.
-    classify_sig: String,
     /// Per-core raw totals; the report is their order-independent
     /// reduction.
     core_totals: Vec<ShardTotals>,
     /// Peak bytes of trace buffered inside the most recent `run*` call.
     last_peak_buffer: usize,
     /// Peak classified accesses awaiting the timing merge in the most
-    /// recent `run*` call (the sequential `run` reports the trace
-    /// length; the windowed paths their actual backlog high-water).
+    /// recent `run*` call: the backlog high-water of its windows.
     peak_buffered_accesses: usize,
     /// Producer-to-merge pipe stall/occupancy stats from the most
-    /// recent `run_streaming` call (zeroed by `run` and
-    /// `run_classified`, which use no pipe).
+    /// recent `run_streaming` call (zeroed by `run_classified`, which
+    /// uses no pipe).
     last_pipe_stats: par::PipeStats,
     /// Refill window for [`run_classified`](Self::run_classified), in
     /// accesses.
@@ -811,10 +802,10 @@ impl TraceSim {
     /// table after the first simulator of each cluster mode. The per-core
     /// private hierarchies and, in cache mode, the memory-side tag
     /// stores, which scale with `msc_capacity`, are built at the start
-    /// of the run call that needs them: on first use by the paths
-    /// that classify (`access`, `run`, `run_streaming`), and afresh
-    /// for each `run_classified` (tag stores only). A flat simulator
-    /// that only replays classified artifacts allocates neither.
+    /// of the run call that needs them: on first use by
+    /// `run_streaming`, which classifies, and afresh for each
+    /// `run_classified` (tag stores only). A flat simulator that only
+    /// replays classified artifacts allocates neither.
     ///
     /// Hybrid mode replays as cache mode with `msc_capacity` per core:
     /// trace replay still ignores hybrid's flat MCDRAM partition, and
@@ -843,7 +834,6 @@ impl TraceSim {
             resp_half_hbm: path.latency_hbm.scale(0.5),
             hops_ddr: path.hops_ddr,
             hops_hbm: path.hops_hbm,
-            classify_sig: classify_signature(cfg),
             ddr: DramModel::ddr4_knl(),
             hbm: DramModel::mcdram_knl(),
             migration: match placement {
@@ -883,11 +873,12 @@ impl TraceSim {
     /// This simulator's classification signature — the cache/TLB half
     /// of a [`ClassifyKey`](crate::classified::ClassifyKey). Every
     /// memory setup and MSC capacity shares it; an artifact built
-    /// under a different signature (another DDR idle latency) must be
-    /// rebuilt, not replayed: [`run_classified`](Self::run_classified)
-    /// checks.
-    pub fn classify_signature(&self) -> &str {
-        &self.classify_sig
+    /// under a different signature (another private-hierarchy
+    /// configuration) must be rebuilt, not replayed:
+    /// [`run_classified`](Self::run_classified) checks. Rendered on
+    /// each call, so construction pays nothing for it.
+    pub fn classify_signature(&self) -> String {
+        hierarchy_signature(&self.hier_cfg)
     }
 
     /// Window counters from the most recent `run*` call.
@@ -923,8 +914,8 @@ impl TraceSim {
     /// migration scheduler (`migrate.resident_pages`,
     /// `migrate.moves`; zero when migration is off). Because the tick
     /// is merge-order simulated progress, window boundaries and
-    /// sampled values are bit-identical across the sequential,
-    /// streaming, and classified engines at any worker count.
+    /// sampled values are bit-identical across the streaming and
+    /// classified engines at any worker count.
     /// Replay results are unchanged with sampling on or off; the
     /// equivalence suite asserts both properties.
     pub fn enable_timeseries(&mut self, interval: u64, capacity: usize) {
@@ -1030,7 +1021,7 @@ impl TraceSim {
 
     /// Producer-to-merge pipe stall/occupancy stats from the most
     /// recent [`run_streaming`](Self::run_streaming) call; zero after
-    /// [`run`](Self::run) and [`run_classified`](Self::run_classified).
+    /// [`run_classified`](Self::run_classified).
     pub fn last_pipe_stats(&self) -> par::PipeStats {
         self.last_pipe_stats
     }
@@ -1038,9 +1029,9 @@ impl TraceSim {
     /// Snapshot shard `core`'s private state (cache hierarchy, MSHR
     /// file, raw totals) as an *unindexed* metrics registry: every
     /// shard uses the same metric names, so per-shard registries merge
-    /// with [`MetricsRegistry::merge`] into exactly the totals the
-    /// sequential path reports — the registry-level analogue of
-    /// `ShardTotals::merge`, asserted by the equivalence suite.
+    /// with [`MetricsRegistry::merge`] into exactly the whole-run
+    /// totals — the registry-level analogue of `ShardTotals::merge`,
+    /// asserted by the equivalence suite.
     pub fn shard_metrics(&self, core: usize) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         let t = &self.core_totals[core];
@@ -1207,7 +1198,7 @@ impl TraceSim {
     }
 
     /// The per-core private hierarchies, built on first use together
-    /// with the classifying paths' memory-side caches.
+    /// with `run_streaming`'s memory-side caches.
     fn hierarchies(&mut self) -> &mut Vec<Hierarchy> {
         if self.hierarchies.is_empty() {
             let cfg = self.hier_cfg;
@@ -1228,30 +1219,17 @@ impl TraceSim {
             .collect()
     }
 
-    /// Replay one access; returns its latency.
-    pub(crate) fn access(&mut self, t: TraceAccess) -> Duration {
-        let core = partition_by_core(t.core, self.cores());
-        let kind = if t.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let (level, tlb) = self.hierarchies()[core].access(t.addr, kind);
-        let mut flags = pack_flags(t.write, t.dependent, level, tlb);
-        if let (LevelHit::Memory, Some(msc)) = (level, self.msc.get_mut(core)) {
-            if msc.access(t.addr, t.write).is_hit() {
-                flags = flags & !LEVEL_MASK | LEVEL_MCDRAM_CACHE_BITS;
-            }
-        }
-        self.access_timed(core, t.addr, flags)
-    }
-
-    /// The timing half of [`access`](Self::access): everything after
-    /// the (timing-independent) private-hierarchy lookup and, in cache
-    /// mode, the memory-side tag probe, for an access classified as
-    /// `flags` (see [`pack_flags`]). The sequential, streaming, and
-    /// classified paths all funnel through this one body, and price
-    /// the SRAM latency from one table, so they cannot diverge.
+    /// Time one access: everything after the (timing-independent)
+    /// private-hierarchy lookup and, in cache mode, the memory-side
+    /// tag probe, for an access classified as `flags` (see
+    /// [`pack_flags`]). The streaming and classified paths both funnel
+    /// through this one body, and price the SRAM latency from one
+    /// table, so they cannot diverge from each other; the equivalence
+    /// suites check the body itself against the reference replay.
+    // Out of line: inlined into `run_windowed`, its one caller, the
+    // `replay_stream` benchmark ran about 8 % slower (5 of 6
+    // alternating pairs, 2-vCPU host).
+    #[inline(never)]
     fn access_timed(&mut self, core: usize, addr: u64, flags: u8) -> Duration {
         let dependent = unpack_dependent(flags);
         let level = unpack_level(flags);
@@ -1372,45 +1350,6 @@ impl TraceSim {
         latency
     }
 
-    /// Replay a whole trace and return the report.
-    ///
-    /// Per-core program order is preserved, but across cores the
-    /// simulator always advances the core with the earliest clock —
-    /// otherwise cores that drift ahead would reserve bank slots "in
-    /// the future" and laggards would queue behind phantom traffic.
-    pub fn run(&mut self, trace: &[TraceAccess]) -> TraceSimReport {
-        let cores = self.cores();
-        let t_partition = self.telemetry.is_some().then(Instant::now);
-        let mut queues: Vec<VecDeque<TraceAccess>> = vec![VecDeque::new(); cores];
-        for &t in trace {
-            queues[partition_by_core(t.core, cores)].push_back(t);
-        }
-        self.reset_run_stats();
-        self.last_peak_buffer = std::mem::size_of_val(trace);
-        self.peak_buffered_accesses = trace.len();
-        self.end_span(t_partition, "partition", trace.len());
-        // The sequential path classifies inside the merge loop, so one
-        // span covers both.
-        let t_merge = self.telemetry.is_some().then(Instant::now);
-        let mut tree = LoserTree::new(cores);
-        for (c, q) in queues.iter().enumerate() {
-            if !q.is_empty() {
-                tree.set(c, self.core_clock[c].as_ps());
-            }
-        }
-        while let Some(c) = tree.winner() {
-            let t = queues[c].pop_front().expect("open slot has work");
-            self.access(t);
-            if queues[c].is_empty() {
-                tree.close(c);
-            } else {
-                tree.set(c, self.core_clock[c].as_ps());
-            }
-        }
-        self.end_span(t_merge, "merge", trace.len());
-        self.finish()
-    }
-
     /// Replay a prebuilt [`ClassifiedTrace`] artifact: the timing-only
     /// fast path of the classify-once / replay-many sweep engine. The
     /// generators never run and the private cache hierarchies are
@@ -1418,9 +1357,10 @@ impl TraceSim {
     /// slices — yet the merge discipline, MSHR/mesh/bank models,
     /// migration ticks, and worker counts behave exactly as in
     /// [`run_streaming`](Self::run_streaming), so the report and every
-    /// device statistic are **bit-identical** to a fresh
-    /// [`run`](Self::run) of the same trace (the differential suite
-    /// proves it across generators × setups × workers). Refills copy
+    /// device statistic are **bit-identical** to a fresh streaming
+    /// replay of the same trace (the differential suite checks both
+    /// against the reference replay across generators × setups ×
+    /// placements × workers). Refills copy
     /// at most [`set_replay_window`](Self::set_replay_window) accesses,
     /// split evenly across the cores.
     ///
@@ -1429,12 +1369,13 @@ impl TraceSim {
     /// thread before the merge starts, and probes each slice as it is
     /// copied in: the artifact was classified from cold caches, and the
     /// tag stores start cold too, on every call. They are dropped when
-    /// the call returns, and the stores the classifying paths keep
-    /// warm are left as they were.
+    /// the call returns, and the stores `run_streaming` keeps warm are
+    /// left as they were.
     ///
     /// Because classification never happens here, this simulator's
     /// private hierarchies are not even built (a later classifying
-    /// call builds them fresh) and its `cache.*` counters read zero;
+    /// streaming call builds them fresh) and its `cache.*` counters
+    /// read zero;
     /// classification-stage totals live on the artifact
     /// ([`ClassifiedTrace::level_hits`]), memory-side cache hits in the
     /// report and in `shard.mcdram_cache_hits`.
@@ -1455,13 +1396,14 @@ impl TraceSim {
             ct.cores(),
             cores
         );
+        let sig = self.classify_signature();
         assert_eq!(
             ct.key().classify_sig(),
-            self.classify_sig,
+            sig,
             "classified trace key {:?} does not match this simulator's \
              classification signature {:?} — rebuild the artifact",
             ct.key().classify_sig(),
-            self.classify_sig
+            sig
         );
         self.run_windowed(ReplayInput::Classified {
             ct,
@@ -1471,8 +1413,10 @@ impl TraceSim {
     }
 
     /// Replay a trace pulled incrementally from `fill`, overlapping
-    /// generation and classification with timing; bit-identical to
-    /// [`run`](Self::run) on the concatenation of the filled chunks.
+    /// generation and classification with timing. The report depends
+    /// only on the concatenation of the filled chunks, never on where
+    /// the chunks split it; a caller holding a whole trace passes it
+    /// as one chunk.
     ///
     /// `fill` appends the next bounded chunk of the trace to the given
     /// buffer and returns how many accesses it added; returning 0 ends
@@ -1531,9 +1475,12 @@ impl TraceSim {
     }
 
     /// The windowed merge behind [`run_streaming`](Self::run_streaming)
-    /// and [`run_classified`](Self::run_classified): the merge discipline of
-    /// [`run`](Self::run), with ghost-slot refills taking the next
-    /// classified batch off the producer pipe (or copying the next
+    /// and [`run_classified`](Self::run_classified). Per-core program
+    /// order is preserved, but across cores the merge always advances
+    /// the core with the earliest clock — otherwise cores that drift
+    /// ahead would reserve bank slots "in the future" and laggards
+    /// would queue behind phantom traffic. Ghost-slot refills take the
+    /// next classified batch off the producer pipe (or copy the next
     /// artifact slices). It never touches a hierarchy; in cache mode
     /// each refill probes the memory-side caches (see
     /// [`refill_window`](Self::refill_window)).
@@ -1596,19 +1543,11 @@ impl TraceSim {
         self.timing_stats = TimingEngineStats::default();
     }
 
-    /// Close the `replay` span `name` over `accesses` accesses, started
-    /// at `t0` (nothing when telemetry is off).
-    fn end_span(&mut self, t0: Option<Instant>, name: &str, accesses: usize) {
-        if let (Some(log), Some(t0)) = (&mut self.telemetry, t0) {
-            log.end(t0, name, "replay", 0, [("accesses", accesses as f64)]);
-        }
-    }
-
     /// Close a `merge` span over the `drained` accesses consumed since
-    /// `t0` (nothing when nothing was drained).
+    /// `t0` (nothing when telemetry is off or nothing was drained).
     fn end_merge_span(&mut self, t0: Option<Instant>, drained: usize) {
-        if drained > 0 {
-            self.end_span(t0, "merge", drained);
+        if let (Some(log), Some(t0), true) = (&mut self.telemetry, t0, drained > 0) {
+            log.end(t0, "merge", "replay", 0, [("accesses", drained as f64)]);
         }
     }
 
@@ -1621,8 +1560,8 @@ impl TraceSim {
     /// core's memory-side cache before the merge sees them: the pipe's
     /// batches through the warm stores in `self.msc`, an artifact's
     /// slices through the replay's own. A core's accesses enter its
-    /// queue in program order, so the tags see exactly the L2-miss
-    /// stream that [`access`](Self::access) probes inline.
+    /// queue in program order, so the tags see exactly that core's
+    /// L2-miss stream, as if each miss probed them inline.
     fn refill_window(
         &mut self,
         input: &mut ReplayInput<'_, '_>,
@@ -1794,8 +1733,8 @@ mod tests {
             TracePlacement::AllHbm,
             ByteSize::mib(1),
         );
-        let rd = ddr.run(&trace);
-        let rh = hbm.run(&trace);
+        let rd = replay(&mut ddr, &trace);
+        let rh = replay(&mut hbm, &trace);
         assert!(
             rh.bandwidth_gbs > rd.bandwidth_gbs * 2.0,
             "hbm {} vs ddr {}",
@@ -1826,8 +1765,8 @@ mod tests {
             TracePlacement::AllHbm,
             ByteSize::mib(1),
         );
-        let rd = ddr.run(&trace);
-        let rh = hbm.run(&trace);
+        let rd = replay(&mut ddr, &trace);
+        let rh = replay(&mut hbm, &trace);
         assert!(
             rh.avg_latency > rd.avg_latency,
             "hbm {} vs ddr {}",
@@ -1853,9 +1792,8 @@ mod tests {
 
     #[test]
     fn cache_mode_hits_mcdram_after_first_pass() {
-        // The second pass should hit the MSC, in the sequential
-        // oracle, in streaming replay, and in a replay of an artifact
-        // classified under a flat config.
+        // The second pass should hit the MSC, in streaming replay and
+        // in a replay of an artifact classified under a flat config.
         let trace = fitting_two_pass_trace();
         let lines = trace.len() as u64 / 2;
         let make = || {
@@ -1866,9 +1804,8 @@ mod tests {
                 ByteSize::mib(8),
             )
         };
-        let r = make().run(&trace);
+        let r = stream_chunks(&mut make(), trace.chunks(4096));
         assert!(r.mcdram_cache_hits > lines / 2, "too few MSC hits: {r:?}");
-        assert_eq!(stream_chunks(&mut make(), trace.chunks(4096)), r);
         let flat = ClassifiedTrace::build_from_trace(
             &cfg(MemSetup::DramOnly),
             1,
@@ -1883,14 +1820,14 @@ mod tests {
     #[test]
     fn hybrid_replay_hits_its_mcdram_cache_like_cache_mode() {
         // Hybrid replays as cache mode with the capacity it is given:
-        // a fitting footprint scores the same MSC hits, in `run` and
-        // in an artifact replay.
+        // a fitting footprint scores the same MSC hits, in streaming
+        // replay and in an artifact replay.
         let trace = fitting_two_pass_trace();
         let ct = artifact(1, &trace);
         let make = |setup| TraceSim::new(&cfg(setup), 1, TracePlacement::AllDdr, ByteSize::mib(8));
-        let cache = make(MemSetup::CacheMode).run(&trace);
+        let cache = replay(&mut make(MemSetup::CacheMode), &trace);
         assert!(cache.mcdram_cache_hits > 0, "{cache:?}");
-        let hybrid = make(MemSetup::Hybrid).run(&trace);
+        let hybrid = replay(&mut make(MemSetup::Hybrid), &trace);
         assert_eq!(hybrid.mcdram_cache_hits, cache.mcdram_cache_hits);
         assert_eq!(hybrid, cache);
         assert_eq!(make(MemSetup::Hybrid).run_classified(&ct), cache);
@@ -1910,7 +1847,7 @@ mod tests {
                 trace.push(TraceAccess::read(0, i * 64)); // 64 KiB set
             }
         }
-        let r = sim.run(&trace);
+        let r = replay(&mut sim, &trace);
         assert_eq!(r.accesses, 4096);
         // Only the first pass misses.
         assert!(
@@ -1928,7 +1865,7 @@ mod tests {
             TracePlacement::AllDdr,
             ByteSize::mib(1),
         );
-        let r = sim.run(&stream_trace(2, 100));
+        let r = replay(&mut sim, &stream_trace(2, 100));
         assert_eq!(r.accesses, 200);
         assert!(r.avg_latency > Duration::ZERO);
         assert!(r.makespan > Duration::ZERO);
@@ -1945,7 +1882,6 @@ mod tests {
             ByteSize::mib(1),
         );
         assert_eq!(sim.finish(), TraceSimReport::default());
-        assert_eq!(sim.run(&[]), TraceSimReport::default());
         assert_eq!(sim.run_streaming(|_| 0), TraceSimReport::default());
         let empty = ClassifiedTrace::build_from_trace(
             &cfg(MemSetup::DramOnly),
@@ -1973,7 +1909,7 @@ mod tests {
             TracePlacement::AllDdr,
             ByteSize::mib(1),
         );
-        let report = sim.run(&trace);
+        let report = replay(&mut sim, &trace);
         let parts = sim.per_core_totals().to_vec();
         assert_eq!(parts.len(), 4);
         assert!(parts.iter().all(|p| p.accesses > 0));
@@ -2008,49 +1944,6 @@ mod tests {
         )
     }
 
-    #[test]
-    fn classified_replay_matches_sequential_in_unit() {
-        // Small smoke version of tests/classified_equivalence.rs: the
-        // artifact replay must be bit-identical to the reference at
-        // several worker counts (including more workers than cores),
-        // and with a window far smaller than the trace so refills and
-        // ghost slots are exercised.
-        let trace = stream_trace(4, 300);
-        let mut seq = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            4,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let expect = seq.run(&trace);
-        let ct = artifact(4, &trace);
-        for workers in [1, 2, 4, 8, 64] {
-            for window in [None, Some(64)] {
-                let mut sim = TraceSim::new(
-                    &cfg(MemSetup::DramOnly),
-                    4,
-                    TracePlacement::AllDdr,
-                    ByteSize::mib(1),
-                );
-                if let Some(w) = window {
-                    sim.set_replay_window(w);
-                }
-                let got = par::with_threads(workers, || sim.run_classified(&ct));
-                let at = format!("workers={workers} window={window:?}");
-                assert_eq!(got, expect, "{at}");
-                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                if window.is_some() {
-                    assert!(
-                        sim.last_timing_stats().windows > 1,
-                        "{at}: a 64-access window over {} accesses must refill",
-                        trace.len()
-                    );
-                }
-            }
-        }
-    }
-
     /// The merge keys each core by its clock in picoseconds
     /// (`LoserTree` packs it into the top of a `u128`), so a clock that
     /// would pass `u64::MAX` ps must stop the replay through
@@ -2063,14 +1956,13 @@ mod tests {
         let ct = artifact(2, &trace);
         for setup in [MemSetup::DramOnly, MemSetup::CacheMode] {
             for margin in [0u64, 3_000, 200_000] {
-                for input in ["run", "run_streaming", "run_classified"] {
+                for input in ["run_streaming", "run_classified"] {
                     let at = format!("{input} {setup:?} margin {margin} ps");
                     let replay = std::panic::AssertUnwindSafe(|| {
                         let mut sim =
                             TraceSim::new(&cfg(setup), 2, TracePlacement::AllDdr, ByteSize::mib(1));
                         sim.core_clock[1] = SimTime::from_ps(u64::MAX - margin);
                         match input {
-                            "run" => sim.run(&trace),
                             "run_streaming" => stream_chunks(&mut sim, trace.chunks(16)),
                             _ => sim.run_classified(&ct),
                         }
@@ -2210,9 +2102,9 @@ mod tests {
 
     #[test]
     fn batch_probe_matches_one_probe_per_l2_miss() {
-        // The windowed engines probe a batch at a time and `access`
-        // probes one L2 miss at a time; both must leave the tags, the
-        // dirty bits and the levels identical.
+        // The windowed engine probes a batch at a time; that must leave
+        // the tags, the dirty bits and the levels as one probe per L2
+        // miss would.
         let trace = conflict_trace(1, 4_000);
         // 16 Ki slots: the 48 lines spread over 16 of them.
         let capacity = ByteSize::mib(1);
@@ -2345,6 +2237,11 @@ mod tests {
         assert_eq!(addr, 4 * 64);
     }
 
+    /// Replay `trace` through `sim` as one streamed chunk.
+    fn replay(sim: &mut TraceSim, trace: &[TraceAccess]) -> TraceSimReport {
+        stream_chunks(sim, [trace])
+    }
+
     /// Stream `chunks` through `sim`, one producer chunk each.
     fn stream_chunks<'a, I>(sim: &mut TraceSim, chunks: I) -> TraceSimReport
     where
@@ -2362,441 +2259,40 @@ mod tests {
     }
 
     #[test]
-    fn identical_clocks_tie_break_toward_lower_core() {
-        // Two cores issue the same dependent-chase pattern, so their
-        // clocks collide constantly; every tie must resolve toward the
-        // lower core, as in the sequential order. The sequential,
-        // classified and streaming paths must agree exactly.
-        let mut trace = Vec::new();
-        for i in 0..200u64 {
-            for c in [1u32, 0] {
-                trace.push(TraceAccess::chase(c, ((c as u64) << 32) | (i * (4 << 20))));
-            }
-        }
-        let make = || {
-            TraceSim::new(
-                &cfg(MemSetup::DramOnly),
-                2,
-                TracePlacement::AllDdr,
-                ByteSize::mib(1),
-            )
-        };
-        let mut seq = make();
-        let expect = seq.run(&trace);
-        let mut classified = make();
-        // A small window forces refills mid-tie.
-        classified.set_replay_window(8);
-        assert_eq!(classified.run_classified(&artifact(2, &trace)), expect);
-        assert_eq!(classified.ddr_stats(), seq.ddr_stats());
-        let mut stream_sim = make();
-        // Tiny chunks force many refills mid-tie.
-        let got = par::with_threads(2, || stream_chunks(&mut stream_sim, trace.chunks(7)));
-        assert_eq!(got, expect);
-        assert_eq!(stream_sim.ddr_stats(), seq.ddr_stats());
-        assert_eq!(stream_sim.mesh_stats(), seq.mesh_stats());
-    }
-
-    #[test]
-    fn single_core_and_empty_stream_edge_cases() {
-        // 1 core: the tree degenerates to one slot; streaming buffers
-        // the whole classified trace but must still match.
-        let trace = chase_trace(0, 400, 2 * 1024 * 1024 + 64);
-        let mut seq = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            1,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let expect = seq.run(&trace);
-        let mut stream_sim = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            1,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        assert_eq!(stream_chunks(&mut stream_sim, [&trace[..]]), expect);
-        // All-empty stream: no chunks at all.
-        let mut empty_sim = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            4,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        assert_eq!(empty_sim.run_streaming(|_| 0), TraceSimReport::default());
-        assert_eq!(empty_sim.last_peak_trace_buffer_bytes(), 0);
-        assert_eq!(empty_sim.last_timing_stats().windows, 0);
-    }
-
-    #[test]
-    fn streaming_replay_matches_sequential_in_unit() {
-        // Chunked multi-core replay across several chunk sizes and
-        // worker counts; every configuration must be bit-identical to
-        // the sequential reference.
-        let trace = stream_trace(4, 300);
-        let mut seq = TraceSim::new(
-            &cfg(MemSetup::DramOnly),
-            4,
-            TracePlacement::AllDdr,
-            ByteSize::mib(1),
-        );
-        let expect = seq.run(&trace);
-        for chunk in [1usize, 64, 1 << 20] {
-            for workers in [1, 2, 8] {
-                let mut sim = TraceSim::new(
-                    &cfg(MemSetup::DramOnly),
-                    4,
-                    TracePlacement::AllDdr,
-                    ByteSize::mib(1),
-                );
-                let got =
-                    par::with_threads(workers, || stream_chunks(&mut sim, trace.chunks(chunk)));
-                assert_eq!(got, expect, "chunk={chunk} workers={workers}");
-                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "chunk={chunk}");
-                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "chunk={chunk}");
-                assert_eq!(sim.per_core_totals(), seq.per_core_totals());
-                // A spread-across-cores workload streams in bounded
-                // buffers: far below the materialized path's footprint.
-                if chunk == 64 {
-                    assert!(
-                        sim.last_peak_trace_buffer_bytes() < seq.last_peak_trace_buffer_bytes(),
-                        "streaming {} vs materialized {}",
-                        sim.last_peak_trace_buffer_bytes(),
-                        seq.last_peak_trace_buffer_bytes()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_cores_that_join_late_or_never() {
-        // Eight cores: 0 and 2 run from the first chunk, 5 appears only
-        // in the last chunk, and 1/3/4/6/7 never receive work. The
-        // silent cores stay ghosts until the producer ends and are then
-        // closed; the replay must still match `run` bit for bit.
-        let (mut head, stride) = (Vec::new(), 2 * 1024 * 1024 + 64);
-        for i in 0..300u64 {
-            head.push(TraceAccess::read(0, i * 64));
-            head.push(TraceAccess::chase(2, (1 << 28) + i * stride));
-        }
-        let tail: Vec<TraceAccess> = (0..40u64)
-            .map(|i| TraceAccess::write(5, (1 << 29) + i * 64))
-            .collect();
-        let trace = [head.as_slice(), tail.as_slice()].concat();
-        let make = || {
-            TraceSim::new(
-                &cfg(MemSetup::DramOnly),
-                8,
-                TracePlacement::AllDdr,
-                ByteSize::mib(1),
-            )
-        };
-        let mut seq = make();
-        let expect = seq.run(&trace);
-        for chunk in [1usize, 64, trace.len()] {
-            for workers in [1, 2, 8] {
-                let at = format!("chunk={chunk} workers={workers}");
-                let mut sim = make();
-                let got = if chunk == trace.len() {
-                    par::with_threads(workers, || stream_chunks(&mut sim, [&trace[..]]))
-                } else {
-                    let chunks = head.chunks(chunk).chain([&tail[..]]);
-                    par::with_threads(workers, || stream_chunks(&mut sim, chunks))
-                };
-                assert_eq!(got, expect, "{at}");
-                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
-            }
-        }
-    }
-
-    #[test]
-    fn consecutive_pipelined_runs_keep_hierarchies_warm() {
-        // In flat mode, 1000 lines per core fit each private L2, so a
-        // second replay of the same trace hits where the first missed —
-        // but only if the producer hands the warm hierarchies back after
-        // each run, including the empty run that comes first. In cache
-        // mode, 20,000 lines per core overflow L2 but fit the 4 MiB
-        // memory-side caches, so the second replay hits those instead,
-        // and only if the merge thread keeps them warm too. Chunks of 64
-        // match the trace's four-core burst rounds; chunks of 100 cut
-        // through them.
-        for (setup, per_core) in [(MemSetup::DramOnly, 1000), (MemSetup::CacheMode, 20_000)] {
-            let trace = stream_trace(4, per_core);
-            let make = || TraceSim::new(&cfg(setup), 4, TracePlacement::AllDdr, ByteSize::mib(4));
-            let l2_hits = |s: &TraceSim| match s.shard_metrics(0).get("cache.l2_hits") {
-                Some(simfabric::telemetry::MetricValue::Counter(n)) => *n,
-                other => panic!("cache.l2_hits: {other:?}"),
-            };
-            for chunk in [64, 100] {
-                let (mut seq, mut sim) = (make(), make());
-                let (mut hits, mut msc_hits) = (Vec::new(), Vec::new());
-                for (round, input) in [&[][..], &trace[..], &trace[..]].into_iter().enumerate() {
-                    let want = seq.run(input);
-                    let got = par::with_threads(2, || stream_chunks(&mut sim, input.chunks(chunk)));
-                    let at = format!("{setup:?} chunk={chunk} round {round}");
-                    assert_eq!(got, want, "{at}");
-                    assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                    assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{at}");
-                    assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                    for c in 0..4 {
-                        assert_eq!(sim.shard_metrics(c), seq.shard_metrics(c), "{at} core {c}");
-                    }
-                    if round > 0 {
-                        // `run` builds its stores at its first access.
-                        assert_eq!(msc_counts(&sim.msc), msc_counts(&seq.msc), "{at}");
-                    }
-                    hits.push(l2_hits(&sim));
-                    msc_hits.push(got.mcdram_cache_hits);
-                }
-                let at = format!("{setup:?} chunk={chunk}");
-                if setup == MemSetup::CacheMode {
-                    assert!(
-                        msc_hits[2] - msc_hits[1] > msc_hits[1],
-                        "{at}: the warm round must hit the MSC more often \
-                         than the cold one: {msc_hits:?}"
-                    );
-                } else {
-                    assert!(
-                        hits[2] - hits[1] > hits[1],
-                        "{at}: the warm round must hit L2 more often \
-                         than the cold one: {hits:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_probes_match_the_sequential_oracle_under_writes() {
-        // The pipe's batch probes and `run`'s inline probes must leave
-        // every core's tags, dirty bits and counters identical.
+    fn streaming_probes_match_one_probe_per_l2_miss_under_writes() {
+        // The pipe's batch probes must leave every core's tags, dirty
+        // bits and counters as one inline probe per L2 miss, in each
+        // core's program order, would.
         let trace = conflict_trace(4, 500);
         for capacity in [ByteSize::bytes(64), ByteSize::kib(4), ByteSize::mib(1)] {
-            let make = || {
-                TraceSim::new(
-                    &cfg(MemSetup::CacheMode),
-                    4,
-                    TracePlacement::AllDdr,
-                    capacity,
-                )
-            };
-            let mut seq = make();
-            let want = seq.run(&trace);
-            let mut sim = make();
-            let got = par::with_threads(2, || stream_chunks(&mut sim, trace.chunks(37)));
-            assert_eq!(got, want, "{capacity}");
-            assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{capacity}");
-            let counts = msc_counts(&seq.msc);
+            let hier_cfg = hierarchy_config(&cfg(MemSetup::CacheMode));
+            let mut hiers: Vec<Hierarchy> = (0..4).map(|_| Hierarchy::new(hier_cfg)).collect();
+            let mut inline: Vec<MemorySideCache> =
+                (0..4).map(|_| MemorySideCache::new(capacity, 64)).collect();
+            for t in &trace {
+                let c = t.core as usize;
+                let kind = if t.write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                if hiers[c].access(t.addr, kind).0 == LevelHit::Memory {
+                    inline[c].access(t.addr, t.write);
+                }
+            }
+            let mut sim = TraceSim::new(
+                &cfg(MemSetup::CacheMode),
+                4,
+                TracePlacement::AllDdr,
+                capacity,
+            );
+            par::with_threads(2, || stream_chunks(&mut sim, trace.chunks(37)));
+            let counts = msc_counts(&inline);
             assert_eq!(msc_counts(&sim.msc), counts, "{capacity}");
             assert!(
                 counts.iter().all(|&(_, _, wb)| wb > 0),
                 "{capacity}: {counts:?}"
             );
-        }
-    }
-
-    /// A seeded trace that is hard on the TLB, with writes and
-    /// dependent chains mixed in at random: bursts of page-stride
-    /// accesses over more pages than the TLB's 320 entries (each at a
-    /// line offset that spreads them over L1's sets, so L1 can hit
-    /// under a page walk), pairs straddling a page boundary, random
-    /// lines over 64 MiB, and revisits of a core's recent lines.
-    fn tlb_hostile_trace(rng: &mut simfabric::prng::Rng, cores: u32) -> Vec<TraceAccess> {
-        let mut recent: Vec<Vec<u64>> = vec![Vec::new(); cores as usize];
-        let mut trace = Vec::new();
-        for _ in 0..rng.gen_range(40..80u64) {
-            let core = rng.next_below(cores as u64) as u32;
-            let pattern = rng.next_below(4);
-            let mut page = rng.next_below(1 << 14);
-            let stride = 1 + rng.next_below(3);
-            for i in 0..rng.gen_range(16..400u64) {
-                let addr = match pattern {
-                    0 => {
-                        page += stride;
-                        (page << 12) | ((page % 64) << 6)
-                    }
-                    1 => ((page + 1 + i / 2) << 12) - 64 + (i % 2) * 64,
-                    2 => rng.next_below(1 << 20) << 6,
-                    _ => match recent[core as usize].len() as u64 {
-                        0 => page << 12,
-                        n => recent[core as usize][(n - 1 - rng.next_below(n.min(2048))) as usize],
-                    },
-                };
-                recent[core as usize].push(addr);
-                trace.push(TraceAccess {
-                    core,
-                    addr,
-                    write: rng.next_below(4) == 0,
-                    dependent: rng.next_below(4) == 0,
-                });
-            }
-        }
-        trace
-    }
-
-    /// The adversarial shapes drawn after the mixed TLB-hostile
-    /// rounds: one busy core among eight, every core hammering one
-    /// line or one DRAM row, and all-dependent chains.
-    #[derive(Debug, Clone, Copy)]
-    enum Shape {
-        OneBusyCore,
-        OneLine,
-        OneRow,
-        AllDependent,
-    }
-
-    /// A seeded trace of `shape` over `cores` cores.
-    fn adversarial_trace(
-        rng: &mut simfabric::prng::Rng,
-        shape: Shape,
-        cores: u32,
-    ) -> Vec<TraceAccess> {
-        let n = rng.gen_range(500..3000u64);
-        let access = |core: u32, addr: u64, rng: &mut simfabric::prng::Rng| TraceAccess {
-            core,
-            addr,
-            write: rng.next_below(4) == 0,
-            dependent: rng.next_below(4) == 0,
-        };
-        match shape {
-            Shape::OneBusyCore => {
-                let busy = rng.next_below(cores as u64) as u32;
-                let mut trace = tlb_hostile_trace(rng, 1);
-                for a in &mut trace {
-                    a.core = busy;
-                }
-                trace
-            }
-            Shape::OneLine => {
-                let line = rng.next_below(1 << 20) << 6;
-                (0..n)
-                    .map(|i| access((i % cores as u64) as u32, line, rng))
-                    .collect()
-            }
-            Shape::OneRow => {
-                // The 128 lines of one DDR row: one channel (every
-                // sixth line), consecutive lines within it.
-                let g = memdev::bank::DramGeometry::ddr4_knl();
-                let (channels, per_row) = (g.channels as u64, (g.row_bytes / g.line_bytes) as u64);
-                let first = rng.next_below(1 << 12) * per_row;
-                let channel = rng.next_below(channels);
-                let row = g.map((first * channels + channel) << 6);
-                (0..n)
-                    .map(|i| {
-                        let line = (first + rng.next_below(per_row)) * channels + channel;
-                        assert_eq!(g.map(line << 6), row);
-                        access((i % cores as u64) as u32, line << 6, rng)
-                    })
-                    .collect()
-            }
-            Shape::AllDependent => {
-                let mut trace = tlb_hostile_trace(rng, cores);
-                for a in &mut trace {
-                    a.dependent = true;
-                }
-                trace
-            }
-        }
-    }
-
-    /// Replay `trace` through the sequential oracle, through streaming
-    /// at random chunk sizes and through its artifact at a random
-    /// window, in flat and cache mode, and assert the three agree:
-    /// report, per-core totals, device and mesh stats, and, with
-    /// `ts_interval`, the time-series export. Returns the cache-mode
-    /// MCDRAM-cache hits.
-    fn assert_engines_agree(
-        rng: &mut simfabric::prng::Rng,
-        trace: &[TraceAccess],
-        cores: u32,
-        ts_interval: Option<u64>,
-        label: &str,
-    ) -> u64 {
-        let ct = artifact(cores, trace);
-        let capacity = ByteSize::kib(1 << rng.gen_range(4..12u64));
-        let mut msc_hits = 0;
-        for setup in [MemSetup::DramOnly, MemSetup::CacheMode] {
-            let make = || {
-                let mut sim = TraceSim::new(&cfg(setup), cores, TracePlacement::AllDdr, capacity);
-                if let Some(interval) = ts_interval {
-                    sim.enable_timeseries(interval, 1024);
-                }
-                sim
-            };
-            let mut seq = make();
-            let expect = seq.run(trace);
-            let mut streamed = make();
-            let mut rest = trace;
-            let chunk_rng = &mut *rng;
-            let got = streamed.run_streaming(|buf| {
-                let n = (chunk_rng.gen_range(1..3000u64) as usize).min(rest.len());
-                buf.extend_from_slice(&rest[..n]);
-                rest = &rest[n..];
-                n
-            });
-            let window = rng.gen_range(1..5000u64) as usize;
-            let mut classified = make();
-            classified.set_replay_window(window);
-            let replayed = classified.run_classified(&ct);
-            for (engine, report, sim) in [
-                ("streaming", got, &streamed),
-                ("classified", replayed, &classified),
-            ] {
-                let at = format!("{label} {setup:?} {engine} window {window} msc {capacity}");
-                assert_eq!(report, expect, "{at}");
-                assert_eq!(sim.per_core_totals(), seq.per_core_totals(), "{at}");
-                assert_eq!(sim.ddr_stats(), seq.ddr_stats(), "{at}");
-                assert_eq!(sim.hbm_stats(), seq.hbm_stats(), "{at}");
-                assert_eq!(sim.mesh_stats(), seq.mesh_stats(), "{at}");
-                let export = |s: &TraceSim| s.timeseries().map(|ts| ts.to_jsonl());
-                assert_eq!(export(sim), export(&seq), "{at}");
-            }
-            msc_hits += expect.mcdram_cache_hits;
-        }
-        msc_hits
-    }
-
-    #[test]
-    fn tlb_hostile_replays_are_bit_identical_across_engines() {
-        // Seeded loop: streaming at random chunk sizes and artifact
-        // replay at random windows must match the sequential oracle,
-        // device state included, in flat and cache mode; the mixed
-        // traces must emit every (level, TLB outcome) code, and the
-        // adversarial shapes replay with a time-series interval of 1.
-        let mut rng = simfabric::prng::Rng::seed_from_u64(0x71B9);
-        let mut msc_hits = 0;
-        for round in 0..6 {
-            let cores = rng.gen_range(1..5u64) as u32;
-            let trace = tlb_hostile_trace(&mut rng, cores);
-            let ct = artifact(cores, &trace);
-            let mut codes = std::collections::BTreeSet::new();
-            for c in 0..cores as usize {
-                codes.extend(ct.core_arrays(c).1.iter().map(|f| f >> 2));
-            }
-            let want: std::collections::BTreeSet<u8> =
-                [LevelHit::L1, LevelHit::L2, LevelHit::Memory]
-                    .into_iter()
-                    .flat_map(|l| TLB_OUTCOMES.map(|t| pack_flags(false, false, l, t) >> 2))
-                    .collect();
-            assert_eq!(codes, want, "round {round}: {} accesses", trace.len());
-            msc_hits +=
-                assert_engines_agree(&mut rng, &trace, cores, None, &format!("round {round}"));
-        }
-        assert!(msc_hits > 0, "cache mode never hit its memory-side cache");
-        for shape in [
-            Shape::OneBusyCore,
-            Shape::OneLine,
-            Shape::OneRow,
-            Shape::AllDependent,
-        ] {
-            let cores = match shape {
-                Shape::OneBusyCore => 8,
-                _ => rng.gen_range(2..9u64) as u32,
-            };
-            let trace = adversarial_trace(&mut rng, shape, cores);
-            assert_engines_agree(&mut rng, &trace, cores, Some(1), &format!("{shape:?}"));
         }
     }
 
@@ -2828,9 +2324,6 @@ mod tests {
             sim.metrics_registry().get("replay.timing.windows"),
             Some(&MetricValue::Counter(chunks))
         );
-        // The sequential oracle refills no windows.
-        sim.run(&trace);
-        assert_eq!(sim.last_timing_stats().windows, 0);
     }
 
     #[test]
@@ -2852,8 +2345,10 @@ mod tests {
     #[test]
     fn telemetry_does_not_change_results() {
         // The contract the bench overhead check builds on: replay
-        // results and device stats are bit-identical with telemetry on.
+        // results and device stats are bit-identical with telemetry on,
+        // on both inputs.
         let trace = stream_trace(4, 300);
+        let ct = artifact(4, &trace);
         let make = || {
             TraceSim::new(
                 &cfg(MemSetup::DramOnly),
@@ -2862,27 +2357,31 @@ mod tests {
                 ByteSize::mib(1),
             )
         };
-        let mut plain = make();
-        let expect = plain.run(&trace);
-        let mut tel = make();
-        tel.enable_telemetry();
-        assert_eq!(tel.run(&trace), expect);
-        assert_eq!(tel.ddr_stats(), plain.ddr_stats());
-        assert_eq!(tel.mesh_stats(), plain.mesh_stats());
-        assert_eq!(tel.per_core_totals(), plain.per_core_totals());
-        // Spans were recorded: partition + merge + finish at minimum.
-        let names: Vec<&str> = tel
-            .telemetry_spans()
-            .unwrap()
-            .records()
-            .iter()
-            .map(|r| r.name.as_str())
-            .collect();
-        assert!(names.contains(&"partition"), "{names:?}");
-        assert!(names.contains(&"merge"), "{names:?}");
-        assert!(names.contains(&"finish"), "{names:?}");
-        // The disabled sim records nothing.
-        assert!(plain.telemetry_spans().is_none());
+        for classified in [false, true] {
+            let run = |sim: &mut TraceSim| match classified {
+                false => par::with_threads(2, || stream_chunks(sim, trace.chunks(256))),
+                true => sim.run_classified(&ct),
+            };
+            let mut plain = make();
+            let expect = run(&mut plain);
+            let mut tel = make();
+            tel.enable_telemetry();
+            assert_eq!(run(&mut tel), expect, "classified={classified}");
+            assert_eq!(tel.ddr_stats(), plain.ddr_stats());
+            assert_eq!(tel.mesh_stats(), plain.mesh_stats());
+            assert_eq!(tel.per_core_totals(), plain.per_core_totals());
+            let names: Vec<&str> = tel
+                .telemetry_spans()
+                .unwrap()
+                .records()
+                .iter()
+                .map(|r| r.name.as_str())
+                .collect();
+            assert!(names.contains(&"merge"), "{names:?}");
+            assert!(names.contains(&"finish"), "{names:?}");
+            // The disabled sim records nothing.
+            assert!(plain.telemetry_spans().is_none());
+        }
     }
 
     #[test]
@@ -2963,7 +2462,6 @@ mod tests {
         let new_sim = || TraceSim::new(&cache, 2, TracePlacement::AllDdr, msc);
         let first = stream_trace(2, 200);
         let second = stream_trace(2, 300);
-        let probe = TraceAccess::read(1, 0x40_0000);
         let ct = ClassifiedTrace::build_from_trace(&cache, 2, msc, "unit", &first);
 
         let mut sim = new_sim();
@@ -2981,22 +2479,19 @@ mod tests {
             );
         }
 
-        // The classifying paths then build fresh hierarchies: the same
-        // sequence through the sequential oracle agrees, and the
-        // hierarchies see exactly what a fresh simulator's do.
+        // A streaming replay then builds fresh hierarchies: they see
+        // exactly what a fresh simulator's do, and the device state the
+        // classified replay left carries over as it would on another
+        // simulator given the same sequence.
         let streamed = stream_chunks(&mut sim, second.chunks(64));
-        let latency = sim.access(probe);
-        let mut oracle = new_sim();
-        oracle.run_classified(&ct);
-        assert_eq!(oracle.run(&second), streamed);
-        assert_eq!(oracle.access(probe), latency);
-        assert_eq!(oracle.ddr_stats(), sim.ddr_stats());
-        assert_eq!(oracle.hbm_stats(), sim.hbm_stats());
+        let mut again = new_sim();
+        again.run_classified(&ct);
+        assert_eq!(replay(&mut again, &second), streamed);
+        assert_eq!(again.ddr_stats(), sim.ddr_stats());
+        assert_eq!(again.hbm_stats(), sim.hbm_stats());
         let mut fresh = new_sim();
         stream_chunks(&mut fresh, second.chunks(64));
-        fresh.access(probe);
         assert_eq!(cache_counters(&fresh), cache_counters(&sim));
-        assert_eq!(cache_counters(&oracle), cache_counters(&sim));
     }
 
     #[test]
@@ -3009,7 +2504,7 @@ mod tests {
             ByteSize::mib(1),
         );
         sim.enable_telemetry();
-        let report = sim.run(&trace);
+        let report = replay(&mut sim, &trace);
         let reg = sim.metrics_registry();
         use simfabric::telemetry::MetricValue;
         assert_eq!(
@@ -3055,7 +2550,7 @@ mod tests {
             TracePlacement::AllDdr,
             ByteSize::mib(1),
         );
-        plain.run(&trace);
+        replay(&mut plain, &trace);
         let plain_reg = plain.metrics_registry();
         assert!(plain_reg.get("mshr.occupancy").is_none());
         assert_eq!(
@@ -3075,7 +2570,7 @@ mod tests {
             TracePlacement::AllDdr,
             ByteSize::mib(1),
         );
-        let r = sim.run(&trace);
+        let r = replay(&mut sim, &trace);
         assert_eq!(sim.mesh_stats().messages.get(), r.memory_accesses);
         assert!(sim.mesh_stats().hops.get() >= r.memory_accesses);
     }

@@ -88,8 +88,7 @@ pub fn collect(source: &mut dyn TraceSource) -> Vec<TraceAccess> {
 
 /// Replay `source` through `sim` in `DEFAULT_CHUNK`-sized chunks via
 /// [`TraceSim::run_streaming`]: generation overlaps classification and
-/// timing, and the report is bit-identical to materializing the trace
-/// and calling [`TraceSim::run`].
+/// timing, and the report is the same at any chunk size.
 pub fn replay_streaming(
     sim: &mut TraceSim,
     source: &mut (dyn TraceSource + Send),

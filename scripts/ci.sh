@@ -16,9 +16,10 @@ cargo build --release --offline --workspace
 # of waiting for a reader to notice.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# The root test suite. The equivalence suites pin their own worker
-# ladders with `par::with_threads` (1/2/4/8 in
-# tests/parallel_equivalence.rs for streaming replay and in
+# The root test suite. The equivalence suites compare both replay
+# inputs against the independent reference replay in tests/support,
+# and pin their own worker ladders with `par::with_threads` (1/2/4/8
+# in tests/parallel_equivalence.rs for streaming replay and in
 # tests/classified_equivalence.rs for artifact builds), so one pass
 # covers every worker count. Every streaming replay crosses the
 # producer-to-merge pipe, where a deadlock would present as a hang,

@@ -2,26 +2,29 @@
 //! [`ClassifiedTrace`](knl::ClassifiedTrace) artifact built once, under
 //! a flat config, and replayed via `run_classified` under every memory
 //! setup (cache mode included, whose memory-side tags the replay
-//! probes) must be
-//! **bit-identical** to a fresh per-setup streaming replay — reports,
-//! per-shard totals, device and mesh statistics, and (under a
-//! `Migrated` placement) the scheduler's move-sequence digest — across
-//! every workload generator, every paper memory setup, and artifacts
-//! built on a 1/2/4/8 worker ladder (classification is the only stage
-//! of a classified replay that runs on `par` workers; the replay
-//! itself is a single merge). Each artifact is replayed at the default
-//! refill window (one refill at this trace size) and at a 64-access window,
-//! so ghost-slot refills, and cores closing as their slices run out
-//! mid-replay, run here and not only at benchmark scale. This is what makes
-//! the sweep engine's speedup trustworthy: "classified == regenerated,
-//! only faster".
+//! probes) must be **bit-identical** to the independent reference
+//! replay in `tests/support` — reports, per-shard totals, MSHR, device
+//! and mesh statistics, sampled time series, and (under a `Migrated`
+//! placement) the scheduler's move-sequence digest — across every
+//! workload generator, every paper memory setup, and artifacts built on
+//! a 1/2/4/8 worker ladder (classification is the only stage of a
+//! classified replay that runs on `par` workers; the replay itself is
+//! a single merge). Each artifact is replayed at the default refill
+//! window (one refill at this trace size) and at a 64-access window, so
+//! ghost-slot refills, and cores closing as their slices run out
+//! mid-replay, run here and not only at benchmark scale. This is what
+//! makes the sweep engine's speedup trustworthy: "classified ==
+//! reference, only faster".
+
+mod support;
 
 use hybridmem::TraceSpec;
 use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport, PAR_WINDOW};
 use knl::{ClassifiedTrace, MachineConfig, MemSetup};
 use memkind_sim::MigrationSpec;
 use simfabric::{par, ByteSize};
-use workloads::tracegen::{classify_streaming, replay_streaming, HotColdSource, TraceKind};
+use support::ReferenceReplay;
+use workloads::tracegen::{classify_streaming, HotColdSource, TraceKind, TraceSource};
 
 const CORES: u32 = 8;
 const PER_CORE: u64 = 400;
@@ -39,6 +42,11 @@ const MIGRATE_SPEC: MigrationSpec = MigrationSpec::new(256, 16);
 /// Refill windows every artifact replays at: the default, and one small
 /// enough that each core refills many times.
 const WINDOWS: [Option<usize>; 2] = [None, Some(64)];
+
+/// Every replay here samples its time series at this interval into a
+/// ring this large: co-prime with the generators' burst lengths, so
+/// window boundaries land on every access class.
+const SAMPLING: (u64, usize) = (389, 64);
 
 /// The timing setups the artifact must serve: every flat placement,
 /// including an actively-migrating one, and the one placement cache
@@ -70,49 +78,37 @@ fn artifact(kind: TraceKind) -> ClassifiedTrace {
     )
 }
 
-fn assert_sims_match(got: &TraceSim, want: &TraceSim, ctx: &str) {
-    assert_eq!(
-        got.per_core_totals(),
-        want.per_core_totals(),
-        "per-shard totals diverged: {ctx}"
-    );
-    assert_eq!(
-        got.ddr_stats(),
-        want.ddr_stats(),
-        "DDR stats diverged: {ctx}"
-    );
-    assert_eq!(
-        got.hbm_stats(),
-        want.hbm_stats(),
-        "HBM stats diverged: {ctx}"
-    );
-    assert_eq!(
-        got.mesh_stats(),
-        want.mesh_stats(),
-        "mesh stats diverged: {ctx}"
-    );
-    assert_eq!(
-        got.migration_stats(),
-        want.migration_stats(),
-        "migration stats (incl. move digest) diverged: {ctx}"
-    );
+/// The reference model of a fresh simulator for `placement` under
+/// `cfg` at memory-side-cache capacity `msc`, after replaying `trace`.
+fn reference(
+    cfg: &MachineConfig,
+    placement: TracePlacement,
+    msc: ByteSize,
+    trace: &[TraceAccess],
+) -> (ReferenceReplay, TraceSimReport) {
+    let mut want = ReferenceReplay::new(cfg, CORES, placement, msc, Some(SAMPLING));
+    let report = want.replay(trace);
+    (want, report)
 }
 
-/// Replay `ct` on a fresh simulator for `placement` at refill
-/// `window` (the default when `None`); a small window must actually
-/// refill more than once.
+/// Replay `ct` on a fresh, sampling simulator for `placement` at
+/// memory-side-cache capacity `msc` and refill `window` (the default
+/// when `None`); a window smaller than the trace must actually refill
+/// more than once.
 fn replay_classified(
     ct: &ClassifiedTrace,
     cfg: &MachineConfig,
     placement: TracePlacement,
+    msc: ByteSize,
     window: Option<usize>,
 ) -> (TraceSim, TraceSimReport) {
-    let mut sim = TraceSim::new(cfg, CORES, placement, msc());
+    let mut sim = TraceSim::new(cfg, CORES, placement, msc);
+    sim.enable_timeseries(SAMPLING.0, SAMPLING.1);
     if let Some(w) = window {
         sim.set_replay_window(w);
     }
     let report = sim.run_classified(ct);
-    if window.is_some() {
+    if window.is_some_and(|w| (w as u64) < ct.accesses()) {
         assert!(
             sim.last_timing_stats().windows > 1,
             "a {window:?} window over {} accesses must refill more than once",
@@ -124,17 +120,13 @@ fn replay_classified(
 
 /// Replay `kind` under `setup`: the flat artifact built at every worker
 /// count, each replayed against every placement × refill window and
-/// checked against a fresh streaming replay of the same placement.
+/// checked against the reference replay of the same placement.
 fn check(kind: TraceKind, setup: MemSetup) {
     let cfg = MachineConfig::knl7210(setup, 64);
-    let references: Vec<(TracePlacement, TraceSim, TraceSimReport)> = placements(setup)
+    let trace = kind.generate(CORES, PER_CORE, SEED);
+    let references: Vec<(TracePlacement, ReferenceReplay)> = placements(setup)
         .into_iter()
-        .map(|placement| {
-            let mut seq = TraceSim::new(&cfg, CORES, placement, msc());
-            let mut source = kind.source(CORES, PER_CORE, SEED);
-            let expect = replay_streaming(&mut seq, source.as_mut());
-            (placement, seq, expect)
-        })
+        .map(|placement| (placement, reference(&cfg, placement, msc(), &trace).0))
         .collect();
     for workers in WORKERS {
         let ct = par::with_threads(workers, || artifact(kind));
@@ -143,14 +135,13 @@ fn check(kind: TraceKind, setup: MemSetup) {
             ct.accesses() > 0,
             "{kind:?} classified to an empty artifact"
         );
-        for (placement, seq, expect) in &references {
+        for (placement, want) in &references {
             for window in WINDOWS {
-                let (sim, got) = replay_classified(&ct, &cfg, *placement, window);
+                let (sim, got) = replay_classified(&ct, &cfg, *placement, msc(), window);
                 let ctx = format!(
                     "{kind:?} under {setup:?} at {placement:?} workers={workers} window={window:?}"
                 );
-                assert_eq!(&got, expect, "report diverged: {ctx}");
-                assert_sims_match(&sim, seq, &ctx);
+                want.assert_matches(&got, &sim, &ctx);
             }
         }
     }
@@ -202,51 +193,52 @@ fn hot_cold_migration_digest_matches_streaming() {
     let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
     let mk = || HotColdSource::new(CORES, phases, per_core, hot, cold, SEED);
     let placement = TracePlacement::Migrated(MIGRATE_SPEC);
-    let mut seq = TraceSim::new(&cfg, CORES, placement, msc());
-    let expect = {
+    let trace: Vec<TraceAccess> = {
         let mut source = mk();
-        replay_streaming(&mut seq, &mut source)
+        std::iter::from_fn(|| source.next_access()).collect()
     };
-    let stats = seq.migration_stats().expect("scheduler active");
-    assert!(
-        stats.promoted_pages > 0 && stats.demoted_pages > 0,
-        "hot/cold trace must drive promotions and demotions, got {stats:?}"
-    );
+    let (want, _) = reference(&cfg, placement, msc(), &trace);
     for workers in WORKERS {
         let ct = par::with_threads(workers, || {
             let mut source = mk();
             classify_streaming(&cfg, CORES, "hotcold:equiv", &mut source)
         });
         for window in WINDOWS {
-            let (sim, got) = replay_classified(&ct, &cfg, placement, window);
-            let ctx = format!("hotcold workers={workers} window={window:?}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_sims_match(&sim, &seq, &ctx);
+            let (sim, got) = replay_classified(&ct, &cfg, placement, msc(), window);
+            want.assert_matches(
+                &got,
+                &sim,
+                &format!("hotcold workers={workers} window={window:?}"),
+            );
+            let stats = sim.migration_stats().expect("scheduler active");
+            assert!(
+                stats.promoted_pages > 0 && stats.demoted_pages > 0,
+                "hot/cold trace must drive promotions and demotions, got {stats:?}"
+            );
         }
     }
 }
 
 /// End-to-end through the sweep engine: `replay_point` (which replays
-/// an artifact from the global classify cache) must produce the same
-/// reports and device statistics as a fresh streaming replay, at every
-/// flat placement and in cache mode.
+/// an artifact from the global classify cache) must match the
+/// reference, at every flat placement and in cache mode.
 #[test]
 fn sweep_engine_modes_agree_end_to_end() {
     let spec = TraceSpec::from_kind(TraceKind::Gups, CORES, PER_CORE, SEED ^ 0xE2E);
+    let trace = TraceKind::Gups.generate(CORES, PER_CORE, SEED ^ 0xE2E);
     let points = MemSetup::PAPER_SETUPS.into_iter().flat_map(|setup| {
         let cfg = MachineConfig::knl7210(setup, 64);
         placements(setup).into_iter().map(move |p| (cfg.clone(), p))
     });
     for (cfg, placement) in points {
-        let (reuse_sim, reuse_report) = hybridmem::replay_point(&spec, &cfg, placement, msc());
-        let mut fresh = TraceSim::new(&cfg, CORES, placement, msc());
-        let fresh_report = {
-            let mut source = spec.source();
-            replay_streaming(&mut fresh, source.as_mut())
-        };
-        let ctx = format!("sweep engine under {:?} at {placement:?}", cfg.setup);
-        assert_eq!(reuse_report, fresh_report, "report diverged: {ctx}");
-        assert_sims_match(&reuse_sim, &fresh, &ctx);
+        let (sim, got) = hybridmem::replay_point(&spec, &cfg, placement, msc());
+        let mut want = ReferenceReplay::new(&cfg, CORES, placement, msc(), None);
+        want.replay(&trace);
+        want.assert_matches(
+            &got,
+            &sim,
+            &format!("sweep engine under {:?} at {placement:?}", cfg.setup),
+        );
     }
 }
 
@@ -270,28 +262,28 @@ fn conflict_trace(per_core: u64) -> Vec<TraceAccess> {
     t
 }
 
-/// One artifact, classified under a flat config, replays cache mode at
-/// any memory-side-cache capacity and refill window bit-identical to
-/// the sequential oracle `run`, which probes the tags inline: from one
-/// line (every L2 miss conflicts) to 16 Ki lines per core.
+/// One artifact, classified under a flat config, replays cache mode
+/// at any memory-side-cache capacity and refill window bit-identical
+/// to the reference, which probes the tags inline at each L2 miss: from
+/// one line (every L2 miss conflicts) to 16 Ki lines per core.
 #[test]
-fn flat_artifact_replays_cache_mode_bit_identical_to_run() {
+fn flat_artifact_replays_cache_mode_bit_identical_to_reference() {
     let trace = conflict_trace(PER_CORE);
     let ct = ClassifiedTrace::build_from_trace(&flat(), CORES, msc(), "conflict", &trace);
     assert_eq!(ct.level_hits()[2], 0, "classification stops at L2");
     let cache = MachineConfig::knl7210(MemSetup::CacheMode, 64);
     let mut hits = Vec::new();
     for capacity in [ByteSize::bytes(64), ByteSize::kib(4), ByteSize::mib(1)] {
-        let mut seq = TraceSim::new(&cache, CORES, TracePlacement::AllDdr, capacity);
-        let want = seq.run(&trace);
-        hits.push(want.mcdram_cache_hits);
+        let (want, report) = reference(&cache, TracePlacement::AllDdr, capacity, &trace);
+        hits.push(report.mcdram_cache_hits);
         for window in [1, 7, PAR_WINDOW] {
-            let mut sim = TraceSim::new(&cache, CORES, TracePlacement::AllDdr, capacity);
-            sim.set_replay_window(window);
-            let got = sim.run_classified(&ct);
-            let ctx = format!("cache mode at {capacity} window={window}");
-            assert_eq!(got, want, "report diverged: {ctx}");
-            assert_sims_match(&sim, &seq, &ctx);
+            let (sim, got) =
+                replay_classified(&ct, &cache, TracePlacement::AllDdr, capacity, Some(window));
+            want.assert_matches(
+                &got,
+                &sim,
+                &format!("cache mode at {capacity} window={window}"),
+            );
         }
     }
     assert!(hits[2] > 0, "the largest cache must hit: {hits:?}");

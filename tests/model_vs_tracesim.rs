@@ -3,7 +3,7 @@
 //! the paper's qualitative orderings, and roughly on magnitudes where
 //! both are meaningful.
 
-use knl::tracesim::{TraceAccess, TracePlacement, TraceSim};
+use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport};
 use knl::{Machine, MachineConfig, MemSetup, StreamOp};
 use simfabric::ByteSize;
 
@@ -23,6 +23,16 @@ fn stream_trace(cores: u32, lines_per_core: u64) -> Vec<TraceAccess> {
     t
 }
 
+/// Replay a whole `trace` through `sim` as one streamed chunk.
+fn replay(sim: &mut TraceSim, trace: &[TraceAccess]) -> TraceSimReport {
+    let mut whole = Some(trace);
+    sim.run_streaming(|buf| {
+        let chunk = whole.take().unwrap_or_default();
+        buf.extend_from_slice(chunk);
+        chunk.len()
+    })
+}
+
 fn chase_trace(steps: u64) -> Vec<TraceAccess> {
     // Dependent chase with a page-crossing stride (no cache reuse).
     (0..steps)
@@ -37,7 +47,8 @@ fn both_paths_agree_streams_prefer_hbm() {
     let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
     let mut sim_ddr = TraceSim::new(&cfg, 64, TracePlacement::AllDdr, ByteSize::mib(1));
     let mut sim_hbm = TraceSim::new(&cfg, 64, TracePlacement::AllHbm, ByteSize::mib(1));
-    let trace_ratio = sim_hbm.run(&trace).bandwidth_gbs / sim_ddr.run(&trace).bandwidth_gbs;
+    let trace_ratio =
+        replay(&mut sim_hbm, &trace).bandwidth_gbs / replay(&mut sim_ddr, &trace).bandwidth_gbs;
 
     // Analytic path.
     let model_bw = |setup| {
@@ -64,8 +75,8 @@ fn both_paths_agree_chases_prefer_dram() {
     let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
     let mut sim_ddr = TraceSim::new(&cfg, 1, TracePlacement::AllDdr, ByteSize::mib(1));
     let mut sim_hbm = TraceSim::new(&cfg, 1, TracePlacement::AllHbm, ByteSize::mib(1));
-    let ddr_lat = sim_ddr.run(&trace).avg_latency;
-    let hbm_lat = sim_hbm.run(&trace).avg_latency;
+    let ddr_lat = replay(&mut sim_ddr, &trace).avg_latency;
+    let hbm_lat = replay(&mut sim_hbm, &trace).avg_latency;
     assert!(
         hbm_lat > ddr_lat,
         "trace path: HBM chase {hbm_lat} should exceed DDR {ddr_lat}"
@@ -93,8 +104,8 @@ fn trace_cache_mode_ordering_matches_model_at_overflow() {
     let cache_cfg = MachineConfig::knl7210(MemSetup::CacheMode, 64);
     let mut plain = TraceSim::new(&ddr_cfg, 1, TracePlacement::AllDdr, ByteSize::mib(2));
     let mut cached = TraceSim::new(&cache_cfg, 1, TracePlacement::AllDdr, ByteSize::mib(2));
-    let plain_t = plain.run(&trace).makespan;
-    let cached_t = cached.run(&trace).makespan;
+    let plain_t = replay(&mut plain, &trace).makespan;
+    let cached_t = replay(&mut cached, &trace).makespan;
     assert!(
         cached_t >= plain_t,
         "cyclic overflow through the MCDRAM cache should not be faster: {cached_t} vs {plain_t}"
@@ -121,8 +132,8 @@ fn trace_cache_mode_serves_fitting_sets_from_mcdram() {
     let cache_cfg = MachineConfig::knl7210(MemSetup::CacheMode, 64);
     let mut plain = TraceSim::new(&ddr_cfg, 1, TracePlacement::AllDdr, ByteSize::mib(8));
     let mut cached = TraceSim::new(&cache_cfg, 1, TracePlacement::AllDdr, ByteSize::mib(8));
-    let plain_r = plain.run(&trace);
-    let cached_r = cached.run(&trace);
+    let plain_r = replay(&mut plain, &trace);
+    let cached_r = replay(&mut cached, &trace);
     // ≥ 3 of 4 passes' worth of lines served by the MCDRAM cache.
     assert!(
         cached_r.mcdram_cache_hits > 2 * lines,

@@ -1,20 +1,22 @@
-//! Sequential-equivalence differential suite for the streaming trace
+//! Reference-equivalence differential suite for the streaming trace
 //! engine: for every workload trace generator, every paper memory
 //! setup, and a 1/2/4/8 worker-thread ladder, `run_streaming` (fed
 //! chunk-by-chunk from the generator's `TraceSource`) must produce
-//! reports and device statistics **bit-identical** to the sequential
-//! reference `run`. The contention, migration and time-series cases
-//! also stream the materialized trace in 512-access chunks, so ghost
-//! refills land mid-contention and between rebalances; the edge trace
-//! streams in 1-access chunks. This is the correctness contract that
-//! makes the streaming speedup trustworthy: "streaming == sequential,
-//! only faster". Classified (artifact)
-//! replay is held to streaming replay in `tests/classified_equivalence.rs`.
+//! reports and device statistics **bit-identical** to the independent
+//! reference replay in `tests/support`, which shares none of the
+//! engine's timing code. The contention, migration and time-series
+//! cases also stream the materialized trace in 512-access chunks, so
+//! ghost refills land mid-contention and between rebalances; the edge
+//! trace streams in 1-access chunks. Classified (artifact) replay is
+//! held to the same reference in `tests/classified_equivalence.rs`.
+
+mod support;
 
 use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport};
 use knl::{MachineConfig, MemSetup};
 use memkind_sim::MigrationSpec;
 use simfabric::{par, ByteSize};
+use support::ReferenceReplay;
 use workloads::tracegen::{replay_streaming, HotColdSource, TraceKind, TraceSource};
 
 const CORES: u32 = 8;
@@ -38,6 +40,18 @@ fn fresh(setup: MemSetup) -> TraceSim {
         CORES,
         placement(setup),
         ByteSize::mib(4),
+    )
+}
+
+/// The reference model of [`fresh`]`(setup)`, sampling as `sampling`
+/// says.
+fn reference(setup: MemSetup, sampling: Option<(u64, usize)>) -> ReferenceReplay {
+    ReferenceReplay::new(
+        &MachineConfig::knl7210(setup, 64),
+        CORES,
+        placement(setup),
+        ByteSize::mib(4),
+        sampling,
     )
 }
 
@@ -70,50 +84,18 @@ fn stream_source(
     par::with_threads(workers, || replay_streaming(sim, source.as_mut()))
 }
 
-/// Everything observable outside the report: per-shard totals, both
-/// DRAM bank models, the mesh, and the migration scheduler (whose
-/// move digest pins remaps to identical trace offsets).
-fn assert_sims_match(got: &TraceSim, want: &TraceSim, ctx: &str) {
-    assert_eq!(
-        got.per_core_totals(),
-        want.per_core_totals(),
-        "per-shard totals diverged: {ctx}"
-    );
-    assert_eq!(
-        got.ddr_stats(),
-        want.ddr_stats(),
-        "DDR bank stats diverged: {ctx}"
-    );
-    assert_eq!(
-        got.hbm_stats(),
-        want.hbm_stats(),
-        "MCDRAM bank stats diverged: {ctx}"
-    );
-    assert_eq!(
-        got.mesh_stats(),
-        want.mesh_stats(),
-        "mesh stats diverged: {ctx}"
-    );
-    assert_eq!(
-        got.migration_stats(),
-        want.migration_stats(),
-        "migration stats (incl. move digest) diverged: {ctx}"
-    );
-}
-
-/// Replay `kind` under `setup` sequentially and streaming at every
-/// worker count; assert everything observable is identical.
+/// Replay `kind` under `setup` through the reference and streaming at
+/// every worker count; assert everything observable is identical.
 fn check(kind: TraceKind, setup: MemSetup) {
     let trace = kind.generate(CORES, PER_CORE, SEED);
     assert!(!trace.is_empty(), "{kind:?} generated an empty trace");
-    let mut seq = fresh(setup);
-    let expect: TraceSimReport = seq.run(&trace);
+    let mut want = reference(setup, None);
+    want.replay(&trace);
     for workers in WORKERS {
         let mut sim = fresh(setup);
         let got = stream_source(&mut sim, kind.source(CORES, PER_CORE, SEED), workers);
         let ctx = format!("streaming {kind:?} under {setup:?} at {workers} workers");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_sims_match(&sim, &seq, &ctx);
+        want.assert_matches(&got, &sim, &ctx);
     }
 }
 
@@ -157,31 +139,24 @@ fn split_placement_parallel_equals_sequential() {
     // The SplitAt placement exercises both devices in one run.
     let trace = TraceKind::Bfs.generate(CORES, PER_CORE, SEED ^ 0x5917);
     let cfg = MachineConfig::knl7210(MemSetup::DramOnly, 64);
-    let mk = || {
-        TraceSim::new(
-            &cfg,
-            CORES,
-            TracePlacement::SplitAt(16 << 20),
-            ByteSize::mib(4),
-        )
-    };
-    let mut seq = mk();
-    let expect = seq.run(&trace);
-    assert!(expect.memory_accesses > 0);
+    let placement = TracePlacement::SplitAt(16 << 20);
+    let mut want = ReferenceReplay::new(&cfg, CORES, placement, ByteSize::mib(4), None);
+    assert!(want.replay(&trace).memory_accesses > 0);
     for workers in WORKERS {
-        let mut sim = mk();
+        let mut sim = TraceSim::new(&cfg, CORES, placement, ByteSize::mib(4));
         let source = TraceKind::Bfs.source(CORES, PER_CORE, SEED ^ 0x5917);
         let got = stream_source(&mut sim, source, workers);
-        let ctx = format!("streaming split placement at {workers} workers");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_sims_match(&sim, &seq, &ctx);
+        want.assert_matches(
+            &got,
+            &sim,
+            &format!("streaming split placement at {workers} workers"),
+        );
     }
 }
 
 /// The device/shard portion of a metrics registry — everything except
-/// the `pipeline.*` stall counters and `replay.peak_buffer_bytes`,
-/// which measure wall-clock scheduling and are legitimately different
-/// between the sequential and streaming paths.
+/// the `pipeline.*` stall counters and `replay.*` buffer and window
+/// counts, which measure wall-clock scheduling and chunking.
 fn deterministic_metrics(sim: &TraceSim) -> Vec<(String, simfabric::telemetry::MetricValue)> {
     sim.metrics_registry()
         .iter()
@@ -200,44 +175,28 @@ fn merged_shards(sim: &TraceSim) -> simfabric::MetricsRegistry {
     merged
 }
 
-/// Telemetry must be (1) invisible to replay results and (2) a
-/// commutative-merge view: the fold of per-shard registries and the
-/// full device registry both land on the sequential values at every
-/// worker count.
+/// Telemetry must be (1) invisible to replay results, which still
+/// match the reference, and (2) a commutative-merge view: the fold of
+/// per-shard registries and the full device registry land on the same
+/// values at every worker count, histograms included.
 #[test]
 fn telemetry_registries_merge_to_sequential_values() {
     let setup = MemSetup::CacheMode;
     for kind in TraceKind::ALL {
         let trace = kind.generate(CORES, PER_CORE, SEED);
-        let mut plain = fresh(setup);
-        let expect = plain.run(&trace);
-
-        let mut seq = fresh(setup);
-        seq.enable_telemetry();
-        assert_eq!(
-            seq.run(&trace),
-            expect,
-            "telemetry changed {kind:?} results"
-        );
-        let expect_shards = merged_shards(&seq);
-        let expect_metrics = deterministic_metrics(&seq);
-
+        let mut want = reference(setup, None);
+        want.replay(&trace);
+        let mut first = None;
         for workers in WORKERS {
             let ctx = format!("{kind:?} at {workers} workers");
             let mut sim = fresh(setup);
             sim.enable_telemetry();
             let got = stream_source(&mut sim, kind.source(CORES, PER_CORE, SEED), workers);
-            assert_eq!(got, expect, "streaming report diverged: {ctx}");
-            assert_eq!(
-                merged_shards(&sim),
-                expect_shards,
-                "streaming shard registries diverged: {ctx}"
-            );
-            assert_eq!(
-                deterministic_metrics(&sim),
-                expect_metrics,
-                "streaming device metrics diverged: {ctx}"
-            );
+            want.assert_matches(&got, &sim, &format!("telemetry on: {ctx}"));
+            let registries = (merged_shards(&sim), deterministic_metrics(&sim));
+            let (shards, metrics) = first.get_or_insert(registries.clone());
+            assert_eq!(&registries.0, shards, "shard registries diverged: {ctx}");
+            assert_eq!(&registries.1, metrics, "device metrics diverged: {ctx}");
         }
     }
 }
@@ -278,52 +237,52 @@ fn contention_trace(cores: u32, per_core: u64) -> Vec<TraceAccess> {
 }
 
 /// Satellite stress test: the adversarial contention trace must stay
-/// bit-identical to the sequential oracle across worker counts, paper
-/// setups, and chunks small enough to force many ghost-slot refills
+/// bit-identical to the reference across worker counts, paper setups,
+/// and chunks small enough to force many ghost-slot refills
 /// mid-contention.
 #[test]
 fn contention_stress_parallel_equals_sequential() {
     let trace = contention_trace(CORES, PER_CORE);
     for setup in [MemSetup::DramOnly, MemSetup::HbmOnly, MemSetup::CacheMode] {
-        let mut seq = fresh(setup);
-        let expect = seq.run(&trace);
+        let mut want = reference(setup, None);
         assert!(
-            expect.memory_accesses > 0,
+            want.replay(&trace).memory_accesses > 0,
             "contention trace must reach memory under {setup:?}"
         );
         for workers in WORKERS {
             let mut sim = fresh(setup);
             let got = stream_chunked(&mut sim, &trace, CHUNK, workers);
-            let ctx = format!("contention {setup:?} workers={workers}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_sims_match(&sim, &seq, &ctx);
+            want.assert_matches(
+                &got,
+                &sim,
+                &format!("contention {setup:?} workers={workers}"),
+            );
         }
     }
 }
 
 /// The same adversarial trace with telemetry enabled: order-sensitive
 /// recorders (MSHR occupancy, DRAM queue-wait histograms) must land on
-/// the sequential values even though chunk refills interrupt the
-/// merge mid-contention.
+/// the same values at every worker count even though chunk refills
+/// interrupt the merge mid-contention, and the results must still
+/// match the reference.
 #[test]
 fn contention_stress_telemetry_matches_sequential() {
     let trace = contention_trace(CORES, PER_CORE / 2);
     let setup = MemSetup::CacheMode;
-    let mut plain = fresh(setup);
-    let expect = plain.run(&trace);
-    let mut seq = fresh(setup);
-    seq.enable_telemetry();
-    assert_eq!(seq.run(&trace), expect, "telemetry changed results");
-    let expect_metrics = deterministic_metrics(&seq);
+    let mut want = reference(setup, None);
+    want.replay(&trace);
+    let mut first = None;
     for workers in WORKERS {
         let mut sim = fresh(setup);
         sim.enable_telemetry();
         let got = stream_chunked(&mut sim, &trace, CHUNK, workers);
         let ctx = format!("contention telemetry workers={workers}");
-        assert_eq!(got, expect, "report diverged: {ctx}");
+        want.assert_matches(&got, &sim, &ctx);
+        let metrics = deterministic_metrics(&sim);
         assert_eq!(
-            deterministic_metrics(&sim),
-            expect_metrics,
+            &metrics,
+            first.get_or_insert(metrics.clone()),
             "device metrics diverged: {ctx}"
         );
     }
@@ -350,9 +309,9 @@ fn edge_trace(cores: u32, per_core: u64) -> Vec<TraceAccess> {
 }
 
 /// The edge trace streamed one access per chunk, so every access is a
-/// refill, must match the sequential oracle under a static placement,
-/// under migration every access with a budget above the footprint,
-/// and under migration every access into a one-page budget.
+/// refill, must match the reference under a static placement, under
+/// migration every access with a budget above the footprint, and under
+/// migration every access into a one-page budget.
 #[test]
 fn edge_trace_one_access_chunks_equal_sequential() {
     let trace = edge_trace(CORES, PER_CORE);
@@ -362,25 +321,22 @@ fn edge_trace_one_access_chunks_equal_sequential() {
         TracePlacement::Migrated(MigrationSpec::new(1, u32::MAX)),
         TracePlacement::Migrated(MigrationSpec::new(1, 1)),
     ] {
-        let mk = || TraceSim::new(&cfg, CORES, placement, ByteSize::mib(4));
-        let mut seq = mk();
-        let expect = seq.run(&trace);
+        let mut want = ReferenceReplay::new(&cfg, CORES, placement, ByteSize::mib(4), None);
         assert!(
-            expect.memory_accesses > 0,
+            want.replay(&trace).memory_accesses > 0,
             "edge trace must reach memory under {placement:?}"
         );
-        if let Some(stats) = seq.migration_stats() {
-            assert!(
-                stats.promoted_pages > 0,
-                "edge trace must promote under {placement:?}, got {stats:?}"
-            );
-        }
         for workers in WORKERS {
-            let mut sim = mk();
+            let mut sim = TraceSim::new(&cfg, CORES, placement, ByteSize::mib(4));
             let got = stream_chunked(&mut sim, &trace, 1, workers);
-            let ctx = format!("edge {placement:?} workers={workers}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_sims_match(&sim, &seq, &ctx);
+            want.assert_matches(&got, &sim, &format!("edge {placement:?} workers={workers}"));
+            if let TracePlacement::Migrated(_) = placement {
+                let stats = sim.migration_stats().expect("scheduler active");
+                assert!(
+                    stats.promoted_pages > 0,
+                    "edge trace must promote under {placement:?}, got {stats:?}"
+                );
+            }
         }
     }
 }
@@ -399,6 +355,18 @@ fn fresh_migrated() -> TraceSim {
     )
 }
 
+/// The reference model of [`fresh_migrated`], sampling as `sampling`
+/// says.
+fn reference_migrated(sampling: Option<(u64, usize)>) -> ReferenceReplay {
+    ReferenceReplay::new(
+        &MachineConfig::knl7210(MemSetup::DramOnly, 64),
+        CORES,
+        TracePlacement::Migrated(MIGRATE_SPEC),
+        ByteSize::mib(4),
+        sampling,
+    )
+}
+
 /// Materialize everything `source` yields.
 fn drain(mut source: Box<dyn TraceSource + Send>) -> Vec<TraceAccess> {
     let mut out = Vec::new();
@@ -408,38 +376,40 @@ fn drain(mut source: Box<dyn TraceSource + Send>) -> Vec<TraceAccess> {
     out
 }
 
-/// Replay `trace` under active migration sequentially and streaming —
-/// from the generator, and from the materialized trace in small chunks
-/// so remaps straddle refills; everything observable — including the
-/// scheduler's move-sequence digest — must be bit-identical. A remap
-/// landing one access early or late changes the routing of that
-/// access and shows up in the digest and device stats.
+/// Replay `trace` under active migration through the reference and
+/// streaming — from the generator, and from the materialized trace in
+/// small chunks so remaps straddle refills; everything observable —
+/// including the scheduler's move-sequence digest — must be
+/// bit-identical. A remap landing one access early or late changes
+/// the routing of that access and shows up in the digest and device
+/// stats.
 fn check_migration(
     label: &str,
     trace: &[TraceAccess],
     source: impl Fn() -> Box<dyn TraceSource + Send>,
 ) {
-    let mut seq = fresh_migrated();
-    let expect = seq.run(trace);
-    let expect_stats = seq
-        .migration_stats()
-        .expect("Migrated placement must build a scheduler");
-    assert!(
-        expect_stats.rebalances > 0,
-        "{label}: trace too short to cross a rebalance boundary"
-    );
+    let mut want = reference_migrated(None);
+    want.replay(trace);
     for workers in WORKERS {
         let mut sim = fresh_migrated();
         let got = stream_chunked(&mut sim, trace, CHUNK, workers);
-        let ctx = format!("migrated chunked {label} workers={workers}");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_sims_match(&sim, &seq, &ctx);
+        want.assert_matches(
+            &got,
+            &sim,
+            &format!("migrated chunked {label} workers={workers}"),
+        );
+        assert!(
+            sim.migration_stats().unwrap().rebalances > 0,
+            "{label}: trace too short to cross a rebalance boundary"
+        );
 
         let mut sim = fresh_migrated();
         let got = stream_source(&mut sim, source(), workers);
-        let ctx = format!("migrated streaming {label} workers={workers}");
-        assert_eq!(got, expect, "report diverged: {ctx}");
-        assert_sims_match(&sim, &seq, &ctx);
+        want.assert_matches(
+            &got,
+            &sim,
+            &format!("migrated streaming {label} workers={workers}"),
+        );
     }
 }
 
@@ -467,9 +437,9 @@ fn hot_cold() -> Box<dyn TraceSource + Send> {
 #[test]
 fn migration_hot_cold_parallel_equals_sequential() {
     let trace = drain(hot_cold());
-    let mut seq = fresh_migrated();
-    seq.run(&trace);
-    let stats = seq.migration_stats().unwrap();
+    let mut sim = fresh_migrated();
+    stream_chunked(&mut sim, &trace, CHUNK, 1);
+    let stats = sim.migration_stats().unwrap();
     assert!(
         stats.promoted_pages > 0 && stats.demoted_pages > 0,
         "hot/cold trace must drive promotions and demotions, got {stats:?}"
@@ -477,18 +447,14 @@ fn migration_hot_cold_parallel_equals_sequential() {
     check_migration("HotCold", &trace, hot_cold);
 }
 
-/// Sampled series of `sim` as JSONL.
-fn timeseries_jsonl(sim: &TraceSim) -> String {
-    sim.timeseries().expect("sampling enabled").to_jsonl()
-}
-
 /// Tentpole contract for in-replay time-series sampling: enabling the
 /// sampler must leave replay results bit-identical, and the sampled
-/// windows themselves must be bit-identical across the sequential and
-/// streaming engines — from the generator and from the materialized
-/// trace in small chunks — at every worker count. The sampling clock
-/// is merge-order simulated progress, not wall time, so the exported
-/// JSONL matches byte for byte. Covers all five paper generators.
+/// windows themselves must match the reference's, which computes each
+/// queue wait per access — from the generator and from the
+/// materialized trace in small chunks — at every worker count. The
+/// sampling clock is merge-order simulated progress, not wall time,
+/// so the exported JSONL matches byte for byte. Covers all five paper
+/// generators.
 #[test]
 fn timeseries_sampling_invisible_and_identical_across_engines() {
     // Co-prime with the generators' burst lengths so boundaries land
@@ -499,17 +465,14 @@ fn timeseries_sampling_invisible_and_identical_across_engines() {
     for kind in TraceKind::ALL {
         let trace = kind.generate(CORES, PER_CORE, SEED);
         let mut plain = fresh(setup);
-        let expect = plain.run(&trace);
+        let expect = stream_chunked(&mut plain, &trace, CHUNK, 1);
 
-        let mut seq = fresh(setup);
-        seq.enable_timeseries(INTERVAL, CAPACITY);
-        assert_eq!(seq.run(&trace), expect, "sampling changed {kind:?} results");
-        let rec = seq.timeseries().expect("sampling enabled");
-        assert!(
-            rec.windows().count() > 1,
-            "{kind:?}: trace too short to close multiple windows"
+        let mut want = reference(setup, Some((INTERVAL, CAPACITY)));
+        assert_eq!(
+            want.replay(&trace),
+            expect,
+            "sampling changed {kind:?} results"
         );
-        let expect_jsonl = rec.to_jsonl();
 
         for workers in WORKERS {
             for chunked in [true, false] {
@@ -521,11 +484,11 @@ fn timeseries_sampling_invisible_and_identical_across_engines() {
                     stream_source(&mut sim, kind.source(CORES, PER_CORE, SEED), workers)
                 };
                 let ctx = format!("{kind:?} chunked={chunked} workers={workers}");
-                assert_eq!(got, expect, "sampled report diverged: {ctx}");
-                assert_eq!(
-                    timeseries_jsonl(&sim),
-                    expect_jsonl,
-                    "sampled windows diverged: {ctx}"
+                want.assert_matches(&got, &sim, &ctx);
+                let rec = sim.timeseries().expect("sampling enabled");
+                assert!(
+                    rec.windows().count() > 1,
+                    "{ctx}: trace too short to close multiple windows"
                 );
             }
         }
@@ -533,32 +496,24 @@ fn timeseries_sampling_invisible_and_identical_across_engines() {
 }
 
 /// The migration series under a deliberately tiny ring: the resident
-/// and move counts sampled mid-wave, plus the ring-drop count, must be
-/// identical on every engine — and the hot/cold workload guarantees
-/// the series actually moves (promotion and demotion waves).
+/// and move counts sampled mid-wave, plus the ring-drop count, must
+/// match the reference on every engine — and the hot/cold workload
+/// guarantees the series actually moves (promotion and demotion
+/// waves).
 #[test]
 fn timeseries_migration_series_identical_across_engines() {
     const INTERVAL: u64 = 131;
     const CAPACITY: usize = 4; // force ring eviction
     let trace = drain(hot_cold());
     let mut plain = fresh_migrated();
-    let expect = plain.run(&trace);
+    let expect = stream_chunked(&mut plain, &trace, CHUNK, 1);
 
-    let mut seq = fresh_migrated();
-    seq.enable_timeseries(INTERVAL, CAPACITY);
-    assert_eq!(seq.run(&trace), expect, "sampling changed migrated results");
-    let rec = seq.timeseries().expect("sampling enabled");
-    assert!(rec.dropped() > 0, "ring must overflow at capacity 4");
-    let resident = rec
-        .series_names()
-        .iter()
-        .position(|&n| n == "migrate.resident_pages")
-        .expect("resident series registered");
-    assert!(
-        rec.windows().any(|w| w.values[resident] > 0.0),
-        "resident-page series never moved"
+    let mut want = reference_migrated(Some((INTERVAL, CAPACITY)));
+    assert_eq!(
+        want.replay(&trace),
+        expect,
+        "sampling changed migrated results"
     );
-    let expect_jsonl = rec.to_jsonl();
 
     for workers in WORKERS {
         for chunked in [true, false] {
@@ -570,11 +525,17 @@ fn timeseries_migration_series_identical_across_engines() {
                 stream_source(&mut sim, hot_cold(), workers)
             };
             let ctx = format!("migrated sampling chunked={chunked} workers={workers}");
-            assert_eq!(got, expect, "report diverged: {ctx}");
-            assert_eq!(
-                timeseries_jsonl(&sim),
-                expect_jsonl,
-                "sampled windows diverged: {ctx}"
+            want.assert_matches(&got, &sim, &ctx);
+            let rec = sim.timeseries().expect("sampling enabled");
+            assert!(rec.dropped() > 0, "{ctx}: ring must overflow at capacity 4");
+            let resident = rec
+                .series_names()
+                .iter()
+                .position(|&n| n == "migrate.resident_pages")
+                .expect("resident series registered");
+            assert!(
+                rec.windows().any(|w| w.values[resident] > 0.0),
+                "{ctx}: resident-page series never moved"
             );
         }
     }

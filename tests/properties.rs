@@ -4,7 +4,7 @@
 
 use cachesim::cache::{AccessKind, Cache, CacheConfig};
 use cachesim::replacement::ReplacementPolicy;
-use knl::tracesim::{TracePlacement, TraceSim};
+use knl::tracesim::{TraceAccess, TracePlacement, TraceSim, TraceSimReport};
 use knl::MachineConfig;
 use knl_hybrid_memory::prelude::*;
 use memkind_sim::migrate::{MigrationCost, MigrationSpec, PageScheduler};
@@ -197,6 +197,16 @@ fn migration_occupancy_within_budget() {
     }
 }
 
+/// Replay a whole `trace` through `sim` as one streamed chunk.
+fn replay(sim: &mut TraceSim, trace: &[TraceAccess]) -> TraceSimReport {
+    let mut whole = Some(trace);
+    sim.run_streaming(|buf| {
+        let chunk = whole.take().unwrap_or_default();
+        buf.extend_from_slice(chunk);
+        chunk.len()
+    })
+}
+
 /// Degenerate migration specs are exactly the static all-DDR
 /// placement: a zero period or zero budget builds no scheduler at all,
 /// and a period longer than the whole trace never reaches a rebalance
@@ -213,11 +223,11 @@ fn migration_degenerates_to_static_placement() {
         let mk =
             |placement: TracePlacement| TraceSim::new(&cfg, cores, placement, ByteSize::mib(4));
         let mut base = mk(TracePlacement::AllDdr);
-        let expect = base.run(&trace);
+        let expect = replay(&mut base, &trace);
         // Period or budget of zero: no scheduler is even built.
         for spec in [MigrationSpec::new(0, 8), MigrationSpec::new(1, 0)] {
             let mut sim = mk(TracePlacement::Migrated(spec));
-            assert_eq!(sim.run(&trace), expect, "case {case} {spec:?}");
+            assert_eq!(replay(&mut sim, &trace), expect, "case {case} {spec:?}");
             assert!(
                 sim.migration_stats().is_none(),
                 "case {case}: disabled {spec:?} built a scheduler"
@@ -229,7 +239,11 @@ fn migration_degenerates_to_static_placement() {
         // rebalance on the final tick, so `+ 1` is the exact edge.)
         let spec = MigrationSpec::new(trace.len() as u64 + 1, 8);
         let mut sim = mk(TracePlacement::Migrated(spec));
-        assert_eq!(sim.run(&trace), expect, "case {case}: infinite period");
+        assert_eq!(
+            replay(&mut sim, &trace),
+            expect,
+            "case {case}: infinite period"
+        );
         let stats = sim.migration_stats().expect("scheduler must exist");
         assert_eq!(stats.rebalances, 0, "case {case}");
         assert_eq!(stats.promoted_pages, 0, "case {case}");
@@ -255,9 +269,9 @@ fn migration_conserves_accesses() {
         let mk =
             |placement: TracePlacement| TraceSim::new(&cfg, cores, placement, ByteSize::mib(4));
         let mut base = mk(TracePlacement::AllDdr);
-        let expect = base.run(&trace);
+        let expect = replay(&mut base, &trace);
         let mut sim = mk(TracePlacement::Migrated(MigrationSpec::new(period, budget)));
-        let got = sim.run(&trace);
+        let got = replay(&mut sim, &trace);
         let ctx = format!("case {case} (T={period} budget={budget})");
         assert_eq!(got.accesses, expect.accesses, "{ctx}");
         assert_eq!(got.memory_accesses, expect.memory_accesses, "{ctx}");

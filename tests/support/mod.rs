@@ -24,8 +24,10 @@
 //! - each time-series queue wait computed per access as
 //!   `served − arrive − floor`.
 //!
-//! It calls no `knl::tracesim` function: it reads `TraceAccess`
+//! The model calls no `knl::tracesim` function: it reads `TraceAccess`
 //! fields and builds `TraceSimReport` and `ShardTotals` values only.
+//! Only [`assert_matches`](ReferenceReplay::assert_matches) touches a
+//! `TraceSim`, and only through the accessors that expose its results.
 
 use cachesim::cache::AccessKind;
 use cachesim::hierarchy::{Hierarchy, HierarchyConfig, LevelHit};
